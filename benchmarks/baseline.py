@@ -10,8 +10,8 @@ numbers and the resulting speedups — to the repo root::
 
 The committed ``BENCH_protocol.json`` is the regression anchor:
 ``benchmarks/test_bench_smoke.py`` (run by CI) re-measures the
-seal/peel microbench and fails when it has regressed more than 2x
-against the committed numbers.
+seal/peel and snapshot-save microbenches and fails when one has
+regressed more than 2x against the committed numbers.
 
 The measurement functions are importable so the smoke test and the
 recorder can never disagree on methodology.
@@ -113,6 +113,24 @@ def _noop() -> None:
     pass
 
 
+def measure_snapshot_save_ms(repeats: int = 5) -> float:
+    """Median milliseconds for ``snapshot_system`` on one loaded shard
+    (shard 0 of the N=64 / 2-shard scaling point, at t = 1 s)."""
+    import statistics
+
+    from repro.simnet.shard import ScaleSpec, build_shard_system
+    from repro.simnet.snapshot import snapshot_system
+
+    system = build_shard_system(ScaleSpec(nodes=64, num_shards=2, seed=7, horizon=2.0), 0)
+    system.run(1.0)
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        snapshot_system(system)
+        samples.append(time.perf_counter() - t0)
+    return statistics.median(samples) * 1e3
+
+
 def measure_end_to_end(nodes: int = 64) -> dict:
     """Wall seconds of the acceptance-criterion 64-node experiment."""
     from repro.core.config import RacConfig
@@ -168,6 +186,7 @@ def record(path: pathlib.Path = BASELINE_PATH, quick: bool = False) -> dict:
         "dh_seal_unseal_10k_us": round(measure_seal_unseal_10k("dh"), 1),
         "dh_keygen_ms": round(measure_dh_keygen(), 3),
         "engine_events_per_sec": round(measure_engine_events_per_sec()),
+        "snapshot_save_ms": round(measure_snapshot_save_ms(), 1),
     }
     doc = {
         "schema": 1,

@@ -1,10 +1,11 @@
 """CI regression gate against the committed performance baseline.
 
-Re-measures the seal+peel microbench with the exact methodology of
-``benchmarks/baseline.py`` and fails when throughput has regressed more
-than 2x against the committed ``BENCH_protocol.json``. The 2x margin
-absorbs CI-machine noise while still catching an accidentally reverted
-fast path (the optimisations are 4-6x, so losing one blows the gate).
+Re-measures the seal+peel and snapshot-save microbenches with the exact
+methodology of ``benchmarks/baseline.py`` and fails when one has
+regressed more than 2x against the committed ``BENCH_protocol.json``.
+The 2x margin absorbs CI-machine noise while still catching an
+accidentally reverted fast path (the optimisations are 4-6x, so losing
+one blows the gate).
 
 Runs as a plain pytest test — no pytest-benchmark fixture — so it is
 cheap enough for every CI push (``make ci-bench-smoke``).
@@ -26,10 +27,10 @@ def committed():
     return json.loads(baseline.BASELINE_PATH.read_text())["microbench"]
 
 
-def _assert_not_regressed(name: str, measured_us: float, committed_us: float):
-    limit = committed_us * REGRESSION_FACTOR
-    assert measured_us <= limit, (
-        f"{name} regressed: {measured_us:.0f}us measured vs {committed_us:.0f}us "
+def _assert_not_regressed(name: str, measured: float, committed: float, unit: str = "us"):
+    limit = committed * REGRESSION_FACTOR
+    assert measured <= limit, (
+        f"{name} regressed: {measured:.0f}{unit} measured vs {committed:.0f}{unit} "
         f"committed baseline (>{REGRESSION_FACTOR}x; re-run `make bench` if this "
         f"is an intentional trade-off)"
     )
@@ -48,3 +49,9 @@ def test_dh_seal_unseal_within_2x_of_baseline(committed):
 def test_keystream_within_2x_of_baseline(committed):
     measured = baseline.measure_keystream_10k(repeats=5, number=200)
     _assert_not_regressed("keystream", measured, committed["keystream_10k_us"])
+
+
+def test_snapshot_save_within_2x_of_baseline(committed):
+    # the C pickler is ~5x the pure-Python one it replaced, so a revert trips this
+    measured = baseline.measure_snapshot_save_ms()
+    _assert_not_regressed("shard snapshot", measured, committed["snapshot_save_ms"], unit="ms")

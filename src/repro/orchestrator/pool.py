@@ -136,12 +136,17 @@ def run_cell_inline(cell: SweepCell, ctx: "Optional[WorkerContext]" = None) -> R
     return _execute_cell(cell, ctx if ctx is not None else WorkerContext())
 
 
-def run_grid_inline(grid: SweepGrid, store: "Optional[ResultStore]" = None) -> ResultStore:
+def run_grid_inline(
+    grid: SweepGrid,
+    store: "Optional[ResultStore]" = None,
+    ctx: "Optional[WorkerContext]" = None,
+) -> ResultStore:
     """Serially evaluate a grid into a store (in-memory by default).
 
     The one-shot path the figure modules use: same grid semantics and
     result schema as a parallel campaign, minus the processes. Cells
     already completed in ``store`` are skipped, exactly like a resume.
+    ``ctx`` is handed to every cell (default: a bare context).
     """
     if store is None:
         store = ResultStore()
@@ -149,7 +154,7 @@ def run_grid_inline(grid: SweepGrid, store: "Optional[ResultStore]" = None) -> R
     for cell in grid.cells():
         if cell.cell_id in completed:
             continue
-        store.append(run_cell_inline(cell))
+        store.append(run_cell_inline(cell, ctx))
     return store
 
 

@@ -290,7 +290,7 @@ def run_sharded(
 
         grid = _epoch_grid(run_dir, spec, epoch)
         if serial:
-            run_grid_inline(grid, store)
+            run_grid_inline(grid, store, WorkerContext(verify_snapshots=verify_snapshots))
         else:
             crash_cells = (
                 [c.cell_id for c in grid.cells()[:inject_crash]] if epoch == 0 else []

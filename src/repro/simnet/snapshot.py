@@ -17,13 +17,16 @@ on top of :mod:`pickle`:
   with explicit arguments instead of closures.
 
 * ``set``/``frozenset`` iteration order depends on each table's private
-  insertion history, so a naively re-pickled restore is not guaranteed
-  to be byte-identical to its own snapshot. The snapshot pickler
-  therefore reduces every set to a canonically ordered list (sorted by
-  ``repr``, which totally orders the mixed int/str/tuple keys the
-  protocol uses), making ``snapshot → restore → snapshot`` a byte
-  fixed-point — and that fixed-point is the cheap integrity check
-  :func:`snapshot_system` can run before a checkpoint is trusted.
+  insertion history (and, for strings, on ``PYTHONHASHSEED``), so a
+  naively re-pickled restore is not guaranteed to be byte-identical to
+  its own snapshot. The snapshot pickler therefore writes every set as
+  a persistent id carrying its items as a canonically ordered list
+  (sorted by ``repr``, which totally orders the mixed int/str/tuple
+  keys the protocol uses), and the unpickler rebuilds the set from it —
+  see :class:`_SnapshotPickler` for why that hook and no other. This
+  makes ``snapshot → restore → snapshot`` a byte fixed-point, and that
+  fixed-point is the cheap integrity check :func:`snapshot_system` can
+  run before a checkpoint is trusted.
 
 Invariants (pinned by ``tests/integration/test_determinism.py``):
 
@@ -39,7 +42,7 @@ from __future__ import annotations
 import io
 import os
 import pickle
-from typing import Any, Tuple
+from typing import Any, Dict, Tuple
 
 __all__ = [
     "SnapshotError",
@@ -52,45 +55,72 @@ __all__ = [
 ]
 
 #: Versioned header; bump the digit when the snapshot layout changes.
-SNAPSHOT_MAGIC = b"RACSNAP/1\n"
+#: /2: sets travel as persistent ids (see :class:`_SnapshotPickler`).
+SNAPSHOT_MAGIC = b"RACSNAP/2\n"
+_MAGIC_PREFIX = b"RACSNAP/"
 
 
 class SnapshotError(Exception):
     """A snapshot could not be taken, verified or restored."""
 
 
-def _reduce_set(s: set) -> "Tuple[type, Tuple[list]]":
-    return (set, (sorted(s, key=repr),))
+class _SnapshotPickler(pickle.Pickler):
+    """The C pickler, with every set written as a persistent id.
 
-
-def _reduce_frozenset(s: frozenset) -> "Tuple[type, Tuple[list]]":
-    return (frozenset, (sorted(s, key=repr),))
-
-
-class _SnapshotPickler(pickle._Pickler):  # noqa: SLF001 - deliberate, see below
-    """Pickler with canonical (repr-sorted) set ordering.
-
-    Deliberately the *pure-Python* pickler: only there does
-    ``reducer_override`` run before the builtin-container fast paths.
-    The C pickler consults its internal ``save_set`` first, so neither
-    a ``dispatch_table`` entry nor ``reducer_override`` could
-    canonicalize sets (they would be silently ignored). The speed
-    difference is irrelevant at checkpoint granularity.
+    The C pickler serialises an exact ``set``/``frozenset`` in its
+    built-in fast path, in table order, and offers it to neither
+    ``reducer_override`` nor ``dispatch_table`` — but it offers *every*
+    object to ``persistent_id`` first. A first-seen set therefore
+    leaves as ``(index, is_frozen, repr-sorted items)``, a repeat as
+    ``(index,)``; anything else answers ``None`` and pickles normally.
+    The pickler's own memo never sees a set, so the index is what keeps
+    a set referenced twice one object after :class:`_SnapshotUnpickler`
+    rebuilds it. ``_sets`` holds each set alive so its ``id`` cannot be
+    reused by a temporary while the dump is running.
     """
 
-    def reducer_override(self, obj: Any):
+    def __init__(self, file: io.BytesIO) -> None:
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self._sets: "Dict[int, Tuple[int, Any]]" = {}
+
+    def persistent_id(self, obj: Any):
         cls = type(obj)
-        if cls is set:
-            return _reduce_set(obj)
-        if cls is frozenset:
-            return _reduce_frozenset(obj)
-        return NotImplemented
+        if cls is not set and cls is not frozenset:
+            return None
+        seen = self._sets.get(id(obj))
+        if seen is not None:
+            return (seen[0],)
+        index = len(self._sets)
+        self._sets[id(obj)] = (index, obj)
+        return (index, cls is frozenset, sorted(obj, key=repr))
+
+
+class _SnapshotUnpickler(pickle.Unpickler):
+    """Rebuilds, and index-memoises, the sets :class:`_SnapshotPickler` wrote."""
+
+    def __init__(self, file: io.BytesIO) -> None:
+        super().__init__(file)
+        self._sets: "Dict[int, Any]" = {}
+
+    def persistent_load(self, pid: tuple) -> Any:
+        if len(pid) == 1:
+            if pid[0] not in self._sets:
+                # a set that reaches itself through one of its members
+                raise pickle.UnpicklingError(f"set #{pid[0]} is referenced before it is built")
+            return self._sets[pid[0]]
+        index, is_frozen, items = pid
+        built = self._sets[index] = frozenset(items) if is_frozen else set(items)
+        return built
 
 
 def _dumps(obj: Any) -> bytes:
     buffer = io.BytesIO()
-    _SnapshotPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    _SnapshotPickler(buffer).dump(obj)
     return buffer.getvalue()
+
+
+def _loads(data: bytes) -> Any:
+    return _SnapshotUnpickler(io.BytesIO(data)).load()
 
 
 def snapshot_system(system: Any, verify: bool = False) -> bytes:
@@ -107,9 +137,8 @@ def snapshot_system(system: Any, verify: bool = False) -> bytes:
     deterministically, and the blob must not be trusted as a checkpoint.
     """
     try:
-        raw = _dumps(system)
-        blob = SNAPSHOT_MAGIC + _dumps(pickle.loads(raw))
-    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        blob = SNAPSHOT_MAGIC + _dumps(_loads(_dumps(system)))
+    except (pickle.PickleError, TypeError, AttributeError) as exc:
         raise SnapshotError(f"system state is not snapshot-safe: {exc}") from exc
     if verify:
         verify_roundtrip(blob)
@@ -120,9 +149,16 @@ def restore_system(blob: bytes) -> Any:
     """Rebuild the system a blob was taken from; it resumes where the
     original stood, down to the pending event queue and RNG streams."""
     if not blob.startswith(SNAPSHOT_MAGIC):
+        if blob.startswith(_MAGIC_PREFIX):
+            found = blob[: len(SNAPSHOT_MAGIC)].decode("ascii", "replace").strip()
+            raise SnapshotError(
+                f"snapshot format version mismatch: blob is {found}, this build reads "
+                f"{SNAPSHOT_MAGIC.decode().strip()}; it cannot be resumed — delete it "
+                "or use a fresh run directory"
+            )
         raise SnapshotError("not a RAC snapshot (bad magic header)")
     try:
-        return pickle.loads(blob[len(SNAPSHOT_MAGIC):])
+        return _loads(blob[len(SNAPSHOT_MAGIC):])
     except Exception as exc:  # unpickling raises wildly varied types
         raise SnapshotError(f"snapshot blob is corrupt: {exc}") from exc
 
@@ -149,14 +185,20 @@ def save_snapshot(system: Any, path: str, verify: bool = False) -> int:
 
     The rename is what makes checkpointing crash-safe: a worker killed
     mid-write leaves the previous checkpoint intact, never a torn file.
+    A write or fsync that raises takes its tmp file with it.
     """
     blob = snapshot_system(system, verify=verify)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
     return len(blob)
 
 

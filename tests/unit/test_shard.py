@@ -328,3 +328,37 @@ class TestShardCacheHygiene:
         _KEM_CACHE[(b"leftover", 1)] = b"x"
         reset_worker_caches()
         assert (b"leftover", 1) not in _KEM_CACHE
+
+
+class TestShardSnapshots:
+    """The serial coordinator's dealings with ``simnet.snapshot``."""
+
+    SPEC = ScaleSpec(nodes=8, num_shards=1, seed=5, horizon=0.5, epoch=0.5)
+
+    @pytest.mark.parametrize("flag, expected", [({}, False), ({"verify_snapshots": True}, True)])
+    def test_serial_run_forwards_verify_snapshots(self, tmp_path, monkeypatch, flag, expected):
+        from repro.orchestrator import sharded
+        from repro.simnet.snapshot import save_snapshot
+
+        seen = []
+
+        def recording_save(payload, path, verify=False):
+            seen.append(verify)
+            return save_snapshot(payload, path, verify=verify)
+
+        monkeypatch.setattr(sharded, "save_snapshot", recording_save)
+        sharded.run_sharded(self.SPEC, str(tmp_path / "run"), serial=True, **flag)
+        assert seen == [expected] * self.SPEC.epoch_count
+
+    def test_old_format_shard_snapshot_refuses_to_resume(self, tmp_path):
+        import pickle
+
+        from repro.orchestrator.sharded import run_sharded
+        from repro.simnet.snapshot import SnapshotError
+
+        shards = tmp_path / "run" / "shards"
+        shards.mkdir(parents=True)
+        stale = (None, {"epoch_done": 0, "fingerprint": ZERO_FINGERPRINT, "last_exports": []})
+        (shards / "shard000.snap").write_bytes(b"RACSNAP/1\n" + pickle.dumps(stale))
+        with pytest.raises(SnapshotError, match="version mismatch"):
+            run_sharded(self.SPEC, str(tmp_path / "run"), serial=True)

@@ -9,9 +9,14 @@ orchestrator both build on these invariants.
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.core.config import RacConfig
 from repro.core.system import RacSystem
@@ -110,14 +115,145 @@ class TestSnapshotInvariants:
             assert restored.nodes[node_id].delivered == original.nodes[node_id].delivered
 
 
+class _Holder:
+    """Two attributes that may alias one container."""
+
+    def __init__(self, a, b):
+        self.a = a
+        self.b = b
+
+
+class TestCanonicalSets:
+    """What the persistent-id set encoding has to keep (module docstring)."""
+
+    def test_set_referenced_twice_restores_as_one_object(self):
+        shared = {"n3", "n1", "n2"}
+        frozen = frozenset({7, 8})
+        restored = restore_system(snapshot_system([_Holder(shared, shared), _Holder(frozen, frozen)]))
+        assert restored[0].a is restored[0].b and restored[0].a == shared
+        assert restored[1].a is restored[1].b and restored[1].a == frozen
+        restored[0].a.add("n4")
+        assert "n4" in restored[0].b
+
+    def test_equal_but_distinct_sets_stay_distinct(self):
+        restored = restore_system(snapshot_system(_Holder({1, 2}, {1, 2})))
+        assert restored.a == restored.b and restored.a is not restored.b
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            set(),
+            frozenset(),
+            {frozenset({"a", "b"}): 1, frozenset(): 2},
+            ({"k": {3, 1, 2}}, "tail"),
+            {frozenset({1, frozenset({2, "x"})}), frozenset({b"y"})},
+            {("n", 1), ("n", 10), ("n", 2), 5, "s"},
+        ],
+        ids=["empty-set", "empty-frozenset", "frozenset-keys", "dict-in-tuple", "nested", "mixed"],
+    )
+    def test_set_shapes_round_trip_equal_and_byte_stable(self, value):
+        blob = snapshot_system(value, verify=True)
+        restored = restore_system(blob)
+        assert restored == value and type(restored) is type(value)
+        assert snapshot_system(restored) == blob
+
+    def test_set_bytes_ignore_insertion_history(self):
+        grown = set(range(0, 4000, 7))
+        for extra in range(5000, 9000):
+            grown.add(extra)
+        for extra in range(5000, 9000):
+            grown.discard(extra)  # same items, a much larger table
+        assert snapshot_system(grown) == snapshot_system(set(range(0, 4000, 7)))
+
+    def test_object_held_by_its_own_set_round_trips(self):
+        holder = _Holder(None, None)
+        holder.a = {holder}
+        restored = restore_system(snapshot_system(holder, verify=True))
+        assert restored.a == {restored}
+
+    def test_set_entered_before_its_member_is_a_snapshot_error(self):
+        # Reached set-first, the member's back-reference names a set the
+        # loader has not built yet; that must not pass for a snapshot.
+        holder = _Holder(None, None)
+        holder.a = {holder}
+        with pytest.raises(SnapshotError, match="referenced before it is built"):
+            snapshot_system(holder.a)
+
+    def test_shard_snapshot_is_identical_across_hash_seeds(self):
+        """A str set iterates in PYTHONHASHSEED order; the blob must not
+        follow it. (A shard's own sets hold ints, hence the labels.)"""
+        script = (
+            "import hashlib\n"
+            "from repro.simnet.shard import ScaleSpec, build_shard_system\n"
+            "from repro.simnet.snapshot import snapshot_system\n"
+            "system = build_shard_system(ScaleSpec(nodes=64, num_shards=2, seed=7, horizon=2.0), 0)\n"
+            "system.run(0.8)\n"
+            "labels = {f'node-{node_id}' for node_id in system.nodes}\n"
+            "print(hashlib.sha256(snapshot_system((system, labels))).hexdigest())\n"
+            "print(list(labels))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src),
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            outputs.append(done.stdout.splitlines())
+        (digest_1, order_1), (digest_2, order_2) = outputs
+        assert order_1 != order_2  # the two processes really iterate differently
+        assert len(digest_1) == 64 and digest_1 == digest_2
+
+
 class TestSnapshotErrors:
     def test_restore_rejects_wrong_magic(self):
-        with pytest.raises(SnapshotError):
+        with pytest.raises(SnapshotError, match="bad magic"):
             restore_system(b"NOTASNAP" + pickle.dumps(object))
 
     def test_restore_rejects_truncated_blob(self):
         with pytest.raises(SnapshotError):
             restore_system(SNAPSHOT_MAGIC[:4])
+
+    def test_old_format_blob_names_the_version_mismatch(self, tmp_path):
+        old = b"RACSNAP/1\n" + pickle.dumps(({"t_done": 1.5}, [1, 2, 3]))
+        with pytest.raises(SnapshotError, match="version mismatch.*RACSNAP/1.*RACSNAP/2"):
+            restore_system(old)
+        path = tmp_path / "old.snap"
+        path.write_bytes(old)
+        with pytest.raises(SnapshotError, match="version mismatch"):
+            load_snapshot(str(path))
+
+    def test_every_truncation_is_a_snapshot_error(self):
+        blob = snapshot_system(_Holder({"a", "b"}, [frozenset({1}), b"x" * 40]))
+        for cut in range(len(blob)):
+            with pytest.raises(SnapshotError):
+                restore_system(blob[:cut])
+
+    def test_bit_flips_never_raise_a_foreign_exception(self):
+        blob = snapshot_system(_mid_run_system(nodes=4))
+        body = len(SNAPSHOT_MAGIC)
+        # every byte near the head (opcodes, frame length, globals) and a
+        # stride through the rest; a flip inside a payload may still load
+        positions = list(range(body, body + 200)) + list(range(body + 200, len(blob), 251))
+        for position in positions:
+            for bit in (0x01, 0x80):
+                mutated = bytearray(blob)
+                mutated[position] ^= bit
+                try:
+                    restore_system(bytes(mutated))
+                except SnapshotError:
+                    pass
+
+    def test_dangling_set_reference_is_a_snapshot_error(self):
+        # a well-formed pickle whose persistent id names a set nobody wrote
+        body = pickle.PROTO + bytes([5]) + pickle.BININT1 + bytes([9]) + pickle.TUPLE1
+        body += pickle.BINPERSID + pickle.STOP
+        with pytest.raises(SnapshotError, match="corrupt"):
+            restore_system(SNAPSHOT_MAGIC + body)
 
     def test_load_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
@@ -139,6 +275,24 @@ class TestSnapshotFiles:
         path = tmp_path / "run.snap"
         save_snapshot(_mid_run_system(), str(path))
         assert [p.name for p in tmp_path.iterdir()] == ["run.snap"]
+
+    @pytest.mark.parametrize("failing", ["write", "fsync"])
+    def test_failed_write_unlinks_the_tmp_file(self, tmp_path, monkeypatch, failing):
+        path = tmp_path / "run.snap"
+        save_snapshot({"epoch": 0}, str(path))
+
+        def boom(*_args, **_kwargs):
+            raise OSError(28, "No space left on device")
+
+        if failing == "fsync":
+            monkeypatch.setattr("repro.simnet.snapshot.os.fsync", boom)
+        else:
+            monkeypatch.setattr("repro.simnet.snapshot.os.replace", boom)
+        with pytest.raises(OSError):
+            save_snapshot({"epoch": 1}, str(path))
+        # no tmp litter, and the previous checkpoint is intact
+        assert [p.name for p in tmp_path.iterdir()] == ["run.snap"]
+        assert load_snapshot(str(path)) == {"epoch": 0}
 
     def test_plain_objects_snapshot_too(self, tmp_path):
         # Checkpoints store (system, progress) tuples, not bare systems.
