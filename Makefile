@@ -20,7 +20,7 @@ bench:
 bench-baseline:  # refresh BENCH_protocol.json without the pytest benches
 	PYTHONPATH=src $(PYTHON) benchmarks/baseline.py
 
-ci-bench-smoke:  # fail if seal/peel or shard-snapshot cost regressed >2x vs BENCH_protocol.json
+ci-bench-smoke:  # fail if seal/peel, shard-snapshot, bare-engine or per-segment cost regressed >2x vs BENCH_protocol.json
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_smoke.py -q
 
 sweep-smoke:  # 2x2 sweep on 2 workers with one injected crash; must recover
@@ -89,6 +89,7 @@ ci:  # what .github/workflows/ci.yml runs
 	$(MAKE) topo-smoke
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_smoke.py -q
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_scale.py -q
+	$(PYTHON) -m pytest benchmarks/rac_bench/tests -q  # the repo benchmark's self-tests: every layers.TARGETS path resolves
 
 examples:
 	for ex in examples/*.py; do echo "=== $$ex ==="; $(PYTHON) $$ex || exit 1; done

@@ -7,11 +7,13 @@ numbers and the resulting speedups — to the repo root::
 
     PYTHONPATH=src python benchmarks/baseline.py                 # full, ~2 min
     PYTHONPATH=src python benchmarks/baseline.py --quick         # skip 64-node
+    PYTHONPATH=src python benchmarks/baseline.py --segment       # life of one segment
 
 The committed ``BENCH_protocol.json`` is the regression anchor:
 ``benchmarks/test_bench_smoke.py`` (run by CI) re-measures the
-seal/peel and snapshot-save microbenches and fails when one has
-regressed more than 2x against the committed numbers.
+seal/peel, snapshot-save, bare-engine and per-segment microbenches and
+fails when one has regressed more than 2x against the committed
+numbers.
 
 The measurement functions are importable so the smoke test and the
 recorder can never disagree on methodology.
@@ -113,6 +115,66 @@ def _noop() -> None:
     pass
 
 
+def _flood_system(warmup: float = 0.6):
+    """The dissemination shape of ``rac_bench``'s ``sim-flood-40``: 40
+    nodes in one group, 3 rings, 2 kB noise every 50 ms, lossless 1 Gb/s
+    star. Warmed past the first predecessor-check deadline (0.5 s), so
+    the calendar holds its steady ~17k pending timers."""
+    from repro.core.config import RacConfig
+    from repro.core.system import RacSystem
+
+    system = RacSystem(RacConfig.small(join_settle_time=0.05), seed=16)
+    system.bootstrap(40)
+    system.run(warmup)
+    return system
+
+
+def measure_segment_us(repeats: int = 3, window: float = 0.3) -> float:
+    """Host microseconds per reliable segment — one ring copy sent,
+    routed, delivered, acknowledged and handed to the next node — on
+    the flood shape; best of ``repeats`` windows of ``window`` simulated
+    seconds (28,800 segments each)."""
+    system = _flood_system()
+    best = float("inf")
+    for _ in range(repeats):
+        before = system.transport.segments_sent
+        t0 = time.perf_counter()
+        system.run(window)
+        elapsed = time.perf_counter() - t0
+        best = min(best, elapsed / (system.transport.segments_sent - before))
+    return best * 1e6
+
+
+def measure_segment_path(window: float = 0.3) -> dict:
+    """What one segment costs in counts, all deterministic: engine
+    events fired and cancelled, ``schedule``/``schedule_at`` calls, and
+    Python-level calls as cProfile counts them (C builtins included)."""
+    import cProfile
+    import pstats
+
+    system = _flood_system()
+    sim, transport = system.sim, system.transport
+    before = (transport.segments_sent, sim.events_processed, sim.events_cancelled)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    system.run(window)
+    profiler.disable()
+    segments = transport.segments_sent - before[0]
+    stats = pstats.Stats(profiler)
+    scheduled = sum(
+        calls
+        for (path, _line, name), (_cc, calls, *_rest) in stats.stats.items()
+        if name in ("schedule", "schedule_at") and path.endswith("engine.py")
+    )
+    return {
+        "segments": segments,
+        "events_fired_per_segment": round((sim.events_processed - before[1]) / segments, 2),
+        "events_cancelled_per_segment": round((sim.events_cancelled - before[2]) / segments, 2),
+        "schedule_calls_per_segment": round(scheduled / segments, 2),
+        "python_calls_per_segment": round(stats.total_calls / segments, 1),
+    }
+
+
 def measure_snapshot_save_ms(repeats: int = 5) -> float:
     """Median milliseconds for ``snapshot_system`` on one loaded shard
     (shard 0 of the N=64 / 2-shard scaling point, at t = 1 s)."""
@@ -186,6 +248,7 @@ def record(path: pathlib.Path = BASELINE_PATH, quick: bool = False) -> dict:
         "dh_seal_unseal_10k_us": round(measure_seal_unseal_10k("dh"), 1),
         "dh_keygen_ms": round(measure_dh_keygen(), 3),
         "engine_events_per_sec": round(measure_engine_events_per_sec()),
+        "segment_us": round(measure_segment_us(), 1),
         "snapshot_save_ms": round(measure_snapshot_save_ms(), 1),
     }
     doc = {
@@ -232,7 +295,16 @@ def main(argv=None) -> int:
         help="re-measure only the sharded scaling section (N=64/256/1024) "
         "and fold it into the existing baseline file",
     )
+    parser.add_argument(
+        "--segment",
+        action="store_true",
+        help="print the per-segment cost counts of the 40-node flood shape "
+        "(events, schedule calls, Python calls) and write nothing",
+    )
     args = parser.parse_args(argv)
+    if args.segment:
+        print(json.dumps({**measure_segment_path(), "segment_us": round(measure_segment_us(), 1)}, indent=2))
+        return 0
     if args.scaling:
         doc = record_scaling(args.output)
     else:

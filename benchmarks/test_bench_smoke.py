@@ -1,11 +1,13 @@
 """CI regression gate against the committed performance baseline.
 
-Re-measures the seal+peel and snapshot-save microbenches with the exact
-methodology of ``benchmarks/baseline.py`` and fails when one has
-regressed more than 2x against the committed ``BENCH_protocol.json``.
-The 2x margin absorbs CI-machine noise while still catching an
-accidentally reverted fast path (the optimisations are 4-6x, so losing
-one blows the gate).
+Re-measures the seal+peel, snapshot-save, bare-engine and per-segment
+microbenches with the exact methodology of ``benchmarks/baseline.py``
+and fails when one has regressed more than 2x against the committed
+``BENCH_protocol.json``. The 2x margin absorbs CI-machine noise while
+still catching an accidentally reverted fast path (the crypto
+optimisations are 4-6x, so losing one blows the gate; the simulator's
+data path is a sum of small trims, so its gate catches a wholesale
+revert or an accidental quadratic, not one lost trim).
 
 Runs as a plain pytest test — no pytest-benchmark fixture — so it is
 cheap enough for every CI push (``make ci-bench-smoke``).
@@ -55,3 +57,17 @@ def test_snapshot_save_within_2x_of_baseline(committed):
     # the C pickler is ~5x the pure-Python one it replaced, so a revert trips this
     measured = baseline.measure_snapshot_save_ms()
     _assert_not_regressed("shard snapshot", measured, committed["snapshot_save_ms"], unit="ms")
+
+
+def test_engine_events_within_2x_of_baseline(committed):
+    measured = baseline.measure_engine_events_per_sec()
+    floor = committed["engine_events_per_sec"] / REGRESSION_FACTOR
+    assert measured >= floor, (
+        f"bare engine regressed: {measured:.0f} events/s measured vs "
+        f"{committed['engine_events_per_sec']:.0f} committed baseline (>{REGRESSION_FACTOR}x)"
+    )
+
+
+def test_segment_cost_within_2x_of_baseline(committed):
+    measured = baseline.measure_segment_us(repeats=2)
+    _assert_not_regressed("flood segment", measured, committed["segment_us"])

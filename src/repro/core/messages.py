@@ -44,7 +44,7 @@ def channel_domain(gid_a: int, gid_b: int) -> DomainId:
     return ("channel", pair)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Broadcast:
     """One padded onion blob in flight on the rings of ``domain``.
 

@@ -31,6 +31,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..overlay.membership import MembershipView
     from .environment import NodeEnvironment
 
 from ..crypto.hashes import message_id, sha256_int
@@ -345,38 +346,44 @@ class RacNode:
         state = self.state_for(domain)
         if not state.on_receive(msg_id, None, self.env.now):
             return  # already circulating; do not replay
-        self._arm_predecessor_check(domain, msg_id)
-        self._forward(domain, wire, msg_id)
+        view = self.env.domain_view(domain)
+        if view is not None and self.node_id not in view.topology:
+            view = None
+        self._arm_predecessor_check(domain, msg_id, view)
+        self._forward(domain, wire, msg_id, view)
         # A node can be chosen as a relay for a message addressed to
         # itself (the sender only knows the destination's pseudonym
         # key), so originated re-broadcasts must be peeled too.
         self._try_peel(domain, wire, msg_id)
 
-    def _forward(self, domain: DomainId, wire: bytes, msg_id: int) -> None:
-        """Send one copy to the successor on every ring of the domain."""
-        view = self.env.domain_view(domain)
-        if view is None or self.node_id not in view:
+    def _forward(
+        self, domain: DomainId, wire: bytes, msg_id: int, view: "Optional[MembershipView]"
+    ) -> None:
+        """Send one copy to the successor on every ring of the domain.
+
+        ``view`` is the domain's membership view, resolved once per
+        first-seen broadcast by the caller; None when this node is not
+        (or no longer) on the domain's rings."""
+        if view is None:
             self._count("forward_while_not_member")
             return
+        node_id = self.node_id
         copies = max(1, self.behavior.replay_copies(self))
+        successor_of = view.topology.successor
+        unicast = self.env.unicast
+        size = len(wire)
         for ring_index in range(view.num_rings):
-            successor = view.topology.successor(self.node_id, ring_index)
+            successor = successor_of(node_id, ring_index)
             if successor is None:
                 continue
             for _ in range(copies):
-                self.env.unicast(
-                    self.node_id,
-                    successor,
-                    Broadcast(domain, msg_id, wire, ring_index),
-                    len(wire),
-                )
+                unicast(node_id, successor, Broadcast(domain, msg_id, wire, ring_index), size)
         self._count("broadcast_forwards")
 
-    def _arm_predecessor_check(self, domain: DomainId, msg_id: int) -> None:
-        if not self.behavior.should_run_checks(self):
-            return
-        view = self.env.domain_view(domain)
-        if view is None or self.node_id not in view:
+    def _arm_predecessor_check(
+        self, domain: DomainId, msg_id: int, view: "Optional[MembershipView]"
+    ) -> None:
+        if view is None or not self.behavior.should_run_checks(self):
             return
         # A ring edge that just appeared (a join, or an eviction
         # re-stitching the ring) gets one predecessor_timeout of grace
@@ -389,24 +396,26 @@ class RacNode:
         # stretches to several RTOs, making the race routine rather
         # than rare.
         now = self.env.now
-        edges = self._ring_edges.setdefault(domain, {})
+        node_id = self.node_id
+        timeout = self.config.predecessor_timeout
+        predecessor_of = view.topology.predecessor
+        edges = self._ring_edges.get(domain)
+        if edges is None:
+            edges = self._ring_edges[domain] = {}
         expected: Set[CopyKey] = set()
         for ring_index in range(view.num_rings):
-            predecessor = view.topology.predecessor(self.node_id, ring_index)
+            predecessor = predecessor_of(node_id, ring_index)
             if predecessor is None:
                 continue
             known = edges.get(ring_index)
             if known is None or known[0] != predecessor:
                 edges[ring_index] = (predecessor, now)
                 continue  # fresh edge: grace starts now
-            if now - known[1] < self.config.predecessor_timeout:
+            if now - known[1] < timeout:
                 continue  # edge still inside its grace period
             expected.add((predecessor, ring_index))
-        monitor = self.pred_monitor_for(domain)
-        monitor.on_first_seen(msg_id, self.env.now, expected)
-        self.env.schedule(
-            self.config.predecessor_timeout + 1e-9, self._check_predecessors, domain
-        )
+        self.pred_monitor_for(domain).on_first_seen(msg_id, now, expected)
+        self.env.schedule(timeout + 1e-9, self._check_predecessors, domain)
 
     # -- receive path -----------------------------------------------------------------
     def on_message(self, src: int, payload) -> None:
@@ -423,19 +432,23 @@ class RacNode:
     def _handle_broadcast(self, src: int, broadcast: Broadcast) -> None:
         domain = broadcast.domain
         view = self.env.domain_view(domain)
-        if view is None or self.node_id not in view:
+        if view is None or self.node_id not in view.topology:
             self._count("broadcast_outside_domain")
             return
-        expected_pred = view.topology.predecessor(self.node_id, broadcast.ring_index)
-        if expected_pred != src:
+        ring_index = broadcast.ring_index
+        if view.topology.predecessor(self.node_id, ring_index) != src:
             # Not our predecessor on that ring: tolerated (stale topology
             # during reconfigurations) but never counted as a valid copy.
             self._count("broadcast_from_non_predecessor")
             return
 
-        state = self.state_for(domain)
-        from_key: CopyKey = (src, broadcast.ring_index)
-        is_new = state.on_receive(broadcast.msg_id, from_key, self.env.now)
+        now = self.env.now
+        msg_id = broadcast.msg_id
+        state = self._states.get(domain)
+        if state is None:
+            state = self.state_for(domain)
+        from_key: CopyKey = (src, ring_index)
+        is_new = state.on_receive(msg_id, from_key, now)
 
         if is_new and domain[0] == "group" and self.behavior.should_run_checks(self):
             # Check 3 counts *first copies*: an originator's direct copy
@@ -444,22 +457,22 @@ class RacNode:
             # attributes origination rates (ordinary per-stream counts
             # are uniform across predecessors — everyone forwards
             # everything). See DESIGN.md "reproduction findings".
-            self.rate_monitor.record(src, self.env.now)
+            self.rate_monitor.record(src, now)
 
-        if state.copies_from(broadcast.msg_id, from_key) > 1:
-            self._accuse(src, domain, "replay", broadcast.msg_id)
+        if state.copies_from(msg_id, from_key) > 1:
+            self._accuse(src, domain, "replay", msg_id)
 
-        self.relay_monitor.observe(broadcast.msg_id)
+        self.relay_monitor.observe(msg_id)
 
         if not is_new:
             return
 
-        self._arm_predecessor_check(domain, broadcast.msg_id)
-        if self.behavior.should_forward_broadcast(self, domain, broadcast.msg_id, broadcast.ring_index):
-            self._forward(domain, broadcast.wire, broadcast.msg_id)
+        self._arm_predecessor_check(domain, msg_id, view)
+        if self.behavior.should_forward_broadcast(self, domain, msg_id, ring_index):
+            self._forward(domain, broadcast.wire, msg_id, view)
         else:
             self._count("forward_skipped")
-        self._try_peel(domain, broadcast.wire, broadcast.msg_id)
+        self._try_peel(domain, broadcast.wire, msg_id)
 
     def _try_peel(self, domain: DomainId, wire: bytes, msg_id: int) -> None:
         # Channels carry only innermost layers, so nodes try only their

@@ -127,7 +127,8 @@ class RacSystem:
         self.sim.schedule(delay, callback, *args)
 
     def unicast(self, src: int, dst: int, payload, size_bytes: int) -> None:
-        if not self.network.attached(dst) or not self.network.attached(src):
+        uplinks = self.network.uplinks  # a node is attached iff it has an uplink
+        if dst not in uplinks or src not in uplinks:
             return  # peer evicted/left; a real TCP connection would reset
         if self.config.wire_check:
             verify_unicast_payload(payload, size_bytes)

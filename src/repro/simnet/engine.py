@@ -5,20 +5,27 @@ simulator. This module is the Python substitute: a classic
 calendar-queue engine with deterministic tie-breaking so that two runs
 with the same seed replay the same event order.
 
-Two hot-path properties matter at scale (a 64-node run pushes ~10M
+Three hot-path properties matter at scale (a 64-node run pushes ~10M
 events through this queue):
 
-* heap entries are plain ``(time, seq, event)`` tuples, so ``heappush``
-  / ``heappop`` compare with C tuple comparison instead of a generated
-  dataclass ``__lt__`` (the single largest cost in profiled seed runs);
+* an event *is* its calendar entry: :class:`ScheduledEvent` is a
+  list-backed record ``[time, seq, callback, args, owner]``, so
+  ``heappush`` / ``heappop`` order entries with C list comparison on
+  ``(time, seq)`` — ``seq`` is unique, the comparison never reaches the
+  callback — and scheduling allocates one object, not a record plus a
+  sort-key wrapper;
+* :meth:`Simulator.step` is the whole per-event cost: it sheds dead
+  heads, stops at the horizon, pops and dispatches in one call, and
+  :meth:`Simulator.run` is a loop over it;
 * cancelled events are counted and the queue is **compacted** when the
   dead entries outnumber half the heap, instead of waiting for each one
   to surface at the heap head (the ARQ transport cancels one retransmit
   timer per acknowledged segment, so dead timers otherwise dominate the
   calendar under load).
 
-Both changes are order-preserving: events still fire in exactly
-``(time, seq)`` order, so fixed-seed runs replay byte-identically.
+All of it is order-preserving: events fire in exactly ``(time, seq)``
+order with ``seq`` drawn once per ``schedule`` call, so fixed-seed runs
+replay byte-identically.
 
 The engine knows nothing about networks; :mod:`repro.simnet.network`
 builds the star topology on top of it.
@@ -26,10 +33,8 @@ builds the star topology on top of it.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, List, Optional
 
 __all__ = ["Simulator", "ScheduledEvent", "SimulationError"]
 
@@ -42,27 +47,46 @@ class SimulationError(Exception):
     """Raised on scheduling into the past or similar misuse."""
 
 
-@dataclass(slots=True)
-class ScheduledEvent:
-    """An event in the calendar queue; fires in ``(time, seq)`` order."""
+class ScheduledEvent(list):
+    """An event in the calendar queue; fires in ``(time, seq)`` order.
 
-    time: float
-    seq: int
-    callback: Callable[..., Any] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
-    #: Owning simulator, set by :meth:`Simulator.schedule` so that
-    #: :meth:`cancel` can keep the dead-entry accounting current.
-    owner: "Optional[Simulator]" = field(compare=False, default=None, repr=False)
+    The record is the list ``[time, seq, callback, args, owner]``.
+    ``callback`` is ``None`` once the event is cancelled; ``owner`` is
+    the simulator whose calendar holds the entry and ``None`` once the
+    event has left it by firing or by being cancelled.
+    """
+
+    __slots__ = ()
+
+    @property
+    def time(self) -> float:
+        return self[0]
+
+    @property
+    def seq(self) -> int:
+        return self[1]
+
+    @property
+    def callback(self) -> "Optional[Callable[..., Any]]":
+        return self[2]
+
+    @property
+    def args(self) -> tuple:
+        return self[3]
+
+    @property
+    def cancelled(self) -> bool:
+        return self[2] is None
 
     def cancel(self) -> None:
-        """Mark the event dead; it will be skipped (or compacted away)
-        instead of firing."""
-        if self.cancelled:
+        """Mark a pending event dead; it will be skipped (or compacted
+        away) instead of firing. A no-op on an event that has already
+        fired or been cancelled."""
+        owner = self[4]
+        if owner is None:
             return
-        self.cancelled = True
-        if self.owner is not None:
-            self.owner._note_cancelled()
+        self[2] = self[4] = None
+        owner._note_cancelled()
 
 
 class Simulator:
@@ -79,8 +103,10 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._queue: "List[Tuple[float, int, ScheduledEvent]]" = []
-        self._seq = itertools.count()
+        self._queue: "List[ScheduledEvent]" = []
+        #: Next tie-break number; a plain integer so that a snapshot
+        #: restores the ``(time, seq)`` replay order exactly.
+        self._seq = 0
         self.events_processed = 0
         #: Total cancel() calls on still-pending events (monotonic).
         self.events_cancelled = 0
@@ -88,37 +114,29 @@ class Simulator:
         self.queue_compactions = 0
         self._cancelled_pending = 0
 
-    # -- snapshot hooks (repro.simnet.snapshot) ------------------------------
-    #
-    # ``itertools.count`` cannot be pickled, so the sequence counter is
-    # exported as its next value and rebuilt on both sides: the live
-    # simulator keeps ticking from the same value it would have used,
-    # and the restored one resumes at exactly that value — the ``(time,
-    # seq)`` replay order is therefore identical whether or not a run
-    # was snapshotted in the middle.
-    def __getstate__(self) -> dict:
-        seq_next = next(self._seq)
-        self._seq = itertools.count(seq_next)
-        state = self.__dict__.copy()
-        state["_seq"] = seq_next
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        state = dict(state)
-        state["_seq"] = itertools.count(state["_seq"])
-        self.__dict__.update(state)
-
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}s into the past")
-        event = ScheduledEvent(self.now + delay, next(self._seq), callback, args, owner=self)
-        heapq.heappush(self._queue, (event.time, event.seq, event))
+        seq = self._seq
+        self._seq = seq + 1
+        event = ScheduledEvent((self.now + delay, seq, callback, args, self))
+        heappush(self._queue, event)
         return event
 
     def schedule_at(self, when: float, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
         """Schedule ``callback(*args)`` at absolute time ``when``."""
-        return self.schedule(when - self.now, callback, *args)
+        now = self.now
+        delay = when - now
+        if delay < 0:
+            raise SimulationError(f"cannot schedule {delay}s into the past")
+        seq = self._seq
+        self._seq = seq + 1
+        # now + (when - now), not ``when``: the two differ in the last
+        # bit, and pinned runs replay the rounded sum.
+        event = ScheduledEvent((now + delay, seq, callback, args, self))
+        heappush(self._queue, event)
+        return event
 
     def _note_cancelled(self) -> None:
         self.events_cancelled += 1
@@ -135,8 +153,8 @@ class Simulator:
         Heap order is a function of the ``(time, seq)`` keys alone, so
         dropping entries and re-heapifying cannot reorder the survivors.
         """
-        self._queue = [entry for entry in self._queue if not entry[2].cancelled]
-        heapq.heapify(self._queue)
+        self._queue = [event for event in self._queue if event[2] is not None]
+        heapify(self._queue)
         self._cancelled_pending = 0
         self.queue_compactions += 1
 
@@ -147,22 +165,30 @@ class Simulator:
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or ``None`` when idle."""
         queue = self._queue
-        while queue and queue[0][2].cancelled:
-            heapq.heappop(queue)
+        while queue and queue[0][2] is None:
+            heappop(queue)
             self._cancelled_pending -= 1
         return queue[0][0] if queue else None
 
-    def step(self) -> bool:
-        """Run the single next event. Returns ``False`` when idle."""
+    def step(self, until: "float | None" = None) -> bool:
+        """Run the single next event. Returns ``False`` — and fires
+        nothing — when idle or when the next event lies past ``until``."""
         queue = self._queue
         while queue:
-            _, _, event = heapq.heappop(queue)
-            if event.cancelled:
+            event = queue[0]
+            callback = event[2]
+            if callback is None:
+                heappop(queue)
                 self._cancelled_pending -= 1
                 continue
-            self.now = event.time
+            time = event[0]
+            if until is not None and time > until:
+                return False
+            heappop(queue)
+            event[4] = None
+            self.now = time
             self.events_processed += 1
-            event.callback(*event.args)
+            callback(*event[3])
             return True
         return False
 
@@ -171,23 +197,21 @@ class Simulator:
 
         With ``until``, events strictly after the horizon stay queued
         and the clock is advanced exactly to the horizon — so repeated
-        ``run(until=...)`` calls chain cleanly.
+        ``run(until=...)`` calls chain cleanly. A run that stops on its
+        event budget leaves the clock at the last event fired.
         """
-        remaining = max_events
-        while True:
-            if remaining is not None and remaining <= 0:
+        step = self.step
+        if max_events is None:
+            while step(until):
+                pass
+        else:
+            for _ in range(max_events):
+                if not step(until):
+                    break
+            else:
                 return
-            next_time = self.peek_time()
-            if next_time is None:
-                if until is not None:
-                    self.now = max(self.now, until)
-                return
-            if until is not None and next_time > until:
-                self.now = until
-                return
-            self.step()
-            if remaining is not None:
-                remaining -= 1
+        if until is not None and until > self.now:
+            self.now = until
 
     def idle(self) -> bool:
         """True when no live events remain."""

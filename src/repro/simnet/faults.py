@@ -29,9 +29,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 __all__ = ["FaultInjector", "Outage", "Partition", "DIRECTIONS"]
+
+_WINDOW_END = attrgetter("end")
 
 #: Valid link directions: "up" is node → router, "down" is router → node.
 DIRECTIONS = ("up", "down")
@@ -93,7 +96,10 @@ class FaultInjector:
         self.rng = random.Random(seed)
         self.default_loss_rate = 0.0
         self._link_loss: Dict[Tuple[int, str], float] = {}
-        self.outages: List[Outage] = []
+        #: (node_id, direction) -> that link's outage windows, and every
+        #: partition window; both latest-ending first, so the windows
+        #: that have ended are a tail the per-packet verdict pops off.
+        self._outages: Dict[Tuple[int, str], List[Outage]] = {}
         self.partitions: List[Partition] = []
         self._network = None
         #: True while no loss/outage/partition is configured at all —
@@ -134,7 +140,7 @@ class FaultInjector:
         self._faultless = (
             self.default_loss_rate == 0.0
             and not any(self._link_loss.values())
-            and not self.outages
+            and not any(self._outages.values())
             and not self.partitions
         )
 
@@ -146,7 +152,9 @@ class FaultInjector:
         if duration <= 0:
             raise ValueError("outage duration must be positive")
         for d in _check_direction(direction):
-            self.outages.append(Outage(node_id, d, at, at + duration))
+            windows = self._outages.setdefault((node_id, d), [])
+            windows.append(Outage(node_id, d, at, at + duration))
+            windows.sort(key=_WINDOW_END, reverse=True)
         self._faultless = False
 
     def schedule_partition(
@@ -159,6 +167,7 @@ class FaultInjector:
         if a & b:
             raise ValueError(f"partition sides overlap: {sorted(a & b)}")
         self.partitions.append(Partition(a, b, at, at + duration))
+        self.partitions.sort(key=_WINDOW_END, reverse=True)
         self._faultless = False
 
     def schedule_degradation(
@@ -190,14 +199,30 @@ class FaultInjector:
                 link.rate_factor *= factor
 
     # -- the per-packet verdict -----------------------------------------------
+    # ``outage_active`` and ``partitioned`` answer for the present and the
+    # future: windows that ended before the simulation clock may already
+    # have been dropped by the per-packet path below.
     def outage_active(self, node_id: int, direction: str, now: float) -> bool:
-        return any(
-            o.node_id == node_id and o.direction == direction and o.active(now)
-            for o in self.outages
-        )
+        return any(o.active(now) for o in self._outages.get((node_id, direction), ()))
 
     def partitioned(self, src: int, dst: int, now: float) -> bool:
         return any(p.active(now) and p.separates(src, dst) for p in self.partitions)
+
+    def _link_down(self, link: Tuple[int, str], now: float) -> bool:
+        """:meth:`outage_active` for the per-packet path: the clock the
+        router asks with never runs backwards, so windows that have
+        ended are dropped instead of being scanned again."""
+        windows = self._outages.get(link)
+        if not windows:
+            return False
+        while windows[-1].end <= now:
+            windows.pop()
+            if not windows:
+                return False
+        for outage in windows:
+            if outage.start <= now:
+                return True
+        return False
 
     def drop_reason(self, src: int, dst: int) -> "Optional[str]":
         """Decide one packet's fate; None means it survives.
@@ -209,12 +234,18 @@ class FaultInjector:
         if self._faultless:
             return None
         now = self.sim.now
-        if self.outage_active(src, "up", now) or self.outage_active(dst, "down", now):
+        if self._link_down((src, "up"), now) or self._link_down((dst, "down"), now):
             return "outage"
-        if self.partitioned(src, dst, now):
-            return "partition"
-        p_up = self.loss_rate(src, "up")
-        p_down = self.loss_rate(dst, "down")
+        partitions = self.partitions
+        while partitions and partitions[-1].end <= now:
+            partitions.pop()
+        for partition in partitions:
+            if partition.start <= now and partition.separates(src, dst):
+                return "partition"
+        p_up = p_down = self.default_loss_rate
+        if self._link_loss:
+            p_up = self._link_loss.get((src, "up"), p_up)
+            p_down = self._link_loss.get((dst, "down"), p_down)
         p = 1.0 - (1.0 - p_up) * (1.0 - p_down)
         if p > 0.0 and self.rng.random() < p:
             return "loss"

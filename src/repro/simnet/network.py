@@ -22,7 +22,6 @@ their declared wire size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from .engine import SimulationError, Simulator
@@ -41,19 +40,24 @@ GBPS = 1_000_000_000
 DEFAULT_PROPAGATION_DELAY = 50e-6
 
 
-@dataclass(slots=True)
 class Packet:
     """A message in flight: opaque payload plus accounted wire size."""
 
-    src: int
-    dst: int
-    payload: Any
-    size_bytes: int
-    sent_at: float = 0.0
+    __slots__ = ("src", "dst", "payload", "size_bytes")
 
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
+    def __init__(self, src: int, dst: int, payload: Any, size_bytes: int) -> None:
+        if size_bytes <= 0:
             raise ValueError("packets must have a positive size")
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.size_bytes = size_bytes
+
+    def __repr__(self) -> str:
+        return (
+            f"Packet(src={self.src!r}, dst={self.dst!r}, payload={self.payload!r}, "
+            f"size_bytes={self.size_bytes!r})"
+        )
 
 
 class Link:
@@ -235,13 +239,6 @@ class StarNetwork:
     def attached(self, node_id: int) -> bool:
         return node_id in self._handlers
 
-    def uplink_queue_delay(self, node_id: int) -> float:
-        """Seconds of serialization backlog on the node's own uplink —
-        knowable locally (it is the node's NIC queue), and used by the
-        transport to avoid timing out packets it has not yet sent."""
-        link = self.uplinks.get(node_id)
-        return link.queue_delay() if link is not None else 0.0
-
     @property
     def node_ids(self) -> "list[int]":
         return list(self._handlers)
@@ -260,8 +257,19 @@ class StarNetwork:
         uplink = self.uplinks.get(src)
         if uplink is None:
             raise SimulationError(f"node {src} is not attached and cannot send")
-        packet = Packet(src, dst, payload, size_bytes, sent_at=self.sim.now)
-        uplink.enqueue(size_bytes, self._at_router, packet)
+        packet = Packet(src, dst, payload, size_bytes)
+        # Link.enqueue, spelled out: the per-packet path pays for one
+        # frame per hop, not for a chain of one-line delegations.
+        sim = self.sim
+        start = uplink.busy_until
+        if start < sim.now:
+            start = sim.now
+        departure = start + size_bytes * 8 / (uplink.bandwidth_bps * uplink.rate_factor)
+        uplink.busy_until = departure
+        uplink.bytes_carried += size_bytes
+        uplink.packets_carried += 1
+        uplink.busy_seconds += departure - start
+        sim.schedule_at(departure, self._at_router, packet)
 
     def _drop(self, packet: Packet, reason: str) -> None:
         self.packets_dropped += 1
@@ -271,13 +279,15 @@ class StarNetwork:
         self.pair_drops[pair] = self.pair_drops.get(pair, 0) + 1
 
     def _at_router(self, packet: Packet) -> None:
-        downlink = self.downlinks.get(packet.dst)
+        src = packet.src
+        dst = packet.dst
+        downlink = self.downlinks.get(dst)
         if downlink is None:
             # Destination left the system while the packet flew.
             self._drop(packet, "detached")
             return
         if self.faults is not None:
-            reason = self.faults.drop_reason(packet.src, packet.dst)
+            reason = self.faults.drop_reason(src, dst)
             if reason is not None:
                 self._drop(packet, reason)
                 return
@@ -286,11 +296,11 @@ class StarNetwork:
             delay += self._jitter_rng.uniform(0, self.propagation_jitter)
         if self.topology is not None:
             extra = self.topology.pair_delay(
-                self._topo_slots.get(packet.src, 0), self._topo_slots.get(packet.dst, 0)
+                self._topo_slots.get(src, 0), self._topo_slots.get(dst, 0)
             )
             if extra:
                 delay += extra
-                pair = (packet.src, packet.dst)
+                pair = (src, dst)
                 entry = self.pair_delays.get(pair)
                 if entry is None:
                     entry = self.pair_delays[pair] = [0, 0.0]
@@ -303,7 +313,18 @@ class StarNetwork:
         self.sim.schedule(delay, self._enqueue_downlink, downlink, packet)
 
     def _enqueue_downlink(self, downlink: Link, packet: Packet) -> None:
-        downlink.enqueue(packet.size_bytes, self._deliver, packet)
+        # Link.enqueue again (see send).
+        sim = self.sim
+        size_bytes = packet.size_bytes
+        start = downlink.busy_until
+        if start < sim.now:
+            start = sim.now
+        departure = start + size_bytes * 8 / (downlink.bandwidth_bps * downlink.rate_factor)
+        downlink.busy_until = departure
+        downlink.bytes_carried += size_bytes
+        downlink.packets_carried += 1
+        downlink.busy_seconds += departure - start
+        sim.schedule_at(departure, self._deliver, packet)
 
     def _deliver(self, packet: Packet) -> None:
         handler = self._handlers.get(packet.dst)

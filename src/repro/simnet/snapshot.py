@@ -11,10 +11,9 @@ on top of :mod:`pickle`:
   instances (whose Mersenne state pickles exactly) or bound methods of
   picklable objects. The two constructs pickle cannot handle were
   removed at the source: :class:`~repro.simnet.engine.Simulator`
-  exports its ``itertools.count`` sequence counter as an integer
-  (``__getstate__``/``__setstate__``), and
-  :class:`~repro.simnet.network.StarNetwork` schedules bound methods
-  with explicit arguments instead of closures.
+  numbers its events from a plain integer rather than an
+  ``itertools.count``, and :class:`~repro.simnet.network.StarNetwork`
+  schedules bound methods with explicit arguments instead of closures.
 
 * ``set``/``frozenset`` iteration order depends on each table's private
   insertion history (and, for strings, on ``PYTHONHASHSEED``), so a
@@ -56,7 +55,9 @@ __all__ = [
 
 #: Versioned header; bump the digit when the snapshot layout changes.
 #: /2: sets travel as persistent ids (see :class:`_SnapshotPickler`).
-SNAPSHOT_MAGIC = b"RACSNAP/2\n"
+#: /3: calendar entries are list-backed event records, the sequence
+#: counter is a plain integer and the ARQ keeps one record per pair.
+SNAPSHOT_MAGIC = b"RACSNAP/3\n"
 _MAGIC_PREFIX = b"RACSNAP/"
 
 

@@ -38,7 +38,6 @@ substrate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from .engine import ScheduledEvent
@@ -50,18 +49,22 @@ __all__ = ["Segment", "Ack", "ReliableTransport"]
 Pair = Tuple[int, int]
 
 
-@dataclass(slots=True)
 class Segment:
     """A transport-level data message: payload, per-pair seqno, and the
     timestamp of *this transmission* (each retransmission is a fresh
     :class:`Segment` so in-flight copies keep their own timestamps)."""
 
-    seqno: int
-    payload: Any
-    ts: float = 0.0
+    __slots__ = ("seqno", "payload", "ts")
+
+    def __init__(self, seqno: int, payload: Any, ts: float = 0.0) -> None:
+        self.seqno = seqno
+        self.payload = payload
+        self.ts = ts
+
+    def __repr__(self) -> str:
+        return f"Segment(seqno={self.seqno!r}, payload={self.payload!r}, ts={self.ts!r})"
 
 
-@dataclass(slots=True)
 class Ack:
     """Acknowledgement of one data segment (selective, not cumulative).
 
@@ -69,19 +72,54 @@ class Ack:
     is what makes RTT measurable without retransmission ambiguity.
     """
 
-    seqno: int
-    echo_ts: float = 0.0
+    __slots__ = ("seqno", "echo_ts")
+
+    def __init__(self, seqno: int, echo_ts: float = 0.0) -> None:
+        self.seqno = seqno
+        self.echo_ts = echo_ts
+
+    def __repr__(self) -> str:
+        return f"Ack(seqno={self.seqno!r}, echo_ts={self.echo_ts!r})"
 
 
-@dataclass(slots=True)
 class _Outstanding:
     """Sender-side state of one unacknowledged segment."""
 
-    payload: Any
-    seqno: int
-    size_bytes: int  # wire size including the transport header
-    attempts: int = 0
-    timer: "Optional[ScheduledEvent]" = field(default=None, repr=False)
+    __slots__ = ("payload", "seqno", "size_bytes", "attempts", "timer")
+
+    def __init__(self, payload: Any, seqno: int, size_bytes: int) -> None:
+        self.payload = payload
+        self.seqno = seqno
+        self.size_bytes = size_bytes  # wire size including the transport header
+        self.attempts = 0
+        self.timer: "Optional[ScheduledEvent]" = None
+
+
+class _SendState:
+    """Sender-side state of one ordered pair: the next sequence number,
+    the unacknowledged segments and the Jacobson estimator (``rto`` is
+    the clamped timeout ``srtt`` and ``rttvar`` imply, refreshed with
+    every sample)."""
+
+    __slots__ = ("next_seq", "outstanding", "srtt", "rttvar", "rto")
+
+    def __init__(self, rto_initial: float) -> None:
+        self.next_seq = 0
+        self.outstanding: Dict[int, _Outstanding] = {}
+        self.srtt: "Optional[float]" = None
+        self.rttvar = 0.0
+        self.rto = rto_initial
+
+
+class _RecvState:
+    """Receiver-side state of one ordered pair: the next sequence
+    number to release and the out-of-order segments held back."""
+
+    __slots__ = ("expected", "holdback")
+
+    def __init__(self) -> None:
+        self.expected = 0
+        self.holdback: Dict[int, Any] = {}
 
 
 class ReliableTransport:
@@ -106,12 +144,8 @@ class ReliableTransport:
         "max_retries",
         "on_failure",
         "_handlers",
-        "_next_seq",
-        "_expected",
-        "_holdback",
-        "_outstanding",
-        "_srtt",
-        "_rttvar",
+        "_senders",
+        "_receivers",
         "segments_sent",
         "retransmits",
         "acks_sent",
@@ -147,15 +181,8 @@ class ReliableTransport:
         self.on_failure = on_failure
 
         self._handlers: Dict[int, Callable[[int, Any], None]] = {}
-        # Sender side.
-        self._next_seq: Dict[Pair, int] = {}
-        self._outstanding: Dict[Pair, Dict[int, _Outstanding]] = {}
-        # Receiver side.
-        self._expected: Dict[Pair, int] = {}
-        self._holdback: Dict[Pair, Dict[int, Any]] = {}
-        # Jacobson estimator state, per pair.
-        self._srtt: Dict[Pair, float] = {}
-        self._rttvar: Dict[Pair, float] = {}
+        self._senders: Dict[Pair, _SendState] = {}
+        self._receivers: Dict[Pair, _RecvState] = {}
 
         self.messages_delivered = 0
         self.segments_sent = 0
@@ -165,6 +192,8 @@ class ReliableTransport:
         self.delivery_failures = 0
 
     def _count(self, name: str, amount: int = 1) -> None:
+        # For the rare paths; the per-segment counters call stats.add
+        # themselves and save the frame.
         if self.stats is not None:
             self.stats.add(name, amount)
 
@@ -184,56 +213,64 @@ class ReliableTransport:
         """
         self._handlers.pop(node_id, None)
         self.network.detach(node_id)
-        for pair in [p for p in self._outstanding if node_id in p]:
-            for out in self._outstanding[pair].values():
+        for pair in [p for p in self._senders if node_id in p]:
+            for out in self._senders.pop(pair).outstanding.values():
                 if out.timer is not None:
                     out.timer.cancel()
-            del self._outstanding[pair]
-        for table in (self._next_seq, self._expected, self._holdback, self._srtt, self._rttvar):
-            for pair in [p for p in table if node_id in p]:
-                del table[pair]
+        for pair in [p for p in self._receivers if node_id in p]:
+            del self._receivers[pair]
 
     # -- sender side ---------------------------------------------------------
     def send(self, src: int, dst: int, payload: Any, size_bytes: int) -> None:
         """Send ``payload`` reliably from ``src`` to ``dst``."""
         pair = (src, dst)
-        seqno = self._next_seq.get(pair, 0)
-        self._next_seq[pair] = seqno + 1
-        out = _Outstanding(payload, seqno, size_bytes + self.HEADER_BYTES)
-        self._outstanding.setdefault(pair, {})[seqno] = out
+        state = self._senders.get(pair)
+        if state is None:
+            state = self._senders[pair] = _SendState(self.rto_initial)
+        seqno = state.next_seq
+        state.next_seq = seqno + 1
+        out = state.outstanding[seqno] = _Outstanding(payload, seqno, size_bytes + self.HEADER_BYTES)
         self.segments_sent += 1
-        self._count("transport_segments_sent")
-        self._transmit(pair, out)
+        if self.stats is not None:
+            self.stats.add("transport_segments_sent")
+        self._transmit(pair, state, out)
 
-    def _transmit(self, pair: Pair, out: _Outstanding) -> None:
+    def _transmit(self, pair: Pair, state: _SendState, out: _Outstanding) -> None:
         src, dst = pair
+        network = self.network
+        now = self.sim.now
+        # The RTO policy is capped at rto_max, but the segment first
+        # waits out the backlog ahead of it in the sender's *own*
+        # uplink queue (knowable locally: it is the node's NIC queue) —
+        # no ACK can possibly arrive before the packet has even left.
+        # Arming the timer from enqueue time without that term turns
+        # every local backlog into a spurious retransmission (which
+        # then deepens the backlog).
+        uplink = network.uplinks.get(src)
+        own_queue = uplink.busy_until - now if uplink is not None else 0.0
+        if own_queue < 0.0:
+            own_queue = 0.0
         # A fresh Segment per transmission: earlier copies still in
         # flight must keep their own timestamps, or the echo would
         # misattribute their RTT to the latest retransmission.
-        # The RTO policy is capped at rto_max, but the segment first
-        # waits out the backlog ahead of it in the sender's *own*
-        # uplink queue — no ACK can possibly arrive before the packet
-        # has even left. Arming the timer from enqueue time without
-        # that term turns every local backlog into a spurious
-        # retransmission (which then deepens the backlog).
-        own_queue = self.network.uplink_queue_delay(src)
-        self.network.send(
-            src, dst, Segment(out.seqno, out.payload, ts=self.sim.now), out.size_bytes
-        )
-        interval = min(self.rto_max, self.rto(src, dst) * (2 ** out.attempts))
+        network.send(src, dst, Segment(out.seqno, out.payload, now), out.size_bytes)
+        interval = state.rto * (2 ** out.attempts)
+        if interval > self.rto_max:
+            interval = self.rto_max
         out.timer = self.sim.schedule(own_queue + interval, self._on_timeout, pair, out.seqno)
 
     def _on_timeout(self, pair: Pair, seqno: int) -> None:
-        out = self._outstanding.get(pair, {}).get(seqno)
+        state = self._senders.get(pair)
+        out = state.outstanding.get(seqno) if state is not None else None
         if out is None:
             return  # acknowledged (or pair detached) before the timer fired
         src, dst = pair
         if not self.network.attached(src):
-            del self._outstanding[pair][seqno]
+            del state.outstanding[seqno]
             return
         out.attempts += 1
         if out.attempts > self.max_retries:
-            del self._outstanding[pair][seqno]
+            del state.outstanding[seqno]
             self.delivery_failures += 1
             self._count("transport_delivery_failures")
             if self.on_failure is not None:
@@ -241,78 +278,86 @@ class ReliableTransport:
             return
         self.retransmits += 1
         self._count("transport_retransmits")
-        self._transmit(pair, out)
+        self._transmit(pair, state, out)
 
-    def _on_ack(self, packet: Packet, ack: Ack) -> None:
-        # The ACK travels dst -> src, so the data pair is the reverse.
-        pair = (packet.dst, packet.src)
-        out = self._outstanding.get(pair, {}).pop(ack.seqno, None)
+    def _on_ack(self, pair: Pair, ack: Ack) -> None:
+        """Settle the segment ``ack`` names on the data pair ``pair``."""
+        state = self._senders.get(pair)
+        out = state.outstanding.pop(ack.seqno, None) if state is not None else None
         if out is None:
             return  # duplicate ACK for an already-settled segment
         if out.timer is not None:
             out.timer.cancel()
         # The echoed timestamp names the exact transmission being
         # acknowledged, so the sample is valid even for retransmits.
-        self._sample_rtt(pair, self.sim.now - ack.echo_ts)
-
-    # -- RTT / RTO (Jacobson & Karn) ----------------------------------------
-    def _sample_rtt(self, pair: Pair, rtt: float) -> None:
-        srtt = self._srtt.get(pair)
+        # Jacobson & Karn: smoothed RTT plus four mean deviations.
+        rtt = self.sim.now - ack.echo_ts
+        srtt = state.srtt
         if srtt is None:
-            self._srtt[pair] = rtt
-            self._rttvar[pair] = rtt / 2
+            srtt = rtt
+            rttvar = rtt / 2
         else:
-            rttvar = self._rttvar[pair]
-            self._rttvar[pair] = 0.75 * rttvar + 0.25 * abs(srtt - rtt)
-            self._srtt[pair] = 0.875 * srtt + 0.125 * rtt
-        self._count("transport_rtt_samples")
-        self._count("transport_rtt_us_total", int(rtt * 1e6))
+            rttvar = 0.75 * state.rttvar + 0.25 * abs(srtt - rtt)
+            srtt = 0.875 * srtt + 0.125 * rtt
+        state.srtt = srtt
+        state.rttvar = rttvar
+        state.rto = min(self.rto_max, max(self.rto_min, srtt + 4 * rttvar))
+        stats = self.stats
+        if stats is not None:
+            stats.add("transport_rtt_samples")
+            stats.add("transport_rtt_us_total", int(rtt * 1e6))
 
     def srtt(self, src: int, dst: int) -> "Optional[float]":
         """Smoothed RTT estimate for the pair, None before any sample."""
-        return self._srtt.get((src, dst))
+        state = self._senders.get((src, dst))
+        return state.srtt if state is not None else None
 
     def rto(self, src: int, dst: int) -> float:
         """Current retransmission timeout for the pair."""
-        srtt = self._srtt.get((src, dst))
-        if srtt is None:
-            return self.rto_initial
-        rto = srtt + 4 * self._rttvar[(src, dst)]
-        return min(self.rto_max, max(self.rto_min, rto))
+        state = self._senders.get((src, dst))
+        return state.rto if state is not None else self.rto_initial
 
     # -- receiver side -------------------------------------------------------
     def _on_packet(self, packet: Packet) -> None:
-        if isinstance(packet.payload, Ack):
-            self._on_ack(packet, packet.payload)
-            return
         segment = packet.payload
-        if not isinstance(segment, Segment):
+        src = packet.src
+        dst = packet.dst
+        if type(segment) is Ack:
+            # The ACK travels dst -> src, so the data pair is the reverse.
+            self._on_ack((dst, src), segment)
+            return
+        if type(segment) is not Segment:
             raise TypeError("ReliableTransport received a raw packet")
-        pair = (packet.src, packet.dst)
+        pair = (src, dst)
+        seqno = segment.seqno
         # Every received segment is ACKed — including duplicates, whose
         # original ACK may be the very packet the network ate.
         self.acks_sent += 1
-        self._count("transport_acks_sent")
-        self.network.send(
-            packet.dst, packet.src, Ack(segment.seqno, echo_ts=segment.ts), self.ACK_BYTES
-        )
-        expected = self._expected.get(pair, 0)
-        holdback = self._holdback.setdefault(pair, {})
-        if segment.seqno < expected or segment.seqno in holdback:
+        stats = self.stats
+        if stats is not None:
+            stats.add("transport_acks_sent")
+        self.network.send(dst, src, Ack(seqno, segment.ts), self.ACK_BYTES)
+        state = self._receivers.get(pair)
+        if state is None:
+            state = self._receivers[pair] = _RecvState()
+        expected = state.expected
+        holdback = state.holdback
+        if seqno < expected or seqno in holdback:
             self.duplicates += 1
             self._count("transport_duplicates")
             return
-        holdback[segment.seqno] = segment.payload
-        handler = self._handlers.get(packet.dst)
+        holdback[seqno] = segment.payload
+        handler = self._handlers.get(dst)
         while expected in holdback:
             payload = holdback.pop(expected)
             expected += 1
-            self._expected[pair] = expected
+            state.expected = expected
             self.messages_delivered += 1
             if handler is not None:
-                handler(packet.src, payload)
+                handler(src, payload)
 
     # -- introspection -------------------------------------------------------
     def in_flight(self, src: int, dst: int) -> int:
         """Number of unacknowledged segments from ``src`` to ``dst``."""
-        return len(self._outstanding.get((src, dst), {}))
+        state = self._senders.get((src, dst))
+        return len(state.outstanding) if state is not None else 0

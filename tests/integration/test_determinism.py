@@ -24,6 +24,7 @@ import hashlib
 from repro.core.config import RacConfig
 from repro.core.messages import Broadcast
 from repro.core.system import RacSystem
+from repro.simnet.engine import Simulator
 
 # Digests recorded from the seed (pre-optimisation) implementation.
 EXPECTED_SIM = "e13a6c058436f290cbefba26394a859a2d735cf58e527caa51ff6eafaf30823b"
@@ -161,3 +162,91 @@ def test_snapshot_restore_replays_byte_identically():
     child.join(timeout=30)
     assert child.exitcode == 0
     assert child_summary == expected
+
+
+# ---------------------------------------------------------------------------
+# event *order* pins
+# ---------------------------------------------------------------------------
+#
+# EXPECTED_SIM/EXPECTED_DH hash the final clock and the event *count*;
+# these hash the dispatch sequence itself — (time, seq, callback) of
+# every fired event — so an engine or data-path rewrite that merges,
+# drops, re-times or re-numbers a single event fails here even when the
+# totals still agree. Recorded on the commit before the list-backed
+# event record replaced the dataclass + wrapper tuple.
+EXPECTED_ORDER_LOSSY = "3f7b2528b8523e2676ef81cccb32575e6a6623b219f1e35ca739bd584220308c"
+EXPECTED_ORDER_WAN = "ab79437ee3b92e50fc15d688e56bd3520820f3ae31780848e7e2dce30a251af2"
+
+
+class _OrderRecordingSimulator(Simulator):
+    """Folds every dispatched event into ``order_hash`` from inside the
+    real ``run`` loop (``RacSystem`` instances are re-classed onto it)."""
+
+    def step(self, until=None):
+        self.peek_time()  # shed dead heads: the head is now the next live event
+        head = self._queue[0] if self._queue else None
+        fired = super().step(until)
+        if fired:
+            self.order_hash.update(
+                f"{head.time!r}|{head.seq}|{head.callback.__qualname__}|".encode()
+            )
+        return fired
+
+
+def _order_recording_system(config: RacConfig, seed: int, topology=None) -> RacSystem:
+    system = RacSystem(config, seed=seed, topology=topology)
+    system.sim.__class__ = _OrderRecordingSimulator
+    system.sim.order_hash = hashlib.sha256()
+    return system
+
+
+def _ring_traffic(system: RacSystem, nodes, tag: str) -> None:
+    for index, src in enumerate(nodes):
+        system.send(src, nodes[(index + 5) % len(nodes)], f"{tag}/{index}".encode())
+
+
+def lossy_event_order():
+    """12 nodes, 2 % loss, propagation jitter, one crash-restart."""
+    from repro.chaos.plan import FaultPlan
+    from repro.chaos.run import chaos_sim_config
+
+    config = chaos_sim_config(link_loss_rate=0.02, propagation_jitter=200e-6)
+    system = _order_recording_system(config, seed=97)
+    nodes = system.bootstrap(12)
+    FaultPlan(seed=97, horizon=4.0).crash_restart(4, at=1.0, downtime=0.6).compile_sim(system, nodes)
+    system.run(0.8)
+    _ring_traffic(system, nodes, "order-a")
+    system.run(1.2)
+    _ring_traffic(system, nodes, "order-b")
+    system.run(2.0)
+    return system
+
+
+def wan_event_order():
+    """8 nodes on the ``wan-king`` preset (per-pair router delays)."""
+    from repro.topo.model import wan_king
+    from repro.topo.run import topo_sim_config
+
+    system = _order_recording_system(topo_sim_config(), seed=31, topology=wan_king(8, seed=31))
+    nodes = system.bootstrap(8)
+    system.run(0.5)
+    _ring_traffic(system, nodes, "order-wan")
+    system.run(2.5)
+    return system
+
+
+def test_lossy_crash_restart_event_order_is_pinned():
+    system = lossy_event_order()
+    report = system.stats_report()
+    # the run must actually walk the paths the pin is there to guard
+    assert report["transport_retransmits"] > 0
+    assert report["net_dropped_loss"] > 0 and report["net_dropped_outage"] > 0
+    assert report["sim_events_cancelled"] > 0 and report["sim_queue_compactions"] > 0
+    assert not system.evicted
+    assert system.sim.order_hash.hexdigest() == EXPECTED_ORDER_LOSSY
+
+
+def test_wan_king_event_order_is_pinned():
+    system = wan_event_order()
+    assert any(key.startswith("net_pair_delayed_") for key in system.stats_report())
+    assert system.sim.order_hash.hexdigest() == EXPECTED_ORDER_WAN

@@ -25,7 +25,10 @@ class TestLogProbAlgebra:
     @given(probs, probs)
     def test_product_matches_float_multiplication(self, a, b):
         left = (LogProb.from_float(a) * LogProb.from_float(b)).value
-        assert left == max(0.0, a * b) or math.isclose(left, a * b, rel_tol=1e-9)
+        # abs_tol: two subnormal steps — at the bottom of the float range
+        # exp(log a + log b) and a * b round to neighbouring subnormals
+        # (0.5 * 5e-324 is 0.0 one way and 5e-324 the other).
+        assert left == max(0.0, a * b) or math.isclose(left, a * b, rel_tol=1e-9, abs_tol=1e-323)
 
     @given(probs, probs)
     def test_ordering_matches_floats(self, a, b):

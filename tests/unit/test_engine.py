@@ -130,6 +130,28 @@ class TestIntrospection:
     def test_step_returns_false_when_idle(self):
         assert Simulator().step() is False
 
+    def test_step_stops_at_the_horizon(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "in")
+        sim.schedule(3.0, fired.append, "out")
+        assert sim.step(until=2.0) is True
+        assert sim.step(until=2.0) is False  # next event lies past the horizon
+        assert fired == ["in"] and sim.now == 1.0
+        assert sim.pending_events() == 1
+        assert sim.step() is True
+        assert fired == ["in", "out"]
+
+    def test_event_exposes_its_record(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        event = sim.schedule(0.5, print, "x", 2)
+        assert (event.time, event.seq, event.callback, event.args) == (1.5, 1, print, ("x", 2))
+        assert not event.cancelled
+        event.cancel()
+        assert event.cancelled
+
 
 class TestCancellationAccounting:
     def test_cancel_counts_and_is_idempotent(self):
@@ -140,6 +162,35 @@ class TestCancellationAccounting:
         assert sim.events_cancelled == 1
         sim.run()
         assert sim.events_processed == 0
+
+    def test_cancel_after_fire_is_a_noop(self):
+        sim = Simulator()
+        events = [sim.schedule(float(i), lambda: None) for i in range(100)]
+        sim.run()
+        for ev in events:
+            ev.cancel()
+        # No dead entry sits in the calendar, so nothing may be counted
+        # (this used to report 100 cancels, compact an empty queue and
+        # leave the dead-entry gauge stuck at 35).
+        assert sim.events_cancelled == 0
+        assert sim.queue_compactions == 0
+        assert sim._cancelled_pending == 0
+        # ... and the compaction trigger still sees only real dead entries.
+        later = [sim.schedule(10.0 + i, lambda: None) for i in range(200)]
+        for ev in later[:64]:
+            ev.cancel()
+        assert sim.queue_compactions == 0  # 64 dead: not above the floor
+        later[64].cancel()
+        assert sim.queue_compactions == 0  # 65 dead of 200: not yet half
+        assert sim.events_cancelled == 65
+
+    def test_cancelling_itself_while_firing_is_a_noop(self):
+        sim = Simulator()
+        box = []
+        box.append(sim.schedule(1.0, lambda: box[0].cancel()))
+        sim.run()
+        assert sim.events_processed == 1
+        assert sim.events_cancelled == 0
 
     def test_compaction_evicts_dead_entries(self):
         sim = Simulator()
