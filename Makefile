@@ -20,7 +20,7 @@ bench:
 bench-baseline:  # refresh BENCH_protocol.json without the pytest benches
 	PYTHONPATH=src $(PYTHON) benchmarks/baseline.py
 
-ci-bench-smoke:  # fail if seal/peel, shard-snapshot, bare-engine or per-segment cost regressed >2x vs BENCH_protocol.json
+ci-bench-smoke:  # fail if seal/peel, DH trial-peel, shard-snapshot, bare-engine or per-segment cost regressed >2x vs BENCH_protocol.json
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_smoke.py -q
 
 sweep-smoke:  # 2x2 sweep on 2 workers with one injected crash; must recover

@@ -11,9 +11,9 @@ numbers and the resulting speedups — to the repo root::
 
 The committed ``BENCH_protocol.json`` is the regression anchor:
 ``benchmarks/test_bench_smoke.py`` (run by CI) re-measures the
-seal/peel, snapshot-save, bare-engine and per-segment microbenches and
-fails when one has regressed more than 2x against the committed
-numbers.
+seal/peel, DH trial-peel, snapshot-save, bare-engine and per-segment
+microbenches and fails when one has regressed more than 2x against the
+committed numbers.
 
 The measurement functions are importable so the smoke test and the
 recorder can never disagree on methodology.
@@ -83,6 +83,32 @@ def measure_seal_unseal_10k(backend: str, repeats: int = 3, number: int = 100) -
         return pair.unseal(blob)
 
     return _best_of(roundtrip, repeats, number) * 1e6
+
+
+def measure_dh_trial_peel_us(repeats: int = 5, number: int = 10) -> float:
+    """Microseconds per trial decryption when one 10 kB box sealed to
+    one of 12 DH identities is tried by all 24 keys (ID and pseudonym)
+    of the group — RAC's receive rule for one onion layer, 23 misses and
+    one hit, KDF and MAC check included. Process caches are cleared per
+    repetition: every repetition meets the ephemeral value cold."""
+    from repro.crypto import clear_process_caches
+    from repro.crypto.keys import AuthenticationError, KeyPair, seal
+
+    keys = [KeyPair.generate("dh", seed=seed) for seed in range(24)]
+    blob = seal(keys[7].public, bytes(10_000), seed=2013)
+
+    def layer():
+        clear_process_caches()
+        opened = 0
+        for key in keys:
+            try:
+                key.unseal(blob)
+                opened += 1
+            except AuthenticationError:
+                pass
+        assert opened == 1
+
+    return _best_of(layer, repeats, number) / len(keys) * 1e6
 
 
 def measure_dh_keygen(repeats: int = 3, number: int = 100) -> float:
@@ -246,6 +272,7 @@ def record(path: pathlib.Path = BASELINE_PATH, quick: bool = False) -> dict:
         "keystream_10k_us": round(measure_keystream_10k(), 1),
         "sim_seal_unseal_10k_us": round(measure_seal_unseal_10k("sim"), 1),
         "dh_seal_unseal_10k_us": round(measure_seal_unseal_10k("dh"), 1),
+        "dh_trial_peel_us": round(measure_dh_trial_peel_us(), 1),
         "dh_keygen_ms": round(measure_dh_keygen(), 3),
         "engine_events_per_sec": round(measure_engine_events_per_sec()),
         "segment_us": round(measure_segment_us(), 1),

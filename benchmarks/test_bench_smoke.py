@@ -1,9 +1,9 @@
 """CI regression gate against the committed performance baseline.
 
-Re-measures the seal+peel, snapshot-save, bare-engine and per-segment
-microbenches with the exact methodology of ``benchmarks/baseline.py``
-and fails when one has regressed more than 2x against the committed
-``BENCH_protocol.json``. The 2x margin absorbs CI-machine noise while
+Re-measures the seal+peel, trial-peel, snapshot-save, bare-engine and
+per-segment microbenches with the exact methodology of
+``benchmarks/baseline.py`` and fails when one has regressed more than 2x
+against the committed ``BENCH_protocol.json``. The 2x margin absorbs CI-machine noise while
 still catching an accidentally reverted fast path (the crypto
 optimisations are 4-6x, so losing one blows the gate; the simulator's
 data path is a sum of small trims, so its gate catches a wholesale
@@ -46,6 +46,14 @@ def test_sim_seal_unseal_within_2x_of_baseline(committed):
 def test_dh_seal_unseal_within_2x_of_baseline(committed):
     measured = baseline.measure_seal_unseal_10k("dh", repeats=5, number=30)
     _assert_not_regressed("dh seal+unseal", measured, committed["dh_seal_unseal_10k_us"])
+
+
+def test_dh_trial_peel_within_2x_of_baseline(committed):
+    # 24 keys try one box: 22 of the 24 exponentiations walk the shared
+    # window table of the ephemeral value instead of squaring it afresh
+    # (~2.2x per trial with KDF and MAC), so losing the table trips this
+    measured = baseline.measure_dh_trial_peel_us()
+    _assert_not_regressed("dh trial peel", measured, committed["dh_trial_peel_us"])
 
 
 def test_keystream_within_2x_of_baseline(committed):

@@ -12,8 +12,9 @@ Sub-modules:
 """
 
 from .hashes import message_id, oneway_f, oneway_g, ring_position, sha256_int, truncated_bits
-from .keys import AuthenticationError, KeyPair, PublicKey, clear_kem_cache, seal, sealed_overhead
+from .keys import AuthenticationError, KeyPair, PublicKey, seal, sealed_overhead
 from .shuffle import DishonestParticipant, ShuffleParticipant, ShuffleResult, run_shuffle
+from . import dh as _dh
 from . import keys as _keys
 from . import stream as _stream
 
@@ -21,7 +22,8 @@ from . import stream as _stream
 def clear_process_caches() -> None:
     """Reset every module-level crypto cache in this process.
 
-    The KEM shared-secret LRU and the ``lru_cache``'d derivations
+    The shared-base store of :mod:`repro.crypto.dh` (trial counts and
+    window tables of public values) and the ``lru_cache``'d derivations
     (:func:`repro.crypto.stream._split_key`,
     :func:`repro.crypto.keys._sim_symmetric_key`,
     :func:`repro.crypto.hashes.ring_position`) are pure-function caches,
@@ -31,14 +33,13 @@ def clear_process_caches() -> None:
     timing depend on sibling runs. Worker-run boundaries call this to
     keep every run cold-started and memory-bounded.
     """
-    clear_kem_cache()
+    _dh.clear_base_store()
     _stream._split_key.cache_clear()
     _keys._sim_symmetric_key.cache_clear()
     ring_position.cache_clear()
 
 
 __all__ = [
-    "clear_kem_cache",
     "clear_process_caches",
     "message_id",
     "oneway_f",

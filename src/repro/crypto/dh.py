@@ -2,9 +2,21 @@
 
 This is the "real" asymmetric backend of the crypto substrate: a genuine
 ElGamal-style key-encapsulation mechanism built only on the standard
-library (``pow`` with three arguments performs fast modular
-exponentiation on big ints). RAC itself never depends on a particular
-cipher; see :mod:`repro.crypto.keys` for the backend indirection.
+library's big ints. RAC itself never depends on a particular cipher;
+see :mod:`repro.crypto.keys` for the backend indirection.
+
+Every exponentiation returns the integer ``pow(base, x, p)`` would, by
+one of three routes: ``g^x`` (key generation, ephemeral keys) walks a
+per-group comb table of ``g``; ``peer^x`` (:meth:`DHPrivateKey.shared_secret`)
+is a plain ``pow`` for the first two trials against a base and, from
+the third, walks a window table of that base's public powers kept in a
+small LRU store — the 2*G trial decryptions RAC's receive rule asks of a
+G-member group share one base per broadcast, so a process simulating
+the group squares it once, not 2*G times; exponents too long for a
+table fall back to ``pow``. Only public powers of public values are
+shared: each key still derives its own secret from its own exponent.
+None of the three routes is constant-time, which is within what this
+stdlib-only, simulation-grade backend claims.
 
 The paper assumes a global active opponent that *cannot invert
 encryption* (Section II-A). A 2048-bit MODP group with SHA-256 key
@@ -19,8 +31,9 @@ from __future__ import annotations
 
 import hashlib
 import secrets
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 __all__ = ["DHGroup", "GROUP_2048", "GROUP_TEST", "DHPrivateKey", "DHPublicKey", "generate_keypair"]
 
@@ -34,22 +47,99 @@ _COMB_WINDOW = 5
 #: once per group and amortised across the whole population.
 _COMB_TABLES: "Dict[Tuple[int, int, int], List[List[int]]]" = {}
 
+# ---------------------------------------------------------------------------
+# Shared-base store
+#
+# RAC's receive rule makes every group member try its ID key and then
+# its pseudonym key on every first-seen broadcast, so a process that
+# simulates G nodes raises one ephemeral public value to 2*G different
+# exponents. The squarings of those exponentiations depend on the base
+# alone: ``shared_secret`` counts the trials made against a base and, at
+# the ``_BASE_BUILD_AT``-th, builds the comb table of its public powers
+# once; every later exponent costs ``bits / _BASE_WINDOW`` multiplications
+# and no squaring. What is shared is public (powers of a value that
+# travelled in the clear); exponents, secrets, KDF outputs and MAC
+# checks stay per key, and the integer returned is ``pow``'s.
+#
+# Break-even, measured on the 512-bit test group (160-bit exponents) in
+# units of one cold ``pow``: building a table at w=4 is 40 rows x 15
+# multiplications = 3.3, walking it is <= 40 multiplications = 0.21
+# (3.6 and 0.22 on the 2048-bit group). n trials against one base cost
+# 2 + 3.3 + 0.21 (n - 2): worse than n cold exponentiations up to the
+# sixth trial (5.5 for 3 at worst), better from the seventh, 0.42 n at
+# the 24 trials of a 12-node group. w=3 (build 2.1, walk 0.29) and w=5
+# (5.4, 0.17) land at 0.43 n and 0.47 n there. Building at the third
+# trial rather than the second is what keeps a process that hosts one
+# node — two trials per ephemeral value, ``live/worker.py`` — from ever
+# building: it pays exactly ``pow``. A table is 40 x 16 integers of 512
+# bits, ~60 kB (~290 kB on the 2048-bit group), and a simulated group
+# has a dozen or so broadcasts in flight, so the store is small: at 16,
+# 32 and 64 entries the 12-node onion benchmark spends the same time
+# and peaks at 60.6, 61.6 and 63.6 MiB.
+# ---------------------------------------------------------------------------
 
-def _comb_table(prime: int, generator: int, exponent_bits: int) -> "List[List[int]]":
-    key = (prime, generator, exponent_bits)
-    table = _COMB_TABLES.get(key)
-    if table is None:
-        table = []
-        base = generator % prime
-        for _ in range((exponent_bits + _COMB_WINDOW - 1) // _COMB_WINDOW):
-            row = [1, base]
-            for _ in range(2, 1 << _COMB_WINDOW):
-                row.append(row[-1] * base % prime)
-            table.append(row)
-            for _ in range(_COMB_WINDOW):
-                base = base * base % prime
-        _COMB_TABLES[key] = table
+_BASE_WINDOW = 4
+_BASE_BUILD_AT = 3
+_BASE_STORE_MAX = 16
+
+#: (prime, base) -> trials made so far (int), or the base's table once built.
+_BASE_STORE: "OrderedDict[Tuple[int, int], Union[int, List[List[int]]]]" = OrderedDict()
+
+
+def clear_base_store() -> None:
+    """Forget every trial count and shared-base table."""
+    _BASE_STORE.clear()
+
+
+def _window_table(base: int, prime: int, exponent_bits: int, window: int) -> "List[List[int]]":
+    """Row ``k`` holds ``base ** (d << window * k) % prime`` for every digit ``d``."""
+    table = []
+    base %= prime
+    for _ in range((exponent_bits + window - 1) // window):
+        row = [1, base]
+        for _ in range(2, 1 << window):
+            row.append(row[-1] * base % prime)
+        table.append(row)
+        base = row[-1] * base % prime
     return table
+
+
+def _window_pow(table: "List[List[int]]", window: int, base: int, exponent: int, prime: int) -> int:
+    """``pow(base, exponent, prime)`` by walking ``base``'s table: one
+    multiplication per non-zero digit, no squaring. An exponent the
+    table has no rows for (or a negative one) falls back to ``pow``."""
+    if exponent >> (window * len(table)):
+        return pow(base, exponent, prime)
+    mask = (1 << window) - 1
+    result = 1
+    row = 0
+    while exponent:
+        digit = exponent & mask
+        if digit:
+            result = result * table[row][digit] % prime
+        exponent >>= window
+        row += 1
+    return result
+
+
+def _shared_base_pow(base: int, exponent: int, group: "DHGroup") -> int:
+    """``pow(base, exponent, group.prime)``, through the shared-base store."""
+    prime = group.prime
+    store = _BASE_STORE
+    key = (prime, base)
+    entry = store.get(key)
+    if entry is None:
+        if len(store) >= _BASE_STORE_MAX:
+            store.popitem(last=False)
+        store[key] = 1
+        return pow(base, exponent, prime)
+    store.move_to_end(key)
+    if isinstance(entry, int):
+        if entry + 1 < _BASE_BUILD_AT:
+            store[key] = entry + 1
+            return pow(base, exponent, prime)
+        entry = store[key] = _window_table(base, prime, group.exponent_bits, _BASE_WINDOW)
+    return _window_pow(entry, _BASE_WINDOW, base, exponent, prime)
 
 
 @dataclass(frozen=True)
@@ -82,20 +172,13 @@ class DHGroup:
         table (never produced by :meth:`random_exponent`) fall back to
         built-in ``pow``.
         """
-        if exponent >> self.exponent_bits:
-            return pow(self.generator, exponent, self.prime)
-        table = _comb_table(self.prime, self.generator, self.exponent_bits)
-        prime = self.prime
-        mask = (1 << _COMB_WINDOW) - 1
-        result = 1
-        row = 0
-        while exponent:
-            digit = exponent & mask
-            if digit:
-                result = result * table[row][digit] % prime
-            exponent >>= _COMB_WINDOW
-            row += 1
-        return result
+        key = (self.prime, self.generator, self.exponent_bits)
+        table = _COMB_TABLES.get(key)
+        if table is None:
+            table = _COMB_TABLES[key] = _window_table(
+                self.generator, self.prime, self.exponent_bits, _COMB_WINDOW
+            )
+        return _window_pow(table, _COMB_WINDOW, self.generator, exponent, self.prime)
 
 
 # RFC 3526, group 14 (2048-bit MODP).
@@ -148,7 +231,7 @@ class DHPrivateKey:
         """Raw DH shared secret ``peer^x mod p``, hashed to 32 bytes."""
         if peer.group.prime != self.group.prime:
             raise ValueError("DH keys belong to different groups")
-        secret = pow(peer.value, self.exponent, self.group.prime)
+        secret = _shared_base_pow(peer.value, self.exponent, self.group)
         raw = secret.to_bytes((self.group.prime.bit_length() + 7) // 8, "big")
         return hashlib.sha256(b"rac/dh-kdf" + raw).digest()
 

@@ -34,51 +34,19 @@ from __future__ import annotations
 import functools
 import hashlib
 import secrets
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 from . import dh as _dh
 from . import stream as _stream
 from .stream import AuthenticationError
 
-__all__ = ["PublicKey", "KeyPair", "seal", "sealed_overhead", "clear_kem_cache", "AuthenticationError"]
+__all__ = ["PublicKey", "KeyPair", "seal", "sealed_overhead", "AuthenticationError"]
 
 _SIM_KEYID_LEN = 16
 _SIM_NONCE_LEN = 16
 _TAG_SIM = b"S"
 _TAG_DH = b"D"
-
-# ---------------------------------------------------------------------------
-# KEM cache
-#
-# The DH shared secret is a pure function of (ephemeral public key,
-# recipient keypair): the sender computes eph^priv from one side, the
-# opener recipient_pub^eph from the other, and DH agreement makes the
-# bytes identical. Every RAC broadcast is trial-peeled by *all* g group
-# members, so a relay that re-sees an onion layer — or a node whose
-# sealed blob circulates several rings — would otherwise repeat a full
-# modular exponentiation per sighting. The cache is bounded LRU and
-# keyed on (ephemeral-pub-bytes, recipient key id); entries for keys
-# that fail to open are cached too (the failed MAC check is what makes
-# "not for me" cheap the second time).
-# ---------------------------------------------------------------------------
-
-_KEM_CACHE: "OrderedDict[Tuple[bytes, int], bytes]" = OrderedDict()
-_KEM_CACHE_MAX = 4096
-
-
-def _kem_cache_put(eph_bytes: bytes, recipient_id: int, shared: bytes) -> None:
-    cache = _KEM_CACHE
-    cache[(eph_bytes, recipient_id)] = shared
-    if len(cache) > _KEM_CACHE_MAX:
-        cache.popitem(last=False)
-
-
-def clear_kem_cache() -> None:
-    """Drop every cached KEM shared secret (tests and benchmarks)."""
-    _KEM_CACHE.clear()
-
 
 @dataclass(frozen=True, slots=True)
 class PublicKey:
@@ -149,43 +117,46 @@ class KeyPair:
         deciphering "flag": a failed unseal means *not for me*)."""
         if not blob:
             raise AuthenticationError("empty sealed box")
-        tag, body = blob[:1], blob[1:]
+        # The miss path of a trial peel (2*G runs per onion layer): header
+        # fields are read at their offsets and the body reaches the MAC
+        # as one view, never as a copy.
+        tag = blob[:1]
         if tag == _TAG_SIM:
-            return self._unseal_sim(body)
+            return self._unseal_sim(blob)
         if tag == _TAG_DH:
-            return self._unseal_dh(body)
+            return self._unseal_dh(blob)
         raise AuthenticationError("unknown sealed-box format")
 
-    def _unseal_sim(self, body: bytes) -> bytes:
+    def _unseal_sim(self, blob: bytes) -> bytes:
         if self.backend != "sim":
             raise AuthenticationError("sealed box uses the sim backend")
-        if len(body) < _SIM_KEYID_LEN + _SIM_NONCE_LEN:
+        nonce_at = 1 + _SIM_KEYID_LEN
+        body_at = nonce_at + _SIM_NONCE_LEN
+        if len(blob) < body_at:
             raise AuthenticationError("sealed box too short")
-        key_id = int.from_bytes(body[:_SIM_KEYID_LEN], "big")
+        key_id = int.from_bytes(blob[1:nonce_at], "big")
         if key_id != self.public.key_id:
             raise AuthenticationError("sealed box addressed to a different key")
-        nonce = body[_SIM_KEYID_LEN : _SIM_KEYID_LEN + _SIM_NONCE_LEN]
         sym = _sim_symmetric_key(key_id)
-        return _stream.decrypt(sym, nonce, body[_SIM_KEYID_LEN + _SIM_NONCE_LEN :])
+        return _stream.decrypt(sym, blob[nonce_at:body_at], memoryview(blob)[body_at:])
 
-    def _unseal_dh(self, body: bytes) -> bytes:
+    def _unseal_dh(self, blob: bytes) -> bytes:
         if self.backend != "dh":
             raise AuthenticationError("sealed box uses the dh backend")
         group = self._private.group
-        pub_len = (group.prime.bit_length() + 7) // 8
-        if len(body) < pub_len:
+        body_at = 1 + (group.prime.bit_length() + 7) // 8
+        if len(blob) < body_at:
             raise AuthenticationError("sealed box too short")
-        eph_bytes = body[:pub_len]
-        cache_key = (eph_bytes, self.public.key_id)
-        shared = _KEM_CACHE.get(cache_key)
-        if shared is None:
-            eph_pub = _dh.DHPublicKey(group, int.from_bytes(eph_bytes, "big"))
-            shared = self._private.shared_secret(eph_pub)
-            _kem_cache_put(eph_bytes, self.public.key_id, shared)
-        else:
-            _KEM_CACHE.move_to_end(cache_key)
+        eph_bytes = blob[1:body_at]
+        eph = int.from_bytes(eph_bytes, "big")
+        # 0, 1 and p+1 give every exponent the same "secret", p-1 every
+        # odd one: a box built on one of them would open under every
+        # key and the per-layer flag would stop meaning "for me".
+        if not 2 <= eph <= group.prime - 2:
+            raise AuthenticationError("degenerate ephemeral key")
+        shared = self._private.shared_secret(_dh.DHPublicKey(group, eph))
         nonce = hashlib.sha256(b"rac/seal-nonce" + eph_bytes).digest()[:16]
-        return _stream.decrypt(shared, nonce, body[pub_len:])
+        return _stream.decrypt(shared, nonce, memoryview(blob)[body_at:])
 
 
 @functools.lru_cache(maxsize=8192)
@@ -219,14 +190,7 @@ def seal(public: PublicKey, plaintext: bytes, seed: "int | None" = None) -> byte
         eph = _dh.generate_keypair(group, seed=seed)
         pub_len = (group.prime.bit_length() + 7) // 8
         eph_bytes = eph.public_key().value.to_bytes(pub_len, "big")
-        cache_key = (eph_bytes, public.key_id)
-        shared = _KEM_CACHE.get(cache_key)
-        if shared is None:
-            recipient = _dh.DHPublicKey(group, public.dh_value)
-            shared = eph.shared_secret(recipient)
-            _kem_cache_put(eph_bytes, public.key_id, shared)
-        else:
-            _KEM_CACHE.move_to_end(cache_key)
+        shared = eph.shared_secret(_dh.DHPublicKey(group, public.dh_value))
         nonce = hashlib.sha256(b"rac/seal-nonce" + eph_bytes).digest()[:16]
         return _TAG_DH + eph_bytes + _stream.encrypt(shared, nonce, plaintext)
     raise ValueError(f"unknown key backend: {public.backend!r}")

@@ -58,9 +58,14 @@ class AuthenticationError(Exception):
     """Raised when a MAC check fails (layer not addressed to this key)."""
 
 
-def mac(key: bytes, data: bytes) -> bytes:
-    """Truncated HMAC-SHA256 tag over ``data``."""
-    return hmac.new(key, data, hashlib.sha256).digest()[:MAC_LEN]
+def mac(key: bytes, data: bytes, *more: bytes) -> bytes:
+    """Truncated HMAC-SHA256 tag over ``data`` (and ``more``, as if
+    concatenated: a 10 kB ciphertext is fed after its nonce, not copied
+    behind it)."""
+    tagger = hmac.new(key, data, hashlib.sha256)
+    for part in more:
+        tagger.update(part)
+    return tagger.digest()[:MAC_LEN]
 
 
 def verify_mac(key: bytes, data: bytes, tag: bytes) -> bool:
@@ -83,15 +88,16 @@ def encrypt(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
     """Encrypt-then-MAC; the tag is prepended to the ciphertext."""
     enc_key, auth_key = _split_key(key)
     ciphertext = keystream_xor(enc_key, nonce, plaintext)
-    return mac(auth_key, nonce + ciphertext) + ciphertext
+    return mac(auth_key, nonce, ciphertext) + ciphertext
 
 
 def decrypt(key: bytes, nonce: bytes, blob: bytes) -> bytes:
     """Check the tag and decrypt. Raises :class:`AuthenticationError`."""
     if len(blob) < MAC_LEN:
         raise AuthenticationError("ciphertext too short")
-    tag, ciphertext = blob[:MAC_LEN], blob[MAC_LEN:]
+    view = memoryview(blob)
+    tag, ciphertext = view[:MAC_LEN], view[MAC_LEN:]
     enc_key, auth_key = _split_key(key)
-    if not verify_mac(auth_key, nonce + ciphertext, tag):
+    if not hmac.compare_digest(mac(auth_key, nonce, ciphertext), tag):
         raise AuthenticationError("MAC mismatch")
     return keystream_xor(enc_key, nonce, ciphertext)

@@ -148,8 +148,8 @@ def run_shard_epoch(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> 
     """
     # Satellite: shard pickup is a cache boundary. The pool's worker
     # entry resets too, but a long-lived worker (and the inline/serial
-    # path) must not leak KEM or key-derivation cache entries from one
-    # shard into the next shard's timing-free determinism.
+    # path) must not leak shared-base or key-derivation cache entries
+    # from one shard into the next shard's timing-free determinism.
     reset_worker_caches()
 
     run_dir = str(params["run_dir"])

@@ -91,7 +91,7 @@ def reset_worker_caches() -> None:
 
     Sweep workers execute many runs back to back (and inherit a warm
     parent image under fork-start multiprocessing); clearing the crypto
-    KEM/derivation caches keeps each run deterministic in isolation and
+    shared-base/derivation caches keeps each run deterministic in isolation and
     bounds worker memory across a long campaign.
     """
     from .. import crypto

@@ -1,7 +1,7 @@
 """Fixed-seed determinism pins for the performance layer.
 
 The crypto and hot-path optimisations (bulk keystream, cached key
-derivations, fixed-base exponentiation, KEM cache, peel dedup, calendar
+derivations, fixed- and shared-base exponentiation, peel dedup, calendar
 compaction) must not change a single wire byte or reorder a single
 event. These tests pin a SHA-256 fingerprint over
 

@@ -1,7 +1,7 @@
 """Equivalence properties for the optimised crypto hot paths.
 
 The fast-path implementations (bulk big-int keystream XOR, cached key
-splitting, comb fixed-base exponentiation, the KEM shared-secret cache)
+splitting, comb fixed-base exponentiation, the shared-base window tables)
 must be *byte-identical* to the straightforward seed-code definitions —
 every wire blob of a fixed-seed simulation is pinned by
 ``tests/integration/test_determinism.py``, so even a single differing
@@ -17,9 +17,9 @@ import hashlib
 
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import stream
-from repro.crypto.dh import GROUP_TEST
-from repro.crypto.keys import KeyPair, clear_kem_cache, seal
+from repro.crypto import dh, stream
+from repro.crypto.dh import GROUP_2048, GROUP_TEST, DHPrivateKey, DHPublicKey
+from repro.crypto.keys import KeyPair, seal
 
 keys = st.binary(min_size=16, max_size=32)
 nonces = st.binary(min_size=8, max_size=16)
@@ -104,15 +104,20 @@ class TestSealEquivalence:
     def test_dh_seal_open_identical_with_cold_and_warm_kem_cache(
         self, key_seed, plaintext, seal_seed
     ):
+        # The name predates the shared-base store, which took the KEM
+        # cache's place: cold, counted-but-unbuilt (two trials) and
+        # table-built states must all produce the same bytes.
         pair = KeyPair.generate("dh", seed=key_seed)
-        clear_kem_cache()
-        cold_blob = seal(pair.public, plaintext, seed=seal_seed)
-        cold_open = pair.unseal(cold_blob)
-        warm_blob = seal(pair.public, plaintext, seed=seal_seed)  # cache hit path
-        clear_kem_cache()
-        recomputed = pair.unseal(warm_blob)  # cold unseal of warm-sealed blob
-        assert warm_blob == cold_blob
-        assert cold_open == recomputed == plaintext
+        dh.clear_base_store()
+        blobs, opened = [], []
+        for _ in range(dh._BASE_BUILD_AT + 1):
+            blobs.append(seal(pair.public, plaintext, seed=seal_seed))
+            opened.append(pair.unseal(blobs[-1]))
+        assert all(isinstance(entry, list) for entry in dh._BASE_STORE.values())
+        dh.clear_base_store()
+        assert pair.unseal(blobs[-1]) == plaintext  # cold unseal of a table-sealed blob
+        assert set(blobs) == {blobs[0]}
+        assert set(opened) == {plaintext}
 
 
 class TestFixedBasePowEquivalence:
@@ -126,3 +131,110 @@ class TestFixedBasePowEquivalence:
         group = GROUP_TEST
         exponent = (1 << 300) + 12345
         assert group.fixed_base_pow(exponent) == pow(group.generator, exponent, group.prime)
+
+
+def _secret(group, exponent: int, base: int) -> bytes:
+    return DHPrivateKey(group, exponent).shared_secret(DHPublicKey(group, base))
+
+
+def _reference_secret(group, exponent: int, base: int) -> bytes:
+    """The seed definition: one cold ``pow`` per key, then the KDF."""
+    raw = pow(base, exponent, group.prime).to_bytes((group.prime.bit_length() + 7) // 8, "big")
+    return hashlib.sha256(b"rac/dh-kdf" + raw).digest()
+
+
+def _tables() -> int:
+    return sum(isinstance(entry, list) for entry in dh._BASE_STORE.values())
+
+
+groups = st.sampled_from([GROUP_TEST, GROUP_2048])
+
+
+class TestSharedBaseEquivalence:
+    """``DHPrivateKey.shared_secret`` through the shared-base store is
+    ``pow`` — in every store state and in any trial order."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(groups, st.data())
+    def test_shared_base_matches_builtin_pow(self, group, data):
+        base = data.draw(st.integers(min_value=0, max_value=group.prime + 1))
+        edge = [0, 1, (1 << group.exponent_bits) - 1]
+        drawn = data.draw(
+            st.lists(st.integers(min_value=0, max_value=(1 << group.exponent_bits) - 1), max_size=4)
+        )
+        dh.clear_base_store()
+        for exponent in edge + drawn + edge:  # edges before and after the table is built
+            assert _secret(group, exponent, base) == _reference_secret(group, exponent, base)
+        assert _tables() == 1
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        groups,
+        st.integers(min_value=2, max_value=2**512),
+        st.integers(min_value=1, max_value=2**64),
+    )
+    def test_over_long_exponent_falls_back_to_pow(self, group, base, excess):
+        exponent = (excess << group.exponent_bits) | 5
+        dh.clear_base_store()
+        for _ in range(dh._BASE_BUILD_AT + 1):
+            assert _secret(group, exponent, base) == _reference_secret(group, exponent, base)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_interleaved_bases_evict_rebuild_and_agree(self, data):
+        group = GROUP_TEST
+        bases = data.draw(
+            st.lists(
+                st.integers(min_value=2, max_value=group.prime - 2),
+                min_size=dh._BASE_STORE_MAX + 1,
+                max_size=dh._BASE_STORE_MAX + 8,
+                unique=True,
+            )
+        )
+        exponents = data.draw(
+            st.lists(st.integers(min_value=0, max_value=2**160 - 1), min_size=2, max_size=4)
+        )
+        # Hot bases come round often enough to get (and lose, and get
+        # again) a table; the sweep over all bases is what evicts them.
+        trials = [(b, x) for b in bases[:3] for x in exponents * 2] + [
+            (b, exponents[0]) for b in bases
+        ]
+        trials = data.draw(st.permutations(trials * 2))
+        expected = {(b, x): _reference_secret(group, x, b) for b, x in set(trials)}
+        dh.clear_base_store()
+        for base, exponent in trials:
+            assert _secret(group, exponent, base) == expected[base, exponent]
+            assert len(dh._BASE_STORE) <= dh._BASE_STORE_MAX
+
+    def test_evicted_base_is_counted_and_built_afresh(self):
+        group, exponent = GROUP_TEST, 0xC0FFEE
+        hot, *others = range(2, 3 + dh._BASE_STORE_MAX)
+        dh.clear_base_store()
+        for round_ in range(2):
+            for trial in range(1, dh._BASE_BUILD_AT + 1):
+                assert _secret(group, exponent, hot) == _reference_secret(group, exponent, hot)
+                assert _tables() == (trial == dh._BASE_BUILD_AT)
+            for base in others:
+                _secret(group, exponent, base)
+            assert (group.prime, hot) not in dh._BASE_STORE
+            assert len(dh._BASE_STORE) == dh._BASE_STORE_MAX
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.lists(
+            st.integers(min_value=2, max_value=GROUP_TEST.prime - 2),
+            min_size=1,
+            max_size=40,
+            unique=True,
+        ),
+        st.integers(min_value=1, max_value=2**160 - 1),
+        st.integers(min_value=1, max_value=2**160 - 1),
+    )
+    def test_two_trials_per_base_never_build_a_table(self, bases, id_exponent, pseudonym_exponent):
+        # A process that hosts one node tries its two keys on each
+        # ephemeral value and nothing else: it must pay plain ``pow``.
+        dh.clear_base_store()
+        for base in bases:
+            _secret(GROUP_TEST, id_exponent, base)
+            _secret(GROUP_TEST, pseudonym_exponent, base)
+        assert dh._BASE_STORE and _tables() == 0

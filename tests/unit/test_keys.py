@@ -1,7 +1,11 @@
 """Unit tests for repro.crypto.keys (two-backend sealed boxes)."""
 
+import hashlib
+
 import pytest
 
+from repro.crypto import stream
+from repro.crypto.dh import GROUP_TEST, DHPrivateKey, DHPublicKey
 from repro.crypto.keys import AuthenticationError, KeyPair, PublicKey, seal, sealed_overhead
 
 
@@ -67,6 +71,27 @@ class TestBackendSeparation:
         keypair = KeyPair.generate("sim", seed=1)
         with pytest.raises(AuthenticationError):
             keypair.unseal(b"Zgarbage-bytes-here")
+
+
+class TestDegenerateEphemeral:
+    """A box built on an ephemeral value whose powers do not depend on
+    the exponent would open under every key in the group."""
+
+    @pytest.mark.parametrize(
+        "eph",
+        [0, 1, GROUP_TEST.prime - 1, GROUP_TEST.prime + 1],
+        ids=["zero", "one", "p-1", "p+1"],
+    )
+    def test_box_on_degenerate_ephemeral_opens_under_no_key(self, eph):
+        group = GROUP_TEST
+        eph_bytes = eph.to_bytes((group.prime.bit_length() + 7) // 8, "big")
+        # x = 1 yields eph mod p: the "secret" every (odd) exponent shares.
+        shared = DHPrivateKey(group, 1).shared_secret(DHPublicKey(group, eph))
+        nonce = hashlib.sha256(b"rac/seal-nonce" + eph_bytes).digest()[:16]
+        blob = b"D" + eph_bytes + stream.encrypt(shared, nonce, b"relay this for me")
+        for seed in range(10):
+            with pytest.raises(AuthenticationError):
+                KeyPair.generate("dh", seed=seed).unseal(blob)
 
 
 class TestPublicKey:

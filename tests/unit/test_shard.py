@@ -13,7 +13,7 @@ import pytest
 from repro.core.config import RacConfig
 from repro.core.system import RacSystem
 from repro.crypto import clear_process_caches
-from repro.crypto.keys import _KEM_CACHE
+from repro.crypto.dh import _BASE_STORE
 from repro.groups import (
     BundleDirectory,
     GroupSpec,
@@ -310,24 +310,24 @@ class TestShardCacheHygiene:
     def test_run_shard_epoch_clears_stale_process_caches(self, tmp_path):
         from repro.orchestrator.sharded import run_sharded
 
-        poison_key = (b"stale-shard-secret", 0xDEAD)
-        _KEM_CACHE[poison_key] = b"poison"
+        poison_key = (0xDEAD, 0xBEEF)  # no such (prime, base)
+        _BASE_STORE[poison_key] = 1
         try:
             spec = ScaleSpec(nodes=8, num_shards=1, seed=5, horizon=0.5, epoch=0.5)
             run_sharded(spec, str(tmp_path / "run"), serial=True)
             # run_shard_epoch resets process caches at shard pickup even
             # on the inline path, so the pre-existing entry cannot have
             # survived into (or influenced) the shard's run.
-            assert poison_key not in _KEM_CACHE
+            assert poison_key not in _BASE_STORE
         finally:
             clear_process_caches()
 
     def test_worker_reset_hook_covers_kem_cache(self):
         from repro.orchestrator.workloads import reset_worker_caches
 
-        _KEM_CACHE[(b"leftover", 1)] = b"x"
+        _BASE_STORE[(0xDEAD, 0xBEEF)] = 1
         reset_worker_caches()
-        assert (b"leftover", 1) not in _KEM_CACHE
+        assert not _BASE_STORE
 
 
 class TestShardSnapshots:
