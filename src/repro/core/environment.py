@@ -13,6 +13,15 @@ execution substrates* without changing a line:
   loop timer and ``unicast`` frames the message onto a real TCP
   connection (:mod:`repro.core.wire` codecs).
 
+Timers come in two spellings. ``schedule`` arms one now.
+``reserve`` + ``schedule_reserved`` split that in two — take the place
+in line now, arm the timer later and only if it is still needed — for
+deadlines that almost always settle before they expire (the
+predecessor check: one reservation per first-seen message, one armed
+timer per node and domain). On the simulator both spellings fire at
+the same ``(time, seq)``, which is what lets the node drop the timers
+it does not need without moving any event that remains.
+
 The protocol is ``runtime_checkable`` so tests can assert both
 implementations actually satisfy it; unit tests stub it with a few
 lines, exactly as before the extraction.
@@ -20,7 +29,7 @@ lines, exactly as before the extraction.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, Tuple, runtime_checkable
 
 from ..overlay.membership import MembershipView
 from ..simnet.stats import StatsRegistry
@@ -53,6 +62,28 @@ class NodeEnvironment(Protocol):
 
     def schedule(self, delay: float, callback, *args) -> None:
         """Run ``callback(*args)`` ``delay`` seconds from now."""
+        ...
+
+    def reserve(self, delay: float) -> "Tuple[float, int]":
+        """Take, without arming anything, the place in line a
+        ``schedule(delay, ...)`` call made now would take.
+
+        The ticket is ``(fire time, tie-break)``, plain data the node
+        may hold for as long as it likes or drop unused. The node's
+        check 2 draws one per first-seen message and redeems almost
+        none: a timer is only needed for a message some predecessor
+        still owes a copy of. On the simulator the tie-break is the
+        calendar sequence number, so redeeming a ticket replays the
+        very ``(time, seq)`` an eager ``schedule`` would have had; a
+        wall-clock substrate has no ties to break and may return any
+        integer."""
+        ...
+
+    def schedule_reserved(self, ticket: "Tuple[float, int]", callback, *args) -> None:
+        """Run ``callback(*args)`` at a ticket drawn by :meth:`reserve`.
+
+        Each ticket is redeemed at most once, and not after its fire
+        time has passed."""
         ...
 
     def unicast(self, src: int, dst: int, payload, size_bytes: int) -> None:

@@ -31,14 +31,18 @@ a bug (see DESIGN.md "Fault model").
 
 from __future__ import annotations
 
-import heapq
 from array import array
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..overlay.broadcast import BroadcastState, CopyKey
 
 __all__ = ["RelaySuspicion", "RelayMonitor", "PredecessorMonitor", "RateMonitor", "RateVerdict"]
+
+#: A timer reservation, ``(fire time, tie-break)``: see
+#: :meth:`repro.core.environment.NodeEnvironment.reserve`.
+Ticket = Tuple[float, int]
 
 
 # --------------------------------------------------------------------------
@@ -139,63 +143,150 @@ class PredecessorMonitor:
     """Per-domain check that every (predecessor, ring) delivered every
     message exactly once within a bounded time.
 
-    The expected (predecessor, ring) set is **frozen at first sight** of
-    each message: a node that joins the rings afterwards never owed us a
-    copy (the paper's 2T join quarantine serves the same purpose), and a
-    node evicted meanwhile is pruned via :meth:`forget_node`.
+    The check **settles on arrival**. At first sight of a message the
+    monitor takes the set of (predecessor, ring) pairs that *still owe*
+    a copy; :meth:`on_copy` strikes a pair when its copy arrives and
+    drops the message once nothing is owed. A message whose every copy
+    came in — all of them, on an honest lossless ring — costs no timer
+    and no work at its deadline; what is still owed when
+    ``now + timeout`` passes comes out of :meth:`due` as the verdict.
+
+    The owed set is **frozen at first sight** of each message: a node
+    that joins the rings afterwards never owed us a copy (the paper's
+    2T join quarantine serves the same purpose), and a node evicted
+    meanwhile is pruned via :meth:`forget_node`.
 
     The caller applies two topology-race excusals around that frozen
     set (DESIGN.md §8): a freshly-established ring edge gets one
-    timeout of grace before it is ever *added* to an expected set
-    (messages can be in flight across the re-stitch, in which case the
-    new predecessor forwarded them to its old successor), and a missing
+    timeout of grace before it is ever *added* to an owed set (messages
+    can be in flight across the re-stitch, in which case the new
+    predecessor forwarded them to its old successor), and a missing
     pair is only *accused* if the edge still exists at verdict time
     (otherwise the copy was legitimately routed to the predecessor's
     new successor).
+
+    **Timers.** Deadlines are ``now + const`` with a non-decreasing
+    ``now``, so arrival order is deadline order and one FIFO holds
+    them; settled deadlines fall off its front. The monitor keeps no
+    timer of its own: each first sight brings a *ticket* — the
+    ``(time, seq)`` place in line a per-message timer armed at that
+    moment would have taken
+    (:meth:`repro.core.environment.NodeEnvironment.reserve`) — and the
+    monitor says which ticket the caller's **one** timer per monitor
+    must be armed at: :meth:`on_first_seen` when none is armed,
+    :meth:`next_ticket` after each firing. That is the ticket at which
+    one-timer-per-message code would have reached the oldest unsettled
+    deadline, so every verdict keeps its place in the event order. A
+    timer may find its message settled since it was armed; it then
+    pops nothing and moves on to the next unsettled deadline.
     """
 
-    __slots__ = ("timeout", "_deadlines", "_armed", "_expected", "_checked")
+    __slots__ = ("timeout", "_deadlines", "_owed", "_tickets", "_armed")
 
     def __init__(self, timeout: float) -> None:
         self.timeout = timeout
-        #: Min-heap of (deadline, arm-order, msg_id). Deadlines are
-        #: armed with monotonically non-decreasing ``now``, so popping
-        #: in (deadline, arm-order) order reproduces the historical
-        #: scan-in-insertion-order verdict order exactly while making
-        #: :meth:`due` O(due log n) instead of O(n) per call.
-        self._deadlines: List[Tuple[float, int, int]] = []
-        self._armed = 0
-        self._expected: Dict[int, Set[CopyKey]] = {}
-        self._checked: Set[int] = set()
+        #: (deadline, msg_id, ticket to fire at), oldest first, from the
+        #: oldest unsettled message on.
+        self._deadlines: Deque[Tuple[float, int, Ticket]] = deque()
+        #: msg_id -> pairs that still owe a copy; never an empty set.
+        self._owed: Dict[int, Set[CopyKey]] = {}
+        #: Tickets of the latest first sights, settled or not, that a
+        #: deadline armed now could still be reached from: a timer
+        #: fires a hair (1e-9 s) after its own deadline, so first
+        #: sights that close together share the earliest one's firing.
+        self._tickets: Deque[Ticket] = deque()
+        self._armed = False
 
-    def on_first_seen(self, msg_id: int, now: float, expected: "Set[CopyKey]") -> float:
-        """Arm the completeness deadline for a newly-seen message."""
+    def __len__(self) -> int:
+        """Deadlines held (the oldest unsettled one and all after it)."""
+        return len(self._deadlines)
+
+    def unsettled(self) -> int:
+        """Messages some pair still owes a copy of."""
+        return len(self._owed)
+
+    def on_first_seen(
+        self, msg_id: int, now: float, owed: "Set[CopyKey]", ticket: Ticket
+    ) -> "Optional[Ticket]":
+        """Start the completeness deadline of a newly-seen message.
+
+        ``owed`` is adopted, not copied: the caller builds it for this
+        call and lets go of it. Returns the ticket to arm the monitor's
+        timer at, or ``None`` when a timer is already armed or nothing
+        is owed.
+        """
         deadline = now + self.timeout
-        heapq.heappush(self._deadlines, (deadline, self._armed, msg_id))
-        self._armed += 1
-        self._expected[msg_id] = set(expected)
-        return deadline
+        tickets = self._tickets
+        tickets.append(ticket)
+        while tickets[0][0] < deadline:
+            tickets.popleft()
+        if not owed:
+            return None
+        self._owed[msg_id] = owed
+        fire_at = tickets[0]
+        self._deadlines.append((deadline, msg_id, fire_at))
+        if self._armed:
+            return None
+        self._armed = True
+        return fire_at
+
+    def on_copy(self, msg_id: int, from_key: CopyKey) -> None:
+        """A copy of an already-seen message arrived: ``from_key`` no
+        longer owes it."""
+        owed = self._owed.get(msg_id)
+        if owed is not None:
+            owed.discard(from_key)
+            if not owed:
+                del self._owed[msg_id]
+                self._shed_settled()
 
     def forget_node(self, node_id: int) -> None:
         """Stop expecting copies from an evicted or departed node."""
-        for expected in self._expected.values():
-            stale = {key for key in expected if key[0] == node_id}
-            expected -= stale
+        settled = []
+        for msg_id, owed in self._owed.items():
+            owed -= {key for key in owed if key[0] == node_id}
+            if not owed:
+                settled.append(msg_id)
+        for msg_id in settled:
+            del self._owed[msg_id]
+        self._shed_settled()
+
+    def _shed_settled(self) -> None:
+        deadlines = self._deadlines
+        owed = self._owed
+        while deadlines and deadlines[0][1] not in owed:
+            deadlines.popleft()
 
     def due(self, now: float) -> "List[Tuple[int, Set[CopyKey]]]":
-        """(msg_id, frozen expected set) pairs whose deadline passed."""
+        """(msg_id, still-owed set) of every unsettled message whose
+        deadline passed, oldest first; each comes out once."""
         ready: List[Tuple[int, Set[CopyKey]]] = []
         deadlines = self._deadlines
+        owed = self._owed
         while deadlines and deadlines[0][0] <= now:
-            _, _, msg_id = heapq.heappop(deadlines)
-            if msg_id not in self._checked:
-                ready.append((msg_id, self._expected.pop(msg_id, set())))
-                self._checked.add(msg_id)
+            msg_id = deadlines.popleft()[1]
+            pairs = owed.pop(msg_id, None)
+            if pairs is not None:
+                ready.append((msg_id, pairs))
+        self._shed_settled()
         return ready
+
+    def next_ticket(self) -> "Optional[Ticket]":
+        """Called when the monitor's timer has fired: the ticket to arm
+        it at next (the oldest unsettled deadline's), or ``None`` —
+        nothing is owed, and the next :meth:`on_first_seen` that owes
+        something arms it again."""
+        deadlines = self._deadlines
+        self._armed = bool(deadlines)
+        return deadlines[0][2] if deadlines else None
 
     @staticmethod
     def missing(state: BroadcastState, msg_id: int, expected: "Set[CopyKey]") -> Set[CopyKey]:
-        """(Predecessor, ring) pairs that owed a copy and never sent one."""
+        """(Predecessor, ring) pairs that owed a copy and never sent one.
+
+        At a verdict this is the cross-check of the owed set against
+        the receipt records: a pair is accused only if both agree.
+        """
         return state.missing_predecessors(msg_id, expected)
 
     @staticmethod

@@ -381,8 +381,14 @@ class RacNode:
         self._count("broadcast_forwards")
 
     def _arm_predecessor_check(
-        self, domain: DomainId, msg_id: int, view: "Optional[MembershipView]"
+        self,
+        domain: DomainId,
+        msg_id: int,
+        view: "Optional[MembershipView]",
+        from_key: "Optional[CopyKey]" = None,
     ) -> None:
+        """Start check 2 for a first-seen message: every ring
+        predecessor but ``from_key``, whose copy this is, owes one."""
         if view is None or not self.behavior.should_run_checks(self):
             return
         # A ring edge that just appeared (a join, or an eviction
@@ -395,14 +401,15 @@ class RacNode:
         # judge" warm-up. On a lossy network the in-flight window
         # stretches to several RTOs, making the race routine rather
         # than rare.
-        now = self.env.now
+        env = self.env
+        now = env.now
         node_id = self.node_id
         timeout = self.config.predecessor_timeout
         predecessor_of = view.topology.predecessor
         edges = self._ring_edges.get(domain)
         if edges is None:
             edges = self._ring_edges[domain] = {}
-        expected: Set[CopyKey] = set()
+        owed: Set[CopyKey] = set()
         for ring_index in range(view.num_rings):
             predecessor = predecessor_of(node_id, ring_index)
             if predecessor is None:
@@ -413,9 +420,16 @@ class RacNode:
                 continue  # fresh edge: grace starts now
             if now - known[1] < timeout:
                 continue  # edge still inside its grace period
-            expected.add((predecessor, ring_index))
-        self.pred_monitor_for(domain).on_first_seen(msg_id, now, expected)
-        self.env.schedule(timeout + 1e-9, self._check_predecessors, domain)
+            owed.add((predecessor, ring_index))
+        owed.discard(from_key)
+        # The ticket is the place in line a timer armed here would
+        # take; the monitor asks for at most one real timer at a time,
+        # and a message whose copies all arrive never needs one.
+        fire_at = self.pred_monitor_for(domain).on_first_seen(
+            msg_id, now, owed, env.reserve(timeout + 1e-9)
+        )
+        if fire_at is not None:
+            env.schedule_reserved(fire_at, self._check_predecessors, domain)
 
     # -- receive path -----------------------------------------------------------------
     def on_message(self, src: int, payload) -> None:
@@ -465,9 +479,12 @@ class RacNode:
         self.relay_monitor.observe(msg_id)
 
         if not is_new:
+            monitor = self._pred_monitors.get(domain)
+            if monitor is not None:
+                monitor.on_copy(msg_id, from_key)
             return
 
-        self._arm_predecessor_check(domain, msg_id, view)
+        self._arm_predecessor_check(domain, msg_id, view, from_key)
         if self.behavior.should_forward_broadcast(self, domain, msg_id, ring_index):
             self._forward(domain, broadcast.wire, msg_id, view)
         else:
@@ -581,13 +598,16 @@ class RacNode:
         self._count("send_retransmitted")
 
     def _check_predecessors(self, domain: DomainId) -> None:
+        """The domain's one check-2 timer fired: judge what is still
+        owed past its deadline, then re-arm for the next unsettled
+        message. A stopped node lets the timer lapse."""
         if not self.active or not self.behavior.should_run_checks(self):
             return
         state = self.state_for(domain)
         monitor = self.pred_monitor_for(domain)
         view = self.env.domain_view(domain)
-        for msg_id, expected in monitor.due(self.env.now):
-            for pred, ring in PredecessorMonitor.missing(state, msg_id, expected):
+        for msg_id, owed in monitor.due(self.env.now):
+            for pred, ring in PredecessorMonitor.missing(state, msg_id, owed):
                 # Only accuse an edge that still exists: if the ring was
                 # re-stitched mid-window (join or eviction), the frozen
                 # predecessor legitimately forwarded the in-flight copy
@@ -600,6 +620,9 @@ class RacNode:
                     self._count("missing_copy_excused_topology")
                     continue
                 self._accuse(pred, domain, "missing-copy", msg_id)
+        fire_at = monitor.next_ticket()
+        if fire_at is not None:
+            self.env.schedule_reserved(fire_at, self._check_predecessors, domain)
 
     def _accuse(self, accused: int, domain: DomainId, reason: str, msg_id: "Optional[int]") -> None:
         """Blacklist locally and flood a clear accusation in the domain."""

@@ -126,6 +126,12 @@ class RacSystem:
     def schedule(self, delay: float, callback, *args) -> None:
         self.sim.schedule(delay, callback, *args)
 
+    def reserve(self, delay: float) -> "Tuple[float, int]":
+        return self.sim.reserve(delay)
+
+    def schedule_reserved(self, ticket: "Tuple[float, int]", callback, *args) -> None:
+        self.sim.schedule_reserved(ticket, callback, *args)
+
     def unicast(self, src: int, dst: int, payload, size_bytes: int) -> None:
         uplinks = self.network.uplinks  # a node is attached iff it has an uplink
         if dst not in uplinks or src not in uplinks:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.config import RacConfig
 from ..core.messages import DomainId
@@ -267,6 +267,13 @@ class LiveEnvironment:
         handle = self._loop.call_later(max(0.0, delay), _fire)
         box.append(handle)
         self._timers.add(handle)
+
+    def reserve(self, delay: float) -> "Tuple[float, int]":
+        # The loop orders timers by their due time alone.
+        return (self.now + delay, 0)
+
+    def schedule_reserved(self, ticket: "Tuple[float, int]", callback, *args) -> None:
+        self.schedule(ticket[0] - self.now, callback, *args)
 
     # -- transport -------------------------------------------------------------
     def unicast(self, src: int, dst: int, payload, size_bytes: int) -> None:

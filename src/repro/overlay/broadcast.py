@@ -22,7 +22,7 @@ __all__ = ["CopyKey", "MessageRecord", "BroadcastState"]
 CopyKey = Tuple[int, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class MessageRecord:
     """Receipt bookkeeping for one broadcast message id."""
 

@@ -27,6 +27,15 @@ All of it is order-preserving: events fire in exactly ``(time, seq)``
 order with ``seq`` drawn once per ``schedule`` call, so fixed-seed runs
 replay byte-identically.
 
+A caller that will probably never need its timer can take the place in
+line without the calendar entry: :meth:`Simulator.reserve` draws the
+``(time, seq)`` key ``schedule`` would have used, and
+:meth:`Simulator.schedule_reserved` inserts an event under that key if
+it turns out to be needed. Every other event keeps its ``seq`` either
+way, so the two spellings replay identically (the predecessor check of
+:mod:`repro.core.node` is the user: one reservation per first-seen
+message, one calendar entry per node and domain).
+
 The engine knows nothing about networks; :mod:`repro.simnet.network`
 builds the star topology on top of it.
 """
@@ -34,7 +43,7 @@ builds the star topology on top of it.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["Simulator", "ScheduledEvent", "SimulationError"]
 
@@ -135,6 +144,37 @@ class Simulator:
         # now + (when - now), not ``when``: the two differ in the last
         # bit, and pinned runs replay the rounded sum.
         event = ScheduledEvent((now + delay, seq, callback, args, self))
+        heappush(self._queue, event)
+        return event
+
+    def reserve(self, delay: float) -> "Tuple[float, int]":
+        """Take the ``(time, seq)`` place in line that
+        ``schedule(delay, ...)`` would take now, without a calendar
+        entry. The key is plain data: it can wait in protocol state
+        (and in a snapshot) until :meth:`schedule_reserved` uses it, or
+        be dropped unused."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule {delay}s into the past")
+        seq = self._seq
+        self._seq = seq + 1
+        return (self.now + delay, seq)
+
+    def schedule_reserved(
+        self, key: "Tuple[float, int]", callback: Callable[..., Any], *args: Any
+    ) -> ScheduledEvent:
+        """Schedule ``callback(*args)`` at a key drawn by :meth:`reserve`.
+
+        The event fires exactly where a ``schedule`` call made at
+        reservation time would have fired. A key may be inserted at
+        most once — two entries under one key would tie on
+        ``(time, seq)`` — and not after its instant has passed.
+        """
+        time, seq = key
+        if time < self.now:
+            raise SimulationError(f"reserved key {key} lies {self.now - time}s in the past")
+        if not 0 <= seq < self._seq:
+            raise SimulationError(f"key {key} was never reserved")
+        event = ScheduledEvent((time, seq, callback, args, self))
         heappush(self._queue, event)
         return event
 

@@ -57,7 +57,10 @@ __all__ = [
 #: /2: sets travel as persistent ids (see :class:`_SnapshotPickler`).
 #: /3: calendar entries are list-backed event records, the sequence
 #: counter is a plain integer and the ARQ keeps one record per pair.
-SNAPSHOT_MAGIC = b"RACSNAP/3\n"
+#: /4: predecessor monitors hold owed sets, a deadline FIFO and
+#: reserved ``(time, seq)`` keys; the calendar holds one check timer per
+#: (node, domain) instead of one per first-seen message.
+SNAPSHOT_MAGIC = b"RACSNAP/4\n"
 _MAGIC_PREFIX = b"RACSNAP/"
 
 

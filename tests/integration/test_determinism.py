@@ -11,10 +11,11 @@ event. These tests pin a SHA-256 fingerprint over
 * every node's delivered payloads, and
 * the final clock / event count,
 
-for a fixed-seed run of each key backend. The expected digests were
-recorded against the seed implementation (pre-optimisation); a digest
-change means an optimisation altered observable behaviour and is a bug,
-not a baseline to re-record casually.
+for a fixed-seed run of each key backend. The digests over the first
+four were recorded against the seed implementation (pre-optimisation);
+a change there means an optimisation altered observable behaviour and
+is a bug, not a baseline to re-record casually. The event count moves
+only when a change removes or adds events on purpose.
 """
 
 from __future__ import annotations
@@ -26,9 +27,16 @@ from repro.core.messages import Broadcast
 from repro.core.system import RacSystem
 from repro.simnet.engine import Simulator
 
-# Digests recorded from the seed (pre-optimisation) implementation.
-EXPECTED_SIM = "e13a6c058436f290cbefba26394a859a2d735cf58e527caa51ff6eafaf30823b"
-EXPECTED_DH = "28466e14f00a16163af150e081ebe9a0764b00a39136740b19df71fb08d6192a"
+# Everything observable (wire bytes, trace, deliveries): recorded from
+# the seed (pre-optimisation) implementation and never moved since.
+EXPECTED_SIM_OBSERVABLE = "d1e89f6293a36901f5b54abf55565251f59437b17a17736d505515d15ee6a099"
+EXPECTED_DH_OBSERVABLE = "152ea5a04ae842234cd5c8b731185b9cf5da9f252b2ff15cb7d4d92254cfe0cd"
+# The same plus the final clock and event count. Re-recorded once, when
+# predecessor checks that find nothing stopped being events (the seed's
+# values were e13a6c05... and 28466e14...); the observable digests above
+# were the same before and after.
+EXPECTED_SIM = "3a4a6280d9bba6103eaf8837abda7f81bef908a480703c28b66b69aef28f7047"
+EXPECTED_DH = "e17c928e643543680ca65df0bb7d8df6e02edaf7e9c4cd94f187bd55dc10437a"
 
 
 class _RecordingSystem(RacSystem):
@@ -50,7 +58,8 @@ class _RecordingSystem(RacSystem):
         super().unicast(src, dst, payload, size_bytes)
 
 
-def run_fingerprint(backend: str, topology=None) -> str:
+def run_digests(backend: str, topology=None) -> "tuple[str, str]":
+    """(digest of everything observable, the same plus clock and event count)."""
     config = RacConfig.small(trace=True, key_backend=backend)
     system = _RecordingSystem(config, seed=1234, topology=topology)
     count = 10 if backend == "sim" else 6
@@ -69,16 +78,21 @@ def run_fingerprint(backend: str, topology=None) -> str:
         for payload in system.nodes[node_id].delivered:
             hasher.update(f"d|{node_id}|".encode())
             hasher.update(payload)
+    observable = hasher.hexdigest()
     hasher.update(f"end|{system.now!r}|{system.sim.events_processed}".encode())
-    return hasher.hexdigest()
+    return observable, hasher.hexdigest()
+
+
+def run_fingerprint(backend: str, topology=None) -> str:
+    return run_digests(backend, topology)[1]
 
 
 def test_sim_backend_run_is_byte_identical_to_seed():
-    assert run_fingerprint("sim") == EXPECTED_SIM
+    assert run_digests("sim") == (EXPECTED_SIM_OBSERVABLE, EXPECTED_SIM)
 
 
 def test_dh_backend_run_is_byte_identical_to_seed():
-    assert run_fingerprint("dh") == EXPECTED_DH
+    assert run_digests("dh") == (EXPECTED_DH_OBSERVABLE, EXPECTED_DH)
 
 
 def test_fingerprint_is_stable_across_runs():
@@ -176,20 +190,29 @@ def test_snapshot_restore_replays_byte_identically():
 # event record replaced the dataclass + wrapper tuple.
 EXPECTED_ORDER_LOSSY = "3f7b2528b8523e2676ef81cccb32575e6a6623b219f1e35ca739bd584220308c"
 EXPECTED_ORDER_WAN = "ab79437ee3b92e50fc15d688e56bd3520820f3ae31780848e7e2dce30a251af2"
+# The freerider scenario fires predecessor checks *with verdicts* (the
+# two pins above never dispatch one that finds anything). Recorded on
+# the commit before the owed-set monitor: the dispatch hash leaves out
+# ``RacNode._check_predecessors`` events (the no-op ones are gone), the
+# verdict hash is every ``_accuse`` call and eviction in order.
+EXPECTED_ORDER_FREERIDER = "0830b2ef5667949a61fa9029904835687c6d804cb4425ffe5f1c9b5346333c8e"
+EXPECTED_VERDICTS_FREERIDER = "4a009575d08ee23af59af29757374a069ba20c1f6e0e95b66aa211dfe7489b56"
 
 
 class _OrderRecordingSimulator(Simulator):
     """Folds every dispatched event into ``order_hash`` from inside the
-    real ``run`` loop (``RacSystem`` instances are re-classed onto it)."""
+    real ``run`` loop (``RacSystem`` instances are re-classed onto it).
+    Callbacks named in ``order_skip`` fire but are left out of the hash."""
+
+    order_skip = ()
 
     def step(self, until=None):
         self.peek_time()  # shed dead heads: the head is now the next live event
         head = self._queue[0] if self._queue else None
+        name = head.callback.__qualname__ if head is not None else None
         fired = super().step(until)
-        if fired:
-            self.order_hash.update(
-                f"{head.time!r}|{head.seq}|{head.callback.__qualname__}|".encode()
-            )
+        if fired and name not in self.order_skip:
+            self.order_hash.update(f"{head.time!r}|{head.seq}|{name}|".encode())
         return fired
 
 
@@ -235,6 +258,44 @@ def wan_event_order():
     return system
 
 
+def freerider_event_order():
+    """12 nodes, ``predecessor_timeout`` 0.3 s, one planted
+    ``ForwardDropper``: predecessor checks fire *with verdicts*, the
+    dropper's eviction re-stitches the rings (fresh edges get their
+    grace) and a later join catches copies in flight (the missing pair
+    is excused at verdict time). Returns the system and the hash of every verdict
+    handed to ``RacNode._accuse`` plus every eviction."""
+    from unittest import mock
+
+    from repro.core.node import RacNode
+    from repro.freeride.strategies import ForwardDropper
+
+    verdicts = hashlib.sha256()
+    accuse = RacNode._accuse
+
+    def recording_accuse(node, accused, domain, reason, msg_id):
+        verdicts.update(
+            f"{node.env.now!r}|{node.node_id}|{accused}|{reason}|{msg_id}|".encode()
+        )
+        accuse(node, accused, domain, reason, msg_id)
+
+    config = RacConfig.small(predecessor_timeout=0.3, link_bandwidth_bps=20e6)
+    system = _order_recording_system(config, seed=53)
+    # The no-op checks are what the owed-set monitor removes; every
+    # other event, and every verdict, must stay where it was.
+    system.sim.order_skip = ("RacNode._check_predecessors",)
+    with mock.patch.object(RacNode, "_accuse", recording_accuse):
+        nodes = system.bootstrap(12, behaviors={5: ForwardDropper(1.0)})
+        system.run(0.5)
+        _ring_traffic(system, nodes, "order-freerider")
+        system.run(1.0)
+        system.join()  # copies in flight across the new edges: verdict-time excusal
+        system.run(1.5)
+    for accused, info in system.evicted.items():
+        verdicts.update(f"evicted|{info['at']!r}|{accused}|{info['by']}|{info['kind']}|".encode())
+    return system, nodes, verdicts.hexdigest()
+
+
 def test_lossy_crash_restart_event_order_is_pinned():
     system = lossy_event_order()
     report = system.stats_report()
@@ -250,3 +311,21 @@ def test_wan_king_event_order_is_pinned():
     system = wan_event_order()
     assert any(key.startswith("net_pair_delayed_") for key in system.stats_report())
     assert system.sim.order_hash.hexdigest() == EXPECTED_ORDER_WAN
+
+
+def test_freerider_verdicts_and_event_order_are_pinned():
+    system, nodes, verdicts = freerider_event_order()
+    report = system.stats_report()
+    # the run must actually walk the verdict path and both excusals
+    assert report["accusation_missing-copy"] == 2
+    assert report["missing_copy_excused_topology"] == 5
+    assert list(system.evicted) == [nodes[5]]
+    evicted_at = system.evicted[nodes[5]]["at"]
+    assert any(
+        since >= evicted_at
+        for node in system.nodes.values()
+        for edges in node._ring_edges.values()
+        for _pred, since in edges.values()
+    ), "no ring edge was re-stitched: the edge-grace excusal never ran"
+    assert system.sim.order_hash.hexdigest() == EXPECTED_ORDER_FREERIDER
+    assert verdicts == EXPECTED_VERDICTS_FREERIDER

@@ -10,9 +10,10 @@ every scheduled window for the injector.
 
 import random
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.simnet.engine import Simulator
+from repro.simnet.engine import SimulationError, Simulator
 from repro.simnet.faults import FaultInjector
 from repro.simnet.snapshot import restore_system, snapshot_system
 
@@ -73,6 +74,16 @@ class ReferenceCalendar:
     def schedule_at(self, when, label):
         return self.schedule(when - self.now, label)
 
+    def reserve(self, delay):
+        key = (self.now + delay, self.seq)
+        self.seq += 1
+        return key
+
+    def schedule_reserved(self, key, label):
+        entry = [key[0], key[1], label, None, "live"]
+        self.entries.append(entry)
+        return entry
+
     def cancel(self, entry):
         if entry[4] != "live":
             return
@@ -119,6 +130,8 @@ operations = st.lists(
         st.tuples(st.just("schedule"), delays),
         st.tuples(st.just("schedule_at"), delays),
         st.tuples(st.just("spawner"), delays, delays),
+        st.tuples(st.just("reserve"), delays),
+        st.tuples(st.just("redeem"), st.integers(0, 10**6)),
         st.tuples(st.just("cancel"), st.integers(0, 10**6)),
         st.tuples(st.just("cancel_many"), st.integers(0, 10**6)),
         st.tuples(st.just("burst"), st.integers(65, 90)),
@@ -134,6 +147,11 @@ operations = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(ops=operations)
 @example(
+    # a reservation redeemed behind later events, one left to lapse
+    ops=[("reserve", 1.0), ("schedule", 1.0), ("reserve", 0.5), ("run_until", 0.75),
+         ("redeem", 0), ("snapshot",), ("redeem", 0), ("schedule", 0.25), ("run_until", 5.0)]
+)
+@example(
     # two bursts, two thirds of them cancelled: a compaction, then a drain
     ops=[("burst", 90), ("burst", 90), ("cancel_many", 0), ("snapshot",), ("cancel_many", 1),
          ("run_max", 7), ("cancel_many", 2), ("run_until", 5.0)]
@@ -143,6 +161,7 @@ def test_simulator_matches_sorted_list_reference(ops):
     sim.log = []
     model = ReferenceCalendar()
     handles = []  # [engine event, model entry] pairs, in scheduling order
+    reserved = []  # keys drawn and not yet redeemed
 
     def both_schedule(delay, label):
         handles.append([sim.schedule(delay, _Fired(sim.log, label)), model.schedule(delay, label)])
@@ -163,6 +182,21 @@ def test_simulator_matches_sorted_list_reference(ops):
                     model.schedule(op[1], number, child_delay=op[2]),
                 ]
             )
+        elif kind == "reserve":
+            reserved.append(sim.reserve(op[1]))
+            assert model.reserve(op[1]) == reserved[-1]
+        elif kind == "redeem" and reserved:
+            key = reserved.pop(op[1] % len(reserved))
+            if key[0] < sim.now:
+                with pytest.raises(SimulationError):
+                    sim.schedule_reserved(key, _Fired(sim.log, number))
+            else:
+                handles.append(
+                    [
+                        sim.schedule_reserved(key, _Fired(sim.log, number)),
+                        model.schedule_reserved(key, number),
+                    ]
+                )
         elif kind == "cancel" and handles:
             # any handle: pending, already cancelled, or already fired
             event, entry = handles[op[1] % len(handles)]
@@ -186,8 +220,8 @@ def test_simulator_matches_sorted_list_reference(ops):
             sim.run(until=sim.now + op[1], max_events=op[2])
             model.run(until=model.now + op[1], max_events=op[2])
         elif kind == "snapshot":
-            blob = snapshot_system((sim, [event for event, _ in handles]), verify=True)
-            sim, events = restore_system(blob)
+            blob = snapshot_system((sim, [event for event, _ in handles], reserved), verify=True)
+            sim, events, reserved = restore_system(blob)
             for pair, event in zip(handles, events):
                 pair[0] = event
         assert sim.log == model.fired

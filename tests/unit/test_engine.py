@@ -226,3 +226,94 @@ class TestCancellationAccounting:
         assert sim.queue_compactions == 0
         sim.run()
         assert sim.events_processed == 0
+
+
+class TestReservations:
+    """``reserve`` + ``schedule_reserved`` is ``schedule`` in two steps."""
+
+    DELAYS = [0.5, 0.25, 0.5, 0.0, 0.25, 1.0, 0.5, 0.25]
+
+    def test_redeemed_reservations_fire_where_schedule_would_have(self):
+        eager, lazy = Simulator(), Simulator()
+        eager_log, lazy_log = [], []
+        events = [
+            eager.schedule(delay, eager_log.append, label)
+            for label, delay in enumerate(self.DELAYS)
+        ]
+        keys = {}
+        for label, delay in enumerate(self.DELAYS):
+            if label % 2:
+                keys[label] = lazy.reserve(delay)
+            else:
+                lazy.schedule(delay, lazy_log.append, label)
+        assert [keys[label] for label in keys] == [
+            (events[label].time, events[label].seq) for label in keys
+        ]
+        # redeemed late and out of order: the key decides, not the moment
+        for label in sorted(keys, reverse=True):
+            event = lazy.schedule_reserved(keys[label], lazy_log.append, label)
+            assert (event.time, event.seq) == keys[label]
+        later = [sim.schedule(0.25, log.append, "later") for sim, log in
+                 ((eager, eager_log), (lazy, lazy_log))]
+        assert later[0].seq == later[1].seq == len(self.DELAYS)
+        eager.run()
+        lazy.run()
+        assert lazy_log == eager_log
+        assert (lazy.now, lazy.events_processed) == (eager.now, eager.events_processed)
+
+    def test_an_unredeemed_reservation_costs_no_event(self):
+        sim = Simulator()
+        sim.reserve(1.0)
+        assert sim.pending_events() == 0
+        event = sim.schedule(1.0, lambda: None)
+        assert event.seq == 1  # its place in line stays taken
+        sim.run()
+        assert sim.events_processed == 1
+
+    def test_redeeming_from_inside_a_callback(self):
+        sim = Simulator()
+        fired = []
+        key = sim.reserve(2.0)
+        sim.schedule(2.0, fired.append, "after")
+        sim.schedule(1.0, sim.schedule_reserved, key, fired.append, "reserved")
+        sim.run()
+        assert fired == ["reserved", "after"]
+
+    def test_key_in_the_past_is_rejected(self):
+        sim = Simulator()
+        key = sim.reserve(1.0)
+        sim.run(until=2.0)
+        with pytest.raises(SimulationError, match="in the past"):
+            sim.schedule_reserved(key, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.reserve(-0.1)
+
+    def test_key_never_reserved_is_rejected(self):
+        sim = Simulator()
+        sim.reserve(1.0)
+        for forged in ((1.0, 1), (1.0, -1)):
+            with pytest.raises(SimulationError, match="never reserved"):
+                sim.schedule_reserved(forged, lambda: None)
+
+    def test_reserved_keys_round_trip_through_a_snapshot(self):
+        from repro.simnet.snapshot import restore_system, snapshot_system
+
+        def build():
+            sim = Simulator()
+            sim.log = []
+            sim.schedule(1.0, sim.log.append, "a")
+            held = [sim.reserve(1.0), sim.reserve(0.5)]
+            sim.schedule(1.0, sim.log.append, "d")
+            sim.schedule_reserved(held[1], sim.log.append, "c")
+            sim.run(until=0.75)
+            return sim, held
+
+        sim, held = build()
+        clone, held_c = restore_system(snapshot_system((sim, held), verify=True))
+        assert held_c == held and type(held_c[0]) is tuple
+        for each, keys in ((sim, held), (clone, held_c)):
+            each.schedule_reserved(keys[0], each.log.append, "b")
+            assert each.schedule(0.0, each.log.append, "e").seq == 4
+            each.run()
+            assert each.log == ["c", "e", "a", "b", "d"]
+        assert (clone.now, clone.events_processed) == (sim.now, sim.events_processed)

@@ -62,10 +62,15 @@ class TestRelayMonitor:
             RelayMonitor().expect([1, 2, 3], relays=[7], deadline=1.0)
 
 
+def _ticket(now, order=0, timeout=1.0):
+    """The place in line a per-message timer armed at ``now`` would take."""
+    return (now + (timeout + 1e-9), order)
+
+
 class TestPredecessorMonitor:
     def test_deadline_fires_once(self):
         monitor = PredecessorMonitor(timeout=1.0)
-        monitor.on_first_seen(100, now=0.0, expected={(1, 0)})
+        monitor.on_first_seen(100, now=0.0, owed={(1, 0)}, ticket=_ticket(0.0))
         assert monitor.due(0.5) == []
         due = monitor.due(1.5)
         assert due == [(100, {(1, 0)})]
@@ -73,15 +78,15 @@ class TestPredecessorMonitor:
 
     def test_expected_set_is_frozen_at_first_sight(self):
         monitor = PredecessorMonitor(timeout=1.0)
-        expected = {(1, 0), (2, 1)}
-        monitor.on_first_seen(100, 0.0, expected)
-        expected.add((3, 2))  # later topology change must not leak in
+        monitor.on_first_seen(100, 0.0, {(1, 0), (2, 1)}, _ticket(0.0))
+        # a later topology change shows in later messages' sets only
+        monitor.on_first_seen(101, 0.1, {(1, 0), (2, 1), (3, 2)}, _ticket(0.1, 1))
         due = monitor.due(2.0)
         assert due[0][1] == {(1, 0), (2, 1)}
 
     def test_forget_node_prunes_expectations(self):
         monitor = PredecessorMonitor(timeout=1.0)
-        monitor.on_first_seen(100, 0.0, {(1, 0), (2, 1)})
+        monitor.on_first_seen(100, 0.0, {(1, 0), (2, 1)}, _ticket(0.0))
         monitor.forget_node(1)
         assert monitor.due(2.0)[0][1] == {(2, 1)}
 
@@ -92,6 +97,59 @@ class TestPredecessorMonitor:
         expected = {(1, 0), (2, 1)}
         assert PredecessorMonitor.missing(state, 100, expected) == {(2, 1)}
         assert PredecessorMonitor.replaying(state, 100) == {(1, 0)}
+
+    def test_arriving_copies_settle_the_deadline(self):
+        monitor = PredecessorMonitor(timeout=1.0)
+        monitor.on_first_seen(100, 0.0, {(1, 0), (2, 1)}, _ticket(0.0))
+        monitor.on_copy(100, (1, 0))
+        monitor.on_copy(100, (1, 0))  # a replayed copy settles nothing more
+        monitor.on_copy(100, (9, 2))  # nor does a pair that owed nothing
+        assert (len(monitor), monitor.unsettled()) == (1, 1)
+        monitor.on_copy(100, (2, 1))
+        assert (len(monitor), monitor.unsettled()) == (0, 0)
+        assert monitor.due(2.0) == []
+
+    def test_a_message_that_owes_nothing_holds_no_deadline(self):
+        monitor = PredecessorMonitor(timeout=1.0)
+        assert monitor.on_first_seen(100, 0.0, set(), _ticket(0.0)) is None
+        assert (len(monitor), monitor.unsettled()) == (0, 0)
+
+    def test_forgetting_the_last_debtor_settles(self):
+        monitor = PredecessorMonitor(timeout=1.0)
+        monitor.on_first_seen(100, 0.0, {(1, 0), (1, 2)}, _ticket(0.0))
+        monitor.on_first_seen(101, 0.2, {(1, 0), (2, 1)}, _ticket(0.2, 1))
+        monitor.forget_node(1)
+        assert (len(monitor), monitor.unsettled()) == (1, 1)
+        assert monitor.due(2.0) == [(101, {(2, 1)})]
+
+    def test_one_timer_follows_the_oldest_unsettled_deadline(self):
+        monitor = PredecessorMonitor(timeout=1.0)
+        first, second, third = _ticket(0.0), _ticket(0.25, 1), _ticket(0.5, 2)
+        assert monitor.on_first_seen(100, 0.0, {(1, 0)}, first) == first
+        # a timer is armed: later first sights ask for none
+        assert monitor.on_first_seen(101, 0.25, {(1, 0)}, second) is None
+        assert monitor.on_first_seen(102, 0.5, {(1, 0)}, third) is None
+        monitor.on_copy(100, (1, 0))
+        monitor.on_copy(101, (1, 0))
+        # the armed timer finds its message settled and moves on
+        assert monitor.due(first[0]) == []
+        assert monitor.next_ticket() == third
+        assert monitor.due(third[0]) == [(102, {(1, 0)})]
+        assert monitor.next_ticket() is None
+        # nothing armed any more: the next debtor arms again
+        fourth = _ticket(2.0, 3)
+        assert monitor.on_first_seen(103, 2.0, {(1, 0)}, fourth) == fourth
+
+    def test_first_sights_a_hair_apart_share_the_earliest_timer(self):
+        # A per-message timer fires 1e-9 s after its own deadline, late
+        # enough to reach the deadline of a message seen at the same
+        # instant: that verdict belongs to the earlier timer's ticket,
+        # even when the earlier message itself owes nothing.
+        monitor = PredecessorMonitor(timeout=1.0)
+        early, late = _ticket(0.25, 0), _ticket(0.25, 1)
+        assert monitor.on_first_seen(100, 0.25, set(), early) is None
+        assert monitor.on_first_seen(101, 0.25, {(1, 0)}, late) == early
+        assert monitor.due(early[0]) == [(101, {(1, 0)})]
 
 
 class TestRateMonitor:

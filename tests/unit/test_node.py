@@ -28,6 +28,7 @@ class StubEnv:
         self.tracer = Tracer(enabled=True)
         self.sent = []  # (src, dst, payload, size)
         self.scheduled = []  # (time, fn, args)
+        self.reserved = 0  # tickets drawn
         self.evictions = []
         self.delivered = []
         self.view = MembershipView(config.num_rings)
@@ -40,6 +41,13 @@ class StubEnv:
     # env interface --------------------------------------------------------
     def schedule(self, delay, fn, *args):
         self.scheduled.append((self.now + delay, fn, args))
+
+    def reserve(self, delay):
+        self.reserved += 1
+        return (self.now + delay, self.reserved)
+
+    def schedule_reserved(self, ticket, fn, *args):
+        self.scheduled.append((ticket[0], fn, args))
 
     def unicast(self, src, dst, payload, size):
         self.sent.append((src, dst, payload, size))
@@ -279,6 +287,78 @@ class TestAccusationHandling:
                 accuser, Accusation(accuser, victim, group_domain(1), "missing-copy", None)
             )
         assert env.evictions == []
+
+
+def _noise(seed):
+    from repro.core.onion import build_noise, unwrap_wire
+    from repro.crypto.hashes import message_id
+
+    wire = build_noise(2048, random.Random(seed))
+    return wire, message_id(unwrap_wire(wire))
+
+
+class TestPredecessorCheck:
+    """Check 2 through the node: tickets per first sight, one timer per
+    domain, verdicts only for copies still owed at the deadline."""
+
+    def _past_grace(self):
+        node, env = make_node()
+        deliver_broadcast(node, env, *_noise(0))  # records the ring edges
+        env.now = 0.6  # predecessor_timeout is 0.5: the edges' grace is over
+        return node, env, node.pred_monitor_for(group_domain(1))
+
+    def _check_timers(self, env):
+        return [entry for entry in env.scheduled if entry[1].__name__ == "_check_predecessors"]
+
+    def test_fresh_edges_owe_nothing(self):
+        node, env = make_node()
+        deliver_broadcast(node, env, *_noise(0), ring_index=0)
+        monitor = node.pred_monitor_for(group_domain(1))
+        assert env.reserved == 1  # the place in line is taken all the same
+        assert (len(monitor), monitor.unsettled(), self._check_timers(env)) == (0, 0, [])
+
+    def test_complete_copies_settle_without_a_verdict(self):
+        node, env, monitor = self._past_grace()
+        for seed in (1, 2, 3):
+            deliver_broadcast(node, env, *_noise(seed), ring_index=0)
+            env.now += 0.01
+        assert env.reserved == 4 and monitor.unsettled() == 3
+        assert len(self._check_timers(env)) == 1  # armed for the oldest only
+        for seed in (1, 2, 3):
+            for ring in (1, 2):
+                deliver_broadcast(node, env, *_noise(seed), ring_index=ring)
+        assert (len(monitor), monitor.unsettled()) == (0, 0)
+        env.now = 2.0
+        env.fire_due()  # the timer finds its message settled
+        assert self._check_timers(env) == []
+        assert not any(key.startswith("accusation") for key in node.counters)
+
+    def test_copy_still_owed_at_the_deadline_is_accused(self):
+        node, env, monitor = self._past_grace()
+        first, second = _noise(1), _noise(2)
+        deliver_broadcast(node, env, *first, ring_index=0)
+        deliver_broadcast(node, env, *first, ring_index=1)  # ring 2 never delivers
+        env.now = 0.8
+        deliver_broadcast(node, env, *second, ring_index=0)
+        deliver_broadcast(node, env, *second, ring_index=2)  # ring 1 never delivers
+        env.now = 0.6 + 0.5 + 1e-6
+        env.fire_due()
+        silent = env.view.topology.predecessor(node.node_id, 2)
+        accusations = [p for _s, _d, p, _n in env.sent if isinstance(p, Accusation)]
+        assert {(a.accused, a.reason, a.msg_id) for a in accusations} == {
+            (silent, "missing-copy", first[1])
+        }
+        # re-armed at the second message's own ticket, not before
+        assert [round(entry[0], 6) for entry in self._check_timers(env)] == [1.3]
+        assert monitor.unsettled() == 1
+
+    def test_eviction_of_the_debtor_settles_the_debt(self):
+        node, env, monitor = self._past_grace()
+        deliver_broadcast(node, env, *_noise(1), ring_index=0)
+        debtors = {env.view.topology.predecessor(node.node_id, ring) for ring in (1, 2)}
+        for debtor in debtors:
+            node.on_evicted(debtor)
+        assert (len(monitor), monitor.unsettled()) == (0, 0)
 
 
 class TestEvictionCleanup:

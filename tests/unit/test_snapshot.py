@@ -53,6 +53,17 @@ class _Rac2Event:
         return ScheduledEvent, (), (None, slots)
 
 
+class _Rac3Monitor:
+    """Pickles the way a ``RACSNAP/3`` predecessor monitor did."""
+
+    def __reduce_ex__(self, protocol):
+        from repro.core.monitor import PredecessorMonitor
+
+        slots = {"timeout": 0.5, "_deadlines": [(1.5, 0, 7)], "_armed": 1,
+                 "_expected": {7: [(3, 0)]}, "_checked": [5]}
+        return object.__new__, (PredecessorMonitor,), (None, slots)
+
+
 class TestSimulatorPickling:
     def test_sequence_counter_survives_pickling(self):
         sim = Simulator()
@@ -90,6 +101,38 @@ class TestSnapshotInvariants:
         assert system.sim.pending_events() > 0  # events in flight
         blob = snapshot_system(system)
         assert snapshot_system(restore_system(blob)) == blob
+
+    def test_mid_flood_deadlines_and_reserved_keys_round_trip(self):
+        # 20 Mb/s links keep copies in flight, so the snapshot catches
+        # monitors mid-debt: owed sets, deadlines carrying the reserved
+        # key to fire at, and one armed check timer per monitor.
+        system = RacSystem(RacConfig.small(link_bandwidth_bps=20e6), seed=11)
+        system.bootstrap(8)
+        system.run(1.0)
+
+        def monitors(of):
+            return [m for node in of.nodes.values() for m in node._pred_monitors.values()]
+
+        def check_timers(of):
+            return sorted(
+                (event.time, event.seq)
+                for event in of.sim._queue
+                if event.callback is not None
+                and event.callback.__name__ == "_check_predecessors"
+            )
+
+        held = [list(m._deadlines) for m in monitors(system)]
+        assert any(held) and all(m._tickets for m in monitors(system))
+        assert 0 < len(check_timers(system)) <= len(held)
+        blob = snapshot_system(system, verify=True)
+        restored = restore_system(blob)
+        assert [list(m._deadlines) for m in monitors(restored)] == held
+        assert [m._owed for m in monitors(restored)] == [m._owed for m in monitors(system)]
+        assert check_timers(restored) == check_timers(system)
+        system.run(1.0)
+        restored.run(1.0)
+        assert restored.sim.events_processed == system.sim.events_processed
+        assert restored.stats_report() == system.stats_report()
 
     def test_pending_fired_and_cancelled_events_round_trip(self):
         sim = Simulator()
@@ -252,13 +295,16 @@ class TestSnapshotErrors:
         # ScheduledEvent built bare and handed its dataclass slot state,
         # which today's list-backed record cannot take. The header check
         # must turn it away before the unpickler gets that far.
-        body = pickle.dumps(_Rac2Event())
-        with pytest.raises(AttributeError):
-            pickle.loads(body)
-        for version in ("1", "2"):
+        # A RACSNAP/3 predecessor monitor (expected sets, a heap, the
+        # ever-growing checked set) does not fit today's either.
+        body = pickle.dumps((_Rac2Event(), _Rac3Monitor()))
+        for stale in (_Rac2Event(), _Rac3Monitor()):
+            with pytest.raises(AttributeError):
+                pickle.loads(pickle.dumps(stale))
+        for version in ("1", "2", "3"):
             old = f"RACSNAP/{version}\n".encode() + body
             with pytest.raises(
-                SnapshotError, match=f"version mismatch.*RACSNAP/{version}.*RACSNAP/3"
+                SnapshotError, match=f"version mismatch.*RACSNAP/{version}.*RACSNAP/4"
             ):
                 restore_system(old)
             path = tmp_path / "old.snap"
