@@ -25,36 +25,30 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.chaos import (  # noqa: E402
-    run_chaos_live_blocking,
-    run_chaos_sim,
-    smoke_plan,
-    storm_plan,
-)
+from repro.scenario import run_params  # noqa: E402
+
+
+def _run(substrate: str, plan: str, nodes: int, horizon: float, seed: int):
+    params = {"substrate": substrate, "plan": plan, "nodes": nodes, "horizon": horizon}
+    return run_params(params, seed, "chaos")
 
 
 def soak(smoke_only: bool) -> "tuple[str, bool]":
     runs = []
     if smoke_only:
-        sim_specs = [("smoke", smoke_plan, 8, 18.0, [0])]
+        sim_specs = [("smoke", 8, 18.0, [0])]
         live_spec = (6, 12.0, 0)
     else:
         sim_specs = [
-            ("smoke", smoke_plan, 8, 24.0, [0, 1]),
-            ("storm", storm_plan, 8, 30.0, [0, 1, 2]),
+            ("smoke", 8, 24.0, [0, 1]),
+            ("storm", 8, 30.0, [0, 1, 2]),
         ]
         live_spec = (6, 18.0, 0)
 
-    for name, builder, nodes, horizon, seeds in sim_specs:
+    for name, nodes, horizon, seeds in sim_specs:
         for seed in seeds:
-            plan = builder(nodes, horizon, seed=seed)
-            outcome = run_chaos_sim(plan, nodes=nodes, seed=seed)
-            runs.append((f"sim/{name}", outcome))
-
-    nodes, horizon, seed = live_spec
-    plan = smoke_plan(nodes, horizon, seed=seed)
-    outcome = run_chaos_live_blocking(plan, nodes=nodes, seed=seed)
-    runs.append(("live/smoke", outcome))
+            runs.append((f"sim/{name}", _run("sim", name, nodes, horizon, seed)))
+    runs.append(("live/smoke", _run("live", "smoke", *live_spec)))
 
     ok = all(outcome.ok for _, outcome in runs)
     sections = ["chaos soak: scripted faults, checked invariants", ""]

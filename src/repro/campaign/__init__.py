@@ -27,34 +27,23 @@ from .frontier import (
     build_frontier,
 )
 from .runner import campaign_report, campaign_status, load_campaign, run_campaign
-from .scoring import (
-    CampaignCellOutcome,
-    build_campaign_plan,
-    campaign_config,
-    plan_coalition_indices,
-    run_campaign_cell,
-)
-from .spec import CAMPAIGN_EXPERIMENT, PLAN_NAMES, CampaignSpec
+from .scoring import run_campaign_cell
+from .spec import CAMPAIGN_EXPERIMENT, CampaignSpec
 
 __all__ = [
     "CAMPAIGN_EXPERIMENT",
     "DEFAULT_BLACKLIST_POLLUTION_THRESHOLD",
-    "PLAN_NAMES",
     "CampaignSpec",
-    "CampaignCellOutcome",
     "CellAggregate",
     "CoalitionAggregate",
     "CoalitionFrontier",
     "CoalitionReport",
     "FrontierReport",
     "StrategyFrontier",
-    "build_campaign_plan",
     "build_frontier",
-    "campaign_config",
     "campaign_report",
     "campaign_status",
     "load_campaign",
-    "plan_coalition_indices",
     "run_campaign",
     "run_campaign_cell",
 ]

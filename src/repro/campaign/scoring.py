@@ -4,9 +4,9 @@
 workload. Each cell is a seeded, deterministic simulation that layers
 every adversary dimension the repo has:
 
-* the **strategy** axis plants one misbehaving node via
-  ``RacSystem.bootstrap(behaviors=...)`` (freerider or opponent, by
-  registry name — :mod:`repro.freeride.registry`);
+* the **strategy** axis plants one misbehaving node — or, with
+  ``coalition_fraction``, a coordinated set — by registry name
+  (:mod:`repro.freeride.registry`);
 * the **plan** axis compiles a canned chaos :class:`FaultPlan`
   (crash-restarts, partitions, loss windows, degradations) onto the
   simulator;
@@ -30,240 +30,25 @@ The verdict combines three judges:
   .rounds_to_deanonymize`) prices the eviction-driven deanonymization
   route at the cell's parameters.
 
-Everything lands in a flat metrics dict, ready for the orchestrator's
-result store and the frontier aggregator.
+The cell itself is an ordinary :class:`~repro.scenario.Scenario` of the
+``campaign`` harness; the last two judges land in ``Outcome.scores``,
+so everything reaches the result store and the frontier aggregator
+through one flat ``Outcome.metrics()`` dict.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..analysis.intersection import rounds_to_deanonymize
 from ..analysis.observer import GlobalObserver
-from ..chaos.invariants import InvariantChecker, InvariantReport
-from ..chaos.plan import FaultPlan, smoke_plan, storm_plan
-from ..chaos.run import final_blacklists, note_planned_crashes
-from ..core.config import RacConfig
-from ..core.system import RacSystem
-from ..freeride.coalition import build_coalition
-from ..freeride.registry import BEHAVIORS, UnknownBehaviorError
-from ..topo.model import preset as topo_preset
+from ..scenario import Outcome, Scenario, prepare
 
-__all__ = [
-    "DEFAULT_HORIZON",
-    "DEFAULT_HEAL_BOUND",
-    "campaign_config",
-    "build_campaign_plan",
-    "plan_coalition_indices",
-    "CampaignCellOutcome",
-    "run_campaign_cell",
-]
+__all__ = ["run_campaign_cell"]
 
-DEFAULT_HORIZON = 16.0
-DEFAULT_HEAL_BOUND = 4.0
-#: Creation index of the planted misbehaver. Chosen away from index 1
-#: (the smoke plan's crash-restart victim) so a cell's fault timeline
-#: and its deviant are distinct nodes under the canned plans.
-DEFAULT_DEVIANT_INDEX = 3
 #: How many (msg_id, true sender) samples feed the attribution attack.
 ATTRIBUTION_SAMPLES = 24
-
-#: RacConfig overrides a campaign cell may carry in its params.
-_CONFIG_KEYS = (
-    "num_relays",
-    "num_rings",
-    "message_size",
-    "send_interval",
-    "relay_timeout",
-    "predecessor_timeout",
-    "rate_window",
-    "blacklist_period",
-    "assumed_opponent_fraction",
-)
-
-
-def campaign_config(loss: float = 0.0, **overrides) -> RacConfig:
-    """The campaign cell configuration: detection timers sized between
-    the chaos layer's and the freerider tests'.
-
-    The canned plans' fault windows last ``horizon/6`` (≈ 2.7 s at the
-    default horizon); the misbehaviour timers sit at 4 s — above every
-    window, so healing faults cannot fake freeriding (the chaos-layer
-    contract), yet low enough that a real deviant is convicted within
-    the cell's detection bound. The ARQ keeps retransmitting through
-    outages (64 × 0.25 s ≈ 16 s budget) so an abandoned message never
-    reads as a missing copy.
-    """
-    base = dict(
-        num_relays=2,
-        num_rings=3,
-        group_min=2,
-        group_max=10**9,
-        message_size=2048,
-        send_interval=0.05,
-        relay_timeout=4.0,
-        predecessor_timeout=4.0,
-        rate_window=4.0,
-        blacklist_period=1.5,
-        puzzle_bits=2,
-        assumed_opponent_fraction=0.1,
-        link_loss_rate=loss,
-        transport_rto_max=0.25,
-        transport_max_retries=64,
-    )
-    base.update(overrides)
-    return RacConfig(**base)
-
-
-def plan_coalition_indices(nodes: int, size: int) -> "Tuple[int, ...]":
-    """Creation indices for a planted coalition of ``size`` members.
-
-    Members are spread evenly around the creation order starting from
-    :data:`DEFAULT_DEVIANT_INDEX` — a coalition of one lands exactly on
-    the single-deviant slot, and larger coalitions occupy distinct ring
-    positions (rather than a contiguous run) so their relay exposure
-    matches what random placement would give. Deterministic in
-    ``(nodes, size)`` so the monolithic and sharded paths agree.
-    """
-    if size < 1:
-        raise ValueError("a coalition needs at least one member")
-    if size >= nodes:
-        raise ValueError(
-            f"coalition of {size} cannot fit a population of {nodes} "
-            "with any honest nodes left"
-        )
-    step = max(1, nodes // size)
-    chosen: "List[int]" = []
-    taken = set()
-    idx = DEFAULT_DEVIANT_INDEX % nodes
-    for _ in range(size):
-        while idx % nodes in taken:
-            idx += 1
-        chosen.append(idx % nodes)
-        taken.add(idx % nodes)
-        idx += step
-    return tuple(chosen)
-
-
-def build_campaign_plan(name: str, nodes: int, horizon: float, seed: int) -> FaultPlan:
-    """A canned fault timeline by campaign plan name."""
-    if name == "none":
-        return FaultPlan(seed=seed, horizon=horizon)
-    if name == "smoke":
-        return smoke_plan(nodes, horizon, seed=seed)
-    if name == "storm":
-        return storm_plan(nodes, horizon, seed=seed)
-    raise ValueError(f"unknown campaign fault plan {name!r}; known: none, smoke, storm")
-
-
-@dataclass
-class CampaignCellOutcome:
-    """Everything one scored campaign cell produced."""
-
-    strategy: str
-    plan_name: str
-    loss: float
-    nodes: int
-    seed: int
-    deviant_id: "Optional[int]"
-    detected: bool
-    detection_time_s: "Optional[float]"
-    deliveries: int
-    accusations: int
-    evictions: int
-    report: InvariantReport
-    attribution_accuracy: float
-    chance_level: float
-    entropy_bits: float
-    deanon_rounds_log10: float
-    sim_time_s: float
-    counters: "Dict[str, int]" = field(default_factory=dict)
-    notes: "List[str]" = field(default_factory=list)
-    #: Every planted deviant's node id — ``(deviant_id,)`` for the
-    #: classic single-deviant cell, the full roster for coalitions.
-    deviant_ids: "Tuple[int, ...]" = ()
-    coalition_size: int = 0
-    coalition_fraction: float = 0.0
-    #: How many coalition members were actually evicted (``detected``
-    #: requires all of them).
-    coalition_evicted: int = 0
-    #: ``floor(f·G)+1`` at this cell's config — the quorum the shuffle
-    #: tally needs, recorded so the frontier can compare the measured
-    #: onset against the analytic bound.
-    relay_threshold: int = 0
-    #: Blacklist-shuffle rounds the cell actually completed.
-    shuffle_rounds: int = 0
-
-    @property
-    def honest_evictions(self) -> int:
-        return sum(1 for v in self.report.violations if v.invariant == "safety-eviction")
-
-    @property
-    def missed_detections(self) -> int:
-        return sum(1 for v in self.report.violations if v.invariant == "missed-detection")
-
-    @property
-    def ok(self) -> bool:
-        return self.report.ok
-
-    def metrics(self) -> "Dict[str, float]":
-        """The flat name → number dict the result store records."""
-        by_kind: "Dict[str, int]" = {}
-        for violation in self.report.violations:
-            by_kind[violation.invariant] = by_kind.get(violation.invariant, 0) + 1
-        return {
-            "sim_time_s": self.sim_time_s,
-            "deliveries": float(self.deliveries),
-            "accusations": float(self.accusations),
-            "evictions": float(self.evictions),
-            "violations": float(len(self.report.violations)),
-            "honest_evictions": float(by_kind.get("safety-eviction", 0)),
-            "blacklist_violations": float(by_kind.get("safety-blacklist", 0)),
-            "liveness_violations": float(by_kind.get("liveness", 0)),
-            "missed_detections": float(by_kind.get("missed-detection", 0)),
-            "detected": 1.0 if self.detected else 0.0,
-            "detection_time_s": (
-                -1.0 if self.detection_time_s is None else self.detection_time_s
-            ),
-            "attribution_accuracy": self.attribution_accuracy,
-            "chance_level": self.chance_level,
-            "anonymity_entropy_bits": self.entropy_bits,
-            "deanon_rounds_log10": self.deanon_rounds_log10,
-            "net_packets_dropped": float(self.counters.get("net_packets_dropped", 0)),
-            "transport_retransmits": float(self.counters.get("transport_retransmits", 0)),
-            "coalition_size": float(self.coalition_size),
-            "coalition_fraction": self.coalition_fraction,
-            "coalition_evicted": float(self.coalition_evicted),
-            "relay_threshold": float(self.relay_threshold),
-            "shuffle_rounds": float(self.shuffle_rounds),
-        }
-
-    def render(self) -> str:
-        coalition = (
-            f" coalition={self.coalition_size}/{self.nodes}"
-            if self.coalition_size > 1
-            else ""
-        )
-        lines = [
-            f"campaign cell: strategy={self.strategy} plan={self.plan_name} "
-            f"loss={self.loss:.0%} nodes={self.nodes}{coalition} seed={self.seed}",
-            f"  deliveries {self.deliveries}, accusations {self.accusations}, "
-            f"evictions {self.evictions}",
-            f"  detected={'yes' if self.detected else 'no'}"
-            + (
-                f" at t={self.detection_time_s:.2f}s"
-                if self.detection_time_s is not None
-                else ""
-            ),
-            f"  attribution {self.attribution_accuracy:.3f} "
-            f"(chance {self.chance_level:.3f}), entropy "
-            f"{self.entropy_bits:.2f} bits, intersection ~10^"
-            f"{self.deanon_rounds_log10:.1f} rounds",
-            "  " + self.report.render().replace("\n", "\n  "),
-        ]
-        return "\n".join(lines)
 
 
 def _sample_attribution(
@@ -288,152 +73,18 @@ def _sample_attribution(
     return accuracy, chance, entropy
 
 
-def run_campaign_cell(params: "Dict[str, Any]", seed: int) -> CampaignCellOutcome:
+def run_campaign_cell(params: "Dict[str, Any]", seed: int) -> Outcome:
     """Run and score one strategies × faults × networks cell."""
-    strategy = str(params.get("strategy", "honest"))
-    spec = BEHAVIORS.get(strategy)
-    if spec is None:
-        raise UnknownBehaviorError(strategy)
-    plan_name = str(params.get("plan", "none"))
-    loss = float(params.get("loss", 0.0))
-    nodes = int(params.get("nodes", 10))
-    horizon = float(params.get("horizon", DEFAULT_HORIZON))
-    detection_bound = float(params.get("detection_bound", horizon))
-    heal_bound = float(params.get("heal_bound", DEFAULT_HEAL_BOUND))
-    traffic_interval = float(params.get("traffic_interval", 0.25))
-    deviant_index = int(params.get("deviant_index", DEFAULT_DEVIANT_INDEX)) % nodes
-    coalition_fraction = float(params.get("coalition_fraction", 0.0))
-    if coalition_fraction and spec.coalition_mode is None:
-        raise ValueError(
-            f"coalition_fraction set but strategy {strategy!r} is not a "
-            "coordinated behaviour"
-        )
-
-    overrides = {k: params[k] for k in _CONFIG_KEYS if k in params}
-    # The multi-round horizon knob: derive the blacklist period so at
-    # least ``shuffle_rounds`` blacklist-shuffle rounds fit inside the
-    # horizon (an explicit blacklist_period override wins).
-    wanted_rounds = params.get("shuffle_rounds")
-    if wanted_rounds is not None and "blacklist_period" not in overrides:
-        overrides["blacklist_period"] = horizon / (int(wanted_rounds) + 2)
-    config = campaign_config(loss, **overrides)
-    # The network-shape axis: a topology preset sampled at a fixed seed,
-    # so every cell of one campaign compares the same fingerprinted
-    # matrix. ``lan`` is byte-identical to no topology at all.
-    topology_name = str(params.get("topology", "lan"))
-    topology = (
-        None
-        if topology_name == "lan"
-        else topo_preset(topology_name, nodes, seed=int(params.get("topology_seed", 0)))
-    )
-
-    # Behaviours keyed on ids known before bootstrap (FalseAccuser's
-    # victim, coalition rosters) use a probe bootstrap: node ids depend
-    # only on (config, seed), not on topology or planted behaviours, so
-    # probing the same population reveals them.
-    probe_ids: "Optional[List[int]]" = None
-    if spec.needs_victim or spec.coalition_mode is not None:
-        probe = RacSystem(config, seed=seed)
-        probe_ids = probe.bootstrap(nodes)
-    victim: "Optional[int]" = None
-    if spec.needs_victim:
-        assert probe_ids is not None
-        victim = probe_ids[(deviant_index + nodes // 2) % nodes]
-
-    system = RacSystem(config, seed=seed, topology=topology)
-    behaviors: "Dict[int, Any]" = {}
-    coalition_size = 0
-    member_indices: "Tuple[int, ...]" = ()
-    if spec.coalition_mode is not None:
-        assert probe_ids is not None
-        coalition_size = (
-            max(1, round(coalition_fraction * nodes)) if coalition_fraction else 1
-        )
-        member_indices = plan_coalition_indices(nodes, coalition_size)
-        member_set = set(member_indices)
-        frame_victims: "Tuple[int, ...]" = ()
-        if spec.coalition_mode == "frame":
-            # The framed victim: an honest node opposite the coalition
-            # anchor in creation order, walked forward past members.
-            vi = (deviant_index + nodes // 2) % nodes
-            while vi in member_set:
-                vi = (vi + 1) % nodes
-            frame_victims = (probe_ids[vi],)
-        coalition = build_coalition(
-            spec.coalition_mode,
-            [probe_ids[i] for i in member_indices],
-            victims=frame_victims,
-            rotation_period=config.blacklist_period,
-        )
-        id_to_index = {probe_ids[i]: i for i in member_indices}
-        behaviors = {id_to_index[nid]: member for nid, member in coalition.items()}
-    elif spec.kind != "honest":
-        behaviors[deviant_index] = spec.build(seed=seed, victim=victim)
-        member_indices = (deviant_index,)
-    node_ids = system.bootstrap(nodes, behaviors=behaviors)
-    deviant_ids = tuple(node_ids[i] for i in sorted(member_indices))
-    deviant_id = deviant_ids[0] if deviant_ids else None
-
-    plan = build_campaign_plan(plan_name, nodes, horizon, seed)
-    checker = InvariantChecker(
-        node_ids,
-        deviants=deviant_ids,
-        heal_bound=heal_bound,
-        must_detect=deviant_ids if spec.detectable else (),
-        detection_bound=detection_bound,
-    )
-    checker.note_plan(plan, node_ids)
-    note_planned_crashes(checker, plan, node_ids)
-    notes = plan.compile_sim(system, node_ids)
-
-    observer = GlobalObserver(system, rng_seed=seed + 1)
+    scenario = Scenario.from_params(params, seed, "campaign")
+    run = prepare(scenario)
+    observer = GlobalObserver(run.system, rng_seed=seed + 1)
     observer.attach()
+    run.run_to(scenario.horizon)
+    outcome = run.outcome()
 
-    # The traffic pump: a steady round-robin of anonymous sends keeps
-    # relay paths, ring forwarding and the liveness probe all fed.
-    sent_log: "List[int]" = []
-
-    def pump_send(src: int, dst: int, payload: bytes) -> None:
-        src_node = system.nodes.get(src)
-        dst_node = system.nodes.get(dst)
-        if src_node is None or not src_node.active:
-            return
-        if dst_node is None or not dst_node.active:
-            return
-        if system.send(src, dst, payload):
-            sent_log.append(src)
-
-    t, k = 0.2, 0
-    while t < horizon:
-        src = node_ids[k % nodes]
-        dst = node_ids[(k + 1) % nodes]
-        system.sim.schedule_at(t, pump_send, src, dst, f"campaign/{seed}/{k}".encode())
-        t += traffic_interval
-        k += 1
-
-    system.run(horizon)
-    checker.finish(system.now)
-
-    for nid in node_ids:
-        node = system.nodes[nid]
-        for at, payload in zip(node.delivered_at, node.delivered):
-            checker.record_delivery(at, nid, payload)
-    member_eviction_times: "List[float]" = []
-    for accused, info in system.evicted.items():
-        checker.record_eviction(info["at"], info["by"], accused, info["kind"])
-        if accused in deviant_ids:
-            member_eviction_times.append(info["at"])
-    # "Detected" means the whole coalition is out; the detection time
-    # is when the *last* member fell.
-    detected = bool(deviant_ids) and len(member_eviction_times) == len(deviant_ids)
-    detection_time: "Optional[float]" = (
-        max(member_eviction_times) if detected else None
-    )
-    survivors = [n for n in system.nodes.values() if n.active]
-    report = checker.check(final_blacklists(survivors))
-
-    surviving_group = nodes - len(system.evicted)
-    accuracy, chance, entropy = _sample_attribution(observer, sent_log, surviving_group)
+    config = run.system.config
+    surviving_group = scenario.nodes - len(outcome.evictions)
+    accuracy, chance, entropy = _sample_attribution(observer, outcome.sent, surviving_group)
     resistance = rounds_to_deanonymize(
         max(2, surviving_group), config.num_rings, config.assumed_opponent_fraction
     )
@@ -445,33 +96,23 @@ def run_campaign_cell(params: "Dict[str, Any]", seed: int) -> CampaignCellOutcom
     else:
         deanon_log10 = min(300.0, math.log10(rounds))
 
-    counters = system.stats_report()
-    return CampaignCellOutcome(
-        strategy=strategy,
-        plan_name=plan_name,
-        loss=loss,
-        nodes=nodes,
-        seed=seed,
-        deviant_id=deviant_id,
-        detected=detected,
-        detection_time_s=detection_time,
-        deliveries=sum(len(n.delivered) for n in system.nodes.values()),
-        accusations=sum(
-            v for key, v in counters.items() if key.startswith("accusation_")
-        ),
-        evictions=len(system.evicted),
-        report=report,
-        attribution_accuracy=accuracy,
-        chance_level=chance,
-        entropy_bits=entropy,
-        deanon_rounds_log10=deanon_log10,
-        sim_time_s=system.now,
-        counters=counters,
-        notes=notes,
-        deviant_ids=deviant_ids,
-        coalition_size=coalition_size,
-        coalition_fraction=coalition_fraction,
-        coalition_evicted=len(member_eviction_times),
-        relay_threshold=config.relay_accusation_threshold(nodes),
-        shuffle_rounds=counters.get("blacklist_rounds", 0),
-    )
+    coalition = scenario.coalition
+    outcome.scores = {
+        "attribution_accuracy": accuracy,
+        "chance_level": chance,
+        "anonymity_entropy_bits": entropy,
+        "deanon_rounds_log10": deanon_log10,
+        "net_packets_dropped": float(outcome.counters.get("net_packets_dropped", 0)),
+        "transport_retransmits": float(outcome.counters.get("transport_retransmits", 0)),
+        "coalition_size": float(len(coalition["members"]) if coalition else 0),
+        "coalition_fraction": float(params.get("coalition_fraction", 0.0)),
+        # ``detected`` requires the whole coalition out; this counts how
+        # many members actually fell.
+        "coalition_evicted": float(outcome.deviants_evicted),
+        # floor(f·G)+1 at this cell's config — the quorum the shuffle
+        # tally needs, recorded so the frontier can compare the measured
+        # onset against the analytic bound.
+        "relay_threshold": float(config.relay_accusation_threshold(scenario.nodes)),
+        "shuffle_rounds": float(outcome.counters.get("blacklist_rounds", 0)),
+    }
+    return outcome

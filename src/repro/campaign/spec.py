@@ -6,9 +6,9 @@ every canned fault timeline (:mod:`repro.chaos.plan`) × link-loss
 points × group sizes × seeds — expanded into the same content-addressed
 :class:`~repro.orchestrator.grid.SweepGrid` machinery the figure sweeps
 use. One campaign cell = one ``campaign_point`` workload run = one
-seeded simulation with the strategy planted via
-``RacSystem.bootstrap(behaviors=...)`` and the fault plan compiled onto
-the network, scored by :mod:`repro.campaign.scoring`.
+seeded :class:`~repro.scenario.Scenario` with the strategy planted and
+the fault plan compiled onto the network, scored by
+:mod:`repro.campaign.scoring`.
 
 Because the expansion is an ordinary grid, everything the orchestrator
 already guarantees — exactly-once resume, crashed-worker retry, the
@@ -22,19 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from ..freeride.registry import BEHAVIORS, UnknownBehaviorError
 from ..orchestrator.grid import SweepGrid
-from ..topo.model import PRESET_NAMES
+from ..scenario import Scenario
 
-__all__ = ["CAMPAIGN_EXPERIMENT", "PLAN_NAMES", "CampaignSpec"]
+__all__ = ["CAMPAIGN_EXPERIMENT", "CampaignSpec"]
 
 #: The registered workload every campaign cell runs through.
 CAMPAIGN_EXPERIMENT = "campaign_point"
-
-#: Canned fault timelines a campaign can sweep over. ``none`` is the
-#: baseline (clean network apart from the loss point); ``smoke`` and
-#: ``storm`` are the chaos layer's canned plans.
-PLAN_NAMES = ("none", "smoke", "storm")
 
 
 @dataclass(frozen=True)
@@ -42,9 +36,10 @@ class CampaignSpec:
     """One declarative campaign: axes plus shared per-cell knobs.
 
     ``strategies`` are behaviour registry names; ``plans`` are canned
-    fault-plan names; ``loss_points`` are baseline link-loss rates (the
-    campaign's fault-*intensity* axis); ``group_sizes`` are population
-    sizes. ``horizon`` is the per-cell sim duration, ``detection_bound``
+    fault-plan names (:data:`repro.chaos.plan.CANNED_PLANS`; ``none``
+    is the baseline, a clean network apart from the loss point);
+    ``loss_points`` are baseline link-loss rates (the campaign's
+    fault-*intensity* axis); ``group_sizes`` are population sizes. ``horizon`` is the per-cell sim duration, ``detection_bound``
     the absolute sim-time by which a detectable planted misbehaver must
     be evicted (defaults to the horizon), ``heal_bound`` the liveness
     bound after each fault window heals.
@@ -80,57 +75,21 @@ class CampaignSpec:
     base: "Dict[str, Any]" = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.strategies:
-            raise ValueError("a campaign needs at least one strategy")
-        for name in self.strategies:
-            if name not in BEHAVIORS:
-                raise UnknownBehaviorError(name)
-        for plan in self.plans:
-            if plan not in PLAN_NAMES:
-                raise ValueError(
-                    f"unknown fault plan {plan!r}; known plans: {', '.join(PLAN_NAMES)}"
-                )
-        if not self.plans:
-            raise ValueError("a campaign needs at least one fault plan")
-        for rate in self.loss_points:
-            if not 0.0 <= rate < 1.0:
-                raise ValueError(f"loss point {rate!r} outside [0, 1)")
-        if not self.loss_points:
-            raise ValueError("a campaign needs at least one loss point")
+        for axis in ("strategies", "plans", "loss_points", "group_sizes", "topologies", "seeds"):
+            if not getattr(self, axis):
+                raise ValueError(f"a campaign needs at least one entry on its {axis} axis")
         for size in self.group_sizes:
             if size < 8:
                 raise ValueError(
                     f"campaign group size {size} too small (need >= 8 so canned "
                     "plans and ring checks have room)"
                 )
-        if not self.group_sizes:
-            raise ValueError("a campaign needs at least one group size")
-        for name in self.topologies:
-            if name not in PRESET_NAMES:
-                raise ValueError(
-                    f"unknown topology preset {name!r}; known presets: "
-                    + ", ".join(PRESET_NAMES)
-                )
-        if not self.topologies:
-            raise ValueError("a campaign needs at least one topology")
         for fraction in self.coalition_fractions:
             if not 0.0 < fraction < 0.5:
                 raise ValueError(
                     f"coalition fraction {fraction!r} outside (0, 0.5) — the "
                     "honest majority must stay a majority"
                 )
-        if self.coalition_fractions:
-            unilateral = [
-                name for name in self.strategies
-                if BEHAVIORS[name].coalition_mode is None
-            ]
-            if unilateral:
-                raise ValueError(
-                    "coalition fractions set but these strategies deviate "
-                    "unilaterally: " + ", ".join(unilateral)
-                )
-        if not self.seeds:
-            raise ValueError("a campaign needs at least one seed")
         if self.horizon <= 0:
             raise ValueError("campaign horizon must be positive")
         if self.shuffle_rounds is not None:
@@ -146,8 +105,12 @@ class CampaignSpec:
                 )
         if self.detection_bound is not None and not 0 < self.detection_bound <= self.horizon:
             raise ValueError("detection bound must fall inside the horizon")
-        if self.heal_bound <= 0:
-            raise ValueError("heal bound must be positive")
+        # Every cell must lower to a scenario: unknown strategies
+        # (UnknownBehaviorError), plans or presets, loss points outside
+        # [0, 1), fractions on a unilateral strategy and misspelt RacConfig
+        # overrides in ``base`` fail here, not 144 times inside the workers.
+        for cell in self.to_grid().cells():
+            Scenario.from_params(cell.params_dict, cell.seed, "campaign")
 
     # -- derived ---------------------------------------------------------------
     @property

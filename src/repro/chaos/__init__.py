@@ -14,27 +14,23 @@ The modules, in dependency order:
   the same identity through the directory, and bounces the directory;
 * :mod:`repro.chaos.invariants` — :class:`InvariantChecker`, the judge:
   no honest eviction, clean final blacklists, delivery resumes within
-  the heal bound after every fault window;
-* :mod:`repro.chaos.run` — ``run_chaos_sim`` / ``run_chaos_live``, the
-  one-call entry points behind ``repro chaos run``, the ``chaos_point``
-  sweep workload and ``experiments/chaos_soak.py``.
+  the heal bound after every fault window.
+
+:func:`repro.scenario.run_scenario` plays a plan end to end on either
+substrate. Chaos scenarios stretch the misbehaviour timers well past
+the fault windows: the point is to prove that *failure heals faster
+than accountability convicts*. Shrinking them below the windows
+(``enforce_contract=False``) is how the tests make the checker
+demonstrate a violation on purpose.
 """
 
 from .invariants import InvariantChecker, InvariantReport, Violation
-from .plan import FaultEvent, FaultPlan, smoke_plan, storm_plan
+from .plan import CANNED_PLANS, FaultEvent, FaultPlan, canned_plan, smoke_plan, storm_plan
 from .proxy import ChaosProxy
-from .run import (
-    ChaosOutcome,
-    chaos_live_config,
-    chaos_sim_config,
-    run_chaos_live,
-    run_chaos_live_blocking,
-    run_chaos_sim,
-)
 from .supervisor import ChaosSupervisor
 
 __all__ = [
-    "ChaosOutcome",
+    "CANNED_PLANS",
     "ChaosProxy",
     "ChaosSupervisor",
     "FaultEvent",
@@ -42,11 +38,7 @@ __all__ = [
     "InvariantChecker",
     "InvariantReport",
     "Violation",
-    "chaos_live_config",
-    "chaos_sim_config",
-    "run_chaos_live",
-    "run_chaos_live_blocking",
-    "run_chaos_sim",
+    "canned_plan",
     "smoke_plan",
     "storm_plan",
 ]

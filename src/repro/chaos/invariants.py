@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-__all__ = ["Violation", "InvariantReport", "InvariantChecker"]
+__all__ = ["Violation", "InvariantReport", "InvariantChecker", "final_blacklists"]
 
 
 @dataclass(frozen=True)
@@ -141,15 +141,18 @@ class InvariantChecker:
         self.windows.append((kind, start, end))
 
     def note_plan(self, plan, node_ids: "List[int]") -> None:
-        """Register every healing window of a compiled plan, plus the
-        planned permanent crashes (excused from eviction safety)."""
+        """Register every healing window of a compiled plan, plus its
+        crash intervals, so eviction verdicts that land while a victim
+        is down (for good, or until its restart) are excused on both
+        substrates. A runtime that also notes the actual kill and
+        restart times only adds intervals."""
         for kind, start, end in plan.fault_windows():
             self.note_fault_window(kind, start, end)
-        for index in plan.crashed_forever():
-            # The plan already knows these nodes die for good; the
-            # runtime will also note_crash() at the actual kill time,
-            # which only tightens the excusal interval.
-            self.downtimes.setdefault(node_ids[index], [])
+        for event in plan.schedule():
+            if event.kind == "crash":
+                self.note_crash(node_ids[event.node], event.at)
+                if event.restart_after is not None:
+                    self.note_restart(node_ids[event.node], event.at + event.restart_after)
 
     def note_crash(self, node_id: int, at: float) -> None:
         self.downtimes.setdefault(node_id, []).append([at, None])
@@ -293,3 +296,15 @@ class InvariantChecker:
                     )
                 )
         return InvariantReport(violations=violations, checks=checks)
+
+
+def final_blacklists(rac_nodes) -> "Dict[int, set]":
+    """Each surviving node's union of relay + predecessor blacklists —
+    the ``blacklists`` argument of :meth:`InvariantChecker.check`."""
+    blacklists: "Dict[int, set]" = {}
+    for node in rac_nodes:
+        members = set(node.relays_blacklist.members())
+        for blacklist in node.pred_blacklists.values():
+            members.update(blacklist.members())
+        blacklists[node.node_id] = members
+    return blacklists

@@ -39,10 +39,18 @@ from __future__ import annotations
 
 import hashlib
 import random
+import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["FaultEvent", "FaultPlan", "smoke_plan", "storm_plan"]
+__all__ = [
+    "FaultEvent",
+    "FaultPlan",
+    "smoke_plan",
+    "storm_plan",
+    "CANNED_PLANS",
+    "canned_plan",
+]
 
 #: Event kinds, in the (arbitrary but fixed) order used to break ties
 #: between events scheduled at the same instant.
@@ -206,6 +214,28 @@ class FaultPlan:
             digest.update(repr(event).encode())
         return digest.hexdigest()
 
+    def to_dict(self) -> "Dict[str, Any]":
+        """The canonical form :meth:`fingerprint` hashes, as JSON-ready
+        data: seed, horizon and the normalized schedule."""
+        return {
+            "seed": self.seed,
+            "horizon": self.horizon,
+            "events": [dataclasses.asdict(event) for event in self.schedule()],
+        }
+
+    @classmethod
+    def from_dict(cls, body: "Dict[str, Any]") -> "FaultPlan":
+        plan = cls(seed=int(body["seed"]), horizon=float(body["horizon"]))
+        for event in body["events"]:
+            sides = {side: tuple(event[side]) for side in ("side_a", "side_b")}
+            plan._add(FaultEvent(**{**event, **sides}))
+        return plan
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FaultPlan):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
     def validate(self, population: int) -> None:
         """Reject events that reference nodes outside the population or
         fall outside the horizon."""
@@ -232,12 +262,6 @@ class FaultPlan:
                 continue
             windows.append((event.kind, event.at, event.end))
         return windows
-
-    def crashed_forever(self) -> "List[int]":
-        """Creation indices of nodes the plan kills without restart."""
-        return sorted(
-            {e.node for e in self.events if e.kind == "crash" and e.restart_after is None}
-        )
 
     def render(self) -> str:
         lines = [f"fault plan: seed {self.seed}, horizon {self.horizon:g}s, "
@@ -424,3 +448,24 @@ def storm_plan(
     )
     plan.reorder(0, window=4, at=round(horizon * 0.3, 3), duration=round(horizon * 0.2, 3))
     return plan
+
+
+_CANNED = {
+    "none": lambda population, horizon, seed=0: FaultPlan(seed=seed, horizon=horizon),
+    "smoke": smoke_plan,
+    "storm": storm_plan,
+}
+
+#: The canned timelines every entry point accepts by name. ``none`` is
+#: the baseline: an empty plan, zero fault windows.
+CANNED_PLANS = tuple(_CANNED)
+
+
+def canned_plan(name: str, nodes: int, horizon: float, seed: int = 0) -> FaultPlan:
+    """A canned fault timeline by name; unknown names list the known ones."""
+    builder = _CANNED.get(name)
+    if builder is None:
+        raise ValueError(
+            f"unknown fault plan {name!r}; known plans: " + ", ".join(CANNED_PLANS)
+        )
+    return builder(nodes, horizon, seed=seed)

@@ -29,7 +29,68 @@ from typing import List, Optional
 __all__ = ["main", "build_parser"]
 
 
+def _scenario_flags(
+    p: argparse.ArgumentParser, *, nodes: int, seconds, check: str, substrates: "Optional[str]" = None
+) -> None:
+    """The flags every judged scenario command shares (`live demo`,
+    `chaos run`, `topo run`); ``seconds`` is (flag, default, help)."""
+    flag, default, what = seconds
+    if substrates is not None:
+        p.add_argument("--substrate", choices=("sim", "live", "both"), default="sim", help=substrates)
+    p.add_argument("--nodes", type=int, default=nodes, help=f"population size (default {nodes})")
+    p.add_argument(flag, type=float, default=default, help=f"{what} (default {default:g})")
+    p.add_argument("--seed", type=int, default=0, help="population, plan and traffic seed (default 0)")
+    p.add_argument(
+        "--port-base",
+        type=int,
+        default=None,
+        metavar="P",
+        help="live substrate: bind node i to port P+i (default: ephemeral ports)",
+    )
+    p.add_argument("--check", action="store_true", help=check)
+
+
+def _run_and_report(
+    args: argparse.Namespace,
+    harness: str,
+    flags: "tuple",
+    expect: str = "invariant violation(s) above",
+    passed=lambda outcome: outcome.ok,
+) -> int:
+    """One scenario of ``harness`` per requested substrate, built from
+    the named ``flags``: run, print; with ``--check`` exit 1 unless all
+    ``passed``. A field a substrate would drop exits 2 before any run."""
+    from .scenario import HARNESSES, Scenario, UnsupportedOnSubstrate, run_scenario
+
+    chosen = getattr(args, "substrate", HARNESSES[harness].get("substrate"))
+    substrates = ("sim", "live") if chosen == "both" else (chosen,)
+    params = {flag: getattr(args, flag) for flag in flags}
+    try:
+        scenarios = [
+            Scenario.from_params({**params, "substrate": substrate}, args.seed, harness)
+            for substrate in substrates
+        ]
+        for substrate, scenario in zip(substrates, scenarios):
+            scenario.check_substrate(substrate)
+    except UnsupportedOnSubstrate as exc:
+        print(exc)
+        return 2
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    failed = False
+    for substrate, scenario in zip(substrates, scenarios):
+        outcome = run_scenario(scenario, substrate, port_base=args.port_base)
+        print(outcome.render())
+        failed = failed or not passed(outcome)
+    if args.check and failed:
+        print(f"{args.command} run FAILED: {expect}")
+        return 1
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from .chaos.plan import CANNED_PLANS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="RAC (ICDCS 2013) reproduction - regenerate paper figures and tables",
@@ -130,28 +191,19 @@ def build_parser() -> argparse.ArgumentParser:
     live_sub = live.add_subparsers(dest="live_command", required=True)
 
     demo = live_sub.add_parser("demo", help="run a live cluster on localhost and report")
-    demo.add_argument("--nodes", type=int, default=8, help="cluster size (default 8)")
-    demo.add_argument("--duration", type=float, default=10.0, help="wall seconds (default 10)")
-    demo.add_argument("--seed", type=int, default=0, help="population seed (default 0)")
-    demo.add_argument(
-        "--messages", type=int, default=2, help="anonymous messages queued per node (default 2)"
+    _scenario_flags(
+        demo,
+        nodes=8,
+        seconds=("--duration", 10.0, "wall seconds"),
+        check="exit nonzero unless >=1 delivery and 0 evictions (CI smoke contract)",
     )
     demo.add_argument(
-        "--port-base",
-        type=int,
-        default=None,
-        metavar="P",
-        help="bind node i to port P+i (default: ephemeral ports)",
+        "--messages", type=int, default=2, help="anonymous messages queued per node (default 2)"
     )
     demo.add_argument(
         "--subprocess",
         action="store_true",
         help="one worker process per node instead of asyncio tasks",
-    )
-    demo.add_argument(
-        "--check",
-        action="store_true",
-        help="exit nonzero unless >=1 delivery and 0 evictions (CI smoke contract)",
     )
 
     chaos = sub.add_parser(
@@ -162,45 +214,29 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_run = chaos_sub.add_parser(
         "run", help="play one fault plan on a substrate and judge the invariants"
     )
-    chaos_run.add_argument(
-        "--substrate",
-        choices=("sim", "live", "both"),
-        default="sim",
-        help="where the plan runs (default sim; 'both' runs the same plan twice)",
+    _scenario_flags(
+        chaos_run,
+        nodes=6,
+        seconds=("--horizon", 18.0, "plan horizon / run seconds"),
+        check="exit nonzero on any invariant violation (CI smoke contract)",
+        substrates="where the plan runs (default sim; 'both' runs the same plan twice)",
     )
     chaos_run.add_argument(
         "--plan",
-        choices=("smoke", "storm"),
+        choices=CANNED_PLANS,
         default="smoke",
-        help="canned timeline: smoke = 1 crash-restart + 1 partition; "
-        "storm = seeded random fault mix (default smoke)",
+        help="canned timeline: none = no faults; smoke = 1 crash-restart + 1 "
+        "partition; storm = seeded random fault mix (default smoke)",
     )
-    chaos_run.add_argument("--nodes", type=int, default=6, help="population size (default 6)")
-    chaos_run.add_argument(
-        "--horizon", type=float, default=18.0, help="plan horizon / run seconds (default 18)"
-    )
-    chaos_run.add_argument("--seed", type=int, default=0, help="plan + population seed")
     chaos_run.add_argument(
         "--heal-bound",
         type=float,
         default=4.0,
         help="seconds after each fault heals within which delivery must resume",
     )
-    chaos_run.add_argument(
-        "--port-base",
-        type=int,
-        default=None,
-        metavar="P",
-        help="live substrate: bind node i to port P+i (default: ephemeral)",
-    )
-    chaos_run.add_argument(
-        "--check",
-        action="store_true",
-        help="exit nonzero on any invariant violation (CI smoke contract)",
-    )
 
     chaos_plan = chaos_sub.add_parser("plan", help="print a plan's timeline and fingerprint")
-    chaos_plan.add_argument("--plan", choices=("smoke", "storm"), default="smoke")
+    chaos_plan.add_argument("--plan", choices=CANNED_PLANS, default="smoke")
     chaos_plan.add_argument("--nodes", type=int, default=6)
     chaos_plan.add_argument("--horizon", type=float, default=18.0)
     chaos_plan.add_argument("--seed", type=int, default=0)
@@ -315,53 +351,40 @@ def build_parser() -> argparse.ArgumentParser:
     trun = topo_sub.add_parser(
         "run", help="play one topology on a substrate and judge the invariants"
     )
-    trun.add_argument("--preset", required=True, help="preset name (see `repro topo list`)")
     trun.add_argument(
-        "--substrate",
-        choices=("sim", "live", "both"),
-        default="sim",
-        help="where the model runs (default sim; 'both' runs it twice)",
+        "--preset", dest="topology", required=True, help="preset name (see `repro topo list`)"
     )
-    trun.add_argument("--nodes", type=int, default=10, help="population size (default 10)")
-    trun.add_argument(
-        "--horizon", type=float, default=12.0, help="run seconds (default 12)"
+    _scenario_flags(
+        trun,
+        nodes=10,
+        seconds=("--horizon", 12.0, "run seconds"),
+        check="exit nonzero on any invariant violation (CI smoke contract)",
+        substrates="where the model runs (default sim; 'both' runs it twice)",
     )
-    trun.add_argument("--seed", type=int, default=0, help="population + traffic seed")
     trun.add_argument(
         "--topology-seed", type=int, default=0, help="preset sampler seed (default 0)"
     )
     trun.add_argument(
         "--deviant",
         default="honest",
-        help="behaviour registry name to plant (sim only; default honest)",
+        help="behaviour registry name to plant (sim only: exit 2 on live; default honest)",
     )
     trun.add_argument(
         "--timer-scale",
         type=float,
         default=1.0,
-        help="misbehaviour timers x this factor (sim only; default 1.0)",
+        help="misbehaviour timers x this factor (default 1.0)",
     )
     trun.add_argument(
         "--no-contract",
-        action="store_true",
+        dest="enforce_contract",
+        action="store_false",
         help="bypass the topology timer contract (the false-positive probe)",
     )
     trun.add_argument(
         "--churn",
         action="store_true",
         help="compile the model's diurnal churn trace onto the run",
-    )
-    trun.add_argument(
-        "--port-base",
-        type=int,
-        default=None,
-        metavar="P",
-        help="live substrate: bind node i to port P+i (default: ephemeral)",
-    )
-    trun.add_argument(
-        "--check",
-        action="store_true",
-        help="exit nonzero on any invariant violation (CI smoke contract)",
     )
 
     topo_sub.add_parser(
@@ -596,30 +619,29 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _dispatch_live(args: argparse.Namespace) -> int:
-    from .live.cluster import run_demo, run_subprocess_demo
+    expect = "expected >=1 delivery, 0 evictions, 0 errors"
+    if args.subprocess:
+        from .live.cluster import run_subprocess_demo
 
-    if args.live_command == "demo":
-        if args.subprocess:
-            report = run_subprocess_demo(
-                args.nodes,
-                args.duration,
-                seed=args.seed,
-                messages=args.messages,
-                port_base=args.port_base,
-            )
-        else:
-            report = run_demo(
-                args.nodes,
-                args.duration,
-                seed=args.seed,
-                messages=args.messages,
-                port_base=args.port_base,
-            )
+        report = run_subprocess_demo(
+            args.nodes,
+            args.duration,
+            seed=args.seed,
+            messages=args.messages,
+            port_base=args.port_base,
+        )
         print(report.render())
         if args.check and (report.deliveries < 1 or report.evicted or report.errors):
-            print("live smoke FAILED: expected >=1 delivery, 0 evictions, 0 errors")
+            print(f"live run FAILED: {expect}")
             return 1
-    return 0
+        return 0
+    return _run_and_report(
+        args,
+        "live",
+        ("nodes", "duration", "messages"),
+        expect,
+        lambda outcome: outcome.deliveries and not outcome.evictions and not outcome.errors,
+    )
 
 
 def _dispatch_pubsub(args: argparse.Namespace) -> int:
@@ -641,12 +663,10 @@ def _dispatch_pubsub(args: argparse.Namespace) -> int:
     elif args.pubsub_command == "serve":
         import asyncio
 
-        from .pubsub.service import PubSubService, pubsub_config
+        from .pubsub.service import PubSubService
 
         async def _serve() -> None:
-            service = PubSubService(
-                args.nodes, pubsub_config(), args.seed, port_base=args.port_base
-            )
+            service = PubSubService(args.nodes, seed=args.seed, port_base=args.port_base)
             await service.start()
             api_port = await service.serve(port=args.api_port)
             print(f"pubsub service: {args.nodes} nodes, client API on 127.0.0.1:{api_port}")
@@ -676,36 +696,12 @@ def _dispatch_pubsub(args: argparse.Namespace) -> int:
 
 
 def _dispatch_chaos(args: argparse.Namespace) -> int:
-    from .chaos import run_chaos_live_blocking, run_chaos_sim, smoke_plan, storm_plan
-
-    builder = smoke_plan if args.plan == "smoke" else storm_plan
-    plan = builder(args.nodes, args.horizon, seed=args.seed)
-
     if args.chaos_command == "plan":
-        print(plan.render())
-        return 0
+        from .chaos.plan import canned_plan
 
-    substrates = ("sim", "live") if args.substrate == "both" else (args.substrate,)
-    failed = False
-    for substrate in substrates:
-        if substrate == "sim":
-            outcome = run_chaos_sim(
-                plan, nodes=args.nodes, seed=args.seed, heal_bound=args.heal_bound
-            )
-        else:
-            outcome = run_chaos_live_blocking(
-                plan,
-                nodes=args.nodes,
-                seed=args.seed,
-                heal_bound=args.heal_bound,
-                port_base=args.port_base,
-            )
-        print(outcome.render())
-        failed = failed or not outcome.ok
-    if args.check and failed:
-        print("chaos run FAILED: invariant violation(s) above")
-        return 1
-    return 0
+        print(canned_plan(args.plan, args.nodes, args.horizon, args.seed).render())
+        return 0
+    return _run_and_report(args, "chaos", ("plan", "nodes", "horizon", "heal_bound"))
 
 
 def _dispatch_campaign(args: argparse.Namespace) -> int:
@@ -837,8 +833,6 @@ def _dispatch_topo(args: argparse.Namespace) -> int:
     from .topo.model import PRESET_NAMES, preset
 
     if args.topo_command == "list":
-        from .topo.model import lan, wan_king, hetero_access, planet_diurnal
-
         blurbs = {
             "lan": "uniform star, zero extra delay (byte-identical to no topology)",
             "wan-king": "king-style synthetic WAN: seeded points on a 40ms plane",
@@ -873,42 +867,12 @@ def _dispatch_topo(args: argparse.Namespace) -> int:
         print(f"topo verify OK: lan preset byte-identical to the bare star ({plain[:16]})")
         return 0
 
-    # run
-    from .topo.run import run_topo_live_blocking, run_topo_sim
-
-    try:
-        model = preset(args.preset, args.nodes, seed=args.topology_seed)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    substrates = ("sim", "live") if args.substrate == "both" else (args.substrate,)
-    failed = False
-    for substrate in substrates:
-        if substrate == "sim":
-            outcome = run_topo_sim(
-                model,
-                nodes=args.nodes,
-                horizon=args.horizon,
-                seed=args.seed,
-                deviant=args.deviant,
-                timer_scale=args.timer_scale,
-                enforce_contract=not args.no_contract,
-                churn=args.churn,
-            )
-        else:
-            outcome = run_topo_live_blocking(
-                model,
-                nodes=args.nodes,
-                horizon=args.horizon,
-                seed=args.seed,
-                churn=args.churn,
-                port_base=args.port_base,
-            )
-        print(outcome.render())
-        failed = failed or not outcome.ok
-    if args.check and failed:
-        print("topo run FAILED: invariant violation(s) above")
-        return 1
-    return 0
+    return _run_and_report(
+        args,
+        "topo",
+        ("topology", "topology_seed", "nodes", "horizon", "deviant", "timer_scale",
+         "enforce_contract", "churn"),
+    )
 
 
 def _scale_spec_from_args(args: argparse.Namespace):

@@ -14,7 +14,7 @@
 
 from .behavior import HonestBehavior
 from .blacklist import Blacklist, BlacklistEntry, EvictionTracker
-from .config import RacConfig, validate_timers
+from .config import RacConfig, check_timers
 from .environment import NodeEnvironment
 from .identity import NodeMaterial, build_population, generate_node_material
 from .messages import (
@@ -40,7 +40,7 @@ __all__ = [
     "NodeMaterial",
     "build_population",
     "generate_node_material",
-    "validate_timers",
+    "check_timers",
     "Blacklist",
     "BlacklistEntry",
     "EvictionTracker",

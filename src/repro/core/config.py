@@ -8,11 +8,24 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
+from typing import Any, Dict, List
 
 from ..simnet.network import DEFAULT_PROPAGATION_DELAY, GBPS
 
-__all__ = ["RacConfig", "TopologyTimerError", "validate_timers", "validate_topology_timers"]
+__all__ = [
+    "RacConfig",
+    "MISBEHAVIOUR_TIMERS",
+    "TIMER_REGIMES",
+    "WAN_ARQ",
+    "timer_regime",
+    "scale_timers",
+    "TopologyTimerError",
+    "TimerFloor",
+    "timer_floors",
+    "check_timers",
+]
 
 
 @dataclass
@@ -211,109 +224,221 @@ class RacConfig:
         return math.floor(self.assumed_opponent_fraction * group_size) + 1
 
 
-def validate_timers(config: RacConfig, interval: float) -> None:
-    """Reject timer configurations that cannot work at ``interval``.
+#: The misbehaviour timers: what :func:`scale_timers` scales and what a
+#: fault plan's healing windows must stay under.
+MISBEHAVIOUR_TIMERS = ("relay_timeout", "predecessor_timeout", "rate_window")
 
-    An onion needs L+1 origination slots spread over distinct nodes'
-    staggered schedules; a ``relay_timeout`` below that budget would
-    blacklist every honest relay. Catching this at bootstrap beats
-    debugging mass evictions later. Shared by the simulator
-    (:class:`repro.core.system.RacSystem`) and the live runtime
-    (:class:`repro.live.cluster.LiveCluster`), which face the same
-    arithmetic on different clocks.
-    """
-    min_relay_timeout = (config.num_relays + 2) * interval
-    if config.relay_timeout < min_relay_timeout:
+#: Named timer regimes (``RacConfig.small`` overrides), one per way the
+#: timers relate to what a run throws at them; ``tests/unit/test_config.py``
+#: holds every row to :func:`timer_floors`.
+TIMER_REGIMES: "Dict[str, Dict[str, Any]]" = {
+    # RacConfig.small's own sub-second timers: simulated clocks are
+    # exact and the LAN star is lossless, so the timers sit at their
+    # arithmetic floor and a deviant is convicted within a second.
+    "tight": {},
+    # Campaign cells and topology runs. 4 s clears every canned plan's
+    # fault window at their horizons (horizon/6 = 2.7 s at 16 s) and
+    # every preset's worst RTT + serialization slack (under 1 s), yet a
+    # planted deviant is still convicted inside a 12-16 s cell. The ARQ
+    # retransmits through an outage (64 x 0.25 s = 16 s) instead of
+    # abandoning a copy, which would read as a missing copy forever.
+    "detect": dict(
+        relay_timeout=4.0,
+        predecessor_timeout=4.0,
+        rate_window=4.0,
+        blacklist_period=1.5,
+        transport_rto_max=0.25,
+        transport_max_retries=64,
+    ),
+    # Chaos soaks and diurnal churn traces: *failure must heal faster
+    # than accountability convicts*. 15 s sits above any canned plan's
+    # window (4 s at the soak's 24 s horizon) and any reboot of the
+    # churn trace (2.64 s), so a crash-restart or partition never reads
+    # as freeriding. Convicting a deviant at these timers needs a much
+    # longer horizon: this is the availability regime, not the
+    # detection probe.
+    "heal": dict(
+        relay_timeout=15.0,
+        predecessor_timeout=15.0,
+        rate_window=15.0,
+        blacklist_period=2.0,
+        join_settle_time=0.2,
+        transport_rto_max=0.25,
+        transport_max_retries=64,
+    ),
+    # Wall-clock runs and the sim half of a parity pair. A 50 ms
+    # simulated timer is exact; a 50 ms wall timer under load is not (a
+    # relay 40 ms late is an innocent victim of the OS scheduler), so
+    # slots are 100 ms and timers hold seconds of slack. The blacklist
+    # shuffle is off: it is hosted by RacSystem, which the live runtime
+    # does not replicate.
+    "wall": dict(
+        send_interval=0.1,
+        relay_timeout=3.0,
+        predecessor_timeout=1.5,
+        rate_window=3.0,
+        blacklist_period=0.0,
+        join_settle_time=0.25,
+    ),
+}
+# Wall-clock runs under injected faults, WAN shaping or membership
+# churn: ``wall`` with misbehaviour timers far beyond any plan window or
+# churn transient, so scheduler jitter plus scripted adversity can never
+# fake freeriding.
+TIMER_REGIMES["wall-heal"] = dict(
+    TIMER_REGIMES["wall"],
+    relay_timeout=60.0,
+    predecessor_timeout=60.0,
+    rate_window=60.0,
+    transport_max_retries=64,
+)
+
+#: What topology runs add to a simulated regime: a WAN-sized RTO clamp
+#: (planet-diurnal's worst acked round trip is 0.19 s, which the
+#: regimes' 0.25 s clears with no headroom for queueing) and the
+#: ``heal`` regime's shorter relay quarantine.
+WAN_ARQ = dict(join_settle_time=0.2, transport_rto_max=0.5)
+
+
+def timer_regime(name: str, **overrides) -> RacConfig:
+    """``RacConfig.small`` under the named row of :data:`TIMER_REGIMES`."""
+    if name not in TIMER_REGIMES:
         raise ValueError(
-            f"relay_timeout={config.relay_timeout}s cannot cover an "
-            f"L={config.num_relays} onion at send_interval={interval:.4g}s; "
-            f"need at least {min_relay_timeout:.4g}s"
+            f"unknown timer regime {name!r}; known regimes: " + ", ".join(TIMER_REGIMES)
         )
-    if config.predecessor_timeout < 2 * interval:
-        raise ValueError(
-            f"predecessor_timeout={config.predecessor_timeout}s is below "
-            f"two origination intervals ({2 * interval:.4g}s); ring copies "
-            "could not arrive in time"
-        )
-    if config.link_loss_rate > 0:
-        # A lost copy reappears one RTO later; back-to-back losses
-        # cost a doubled RTO on top. The misbehaviour timers must
-        # leave the ARQ that recovery budget, or plain packet loss
-        # masquerades as freeriding (see DESIGN.md "Fault model").
-        recovery = 4 * config.transport_rto_initial
-        if config.predecessor_timeout < recovery:
-            raise ValueError(
-                f"predecessor_timeout={config.predecessor_timeout}s leaves no "
-                f"retransmission budget on a lossy network; need at least "
-                f"4 * transport_rto_initial = {recovery:.4g}s"
-            )
+    return RacConfig.small(**{**TIMER_REGIMES[name], **overrides})
+
+
+def scale_timers(config: RacConfig, factor: float) -> RacConfig:
+    """The three misbehaviour timers scaled by ``factor`` — the knob
+    the topology sweep turns to find each model's false-positive onset."""
+    if factor <= 0:
+        raise ValueError("timer scale must be positive")
+    return dataclasses.replace(
+        config, **{name: getattr(config, name) * factor for name in MISBEHAVIOUR_TIMERS}
+    )
 
 
 class TopologyTimerError(ValueError):
     """Timers that cannot survive the topology's worst-case path.
 
-    The analogue of :func:`validate_timers` for WAN models: on a LAN
-    every copy arrives within microseconds of its serialization, but
-    under a per-pair latency matrix a perfectly honest relay on the
-    slowest path can take worst-RTT + serialization longer than the
-    ideal. A misbehaviour timer below that slack *will* convict honest
-    nodes; raising a typed error at bootstrap beats silently evicting
-    whoever happens to live farthest away.
+    On a LAN every copy arrives within microseconds of its
+    serialization, but under a per-pair latency matrix a perfectly
+    honest relay on the slowest path can take worst-RTT + serialization
+    longer than the ideal. A misbehaviour timer below that slack *will*
+    convict honest nodes; raising a typed error at bootstrap beats
+    silently evicting whoever happens to live farthest away.
     """
 
 
-def validate_topology_timers(config: RacConfig, model, interval: float) -> None:
-    """Reject (config, topology) pairs whose timers the WAN can break.
+@dataclass(frozen=True)
+class TimerFloor:
+    """One inequality of the timer contract: ``value >= floor``."""
 
-    ``model`` is a :class:`repro.topo.model.TopologyModel` (typed loosely
-    to keep the config module dependency-free). The contract extends
-    the LAN rules with the model's worst-case figures:
+    #: The RacConfig field, or ``transport_retry_budget`` for
+    #: ``transport_max_retries * transport_rto_max``.
+    timer: str
+    term: str  # "lan" | "topology" | "window"
+    value: float
+    floor: float
+    why: str
+    #: ``value >= floor`` — or ``>`` for a window: a timer equal to a
+    #: fault window fires at the instant the fault heals.
+    met: bool
 
-    * both misbehaviour timers must dominate their LAN floor *plus* the
-      worst round trip and two full-message serializations on the
-      slowest access links (the accusation path is a round trip of
-      message-sized copies);
-    * the ARQ's RTO clamp must sit above the worst round trip, or every
-      packet on the slowest pair is retransmitted forever on a healthy
-      network;
-    * the retry budget must cover several worst-case round trips, or a
-      single congested window reads as an unreachable peer.
+
+def timer_floors(config: RacConfig, interval: float, topology=None, plan=None) -> "List[TimerFloor]":
+    """Every floor the run's timers must clear, as named terms.
+
+    * **lan** — arithmetic of the protocol at origination ``interval``:
+      an onion needs L+1 slots spread over distinct nodes' staggered
+      schedules, so a ``relay_timeout`` below that budget would
+      blacklist every honest relay; ring copies need two intervals; on
+      a lossy network a lost copy reappears one RTO later and
+      back-to-back losses cost a doubled RTO on top, so without that
+      budget plain packet loss masquerades as freeriding.
+    * **topology** — the LAN floors plus the worst round trip and two
+      full-message serializations on the slowest access links of the
+      :class:`repro.topo.model.TopologyModel` (the accusation path is a
+      round trip of message-sized copies); the RTO clamp must sit above
+      that round trip, or every packet on the slowest pair is
+      retransmitted forever on a healthy network, and the retry budget
+      must cover several, or one congested window reads as a dead peer.
+      A necessary single-frame bound: ``results/topology_sweep.txt``
+      measures how far queueing raises the real onset above it.
+    * **window** — every healing fault window of the
+      :class:`repro.chaos.plan.FaultPlan` must be shorter than the
+      misbehaviour timers: an outage that heals before a timer fires
+      cannot read as freeriding.
     """
-    worst_rtt = model.worst_rtt() + 2 * DEFAULT_PROPAGATION_DELAY
-    one_way_ser = model.worst_one_way_serialization(
-        config.message_size, config.link_bandwidth_bps
+    floors: "List[TimerFloor]" = []
+
+    def need(timer: str, term: str, seconds: float, why: str, strict: bool = False) -> None:
+        budget = config.transport_max_retries * config.transport_rto_max
+        value = budget if timer == "transport_retry_budget" else getattr(config, timer)
+        met = value > seconds if strict else value >= seconds
+        floors.append(TimerFloor(timer, term, value, seconds, why, met))
+
+    slots = (config.num_relays + 2) * interval
+    need(
+        "relay_timeout", "lan", slots,
+        f"an L={config.num_relays} onion needs {config.num_relays + 2} origination slots "
+        f"at send_interval={interval:.4g}s",
     )
-    slack = worst_rtt + 2 * one_way_ser
+    need("predecessor_timeout", "lan", 2 * interval,
+         "ring copies need two origination intervals to arrive")
+    if config.link_loss_rate > 0:
+        need("predecessor_timeout", "lan", 4 * config.transport_rto_initial,
+             "a lossy network needs a retransmission budget of 4 * transport_rto_initial")
+    if topology is not None:
+        worst_rtt = topology.worst_rtt() + 2 * DEFAULT_PROPAGATION_DELAY
+        serialization = 2 * topology.worst_one_way_serialization(
+            config.message_size, config.link_bandwidth_bps
+        )
+        slack = worst_rtt + serialization
+        where = (
+            f"topology {topology.name!r} adds worst RTT {worst_rtt * 1e3:.1f} ms + "
+            f"serialization {serialization * 1e3:.1f} ms on the slowest access links"
+        )
+        need("relay_timeout", "topology", slots + slack, where)
+        need("predecessor_timeout", "topology", 2 * interval + slack,
+             where + "; distant ring copies would convict honest predecessors")
+        need("transport_rto_max", "topology", slack,
+             where + "; the ARQ would retransmit healthy paths forever")
+        need("transport_retry_budget", "topology", 4 * slack,
+             where + "; transport_max_retries x transport_rto_max must cover four of "
+             "them before a slow path reads as a dead peer")
+    if plan is not None:
+        worst = max(
+            (
+                event.end - event.at
+                for event in plan.events
+                if event.kind in ("crash", "partition", "loss", "degrade")
+                and event.end != float("inf")
+            ),
+            default=0.0,
+        )
+        for timer in MISBEHAVIOUR_TIMERS:
+            need(
+                timer, "window", worst,
+                f"the fault plan has a {worst:.2f}s healing window; raise the misbehaviour "
+                "timers (relay/predecessor/rate) above it so healing faults cannot be "
+                "convicted as freeriding",
+                strict=True,
+            )
+    return floors
 
-    min_relay = (config.num_relays + 2) * interval + slack
-    if config.relay_timeout < min_relay:
-        raise TopologyTimerError(
-            f"relay_timeout={config.relay_timeout}s cannot cover an "
-            f"L={config.num_relays} onion on topology {model.name!r}: worst "
-            f"RTT {worst_rtt * 1e3:.1f} ms + serialization "
-            f"{2 * one_way_ser * 1e3:.1f} ms on the slowest access links "
-            f"needs at least {min_relay:.4g}s"
-        )
-    min_pred = 2 * interval + slack
-    if config.predecessor_timeout < min_pred:
-        raise TopologyTimerError(
-            f"predecessor_timeout={config.predecessor_timeout}s is below the "
-            f"topology {model.name!r} floor of {min_pred:.4g}s (two origination "
-            f"intervals + worst RTT + serialization); distant ring copies "
-            f"would convict honest predecessors"
-        )
-    rto_floor = worst_rtt + 2 * one_way_ser
-    if config.transport_rto_max < rto_floor:
-        raise TopologyTimerError(
-            f"transport_rto_max={config.transport_rto_max}s is below topology "
-            f"{model.name!r}'s worst acked round trip ({rto_floor:.4g}s); the "
-            f"ARQ would retransmit healthy paths forever"
-        )
-    retry_budget = config.transport_max_retries * config.transport_rto_max
-    if retry_budget < 4 * rto_floor:
-        raise TopologyTimerError(
-            f"ARQ retry budget {retry_budget:.4g}s "
-            f"({config.transport_max_retries} x rto_max) does not dominate "
-            f"topology {model.name!r}'s worst round trip; need at least "
-            f"4 x {rto_floor:.4g}s before a slow path reads as a dead peer"
-        )
+
+def check_timers(config: RacConfig, interval: float, topology=None, plan=None) -> None:
+    """Reject timers below any of :func:`timer_floors` — before the run,
+    which beats debugging mass evictions after it. ``RacSystem``,
+    ``LiveCluster`` and ``run_scenario`` share it: the same arithmetic
+    on different clocks. A topology-term breach raises
+    :class:`TopologyTimerError`, the others plain ``ValueError``."""
+    for floor in timer_floors(config, interval, topology=topology, plan=plan):
+        if not floor.met:
+            error = TopologyTimerError if floor.term == "topology" else ValueError
+            raise error(
+                f"{floor.timer}={floor.value:g}s is below its {floor.term} floor of "
+                f"{floor.floor:.4g}s: {floor.why}"
+            )

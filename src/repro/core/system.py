@@ -41,7 +41,7 @@ from ..simnet.stats import LatencyMeter, StatsRegistry, ThroughputMeter, engine_
 from ..simnet.trace import Tracer
 from ..simnet.transport import ReliableTransport
 from ..crypto.shuffle import ShuffleParticipant, run_shuffle
-from .config import RacConfig, validate_timers, validate_topology_timers
+from .config import RacConfig, check_timers
 from .identity import generate_node_material
 from .messages import DomainId, JoinRequest
 from .node import RacNode
@@ -64,21 +64,21 @@ class RacSystem:
         config: "RacConfig | None" = None,
         seed: int = 0,
         topology=None,
-        enforce_topology_timers: bool = True,
+        enforce_contract: bool = True,
     ) -> None:
         """``topology`` is an optional :class:`repro.topo.model.TopologyModel`
         shaping the star network (per-node access bandwidth, per-pair
         delay); None — or the byte-identical ``lan`` preset — keeps the
-        paper's ideal star. ``enforce_topology_timers=False`` skips the
-        topology timer contract (:func:`repro.core.config
-        .validate_topology_timers`) so experiments can *measure* the
-        false-eviction region the contract exists to forbid."""
+        paper's ideal star. ``enforce_contract=False`` skips the
+        topology term of the timer contract (:func:`repro.core.config
+        .timer_floors`) so experiments can *measure* the false-eviction
+        region the contract exists to forbid."""
         self.config = config if config is not None else RacConfig()
         self.rng = random.Random(seed)
         self.sim = Simulator()
         self.stats = StatsRegistry()
         self.topology = topology
-        self._enforce_topology_timers = enforce_topology_timers
+        self._enforce_contract = enforce_contract
         self.faults = FaultInjector(
             self.sim, seed=seed ^ 0x5EED, loss_rate=self.config.link_loss_rate
         )
@@ -319,12 +319,12 @@ class RacSystem:
 
     def _validate_timers(self, population: int) -> None:
         """Reject configurations whose timers cannot work (see
-        :func:`repro.core.config.validate_timers`), including the
-        topology contract when a WAN model is plugged in."""
+        :func:`repro.core.config.timer_floors`), including the
+        topology term when a WAN model is plugged in."""
         interval = self.send_interval_for(next(iter(self.nodes)))
-        validate_timers(self.config, interval)
-        if self.topology is not None and self._enforce_topology_timers:
-            validate_topology_timers(self.config, self.topology, interval)
+        check_timers(
+            self.config, interval, topology=self.topology if self._enforce_contract else None
+        )
 
     def join(self, behavior=None) -> int:
         """One node joins a running system via the Section IV-C handshake.

@@ -15,9 +15,9 @@ byte-identical to the paper's uniform star):
   shrunk (×0.5 … ×0.06) with the topology timer contract deliberately
   bypassed (``enforce_contract=False``) until honest nodes are first
   suspected and then convicted: the *measured false-positive onsets*.
-  The analytic contract floor (the smallest scale
-  :func:`repro.core.config.validate_topology_timers` accepts) is
-  printed next to them. The floor is a *necessary* condition — a
+  The analytic contract floor (the smallest scale the topology term of
+  :func:`repro.core.config.timer_floors` accepts) is printed next to
+  them. The floor is a *necessary* condition — a
   single-frame worst case (RTT + two serializations); on
   bandwidth-tiered presets, queueing under sustained traffic pushes
   the measured onset above it, which is exactly what this sweep
@@ -28,11 +28,11 @@ byte-identical to the paper's uniform star):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..core.config import RacConfig, TopologyTimerError, validate_topology_timers
+from ..core.config import MISBEHAVIOUR_TIMERS, RacConfig, timer_floors
+from ..scenario import Outcome, run_params
 from ..topo.model import PRESET_NAMES, TopologyModel, preset
-from ..topo.run import run_topo_sim, scale_timers, topo_sim_config
 
 __all__ = [
     "SweepRow",
@@ -52,27 +52,14 @@ FP_SCALES: "Tuple[float, ...]" = (0.5, 0.25, 0.12, 0.06)
 
 
 def contract_floor_scale(model: TopologyModel, config: RacConfig, interval: float) -> float:
-    """The smallest timer scale the topology contract accepts.
-
-    Bisects over the scale axis the sweep probes empirically; the
-    committed artefact checks the floor sits at or above every
-    empirical false-positive onset.
-    """
-    lo, hi = 1e-4, 1.0
-    try:
-        validate_topology_timers(scale_timers(config, lo), model, interval)
-        return lo
-    except TopologyTimerError:
-        pass
-    validate_topology_timers(scale_timers(config, hi), model, interval)
-    for _ in range(40):
-        mid = (lo + hi) / 2
-        try:
-            validate_topology_timers(scale_timers(config, mid), model, interval)
-            hi = mid
-        except TopologyTimerError:
-            lo = mid
-    return hi
+    """The smallest timer scale the topology contract accepts: the
+    point on the scale axis the sweep probes empirically where the
+    tightest scaled timer meets its floor."""
+    return max(
+        floor.floor / floor.value
+        for floor in timer_floors(config, interval, topology=model)
+        if floor.timer in MISBEHAVIOUR_TIMERS
+    )
 
 
 @dataclass
@@ -168,10 +155,14 @@ class TopologySweep:
         return "\n".join(lines) + "\n"
 
 
+def _run(model: TopologyModel, **params) -> Outcome:
+    params.update(topology=model.name, nodes=NODES, horizon=HORIZON)
+    return run_params(params, SEED, "topo")
+
+
 def _measure(model: TopologyModel, *, fp_scales) -> SweepRow:
-    config = topo_sim_config()
-    honest = run_topo_sim(model, nodes=NODES, horizon=HORIZON, seed=SEED)
-    deviant = run_topo_sim(model, nodes=NODES, horizon=HORIZON, seed=SEED, deviant=DEVIANT)
+    honest = _run(model)
+    deviant = _run(model, deviant=DEVIANT)
 
     detect_margin: "Optional[float]" = None
     if deviant.detection_time_s is not None:
@@ -180,10 +171,7 @@ def _measure(model: TopologyModel, *, fp_scales) -> SweepRow:
     suspicion_onset: "Optional[float]" = None
     fp_onset: "Optional[float]" = None
     for scale in fp_scales:
-        probe = run_topo_sim(
-            model, nodes=NODES, horizon=HORIZON, seed=SEED,
-            timer_scale=scale, enforce_contract=False,
-        )
+        probe = _run(model, timer_scale=scale, enforce_contract=False)
         if suspicion_onset is None and not probe.ok:
             suspicion_onset = scale
         if fp_onset is None and probe.honest_evictions:
@@ -191,12 +179,13 @@ def _measure(model: TopologyModel, *, fp_scales) -> SweepRow:
         if fp_onset is not None:
             break
 
+    config = honest.scenario.configuration()
     interval = config.derived_send_interval(NODES)
     return SweepRow(
         name=model.name,
         fingerprint=model.fingerprint(),
         worst_rtt_ms=model.worst_rtt() * 1e3,
-        deliveries=honest.deliveries,
+        deliveries=len(honest.deliveries),
         latency_mean_ms=honest.latency_mean_s * 1e3,
         latency_p95_ms=honest.latency_p95_s * 1e3,
         throughput_bps=honest.throughput_bps,

@@ -17,30 +17,13 @@ frames:
 * :mod:`repro.live.node` — one node: TCP server, inbound dispatch,
   lifecycle;
 * :mod:`repro.live.cluster` — spawn N nodes in one process (asyncio
-  tasks) or across subprocesses, run, shut down, report;
-* :mod:`repro.live.scenario` — the sim-vs-live parity harness: the
-  same deterministic scenario run on both substrates must deliver the
-  same anonymous-payload multiset with zero spurious accusations.
+  tasks) or across subprocesses, run, shut down, report.
+
+:func:`repro.scenario.run_scenario` (``substrate="live"``) is the judged
+entry point: one ``Scenario`` under the ``wall`` timer regime must
+deliver the same payload multiset on both substrates, accusation-free.
 """
 
-from .cluster import LiveCluster, LiveReport, live_config, run_demo, run_subprocess_demo
-from .scenario import (
-    ParityScenario,
-    ScenarioOutcome,
-    parity_config,
-    run_live_scenario,
-    run_sim_scenario,
-)
+from .cluster import LiveCluster, LiveReport, run_subprocess_demo
 
-__all__ = [
-    "LiveCluster",
-    "LiveReport",
-    "live_config",
-    "run_demo",
-    "run_subprocess_demo",
-    "ParityScenario",
-    "ScenarioOutcome",
-    "parity_config",
-    "run_live_scenario",
-    "run_sim_scenario",
-]
+__all__ = ["LiveCluster", "LiveReport", "run_subprocess_demo"]

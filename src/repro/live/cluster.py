@@ -4,8 +4,8 @@ Two execution modes share the node code path:
 
 * **tasks** (default) — N nodes as concurrent asyncio tasks in one
   process, all traffic over real localhost TCP sockets. This is the
-  mode the parity harness, the fault tests and ``repro live demo`` use:
-  one process to debug, real bytes on the wire.
+  mode :func:`repro.scenario.run_scenario` (``substrate="live"``) and
+  the fault tests use: one process to debug, real bytes on the wire.
 * **subprocess** — N worker processes (``python -m repro.live.worker``),
   each hosting one node, rendezvousing through the parent's bootstrap
   directory. Same protocol, real process isolation; evictions apply
@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.config import RacConfig, validate_timers
+from ..core.config import RacConfig, check_timers, timer_regime
 from ..core.identity import NodeMaterial, PopulationFactory
 from ..core.messages import DomainId
 from ..groups.assignment import verify_puzzle
@@ -34,25 +34,7 @@ from ..groups.manager import GroupDirectory
 from .directory import BootstrapDirectory, RosterEntry
 from .node import LiveNode
 
-__all__ = ["LiveCluster", "LiveReport", "live_config", "run_demo", "run_subprocess_demo"]
-
-
-def live_config(**overrides) -> RacConfig:
-    """Defaults for wall-clock runs: the ``small`` test shape with
-    timers holding slack for scheduler jitter (a 50 ms simulated timer
-    is exact; a 50 ms wall timer under load is not), and no blacklist
-    shuffle (the shuffle is a system-level sub-protocol the live
-    runtime does not host yet — see DESIGN.md §11)."""
-    base = dict(
-        send_interval=0.1,
-        relay_timeout=3.0,
-        predecessor_timeout=1.5,
-        rate_window=3.0,
-        blacklist_period=0.0,
-        join_settle_time=0.25,
-    )
-    base.update(overrides)
-    return RacConfig.small(**base)
+__all__ = ["LiveCluster", "LiveReport", "run_subprocess_demo"]
 
 
 @dataclass
@@ -82,10 +64,6 @@ class LiveReport:
         return sum(
             value for name, value in self.counters().items() if name.startswith("accusation_")
         )
-
-    def delivered_multiset(self) -> "List[bytes]":
-        """All delivered payloads, sorted — the parity comparand."""
-        return sorted(payload for payloads in self.delivered.values() for payload in payloads)
 
     def robustness(self) -> "Dict[int, Dict[str, int]]":
         """Per-node fault-facing counters: reconnect failures (connects
@@ -138,9 +116,8 @@ class LiveCluster:
     ) -> None:
         if count < 2:
             raise ValueError("a live cluster needs at least two nodes")
-        self.config = config if config is not None else live_config()
-        validate_timers(self.config, self.config.derived_send_interval(count))
-        self.seed = seed
+        self.config = config if config is not None else timer_regime("wall")
+        check_timers(self.config, self.config.derived_send_interval(count))
         self.host = host
         self.port_base = port_base
         #: Identity stream shared with the sim: ``take(count)`` is the
@@ -227,18 +204,6 @@ class LiveCluster:
         return src.rac.queue_message(
             dst_material.pseudonym_keypair.public, dst_gid, payload
         )
-
-    def queue_ring_messages(self, per_node: int) -> int:
-        """The standard scenario plan: each node sends ``per_node``
-        messages to its creation-order successor. Returns count queued."""
-        queued = 0
-        count = len(self.nodes)
-        for index in range(count):
-            for m in range(per_node):
-                payload = f"live/{self.seed}/{index}/{m}".encode()
-                if self.queue_message(index, (index + 1) % count, payload):
-                    queued += 1
-        return queued
 
     async def run_for(self, duration: float) -> None:
         await asyncio.sleep(duration)
@@ -387,39 +352,6 @@ class LiveCluster:
             if node.node_id == accused and not node.killed:
                 if node.rac is not None:
                     node.rac.stop()
-
-
-async def _run_cluster(
-    count: int,
-    duration: float,
-    *,
-    config: "Optional[RacConfig]",
-    seed: int,
-    messages: int,
-    port_base: "Optional[int]",
-) -> LiveReport:
-    cluster = LiveCluster(count, config=config, seed=seed, port_base=port_base)
-    await cluster.start()
-    cluster.queue_ring_messages(messages)
-    await cluster.run_for(duration)
-    return await cluster.shutdown(duration)
-
-
-def run_demo(
-    nodes: int = 8,
-    duration: float = 10.0,
-    *,
-    config: "Optional[RacConfig]" = None,
-    seed: int = 0,
-    messages: int = 2,
-    port_base: "Optional[int]" = None,
-) -> LiveReport:
-    """Blocking entry point: one tasks-mode cluster run, reported."""
-    return asyncio.run(
-        _run_cluster(
-            nodes, duration, config=config, seed=seed, messages=messages, port_base=port_base
-        )
-    )
 
 
 # ---------------------------------------------------------------------------

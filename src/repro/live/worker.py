@@ -21,9 +21,9 @@ import asyncio
 import json
 import sys
 
-from ..core.config import RacConfig
+from ..core.config import RacConfig, timer_regime
 from ..core.identity import build_population
-from .cluster import live_config
+from ..scenario import ring_sends
 from .node import LiveNode
 
 
@@ -44,7 +44,7 @@ def _build_config(overrides_json: str) -> RacConfig:
     overrides = json.loads(overrides_json)
     if not isinstance(overrides, dict):
         raise SystemExit("--config must be a JSON object")
-    return live_config(**overrides)
+    return timer_regime("wall", **overrides)
 
 
 async def _amain(args: argparse.Namespace) -> dict:
@@ -59,15 +59,15 @@ async def _amain(args: argparse.Namespace) -> dict:
     await node.start()
     await node.activate(args.count)
 
-    # Same plan as LiveCluster.queue_ring_messages, restricted to this
-    # worker's own index so the union across workers matches tasks mode.
+    # The live harness's ring, restricted to this worker's own index so
+    # the union across workers matches tasks mode.
     assert node.rac is not None and node.env is not None
-    dst = population[(args.index + 1) % args.count]
-    for m in range(args.messages):
-        payload = f"live/{args.seed}/{args.index}/{m}".encode()
-        node.rac.queue_message(
-            dst.pseudonym_keypair.public, node.env.group_of(dst.node_id), payload
-        )
+    for src, dst_index, payload in ring_sends(args.count, args.messages, "live", args.seed):
+        if src == args.index:
+            dst = population[dst_index]
+            node.rac.queue_message(
+                dst.pseudonym_keypair.public, node.env.group_of(dst.node_id), payload
+            )
 
     await asyncio.sleep(args.duration)
     delivered = node.delivered()

@@ -46,10 +46,10 @@ from ..simnet.shard import (
     chain_fingerprint,
     epoch_step,
     merge_fingerprint,
-    run_monolithic,
     shard_summary,
     sort_barrier_records,
 )
+from ..scenario import Outcome, run_scenario
 from ..simnet.snapshot import load_snapshot, save_snapshot
 from ..simnet.stats import aggregate_stats_reports
 from .grid import SweepGrid
@@ -381,10 +381,7 @@ class EquivalenceReport:
 
     equivalent: bool
     sharded: ShardedOutcome
-    monolithic_delivered: int
-    monolithic_evictions: int
-    monolithic_events: int
-    monolithic_wall_seconds: float
+    monolithic: Outcome
     mismatches: "List[str]" = field(default_factory=list)
 
     def render(self) -> str:
@@ -393,8 +390,9 @@ class EquivalenceReport:
             f"{len(self.sharded.evicted)} evicted, "
             f"{self.sharded.events_processed} events over "
             f"{self.sharded.spec.num_shards} shards",
-            f"monolithic: {self.monolithic_delivered} delivered, "
-            f"{self.monolithic_evictions} evicted, {self.monolithic_events} events",
+            f"monolithic: {len(self.monolithic.deliveries)} delivered, "
+            f"{len(self.monolithic.evictions)} evicted, "
+            f"{self.monolithic.counters['sim_events_processed']} events",
             f"verdict:    {'EQUIVALENT' if self.equivalent else 'DIVERGED'}",
         ]
         lines.extend(f"  mismatch: {m}" for m in self.mismatches)
@@ -416,29 +414,22 @@ def verify_sharded(
     from each engine's own RNG stream so the delivered multiset is not
     expected to match, but the accountability outcome still must.
     """
-    mono = run_monolithic(outcome.spec)
+    mono = run_scenario(outcome.spec.scenario())
+    delivered = [payload.hex() for payload in mono.delivered_multiset()]
     mismatches: "List[str]" = []
-    if not evictions_only and mono.delivered != outcome.delivered:
-        only_mono = len(set(mono.delivered) - set(outcome.delivered))
-        only_shard = len(set(outcome.delivered) - set(mono.delivered))
+    if not evictions_only and delivered != outcome.delivered:
+        only_mono = len(set(delivered) - set(outcome.delivered))
+        only_shard = len(set(outcome.delivered) - set(delivered))
         mismatches.append(
             "delivered-payload multisets differ "
-            f"(monolithic {len(mono.delivered)} vs sharded {len(outcome.delivered)}; "
+            f"(monolithic {len(delivered)} vs sharded {len(outcome.delivered)}; "
             f"{only_mono} only-monolithic, {only_shard} only-sharded)"
         )
-    mono_evicted = {k: (v["gid"], v["kind"]) for k, v in mono.evicted.items()}
+    mono_evicted = {str(e.accused): (e.gid, e.kind) for e in mono.evictions}
     shard_evicted = {k: (v["gid"], v["kind"]) for k, v in outcome.evicted.items()}
     if mono_evicted != shard_evicted:
         mismatches.append(
             f"eviction sets differ (monolithic {sorted(mono_evicted)} "
             f"vs sharded {sorted(shard_evicted)})"
         )
-    return EquivalenceReport(
-        equivalent=not mismatches,
-        sharded=outcome,
-        monolithic_delivered=len(mono.delivered),
-        monolithic_evictions=len(mono.evicted),
-        monolithic_events=mono.events_processed,
-        monolithic_wall_seconds=mono.wall_seconds,
-        mismatches=mismatches,
-    )
+    return EquivalenceReport(not mismatches, outcome, mono, mismatches)

@@ -13,7 +13,7 @@ crashed worker is retried and a checkpointed run is resumed, and both
 recovery paths assume re-execution converges on the same numbers.
 
 The ``protocol`` workload is the flagship: a packet-level
-:class:`~repro.core.system.RacSystem` run that snapshots itself every
+:func:`repro.scenario.prepare`-d run that snapshots itself every
 ``ctx.checkpoint_interval`` sim-seconds via
 :mod:`repro.simnet.snapshot`, so a SIGKILLed worker resumes mid-run
 instead of starting over. The ``fig1_point`` / ``fig3_point`` /
@@ -24,6 +24,7 @@ same grid + store machinery as full campaigns.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -140,179 +141,88 @@ class WorkerContext:
 
 
 # ---------------------------------------------------------------------------
-# packet-level protocol run (checkpointable)
+# scenario runs: one adapter per row of repro.scenario.HARNESSES, which
+# holds each workload's defaults; Scenario.from_params documents the
+# cell parameters they all read (any RacConfig field is an override)
 # ---------------------------------------------------------------------------
 
-#: RacConfig overrides a ``protocol`` cell may carry.
-_CONFIG_KEYS = (
-    "num_relays",
-    "num_rings",
-    "message_size",
-    "send_interval",
-    "link_bandwidth_bps",
-    "link_loss_rate",
-    "relay_timeout",
-    "predecessor_timeout",
-    "rate_window",
-    "blacklist_period",
-    "key_backend",
-    "propagation_jitter",
-)
+
+def _counters(outcome, *names: str) -> "Dict[str, float]":
+    return {name: float(outcome.counters.get(name, 0)) for name in names}
 
 
 @workload("protocol")
 def protocol_run(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Dict[str, float]":
-    """End-to-end RAC run: N nodes, ring traffic, full stats report.
-
-    Parameters: ``nodes`` (population), ``duration`` (sim-seconds),
-    ``messages`` (anonymous messages each node queues to its ring
-    successor), plus any :data:`_CONFIG_KEYS` RacConfig override.
+    """End-to-end RAC run: ``nodes``, ``duration`` sim-seconds, each node
+    queueing ``messages`` anonymous messages to its ring successor.
 
     The run advances in checkpoint-interval chunks; each chunk boundary
-    snapshots ``(system, progress)``, so an interrupted attempt resumes
-    exactly where the last snapshot stood — the chunk schedule is
-    deterministic, which makes the resumed run replay the uninterrupted
-    one byte for byte.
+    snapshots the prepared run (which carries its own clock), so an
+    interrupted attempt resumes exactly where the last snapshot stood —
+    the chunk schedule is deterministic, which makes the resumed run
+    replay the uninterrupted one byte for byte.
     """
-    from ..core.config import RacConfig
-    from ..core.system import RacSystem
+    from ..scenario import Scenario, prepare
 
-    duration = float(params.get("duration", 4.0))
     resumed = ctx.load_checkpoint()
-    if resumed is not None:
-        system, progress = resumed
-    else:
-        overrides = {k: params[k] for k in _CONFIG_KEYS if k in params}
-        config = RacConfig.small(**overrides)
-        system = RacSystem(config, seed=seed)
-        node_ids = system.bootstrap(int(params.get("nodes", 8)))
-        per_node = int(params.get("messages", 2))
-        for index, src in enumerate(node_ids):
-            dst = node_ids[(index + 1) % len(node_ids)]
-            for m in range(per_node):
-                system.send(src, dst, f"sweep/{seed}/{index}/{m}".encode())
-        progress = {"t_done": 0.0}
+    run = resumed[0] if resumed else prepare(Scenario.from_params(params, seed, "protocol"))
+    duration = run.scenario.horizon
 
     first_chunk = True
-    while progress["t_done"] < duration - 1e-12:
-        chunk = duration - progress["t_done"]
-        if ctx.checkpoint_interval:
-            chunk = min(chunk, float(ctx.checkpoint_interval))
-        system.run(chunk)
-        progress["t_done"] += chunk
-        if progress["t_done"] < duration - 1e-12:
-            ctx.checkpoint(system, progress)
+    step = float(ctx.checkpoint_interval) if ctx.checkpoint_interval else duration
+    while run.system.now < duration - 1e-12:
+        run.run_to(min(duration, run.system.now + step))
+        if run.system.now < duration - 1e-12:
+            ctx.checkpoint(run, {"t_done": run.system.now})
         if first_chunk:
             first_chunk = False
             ctx.maybe_crash()
 
-    report = system.stats_report()
-    deliveries = sum(len(node.delivered) for node in system.nodes.values())
-    metrics: Dict[str, float] = {
-        "sim_time_s": system.now,
-        "deliveries": float(deliveries),
-        "delivered_bytes": float(system.global_meter.total_bytes),
-        "throughput_bps": system.global_meter.throughput_bps(end=system.now),
-        "latency_mean_s": system.latency_meter.mean(),
-        "evictions": float(len(system.evicted)),
-        "events_processed": float(system.sim.events_processed),
-        "net_packets_delivered": float(report["net_packets_delivered"]),
-        "net_packets_dropped": float(report["net_packets_dropped"]),
-        "transport_retransmits": float(report.get("transport_retransmits", 0)),
+    outcome = run.outcome()
+    return {
+        **outcome.metrics(),
+        "delivered_bytes": float(sum(len(payload) for _at, _node, payload in outcome.deliveries)),
+        "events_processed": float(outcome.counters["sim_events_processed"]),
+        **_counters(
+            outcome, "net_packets_delivered", "net_packets_dropped", "transport_retransmits"
+        ),
     }
-    return metrics
 
 
-# ---------------------------------------------------------------------------
-# live runtime (real TCP sockets, wall clock)
-# ---------------------------------------------------------------------------
+def _judged_point(harness: str, params, seed: int, ctx: WorkerContext, *counters: str):
+    """One ``run_params`` cell: its metrics plus the named counters."""
+    from ..scenario import run_params
+
+    outcome = run_params(params, seed, harness)
+    ctx.maybe_crash()
+    return outcome, {**outcome.metrics(), **_counters(outcome, *counters)}
 
 
 @workload("live_point")
 def live_point(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Dict[str, float]":
-    """One live-cluster run: N asyncio-hosted nodes over localhost TCP.
-
-    Parameters: ``nodes``, ``duration`` (*wall* seconds — live runs
-    spend real time), ``messages``, plus any :data:`_CONFIG_KEYS`
-    RacConfig override. Not checkpointable (a TCP cluster cannot be
-    snapshotted mid-flight); a crashed attempt reruns from scratch,
-    which the deterministic population makes safe.
+    """One live-cluster run: ``nodes`` asyncio-hosted nodes over
+    localhost TCP for ``duration`` *wall* seconds. Not checkpointable (a
+    TCP cluster cannot be snapshotted mid-flight); a crashed attempt
+    reruns from scratch, which the deterministic population makes safe.
     """
-    from ..live.cluster import live_config, run_demo
-
-    overrides = {k: params[k] for k in _CONFIG_KEYS if k in params}
-    report = run_demo(
-        int(params.get("nodes", 8)),
-        float(params.get("duration", 5.0)),
-        config=live_config(**overrides),
-        seed=seed,
-        messages=int(params.get("messages", 2)),
+    outcome, metrics = _judged_point(
+        "live", params, seed, ctx, "live_frames_sent", "live_bytes_sent", "live_link_resets"
     )
-    ctx.maybe_crash()
-    totals = report.counters()
-    return {
-        "deliveries": float(report.deliveries),
-        "accusations": float(report.accusations),
-        "evictions": float(len(report.evicted)),
-        "live_frames_sent": float(totals.get("live_frames_sent", 0)),
-        "live_bytes_sent": float(totals.get("live_bytes_sent", 0)),
-        "live_link_resets": float(totals.get("live_link_resets", 0)),
-        "live_callback_errors": float(len(report.errors)),
-    }
+    return {**metrics, "live_callback_errors": float(len(outcome.errors))}
 
 
 @workload("chaos_point")
 def chaos_point(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Dict[str, float]":
-    """One invariant-checked chaos run, sweepable over seeds and shapes.
-
-    Parameters: ``substrate`` (``sim`` default, or ``live``), ``plan``
-    (``smoke`` default, or ``storm``), ``nodes``, ``horizon`` (sim- or
-    wall-seconds depending on substrate), ``heal_bound``, plus any
-    :data:`_CONFIG_KEYS` RacConfig override. The violation count is a
-    metric, not an exception: a soak campaign aggregates it to zero.
+    """One invariant-checked chaos run on ``substrate`` (``sim`` default,
+    or ``live``), sweepable over ``plan``, ``nodes``, ``horizon`` and
+    seeds. The violation count is a metric, not an exception: a soak
+    campaign aggregates it to zero.
     """
-    from ..chaos import (
-        chaos_live_config,
-        chaos_sim_config,
-        run_chaos_live_blocking,
-        run_chaos_sim,
-        smoke_plan,
-        storm_plan,
+    outcome, metrics = _judged_point(
+        "chaos", params, seed, ctx, "chaos_frames_dropped", "chaos_frames_blackholed"
     )
-
-    substrate = str(params.get("substrate", "sim"))
-    nodes = int(params.get("nodes", 8))
-    horizon = float(params.get("horizon", 24.0))
-    heal_bound = float(params.get("heal_bound", 4.0))
-    builder = smoke_plan if str(params.get("plan", "smoke")) == "smoke" else storm_plan
-    plan = builder(nodes, horizon, seed=seed)
-    overrides = {k: params[k] for k in _CONFIG_KEYS if k in params}
-    if substrate == "sim":
-        outcome = run_chaos_sim(
-            plan,
-            nodes=nodes,
-            seed=seed,
-            config=chaos_sim_config(**overrides),
-            heal_bound=heal_bound,
-        )
-    else:
-        outcome = run_chaos_live_blocking(
-            plan,
-            nodes=nodes,
-            seed=seed,
-            config=chaos_live_config(**overrides),
-            heal_bound=heal_bound,
-        )
-    ctx.maybe_crash()
-    return {
-        "deliveries": float(outcome.deliveries),
-        "accusations": float(outcome.accusations),
-        "evictions": float(outcome.evictions),
-        "violations": float(len(outcome.report.violations)),
-        "heal_windows_checked": float(outcome.report.checks.get("heal_windows", 0)),
-        "chaos_frames_dropped": float(outcome.counters.get("chaos_frames_dropped", 0)),
-        "chaos_frames_blackholed": float(outcome.counters.get("chaos_frames_blackholed", 0)),
-    }
+    checked = float(outcome.report.checks.get("heal_windows", 0))
+    return {**metrics, "heal_windows_checked": checked}
 
 
 @workload("shard_epoch")
@@ -381,16 +291,16 @@ def pubsub_point(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Di
     ``subscribers`` (how many nodes subscribe, round-robin over the
     topics), ``publishes`` (per half, round-robin over topics), ``joins``
     and ``leaves`` (mid-run churn driving live splits/dissolves), plus
-    any :data:`_CONFIG_KEYS` RacConfig override and the group bounds
-    ``group_min`` / ``group_max`` (the split/dissolve thresholds — the
-    axis a membership-churn sweep actually cares about). Not
+    any RacConfig override — notably the group bounds ``group_min`` /
+    ``group_max`` (the split/dissolve thresholds — the axis a
+    membership-churn sweep actually cares about). Not
     checkpointable (cells are short); deterministic in ``(params, seed)``.
     """
     from ..core.config import RacConfig
     from ..pubsub.sim import SimPubSub
 
-    config_keys = _CONFIG_KEYS + ("group_min", "group_max")
-    overrides = {k: params[k] for k in config_keys if k in params}
+    config_fields = {f.name for f in dataclasses.fields(RacConfig)}
+    overrides = {k: v for k, v in params.items() if k in config_fields}
     # A group must keep >= num_relays + 1 members to originate onions
     # at all, so the churn defaults keep every split/dissolve product
     # origination-capable (RacConfig.small's group_min=2 does not).
@@ -455,53 +365,23 @@ def pubsub_point(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Di
 
 @workload("topo_point")
 def topo_point(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Dict[str, float]":
-    """One topology run on the sim substrate, sweepable per preset.
-
-    Parameters: ``topology`` (preset name, ``lan`` default),
-    ``topology_seed`` (preset sampler seed, fixed 0 default so one
-    sweep compares one fingerprinted matrix), ``nodes``, ``horizon``,
-    ``deviant`` (behaviour registry name or ``honest``),
-    ``timer_scale`` (misbehaviour timers × factor),
-    ``enforce_contract`` (0 bypasses the topology timer floor — the
-    false-positive-onset probe), ``churn`` (1 compiles the model's
-    diurnal churn trace), ``rate_schedule`` (``diurnal`` or absent).
-    Deterministic in ``(params, seed)``; not checkpointable (cells are
-    short), so a crashed attempt simply reruns.
+    """One topology run (``substrate`` sim by default), sweepable per
+    ``topology`` preset (``topology_seed`` stays 0 by default so one sweep compares
+    one fingerprinted matrix); ``enforce_contract=0`` with a
+    ``timer_scale`` is the false-positive-onset probe. Deterministic in
+    ``(params, seed)``; not checkpointable (cells are short), so a
+    crashed attempt simply reruns.
     """
-    from ..topo.model import preset
-    from ..topo.run import run_topo_sim
-
-    model = preset(
-        str(params.get("topology", "lan")),
-        int(params.get("nodes", 10)),
-        seed=int(params.get("topology_seed", 0)),
-    )
-    outcome = run_topo_sim(
-        model,
-        nodes=int(params.get("nodes", 10)),
-        horizon=float(params.get("horizon", 12.0)),
-        seed=seed,
-        deviant=str(params.get("deviant", "honest")),
-        timer_scale=float(params.get("timer_scale", 1.0)),
-        enforce_contract=bool(int(params.get("enforce_contract", 1))),
-        churn=bool(int(params.get("churn", 0))),
-        rate_schedule=params.get("rate_schedule"),
-    )
-    ctx.maybe_crash()
-    return outcome.metrics()
+    return _judged_point("topo", params, seed, ctx)[1]
 
 
 @workload("campaign_point")
 def campaign_point(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Dict[str, float]":
-    """One adversarial-campaign cell: strategy × fault plan × loss point.
-
-    Parameters: ``strategy`` (behaviour registry name), ``plan``
-    (``none`` | ``smoke`` | ``storm``), ``loss`` (baseline link-loss
-    rate — the fault-intensity axis), ``nodes``, ``horizon``,
-    ``detection_bound``, ``heal_bound``, plus the RacConfig overrides
-    :mod:`repro.campaign.scoring` accepts. Deterministic in
-    ``(params, seed)`` like every workload; not checkpointable (cells
-    are short), so a crashed attempt simply reruns.
+    """One adversarial-campaign cell: ``strategy`` × fault ``plan`` ×
+    ``loss`` point (the fault-intensity axis), scored by
+    :mod:`repro.campaign.scoring`. Deterministic in ``(params, seed)``
+    like every workload; not checkpointable (cells are short), so a
+    crashed attempt simply reruns.
     """
     from ..campaign.scoring import run_campaign_cell
 

@@ -22,7 +22,7 @@ from .capacity import CapacityModel, capacity_table, render_capacity_table
 from .client import PubSubApiError, PubSubClient
 from .core import ParityReport, PubSubCore, decode_publish, encode_publish
 from .directory import Subscription, TopicDirectory
-from .service import PubSubReport, PubSubService, pubsub_config
+from .service import PubSubReport, PubSubService
 from .sim import SimPubSub
 
 __all__ = [
@@ -44,6 +44,5 @@ __all__ = [
     "TopicDirectory",
     "PubSubReport",
     "PubSubService",
-    "pubsub_config",
     "SimPubSub",
 ]

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 
 from ..core.config import RacConfig
 from .client import PubSubClient
-from .service import PubSubReport, PubSubService, pubsub_config
+from .service import PubSubReport, PubSubService
 
 __all__ = ["run_bench", "run_bench_blocking", "check_report"]
 
@@ -40,10 +40,10 @@ async def run_bench(
     port_base: "Optional[int]" = None,
 ) -> PubSubReport:
     """Run the scenario; returns the service's final report."""
-    config = config if config is not None else pubsub_config()
+    service = PubSubService(nodes, config, seed, port_base=port_base)
+    config = service.config
     if nodes > config.group_max:
         raise ValueError("bench wants bootstrap to fit one group (nodes <= group_max)")
-    service = PubSubService(nodes, config, seed, port_base=port_base)
     await service.start()
     api_port = await service.serve()
     client = await PubSubClient("127.0.0.1", api_port).connect()

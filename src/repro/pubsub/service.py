@@ -36,10 +36,9 @@ import asyncio
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
-from ..chaos.invariants import InvariantChecker, InvariantReport
-from ..chaos.run import final_blacklists
-from ..core.config import RacConfig
-from ..live.cluster import LiveCluster, LiveReport, live_config
+from ..chaos.invariants import InvariantChecker, InvariantReport, final_blacklists
+from ..core.config import RacConfig, timer_regime
+from ..live.cluster import LiveCluster, LiveReport
 from ..live.framing import read_frame, write_frame
 from ..live.node import LiveNode
 from ..simnet.stats import StatsRegistry
@@ -48,26 +47,7 @@ from .core import ParityReport, PubSubCore
 
 import json
 
-__all__ = ["PubSubService", "PubSubReport", "pubsub_config"]
-
-
-def pubsub_config(**overrides) -> RacConfig:
-    """Service defaults: live timers with misbehaviour detection far
-    beyond any churn transient, so splits, dissolves and joins can
-    never read as freeriding (the chaos layer's contract — *failure
-    must heal faster than accountability convicts* — applied to
-    membership churn), and a small ``group_max`` so a modest deployment
-    actually exercises the split/dissolve lifecycle."""
-    base = dict(
-        relay_timeout=60.0,
-        predecessor_timeout=60.0,
-        rate_window=60.0,
-        transport_max_retries=64,
-        group_min=2,
-        group_max=6,
-    )
-    base.update(overrides)
-    return live_config(**base)
+__all__ = ["PubSubService", "PubSubReport"]
 
 
 @dataclass
@@ -111,7 +91,13 @@ class PubSubReport:
 
 
 class PubSubService:
-    """Hosts the cluster, the engine and the client API."""
+    """Hosts the cluster, the engine and the client API.
+
+    The default configuration is the ``wall-heal`` timer regime —
+    misbehaviour detection far beyond any churn transient, so splits,
+    dissolves and joins can never read as freeriding — with a small
+    ``group_max`` so a modest deployment actually exercises the
+    split/dissolve lifecycle."""
 
     PUMP_INTERVAL = 0.05
 
@@ -123,7 +109,9 @@ class PubSubService:
         *,
         port_base: "Optional[int]" = None,
     ) -> None:
-        self.config = config if config is not None else pubsub_config()
+        self.config = (
+            config if config is not None else timer_regime("wall-heal", group_min=2, group_max=6)
+        )
         self.stats = StatsRegistry()
         self.core = PubSubCore(self.stats)
         self.cluster = LiveCluster(

@@ -26,39 +26,35 @@ scale-smoke``.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.config import RacConfig
+from ..core.config import RacConfig, check_timers
 from ..core.identity import NodeMaterial, build_population
 from ..core.system import RacSystem
 from ..groups.channels import ChannelDirectory
 from ..groups.manager import GroupDirectory
 from ..groups.partition import BundleDirectory, GroupSpec, plan_bundles, snapshot_groups
+from ..scenario import Scenario, plant_behaviors, traffic_sends
 
 __all__ = [
     "ScaleSpec",
     "ShardSystem",
-    "MonolithicOutcome",
     "ZERO_FINGERPRINT",
     "canonical_blob",
     "chain_fingerprint",
     "group_shuffle_rng",
     "plan_population",
-    "plan_traffic",
-    "behaviors_for",
-    "build_fault_plan",
     "filter_plan_events",
     "build_shard_system",
     "epoch_step",
     "delivered_payloads",
     "shard_summary",
     "merge_fingerprint",
-    "run_monolithic",
 ]
 
 #: The fingerprint chain's genesis value.
@@ -74,21 +70,16 @@ class ScaleSpec:
 
     ``config`` carries RacConfig overrides applied on top of the scale
     preset (``RacConfig.small`` with 0.25 s origination slots, 1 kB
-    messages and ``group_max``-bounded groups). ``deviants`` maps
-    1-based *creation indices* to freeride-registry behaviour names —
-    the hook the eviction-equivalence tests use.
+    messages and ``group_max``-bounded groups). ``deviants``,
+    ``coalition`` (``members`` / ``victims``) and ``plan`` mean what
+    they mean on a :class:`~repro.scenario.Scenario`, except that
+    indices here are 1-based (``NodeMaterial.index``); shards apply the
+    plan events touching their own nodes.
 
-    ``coalition`` plants one *coordinated* deviant set instead:
-    ``{"mode": shield|frame|stagger, "members": [1-based indices],
-    "victims": [...], "rotation_period": float}``. Every worker builds
-    the full-roster :class:`~repro.freeride.coalition
-    .CoalitionCoordinator` from this planning data and keeps only its
-    local members' behaviours, so a coalition spanning bundles stays
-    consistent without any cross-shard channel (the coordinator's
-    decisions are pure functions of roster + sim time). ``plan`` names
-    a canned fault timeline (``none``/``smoke``/``storm``) compiled
-    onto every substrate — shards apply the events touching their own
-    nodes.
+    :meth:`scenario` is the same run as a ``Scenario``: what validates
+    the spec, what every shard lowers behaviours, plan and traffic
+    through, and what ``verify_sharded`` runs unsharded as the
+    equivalence oracle.
     """
 
     nodes: int
@@ -112,35 +103,7 @@ class ScaleSpec:
             raise ValueError("horizon and epoch must be positive")
         if self.group_max < 4:
             raise ValueError("group_max below 4 cannot honour group_min=2 splits")
-        if self.plan not in (None, "none", "smoke", "storm"):
-            raise ValueError(
-                f"unknown fault plan {self.plan!r}; known: none, smoke, storm"
-            )
-        if self.coalition is not None:
-            from ..freeride.coalition import COALITION_MODES
-
-            mode = self.coalition.get("mode")
-            if mode not in COALITION_MODES:
-                raise ValueError(
-                    f"unknown coalition mode {mode!r}; known modes: "
-                    + ", ".join(COALITION_MODES)
-                )
-            members = list(self.coalition.get("members", ()))
-            if not members:
-                raise ValueError("a planted coalition needs at least one member")
-            for index in members + list(self.coalition.get("victims", ())):
-                if not 1 <= int(index) <= self.nodes:
-                    raise ValueError(
-                        f"coalition index {index} outside population 1..{self.nodes}"
-                    )
-            if mode == "frame" and not self.coalition.get("victims"):
-                raise ValueError("a framing coalition needs at least one victim")
-            overlap = set(map(int, members)) & set(map(int, self.deviants))
-            if overlap:
-                raise ValueError(
-                    f"indices {sorted(overlap)} are both coalition members "
-                    "and unilateral deviants"
-                )
+        self.scenario()  # plan name, behaviour names, coalition shape, config keys
 
     @property
     def epoch_count(self) -> int:
@@ -152,53 +115,47 @@ class ScaleSpec:
     def epoch_end(self, epoch_index: int) -> float:
         return min(self.horizon, (epoch_index + 1) * self.epoch)
 
-    def build_config(self) -> RacConfig:
-        overrides = dict(
-            group_min=2,
-            group_max=self.group_max,
-            send_interval=0.25,
-            message_size=1024,
-            blacklist_period=2.0,
+    def scenario(self) -> Scenario:
+        coalition = None
+        if self.coalition is not None:
+            coalition = dict(self.coalition)
+            for key in ("members", "victims"):
+                coalition[key] = [int(i) - 1 for i in coalition.get(key, ())]
+        return Scenario(
+            nodes=self.nodes,
+            horizon=self.horizon,
+            seed=self.seed,
+            config={
+                "group_min": 2,
+                "group_max": self.group_max,
+                "send_interval": 0.25,
+                "message_size": 1024,
+                "blacklist_period": 2.0,
+                **self.config,
+            },
+            plan=self.plan,
+            deviants={int(index) - 1: name for index, name in self.deviants.items()},
+            coalition=coalition,
+            traffic="intra-group",
+            messages=self.messages,
+            tag="scale",
         )
-        overrides.update(self.config)
-        return RacConfig.small(**overrides)
+
+    def build_config(self) -> RacConfig:
+        return self.scenario().configuration()
 
     def to_dict(self) -> "Dict[str, Any]":
-        body = {
-            "nodes": self.nodes,
-            "num_shards": self.num_shards,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "epoch": self.epoch,
-            "messages": self.messages,
-            "group_max": self.group_max,
-            "config": dict(self.config),
-            "deviants": {str(k): v for k, v in self.deviants.items()},
-        }
-        # Serialized only when used: pre-coalition manifests (and their
-        # fingerprint material) stay byte-identical.
-        if self.coalition is not None:
-            body["coalition"] = dict(self.coalition)
-        if self.plan is not None:
-            body["plan"] = self.plan
-        return body
+        body = dataclasses.asdict(self)
+        body["deviants"] = {str(index): name for index, name in self.deviants.items()}
+        # ``coalition`` and ``plan`` are serialized only when used:
+        # pre-coalition manifests (and their fingerprint material) stay
+        # byte-identical.
+        return {key: value for key, value in body.items() if value is not None}
 
     @staticmethod
     def from_dict(body: "Dict[str, Any]") -> "ScaleSpec":
-        coalition = body.get("coalition")
-        return ScaleSpec(
-            nodes=int(body["nodes"]),
-            num_shards=int(body["num_shards"]),
-            seed=int(body.get("seed", 7)),
-            horizon=float(body.get("horizon", 4.0)),
-            epoch=float(body.get("epoch", 1.0)),
-            messages=int(body.get("messages", 1)),
-            group_max=int(body.get("group_max", 16)),
-            config=dict(body.get("config", {})),
-            deviants={int(k): str(v) for k, v in body.get("deviants", {}).items()},
-            coalition=dict(coalition) if coalition is not None else None,
-            plan=body.get("plan"),
-        )
+        deviants = {int(index): name for index, name in body.get("deviants", {}).items()}
+        return ScaleSpec(**{**body, "deviants": deviants})
 
 
 # ---------------------------------------------------------------------------
@@ -219,117 +176,6 @@ def plan_population(spec: ScaleSpec) -> "Tuple[RacConfig, List[NodeMaterial], Gr
     for material in materials:
         directory.add_node(material.node_id, material.id_keypair.public)
     return config, materials, directory
-
-
-def plan_traffic(
-    spec: ScaleSpec, materials: "Sequence[NodeMaterial]", directory: GroupDirectory
-) -> "List[Tuple[int, int, bytes]]":
-    """The run's (src, dst, payload) sends: intra-group successor rings.
-
-    Each node sends ``spec.messages`` anonymous messages to the next
-    member of its own group in creation order. Keeping traffic
-    intra-group is what makes the sharded schedule equivalent to the
-    monolithic one (cross-group payload traffic would couple shards
-    mid-epoch; see DESIGN.md §14).
-    """
-    by_gid: "Dict[int, List[NodeMaterial]]" = {}
-    for material in materials:
-        gid = directory.group_of_node(material.node_id).gid
-        by_gid.setdefault(gid, []).append(material)
-    sends: "List[Tuple[int, int, bytes]]" = []
-    for gid in sorted(by_gid):
-        members = by_gid[gid]
-        if len(members) < 2:
-            continue
-        for i, material in enumerate(members):
-            dst = members[(i + 1) % len(members)].node_id
-            for k in range(spec.messages):
-                payload = f"scale/{spec.seed}/{gid}/{i}/{k}".encode()
-                sends.append((material.node_id, dst, payload))
-    return sends
-
-
-def behaviors_for(spec: ScaleSpec, materials: "Sequence[NodeMaterial]"):
-    """Instantiate the spec's deviants: creation index -> behaviour.
-
-    Unilateral deviants come from ``spec.deviants``; a planted
-    coalition (``spec.coalition``) is built whole — every process
-    constructs the *full-roster* coordinator from the same planning
-    data, then callers filter to the members they host. That is what
-    keeps a coalition spanning shard bundles consistent: the
-    coordinator's decisions are pure functions of (roster, victims,
-    rotation period, sim time), so identical replicas agree without
-    communicating.
-    """
-    behaviors = {}
-    if spec.deviants:
-        from ..freeride.registry import make_behavior
-
-        for index, name in sorted(spec.deviants.items()):
-            if not 1 <= index <= len(materials):
-                raise ValueError(
-                    f"deviant index {index} outside population 1..{len(materials)}"
-                )
-            behaviors[index] = make_behavior(name, seed=spec.seed * 1000 + index)
-    if spec.coalition is not None:
-        from ..freeride.coalition import build_coalition
-
-        member_indices = sorted(int(i) for i in spec.coalition["members"])
-        victim_indices = sorted(int(i) for i in spec.coalition.get("victims", ()))
-        for index in member_indices + victim_indices:
-            if not 1 <= index <= len(materials):
-                raise ValueError(
-                    f"coalition index {index} outside population 1..{len(materials)}"
-                )
-        id_of = {i: materials[i - 1].node_id for i in member_indices + victim_indices}
-        members = build_coalition(
-            str(spec.coalition["mode"]),
-            [id_of[i] for i in member_indices],
-            victims=[id_of[i] for i in victim_indices],
-            rotation_period=float(
-                spec.coalition.get("rotation_period")
-                or spec.build_config().blacklist_period
-            ),
-        )
-        for index in member_indices:
-            behaviors[index] = members[id_of[index]]
-    return behaviors
-
-
-def build_fault_plan(spec: ScaleSpec, config: RacConfig):
-    """The spec's canned fault timeline, checked against the timers.
-
-    Returns ``None`` for a clean run. Every healing fault window must
-    be shorter than the misbehaviour timers (the chaos-layer contract:
-    an outage that heals before a timer fires cannot read as
-    freeriding) — violating specs are rejected here, at plan time,
-    rather than surfacing as mysterious honest evictions at N=256.
-    """
-    from ..chaos.plan import smoke_plan, storm_plan
-
-    name = spec.plan or "none"
-    if name == "none":
-        return None
-    if name == "smoke":
-        plan = smoke_plan(spec.nodes, spec.horizon, seed=spec.seed)
-    else:
-        plan = storm_plan(spec.nodes, spec.horizon, seed=spec.seed)
-    budget = min(config.relay_timeout, config.predecessor_timeout, config.rate_window)
-    healing = [
-        event.end - event.at
-        for event in plan.events
-        if event.kind in ("crash", "partition", "loss", "degrade")
-        and event.end != float("inf")
-    ]
-    worst = max(healing, default=0.0)
-    if worst >= budget:
-        raise ValueError(
-            f"fault plan {name!r} has a {worst:.2f}s window but the "
-            f"misbehaviour timers allow only {budget:.2f}s — raise "
-            "relay/predecessor/rate timers in the spec config so healing "
-            "faults cannot be convicted as freeriding"
-        )
-    return plan
 
 
 def filter_plan_events(plan, local_indices: "set"):
@@ -419,12 +265,13 @@ class ShardSystem(RacSystem):
 
     # -- population -----------------------------------------------------------
     def populate(self, materials: "Sequence[NodeMaterial]", behaviors=None) -> "List[int]":
-        """Instantiate this bundle's members from pre-drawn identities."""
+        """Instantiate this bundle's members from pre-drawn identities;
+        ``behaviors`` is keyed by 0-based creation index."""
         behaviors = behaviors or {}
         created: "List[int]" = []
         for material in sorted(materials, key=lambda m: m.index):
             self._key_seed = max(self._key_seed, material.index)
-            created.append(self._instantiate_node(material, behaviors.get(material.index)))
+            created.append(self._instantiate_node(material, behaviors.get(material.index - 1)))
         self._start_blacklist_rounds()
         if self.nodes:
             self._validate_timers(len(self.nodes))
@@ -480,21 +327,25 @@ def build_shard_system(spec: ScaleSpec, shard_index: int) -> ShardSystem:
     if not 0 <= shard_index < len(bundles):
         raise ValueError(f"shard index {shard_index} outside 0..{len(bundles) - 1}")
     bundle = bundles[shard_index]
-    local_gids = {s.gid for s in bundle}
     local_ids = {m for s in bundle for m in s.members}
     system = ShardSystem(config, spec.seed, shard_index, bundle, total_groups=len(specs))
     local_materials = [m for m in materials if m.node_id in local_ids]
-    behaviors = behaviors_for(spec, materials)
-    local_behaviors = {i: b for i, b in behaviors.items() if materials[i - 1].node_id in local_ids}
+    scenario = spec.scenario()
+    behaviors = plant_behaviors(scenario, config, materials)
+    local_behaviors = {i: b for i, b in behaviors.items() if materials[i].node_id in local_ids}
     system.populate(local_materials, local_behaviors)
-    for src, dst, payload in plan_traffic(spec, materials, directory):
-        if directory.group_of_node(src).gid in local_gids:
-            system.send(src, dst, payload)
-    plan = build_fault_plan(spec, config)
-    if plan is not None:
+    node_ids = [m.node_id for m in materials]
+    for _at, src, dst, payload in traffic_sends(scenario, node_ids, directory):
+        if node_ids[src] in local_ids:
+            system.send(node_ids[src], node_ids[dst], payload)
+    plan = scenario.fault_plan()
+    if plan.events:
+        # Rejected here, at plan time, rather than surfacing as
+        # mysterious honest evictions at N=256.
+        check_timers(config, system.send_interval_for(local_materials[0].node_id), plan=plan)
         local_indices = {m.index - 1 for m in local_materials}
         local_plan = filter_plan_events(plan, local_indices)
-        local_plan.compile_sim(system, [m.node_id for m in materials])
+        local_plan.compile_sim(system, node_ids)
     return system
 
 
@@ -593,52 +444,3 @@ def merge_fingerprint(shard_fingerprints: "Sequence[str]", barrier_digests: "Seq
         {"shards": list(shard_fingerprints), "barriers": list(barrier_digests)}
     )
     return chain_fingerprint(ZERO_FINGERPRINT, blob)
-
-
-# ---------------------------------------------------------------------------
-# the monolithic reference (equivalence oracle)
-# ---------------------------------------------------------------------------
-@dataclass
-class MonolithicOutcome:
-    """An unsharded run of the same spec, in shard-comparable form."""
-
-    delivered: "List[str]"
-    evicted: "Dict[str, Dict]"
-    stats: "Dict[str, int]"
-    events_processed: int
-    wall_seconds: float
-
-
-def run_monolithic(spec: ScaleSpec) -> MonolithicOutcome:
-    """Run ``spec`` on one ordinary :class:`RacSystem` (no shards)."""
-    config = spec.build_config()
-    materials = build_population(config, spec.nodes, spec.seed)
-    system = RacSystem(config, seed=spec.seed)
-    behaviors = behaviors_for(spec, materials)
-    started = time.perf_counter()
-    # bootstrap() keys behaviours by 0-based creation index; the spec's
-    # deviants (like NodeMaterial.index) are 1-based.
-    system.bootstrap(spec.nodes, behaviors={i - 1: b for i, b in behaviors.items()})
-    for src, dst, payload in plan_traffic(spec, materials, system.directory):
-        system.send(src, dst, payload)
-    plan = build_fault_plan(spec, config)
-    if plan is not None:
-        plan.compile_sim(system, [m.node_id for m in materials])
-    system.sim.run(until=spec.horizon)
-    wall = time.perf_counter() - started
-    evicted = {
-        str(node_id): {
-            "gid": rec["gid"],
-            "kind": rec["kind"],
-            "by": rec["by"],
-            "at": rec["at"],
-        }
-        for node_id, rec in system.evicted.items()
-    }
-    return MonolithicOutcome(
-        delivered=delivered_payloads(system),
-        evicted=evicted,
-        stats=system.stats_report(),
-        events_processed=system.sim.events_processed,
-        wall_seconds=wall,
-    )

@@ -7,8 +7,9 @@ through its fluid links, and the live chaos proxy applies the same
 arithmetic to real TCP frames. :mod:`repro.topo.traces` compiles
 trace-driven workloads (diurnal churn, sinusoidal publish rates) onto
 the fault-plan machinery; :mod:`repro.topo.run` (imported directly,
-not re-exported here — it pulls in the chaos stack) runs and judges a
-model on either substrate.
+not re-exported here — it pulls in the system) is the lan-equivalence
+gate. :func:`repro.scenario.run_scenario` runs and judges a model on
+either substrate.
 """
 
 from .model import (

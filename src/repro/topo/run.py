@@ -1,370 +1,23 @@
-"""Invariant-checked topology runs on both substrates.
+"""The lan-equivalence gate.
 
-``run_topo_sim`` plays one :class:`~repro.topo.model.TopologyModel` on
-the deterministic simulator and reports what the eviction-accuracy
-story looks like there: delivery latency and throughput under the
-model, whether any honest node got convicted (the false-positive side),
-and — when a deviant is planted — whether and when it was caught (the
-missed-detection side). ``run_topo_live`` replays the same model over
-real TCP through the chaos proxy, judged by the same
-:class:`~repro.chaos.invariants.InvariantChecker`.
-
-The timer-contract escape hatch matters here: ``enforce_contract=False``
-lets an experiment deliberately run timers *below* the topology floor
-(:func:`repro.core.config.validate_topology_timers` would refuse) to
-measure where honest evictions actually begin. The contract floor is a
-*necessary* single-frame bound; the committed
-``results/topology_sweep.txt`` measures the real onsets — queueing
-under sustained traffic raises them above the analytic floor on
-bandwidth-tiered presets — and shows nominal timers keep an 8×+ margin
-over every measured onset.
+The ``lan`` preset must be byte-identical to running with no topology
+at all: :func:`repro.scenario.prepare` relies on it (a ``lan`` scenario
+runs on the bare star), and every committed LAN result predates the
+topology layer. ``repro topo verify`` and ``make topo-smoke`` enforce
+it. Judged topology runs go through :func:`repro.scenario.run_scenario`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Optional
 
-from ..chaos.invariants import InvariantChecker, InvariantReport
-from ..chaos.plan import FaultPlan
-from ..chaos.run import (
-    chaos_live_config,
-    final_blacklists,
-    note_planned_crashes,
-    run_chaos_live,
-)
-from ..core.config import RacConfig, TopologyTimerError
+from ..core.config import RacConfig
 from ..core.system import RacSystem
-from ..freeride.registry import BEHAVIORS, UnknownBehaviorError
+from ..scenario import ring_sends
 from .model import TopologyModel, lan
-from .traces import diurnal_churn_plan, publish_times
 
-__all__ = [
-    "TopoOutcome",
-    "topo_sim_config",
-    "topo_churn_config",
-    "topo_live_config",
-    "scale_timers",
-    "run_topo_sim",
-    "run_topo_live",
-    "run_topo_live_blocking",
-    "run_digest",
-    "lan_equivalence",
-]
-
-#: Creation index of an optionally planted deviant — the campaign
-#: layer's convention (away from canned plans' crash victims).
-DEFAULT_DEVIANT_INDEX = 3
-
-
-def topo_sim_config(**overrides) -> RacConfig:
-    """Simulator defaults for topology runs.
-
-    Misbehaviour timers at 4 s clear every canned preset's worst RTT +
-    serialization slack with room to spare (the contract floor for the
-    shipped presets sits well under 1 s), while staying low enough that
-    a planted deviant is convicted inside a short horizon. The ARQ gets
-    a WAN-sized RTO clamp and a deep retry budget so slow paths never
-    read as dead peers.
-    """
-    base = dict(
-        relay_timeout=4.0,
-        predecessor_timeout=4.0,
-        rate_window=4.0,
-        blacklist_period=1.5,
-        join_settle_time=0.2,
-        transport_rto_max=0.5,
-        transport_max_retries=64,
-    )
-    base.update(overrides)
-    return RacConfig.small(**base)
-
-
-def topo_churn_config(**overrides) -> RacConfig:
-    """Defaults for churn-trace runs: the chaos layer's contract —
-    *failure must heal faster than accountability convicts* — applied
-    to topology runs. The diurnal trace reboots nodes for seconds at a
-    time; misbehaviour timers sit well above any reboot window plus the
-    worst preset RTT, so a crash-restart on a WAN never reads as
-    freeriding. At these timers a planted deviant needs a much longer
-    horizon to convict — churn runs are an availability scenario, not
-    the detection probe."""
-    base = dict(
-        relay_timeout=15.0,
-        predecessor_timeout=15.0,
-        rate_window=15.0,
-        blacklist_period=2.0,
-    )
-    base.update(overrides)
-    return topo_sim_config(**base)
-
-
-def topo_live_config(**overrides) -> RacConfig:
-    """Live defaults: the chaos layer's wall-clock-safe timers (far
-    above any preset's RTT, so scheduler jitter + WAN shaping can never
-    fake freeriding)."""
-    return chaos_live_config(**overrides)
-
-
-def scale_timers(config: RacConfig, factor: float) -> RacConfig:
-    """The three misbehaviour timers scaled by ``factor`` — the knob
-    the topology sweep turns to find each model's false-positive onset."""
-    if factor <= 0:
-        raise ValueError("timer scale must be positive")
-    return dataclasses.replace(
-        config,
-        relay_timeout=config.relay_timeout * factor,
-        predecessor_timeout=config.predecessor_timeout * factor,
-        rate_window=config.rate_window * factor,
-    )
-
-
-@dataclass
-class TopoOutcome:
-    """Everything one topology run produced, ready for the sweep table."""
-
-    substrate: str
-    model_name: str
-    model_fingerprint: str
-    nodes: int
-    horizon: float
-    seed: int
-    deliveries: int
-    latency_mean_s: float
-    latency_p95_s: float
-    throughput_bps: float
-    evictions: int
-    honest_evictions: int
-    missed_detections: int
-    detected: bool
-    detection_time_s: "Optional[float]"
-    report: InvariantReport
-    plan_fingerprint: "Optional[str]" = None
-    counters: "Dict[str, int]" = field(default_factory=dict)
-    notes: "List[str]" = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.report.ok
-
-    def metrics(self) -> "Dict[str, float]":
-        """Flat name → number dict for the orchestrator's result store."""
-        return {
-            "deliveries": float(self.deliveries),
-            "latency_mean_s": self.latency_mean_s,
-            "latency_p95_s": self.latency_p95_s,
-            "throughput_bps": self.throughput_bps,
-            "evictions": float(self.evictions),
-            "honest_evictions": float(self.honest_evictions),
-            "missed_detections": float(self.missed_detections),
-            "detected": 1.0 if self.detected else 0.0,
-            "detection_time_s": (
-                -1.0 if self.detection_time_s is None else self.detection_time_s
-            ),
-            "violations": float(len(self.report.violations)),
-        }
-
-    def render(self) -> str:
-        lines = [
-            f"topo run [{self.substrate}]: model {self.model_name} "
-            f"({self.model_fingerprint[:16]}), {self.nodes} nodes, "
-            f"{self.horizon:g}s, seed {self.seed}",
-            f"  deliveries  : {self.deliveries}",
-            f"  latency     : mean {self.latency_mean_s * 1e3:.2f} ms, "
-            f"p95 {self.latency_p95_s * 1e3:.2f} ms",
-            f"  throughput  : {self.throughput_bps:,.0f} b/s",
-            f"  evictions   : {self.evictions} "
-            f"(honest {self.honest_evictions}, missed {self.missed_detections})",
-        ]
-        if self.detection_time_s is not None:
-            lines.append(f"  detection   : planted deviant evicted at t={self.detection_time_s:.2f}s")
-        elif self.detected:
-            lines.append("  detection   : planted deviant evicted")
-        if self.notes:
-            lines.append("  notes:")
-            lines.extend(f"    {note}" for note in self.notes)
-        lines.append("  " + self.report.render().replace("\n", "\n  "))
-        return "\n".join(lines)
-
-
-def _violation_count(report: InvariantReport, kind: str) -> int:
-    return sum(1 for v in report.violations if v.invariant == kind)
-
-
-def run_topo_sim(
-    model: TopologyModel,
-    *,
-    nodes: int = 10,
-    horizon: float = 12.0,
-    seed: int = 0,
-    config: "Optional[RacConfig]" = None,
-    deviant: "Optional[str]" = None,
-    deviant_index: int = DEFAULT_DEVIANT_INDEX,
-    timer_scale: float = 1.0,
-    enforce_contract: bool = True,
-    churn: bool = False,
-    rate_schedule: "Optional[str]" = None,
-    traffic_interval: float = 0.25,
-    heal_bound: float = 5.0,
-    detection_bound: "Optional[float]" = None,
-) -> TopoOutcome:
-    """One deterministic topology run, judged.
-
-    ``deviant`` plants a behaviour-registry strategy at creation index
-    ``deviant_index``; ``timer_scale`` shrinks/stretches the
-    misbehaviour timers; ``churn=True`` compiles the model's diurnal
-    churn trace onto the run; ``rate_schedule="diurnal"`` replaces the
-    fixed-interval pump with the sinusoidal publish trace.
-    """
-    if config is None:
-        config = topo_churn_config() if churn else topo_sim_config()
-    if timer_scale != 1.0:
-        config = scale_timers(config, timer_scale)
-
-    behaviors: "Dict[int, Any]" = {}
-    spec = None
-    if deviant and deviant != "honest":
-        spec = BEHAVIORS.get(deviant)
-        if spec is None:
-            raise UnknownBehaviorError(deviant)
-        if spec.needs_victim:
-            raise ValueError(
-                f"strategy {deviant!r} needs a victim; use the campaign layer "
-                "(which probes victim ids) for targeted behaviours"
-            )
-        behaviors[deviant_index % nodes] = spec.build(seed=seed)
-
-    system = RacSystem(
-        config, seed=seed, topology=model, enforce_topology_timers=enforce_contract
-    )
-    node_ids = system.bootstrap(nodes, behaviors=behaviors)
-    deviant_id = node_ids[deviant_index % nodes] if behaviors else None
-
-    plan = (
-        diurnal_churn_plan(model, nodes, horizon, seed=seed)
-        if churn
-        else FaultPlan(seed=seed, horizon=horizon)
-    )
-    checker = InvariantChecker(
-        node_ids,
-        deviants=() if deviant_id is None else (deviant_id,),
-        heal_bound=heal_bound,
-        must_detect=(deviant_id,) if deviant_id is not None and spec.detectable else (),
-        detection_bound=horizon if detection_bound is None else detection_bound,
-    )
-    checker.note_plan(plan, node_ids)
-    note_planned_crashes(checker, plan, node_ids)
-    notes = plan.compile_sim(system, node_ids)
-
-    if rate_schedule == "diurnal":
-        times = publish_times(horizon, traffic_interval)
-    elif rate_schedule is None:
-        times = publish_times(horizon, traffic_interval, amplitude=0.0)
-    else:
-        raise ValueError(f"unknown rate schedule {rate_schedule!r}")
-    for k, t in enumerate(times):
-        src = node_ids[k % nodes]
-        dst = node_ids[(k + 1) % nodes]
-        system.sim.schedule_at(t, _pump_send, system, src, dst, f"topo/{seed}/{k}".encode())
-
-    system.run(horizon)
-    checker.check_directory(system.now, system.directory)
-    checker.finish(system.now)
-    for nid in node_ids:
-        node = system.nodes[nid]
-        for at, payload in zip(node.delivered_at, node.delivered):
-            checker.record_delivery(at, nid, payload)
-    detection_time: "Optional[float]" = None
-    for accused, info in system.evicted.items():
-        checker.record_eviction(info["at"], info["by"], accused, info["kind"])
-        if accused == deviant_id:
-            detection_time = info["at"]
-    survivors = [n for n in system.nodes.values() if n.active]
-    report = checker.check(final_blacklists(survivors))
-
-    return TopoOutcome(
-        substrate="sim",
-        model_name=model.name,
-        model_fingerprint=model.fingerprint(),
-        nodes=nodes,
-        horizon=horizon,
-        seed=seed,
-        deliveries=sum(len(n.delivered) for n in system.nodes.values()),
-        latency_mean_s=system.latency_meter.mean(),
-        latency_p95_s=system.latency_meter.percentile(95),
-        throughput_bps=system.global_meter.throughput_bps(end=system.now),
-        evictions=len(system.evicted),
-        honest_evictions=_violation_count(report, "safety-eviction"),
-        missed_detections=_violation_count(report, "missed-detection"),
-        detected=deviant_id is not None and deviant_id in system.evicted,
-        detection_time_s=detection_time,
-        report=report,
-        plan_fingerprint=plan.fingerprint() if plan.schedule() else None,
-        counters=system.stats_report(),
-        notes=notes,
-    )
-
-
-def _pump_send(system: RacSystem, src: int, dst: int, payload: bytes) -> None:
-    """Module-level pump callback (bound args, no closures) so churny
-    topo runs stay snapshot-compatible like the chaos pump."""
-    src_node = system.nodes.get(src)
-    dst_node = system.nodes.get(dst)
-    if src_node is None or not src_node.active:
-        return
-    if dst_node is None or not dst_node.active:
-        return
-    system.send(src, dst, payload)
-
-
-async def run_topo_live(
-    model: TopologyModel,
-    *,
-    nodes: int = 6,
-    horizon: float = 12.0,
-    seed: int = 0,
-    config: "Optional[RacConfig]" = None,
-    churn: bool = False,
-    port_base: "Optional[int]" = None,
-    heal_bound: float = 5.0,
-):
-    """The model over real TCP: the chaos runner with topology shaping.
-
-    Returns a :class:`repro.chaos.run.ChaosOutcome` — the live side's
-    judgement (deliveries, evictions, invariant report) with every frame
-    shaped by the model through the proxy. Wall-clock latency is not
-    reported here: loopback TCP jitter would drown the comparison; the
-    latency/throughput columns of the sweep come from the sim substrate.
-    """
-    plan = (
-        diurnal_churn_plan(model, nodes, horizon, seed=seed)
-        if churn
-        else FaultPlan(seed=seed, horizon=horizon)
-    )
-    return await run_chaos_live(
-        plan,
-        nodes=nodes,
-        duration=horizon,
-        seed=seed,
-        config=config if config is not None else topo_live_config(),
-        heal_bound=heal_bound,
-        port_base=port_base,
-        topology=model,
-    )
-
-
-def run_topo_live_blocking(model: TopologyModel, **kwargs):
-    """Synchronous wrapper around :func:`run_topo_live`."""
-    import asyncio
-
-    return asyncio.run(run_topo_live(model, **kwargs))
-
-
-# ---------------------------------------------------------------------------
-# the lan equivalence gate
-# ---------------------------------------------------------------------------
+__all__ = ["run_digest", "lan_equivalence"]
 
 
 def run_digest(
@@ -379,8 +32,8 @@ def run_digest(
     clock and the event count."""
     system = RacSystem(RacConfig.small(), seed=seed, topology=topology)
     ids = system.bootstrap(nodes)
-    for index, src in enumerate(ids):
-        system.send(src, ids[(index + 1) % len(ids)], f"topo-gate/{index}".encode())
+    for src, dst, payload in ring_sends(nodes, 1, "topo-gate", seed):
+        system.send(ids[src], ids[dst], payload)
     system.run(horizon)
     hasher = hashlib.sha256()
     hasher.update(repr(sorted(system.stats_report().items())).encode())

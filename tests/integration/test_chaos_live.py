@@ -14,34 +14,33 @@ jitter plus scripted adversity can never fake freeriding).
 """
 
 import asyncio
+import dataclasses
 
-from repro.chaos import (
-    ChaosSupervisor,
-    FaultPlan,
-    chaos_live_config,
-    chaos_sim_config,
-    run_chaos_live,
-    run_chaos_sim,
-    smoke_plan,
-)
+from repro.chaos import ChaosSupervisor, FaultPlan
+from repro.core.config import timer_regime
 from repro.live.cluster import LiveCluster
+from repro.scenario import Scenario, run_scenario
+
+
+def chaos_scenario(substrate, plan, nodes, seed, **fields):
+    """The chaos harness's scenario carrying a hand-written plan."""
+    params = {"substrate": substrate, "nodes": nodes, "horizon": plan.horizon}
+    scenario = Scenario.from_params(params, seed, "chaos")
+    return dataclasses.replace(scenario, plan=plan, **fields)
 
 
 class TestLivePartition:
     def test_partition_heals_with_no_honest_eviction(self):
-        asyncio.run(self._run())
-
-    async def _run(self):
         plan = FaultPlan(seed=0, horizon=10.0).partition(
             [0, 1, 2], [3, 4, 5], at=2.0, duration=2.0
         )
-        outcome = await run_chaos_live(plan, nodes=6, seed=0, heal_bound=5.0)
+        outcome = run_scenario(chaos_scenario("live", plan, 6, 0, heal_bound=5.0), "live")
         # The partition really blocked frames...
         assert outcome.counters.get("chaos_frames_blackholed", 0) > 0
         # ...and still: nobody was evicted, delivery resumed in bound.
-        assert outcome.evictions == 0
+        assert not outcome.evictions
         assert outcome.report.ok, outcome.report.render()
-        assert outcome.deliveries > 0
+        assert outcome.deliveries
 
 
 class TestCrashRestart:
@@ -50,7 +49,7 @@ class TestCrashRestart:
 
     async def _run(self):
         plan = FaultPlan(seed=1, horizon=12.0).crash_restart(1, at=1.5, downtime=1.5)
-        cluster = LiveCluster(5, config=chaos_live_config(), seed=1)
+        cluster = LiveCluster(5, config=timer_regime("wall-heal"), seed=1)
         await cluster.start()
         supervisor = ChaosSupervisor(cluster, plan)
         supervisor.start()
@@ -92,14 +91,21 @@ class TestDeliberateHonestEviction:
         plan = FaultPlan(seed=1, horizon=24.0).partition(
             [0, 1, 2, 3], [4, 5, 6, 7], at=4.0, duration=6.0
         )
-        config = chaos_sim_config(
-            relay_timeout=6.0,
-            predecessor_timeout=3.0,
-            rate_window=6.0,
-            transport_max_retries=8,
+        scenario = chaos_scenario(
+            "sim",
+            plan,
+            8,
+            1,
+            config=dict(
+                relay_timeout=6.0,
+                predecessor_timeout=3.0,
+                rate_window=6.0,
+                transport_max_retries=8,
+            ),
+            enforce_contract=False,  # the window floor would refuse exactly this
         )
-        outcome = run_chaos_sim(plan, nodes=8, seed=1, config=config)
-        assert outcome.evictions > 0
+        outcome = run_scenario(scenario)
+        assert outcome.evictions
         assert not outcome.report.ok
         first = outcome.report.first
         assert first is not None
@@ -112,14 +118,18 @@ class TestDeliberateHonestEviction:
 
 class TestCrossSubstrate:
     def test_one_plan_runs_on_both_substrates(self):
-        """The acceptance contract: the same FaultPlan object drives the
-        simulator and the live cluster, and both judge it clean."""
-        plan = smoke_plan(6, 12.0)
-        sim = run_chaos_sim(plan, nodes=6, seed=2)
-        live = asyncio.run(run_chaos_live(plan, nodes=6, seed=2))
-        assert sim.plan_fingerprint == live.plan_fingerprint == plan.fingerprint()
+        """The acceptance contract: one Scenario object — population,
+        plan, traffic, timers — drives the simulator and the live
+        cluster, and both judge it clean."""
+        scenario = Scenario.from_params(
+            {"substrate": "live", "plan": "smoke", "nodes": 6, "horizon": 12.0}, 2, "chaos"
+        )
+        sim = run_scenario(scenario, "sim")
+        live = run_scenario(scenario, "live")
+        assert sim.scenario is live.scenario is scenario
+        assert sim.node_ids == live.node_ids
         assert sim.report.ok, sim.report.render()
         assert live.report.ok, live.report.render()
-        assert sim.deliveries > 0 and live.deliveries > 0
+        assert sim.deliveries and live.deliveries
         # The live run really exercised the supervisor path.
         assert any("restarted node#1" in line for line in live.log)

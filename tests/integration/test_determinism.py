@@ -231,9 +231,9 @@ def _ring_traffic(system: RacSystem, nodes, tag: str) -> None:
 def lossy_event_order():
     """12 nodes, 2 % loss, propagation jitter, one crash-restart."""
     from repro.chaos.plan import FaultPlan
-    from repro.chaos.run import chaos_sim_config
+    from repro.core.config import timer_regime
 
-    config = chaos_sim_config(link_loss_rate=0.02, propagation_jitter=200e-6)
+    config = timer_regime("heal", link_loss_rate=0.02, propagation_jitter=200e-6)
     system = _order_recording_system(config, seed=97)
     nodes = system.bootstrap(12)
     FaultPlan(seed=97, horizon=4.0).crash_restart(4, at=1.0, downtime=0.6).compile_sim(system, nodes)
@@ -248,9 +248,10 @@ def lossy_event_order():
 def wan_event_order():
     """8 nodes on the ``wan-king`` preset (per-pair router delays)."""
     from repro.topo.model import wan_king
-    from repro.topo.run import topo_sim_config
+    from repro.core.config import WAN_ARQ, timer_regime
 
-    system = _order_recording_system(topo_sim_config(), seed=31, topology=wan_king(8, seed=31))
+    config = timer_regime("detect", **WAN_ARQ)
+    system = _order_recording_system(config, seed=31, topology=wan_king(8, seed=31))
     nodes = system.bootstrap(8)
     system.run(0.5)
     _ring_traffic(system, nodes, "order-wan")

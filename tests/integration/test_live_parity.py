@@ -12,39 +12,42 @@ that reliably cover a full dissemination round on a loaded CI box.
 
 import asyncio
 
-from repro.live.cluster import LiveCluster, live_config
-from repro.live.scenario import (
-    ParityScenario,
-    parity_config,
-    run_live_scenario,
-    run_sim_scenario,
-)
+from repro.core.config import timer_regime
+from repro.live.cluster import LiveCluster
+from repro.scenario import Scenario, ring_sends, run_scenario
 
-SCENARIO = ParityScenario(nodes=8, messages_per_node=2, duration=8.0, seed=0)
+#: One object, two substrates: identical population (both call
+#: build_population), identical ring, the jitter-proof ``wall`` timers
+#: with the blacklist shuffle off on both sides.
+SCENARIO = Scenario(
+    nodes=8, horizon=8.0, seed=0, regime="wall", traffic="ring", messages=2, tag="live"
+)
+PAYLOADS = sorted(payload for _src, _dst, payload in ring_sends(8, 2, "live", 0))
 
 
 class TestParity:
     def test_sim_and_live_deliver_the_same_messages(self):
-        sim = run_sim_scenario(SCENARIO)
-        live = asyncio.run(run_live_scenario(SCENARIO))
+        sim = run_scenario(SCENARIO, "sim")
+        live = run_scenario(SCENARIO, "live")
 
         # Both substrates deliver the complete plan...
-        assert sim.delivered == SCENARIO.payloads()
-        assert live.delivered == SCENARIO.payloads()
+        assert sim.delivered_multiset() == PAYLOADS
+        assert live.delivered_multiset() == PAYLOADS
         # ...which makes the multisets equal by transitivity — stated
         # directly because *this* equality is the parity claim.
-        assert sim.delivered == live.delivered
+        assert sim.delivered_multiset() == live.delivered_multiset()
 
         # And neither substrate manufactured misbehaviour.
         assert sim.accusations == 0 and live.accusations == 0
-        assert sim.evictions == 0 and live.evictions == 0
+        assert not sim.evictions and not live.evictions
+        assert sim.ok and live.ok
 
     def test_live_run_is_population_deterministic(self):
         """Two live runs with the same seed host the same node ids (the
         delivery *timing* differs; the population must not)."""
 
         async def ids(seed):
-            cluster = LiveCluster(4, config=parity_config(), seed=seed)
+            cluster = LiveCluster(4, config=SCENARIO.configuration(), seed=seed)
             await cluster.start()
             report = await cluster.shutdown()
             return sorted(report.per_node)
@@ -66,7 +69,8 @@ class TestLiveFaults:
         """
 
         async def scenario():
-            config = live_config(
+            config = timer_regime(
+                "wall",
                 # Long misbehaviour timers: the crash happens mid-run and
                 # the post-crash window stays below every accusation
                 # threshold, so the test asserts clean *delivery*
@@ -77,7 +81,8 @@ class TestLiveFaults:
             )
             cluster = LiveCluster(6, config=config, seed=1)
             await cluster.start()
-            cluster.queue_ring_messages(2)
+            for send in ring_sends(6, 2, "live", 1):
+                cluster.queue_message(*send)
             await cluster.run_for(2.0)
             victim_id = cluster.kill_node(2)
             await cluster.run_for(4.0)

@@ -17,7 +17,7 @@ import asyncio
 
 import pytest
 
-from repro.pubsub import PubSubApiError, PubSubClient, PubSubService, pubsub_config
+from repro.pubsub import PubSubApiError, PubSubClient, PubSubService
 from repro.pubsub.admission import AdmissionTicket, solve_ticket
 from repro.pubsub.bench import check_report, run_bench
 
@@ -39,8 +39,8 @@ class TestLiveJoinAfterStart:
         asyncio.run(self._run())
 
     async def _run(self):
-        config = pubsub_config()
-        service = PubSubService(3, config, seed=11)
+        service = PubSubService(3, seed=11)
+        config = service.config
         await service.start()
         port = await service.serve()
         client = await PubSubClient("127.0.0.1", port).connect()

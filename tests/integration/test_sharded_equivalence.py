@@ -15,13 +15,20 @@ import pytest
 
 from repro.groups import plan_bundles, snapshot_groups
 from repro.orchestrator.sharded import run_sharded, verify_sharded
-from repro.simnet.shard import ScaleSpec, plan_population, run_monolithic
+from repro.simnet.shard import ScaleSpec, plan_population
 
 
 SPEC = ScaleSpec(nodes=24, num_shards=2, seed=3, horizon=3.0)
 EVICT_SPEC = ScaleSpec(
     nodes=24, num_shards=2, seed=3, horizon=6.0, deviants={1: "silent-relay"}
 )
+
+
+@pytest.fixture(scope="module")
+def evict_run(tmp_path_factory):
+    """EVICT_SPEC sharded once: (outcome, run directory)."""
+    run_dir = tmp_path_factory.mktemp("evict") / "run"
+    return run_sharded(EVICT_SPEC, str(run_dir), serial=True), run_dir
 
 
 class TestOutcomeEquivalence:
@@ -31,15 +38,19 @@ class TestOutcomeEquivalence:
         assert report.equivalent, report.render()
         assert len(outcome.delivered) > 0
 
-    def test_eviction_equivalence(self, tmp_path):
-        outcome = run_sharded(EVICT_SPEC, str(tmp_path / "run"), serial=True)
+    def test_eviction_equivalence(self, evict_run):
+        outcome, _run_dir = evict_run
         report = verify_sharded(outcome)
         assert report.equivalent, report.render()
         assert len(outcome.evicted) == 1
         (record,) = outcome.evicted.values()
         assert record["kind"] == "relay"
-        mono = run_monolithic(EVICT_SPEC)
-        assert set(int(k) for k in outcome.evicted) == set(int(k) for k in mono.evicted)
+        # spec.scenario() is the object both sides lower: every shard
+        # through build_shard_system, the oracle through run_scenario.
+        mono = report.monolithic
+        assert mono.scenario == EVICT_SPEC.scenario() and mono.substrate == "sim"
+        assert set(int(k) for k in outcome.evicted) == {e.accused for e in mono.evictions}
+        assert mono.deviant_ids == tuple(int(k) for k in outcome.evicted) and mono.ok
 
 
 class TestCoalitionEquivalence:
@@ -76,9 +87,8 @@ class TestCoalitionEquivalence:
 
         # Every eviction is a coalition member, and the monolithic
         # engine convicts the identical set.
-        mono = run_monolithic(spec)
         sharded_evicted = {int(k) for k in outcome.evicted}
-        assert sharded_evicted == {int(k) for k in mono.evicted}
+        assert sharded_evicted == {e.accused for e in report.monolithic.evictions}
         assert sharded_evicted and sharded_evicted <= set(member_ids)
 
 
@@ -104,9 +114,8 @@ class TestBarrierDeterminism:
 
 
 class TestBlacklistDissemination:
-    def test_eviction_reaches_every_shard_within_one_epoch(self, tmp_path):
-        run_dir = tmp_path / "run"
-        outcome = run_sharded(EVICT_SPEC, str(run_dir), serial=True)
+    def test_eviction_reaches_every_shard_within_one_epoch(self, evict_run):
+        outcome, run_dir = evict_run
         (evicted_id,) = (int(k) for k in outcome.evicted)
         record = outcome.evicted[str(evicted_id)]
 

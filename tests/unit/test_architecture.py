@@ -1,0 +1,90 @@
+"""Architecture guard: the eighth harness fails the build.
+
+``repro.scenario`` is the one place a population is bootstrapped, a
+fault plan lowered, traffic pumped and a verdict reached. Five copies
+of that pipeline grew before it existed; these checks keep a sixth from
+growing back. A new way to *run* the protocol belongs in
+``run_scenario``; a new *result type* belongs in ``Outcome``.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+
+#: Where a ``RacSystem`` / ``LiveCluster`` (or a subclass) may be
+#: constructed: the scenario pipeline, the sharded simulator's own
+#: system, the pub/sub service and its sim twin (a client-API script,
+#: not a population → plan → traffic run), the lan-equivalence gate,
+#: and the five paper experiments that drive a system by hand.
+CONSTRUCTION_SITES = {
+    "scenario.py",
+    "simnet/shard.py",
+    "pubsub/sim.py",
+    "pubsub/service.py",
+    "topo/run.py",
+    "experiments/empirical.py",
+    "experiments/latency.py",
+    "experiments/anonymity_empirical.py",
+    "experiments/nash.py",
+    "experiments/fig2_trace.py",
+}
+
+#: The only classes named ``*Outcome``. ``LiveReport`` stays the
+#: cluster's shutdown report (what a live ``Outcome`` is built from)
+#: and ``PubSubReport`` the service's.
+OUTCOME_TYPES = {
+    "scenario.py": {"Outcome"},
+    "orchestrator/sharded.py": {"ShardedOutcome"},
+    "analysis/gametheory.py": {"DeviationOutcome"},
+}
+
+
+def _modules():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _called_name(node: ast.Call) -> str:
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def test_systems_and_clusters_are_built_only_on_the_allow_list():
+    sites = {}
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called_name(node) in ("RacSystem", "LiveCluster"):
+                sites.setdefault(name, set()).add(_called_name(node))
+    stray = {name: sorted(found) for name, found in sites.items() if name not in CONSTRUCTION_SITES}
+    assert not stray, (
+        f"{stray} construct a RacSystem/LiveCluster outside the allow-list: express the run as a "
+        "repro.scenario.Scenario and go through prepare()/run_scenario() instead"
+    )
+    assert {"RacSystem"} == sites["topo/run.py"]  # run_digest, nothing else
+
+
+def test_outcome_types_stay_three():
+    found = {}
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Outcome"):
+                found.setdefault(name, set()).add(node.name)
+    assert found == OUTCOME_TYPES, (
+        "a scenario run reports through repro.scenario.Outcome (harness-specific numbers go in "
+        f"Outcome.scores); found {found}"
+    )
+
+
+def test_no_second_regime_function():
+    """Timer regimes live in one table, not in per-harness
+    ``*_config(**overrides)`` functions."""
+    allowed = {"timer_regime", "build_config", "_build_config", "_small_config"}
+    found = {
+        f"{name}:{node.name}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and (node.name.endswith("_config") or node.name == "timer_regime")
+    }
+    assert {entry.split(":")[1] for entry in found} <= allowed, found

@@ -16,7 +16,7 @@ from repro.campaign import (
     CampaignSpec,
     build_frontier,
 )
-from repro.campaign.scoring import build_campaign_plan
+from repro.chaos.plan import CANNED_PLANS, canned_plan
 from repro.freeride.registry import UnknownBehaviorError
 from repro.orchestrator import ResultRecord, ResultStore, config_hash
 
@@ -97,11 +97,11 @@ class TestCampaignSpec:
         assert a == b
 
     def test_plan_builder_names(self):
-        for name in ("none", "smoke", "storm"):
-            plan = build_campaign_plan(name, nodes=10, horizon=12.0, seed=0)
+        for name in CANNED_PLANS:
+            plan = canned_plan(name, nodes=10, horizon=12.0, seed=0)
             plan.validate(10)
         with pytest.raises(ValueError, match="tsunami"):
-            build_campaign_plan("tsunami", nodes=10, horizon=12.0, seed=0)
+            canned_plan("tsunami", nodes=10, horizon=12.0, seed=0)
 
 
 class TestFrontier:

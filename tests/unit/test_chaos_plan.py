@@ -65,12 +65,13 @@ class TestPlanDeterminism:
 
     def test_runners_validate_before_touching_the_population(self):
         # An out-of-range index must surface as the typed ValueError,
-        # not an IndexError from deep inside the checker.
-        from repro.chaos import run_chaos_sim
+        # not an IndexError from deep inside the checker: a scenario
+        # that carries such a plan cannot even be constructed.
+        from repro.scenario import Scenario
 
         plan = FaultPlan(horizon=10.0).crash(7, at=2.0)
         with pytest.raises(ValueError, match="node index 7"):
-            run_chaos_sim(plan, nodes=4, seed=0)
+            Scenario(nodes=4, horizon=10.0, plan=plan)
 
     def test_fault_windows_exclude_unhealing_events(self):
         plan = (
@@ -82,7 +83,6 @@ class TestPlanDeterminism:
         )
         kinds = [kind for kind, _, _ in plan.fault_windows()]
         assert kinds == ["crash", "partition"]
-        assert plan.crashed_forever() == [0]
 
     def test_builder_rejects_nonsense(self):
         plan = FaultPlan(horizon=10.0)
@@ -98,39 +98,41 @@ class TestPlanDeterminism:
 
 class TestCompileSim:
     def test_sim_runs_are_deterministic_under_a_plan(self):
-        from repro.chaos.run import run_chaos_sim
+        from repro.scenario import Scenario, run_scenario
+        from tests.scenario_cells import run_cell
 
-        plan = smoke_plan(6, 12.0)
-        a = run_chaos_sim(plan, nodes=6, seed=3)
-        b = run_chaos_sim(plan, nodes=6, seed=3)
+        scenario = Scenario.from_params({"plan": "smoke", "nodes": 6, "horizon": 12.0}, 3, "chaos")
+        a = run_cell(scenario)  # whichever module ran it first this session
+        b = run_scenario(scenario)
         assert a.deliveries == b.deliveries
         assert a.counters == b.counters
-        assert a.plan_fingerprint == b.plan_fingerprint == plan.fingerprint()
+        assert scenario.fault_plan().fingerprint() == smoke_plan(6, 12.0, seed=3).fingerprint()
 
     def test_live_only_events_leave_the_sim_untouched(self):
         """A plan holding only live-only events compiles to notes and
         nothing else: the armed system's run is byte-identical to an
         unplanned one (the determinism-fingerprint guarantee)."""
-        from repro.chaos.run import chaos_sim_config, run_chaos_sim
+        import dataclasses
+
+        from repro.scenario import Scenario, run_scenario
 
         live_only = (
             FaultPlan(horizon=6.0)
             .reorder(0, window=4, at=1.0, duration=1.0)
             .directory_outage(at=2.0, duration=1.0)
         )
-        empty = FaultPlan(horizon=6.0)
-        config = chaos_sim_config()
-        armed = run_chaos_sim(live_only, nodes=6, seed=3, config=config)
-        plain = run_chaos_sim(empty, nodes=6, seed=3, config=config)
+        plain_scenario = Scenario.from_params({"plan": "none", "nodes": 6, "horizon": 6.0}, 3, "chaos")
+        armed = run_scenario(dataclasses.replace(plain_scenario, plan=live_only))
+        plain = run_scenario(plain_scenario)
         assert len(armed.notes) == 2
         assert armed.deliveries == plain.deliveries
         assert armed.counters == plain.counters
 
     def test_compile_notes_name_the_approximated_events(self):
+        from repro.core.config import timer_regime
         from repro.core.system import RacSystem
-        from repro.chaos.run import chaos_sim_config
 
-        system = RacSystem(chaos_sim_config(), seed=0)
+        system = RacSystem(timer_regime("heal"), seed=0)
         node_ids = system.bootstrap(6)
         plan = (
             FaultPlan(horizon=20.0)

@@ -278,8 +278,8 @@ class TestLive:
     def test_demo_runs_a_small_cluster(self, capsys):
         assert main(["live", "demo", "--nodes", "3", "--duration", "2", "--messages", "1"]) == 0
         out = capsys.readouterr().out
-        assert "live cluster: 3 nodes" in out
-        assert "anonymous deliveries" in out
+        assert "live run [live]: 3 nodes" in out
+        assert "deliveries" in out
 
     def test_demo_check_passes_on_healthy_run(self, capsys):
         assert (

@@ -96,9 +96,9 @@ class TestOpponentVerdicts:
     """adversary.py opponents through one minimal seeded campaign cell."""
 
     def _cell(self, opponent, loss):
-        from repro.campaign.scoring import run_campaign_cell
+        from tests.scenario_cells import campaign_cell
 
-        return run_campaign_cell(
+        return campaign_cell(
             {
                 "strategy": opponent,
                 "plan": "none",
@@ -106,7 +106,7 @@ class TestOpponentVerdicts:
                 "nodes": 10,
                 "horizon": 12.0,
             },
-            seed=0,
+            0,
         )
 
     def test_verdict_matches_registry_promise(self, opponent, loss):

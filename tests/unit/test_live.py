@@ -11,12 +11,12 @@ import asyncio
 
 import pytest
 
-from repro.core.config import RacConfig
+from repro.core.config import RacConfig, timer_regime
 from repro.core.environment import NodeEnvironment
 from repro.core.identity import build_population
 from repro.core.system import RacSystem
 from repro.core.wire import WireError
-from repro.live.cluster import LiveCluster, LiveReport, live_config
+from repro.live.cluster import LiveCluster, LiveReport
 from repro.live.directory import BootstrapDirectory, DirectoryClient, RosterEntry
 from repro.live.environment import LiveEnvironment
 from repro.live.framing import (
@@ -181,7 +181,7 @@ def test_directory_rejects_garbage_without_dying():
 def test_build_population_matches_system_bootstrap():
     """The live runtime's standalone population must be the exact
     population a same-seeded RacSystem creates — ids, keys and all."""
-    config = live_config()
+    config = timer_regime("wall")
     system = RacSystem(config, seed=11)
     node_ids = system.bootstrap(6)
     population = build_population(config, 6, seed=11)
@@ -201,14 +201,14 @@ def test_both_substrates_satisfy_node_environment():
     system = RacSystem(RacConfig.small(), seed=0)
     assert isinstance(system, NodeEnvironment)
 
-    config = live_config()
+    config = timer_regime("wall")
     roster = _entries(4)
     env = LiveEnvironment(roster[0].node_id, config, roster)
     assert isinstance(env, NodeEnvironment)
 
 
 def test_live_environment_membership_replica():
-    config = live_config()
+    config = timer_regime("wall")
     roster = _entries(5)
     env = LiveEnvironment(roster[0].node_id, config, roster)
     for entry in roster:
@@ -226,7 +226,7 @@ def test_live_environment_membership_replica():
 
 
 def test_live_environment_eviction_updates_replica():
-    config = live_config()
+    config = timer_regime("wall")
     roster = _entries(4)
     env = LiveEnvironment(roster[0].node_id, config, roster)
     victim = roster[2].node_id
@@ -263,7 +263,6 @@ def test_live_report_aggregation():
     assert report.deliveries == 3
     assert report.accusations == 3
     assert report.counters()["live_frames_sent"] == 15
-    assert report.delivered_multiset() == [b"a", b"b", b"c"]
     text = report.render()
     assert "anonymous deliveries : 3" in text
     assert "evictions            : 1" in text

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.core.config import RacConfig
+from repro.core.config import RacConfig, check_timers
 from repro.core.system import RacSystem
 from repro.crypto import clear_process_caches
 from repro.crypto.dh import _BASE_STORE
@@ -20,11 +20,10 @@ from repro.groups import (
     ShardPartitionError,
     plan_bundles,
 )
+from repro.scenario import plant_behaviors, prepare
 from repro.simnet.shard import (
     ScaleSpec,
     ZERO_FINGERPRINT,
-    behaviors_for,
-    build_fault_plan,
     build_shard_system,
     canonical_blob,
     chain_fingerprint,
@@ -165,31 +164,35 @@ class TestScaleSpecCoalition:
             seed=3,
             coalition={"mode": "stagger", "members": [2, 9], "rotation_period": 1.5},
         )
-        _config, materials, _directory = plan_population(spec)
-        a = behaviors_for(spec, materials)
-        b = behaviors_for(spec, materials)
-        assert set(a) == {2, 9}
-        roster_a = a[2].coordinator.member_ids
-        roster_b = b[9].coordinator.member_ids
+        config, materials, _directory = plan_population(spec)
+        # The spec's 1-based members are the scenario's 0-based ones.
+        a = plant_behaviors(spec.scenario(), config, materials)
+        b = plant_behaviors(spec.scenario(), config, materials)
+        assert set(a) == {1, 8}
+        roster_a = a[1].coordinator.member_ids
+        roster_b = b[8].coordinator.member_ids
         assert roster_a == roster_b == tuple(
             sorted(materials[i - 1].node_id for i in (2, 9))
         )
         for t in (0.0, 1.5, 7.3, 29.9):
-            assert a[2].coordinator.active_member(t) == b[9].coordinator.active_member(t)
+            assert a[1].coordinator.active_member(t) == b[8].coordinator.active_member(t)
 
 
 class TestBuildFaultPlan:
     def test_none_is_clean(self):
         spec = ScaleSpec(nodes=16, num_shards=1)
-        assert build_fault_plan(spec, spec.build_config()) is None
+        assert not spec.scenario().fault_plan().events
 
     def test_storm_rejected_against_default_tight_timers(self):
         # RacConfig.small keeps 1s-ish misbehaviour timers; a storm's
         # healing windows would read as freeriding. The contract is
-        # enforced at plan time with an actionable message.
+        # enforced at plan time, on the shard and on the monolithic
+        # oracle alike, with an actionable message.
         spec = ScaleSpec(nodes=16, num_shards=1, plan="storm")
         with pytest.raises(ValueError, match="misbehaviour timers"):
-            build_fault_plan(spec, spec.build_config())
+            build_shard_system(spec, 0)
+        with pytest.raises(ValueError, match="misbehaviour timers"):
+            prepare(spec.scenario())
 
     def test_storm_accepted_with_raised_timers(self):
         spec = ScaleSpec(
@@ -202,9 +205,10 @@ class TestBuildFaultPlan:
                 "rate_window": 4.0,
             },
         )
-        plan = build_fault_plan(spec, spec.build_config())
-        assert plan is not None and plan.events
+        plan = spec.scenario().fault_plan()
+        assert plan.events
         plan.validate(spec.nodes)
+        check_timers(spec.build_config(), 0.25, plan=plan)
 
 
 class TestFilterPlanEvents:

@@ -22,7 +22,14 @@ import pytest
 
 from repro.chaos.plan import FaultPlan
 from repro.chaos.proxy import ChaosProxy
-from repro.core.config import RacConfig, TopologyTimerError, validate_topology_timers
+from repro.core.config import (
+    WAN_ARQ,
+    RacConfig,
+    TopologyTimerError,
+    check_timers,
+    scale_timers,
+    timer_regime,
+)
 from repro.core.system import RacSystem
 from repro.simnet.engine import Simulator
 from repro.simnet.network import DEFAULT_PROPAGATION_DELAY, StarNetwork
@@ -38,7 +45,9 @@ from repro.topo.model import (
     preset,
     wan_king,
 )
-from repro.topo.run import lan_equivalence, run_topo_sim, scale_timers, topo_sim_config
+from repro.scenario import Scenario, prepare, run_scenario
+from repro.topo.run import lan_equivalence
+from tests.scenario_cells import run_cell
 from repro.topo.traces import diurnal_churn_plan, publish_times
 
 
@@ -241,35 +250,55 @@ class TestTimerContract:
     def test_wan_rejects_lan_scale_timers(self):
         config = RacConfig.small(relay_timeout=0.2, predecessor_timeout=0.1)
         with pytest.raises(TopologyTimerError, match="relay_timeout"):
-            validate_topology_timers(config, planet_diurnal(10), 0.05)
+            check_timers(config, 0.05, topology=planet_diurnal(10))
 
     def test_rto_clamp_must_cover_the_worst_rtt(self):
         config = RacConfig.small(
             relay_timeout=60.0, predecessor_timeout=60.0, transport_rto_max=0.05
         )
         with pytest.raises(TopologyTimerError, match="transport_rto_max"):
-            validate_topology_timers(config, planet_diurnal(10), 0.05)
+            check_timers(config, 0.05, topology=planet_diurnal(10))
 
     def test_topo_defaults_pass_every_preset(self):
-        config = topo_sim_config()
+        config = timer_regime("detect", **WAN_ARQ)
         for name in PRESET_NAMES:
-            validate_topology_timers(config, preset(name, 10), 0.05)
+            check_timers(config, 0.05, topology=preset(name, 10))
 
     def test_system_enforces_at_bootstrap(self):
-        config = topo_sim_config(relay_timeout=0.2)
+        config = timer_regime("detect", **WAN_ARQ, relay_timeout=0.2)
         system = RacSystem(config, seed=0, topology=wan_king(10))
         with pytest.raises(TopologyTimerError):
             system.bootstrap(10)
 
     def test_enforcement_is_bypassable_for_probes(self):
-        config = topo_sim_config(relay_timeout=0.2)
-        system = RacSystem(
-            config, seed=0, topology=wan_king(10), enforce_topology_timers=False
-        )
+        config = timer_regime("detect", **WAN_ARQ, relay_timeout=0.2)
+        system = RacSystem(config, seed=0, topology=wan_king(10), enforce_contract=False)
         assert len(system.bootstrap(10)) == 10
 
+    def test_contract_floor_is_read_off_the_floors_not_bisected(self):
+        # The floor(analytic) column of results/topology_sweep.txt, which
+        # 40 rounds of try/except around the old validator used to find.
+        from repro.experiments.topology_sweep import NODES, contract_floor_scale
+
+        config = timer_regime("detect", **WAN_ARQ)
+        column = {
+            name: "x%.3g" % contract_floor_scale(preset(name, NODES), config, 0.05)
+            for name in PRESET_NAMES
+        }
+        assert column == {
+            "lan": "x0.05",
+            "wan-king": "x0.0735",
+            "hetero-access": "x0.0558",
+            "planet-diurnal": "x0.0987",
+        }
+        # At that scale the tightest scaled timer sits exactly on its floor.
+        floor = contract_floor_scale(wan_king(NODES), config, 0.05)
+        check_timers(scale_timers(config, floor * (1 + 1e-9)), 0.05, topology=wan_king(NODES))
+        with pytest.raises(TopologyTimerError):
+            check_timers(scale_timers(config, floor * (1 - 1e-6)), 0.05, topology=wan_king(NODES))
+
     def test_scale_timers_scales_only_the_misbehaviour_timers(self):
-        config = topo_sim_config()
+        config = timer_regime("detect", **WAN_ARQ)
         half = scale_timers(config, 0.5)
         assert half.relay_timeout == pytest.approx(config.relay_timeout / 2)
         assert half.predecessor_timeout == pytest.approx(config.predecessor_timeout / 2)
@@ -319,9 +348,10 @@ class TestRunHarness:
         assert plain == lan_digest
 
     def test_wan_run_reports_metrics_and_stays_clean(self):
-        out = run_topo_sim(wan_king(8), nodes=8, horizon=6.0, seed=0)
+        params = {"topology": "wan-king", "nodes": 8, "horizon": 6.0}
+        out = run_scenario(Scenario.from_params(params, 0, "topo"))
         assert out.ok
-        assert out.deliveries > 0
+        assert out.deliveries
         assert out.latency_mean_s > 0.0
         assert out.honest_evictions == 0
         metrics = out.metrics()
@@ -330,12 +360,19 @@ class TestRunHarness:
 
     def test_churn_run_defaults_to_churn_tolerant_timers(self):
         # Diurnal reboots under WAN delay must never read as freeriding:
-        # with no explicit config, churn=True picks topo_churn_config
+        # churn=1 moves the topo harness from the detect regime to heal
         # (chaos-scale timers above the trace's reboot windows).
-        out = run_topo_sim(planet_diurnal(9), nodes=9, horizon=12.0, seed=1, churn=True)
-        assert out.ok, out.report.describe()
+        params = {"topology": "planet-diurnal", "nodes": 9, "horizon": 12.0, "churn": 1}
+        scenario = Scenario.from_params(params, 1, "topo")
+        assert scenario.regime == "heal" and scenario.plan == "diurnal"
+        out = run_cell(scenario)
+        assert out.ok, out.report.render()
         assert out.honest_evictions == 0
 
-    def test_victim_behaviours_are_routed_to_the_campaign_layer(self):
-        with pytest.raises(ValueError, match="victim"):
-            run_topo_sim(lan(8), nodes=8, horizon=4.0, seed=0, deviant="false-accuser")
+    def test_victim_behaviours_frame_the_node_opposite_them(self):
+        # One lowering serves every harness: a topology run plants a
+        # targeted behaviour exactly as a campaign cell does.
+        params = {"topology": "lan", "nodes": 8, "horizon": 4.0, "deviant": "false-accuser"}
+        run = prepare(Scenario.from_params(params, 0, "topo"))
+        accuser = run.system.nodes[run.node_ids[3]].behavior
+        assert accuser.victim == run.node_ids[(3 + 8 // 2) % 8]
