@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench bench-baseline ci-bench-smoke sweep-smoke live-smoke chaos-smoke campaign-smoke coalition-smoke scale-smoke pubsub-smoke topo-smoke report examples ci clean
+.PHONY: install test test-fast bench ci-bench-smoke sweep-smoke live-smoke chaos-smoke campaign-smoke coalition-smoke scale-smoke pubsub-smoke topo-smoke report examples ci clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -13,11 +13,7 @@ test:
 test-fast:
 	$(PYTHON) -m pytest tests/ --ignore=tests/integration/test_throughput_validation.py
 
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
-	PYTHONPATH=src $(PYTHON) benchmarks/baseline.py
-
-bench-baseline:  # refresh BENCH_protocol.json without the pytest benches
+bench:  # refresh BENCH_protocol.json (~2.5 min)
 	PYTHONPATH=src $(PYTHON) benchmarks/baseline.py
 
 ci-bench-smoke:  # fail if seal/peel, DH trial-peel, shard-snapshot, bare-engine or per-segment cost regressed >2x vs BENCH_protocol.json
@@ -74,11 +70,11 @@ topo-smoke:  # wan-king on both substrates, invariant-checked, + lan==bare-star 
 		--nodes 6 --horizon 12 --seed 0 --check
 
 report:
-	$(PYTHON) -m repro report --output results/full_report.txt
+	PYTHONPATH=src $(PYTHON) -m repro results make full_report
 
 ci:  # what .github/workflows/ci.yml runs
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
-	$(PYTHON) experiments/fault_sweep.py --smoke
+	PYTHONPATH=src $(PYTHON) -m repro results check  # every pinned+fast results/*.txt rebuilt in memory, diffed against the committed file, gated
 	$(MAKE) sweep-smoke
 	$(MAKE) live-smoke
 	$(MAKE) chaos-smoke
@@ -96,5 +92,5 @@ examples:
 	for ex in examples/*.py; do echo "=== $$ex ==="; $(PYTHON) $$ex || exit 1; done
 
 clean:
-	rm -rf .pytest_cache .hypothesis results/*.txt test_output.txt bench_output.txt
+	rm -rf .pytest_cache .hypothesis test_output.txt results/sweep_smoke results/campaign_smoke results/coalition_smoke results/scale_smoke
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -18,7 +18,7 @@ deviation check: for every unilateral deviation we compute
   its anonymity set entirely).
 
 The protocol *is* a Nash equilibrium iff no deviation beats honesty.
-``benchmarks/test_bench_nash.py`` prints the resulting table, and the
+``results/nash_analysis.txt`` holds the resulting table, and the
 simulator-level tests confirm the detection probabilities are not
 wishful: deviators really do get evicted.
 """

@@ -3,7 +3,7 @@
 How many rings R are needed so that (a) broadcasts survive opponents
 dropping messages and (b) no node gets a majority of opponents among
 its direct successors? The paper instantiates three numbers from this
-machinery, all reproduced by ``benchmarks/test_bench_text_claims.py``:
+machinery, all reproduced in ``results/text_claims.txt``:
 
 * N=1000, f=10 %, R=7 ⇒ successor sets contain at most 3 opponents
   with probability ≈ 0.999 (§IV-C);

@@ -28,10 +28,20 @@ from typing import Dict, List, Optional, Sequence
 
 from ..crypto.keys import KeyPair, seal
 from ..crypto.shuffle import ShuffleParticipant, run_shuffle
-from .costs_helpers import spread_evenly
 from ..analysis.costs import optimal_server_count
 
-__all__ = ["DissentV2Round", "DissentV2System"]
+__all__ = ["DissentV2Round", "DissentV2System", "spread_evenly"]
+
+
+def spread_evenly(item_count: int, bucket_count: int) -> "Dict[int, int]":
+    """Assign items to buckets with sizes differing by at most one.
+
+    Dissent v2's evaluation setup: *"in order to balance the load, we
+    equally distribute the number of nodes between trusted servers"*.
+    """
+    if bucket_count < 1:
+        raise ValueError("need at least one bucket")
+    return {item: item % bucket_count for item in range(item_count)}
 
 
 @dataclass

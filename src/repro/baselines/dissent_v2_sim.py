@@ -33,7 +33,7 @@ from ..crypto.keys import KeyPair, seal
 from ..simnet.engine import Simulator
 from ..simnet.network import StarNetwork
 from ..simnet.transport import ReliableTransport
-from .costs_helpers import spread_evenly
+from .dissent_v2 import spread_evenly
 
 __all__ = ["DissentV2SimResult", "DissentV2Sim"]
 

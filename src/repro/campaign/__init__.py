@@ -11,9 +11,10 @@ frontier**: per strategy, the fault intensity where detection stays
 sound, where it first degrades (missed detections), where false
 positives begin, and what the adversity costs anonymity.
 
-Entry points: ``repro campaign run|status|report`` (CLI),
-``experiments/campaign_matrix.py`` (the committed artefact), and
-``make campaign-smoke`` (CI).
+Entry points: ``repro campaign run|status|report`` (CLI), the
+``campaign_frontier`` and ``coalition_frontier`` rows of
+:mod:`repro.experiments.artefacts` (the committed artefacts), and
+``make campaign-smoke`` / ``coalition-smoke`` (CI).
 """
 
 from .frontier import (

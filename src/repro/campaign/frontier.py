@@ -464,6 +464,25 @@ class FrontierReport:
             return self.coalition is not None and self.coalition.sub_bound_sound
         return all(p.sound for p in baseline)
 
+    def failures(self) -> "List[str]":
+        """The one campaign gate (``campaign report --check`` and both
+        committed frontier artefacts): no honest eviction in any
+        unilateral cell or sub-f·G coalition cell, every sub-f·G
+        coalition cell sound, the baseline sound. An above-bound
+        coalition breakdown is the measurement, not a failure."""
+        out: "List[str]" = []
+        sub_bound = [] if self.coalition is None else [
+            p for p in self.coalition.points if not p.above_bound
+        ]
+        honest = sum(p.honest_evictions for p in self.points + sub_bound)
+        if honest:
+            out.append(f"{honest} honest eviction(s) recorded")
+        if self.coalition is not None and not self.coalition.sub_bound_sound:
+            out.append("sub-f*G coalition cells are not sound")
+        if not self.baseline_ok:
+            out.append("baseline cells are not sound")
+        return out
+
     def render(self) -> str:
         lines: "List[str]" = []
         if self.points:

@@ -15,9 +15,11 @@
     python -m repro campaign run --spec smoke --run-dir /tmp/c  # adversarial matrix
     python -m repro scale verify --nodes 64 --shards 2  # sharded == monolithic
     python -m repro pubsub bench --check  # live pub/sub with dynamic membership
+    python -m repro results list | make NAME... | check [NAME...]
 
-Every command prints the same tables the benches write to
-``results/``.
+``results`` is the one door to the committed ``results/*.txt`` files
+(:mod:`repro.experiments.artefacts`); ``fig1``, ``claims``, ``nash``,
+``ablation`` and ``report`` print the text of their row.
 """
 
 from __future__ import annotations
@@ -127,9 +129,16 @@ def build_parser() -> argparse.ArgumentParser:
     measure.add_argument("--duration", type=float, default=2.0)
     measure.add_argument("--seed", type=int, default=3)
 
-    report = sub.add_parser("report", help="full reproduction report (all artefacts)")
-    report.add_argument("--output", default=None, help="also write the report to this file")
-    report.add_argument("--no-ablations", action="store_true")
+    sub.add_parser("report", help="full reproduction report (all paper artefacts in one text)")
+
+    results = sub.add_parser(
+        "results",
+        help="the committed results/*.txt artefacts: `list` the registry, `make` rows (rebuild "
+        "and write their files), `check` rows (rebuild in memory, run their gates, diff pinned "
+        "rows against results/; default: every pinned+fast row)",
+    )
+    results.add_argument("action", choices=("list", "make", "check"))
+    results.add_argument("names", nargs="*", metavar="NAME", help="registry rows")
 
     sweep = sub.add_parser(
         "sweep", help="parallel (config x seed) sweep campaigns with checkpoint/resume"
@@ -495,10 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and delivery parity hold (CI smoke contract)",
     )
 
-    pcap = pubsub_sub.add_parser(
-        "capacity", help="groups x members -> msg/s capacity planning table"
-    )
-    pcap.add_argument("--out", default=None, help="also write the table to this file")
+    pubsub_sub.add_parser("capacity", help="groups x members -> msg/s capacity planning table")
 
     return parser
 
@@ -520,7 +526,7 @@ def main(argv: "Optional[List[str]]" = None) -> int:
 
 def _profiled_dispatch(args: argparse.Namespace) -> int:
     """Run the command under cProfile; stats go to stderr so stdout
-    stays parseable (the artefact tables are diffed by the benches)."""
+    stays the command's own text (an artefact table, for a row command)."""
     import cProfile
     import pstats
 
@@ -534,11 +540,27 @@ def _profiled_dispatch(args: argparse.Namespace) -> int:
         stats.sort_stats("cumulative").print_stats(25)
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "fig1":
-        from .experiments.fig1 import figure1
+#: Commands that print one registry row's text (exit 1 if its gate fails).
+_ROW_COMMANDS = {
+    "fig1": "figure1",
+    "claims": "text_claims",
+    "nash": "nash_analysis",
+    "ablation": "ablation",
+    "report": "full_report",
+}
 
-        print(figure1().render())
+
+def _dispatch(args: argparse.Namespace) -> int:
+    if args.command in _ROW_COMMANDS:
+        from .experiments.artefacts import show
+
+        text, failures = show(_ROW_COMMANDS[args.command])
+        print(text)
+        if failures:
+            print("\n".join(failures), file=sys.stderr)
+            return 1
+    elif args.command == "results":
+        return _dispatch_results(args)
     elif args.command == "fig3":
         from .experiments.fig3 import figure3
 
@@ -551,45 +573,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         from .experiments.table1 import table1
 
         print(table1(N=args.nodes, G=args.group_size).render())
-    elif args.command == "claims":
-        from .experiments.text_claims import all_claims, render_claims
-
-        print(render_claims())
-        if not all(claim.holds for claim in all_claims()):
-            return 1
-    elif args.command == "nash":
-        from .experiments.nash import nash_table
-
-        print(nash_table())
-    elif args.command == "ablation":
-        from .experiments.ablation import (
-            recommend_parameters,
-            render_ablation,
-            sweep_group_size,
-            sweep_relays,
-            sweep_rings,
-        )
-
-        print(render_ablation(sweep_relays(), "Ablation: relays L"))
-        print()
-        print(render_ablation(sweep_rings(), "Ablation: rings R"))
-        print()
-        print(render_ablation(sweep_group_size(), "Ablation: group size G"))
-        print()
-        print("recommended for (f=10%, sender<=1e-6, majority<=1e-5, set>=1000):")
-        print("  " + recommend_parameters().describe())
     elif args.command == "trace":
         from .experiments.fig2_trace import trace_dissemination
 
         trace = trace_dissemination(population=args.population, seed=args.seed)
         print(trace.narrative())
-    elif args.command == "report":
-        from .experiments.report import full_report, write_report
-
-        if args.output:
-            print(write_report(args.output, include_ablations=not args.no_ablations))
-        else:
-            print(full_report(include_ablations=not args.no_ablations))
     elif args.command == "sweep":
         return _dispatch_sweep(args)
     elif args.command == "live":
@@ -616,6 +604,24 @@ def _dispatch(args: argparse.Namespace) -> int:
             f"{m.deliveries} deliveries, {m.evictions} evictions"
         )
     return 0
+
+
+def _dispatch_results(args: argparse.Namespace) -> int:
+    from .experiments import artefacts
+
+    if args.action == "list":
+        print(artefacts.render_index())
+        return 0
+    unknown = sorted(set(args.names) - set(artefacts.ARTEFACTS))
+    if unknown or (args.action == "make" and not args.names):
+        raise SystemExit(f"results {args.action}: name rows of `repro results list`, not {unknown}")
+    if args.action == "make":
+        failures = artefacts.make(args.names)
+        print("wrote", *(file for name in args.names for file in artefacts.ARTEFACTS[name].files))
+    else:
+        failures = artefacts.check(args.names or None)
+    print("\n".join(failures + [f"results {args.action} " + ("FAILED" if failures else "OK")]))
+    return 1 if failures else 0
 
 
 def _dispatch_live(args: argparse.Namespace) -> int:
@@ -687,11 +693,7 @@ def _dispatch_pubsub(args: argparse.Namespace) -> int:
     elif args.pubsub_command == "capacity":
         from .pubsub.capacity import capacity_table, render_capacity_table
 
-        table = render_capacity_table(capacity_table())
-        print(table)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(table + "\n")
+        print(render_capacity_table(capacity_table()))
     return 0
 
 
@@ -796,34 +798,9 @@ def _dispatch_campaign(args: argparse.Namespace) -> int:
                 fh.write(text + "\n")
             print(f"\nwrote {args.out}")
         if args.check:
-            total_honest = sum(p.honest_evictions for p in report.points)
-            # Coalition honest evictions only fail the check below the
-            # f*G bound: an above-bound breakdown is the measurement,
-            # not a regression.
-            coalition_bad = (
-                report.coalition is not None
-                and not report.coalition.sub_bound_sound
-            )
-            sub_bound_honest = (
-                sum(
-                    p.honest_evictions
-                    for p in report.coalition.points
-                    if not p.above_bound
-                )
-                if report.coalition is not None
-                else 0
-            )
-            if not report.baseline_ok or total_honest or coalition_bad:
-                if total_honest or sub_bound_honest:
-                    why = (
-                        f"{total_honest + sub_bound_honest} honest "
-                        "eviction(s) recorded"
-                    )
-                elif coalition_bad:
-                    why = "sub-f*G coalition cells are not sound"
-                else:
-                    why = "baseline cells are not sound"
-                print("campaign check FAILED: " + why)
+            failures = report.failures()
+            if failures:
+                print("campaign check FAILED: " + "; ".join(failures))
                 return 1
         return 0
     return 0

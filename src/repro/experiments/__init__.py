@@ -7,7 +7,10 @@
 * :mod:`repro.experiments.text_claims` — every in-text numeric claim;
 * :mod:`repro.experiments.nash` — Section V-B deviation scoreboard;
 * :mod:`repro.experiments.empirical` — packet-level RAC measurements;
-* :mod:`repro.experiments.runner` — sweeps, units, ASCII tables.
+* :mod:`repro.experiments.runner` — sweeps, units, ASCII tables;
+* :mod:`repro.experiments.artefacts` — the registry mapping every
+  committed ``results/*.txt`` file to the one function that builds it
+  (``repro results list | make | check``).
 """
 
 from .ablation import (
@@ -19,6 +22,7 @@ from .ablation import (
     sweep_relays,
     sweep_rings,
 )
+from .artefacts import ARTEFACTS, full_report
 from .anonymity_empirical import (
     AnonymityMeasurement,
     anonymity_vs_population,
@@ -29,7 +33,6 @@ from .comparison import ComparisonRow, complexity_comparison, render_comparison
 from .dissemination import CoveragePoint, coverage_vs_rings, measure_coverage, render_coverage
 from .empirical import RacMeasurement, measure_rac_throughput
 from .latency import LatencyPoint, latency_vs_relays, measure_latency, render_latency
-from .report import full_report, write_report
 from .fig1 import Figure1Result, empirical_dissent_v1_point, empirical_dissent_v2_point, figure1
 from .fig2_trace import Figure2Trace, trace_dissemination
 from .fig3 import Figure3Result, figure3
@@ -61,8 +64,8 @@ __all__ = [
     "latency_vs_relays",
     "measure_latency",
     "render_latency",
+    "ARTEFACTS",
     "full_report",
-    "write_report",
     "RacMeasurement",
     "measure_rac_throughput",
     "Figure1Result",

@@ -1,8 +1,8 @@
 """Shared experiment plumbing: sweeps, units and ASCII tables.
 
 Every experiment module returns plain data (so tests can assert on it)
-plus a ``render()`` that prints paper-style rows; the benches tee that
-output into ``bench_output.txt``.
+plus a ``render()`` that prints paper-style rows — the text
+:mod:`.artefacts` commits under ``results/``.
 
 Size sweeps route through :func:`sweep_records`, which evaluates the
 registered orchestrator workload for each ``nodes`` value via the same

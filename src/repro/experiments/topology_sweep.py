@@ -27,7 +27,7 @@ byte-identical to the paper's uniform star):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..core.config import MISBEHAVIOUR_TIMERS, RacConfig, timer_floors
@@ -39,7 +39,7 @@ __all__ = [
     "TopologySweep",
     "contract_floor_scale",
     "sweep_topologies",
-    "write_results",
+    "artefact",
 ]
 
 NODES = 10
@@ -87,7 +87,6 @@ class SweepRow:
 @dataclass
 class TopologySweep:
     rows: "List[SweepRow]"
-    notes: "List[str]" = field(default_factory=list)
 
     @property
     def baseline(self) -> SweepRow:
@@ -149,9 +148,6 @@ class TopologySweep:
             "model fingerprints:",
         ]
         lines.extend(f"  {row.name:<16} {row.fingerprint}" for row in self.rows)
-        for note in self.notes:
-            lines.append("")
-            lines.append(note)
         return "\n".join(lines) + "\n"
 
 
@@ -160,7 +156,7 @@ def _run(model: TopologyModel, **params) -> Outcome:
     return run_params(params, SEED, "topo")
 
 
-def _measure(model: TopologyModel, *, fp_scales) -> SweepRow:
+def _measure(model: TopologyModel) -> SweepRow:
     honest = _run(model)
     deviant = _run(model, deviant=DEVIANT)
 
@@ -170,7 +166,7 @@ def _measure(model: TopologyModel, *, fp_scales) -> SweepRow:
 
     suspicion_onset: "Optional[float]" = None
     fp_onset: "Optional[float]" = None
-    for scale in fp_scales:
+    for scale in FP_SCALES:
         probe = _run(model, timer_scale=scale, enforce_contract=False)
         if suspicion_onset is None and not probe.ok:
             suspicion_onset = scale
@@ -198,30 +194,15 @@ def _measure(model: TopologyModel, *, fp_scales) -> SweepRow:
     )
 
 
-def sweep_topologies(smoke: bool = False) -> TopologySweep:
-    """Measure every preset (``smoke``: just lan + wan-king, one probe
-    each, for CI time)."""
-    names = ("lan", "wan-king") if smoke else PRESET_NAMES
-    fp_scales = (0.12,) if smoke else FP_SCALES
-    rows = [
-        _measure(preset(name, NODES, seed=0), fp_scales=fp_scales) for name in names
+def sweep_topologies() -> TopologySweep:
+    """Measure every preset."""
+    return TopologySweep(rows=[_measure(preset(name, NODES, seed=0)) for name in PRESET_NAMES])
+
+
+def artefact() -> "Tuple[List[str], List[str]]":
+    sweep = sweep_topologies()
+    return [sweep.render()], [
+        f"{row.name}: {row.honest_evictions} honest eviction(s) at nominal timers"
+        for row in sweep.rows
+        if row.honest_evictions
     ]
-    sweep = TopologySweep(rows=rows)
-    if smoke:
-        sweep.notes.append("smoke mode: lan + wan-king only, single fp probe")
-    return sweep
-
-
-def write_results(path: str = "results/topology_sweep.txt", smoke: bool = False) -> TopologySweep:
-    sweep = sweep_topologies(smoke=smoke)
-    with open(path, "w") as fh:
-        fh.write(sweep.render())
-    return sweep
-
-
-if __name__ == "__main__":  # pragma: no cover - manual artifact refresh
-    import sys
-
-    smoke = "--smoke" in sys.argv
-    out = write_results(smoke=smoke)
-    print(out.render())

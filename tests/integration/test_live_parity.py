@@ -13,15 +13,11 @@ that reliably cover a full dissemination round on a loaded CI box.
 import asyncio
 
 from repro.core.config import timer_regime
+from repro.experiments.live_parity import PARITY_SCENARIO as SCENARIO
 from repro.live.cluster import LiveCluster
-from repro.scenario import Scenario, ring_sends, run_scenario
+from repro.scenario import ring_sends, run_scenario
 
-#: One object, two substrates: identical population (both call
-#: build_population), identical ring, the jitter-proof ``wall`` timers
-#: with the blacklist shuffle off on both sides.
-SCENARIO = Scenario(
-    nodes=8, horizon=8.0, seed=0, regime="wall", traffic="ring", messages=2, tag="live"
-)
+#: The scenario of results/live_parity.txt: one object, two substrates.
 PAYLOADS = sorted(payload for _src, _dst, payload in ring_sends(8, 2, "live", 0))
 
 

@@ -4,19 +4,24 @@
 fault plan lowered, traffic pumped and a verdict reached. Five copies
 of that pipeline grew before it existed; these checks keep a sixth from
 growing back. A new way to *run* the protocol belongs in
-``run_scenario``; a new *result type* belongs in ``Outcome``.
+``run_scenario``; a new *result type* belongs in ``Outcome``; a new
+*committed artefact* is a row of ``experiments/artefacts.py``.
 """
 
 import ast
 import pathlib
+import re
 
-SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
 
 #: Where a ``RacSystem`` / ``LiveCluster`` (or a subclass) may be
 #: constructed: the scenario pipeline, the sharded simulator's own
 #: system, the pub/sub service and its sim twin (a client-API script,
 #: not a population → plan → traffic run), the lan-equivalence gate,
-#: and the five paper experiments that drive a system by hand.
+#: the five paper experiments that drive a system by hand, and the
+#: fault sweep (an adaptive send loop — it counts accepted sends and
+#: re-reads the eviction set every round — whose bytes are pinned).
 CONSTRUCTION_SITES = {
     "scenario.py",
     "simnet/shard.py",
@@ -28,6 +33,7 @@ CONSTRUCTION_SITES = {
     "experiments/anonymity_empirical.py",
     "experiments/nash.py",
     "experiments/fig2_trace.py",
+    "experiments/fault_sweep.py",
 }
 
 #: The only classes named ``*Outcome``. ``LiveReport`` stays the
@@ -88,3 +94,66 @@ def test_no_second_regime_function():
         and (node.name.endswith("_config") or node.name == "timer_regime")
     }
     assert {entry.split(":")[1] for entry in found} <= allowed, found
+
+
+_RESULTS_DIR = re.compile(r"(^|[\s/])results(/|$)")
+
+
+def _names_results_dir(nodes) -> bool:
+    """A string constant (docstrings aside) with ``results`` as a path
+    component."""
+    found = False
+    for root in nodes:
+        docstrings = {
+            id(node.value)
+            for node in ast.walk(root)
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+        }
+        found = found or any(
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+            and _RESULTS_DIR.search(node.value)
+            for node in ast.walk(root)
+        )
+    return found
+
+
+def _writes_a_file(nodes) -> bool:
+    """``open(..., "w" | "a")``, ``.write_text(`` or ``.write_bytes(``."""
+
+    def is_write(call: ast.Call) -> bool:
+        if _called_name(call) in ("write_text", "write_bytes"):
+            return True
+        modes = [*call.args[1:2], *(kw.value for kw in call.keywords if kw.arg == "mode")]
+        return _called_name(call) == "open" and any(
+            isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wa") for mode in modes
+        )
+
+    return any(
+        isinstance(node, ast.Call) and is_write(node) for root in nodes for node in ast.walk(root)
+    )
+
+
+def test_only_the_registry_writes_under_results():
+    """``repro results make`` is the one writer of ``results/``: outside
+    the registry, no function may write a file when it — or its
+    module's top level — names that directory. (Five mechanisms did,
+    and a CI smoke run overwrote a committed table.)"""
+    scanned = [(f"src/repro/{name}", tree) for name, tree in _modules()]
+    for path in sorted([*ROOT.glob("benchmarks/*.py"), *ROOT.glob("examples/*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scanned.append((path.relative_to(ROOT).as_posix(), tree))
+    offenders = set()
+    for name, tree in scanned:
+        definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        units = [[node] for node in tree.body if isinstance(node, definitions)]
+        top_level = [node for node in tree.body if not isinstance(node, definitions)]
+        shared = _names_results_dir(top_level)
+        for unit in [top_level, *units]:
+            if _writes_a_file(unit) and (shared or _names_results_dir(unit)):
+                offenders.add(name)
+    assert offenders == {"src/repro/experiments/artefacts.py"}, (
+        f"{sorted(offenders)} write files and name the results/ directory: a committed artefact "
+        "is a row of repro.experiments.artefacts.ARTEFACTS, written by `repro results make`"
+    )

@@ -111,7 +111,7 @@ class TestFrontier:
             store.append(_record("forward-dropper", "none", loss))
             store.append(_record("forward-dropper", "smoke", loss))
         report = build_frontier(store)
-        assert report.baseline_ok
+        assert report.baseline_ok and report.failures() == []
         assert report.skipped == 0
         for f in report.frontiers:
             assert f.sound_up_to == 0.05
@@ -130,6 +130,7 @@ class TestFrontier:
         report = build_frontier(store)
         (f,) = report.frontiers
         assert report.baseline_ok  # baseline (lowest loss) is clean
+        assert report.failures() == []  # a miss above the baseline is the frontier, not a failure
         assert f.sound_up_to == 0.0
         assert f.degrade_onset == 0.10
         assert f.false_positive_onset is None
@@ -140,11 +141,23 @@ class TestFrontier:
         store.append(_record("flooder", "none", 0.0, honest_evictions=2.0))
         report = build_frontier(store)
         assert not report.baseline_ok
+        assert report.failures() == [
+            "2 honest eviction(s) recorded",
+            "baseline cells are not sound",
+        ]
         (f,) = report.frontiers
         assert f.sound_up_to is None
         assert f.false_positive_onset == 0.0
         assert "false positives from 0%" in f.describe()
         assert "UNSOUND" in report.render()
+
+    def test_honest_eviction_anywhere_in_the_matrix_fails_the_gate(self):
+        store = ResultStore()
+        store.append(_record("flooder", "none", 0.0))
+        store.append(_record("flooder", "smoke", 0.10, honest_evictions=1.0))
+        report = build_frontier(store)
+        assert report.baseline_ok
+        assert report.failures() == ["1 honest eviction(s) recorded"]
 
     def test_undetectable_strategy_needs_no_conviction(self):
         store = ResultStore()
@@ -289,6 +302,7 @@ class TestCoalitionFrontier:
         report = build_frontier(store)
         coalition = report.coalition
         assert coalition.sub_bound_sound  # the breakdown is above-bound
+        assert report.failures() == []  # ... and is the measurement, not a failure
         (f,) = coalition.frontiers
         assert f.fp_onset == pytest.approx(4 / 12)
         assert f.measured_onset == pytest.approx(4 / 12)
@@ -308,6 +322,11 @@ class TestCoalitionFrontier:
         report = build_frontier(store)
         assert not report.coalition.sub_bound_sound
         assert not report.baseline_ok
+        assert report.failures() == [
+            "1 honest eviction(s) recorded",
+            "sub-f*G coalition cells are not sound",
+            "baseline cells are not sound",
+        ]
         (f,) = report.coalition.frontiers
         assert not f.holds
         assert "BOUND VIOLATED" in f.describe()
@@ -325,7 +344,7 @@ class TestCoalitionFrontier:
             coalition_evicted=2.0))
         report = build_frontier(store)
         coalition = report.coalition
-        assert coalition.sub_bound_sound
+        assert coalition.sub_bound_sound and report.failures() == []
         by_plan = {f.plan: f for f in coalition.frontiers}
         assert by_plan["none"].holds
         assert by_plan["storm"].holds  # storm miss below bound: latency
@@ -340,6 +359,7 @@ class TestCoalitionFrontier:
             coalition_evicted=2.0))
         report = build_frontier(store)
         assert not report.coalition.sub_bound_sound
+        assert report.failures()[0] == "sub-f*G coalition cells are not sound"
         (f,) = report.coalition.frontiers
         assert not f.holds
 

@@ -49,11 +49,30 @@ class TestCommands:
     def test_ablation(self, capsys):
         assert main(["ablation"]) == 0
         out = capsys.readouterr().out
-        assert "Ablation: relays L" in out and "recommended" in out
+        assert "Ablation: relays L" in out and "Ablation: group size G" in out
+        assert "L=1, R=15, G=1000" in out  # the recommended configuration
 
     def test_trace(self, capsys):
         assert main(["trace", "--population", "8", "--seed", "7"]) == 0
         assert "Step 3" in capsys.readouterr().out
+
+
+class TestResults:
+    def test_list_names_every_row_with_its_files(self, capsys):
+        from repro.experiments.artefacts import ARTEFACTS
+
+        assert main(["results", "list"]) == 0
+        out = capsys.readouterr().out
+        for row in ARTEFACTS.values():
+            assert f"`{row.name}`" in out and all(file in out for file in row.files)
+
+    def test_check_one_row_against_the_committed_file(self, capsys):
+        assert main(["results", "check", "table1"]) == 0
+        assert "results check OK" in capsys.readouterr().out
+
+    def test_unknown_row_is_rejected_before_building_anything(self):
+        with pytest.raises(SystemExit, match="tabel1"):
+            main(["results", "make", "tabel1"])
 
 
 class TestSweep:

@@ -5,6 +5,8 @@ the examples reference must be importable from the documented location.
 """
 
 import importlib
+import pathlib
+import re
 
 import pytest
 
@@ -83,6 +85,27 @@ def test_module_surface(module_name):
     for name in MODULE_SURFACE[module_name]:
         assert hasattr(module, name), f"{module_name}.{name}"
         assert name in module.__all__, f"{name} missing from {module_name}.__all__"
+
+
+def _design_section(number: int) -> str:
+    design = (pathlib.Path(__file__).resolve().parents[2] / "DESIGN.md").read_text(encoding="utf-8")
+    return design.split(f"\n## {number}. ")[1].split("\n## ")[0]
+
+
+def test_every_module_design_md_inventories_imports():
+    modules = set(re.findall(r"`(repro(?:\.[a-z_0-9]+)+)`", _design_section(1)))
+    assert len(modules) > 40
+    for name in sorted(modules):
+        importlib.import_module(name)
+
+
+def test_design_md_package_layout_lists_every_package():
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    packages = {path.parent.name for path in root.glob("*/__init__.py")}
+    listed = set(re.findall(r"^  ([a-z_]+)/ ", _design_section(5), re.M))
+    assert packages <= listed, sorted(packages - listed)
 
 
 def test_cli_module_runs():

@@ -1,9 +1,9 @@
-"""Unit tests for the report generator and its CLI command."""
-
-import pathlib
+"""Unit tests for the report row of the results registry and its CLI
+command."""
 
 from repro.cli import main
-from repro.experiments.report import full_report, write_report
+from repro.experiments import artefacts
+from repro.experiments.artefacts import full_report
 
 
 class TestFullReport:
@@ -22,25 +22,21 @@ class TestFullReport:
             assert marker in text, marker
 
     def test_headline_reports_all_claims(self):
-        assert "10/10 in-text numeric claims reproduce" in full_report(include_ablations=False)
+        assert "10/10 in-text numeric claims reproduce" in full_report()
 
-    def test_ablations_can_be_skipped(self):
-        text = full_report(include_ablations=False)
-        assert "Ablation: relays L" not in text
-
-    def test_write_report(self, tmp_path):
-        path = tmp_path / "report.txt"
-        text = write_report(str(path))
-        assert path.read_text().strip() == text.strip()
+    def test_write_report(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(artefacts, "RESULTS", tmp_path)
+        assert artefacts.make(["full_report"]) == []
+        assert (tmp_path / "full_report.txt").read_text(encoding="utf-8") == full_report() + "\n"
 
 
 class TestReportCli:
     def test_report_command(self, capsys):
-        assert main(["report", "--no-ablations"]) == 0
+        assert main(["report"]) == 0
         assert "Table I" in capsys.readouterr().out
 
-    def test_report_to_file(self, tmp_path, capsys):
-        out = tmp_path / "r.txt"
-        assert main(["report", "--no-ablations", "--output", str(out)]) == 0
-        assert out.exists()
-        assert "Figure 3" in out.read_text()
+    def test_report_to_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(artefacts, "RESULTS", tmp_path / "results")  # created on demand
+        assert main(["results", "make", "full_report"]) == 0
+        assert "wrote full_report.txt" in capsys.readouterr().out
+        assert "Figure 3" in (tmp_path / "results" / "full_report.txt").read_text(encoding="utf-8")
