@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench ci-bench-smoke sweep-smoke live-smoke chaos-smoke campaign-smoke coalition-smoke scale-smoke pubsub-smoke topo-smoke report examples ci clean
+.PHONY: install test test-fast bench bench-pairs ci-bench-smoke sweep-smoke live-smoke chaos-smoke campaign-smoke coalition-smoke scale-smoke pubsub-smoke topo-smoke report examples ci clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -15,6 +15,13 @@ test-fast:
 
 bench:  # refresh BENCH_protocol.json (~2.5 min)
 	PYTHONPATH=src $(PYTHON) benchmarks/baseline.py
+
+PARENT ?= HEAD~1
+WORKLOAD ?= sim-flood-40
+N ?= 10
+SEED ?= 20130708
+bench-pairs:  # N alternating parent/change runs of one rac_bench workload: medians, quartiles, wins, every pair
+	$(PYTHON) benchmarks/pairs.py --parent $(PARENT) --workload $(WORKLOAD) --n $(N) --seed $(SEED)
 
 ci-bench-smoke:  # fail if seal/peel, DH trial-peel, shard-snapshot, bare-engine or per-segment cost regressed >2x vs BENCH_protocol.json
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_smoke.py -q

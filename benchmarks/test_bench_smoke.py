@@ -68,10 +68,17 @@ def test_snapshot_save_within_2x_of_baseline(committed):
 
 
 def test_engine_events_within_2x_of_baseline(committed):
-    measured = baseline.measure_engine_events_per_sec()
+    # Raw events/s on a shared host swings 2x by itself (and the committed
+    # number may come from a quicker host): the reading is scaled by how
+    # much slower a fixed pure-Python kernel runs here and now than it
+    # did next to the committed measurement.
+    rate, kernel_us = baseline.measure_engine_with_host_kernel()
+    measured = rate * kernel_us / committed["host_kernel_us"]
     floor = committed["engine_events_per_sec"] / REGRESSION_FACTOR
     assert measured >= floor, (
-        f"bare engine regressed: {measured:.0f} events/s measured vs "
+        f"bare engine regressed: {rate:.0f} events/s measured with the host kernel at "
+        f"{kernel_us:.0f} us (committed {committed['host_kernel_us']:.0f} us), i.e. "
+        f"{measured:.0f} events/s at the committed host speed, vs "
         f"{committed['engine_events_per_sec']:.0f} committed baseline (>{REGRESSION_FACTOR}x)"
     )
 

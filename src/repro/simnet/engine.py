@@ -95,7 +95,10 @@ class ScheduledEvent(list):
         if owner is None:
             return
         self[2] = self[4] = None
-        owner._note_cancelled()
+        owner.events_cancelled += 1
+        pending = owner._cancelled_pending = owner._cancelled_pending + 1
+        if pending > _COMPACT_MIN_QUEUE and pending * 2 > len(owner._queue):
+            owner._compact()
 
 
 class Simulator:
@@ -147,6 +150,21 @@ class Simulator:
         heappush(self._queue, event)
         return event
 
+    def schedule_from(
+        self, origin: float, when: float, callback: Callable[..., Any], *args: Any
+    ) -> ScheduledEvent:
+        """Schedule ``callback(*args)`` at the instant ``schedule_at(when,
+        ...)`` would pick if it were called at the future time
+        ``origin``: the rounded sum ``origin + (when - origin)``."""
+        delay = when - origin
+        if origin < self.now or delay < 0:
+            raise SimulationError(f"need now <= origin <= when, not {self.now}, {origin}, {when}")
+        seq = self._seq
+        self._seq = seq + 1
+        event = ScheduledEvent((origin + delay, seq, callback, args, self))
+        heappush(self._queue, event)
+        return event
+
     def reserve(self, delay: float) -> "Tuple[float, int]":
         """Take the ``(time, seq)`` place in line that
         ``schedule(delay, ...)`` would take now, without a calendar
@@ -177,15 +195,6 @@ class Simulator:
         event = ScheduledEvent((time, seq, callback, args, self))
         heappush(self._queue, event)
         return event
-
-    def _note_cancelled(self) -> None:
-        self.events_cancelled += 1
-        self._cancelled_pending += 1
-        if (
-            self._cancelled_pending > _COMPACT_MIN_QUEUE
-            and self._cancelled_pending * 2 > len(self._queue)
-        ):
-            self._compact()
 
     def _compact(self) -> None:
         """Rebuild the calendar without its cancelled entries.

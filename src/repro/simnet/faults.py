@@ -178,6 +178,8 @@ class FaultInjector:
         Applied to the live links at the window edges; a node that
         detaches and re-attaches mid-window comes back with fresh
         full-rate links (a rebooted host gets a clean interface).
+        From this call on the network takes the two-event router →
+        downlink hop (``StarNetwork.overtaking_free`` goes off for good).
         """
         if not 0.0 < factor <= 1.0:
             raise ValueError("degradation factor must be in (0, 1]")
@@ -185,13 +187,14 @@ class FaultInjector:
             raise ValueError("degradation duration must be positive")
         if at < self.sim.now:
             raise ValueError("cannot schedule a degradation in the past")
+        if self._network is None:
+            raise RuntimeError("bandwidth degradation requires a bound network")
+        self._network.overtaking_free = False
         directions = _check_direction(direction)
         self.sim.schedule_at(at, self._scale_links, node_id, directions, factor)
         self.sim.schedule_at(at + duration, self._scale_links, node_id, directions, 1.0 / factor)
 
     def _scale_links(self, node_id: int, directions: Tuple[str, ...], factor: float) -> None:
-        if self._network is None:
-            raise RuntimeError("bandwidth degradation requires a bound network")
         for d in directions:
             links = self._network.uplinks if d == "up" else self._network.downlinks
             link = links.get(node_id)

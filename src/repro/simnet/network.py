@@ -14,7 +14,10 @@ The model therefore captures exactly two resources:
   traffic at the link rate.
 
 The router itself is non-blocking (an ideal switch). Each transfer
-additionally pays a small fixed propagation delay. Payloads are opaque
+additionally pays a small fixed propagation delay. A packet costs two
+events on an overtaking-free star (leave the uplink; last byte off the
+downlink), three otherwise (its arrival at the downlink is an event of
+its own; see :attr:`StarNetwork.overtaking_free`). Payloads are opaque
 Python objects carried next to an explicit byte size, so protocol
 simulations can ship rich objects while the network only accounts for
 their declared wire size.
@@ -183,6 +186,15 @@ class StarNetwork:
         if faults is not None:
             faults.bind(self)
         self.topology = topology
+        #: True while packets reach a downlink in the order they left
+        #: the router (one propagation delay for everyone: no jitter, no
+        #: topology pair delay) and no link rate is scheduled to change;
+        #: ``_at_router`` then does the downlink's arithmetic itself.
+        #: Derived here, turned off for good by
+        #: :meth:`FaultInjector.schedule_degradation`, never set.
+        self.overtaking_free = propagation_jitter == 0 and (
+            topology is None or not any(map(any, topology.latency))
+        )
         #: node_id → topology slot, assigned in attach (creation) order —
         #: the same index convention fault plans use. A node that
         #: detaches and re-attaches (crash restart) keeps its slot.
@@ -310,10 +322,30 @@ class StarNetwork:
         # that detaches during propagation still had its link absorb the
         # transfer, and _deliver then counts the drop. Passed as an event
         # argument rather than a closure so snapshots stay picklable.
-        self.sim.schedule(delay, self._enqueue_downlink, downlink, packet)
+        sim = self.sim
+        if not self.overtaking_free:
+            sim.schedule(delay, self._enqueue_downlink, downlink, packet)
+            return
+        # Nobody can reach this downlink before this packet does, so
+        # _enqueue_downlink's arithmetic (keep the two in step) is done
+        # here with ``arrival`` for its ``sim.now``, and _deliver gets
+        # the float schedule_at would have rounded to at ``arrival``.
+        arrival = sim.now + delay
+        size_bytes = packet.size_bytes
+        start = downlink.busy_until
+        if start < arrival:
+            start = arrival
+        departure = start + size_bytes * 8 / (downlink.bandwidth_bps * downlink.rate_factor)
+        downlink.busy_until = departure
+        downlink.bytes_carried += size_bytes
+        downlink.packets_carried += 1
+        downlink.busy_seconds += departure - start
+        sim.schedule_from(arrival, departure, self._deliver, packet)
 
     def _enqueue_downlink(self, downlink: Link, packet: Packet) -> None:
-        # Link.enqueue again (see send).
+        # The general hop: with jitter or pair delay the arrival order is
+        # only known at arrival. Link.enqueue again (see send); the same
+        # lines stand in _at_router for the overtaking-free star.
         sim = self.sim
         size_bytes = packet.size_bytes
         start = downlink.busy_until

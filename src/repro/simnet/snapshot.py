@@ -60,7 +60,9 @@ __all__ = [
 #: /4: predecessor monitors hold owed sets, a deadline FIFO and
 #: reserved ``(time, seq)`` keys; the calendar holds one check timer per
 #: (node, domain) instead of one per first-seen message.
-SNAPSHOT_MAGIC = b"RACSNAP/4\n"
+#: /5: the star carries ``overtaking_free`` (and may hold ``_deliver``
+#: events scheduled from the router); the ARQ keeps its RTT tallies.
+SNAPSHOT_MAGIC = b"RACSNAP/5\n"
 _MAGIC_PREFIX = b"RACSNAP/"
 
 

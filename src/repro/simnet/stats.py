@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 __all__ = [
     "ThroughputMeter",
@@ -164,6 +164,10 @@ class StatsRegistry:
     """A bag of named counters shared across a simulation's nodes."""
 
     counters: Dict[str, Counter] = field(default_factory=dict)
+    #: The :class:`~repro.simnet.transport.ReliableTransport` counting
+    #: into this registry (it binds itself): its per-segment tallies are
+    #: plain ints there and are read here, not pushed per segment.
+    transport: Any = None
 
     def counter(self, name: str) -> Counter:
         c = self.counters.get(name)
@@ -178,10 +182,18 @@ class StatsRegistry:
         c.value += amount
 
     def value(self, name: str) -> int:
-        return self.counters[name].value if name in self.counters else 0
+        counter = self.counters.get(name)
+        return counter.value if counter is not None else self.as_dict().get(name, 0)
 
     def as_dict(self) -> Dict[str, int]:
-        return {name: c.value for name, c in sorted(self.counters.items())}
+        values = {name: c.value for name, c in self.counters.items()}
+        transport = self.transport
+        if transport is not None:
+            for name in ("segments_sent", "acks_sent", "rtt_samples", "rtt_us_total"):
+                tally = getattr(transport, name)
+                if tally:  # absent while zero, like any counter
+                    values["transport_" + name] = tally
+        return dict(sorted(values.items()))
 
 
 def summarize(values: "list[float]") -> Dict[str, float]:

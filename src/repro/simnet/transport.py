@@ -152,6 +152,8 @@ class ReliableTransport:
         "duplicates",
         "messages_delivered",
         "delivery_failures",
+        "rtt_samples",
+        "rtt_us_total",
     )
 
     def __init__(
@@ -175,7 +177,12 @@ class ReliableTransport:
         self.rto_min = rto_min
         self.rto_max = rto_max
         self.max_retries = max_retries
+        #: The per-segment tallies (``segments_sent``, ``acks_sent``,
+        #: ``rtt_samples``, ``rtt_us_total``) are kept once, below; the
+        #: registry reads them off the transport when it is read.
         self.stats = stats
+        if stats is not None:
+            stats.transport = self
         #: Called as ``on_failure(src, dst, payload)`` when a segment
         #: exhausts its retry budget — the peer is unreachable.
         self.on_failure = on_failure
@@ -190,10 +197,11 @@ class ReliableTransport:
         self.acks_sent = 0
         self.duplicates = 0
         self.delivery_failures = 0
+        self.rtt_samples = 0
+        self.rtt_us_total = 0
 
     def _count(self, name: str, amount: int = 1) -> None:
-        # For the rare paths; the per-segment counters call stats.add
-        # themselves and save the frame.
+        # For the rare paths (retransmits, duplicates, failures).
         if self.stats is not None:
             self.stats.add(name, amount)
 
@@ -231,8 +239,6 @@ class ReliableTransport:
         state.next_seq = seqno + 1
         out = state.outstanding[seqno] = _Outstanding(payload, seqno, size_bytes + self.HEADER_BYTES)
         self.segments_sent += 1
-        if self.stats is not None:
-            self.stats.add("transport_segments_sent")
         self._transmit(pair, state, out)
 
     def _transmit(self, pair: Pair, state: _SendState, out: _Outstanding) -> None:
@@ -302,10 +308,8 @@ class ReliableTransport:
         state.srtt = srtt
         state.rttvar = rttvar
         state.rto = min(self.rto_max, max(self.rto_min, srtt + 4 * rttvar))
-        stats = self.stats
-        if stats is not None:
-            stats.add("transport_rtt_samples")
-            stats.add("transport_rtt_us_total", int(rtt * 1e6))
+        self.rtt_samples += 1
+        self.rtt_us_total += int(rtt * 1e6)
 
     def srtt(self, src: int, dst: int) -> "Optional[float]":
         """Smoothed RTT estimate for the pair, None before any sample."""
@@ -333,9 +337,6 @@ class ReliableTransport:
         # Every received segment is ACKed — including duplicates, whose
         # original ACK may be the very packet the network ate.
         self.acks_sent += 1
-        stats = self.stats
-        if stats is not None:
-            stats.add("transport_acks_sent")
         self.network.send(dst, src, Ack(seqno, segment.ts), self.ACK_BYTES)
         state = self._receivers.get(pair)
         if state is None:

@@ -31,12 +31,14 @@ from repro.simnet.engine import Simulator
 # the seed (pre-optimisation) implementation and never moved since.
 EXPECTED_SIM_OBSERVABLE = "d1e89f6293a36901f5b54abf55565251f59437b17a17736d505515d15ee6a099"
 EXPECTED_DH_OBSERVABLE = "152ea5a04ae842234cd5c8b731185b9cf5da9f252b2ff15cb7d4d92254cfe0cd"
-# The same plus the final clock and event count. Re-recorded once, when
-# predecessor checks that find nothing stopped being events (the seed's
-# values were e13a6c05... and 28466e14...); the observable digests above
-# were the same before and after.
-EXPECTED_SIM = "3a4a6280d9bba6103eaf8837abda7f81bef908a480703c28b66b69aef28f7047"
-EXPECTED_DH = "e17c928e643543680ca65df0bb7d8df6e02edaf7e9c4cd94f187bd55dc10437a"
+# The same plus the final clock and event count. Re-recorded twice, each
+# time for the event count alone: when predecessor checks that find
+# nothing stopped being events (the seed's values were e13a6c05... and
+# 28466e14...), and when the router -> downlink hop of an overtaking-free
+# star stopped being one (3a4a6280... and e17c928e... before). The
+# observable digests above were the same before and after both.
+EXPECTED_SIM = "253beb411e8522bebb4d938b9cd440cf6de87badcd49406708cc7e57a5bf243b"
+EXPECTED_DH = "f0c7afc555c9e56323d191babb36df91532024e836ea5d121344da4c10fa78c6"
 
 
 class _RecordingSystem(RacSystem):
@@ -195,7 +197,22 @@ EXPECTED_ORDER_WAN = "ab79437ee3b92e50fc15d688e56bd3520820f3ae31780848e7e2dce30a
 # the commit before the owed-set monitor: the dispatch hash leaves out
 # ``RacNode._check_predecessors`` events (the no-op ones are gone), the
 # verdict hash is every ``_accuse`` call and eviction in order.
-EXPECTED_ORDER_FREERIDER = "0830b2ef5667949a61fa9029904835687c6d804cb4425ffe5f1c9b5346333c8e"
+# The dispatch hash was re-recorded once (0830b2ef... before) when the
+# overtaking-free star folded ``_enqueue_downlink`` into ``_at_router``:
+# the hop is gone and ``_deliver`` draws its ``seq`` 50 us earlier. Its
+# twin, recorded on the commit before that and unmoved by it, hashes
+# ``(time, callback)`` without ``seq`` and without the hop, as two
+# streams: every event but ``_at_router``, and every event but
+# ``_deliver``. Each stream keeps its dispatch order; a ``_deliver`` and
+# the ``_at_router`` of another packet that share one instant bit for
+# bit are the only events the earlier ``seq`` can swap (4,648 such pairs
+# among this run's 97,663 events), and they touch disjoint state — the
+# verdict hash and every observable digest in this file are the proof.
+EXPECTED_ORDER_FREERIDER = "8ee1724c1854bf0d8cce50ba1ec1657da11fe27138c6994dba1e0ee10c89367f"
+EXPECTED_ORDER_FREERIDER_TIMES = (
+    "7b8c942ccb69e38cb235b25e42ad644ffea692310cc89aea4a2765a138a1ae92",
+    "2842428fac176592d60c3241cdb2496693d19107f672d7c5d928412393331653",
+)
 EXPECTED_VERDICTS_FREERIDER = "4a009575d08ee23af59af29757374a069ba20c1f6e0e95b66aa211dfe7489b56"
 
 
@@ -205,6 +222,12 @@ class _OrderRecordingSimulator(Simulator):
     Callbacks named in ``order_skip`` fire but are left out of the hash."""
 
     order_skip = ()
+    #: ``times_hashes`` fold ``(time, callback)`` without ``seq`` and
+    #: without the hop event an overtaking-free star folds into
+    #: ``_at_router``: one stream leaves out ``_at_router``, the other
+    #: ``_deliver`` (the two may swap within one instant, see below).
+    times_skip = ("StarNetwork._enqueue_downlink",)
+    times_streams = ("StarNetwork._at_router", "StarNetwork._deliver")
 
     def step(self, until=None):
         self.peek_time()  # shed dead heads: the head is now the next live event
@@ -213,6 +236,10 @@ class _OrderRecordingSimulator(Simulator):
         fired = super().step(until)
         if fired and name not in self.order_skip:
             self.order_hash.update(f"{head.time!r}|{head.seq}|{name}|".encode())
+            if name not in self.times_skip:
+                for left_out, stream in zip(self.times_streams, self.times_hashes):
+                    if name != left_out:
+                        stream.update(f"{head.time!r}|{name}|".encode())
         return fired
 
 
@@ -220,6 +247,7 @@ def _order_recording_system(config: RacConfig, seed: int, topology=None) -> RacS
     system = RacSystem(config, seed=seed, topology=topology)
     system.sim.__class__ = _OrderRecordingSimulator
     system.sim.order_hash = hashlib.sha256()
+    system.sim.times_hashes = (hashlib.sha256(), hashlib.sha256())
     return system
 
 
@@ -328,5 +356,6 @@ def test_freerider_verdicts_and_event_order_are_pinned():
         for edges in node._ring_edges.values()
         for _pred, since in edges.values()
     ), "no ring edge was re-stitched: the edge-grace excusal never ran"
+    assert tuple(h.hexdigest() for h in system.sim.times_hashes) == EXPECTED_ORDER_FREERIDER_TIMES
     assert system.sim.order_hash.hexdigest() == EXPECTED_ORDER_FREERIDER
     assert verdicts == EXPECTED_VERDICTS_FREERIDER

@@ -74,6 +74,11 @@ class ReferenceCalendar:
     def schedule_at(self, when, label):
         return self.schedule(when - self.now, label)
 
+    def schedule_from(self, origin, when, label):
+        entry = self.schedule(0.0, label)
+        entry[0] = origin + (when - origin)
+        return entry
+
     def reserve(self, delay):
         key = (self.now + delay, self.seq)
         self.seq += 1
@@ -129,6 +134,7 @@ operations = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), delays),
         st.tuples(st.just("schedule_at"), delays),
+        st.tuples(st.just("schedule_from"), delays, delays),
         st.tuples(st.just("spawner"), delays, delays),
         st.tuples(st.just("reserve"), delays),
         st.tuples(st.just("redeem"), st.integers(0, 10**6)),
@@ -174,6 +180,15 @@ def test_simulator_matches_sorted_list_reference(ops):
             when = sim.now + op[1]
             handles.append(
                 [sim.schedule_at(when, _Fired(sim.log, number)), model.schedule_at(when, number)]
+            )
+        elif kind == "schedule_from":
+            origin = sim.now + op[1]
+            when = origin + op[2]
+            handles.append(
+                [
+                    sim.schedule_from(origin, when, _Fired(sim.log, number)),
+                    model.schedule_from(origin, when, number),
+                ]
             )
         elif kind == "spawner":
             handles.append(

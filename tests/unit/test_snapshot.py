@@ -45,6 +45,15 @@ def _noop() -> None:
     pass
 
 
+def _pending(system, name):
+    """``(time, seq)`` of every live calendar entry for the callback ``name``."""
+    return sorted(
+        (event.time, event.seq)
+        for event in system.sim._queue
+        if event.callback is not None and event.callback.__name__ == name
+    )
+
+
 class _Rac2Event:
     """Pickles the way a ``RACSNAP/2`` calendar entry did."""
 
@@ -114,12 +123,7 @@ class TestSnapshotInvariants:
             return [m for node in of.nodes.values() for m in node._pred_monitors.values()]
 
         def check_timers(of):
-            return sorted(
-                (event.time, event.seq)
-                for event in of.sim._queue
-                if event.callback is not None
-                and event.callback.__name__ == "_check_predecessors"
-            )
+            return _pending(of, "_check_predecessors")
 
         held = [list(m._deadlines) for m in monitors(system)]
         assert any(held) and all(m._tickets for m in monitors(system))
@@ -133,6 +137,35 @@ class TestSnapshotInvariants:
         restored.run(1.0)
         assert restored.sim.events_processed == system.sim.events_processed
         assert restored.stats_report() == system.stats_report()
+
+    @pytest.mark.parametrize("degraded", [False, True])
+    def test_mid_flood_folded_deliveries_and_the_hop_property_round_trip(self, degraded):
+        # The paper's ideal network: _at_router schedules _deliver itself,
+        # so a mid-flood calendar holds folded deliveries and no hop
+        # event. A scheduled degradation turns the property off for
+        # good; the restored copy must keep taking the two-event hop.
+        system = RacSystem(RacConfig.small(link_bandwidth_bps=20e6), seed=11)
+        nodes = system.bootstrap(8)
+        system.run(0.5)
+        if degraded:
+            system.degrade_bandwidth(nodes[2], duration=0.2, factor=0.5)
+        system.run(0.5)
+
+        assert system.network.overtaking_free is not degraded
+        assert _pending(system, "_deliver")
+        assert degraded or not _pending(system, "_enqueue_downlink")
+        blob = snapshot_system(system, verify=True)
+        restored = restore_system(blob)
+        assert restored.network.overtaking_free is system.network.overtaking_free
+        assert restored.stats.transport is restored.transport
+        for name in ("_deliver", "_enqueue_downlink", "_at_router"):
+            assert _pending(restored, name) == _pending(system, name)
+        for _ in range(4):
+            system.run(0.25)
+            restored.run(0.25)
+            assert restored.sim.events_processed == system.sim.events_processed
+            assert restored.stats_report() == system.stats_report()
+        assert _pending(restored, "_deliver") == _pending(system, "_deliver")
 
     def test_pending_fired_and_cancelled_events_round_trip(self):
         sim = Simulator()
@@ -296,15 +329,16 @@ class TestSnapshotErrors:
         # which today's list-backed record cannot take. The header check
         # must turn it away before the unpickler gets that far.
         # A RACSNAP/3 predecessor monitor (expected sets, a heap, the
-        # ever-growing checked set) does not fit today's either.
+        # ever-growing checked set) does not fit today's either, and a
+        # RACSNAP/4 star would come back without ``overtaking_free``.
         body = pickle.dumps((_Rac2Event(), _Rac3Monitor()))
         for stale in (_Rac2Event(), _Rac3Monitor()):
             with pytest.raises(AttributeError):
                 pickle.loads(pickle.dumps(stale))
-        for version in ("1", "2", "3"):
+        for version in ("1", "2", "3", "4"):
             old = f"RACSNAP/{version}\n".encode() + body
             with pytest.raises(
-                SnapshotError, match=f"version mismatch.*RACSNAP/{version}.*RACSNAP/4"
+                SnapshotError, match=f"version mismatch.*RACSNAP/{version}.*RACSNAP/5"
             ):
                 restore_system(old)
             path = tmp_path / "old.snap"

@@ -217,19 +217,21 @@ class TestRttEstimator:
 
     def test_stats_registry_surfaces_transport_counters(self):
         stats = StatsRegistry()
-        sim, net, transport = make(loss_rate=0.2, seed=3, max_retries=30)
-        transport.stats = stats
+        sim, net, transport = make(loss_rate=0.2, seed=3, max_retries=30, stats=stats)
         transport.attach(1, lambda *a: None)
         transport.attach(2, lambda *a: None)
+        # the per-segment tallies are read off the transport: absent while zero
+        assert stats.as_dict() == {} and stats.value("transport_segments_sent") == 0
         for _ in range(20):
             transport.send(1, 2, "x", 50)
         sim.run()
         report = stats.as_dict()
-        assert report["transport_segments_sent"] == 20
+        assert list(report) == sorted(report)
+        assert report["transport_segments_sent"] == stats.value("transport_segments_sent") == 20
         assert report["transport_retransmits"] == transport.retransmits > 0
         assert report["transport_acks_sent"] == transport.acks_sent
-        assert report["transport_rtt_samples"] > 0
-        assert report["transport_rtt_us_total"] > 0
+        assert report["transport_rtt_samples"] == transport.rtt_samples > 0
+        assert report["transport_rtt_us_total"] == transport.rtt_us_total > 0
 
 
 class TestDetachStateCleared:
