@@ -26,12 +26,13 @@ bench-pairs:  # N alternating parent/change runs of one rac_bench workload: medi
 ci-bench-smoke:  # fail if seal/peel, DH trial-peel, shard-snapshot, bare-engine or per-segment cost regressed >2x vs BENCH_protocol.json
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_smoke.py -q
 
-sweep-smoke:  # 2x2 sweep on 2 workers with one injected crash; must recover
+SWEEP_SMOKE = PYTHONPATH=src $(PYTHON) -m repro sweep run --run-dir results/sweep_smoke \
+	--experiment protocol --axis nodes=4,6 --seeds 0,1 --base duration=1.0 --base messages=1
+sweep-smoke:  # 2x2 sweep on 2 workers with one injected crash; must recover, and re-entering it serially must run nothing
 	rm -rf results/sweep_smoke
-	PYTHONPATH=src $(PYTHON) -m repro sweep run --run-dir results/sweep_smoke \
-		--experiment protocol --axis nodes=4,6 --seeds 0,1 \
-		--base duration=1.0 --base messages=1 \
-		--workers 2 --checkpoint-interval 0.5 --inject-crash 1
+	$(SWEEP_SMOKE) --workers 2 --checkpoint-interval 0.5 --inject-crash 1
+	$(SWEEP_SMOKE) --serial | grep "4/4 cells ok"
+	test `wc -l < results/sweep_smoke/results.jsonl` -eq 4
 	PYTHONPATH=src $(PYTHON) -m repro sweep status --run-dir results/sweep_smoke
 	PYTHONPATH=src $(PYTHON) -m repro sweep aggregate --run-dir results/sweep_smoke \
 		--metric events_processed --by nodes

@@ -11,7 +11,7 @@ frontier**: per strategy, the fault intensity where detection stays
 sound, where it first degrades (missed detections), where false
 positives begin, and what the adversity costs anonymity.
 
-Entry points: ``repro campaign run|status|report`` (CLI), the
+Entry points: ``repro campaign run|report`` (CLI), the
 ``campaign_frontier`` and ``coalition_frontier`` rows of
 :mod:`repro.experiments.artefacts` (the committed artefacts), and
 ``make campaign-smoke`` / ``coalition-smoke`` (CI).
@@ -27,7 +27,7 @@ from .frontier import (
     StrategyFrontier,
     build_frontier,
 )
-from .runner import campaign_report, campaign_status, load_campaign, run_campaign
+from .runner import campaign_report, run_campaign
 from .scoring import run_campaign_cell
 from .spec import CAMPAIGN_EXPERIMENT, CampaignSpec
 
@@ -43,8 +43,6 @@ __all__ = [
     "StrategyFrontier",
     "build_frontier",
     "campaign_report",
-    "campaign_status",
-    "load_campaign",
     "run_campaign",
     "run_campaign_cell",
 ]

@@ -1,114 +1,38 @@
-"""Campaign execution: the spec through the orchestrator pool.
+"""Campaign execution: spec in, frontier out.
 
-``run_campaign`` expands a :class:`~repro.campaign.spec.CampaignSpec`
-into its grid, writes a standard sweep manifest (plus the spec itself,
-under ``options["campaign"]``, so ``campaign status``/``report`` can
-re-describe the matrix), and drives it with the PR-3
-:class:`~repro.orchestrator.pool.SweepOrchestrator`. Everything the
-pool guarantees — outbox-atomic records, crashed-worker retry with
-backoff, exactly-once resume off the durable store — applies verbatim;
-an interrupted campaign continues with another ``campaign run`` (or
-``sweep resume``) on the same directory.
+A campaign is a :class:`~repro.campaign.spec.CampaignSpec` lowered to
+its grid and handed to the one run-directory driver
+(:func:`repro.orchestrator.pool.start_run`); the manifest holds it once,
+as that grid. Everything the pool guarantees applies verbatim, and
+``sweep resume`` / ``sweep status`` work on a campaign directory.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional, Tuple
+from typing import Any, Tuple
 
-from ..orchestrator.pool import (
-    STORE_NAME,
-    SweepOrchestrator,
-    SweepStatus,
-    load_manifest,
-    run_grid_inline,
-    write_manifest,
-)
-from ..orchestrator.store import ResultStore
+from ..orchestrator.pool import RunDirError, SweepStatus, open_run, start_run
 from .frontier import FrontierReport, build_frontier
-from .spec import CampaignSpec
+from .spec import CAMPAIGN_EXPERIMENT, CampaignSpec, describe_grid
 
-__all__ = [
-    "run_campaign",
-    "load_campaign",
-    "campaign_status",
-    "campaign_report",
-]
+__all__ = ["run_campaign", "campaign_report"]
 
 
 def run_campaign(
-    spec: CampaignSpec,
-    run_dir: str,
-    *,
-    workers: int = 2,
-    serial: bool = False,
-    inject_crash: int = 0,
-    max_retries: int = 2,
-    worker_timeout: "Optional[float]" = None,
+    spec: CampaignSpec, run_dir: str, *, serial: bool = False, inject_crash: int = 0, **pool_options: Any
 ) -> SweepStatus:
-    """Expand the spec and run every pending cell to a terminal record.
-
-    Re-running on an existing directory resumes it: completed cells are
-    skipped off the store, so the matrix is evaluated exactly once even
-    across crashes of workers or of the orchestrator itself.
-    ``inject_crash`` kills the first attempt of that many cells (chaos
-    for the campaign runner's own fault tolerance — the CI smoke sets
-    it to 1 and still demands a complete, correct matrix).
-    """
-    grid = spec.to_grid()
-    write_manifest(
-        run_dir,
-        grid,
-        {
-            "workers": workers,
-            "max_retries": max_retries,
-            "campaign": spec.to_dict(),
-        },
-    )
-    store = ResultStore(os.path.join(run_dir, STORE_NAME))
-    if serial:
-        run_grid_inline(grid, store)
-        orchestrator = SweepOrchestrator(grid, store, run_dir, workers=1)
-        return orchestrator.status()
-    crash_cells = ()
-    if inject_crash > 0:
-        completed = store.completed_ids()
-        fresh = [c.cell_id for c in grid.cells() if c.cell_id not in completed]
-        crash_cells = tuple(fresh[:inject_crash])
-    orchestrator = SweepOrchestrator(
-        grid,
-        store,
-        run_dir,
-        workers=workers,
-        max_retries=max_retries,
-        worker_timeout=worker_timeout,
-        inject_crash_cells=crash_cells,
-    )
-    return orchestrator.run()
+    """Run every pending cell of ``spec`` to a terminal record; on a
+    directory that already holds this campaign, that is a resume."""
+    run = start_run(run_dir, spec.to_grid(), pool_options)
+    return run.run(serial=serial, inject_crash=inject_crash)
 
 
-def load_campaign(run_dir: str) -> "Tuple[CampaignSpec, ResultStore]":
-    """Rebuild (spec, store) from a campaign run directory."""
-    grid, options = load_manifest(run_dir)
-    body = options.get("campaign")
-    if body is None:
-        raise ValueError(
+def campaign_report(run_dir: str) -> "Tuple[str, FrontierReport]":
+    """(one-line description, frontier) of a campaign directory."""
+    run = open_run(run_dir)
+    if run.grid.experiment != CAMPAIGN_EXPERIMENT:
+        raise RunDirError(
             f"{run_dir} holds a plain sweep, not a campaign "
-            "(no 'campaign' block in its manifest options)"
+            f"(its manifest's experiment is {run.grid.experiment!r})"
         )
-    spec = CampaignSpec.from_dict(body)
-    store = ResultStore(os.path.join(run_dir, STORE_NAME))
-    return spec, store
-
-
-def campaign_status(run_dir: str) -> "Tuple[CampaignSpec, SweepStatus]":
-    """Progress of a campaign directory, without running anything."""
-    spec, store = load_campaign(run_dir)
-    orchestrator = SweepOrchestrator(spec.to_grid(), store, run_dir, workers=1)
-    return spec, orchestrator.status()
-
-
-def campaign_report(run_dir: str) -> "Tuple[CampaignSpec, FrontierReport]":
-    """Fold a campaign directory's records into the frontier."""
-    spec, store = load_campaign(run_dir)
-    return spec, build_frontier(store)
+    return describe_grid(run.grid), build_frontier(run.store)

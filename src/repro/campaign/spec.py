@@ -20,15 +20,34 @@ campaign just as well as ``repro campaign run`` does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..orchestrator.grid import SweepGrid
 from ..scenario import Scenario
 
-__all__ = ["CAMPAIGN_EXPERIMENT", "CampaignSpec"]
+__all__ = ["CAMPAIGN_EXPERIMENT", "CampaignSpec", "describe_grid"]
 
-#: The registered workload every campaign cell runs through.
+#: The registered workload every campaign cell runs through; a run
+#: directory whose grid names it is a campaign directory.
 CAMPAIGN_EXPERIMENT = "campaign_point"
+
+
+def describe_grid(grid: SweepGrid) -> str:
+    """The one-line shape of a campaign grid (a manifest holds a
+    campaign once, as its grid, so this reads axes and base params)."""
+    axes, base = grid.axes, grid.base_params
+    coalition = (
+        f" x {len(axes['coalition_fraction'])} coalition fractions"
+        if "coalition_fraction" in axes
+        else ""
+    )
+    rounds = f", >= {base['shuffle_rounds']} shuffle rounds" if "shuffle_rounds" in base else ""
+    return (
+        f"campaign: {len(axes['strategy'])} strategies x {len(axes['plan'])} plans "
+        f"x {len(axes['loss'])} loss points x {len(axes['nodes'])} sizes "
+        f"x {len(axes['topology'])} topologies{coalition} x {len(grid.seeds)} seeds "
+        f"= {len(grid)} cells (horizon {base['horizon']:g}s{rounds})"
+    )
 
 
 @dataclass(frozen=True)
@@ -158,61 +177,7 @@ class CampaignSpec:
         )
 
     def describe(self) -> str:
-        coalition = (
-            f" x {len(self.coalition_fractions)} coalition fractions"
-            if self.coalition_fractions
-            else ""
-        )
-        rounds = (
-            f", >= {self.shuffle_rounds} shuffle rounds"
-            if self.shuffle_rounds is not None
-            else ""
-        )
-        return (
-            f"campaign: {len(self.strategies)} strategies x {len(self.plans)} plans "
-            f"x {len(self.loss_points)} loss points x {len(self.group_sizes)} sizes "
-            f"x {len(self.topologies)} topologies{coalition} x {len(self.seeds)} seeds "
-            f"= {len(self)} cells (horizon {self.horizon:g}s{rounds})"
-        )
-
-    # -- manifest round-trip ---------------------------------------------------
-    def to_dict(self) -> "Dict[str, Any]":
-        body = {
-            "strategies": list(self.strategies),
-            "plans": list(self.plans),
-            "loss_points": list(self.loss_points),
-            "group_sizes": list(self.group_sizes),
-            "topologies": list(self.topologies),
-            "seeds": list(self.seeds),
-            "horizon": self.horizon,
-            "detection_bound": self.detection_bound,
-            "heal_bound": self.heal_bound,
-            "base": dict(self.base),
-        }
-        # Only serialized when used, so pre-coalition manifests are
-        # byte-identical to what earlier versions wrote.
-        if self.coalition_fractions:
-            body["coalition_fractions"] = list(self.coalition_fractions)
-        if self.shuffle_rounds is not None:
-            body["shuffle_rounds"] = self.shuffle_rounds
-        return body
-
-    @classmethod
-    def from_dict(cls, body: "Mapping[str, Any]") -> "CampaignSpec":
-        return cls(
-            strategies=tuple(body["strategies"]),
-            plans=tuple(body["plans"]),
-            loss_points=tuple(body["loss_points"]),
-            group_sizes=tuple(body["group_sizes"]),
-            topologies=tuple(body.get("topologies", ("lan",))),
-            coalition_fractions=tuple(body.get("coalition_fractions", ())),
-            shuffle_rounds=body.get("shuffle_rounds"),
-            seeds=tuple(body["seeds"]),
-            horizon=body.get("horizon", 12.0),
-            detection_bound=body.get("detection_bound"),
-            heal_bound=body.get("heal_bound", 4.0),
-            base=dict(body.get("base", {})),
-        )
+        return describe_grid(self.to_grid())
 
     # -- canned campaigns ------------------------------------------------------
     @classmethod

@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="K",
-        help="chaos-test: kill the first attempt of the first K cells",
+        help="chaos-test: kill the first attempt of the first K pending cells",
     )
 
     resume = sweep_sub.add_parser("resume", help="continue an interrupted campaign")
@@ -324,9 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     crun.add_argument(
         "--timeout", type=float, default=None, help="wall-seconds before a worker counts as hung"
     )
-
-    cstatus = campaign_sub.add_parser("status", help="progress of a campaign directory")
-    cstatus.add_argument("--run-dir", required=True)
 
     creport = campaign_sub.add_parser(
         "report", help="fold the result store into the accountability frontier"
@@ -510,8 +507,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "Optional[List[str]]" = None) -> int:
+    from .orchestrator.pool import RunDirError
+
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if getattr(args, "serial", False) and getattr(args, "inject_crash", 0):
+            parser.error("--inject-crash kills a worker process; it cannot be combined with --serial")
         if args.profile and args.command != "scale":
             return _profiled_dispatch(args)
         # `scale` profiles per shard inside the workers (one dump per
@@ -522,6 +524,10 @@ def main(argv: "Optional[List[str]]" = None) -> int:
     except BrokenPipeError:
         # Piping into `head` etc. closes stdout early; not an error.
         return 0
+    except RunDirError as exc:
+        # A missing, foreign or already-taken --run-dir: one line, not a traceback.
+        print(exc, file=sys.stderr)
+        return 2
 
 
 def _profiled_dispatch(args: argparse.Namespace) -> int:
@@ -707,7 +713,7 @@ def _dispatch_chaos(args: argparse.Namespace) -> int:
 
 
 def _dispatch_campaign(args: argparse.Namespace) -> int:
-    from .campaign import CampaignSpec, campaign_report, campaign_status, run_campaign
+    from .campaign import CampaignSpec, campaign_report, run_campaign
     from .freeride.registry import UnknownBehaviorError
 
     if args.campaign_command == "run":
@@ -780,18 +786,13 @@ def _dispatch_campaign(args: argparse.Namespace) -> int:
             serial=args.serial,
             inject_crash=args.inject_crash,
             max_retries=args.max_retries,
-            worker_timeout=args.timeout,
+            timeout=args.timeout,
         )
         print(final.render())
         return 0 if final.failed == 0 and final.pending == 0 else 1
-    elif args.campaign_command == "status":
-        spec, status = campaign_status(args.run_dir)
-        print(spec.describe())
-        print(status.render())
-        return 0
     elif args.campaign_command == "report":
-        spec, report = campaign_report(args.run_dir)
-        text = spec.describe() + "\n\n" + report.render()
+        description, report = campaign_report(args.run_dir)
+        text = description + "\n\n" + report.render()
         print(text)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -951,10 +952,7 @@ def _parse_kv(pairs: "List[str]", split_values: bool) -> dict:
 
 
 def _dispatch_sweep(args: argparse.Namespace) -> int:
-    import os
-
-    from .orchestrator import ResultStore, SweepGrid, SweepOrchestrator, run_grid_inline
-    from .orchestrator.pool import STORE_NAME, load_manifest, write_manifest
+    from .orchestrator import SweepGrid, open_run, start_run
 
     if args.sweep_command == "run":
         from .orchestrator.workloads import UnknownWorkloadError, resolve_workload
@@ -978,58 +976,26 @@ def _dispatch_sweep(args: argparse.Namespace) -> int:
             "max_retries": args.max_retries,
             "timeout": args.timeout,
         }
-        write_manifest(args.run_dir, grid, options)
-        store = ResultStore(os.path.join(args.run_dir, STORE_NAME))
-        if args.serial:
-            run_grid_inline(grid, store)
-            done = len(store.completed_ids() & {c.cell_id for c in grid.cells()})
-            print(f"{done}/{len(grid)} cells ok (serial)")
-            return 0 if done == len(grid) else 1
-        inject = {c.cell_id for c in grid.cells()[: args.inject_crash]}
-        orchestrator = SweepOrchestrator(
-            grid,
-            store,
-            args.run_dir,
-            workers=args.workers,
-            checkpoint_interval=args.checkpoint_interval,
-            max_retries=args.max_retries,
-            worker_timeout=args.timeout,
-            inject_crash_cells=inject,
-        )
-        final = orchestrator.run()
+        run = start_run(args.run_dir, grid, options)
+        final = run.run(serial=args.serial, inject_crash=args.inject_crash)
         print(final.render())
         return 0 if final.failed == 0 else 1
     elif args.sweep_command == "resume":
-        grid, options = load_manifest(args.run_dir)
-        store = ResultStore(os.path.join(args.run_dir, STORE_NAME))
-        orchestrator = SweepOrchestrator(
-            grid,
-            store,
-            args.run_dir,
-            workers=args.workers or options.get("workers") or 2,
-            checkpoint_interval=options.get("checkpoint_interval"),
-            max_retries=options.get("max_retries", 2),
-            worker_timeout=options.get("timeout"),
-        )
-        final = orchestrator.run()
+        final = open_run(args.run_dir, workers=args.workers).run()
         print(final.render())
         return 0 if final.failed == 0 else 1
     elif args.sweep_command == "status":
-        grid, _ = load_manifest(args.run_dir)
-        store = ResultStore(os.path.join(args.run_dir, STORE_NAME))
-        completed = store.completed_ids()
-        failed = store.failed_ids()
-        cells = grid.cells()
-        done = sum(1 for c in cells if c.cell_id in completed)
-        bad = sum(1 for c in cells if c.cell_id in failed and c.cell_id not in completed)
-        print(
-            f"{done}/{len(cells)} cells ok, {bad} failed, {len(cells) - done} pending"
-        )
+        from .campaign.spec import CAMPAIGN_EXPERIMENT, describe_grid
+
+        run = open_run(args.run_dir)
+        if run.grid.experiment == CAMPAIGN_EXPERIMENT:
+            print(describe_grid(run.grid))
+        print(run.status().render())
         return 0
     elif args.sweep_command == "aggregate":
         from .experiments.runner import Table
 
-        store = ResultStore(os.path.join(args.run_dir, STORE_NAME))
+        store = open_run(args.run_dir).store
         rows, skipped = store.aggregate(args.metric, by=args.by, with_skipped=True)
         if not rows:
             print(f"no successful records with metric {args.metric!r}")

@@ -268,11 +268,11 @@ def _frontier(spec) -> "Tuple[str, object, List[str]]":
 
     with tempfile.TemporaryDirectory(prefix="campaign-") as run_dir:
         status = run_campaign(spec, run_dir, workers=max(2, min(4, os.cpu_count() or 2)))
-        _spec, report = campaign_report(run_dir)
+        description, report = campaign_report(run_dir)
     failures = report.failures()
     if not status.done or status.failed:
         failures.insert(0, "campaign did not complete cleanly: " + status.render())
-    return spec.describe() + "\n\n" + report.render(), report, failures
+    return description + "\n\n" + report.render(), report, failures
 
 
 def _campaign_frontier() -> Built:

@@ -19,7 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from .runner import Table, sweep_records
+from ..analysis.costs import (
+    dissent_v1_cost,
+    dissent_v2_cost,
+    onion_routing_cost,
+    optimal_server_count,
+    rac_cost,
+)
+from .runner import Table
 
 __all__ = ["ComparisonRow", "complexity_comparison", "render_comparison"]
 
@@ -43,25 +50,17 @@ def complexity_comparison(
     R: int = 7,
 ) -> "List[ComparisonRow]":
     """Total copies per anonymous message, per protocol and size."""
-    metrics = sweep_records(
-        "comparison_point",
-        sizes,
-        base_params={"group_size": G, "num_relays": L, "num_rings": R},
-    )
-    rows = []
-    for n in sizes:
-        point = metrics[n]
-        rows.append(
-            ComparisonRow(
-                nodes=n,
-                onion=point["onion_copies"],
-                dissent_v1=point["dissent_v1_copies"],
-                dissent_v2=point["dissent_v2_copies"],
-                rac_grouped=point["rac_grouped_copies"],
-                servers=int(point["servers"]),
-            )
+    return [
+        ComparisonRow(
+            nodes=n,
+            onion=onion_routing_cost(L).total_copies(),
+            dissent_v1=dissent_v1_cost(n).total_copies(),
+            dissent_v2=dissent_v2_cost(n).total_copies(),
+            rac_grouped=rac_cost(n, G, L, R).total_copies(),
+            servers=optimal_server_count(n),
         )
-    return rows
+        for n in sizes
+    ]
 
 
 def render_comparison(rows: "List[ComparisonRow]") -> str:

@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..analysis.throughput import GBPS
+from ..analysis.costs import optimal_server_count
+from ..analysis.throughput import GBPS, dissent_v1_throughput, dissent_v2_throughput
 from ..baselines.dissent_v1 import DissentV1Group
 from ..baselines.dissent_v2 import DissentV2System
-from .runner import Table, format_rate, paper_sweep_sizes, sweep_records
+from .runner import Table, format_rate, paper_sweep_sizes
 
 __all__ = ["Figure1Result", "figure1", "empirical_dissent_v1_point", "empirical_dissent_v2_point"]
 
@@ -47,20 +48,14 @@ class Figure1Result:
 
 
 def figure1(sizes: "Optional[List[int]]" = None, link_bps: float = GBPS) -> Figure1Result:
-    """Regenerate Figure 1's data over the paper's sweep.
-
-    The sweep runs through the orchestrator's grid/result-store path
-    (``fig1_point`` workload), so these numbers are cell-for-cell the
-    ones a parallel ``repro sweep`` campaign would store.
-    """
+    """Regenerate Figure 1's data over the paper's sweep."""
     if sizes is None:
         sizes = paper_sweep_sizes()
-    metrics = sweep_records("fig1_point", sizes, base_params={"link_bps": link_bps})
     return Figure1Result(
         sizes=list(sizes),
-        dissent_v1=[metrics[n]["dissent_v1_bps"] for n in sizes],
-        dissent_v2=[metrics[n]["dissent_v2_bps"] for n in sizes],
-        servers_used=[int(metrics[n]["servers"]) for n in sizes],
+        dissent_v1=[dissent_v1_throughput(n, link_bps) for n in sizes],
+        dissent_v2=[dissent_v2_throughput(n, link_bps) for n in sizes],
+        servers_used=[optimal_server_count(n) for n in sizes],
     )
 
 

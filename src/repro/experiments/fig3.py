@@ -21,8 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..analysis.throughput import GBPS
-from .runner import Table, format_rate, paper_sweep_sizes, sweep_records
+from ..analysis.throughput import (
+    GBPS,
+    dissent_v1_throughput,
+    dissent_v2_throughput,
+    rac_nogroup_throughput,
+    rac_throughput,
+)
+from .runner import Table, format_rate, paper_sweep_sizes
 
 __all__ = ["Figure3Result", "figure3"]
 
@@ -77,22 +83,12 @@ def figure3(
     """Regenerate Figure 3's data over the paper's sweep."""
     if sizes is None:
         sizes = paper_sweep_sizes()
-    metrics = sweep_records(
-        "fig3_point",
-        sizes,
-        base_params={
-            "link_bps": link_bps,
-            "group_size": group_size,
-            "num_relays": num_relays,
-            "num_rings": num_rings,
-        },
-    )
     return Figure3Result(
         sizes=list(sizes),
-        rac_nogroup=[metrics[n]["rac_nogroup_bps"] for n in sizes],
-        rac_grouped=[metrics[n]["rac_grouped_bps"] for n in sizes],
-        dissent_v1=[metrics[n]["dissent_v1_bps"] for n in sizes],
-        dissent_v2=[metrics[n]["dissent_v2_bps"] for n in sizes],
+        rac_nogroup=[rac_nogroup_throughput(n, link_bps, num_relays, num_rings) for n in sizes],
+        rac_grouped=[rac_throughput(n, link_bps, group_size, num_relays, num_rings) for n in sizes],
+        dissent_v1=[dissent_v1_throughput(n, link_bps) for n in sizes],
+        dissent_v2=[dissent_v2_throughput(n, link_bps) for n in sizes],
         group_size=group_size,
         num_relays=num_relays,
         num_rings=num_rings,

@@ -1,51 +1,16 @@
-"""Shared experiment plumbing: sweeps, units and ASCII tables.
+"""Shared experiment plumbing: sweep sizes, units and ASCII tables.
 
 Every experiment module returns plain data (so tests can assert on it)
 plus a ``render()`` that prints paper-style rows — the text
 :mod:`.artefacts` commits under ``results/``.
-
-Size sweeps route through :func:`sweep_records`, which evaluates the
-registered orchestrator workload for each ``nodes`` value via the same
-grid + result-store machinery that parallel ``repro sweep`` campaigns
-use — the figure modules and a durable multi-process sweep produce
-records with identical identity and schema.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import List, Sequence
 
-__all__ = ["paper_sweep_sizes", "kbps", "format_rate", "Table", "sweep_records"]
-
-
-def sweep_records(
-    experiment: str,
-    sizes: "Sequence[int]",
-    base_params: "Optional[Mapping[str, Any]]" = None,
-    seed: int = 0,
-) -> "Dict[int, Dict[str, float]]":
-    """Evaluate a workload over a ``nodes`` axis; metrics keyed by size.
-
-    Runs the (config × seed) grid inline through an in-memory result
-    store, so one-shot figure generation shares cell identity, record
-    schema and aggregation with checkpointed parallel campaigns.
-    """
-    from ..orchestrator import SweepGrid
-    from ..orchestrator.pool import run_grid_inline
-
-    grid = SweepGrid(
-        experiment,
-        {"nodes": sorted(set(sizes))},
-        seeds=(seed,),
-        base_params=base_params,
-    )
-    store = run_grid_inline(grid)
-    return {
-        record.params["nodes"]: record.metrics
-        for record in store.latest().values()
-        if record.status == "ok"
-    }
+__all__ = ["paper_sweep_sizes", "kbps", "format_rate", "Table"]
 
 
 def paper_sweep_sizes(start: int = 100, stop: int = 100_000, per_decade: int = 3) -> "List[int]":

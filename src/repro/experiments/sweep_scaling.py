@@ -1,8 +1,9 @@
 """Sweep-orchestrator scaling (results/sweep_scaling.txt): the worker
 pool against the serial path.
 
-The same 8-cell (config × seed) protocol grid inline in this process
-and fanned out over 4 pool workers: wall-clock times and the speedup.
+The same 8-cell (config × seed) protocol grid through the one driver
+twice, ``run(serial=True)`` in this process and ``run()`` fanned out
+over 4 pool workers: wall-clock times and the speedup.
 The ≥2× point needs ≥4 physical cores; on fewer the artefact still
 proves that both paths produce identical metrics — the correctness
 half of the claim, and the gate. Wall-clock columns: not pinned.
@@ -16,8 +17,7 @@ import tempfile
 import time
 from typing import List, Tuple
 
-from ..orchestrator import ResultStore, SweepGrid, SweepOrchestrator, run_grid_inline
-from ..orchestrator.pool import STORE_NAME
+from ..orchestrator import SweepGrid, start_run
 from .runner import Table
 
 __all__ = ["artefact"]
@@ -34,16 +34,18 @@ def artefact() -> "Tuple[List[str], List[str]]":
     )
     cores = os.cpu_count() or 1
 
-    start = time.perf_counter()
-    serial = run_grid_inline(grid).latest()
-    serial_s = time.perf_counter() - start
-
-    with tempfile.TemporaryDirectory(prefix="sweep-scaling-") as run_dir:
-        store = ResultStore(os.path.join(run_dir, STORE_NAME))
+    with tempfile.TemporaryDirectory(prefix="sweep-scaling-") as scratch:
+        run = start_run(os.path.join(scratch, "serial"), grid)
         start = time.perf_counter()
-        status = SweepOrchestrator(grid, store, run_dir, workers=WORKERS).run()
+        run.run(serial=True)
+        serial_s = time.perf_counter() - start
+        serial = run.store.latest()
+
+        run = start_run(os.path.join(scratch, "pool"), grid, {"workers": WORKERS})
+        start = time.perf_counter()
+        status = run.run()
         parallel_s = time.perf_counter() - start
-        parallel = store.latest()
+        parallel = run.store.latest()
 
     identical = set(serial) == set(parallel) and all(
         json.dumps(serial[c].metrics, sort_keys=True)

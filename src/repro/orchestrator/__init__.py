@@ -8,12 +8,12 @@ parallel sweeps:
 * :mod:`repro.orchestrator.grid` — a (config × seed) grid with stable
   content-addressed cell ids, serializable to a run manifest;
 * :mod:`repro.orchestrator.store` — an append-only JSONL result store
-  with a versioned record schema and the aggregation helpers the
-  figure render paths consume;
+  with a versioned record schema;
 * :mod:`repro.orchestrator.workloads` — the registry of sweepable
   experiments, including the checkpointable packet-level protocol run
   built on :mod:`repro.simnet.snapshot`;
-* :mod:`repro.orchestrator.pool` — the multiprocessing worker pool:
+* :mod:`repro.orchestrator.pool` — the one driver of a run directory
+  (``start_run`` / ``open_run``) and its multiprocessing worker pool:
   fan-out across cores, bounded-backoff retry of crashed or hung
   workers, periodic checkpoints, resume of interrupted sweeps.
 
@@ -24,7 +24,15 @@ recovery, resume and schema round-trips.
 
 from .grid import SweepCell, SweepGrid, config_hash
 from .store import RESULT_SCHEMA_VERSION, ResultRecord, ResultStore, StoreSchemaError
-from .pool import CRASH_EXIT_CODE, SweepOrchestrator, SweepStatus, run_cell_inline, run_grid_inline
+from .pool import (
+    CRASH_EXIT_CODE,
+    RunDirError,
+    SweepOrchestrator,
+    SweepStatus,
+    open_run,
+    run_cell_inline,
+    start_run,
+)
 from .sharded import (
     EquivalenceReport,
     ShardedOutcome,
@@ -57,8 +65,10 @@ __all__ = [
     "load_sharded_manifest",
     "run_sharded",
     "verify_sharded",
+    "RunDirError",
+    "open_run",
     "run_cell_inline",
-    "run_grid_inline",
+    "start_run",
     "WORKLOADS",
     "UnknownWorkloadError",
     "WorkerContext",

@@ -11,14 +11,20 @@ appends never race. Failure handling:
   up to ``max_retries`` extra attempts, after which a ``failed`` record
   is appended so the sweep terminates with the failure *recorded*, not
   silently dropped;
-* **hung worker** (no exit within ``worker_timeout`` wall-seconds) —
+* **hung worker** (no exit within ``timeout`` wall-seconds) —
   terminated, then killed, then treated exactly like a crash;
 * **killed orchestrator** — the store survives (line-atomic appends)
   and ``repro sweep resume`` re-runs only the cells whose latest record
   is not ``ok``; a cell whose worker had checkpointed resumes mid-run
   from its snapshot (:mod:`repro.simnet.snapshot`).
 
-Run-directory layout::
+One driver per run directory: :func:`start_run` writes the manifest
+(refusing a directory that holds a different grid) and :func:`open_run`
+reopens it; both hand back the :class:`SweepOrchestrator` whose
+``run()`` is the only loop. ``run(serial=True)`` executes the same
+cells with the same :class:`WorkerContext` in this process: a raising
+cell gets the ``failed`` record the pool writes after its retry budget
+and the loop moves on. Run-directory layout::
 
     <run_dir>/sweep.json        grid manifest (resume/status read this)
     <run_dir>/results.jsonl     the durable result store
@@ -38,10 +44,10 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from .grid import SweepCell, SweepGrid
+from .grid import SweepCell, SweepGrid, canonical_json
 from .store import ResultRecord, ResultStore
 from .workloads import (
     CRASH_EXIT_CODE,
@@ -54,8 +60,10 @@ __all__ = [
     "CRASH_EXIT_CODE",
     "SweepOrchestrator",
     "SweepStatus",
+    "RunDirError",
     "run_cell_inline",
-    "run_grid_inline",
+    "start_run",
+    "open_run",
     "write_manifest",
     "load_manifest",
     "MANIFEST_NAME",
@@ -65,6 +73,16 @@ __all__ = [
 MANIFEST_NAME = "sweep.json"
 STORE_NAME = "results.jsonl"
 _POLL_SECONDS = 0.02
+#: A crashed attempt is retried after BACKOFF_BASE * 2**attempt
+#: wall-seconds, capped at BACKOFF_MAX.
+BACKOFF_BASE = 0.25
+BACKOFF_MAX = 5.0
+
+
+class RunDirError(ValueError):
+    """The run directory is not what the command needs: no manifest, a
+    different grid, a plain sweep where a campaign was expected. The
+    CLI prints the message and exits 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -90,15 +108,7 @@ def _execute_cell(cell: SweepCell, ctx: WorkerContext) -> ResultRecord:
     )
 
 
-def _worker_entry(
-    cell_spec: "Dict[str, Any]",
-    outbox_path: str,
-    checkpoint_path: "Optional[str]",
-    checkpoint_interval: "Optional[float]",
-    attempt: int,
-    inject_crash: bool,
-    verify_snapshots: bool,
-) -> None:
+def _worker_entry(cell_spec: "Dict[str, Any]", outbox_path: str, ctx: WorkerContext) -> None:
     """Child-process entry point: run one cell attempt, outbox the record.
 
     Must stay a module-level function (spawn-start contexts import it by
@@ -108,13 +118,6 @@ def _worker_entry(
     try:
         reset_worker_caches()
         cell = SweepCell.make(cell_spec["experiment"], cell_spec["params"], cell_spec["seed"])
-        ctx = WorkerContext(
-            checkpoint_path=checkpoint_path,
-            checkpoint_interval=checkpoint_interval,
-            attempt=attempt,
-            inject_crash=inject_crash,
-            verify_snapshots=verify_snapshots,
-        )
         record = _execute_cell(cell, ctx)
         tmp = f"{outbox_path}.tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -128,34 +131,10 @@ def _worker_entry(
         os._exit(1)
 
 
-# ---------------------------------------------------------------------------
-# inline (serial) execution — figure modules, baselines, tests
-# ---------------------------------------------------------------------------
 def run_cell_inline(cell: SweepCell, ctx: "Optional[WorkerContext]" = None) -> ResultRecord:
-    """Run one cell in the current process (no isolation, no retry)."""
+    """Run one cell in the current process (no isolation, no retry, no
+    record of a failure: the exception is the caller's)."""
     return _execute_cell(cell, ctx if ctx is not None else WorkerContext())
-
-
-def run_grid_inline(
-    grid: SweepGrid,
-    store: "Optional[ResultStore]" = None,
-    ctx: "Optional[WorkerContext]" = None,
-) -> ResultStore:
-    """Serially evaluate a grid into a store (in-memory by default).
-
-    The one-shot path the figure modules use: same grid semantics and
-    result schema as a parallel campaign, minus the processes. Cells
-    already completed in ``store`` are skipped, exactly like a resume.
-    ``ctx`` is handed to every cell (default: a bare context).
-    """
-    if store is None:
-        store = ResultStore()
-    completed = store.completed_ids()
-    for cell in grid.cells():
-        if cell.cell_id in completed:
-            continue
-        store.append(run_cell_inline(cell, ctx))
-    return store
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +155,58 @@ def write_manifest(run_dir: str, grid: SweepGrid, options: "Dict[str, Any]") -> 
 def load_manifest(run_dir: str) -> "Tuple[SweepGrid, Dict[str, Any]]":
     path = os.path.join(run_dir, MANIFEST_NAME)
     if not os.path.exists(path):
-        raise FileNotFoundError(f"{path} not found — was this directory created by 'sweep run'?")
+        raise RunDirError(f"{path} not found — was this directory created by 'sweep run'?")
     with open(path, "r", encoding="utf-8") as fh:
         body = json.load(fh)
     if body.get("schema") != 1:
-        raise ValueError(f"unsupported sweep manifest schema {body.get('schema')!r}")
+        raise RunDirError(f"unsupported sweep manifest schema {body.get('schema')!r}")
     return SweepGrid.from_spec(body["grid"]), body.get("options", {})
+
+
+# ---------------------------------------------------------------------------
+# the driver: the two ways into a run directory
+# ---------------------------------------------------------------------------
+#: What a manifest's ``options`` block holds, whoever started the run.
+POOL_OPTIONS = ("workers", "checkpoint_interval", "max_retries", "timeout")
+
+
+def _describe(grid: SweepGrid) -> str:
+    axes = ", ".join(f"{name}={values}" for name, values in grid.axes.items())
+    return f"{grid.experiment} [{axes}] x seeds {grid.seeds}"
+
+
+def start_run(
+    run_dir: str, grid: SweepGrid, options: "Optional[Dict[str, Any]]" = None
+) -> "SweepOrchestrator":
+    """Start ``grid`` under ``run_dir``, or re-enter the same grid there.
+
+    A run directory holds one grid: a directory whose manifest holds a
+    different one is refused before anything is written. The same grid
+    is a resume — ``run()`` skips what the store already holds — and may
+    carry new pool options, which are persisted whole so that
+    :func:`open_run` continues with what the run was started with.
+    """
+    if os.path.exists(os.path.join(run_dir, MANIFEST_NAME)):
+        held, _ = load_manifest(run_dir)
+        if canonical_json(held.to_spec()) != canonical_json(grid.to_spec()):
+            raise RunDirError(
+                f"{run_dir} already holds a different sweep: {_describe(held)}, "
+                f"not {_describe(grid)}; use a fresh --run-dir or delete it"
+            )
+    store = ResultStore(os.path.join(run_dir, STORE_NAME))
+    run = SweepOrchestrator(grid, store, run_dir, **(options or {}))
+    write_manifest(run_dir, grid, {name: getattr(run, name) for name in POOL_OPTIONS})
+    return run
+
+
+def open_run(run_dir: str, **overrides: Any) -> "SweepOrchestrator":
+    """Reopen the run ``start_run`` left in ``run_dir``, with its pool
+    options (``overrides`` that are not None win); ``.run()`` on the
+    result is resume, ``.status()`` and ``.store`` read it."""
+    grid, held = load_manifest(run_dir)
+    options = {name: held[name] for name in POOL_OPTIONS if held.get(name) is not None}
+    options.update((name, value) for name, value in overrides.items() if value is not None)
+    return SweepOrchestrator(grid, ResultStore(os.path.join(run_dir, STORE_NAME)), run_dir, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +241,8 @@ class _Attempt:
 
 
 class SweepOrchestrator:
-    """Drives one grid to completion over a bounded worker pool."""
+    """Drives one grid to completion, over a bounded worker pool or
+    (``run(serial=True)``) in this process."""
 
     def __init__(
         self,
@@ -226,12 +252,8 @@ class SweepOrchestrator:
         workers: int = 2,
         checkpoint_interval: "Optional[float]" = None,
         max_retries: int = 2,
-        backoff_base: float = 0.25,
-        backoff_max: float = 5.0,
-        worker_timeout: "Optional[float]" = None,
-        inject_crash_cells: "Iterable[str]" = (),
+        timeout: "Optional[float]" = None,
         verify_snapshots: bool = False,
-        mp_context: "Optional[str]" = None,
     ) -> None:
         if workers < 1:
             raise ValueError("the pool needs at least one worker")
@@ -243,14 +265,9 @@ class SweepOrchestrator:
         self.workers = workers
         self.checkpoint_interval = checkpoint_interval
         self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
-        self.worker_timeout = worker_timeout
-        #: cell_ids whose first attempt dies via an injected crash —
-        #: chaos for tests and the CI sweep-smoke target.
-        self.inject_crash_cells = set(inject_crash_cells)
+        #: Wall-seconds before a worker counts as hung.
+        self.timeout = timeout
         self.verify_snapshots = verify_snapshots
-        self._mp = multiprocessing.get_context(mp_context)
         self.retries_seen = 0
 
     # -- paths ---------------------------------------------------------------
@@ -259,6 +276,15 @@ class SweepOrchestrator:
 
     def _outbox_path(self, cell: SweepCell) -> str:
         return os.path.join(self.run_dir, "outbox", f"{cell.cell_id}.json")
+
+    def _context(self, cell: SweepCell, attempt: int = 0, inject_crash: bool = False) -> WorkerContext:
+        return WorkerContext(
+            checkpoint_path=self._checkpoint_path(cell),
+            checkpoint_interval=self.checkpoint_interval,
+            attempt=attempt,
+            inject_crash=inject_crash,
+            verify_snapshots=self.verify_snapshots,
+        )
 
     # -- lifecycle -----------------------------------------------------------
     def status(self) -> SweepStatus:
@@ -276,19 +302,30 @@ class SweepOrchestrator:
             retries=self.retries_seen,
         )
 
-    def run(self) -> SweepStatus:
+    def run(self, serial: bool = False, inject_crash: int = 0) -> SweepStatus:
         """Run every not-yet-completed cell to a terminal record.
 
         Idempotent: calling it on a finished campaign does nothing, and
         calling it on an interrupted one is exactly ``sweep resume``.
+        ``inject_crash`` kills the first attempt of the first K pending
+        cells (chaos for tests and the CI smoke targets); an injected
+        crash is ``os._exit`` and cannot be survived in-process, so it
+        is an error with ``serial``.
         """
+        if serial and inject_crash:
+            raise ValueError("inject_crash kills a worker process; it cannot be combined with serial")
         os.makedirs(os.path.join(self.run_dir, "checkpoints"), exist_ok=True)
         os.makedirs(os.path.join(self.run_dir, "outbox"), exist_ok=True)
         self.store.reload()
         completed = self.store.completed_ids()
-        pending: List[_Attempt] = [
-            _Attempt(cell) for cell in self.grid.cells() if cell.cell_id not in completed
-        ]
+        cells = [cell for cell in self.grid.cells() if cell.cell_id not in completed]
+        if serial:
+            for cell in cells:
+                self._run_in_process(cell)
+            return self.status()
+
+        crash_cells = {cell.cell_id for cell in cells[:inject_crash]}
+        pending: List[_Attempt] = [_Attempt(cell) for cell in cells]
         running: "Dict[Any, Tuple[_Attempt, float]]" = {}  # proc -> (attempt, deadline)
 
         while pending or running:
@@ -298,10 +335,8 @@ class SweepOrchestrator:
             while launchable and len(running) < self.workers:
                 attempt = launchable.pop(0)
                 pending.remove(attempt)
-                proc = self._launch(attempt)
-                deadline = (
-                    now + self.worker_timeout if self.worker_timeout is not None else float("inf")
-                )
+                proc = self._launch(attempt, crash_cells)
+                deadline = now + self.timeout if self.timeout is not None else float("inf")
                 running[proc] = (attempt, deadline)
 
             # Reap finished / overdue workers.
@@ -336,19 +371,28 @@ class SweepOrchestrator:
 
         return self.status()
 
-    def _launch(self, attempt: _Attempt):
+    def _run_in_process(self, cell: SweepCell) -> None:
+        """The serial mode's one attempt at ``cell``. No retry: a
+        deterministic cell that raised would raise again."""
+        ctx = self._context(cell)
+        try:
+            record = _execute_cell(cell, ctx)
+        except Exception as exc:
+            traceback.print_exc(file=sys.stderr)
+            self._record_failure(cell, 1, f"{type(exc).__name__}: {exc}")
+            return
+        self.store.append(record)
+        ctx.clear_checkpoint()
+
+    def _launch(self, attempt: _Attempt, crash_cells: "Set[str]"):
         cell = attempt.cell
-        inject = attempt.attempt == 0 and cell.cell_id in self.inject_crash_cells
-        proc = self._mp.Process(
+        inject = attempt.attempt == 0 and cell.cell_id in crash_cells
+        proc = multiprocessing.Process(
             target=_worker_entry,
             args=(
                 {"experiment": cell.experiment, "params": cell.params_dict, "seed": cell.seed},
                 self._outbox_path(cell),
-                self._checkpoint_path(cell),
-                self.checkpoint_interval,
-                attempt.attempt,
-                inject,
-                self.verify_snapshots,
+                self._context(cell, attempt.attempt, inject),
             ),
             daemon=True,
         )
@@ -366,27 +410,30 @@ class SweepOrchestrator:
         os.remove(path)
         return True
 
+    def _record_failure(self, cell: SweepCell, attempts: int, reason: str) -> None:
+        """The terminal ``failed`` record: it keeps the sweep's
+        bookkeeping complete, and resume will try the cell again."""
+        self.store.append(
+            ResultRecord(
+                cell_id=cell.cell_id,
+                experiment=cell.experiment,
+                config_hash=cell.config_hash,
+                params=cell.params_dict,
+                seed=cell.seed,
+                status="failed",
+                attempts=attempts,
+                error=reason,
+            )
+        )
+
     def _on_attempt_failed(
         self, attempt: _Attempt, pending: "List[_Attempt]", reason: str
     ) -> None:
         if attempt.attempt >= self.max_retries:
-            # Out of budget: a terminal failed record keeps the sweep's
-            # bookkeeping complete (and resume will try the cell again).
-            self.store.append(
-                ResultRecord(
-                    cell_id=attempt.cell.cell_id,
-                    experiment=attempt.cell.experiment,
-                    config_hash=attempt.cell.config_hash,
-                    params=attempt.cell.params_dict,
-                    seed=attempt.cell.seed,
-                    status="failed",
-                    attempts=attempt.attempt + 1,
-                    error=reason,
-                )
-            )
+            self._record_failure(attempt.cell, attempt.attempt + 1, reason)
             return
         self.retries_seen += 1
-        backoff = min(self.backoff_max, self.backoff_base * (2 ** attempt.attempt))
+        backoff = min(BACKOFF_MAX, BACKOFF_BASE * (2 ** attempt.attempt))
         pending.append(
             _Attempt(attempt.cell, attempt.attempt + 1, time.monotonic() + backoff)
         )

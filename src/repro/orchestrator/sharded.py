@@ -3,10 +3,11 @@
 The coordinator (:func:`run_sharded`) drives ``num_shards``
 sub-simulators (:class:`repro.simnet.shard.ShardSystem`) through
 lock-step epochs. Each (shard, epoch) pair is one content-addressed
-sweep cell of the ``shard_epoch`` workload, executed either inline
-(``serial=True``) or across processes by the PR-3
-:class:`~repro.orchestrator.pool.SweepOrchestrator` — inheriting its
-outbox handoff, crash retry and exactly-once resume for free.
+sweep cell of the ``shard_epoch`` workload, executed in this process
+(``serial=True``) or across processes by one
+:class:`~repro.orchestrator.pool.SweepOrchestrator` per epoch —
+inheriting its outbox handoff, crash retry and exactly-once resume for
+free.
 
 Run-directory layout::
 
@@ -53,7 +54,7 @@ from ..scenario import Outcome, run_scenario
 from ..simnet.snapshot import load_snapshot, save_snapshot
 from ..simnet.stats import aggregate_stats_reports
 from .grid import SweepGrid
-from .pool import SweepOrchestrator, run_grid_inline
+from .pool import SweepOrchestrator
 from .store import ResultStore
 from .workloads import WorkerContext, reset_worker_caches
 
@@ -288,26 +289,18 @@ def run_sharded(
         _write_json(_barrier_path(run_dir, epoch), barrier_body)
         barrier_digests.append(chain_fingerprint(ZERO_FINGERPRINT, canonical_blob(barrier_body)))
 
-        grid = _epoch_grid(run_dir, spec, epoch)
-        if serial:
-            run_grid_inline(grid, store, WorkerContext(verify_snapshots=verify_snapshots))
-        else:
-            crash_cells = (
-                [c.cell_id for c in grid.cells()[:inject_crash]] if epoch == 0 else []
+        status = SweepOrchestrator(
+            _epoch_grid(run_dir, spec, epoch),
+            store,
+            run_dir,
+            workers=max(1, min(workers, spec.num_shards)),
+            verify_snapshots=verify_snapshots,
+        ).run(serial=serial, inject_crash=inject_crash if epoch == 0 else 0)
+        if status.failed:
+            raise RuntimeError(
+                f"sharded epoch {epoch} has {status.failed} failed shard cells; "
+                f"see {store.path}"
             )
-            status = SweepOrchestrator(
-                grid,
-                store,
-                run_dir,
-                workers=max(1, min(workers, spec.num_shards)),
-                inject_crash_cells=crash_cells,
-                verify_snapshots=verify_snapshots,
-            ).run()
-            if status.failed:
-                raise RuntimeError(
-                    f"sharded epoch {epoch} has {status.failed} failed shard cells; "
-                    f"see {os.path.join(run_dir, 'results.jsonl')}"
-                )
         carried = []
         for shard in range(spec.num_shards):
             body = _read_json(_export_path(run_dir, shard, epoch))

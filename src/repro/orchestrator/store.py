@@ -26,6 +26,7 @@ fresh line; readers resolve duplicates as *last record wins*.
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import json
 import os
 import subprocess
@@ -41,8 +42,10 @@ class StoreSchemaError(Exception):
     """A store line does not parse as a known record schema."""
 
 
+@functools.lru_cache(maxsize=None)
 def git_revision() -> str:
-    """Short git revision of the working tree, or ``"unknown"``."""
+    """Short git revision of the working tree, or ``"unknown"``; one
+    ``git`` fork per process, not one per record."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
@@ -145,9 +148,7 @@ class ResultRecord:
 class ResultStore:
     """Append-only record collection; JSONL-backed or in-memory.
 
-    With ``path=None`` the store lives in memory only — that mode is
-    what the figure modules use to route their one-shot sweeps through
-    the same grid/aggregate API as durable campaigns.
+    With ``path=None`` the store lives in memory only.
     """
 
     def __init__(self, path: "Optional[str]" = None) -> None:
@@ -204,42 +205,7 @@ class ResultStore:
     def __contains__(self, cell_id: str) -> bool:
         return cell_id in self.completed_ids()
 
-    # -- aggregation (feeds the figure render paths) -------------------------
-    def series(
-        self,
-        x_param: str,
-        metric: str,
-        where: "Optional[Mapping[str, Any]]" = None,
-        *,
-        with_skipped: bool = False,
-    ):
-        """(xs, ys) of ``metric`` against parameter ``x_param``.
-
-        Multiple seeds per x collapse to their mean; rows are sorted by
-        x. Only successful records contribute. Records that match the
-        filter but do not carry ``metric`` (a heterogeneous store — e.g.
-        campaign cells mixed with protocol cells) are *skipped*, never a
-        ``KeyError``; pass ``with_skipped=True`` to also get their count
-        back as ``(xs, ys, skipped)`` so callers can surface partial
-        coverage instead of silently under-reporting.
-        """
-        buckets: Dict[Any, List[float]] = {}
-        skipped = 0
-        for rec in self.latest().values():
-            if rec.status != "ok":
-                continue
-            if where and any(rec.params.get(k) != v for k, v in where.items()):
-                continue
-            if metric not in rec.metrics or x_param not in rec.params:
-                skipped += 1
-                continue
-            buckets.setdefault(rec.params[x_param], []).append(rec.metrics[metric])
-        xs = sorted(buckets)
-        ys = [sum(buckets[x]) / len(buckets[x]) for x in xs]
-        if with_skipped:
-            return xs, ys, skipped
-        return xs, ys
-
+    # -- aggregation (`repro sweep aggregate`) --------------------------------
     def aggregate(
         self,
         metric: str,
@@ -250,9 +216,10 @@ class ResultStore:
     ):
         """Grouped summary rows: key, n, mean, min, max of ``metric``.
 
-        Same skip contract as :meth:`series`: a matching record without
-        the metric is counted, not crashed on, and ``with_skipped=True``
-        returns ``(rows, skipped)``.
+        Only successful records contribute. A matching record without
+        the metric (a heterogeneous store — e.g. campaign cells mixed
+        with protocol cells) is counted, not crashed on, and
+        ``with_skipped=True`` returns ``(rows, skipped)``.
         """
         buckets: Dict[Any, List[float]] = {}
         skipped = 0

@@ -16,10 +16,7 @@ The ``protocol`` workload is the flagship: a packet-level
 :func:`repro.scenario.prepare`-d run that snapshots itself every
 ``ctx.checkpoint_interval`` sim-seconds via
 :mod:`repro.simnet.snapshot`, so a SIGKILLed worker resumes mid-run
-instead of starting over. The ``fig1_point`` / ``fig3_point`` /
-``comparison_point`` workloads evaluate the analytic models one system
-size at a time — the figure modules route their sweeps through the
-same grid + store machinery as full campaigns.
+instead of starting over.
 """
 
 from __future__ import annotations
@@ -240,48 +237,6 @@ def shard_epoch(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Dic
     return run_shard_epoch(params, seed, ctx)
 
 
-@workload("scale_point")
-def scale_point(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Dict[str, float]":
-    """One sharded end-to-end run at population ``nodes`` (scaling curve).
-
-    Parameters: ``nodes``, ``shards``, ``horizon``, ``epoch``,
-    ``messages``, ``group_max``. Shards execute serially inside this
-    cell (a pool worker must not spawn its own pool); the scratch run
-    directory is private to the cell and torn down afterwards, so the
-    metrics depend only on ``(params, seed)``.
-    """
-    import shutil
-    import tempfile
-
-    from ..simnet.shard import ScaleSpec
-    from .sharded import run_sharded
-
-    spec = ScaleSpec(
-        nodes=int(params.get("nodes", 64)),
-        num_shards=int(params.get("shards", 2)),
-        seed=seed,
-        horizon=float(params.get("horizon", 4.0)),
-        epoch=float(params.get("epoch", 1.0)),
-        messages=int(params.get("messages", 1)),
-        group_max=int(params.get("group_max", 16)),
-    )
-    scratch = tempfile.mkdtemp(prefix="scale_point_")
-    try:
-        outcome = run_sharded(spec, scratch, serial=True)
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
-    ctx.maybe_crash()
-    return {
-        "sim_time_s": spec.horizon,
-        "events_processed": float(outcome.events_processed),
-        "deliveries": float(len(outcome.delivered)),
-        "evictions": float(len(outcome.evicted)),
-        "wall_seconds": float(outcome.wall_seconds),
-        "events_per_second": float(outcome.events_per_second),
-        "shards": float(spec.num_shards),
-    }
-
-
 @workload("pubsub_point")
 def pubsub_point(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Dict[str, float]":
     """One anonymous pub/sub run on the sim twin, with membership churn.
@@ -388,71 +343,3 @@ def campaign_point(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "
     outcome = run_campaign_cell(params, seed)
     ctx.maybe_crash()
     return outcome.metrics()
-
-
-# ---------------------------------------------------------------------------
-# analytic model points (the figure sweeps)
-# ---------------------------------------------------------------------------
-
-
-@workload("fig1_point")
-def fig1_point(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Dict[str, float]":
-    """One Figure 1 x-point: Dissent v1/v2 throughput at N nodes."""
-    from ..analysis.costs import optimal_server_count
-    from ..analysis.throughput import GBPS, dissent_v1_throughput, dissent_v2_throughput
-
-    n = int(params["nodes"])
-    link_bps = float(params.get("link_bps", GBPS))
-    return {
-        "dissent_v1_bps": dissent_v1_throughput(n, link_bps),
-        "dissent_v2_bps": dissent_v2_throughput(n, link_bps),
-        "servers": float(optimal_server_count(n)),
-    }
-
-
-@workload("fig3_point")
-def fig3_point(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Dict[str, float]":
-    """One Figure 3 x-point: RAC and baseline throughput at N nodes."""
-    from ..analysis.throughput import (
-        GBPS,
-        dissent_v1_throughput,
-        dissent_v2_throughput,
-        rac_nogroup_throughput,
-        rac_throughput,
-    )
-
-    n = int(params["nodes"])
-    link_bps = float(params.get("link_bps", GBPS))
-    G = int(params.get("group_size", 1000))
-    L = int(params.get("num_relays", 5))
-    R = int(params.get("num_rings", 7))
-    return {
-        "rac_nogroup_bps": rac_nogroup_throughput(n, link_bps, L, R),
-        "rac_grouped_bps": rac_throughput(n, link_bps, G, L, R),
-        "dissent_v1_bps": dissent_v1_throughput(n, link_bps),
-        "dissent_v2_bps": dissent_v2_throughput(n, link_bps),
-    }
-
-
-@workload("comparison_point")
-def comparison_point(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Dict[str, float]":
-    """One Section III cost-model row: message copies at N nodes."""
-    from ..analysis.costs import (
-        dissent_v1_cost,
-        dissent_v2_cost,
-        onion_routing_cost,
-        optimal_server_count,
-        rac_cost,
-    )
-
-    n = int(params["nodes"])
-    G = int(params.get("group_size", 1000))
-    L = int(params.get("num_relays", 5))
-    R = int(params.get("num_rings", 7))
-    return {
-        "onion_copies": onion_routing_cost(L).total_copies(),
-        "dissent_v1_copies": dissent_v1_cost(n).total_copies(),
-        "dissent_v2_copies": dissent_v2_cost(n).total_copies(),
-        "rac_grouped_copies": rac_cost(n, G, L, R).total_copies(),
-        "servers": float(optimal_server_count(n)),
-    }

@@ -14,10 +14,9 @@ from repro.campaign import (
     CampaignSpec,
     build_frontier,
     campaign_report,
-    campaign_status,
     run_campaign,
 )
-from repro.orchestrator import ResultStore
+from repro.orchestrator import ResultStore, open_run
 from repro.orchestrator.pool import STORE_NAME
 
 
@@ -70,11 +69,13 @@ class TestCampaignThroughThePool:
         rendered = report.render()
         assert "SOUND" in rendered and "UNSOUND" not in rendered
 
-        # The runner's read-back entry points see the same state.
-        spec_back, status_back = campaign_status(run_dir)
-        assert spec_back == spec
-        assert status_back.done
-        _, report_back = campaign_report(run_dir)
+        # The read-back entry points see the same state: the manifest
+        # holds the campaign once, as its grid.
+        reopened = open_run(run_dir)
+        assert reopened.grid.to_spec() == spec.to_grid().to_spec()
+        assert reopened.status().done
+        description, report_back = campaign_report(run_dir)
+        assert description == spec.describe()
         assert report_back.baseline_ok
 
     def test_interrupted_campaign_resumes_exactly_once(self, tmp_path):

@@ -5,7 +5,9 @@ fault plan lowered, traffic pumped and a verdict reached. Five copies
 of that pipeline grew before it existed; these checks keep a sixth from
 growing back. A new way to *run* the protocol belongs in
 ``run_scenario``; a new *result type* belongs in ``Outcome``; a new
-*committed artefact* is a row of ``experiments/artefacts.py``.
+*committed artefact* is a row of ``experiments/artefacts.py``; a new
+way to *drive a run directory* goes through ``orchestrator/pool.py``'s
+``start_run`` / ``open_run``.
 """
 
 import ast
@@ -79,6 +81,32 @@ def test_outcome_types_stay_three():
     assert found == OUTCOME_TYPES, (
         "a scenario run reports through repro.scenario.Outcome (harness-specific numbers go in "
         f"Outcome.scores); found {found}"
+    )
+
+
+def test_a_run_directory_has_one_driver():
+    """Manifest, store path and orchestrator construction live in
+    ``orchestrator/pool.py`` (four front doors each re-implemented
+    manifest -> store -> serial-or-pool -> crash cells -> status, and
+    disagreed). ``run_sharded`` builds one orchestrator per epoch over
+    its own ``sharded.json``."""
+    run_dir_names = {"write_manifest", "load_manifest", "STORE_NAME"}
+    strays = set()
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            mentioned = {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
+            if name != "orchestrator/pool.py" and mentioned & run_dir_names:
+                strays.add(f"{name} names {sorted(mentioned & run_dir_names)[0]}")
+            if (
+                name not in ("orchestrator/pool.py", "orchestrator/sharded.py")
+                and isinstance(node, ast.Call)
+                and _called_name(node) == "SweepOrchestrator"
+            ):
+                strays.add(f"{name} constructs a SweepOrchestrator")
+    assert not strays, (
+        f"{sorted(strays)}: a run directory is started with repro.orchestrator.pool.start_run("
+        "run_dir, grid, options) and reopened with open_run(run_dir); .run(serial=, inject_crash=), "
+        ".status() and .store on what they return are the whole interface"
     )
 
 

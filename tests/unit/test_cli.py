@@ -80,7 +80,7 @@ class TestSweep:
         with pytest.raises(SystemExit):
             main(["sweep", "run", "--run-dir", "/tmp/x", "--experiment", "protocol"])
 
-    def test_serial_run_status_aggregate(self, tmp_path, capsys):
+    def test_serial_run_status_aggregate(self, tmp_path, capsys, cheap_point):
         run_dir = str(tmp_path / "camp")
         assert (
             main(
@@ -90,7 +90,7 @@ class TestSweep:
                     "--run-dir",
                     run_dir,
                     "--experiment",
-                    "fig1_point",
+                    cheap_point,
                     "--axis",
                     "nodes=100,1000",
                     "--seeds",
@@ -113,7 +113,7 @@ class TestSweep:
                     "--run-dir",
                     run_dir,
                     "--metric",
-                    "dissent_v1_bps",
+                    "square",
                     "--by",
                     "nodes",
                 ]
@@ -121,18 +121,50 @@ class TestSweep:
             == 0
         )
         out = capsys.readouterr().out
-        assert "dissent_v1_bps by nodes" in out and "100000" in out
+        assert "square by nodes" in out and "1e+06" in out
 
         # Resuming a finished campaign is a no-op that still succeeds.
         assert main(["sweep", "resume", "--run-dir", run_dir]) == 0
         assert "4/4 cells ok" in capsys.readouterr().out
 
-    def test_aggregate_unknown_metric_fails(self, tmp_path, capsys):
+    def test_a_second_different_run_on_a_directory_is_refused(self, tmp_path, capsys, cheap_point):
+        run_dir = tmp_path / "camp"
+        run = ["sweep", "run", "--run-dir", str(run_dir), "--experiment", cheap_point, "--serial"]
+        assert main([*run, "--axis", "nodes=100,1000"]) == 0
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir() if p.is_file()}
+        assert set(before) == {"sweep.json", "results.jsonl"}
+        capsys.readouterr()
+        assert main([*run, "--axis", "nodes=7"]) == 2  # before any cell runs
+        err = capsys.readouterr().err
+        assert "already holds a different sweep" in err and "fresh --run-dir" in err
+        assert before == {p.name: p.read_bytes() for p in run_dir.iterdir() if p.is_file()}
+
+    @pytest.mark.parametrize(
+        "verb", [["sweep", "status"], ["sweep", "resume"], ["sweep", "aggregate", "--metric", "m"], ["campaign", "report"]]
+    )
+    def test_a_missing_run_directory_is_one_line_and_exit_2(self, tmp_path, capsys, verb):
+        assert main([*verb, "--run-dir", str(tmp_path / "nope")]) == 2
+        captured = capsys.readouterr()
+        assert "sweep.json not found" in captured.err and "Traceback" not in captured.err
+        (tmp_path / "empty").mkdir()
+        assert main([*verb, "--run-dir", str(tmp_path / "empty")]) == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [["sweep", "run", "--experiment", "protocol", "--axis", "nodes=4"], ["campaign", "run", "--spec", "smoke"]],
+    )
+    def test_serial_with_inject_crash_is_a_usage_error(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            main([*command, "--run-dir", str(tmp_path / "x"), "--serial", "--inject-crash", "1"])
+        assert err.value.code == 2 and "--serial" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_aggregate_unknown_metric_fails(self, tmp_path, capsys, cheap_point):
         run_dir = str(tmp_path / "camp")
         main(
             [
                 "sweep", "run", "--run-dir", run_dir,
-                "--experiment", "fig1_point", "--axis", "nodes=100", "--serial",
+                "--experiment", cheap_point, "--axis", "nodes=100", "--serial",
             ]
         )
         capsys.readouterr()
@@ -176,7 +208,8 @@ class TestCampaign:
         )
         assert "1/1 cells ok" in capsys.readouterr().out
 
-        assert main(["campaign", "status", "--run-dir", run_dir]) == 0
+        # `sweep status` on a campaign directory names the matrix too.
+        assert main(["sweep", "status", "--run-dir", run_dir]) == 0
         out = capsys.readouterr().out
         assert "1 strategies" in out and "1/1 cells ok" in out
 
@@ -265,16 +298,16 @@ class TestCampaign:
             text = fh.read()
         assert "coalition-frame" in text and "2/20" in text
 
-    def test_report_on_plain_sweep_dir_is_a_clear_error(self, tmp_path):
+    def test_report_on_plain_sweep_dir_is_a_clear_error(self, tmp_path, capsys, cheap_point):
         run_dir = str(tmp_path / "sweep")
         main(
             [
                 "sweep", "run", "--run-dir", run_dir,
-                "--experiment", "fig1_point", "--axis", "nodes=100", "--serial",
+                "--experiment", cheap_point, "--axis", "nodes=100", "--serial",
             ]
         )
-        with pytest.raises(ValueError, match="not a campaign"):
-            main(["campaign", "report", "--run-dir", run_dir])
+        assert main(["campaign", "report", "--run-dir", run_dir]) == 2
+        assert "holds a plain sweep, not a campaign" in capsys.readouterr().err
 
 
 class TestLive:

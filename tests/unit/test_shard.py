@@ -357,6 +357,7 @@ class TestShardSnapshots:
     def test_old_format_shard_snapshot_refuses_to_resume(self, tmp_path):
         import pickle
 
+        from repro.orchestrator import ResultStore
         from repro.orchestrator.sharded import run_sharded
         from repro.simnet.snapshot import SnapshotError
 
@@ -364,5 +365,9 @@ class TestShardSnapshots:
         shards.mkdir(parents=True)
         stale = (None, {"epoch_done": 0, "fingerprint": ZERO_FINGERPRINT, "last_exports": []})
         (shards / "shard000.snap").write_bytes(b"RACSNAP/1\n" + pickle.dumps(stale))
-        with pytest.raises(SnapshotError, match="version mismatch"):
+        # A raising shard cell is a failed record on the serial path too.
+        with pytest.raises(RuntimeError, match="1 failed shard cells"):
             run_sharded(self.SPEC, str(tmp_path / "run"), serial=True)
+        failed = [r for r in ResultStore(str(tmp_path / "run" / "results.jsonl")).records() if r.status == "failed"]
+        assert len(failed) == 1 and "version mismatch" in failed[0].error
+        assert failed[0].error.startswith(SnapshotError.__name__)
