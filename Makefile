@@ -13,7 +13,7 @@ test:
 test-fast:
 	$(PYTHON) -m pytest tests/ --ignore=tests/integration/test_throughput_validation.py
 
-bench:  # refresh BENCH_protocol.json (~2.5 min)
+bench:  # refresh BENCH_protocol.json, live frame cost included (~3 min)
 	PYTHONPATH=src $(PYTHON) benchmarks/baseline.py
 
 PARENT ?= HEAD~1
@@ -37,7 +37,7 @@ sweep-smoke:  # 2x2 sweep on 2 workers with one injected crash; must recover, an
 	PYTHONPATH=src $(PYTHON) -m repro sweep aggregate --run-dir results/sweep_smoke \
 		--metric events_processed --by nodes
 
-live-smoke:  # 8 live nodes over real TCP for ~10s; >=1 delivery, 0 evictions
+live-smoke:  # 8 live nodes over real TCP for ~10s; >=1 delivery, 0 evictions, 0 rejected/oversize frames, 0 dispatch errors
 	PYTHONPATH=src $(PYTHON) -m repro live demo --nodes 8 --duration 10 --check
 
 chaos-smoke:  # seeded crash-restart + partition on a 6-node live cluster, invariant-checked

@@ -8,12 +8,14 @@ numbers and the resulting speedups — to the repo root::
     PYTHONPATH=src python benchmarks/baseline.py                 # full, ~2 min
     PYTHONPATH=src python benchmarks/baseline.py --quick         # skip 64-node
     PYTHONPATH=src python benchmarks/baseline.py --segment       # life of one segment
+    PYTHONPATH=src python benchmarks/baseline.py --live-frame    # cost of one live TCP frame
 
 The committed ``BENCH_protocol.json`` is the regression anchor:
 ``benchmarks/test_bench_smoke.py`` (run by CI) re-measures the
 seal/peel, DH trial-peel, snapshot-save, bare-engine and per-segment
 microbenches and fails when one has regressed more than 2x against the
-committed numbers.
+committed numbers, or when a live frame takes more than 1.3x the
+committed number of Python calls.
 
 The measurement functions are importable so the smoke test and the
 recorder can never disagree on methodology.
@@ -240,6 +242,83 @@ def measure_segment_path(window: float = 0.3) -> dict:
     }
 
 
+async def _live_life(window: float, count_calls: bool) -> "tuple[int, int, float]":
+    """``(frames sent, calls, CPU seconds)`` over ``window`` wall seconds
+    of one warmed 8-node loopback cluster on ``rac_bench``'s live shape
+    (one group, 3 rings, 2 kB cover traffic every 50 ms slot). Calls are
+    what ``sys.setprofile`` reports: Python functions and C builtins."""
+    import asyncio
+
+    from repro.core.config import RacConfig
+    from repro.live.cluster import LiveCluster
+
+    config = RacConfig.small(
+        relay_timeout=3.0,
+        predecessor_timeout=1.5,
+        rate_window=3.0,
+        blacklist_period=0.0,
+        join_settle_time=0.1,
+    )
+    cluster = LiveCluster(8, config=config, seed=16)
+    calls = 0
+
+    def hook(_frame, event, _arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    def frames_sent() -> int:
+        return sum(node.counters().get("live_frames_sent", 0) for node in cluster.nodes)
+
+    await cluster.start()
+    try:
+        await asyncio.sleep(0.5)
+        before = frames_sent()
+        cpu = time.process_time()
+        if count_calls:
+            sys.setprofile(hook)
+        try:
+            await asyncio.sleep(window)
+        finally:
+            sys.setprofile(None)
+        cpu = time.process_time() - cpu
+        frames = frames_sent() - before
+    finally:
+        report = await cluster.shutdown()
+    assert frames and not report.errors and not report.evicted, report.render()
+    return frames, calls, cpu
+
+
+def _median_per_frame(count_calls: bool, repeats: int, window: float) -> "tuple[float, float]":
+    """``(calls, CPU seconds)`` per frame sent: each the median of
+    ``repeats`` cluster lives."""
+    import asyncio
+    import statistics
+
+    lives = [asyncio.run(_live_life(window, count_calls)) for _ in range(repeats)]
+    return (
+        statistics.median(calls / frames for frames, calls, _cpu in lives),
+        statistics.median(cpu / frames for frames, _calls, cpu in lives),
+    )
+
+
+def measure_live_frame_calls(repeats: int = 3, window: float = 2.0) -> float:
+    """Python calls per TCP frame sent, everything a live node does
+    included (its share of ticks, timers and loop bookkeeping). A count,
+    so the host's speed does not enter; wall-clock timers make it repeat
+    to a few per cent, not exactly."""
+    return _median_per_frame(True, repeats, window)[0]
+
+
+def measure_live_frame() -> dict:
+    """The ``microbench`` entries for one live frame: calls (profiled
+    lives) and process CPU microseconds (separate, unprofiled lives)."""
+    return {
+        "live_frame_calls": round(measure_live_frame_calls(), 1),
+        "live_frame_cpu_us": round(_median_per_frame(False, 3, 2.0)[1] * 1e6, 1),
+    }
+
+
 def measure_snapshot_save_ms(repeats: int = 5) -> float:
     """Median milliseconds for ``snapshot_system`` on one loaded shard
     (shard 0 of the N=64 / 2-shard scaling point, at t = 1 s)."""
@@ -320,6 +399,8 @@ def record(path: pathlib.Path = BASELINE_PATH, quick: bool = False) -> dict:
         "host_kernel_us": round(host_kernel_us, 1),
         "segment_us": round(measure_segment_us(), 1),
         "snapshot_save_ms": round(measure_snapshot_save_ms(), 1),
+        # one frame on a loopback TCP link, sender and receiver together
+        **measure_live_frame(),
     }
     doc = {
         "schema": 1,
@@ -371,7 +452,16 @@ def main(argv=None) -> int:
         help="print the per-segment cost counts of the 40-node flood shape "
         "(events, schedule calls, Python calls) and write nothing",
     )
+    parser.add_argument(
+        "--live-frame",
+        action="store_true",
+        help="print Python calls and CPU us per frame of an 8-node loopback "
+        "cluster and write nothing",
+    )
     args = parser.parse_args(argv)
+    if args.live_frame:
+        print(json.dumps(measure_live_frame(), indent=2))
+        return 0
     if args.segment:
         print(json.dumps({**measure_segment_path(), "segment_us": round(measure_segment_us(), 1)}, indent=2))
         return 0

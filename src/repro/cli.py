@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         demo,
         nodes=8,
         seconds=("--duration", 10.0, "wall seconds"),
-        check="exit nonzero unless >=1 delivery and 0 evictions (CI smoke contract)",
+        check="exit nonzero unless >=1 delivery, 0 evictions and 0 rejected or unsendable frames (CI smoke contract)",
     )
     demo.add_argument(
         "--messages", type=int, default=2, help="anonymous messages queued per node (default 2)"
@@ -631,7 +631,14 @@ def _dispatch_results(args: argparse.Namespace) -> int:
 
 
 def _dispatch_live(args: argparse.Namespace) -> int:
-    expect = "expected >=1 delivery, 0 evictions, 0 errors"
+    # what a run without faults leaves at zero: malformed connections or
+    # records, frames no link can carry, node bugs caught at dispatch
+    unclean = "live_inbound_rejected live_frames_rejected live_frames_dropped_oversize live_dispatch_errors"
+    expect = "expected >=1 delivery, 0 evictions, 0 errors, 0 of " + unclean
+
+    def clean(counters) -> bool:
+        return not any(counters.get(name) for name in unclean.split())
+
     if args.subprocess:
         from .live.cluster import run_subprocess_demo
 
@@ -643,7 +650,8 @@ def _dispatch_live(args: argparse.Namespace) -> int:
             port_base=args.port_base,
         )
         print(report.render())
-        if args.check and (report.deliveries < 1 or report.evicted or report.errors):
+        ok = report.deliveries >= 1 and not report.evicted and not report.errors
+        if args.check and not (ok and clean(report.counters())):
             print(f"live run FAILED: {expect}")
             return 1
         return 0
@@ -652,7 +660,7 @@ def _dispatch_live(args: argparse.Namespace) -> int:
         "live",
         ("nodes", "duration", "messages"),
         expect,
-        lambda outcome: outcome.deliveries and not outcome.evictions and not outcome.errors,
+        lambda o: o.deliveries and not o.evictions and not o.errors and clean(o.counters),
     )
 
 

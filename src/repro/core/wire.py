@@ -67,6 +67,10 @@ _TAG_BLACKLIST = 7
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _ID_LEN = 16
+#: A group Broadcast's whole header as the general path lays it out (tag,
+#: domain tag, gid, msg id, ring index, blob length). Nearly every live
+#: frame is one: both codecs try it in one call, then the general path.
+_GROUP_BROADCAST = struct.Struct(">BBQ16sII")
 
 _DOMAIN_GROUP = 0
 _DOMAIN_CHANNEL = 1
@@ -180,6 +184,14 @@ WireMessage = Union[
 
 def encode_message(message: WireMessage) -> bytes:
     """Serialize any RAC wire message to bytes."""
+    if type(message) is Broadcast and message.domain[0] == "group":
+        try:
+            return _GROUP_BROADCAST.pack(
+                _TAG_BROADCAST, _DOMAIN_GROUP, message.domain[1],
+                message.msg_id.to_bytes(_ID_LEN, "big"), message.ring_index, len(message.wire),
+            ) + message.wire
+        except (struct.error, OverflowError):
+            pass  # a field out of range: the general path names it
     if isinstance(message, Broadcast):
         return (
             bytes([_TAG_BROADCAST])
@@ -251,6 +263,11 @@ def _decode(data: bytes, depth: int) -> WireMessage:
         raise WireError("empty frame")
     if depth > _MAX_DEPTH:
         raise WireError("frame nesting too deep")
+    header = _GROUP_BROADCAST.size
+    if len(data) >= header:
+        tag, kind, gid, msg_id, ring_index, length = _GROUP_BROADCAST.unpack_from(data)
+        if tag == _TAG_BROADCAST and kind == _DOMAIN_GROUP and header + length == len(data):
+            return Broadcast(("group", gid), int.from_bytes(msg_id, "big"), data[header:], ring_index)
     reader = _Reader(data)
     tag = reader.u8()
     if tag == _TAG_BROADCAST:

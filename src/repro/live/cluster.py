@@ -65,20 +65,6 @@ class LiveReport:
             value for name, value in self.counters().items() if name.startswith("accusation_")
         )
 
-    def robustness(self) -> "Dict[int, Dict[str, int]]":
-        """Per-node fault-facing counters: reconnect failures (connects
-        that never completed a hello round-trip), frames dropped off a
-        full send backlog, and inbound frames discarded as malformed."""
-        picked = (
-            "live_reconnect_failures",
-            "live_frames_dropped_backlog",
-            "live_frames_rejected",
-        )
-        return {
-            node_id: {name: counters.get(name, 0) for name in picked}
-            for node_id, counters in self.per_node.items()
-        }
-
     def render(self) -> str:
         totals = self.counters()
         lines = [
@@ -89,10 +75,12 @@ class LiveReport:
             f"  tcp frames sent      : {totals.get('live_frames_sent', 0)}",
             f"  tcp bytes sent       : {totals.get('live_bytes_sent', 0)}",
             f"  frames rejected      : {totals.get('live_frames_rejected', 0)}",
+            f"  inbound rejected     : {totals.get('live_inbound_rejected', 0)}",
             f"  link resets          : {totals.get('live_link_resets', 0)}",
             f"  connect retries      : {totals.get('live_connect_retries', 0)}",
             f"  reconnect failures   : {totals.get('live_reconnect_failures', 0)}",
             f"  backlog drops        : {totals.get('live_frames_dropped_backlog', 0)}",
+            f"  oversize drops       : {totals.get('live_frames_dropped_oversize', 0)}",
         ]
         if self.errors:
             lines.append(f"  callback errors      : {len(self.errors)}")

@@ -7,9 +7,10 @@ clock, a simulated star network and ground-truth membership views, a
 * ``now`` — the event loop's monotonic wall clock, rebased to 0 at
   activation (so join quarantines and timer math match the simulator);
 * ``schedule`` — ``loop.call_later`` timers (cancelled on shutdown);
-* ``unicast`` — :func:`repro.core.wire.encode_message` frames queued on
-  a per-peer :class:`PeerLink`, a background task that owns one TCP
-  connection and reconnects with exponential backoff;
+* ``unicast`` — :func:`repro.core.wire.encode_message` frames handed to
+  a per-peer :class:`PeerLink`, which writes them to its TCP connection
+  then and there; its background task only connects, reconnects with
+  exponential backoff and waits out a full transport buffer;
 * ``domain_view`` / ``group_of`` — a local *replica* of the group and
   channel directories, built from the bootstrap roster. Ring positions
   are pure functions of the view, so replicas that apply the same
@@ -26,7 +27,8 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..core.config import RacConfig
 from ..core.messages import DomainId
@@ -37,7 +39,7 @@ from ..overlay.membership import MembershipView
 from ..simnet.stats import StatsRegistry, ThroughputMeter
 from ..simnet.trace import Tracer
 from .directory import RosterEntry
-from .framing import encode_hello, read_hello, write_frame
+from .framing import MAX_FRAME, encode_hello, read_hello, write_frame
 
 __all__ = ["LiveEnvironment", "PeerLink"]
 
@@ -61,44 +63,73 @@ _MAX_QUEUED_FRAMES = 4096
 class PeerLink:
     """One outbound TCP connection to a peer, with reconnect/backoff.
 
-    Frames are popped only after a successful write+drain, giving
-    at-least-once delivery across reconnects (the receiver's dedup
-    handles the rare double).
+    ``send`` is the whole data path: a bounded enqueue, then ``_flush``
+    writes what the established connection will take, in order, in the
+    caller's own stack. The task connects, says hello, waits for the
+    ack, and then only waits: for ``drain()`` when a flush stopped on a
+    full transport buffer, or for a flush to find the connection lost.
+    Frames accepted while the link is down or backed up go out in order
+    after (re)connect; one handed to a connection that then resets is
+    not resent (three ring copies cover it, as they cover a crashed peer).
     """
 
     def __init__(self, env: "LiveEnvironment", peer: RosterEntry) -> None:
         self.env = env
         self.peer = peer
-        self._queue: "List[bytes]" = []
+        self._queue: "Deque[bytes]" = deque()
         self._wakeup = asyncio.Event()
         self._task: "Optional[asyncio.Task]" = None
-        self._writer: "Optional[asyncio.StreamWriter]" = None
+        #: (reader, writer) from the hello-ack until the connection is given up.
+        self._stream: "Optional[Tuple[asyncio.StreamReader, asyncio.StreamWriter]]" = None
         self._rng = random.Random((env.node_id << 20) ^ peer.node_id)
         self.closed = False
         self.queued_bytes = 0
-        self.connects = 0
-        self.reconnect_failures = 0
 
     def send(self, frame: bytes) -> None:
+        stats = self.env.stats
         if self.closed:
-            self.env.stats.add("live_frames_dropped_closed")
+            stats.add("live_frames_dropped_closed")
+            return
+        if len(frame) > MAX_FRAME:
+            # write_frame would refuse it after every reconnect, forever
+            stats.add("live_frames_dropped_oversize")
             return
         if len(self._queue) >= _MAX_QUEUED_FRAMES:
-            dropped = self._queue.pop(0)
-            self.queued_bytes -= len(dropped)
-            self.env.stats.add("live_frames_dropped_backlog")
+            self.queued_bytes -= len(self._queue.popleft())
+            stats.add("live_frames_dropped_backlog")
         self._queue.append(frame)
         self.queued_bytes += len(frame)
-        self._wakeup.set()
+        self._flush()
         if self._task is None:
             self._task = asyncio.get_running_loop().create_task(
                 self._run(), name=f"link-{self.env.node_id:x}-{self.peer.node_id:x}"
             )
 
-    def _record_failure(self) -> None:
-        self.reconnect_failures += 1
-        self.env.stats.add("live_connect_retries")
-        self.env.stats.add("live_reconnect_failures")
+    def _flush(self) -> None:
+        """Write queued frames while the link is established and the
+        transport's buffer is under its own high-water mark; what stays
+        queued wakes the task, to drain or to reconnect."""
+        if self._stream is None:
+            return
+        reader, writer = self._stream
+        transport, queue, stats = writer.transport, self._queue, self.env.stats
+        if reader.at_eof():
+            transport.abort()  # the peer, which sends nothing after its ack, hung up
+        high_water = transport.get_write_buffer_limits()[1]
+        while queue and not transport.is_closing() and transport.get_write_buffer_size() <= high_water:
+            frame = queue.popleft()
+            self.queued_bytes -= len(frame)
+            write_frame(writer, frame)
+            stats.add("live_frames_sent")
+            stats.add("live_bytes_sent", len(frame) + 4)
+        if queue:
+            self._wakeup.set()
+
+    def backlog_bytes(self) -> int:
+        """Bytes accepted by ``send`` that the kernel does not have yet."""
+        if self._stream is None:
+            return self.queued_bytes
+        return self.queued_bytes + self._stream[1].transport.get_write_buffer_size()
 
     async def _backoff_sleep(self, backoff: float) -> None:
         await asyncio.sleep(backoff * self._rng.uniform(0.5, 1.0))
@@ -106,68 +137,61 @@ class PeerLink:
     async def _run(self) -> None:
         backoff = _BACKOFF_INITIAL
         while not self.closed:
-            try:
-                reader, writer = await asyncio.open_connection(self.peer.host, self.peer.port)
-            except OSError:
-                self._record_failure()
-                await self._backoff_sleep(backoff)
-                backoff = min(backoff * 2, _BACKOFF_MAX)
-                continue
-            self._writer = writer
-            self.connects += 1
-            self.env.stats.add("live_connects")
-            acked = False
-            try:
-                write_frame(writer, encode_hello(self.env.node_id))
-                await writer.drain()
-                # The backoff resets only once the peer proves it is
-                # really serving by echoing a hello-ack. An accepting
-                # socket whose process is wedged (or a listener backlog
-                # surviving a crash) must not look healthy.
-                peer_id = await asyncio.wait_for(read_hello(reader), _HELLO_ACK_TIMEOUT)
-                if peer_id != self.peer.node_id:
-                    raise WireError(
-                        f"hello-ack from {peer_id:#x}, expected {self.peer.node_id:#x}"
-                    )
-                acked = True
+            # The backoff resets only once the peer proves it is really
+            # serving by echoing a hello-ack. An accepting socket whose
+            # process is wedged (or a listener backlog surviving a
+            # crash) must not look healthy.
+            if await self._connection():
                 backoff = _BACKOFF_INITIAL
-                self.env.stats.add("live_hello_acks")
-                while not self.closed:
-                    if not self._queue:
-                        self._wakeup.clear()
-                        await self._wakeup.wait()
-                        continue
-                    frame = self._queue[0]
-                    write_frame(writer, frame)
+                continue
+            self.env.stats.add("live_connect_retries")
+            self.env.stats.add("live_reconnect_failures")
+            await self._backoff_sleep(backoff)
+            backoff = min(backoff * 2, _BACKOFF_MAX)
+
+    async def _connection(self) -> bool:
+        """One connection, from connect to its loss; whether the peer acked."""
+        try:
+            reader, writer = await asyncio.open_connection(self.peer.host, self.peer.port)
+        except OSError:
+            return False
+        self.env.stats.add("live_connects")
+        acked = False
+        try:
+            write_frame(writer, encode_hello(self.env.node_id))
+            await writer.drain()
+            peer_id = await asyncio.wait_for(read_hello(reader), _HELLO_ACK_TIMEOUT)
+            if peer_id != self.peer.node_id:
+                raise WireError(f"hello-ack from {peer_id:#x}, expected {self.peer.node_id:#x}")
+            acked = True
+            self.env.stats.add("live_hello_acks")
+            self._stream = (reader, writer)
+            while True:
+                self._wakeup.clear()
+                self._flush()
+                if self._queue:
+                    # A full buffer: wait for room. A lost connection:
+                    # drain raises, the frames stay queued.
                     await writer.drain()
-                    self._queue.pop(0)
-                    self.queued_bytes -= len(frame)
-                    self.env.stats.add("live_frames_sent")
-                    self.env.stats.add("live_bytes_sent", len(frame) + 4)
-            except (ConnectionError, OSError, asyncio.TimeoutError, WireError):
-                self.env.stats.add("live_link_resets")
-            finally:
-                self._writer = None
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
-            if not self.closed and not acked:
-                self._record_failure()
-                await self._backoff_sleep(backoff)
-                backoff = min(backoff * 2, _BACKOFF_MAX)
+                else:
+                    await self._wakeup.wait()
+        except (ConnectionError, OSError, asyncio.TimeoutError, WireError):
+            self.env.stats.add("live_link_resets")
+        finally:
+            self._stream = None
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+        return acked
 
     def close(self) -> None:
         """Stop the link; queued frames are abandoned."""
         self.closed = True
-        self._wakeup.set()
         if self._task is not None:
-            self._task.cancel()
+            self._task.cancel()  # its ``finally`` closes the connection
             self._task = None
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
 
 
 class LiveEnvironment:
@@ -291,7 +315,7 @@ class LiveEnvironment:
             link.send(frame)
 
     def uplink_backlog_seconds(self, node_id: int) -> float:
-        queued = sum(link.queued_bytes for link in self._links.values())
+        queued = sum(link.backlog_bytes() for link in self._links.values())
         return queued * 8 / self.config.link_bandwidth_bps
 
     # -- membership ------------------------------------------------------------

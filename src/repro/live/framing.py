@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import asyncio
 import struct
+from typing import Iterator
 
 from ..core.wire import WireError
 
@@ -28,6 +29,7 @@ __all__ = [
     "write_frame",
     "read_frame",
     "read_hello",
+    "split_frames",
 ]
 
 _U32 = struct.Struct(">I")
@@ -56,8 +58,9 @@ def decode_hello(payload: bytes) -> int:
 def write_frame(writer: asyncio.StreamWriter, payload: bytes) -> None:
     """Queue one length-prefixed frame on the writer (no drain).
 
-    Callers that need backpressure await ``writer.drain()`` themselves;
-    the per-peer link task does so after each batch.
+    ``writer`` is anything with a transport's ``write``. Backpressure
+    is the caller's: a ``PeerLink`` stops handing frames over at the
+    transport's high-water mark, stream callers ``await drain()``.
     """
     if len(payload) > MAX_FRAME:
         raise WireError(f"frame of {len(payload)} bytes exceeds MAX_FRAME")
@@ -74,6 +77,24 @@ async def read_frame(reader: asyncio.StreamReader) -> bytes:
     if length == 0:
         return b""
     return await reader.readexactly(length)
+
+
+def split_frames(buffer: bytearray) -> "Iterator[bytes]":
+    """Yield every complete frame at the head of ``buffer`` and cut them
+    off it, leaving at most one partial frame: :func:`read_frame` for
+    bytes already in hand. Raises :class:`WireError` at an oversized
+    length prefix; the caller then drops the buffer and the connection."""
+    offset, end = 0, len(buffer)
+    while end - offset >= _U32.size:
+        (length,) = _U32.unpack_from(buffer, offset)
+        if length > MAX_FRAME:
+            raise WireError(f"peer announced a {length}-byte frame (max {MAX_FRAME})")
+        stop = offset + _U32.size + length
+        if stop > end:
+            break
+        yield bytes(buffer[offset + _U32.size : stop])
+        offset = stop
+    del buffer[:offset]
 
 
 async def read_hello(reader: asyncio.StreamReader) -> int:

@@ -8,11 +8,14 @@ A :class:`LiveNode` owns
   the simulator runs, unchanged,
 * its :class:`repro.live.environment.LiveEnvironment`.
 
-Inbound connections open with a hello frame naming the sender; every
-following frame is decoded with :func:`repro.core.wire.decode_message`
-and dispatched into the state machine. Malformed frames increment a
+Inbound connections open with a hello frame naming the sender, which
+is answered with a hello-ack; every following frame is decoded with
+:func:`repro.core.wire.decode_message` and dispatched into the state
+machine from inside ``data_received`` — the bytes are parsed where they
+arrive, with no task or future per frame. Malformed records increment a
 counter and are skipped — framing keeps the stream in sync, so one
-corrupted record never poisons the connection.
+corrupted record never poisons the connection; a malformed hello or a
+length prefix above ``MAX_FRAME`` aborts it (``live_inbound_rejected``).
 """
 
 from __future__ import annotations
@@ -28,9 +31,48 @@ from ..core.node import RacNode
 from ..core.wire import WireError, decode_message
 from .directory import DirectoryClient, RosterEntry
 from .environment import LiveEnvironment
-from .framing import encode_hello, read_frame, read_hello, write_frame
+from .framing import decode_hello, encode_hello, split_frames, write_frame
 
 __all__ = ["LiveNode"]
+
+class _InboundLink(asyncio.Protocol):
+    """One accepted connection: a hello, then records, parsed as they arrive."""
+
+    def __init__(self, node: "LiveNode") -> None:
+        self.node = node
+        self.transport: "Optional[asyncio.Transport]" = None
+        self.src: "Optional[int]" = None
+        self.buffer = bytearray()  # never more than one partial frame
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.node._inbound.add(transport)
+
+    def connection_lost(self, exc) -> None:
+        self.node._inbound.discard(self.transport)
+        self.transport = None
+
+    def data_received(self, data: bytes) -> None:
+        if self.transport is None:
+            return  # rejected: whatever the transport still delivers is not read
+        self.buffer += data
+        try:
+            for frame in split_frames(self.buffer):
+                if self.src is not None:
+                    self.node._dispatch(self.src, frame)
+                    continue
+                self.src = decode_hello(frame)
+                # Hello-ack: the sender's link resets its reconnect
+                # backoff only on this round-trip, not on a bare accept.
+                write_frame(self.transport, encode_hello(self.node.node_id))
+        except WireError:
+            # A bad hello or length prefix: nothing after it can be
+            # trusted. The sender's link reconnects if it cares.
+            if self.node.env is not None:
+                self.node.env.stats.add("live_inbound_rejected")
+            self.buffer.clear()
+            self.transport.abort()
+            self.connection_lost(None)
 
 
 class LiveNode:
@@ -64,8 +106,7 @@ class LiveNode:
         self._on_eviction = on_eviction
 
         self._server: "Optional[asyncio.AbstractServer]" = None
-        self._inbound: "Set[asyncio.StreamWriter]" = set()
-        self._inbound_tasks: "Set[asyncio.Task]" = set()
+        self._inbound: "Set[asyncio.BaseTransport]" = set()
         self.env: "Optional[LiveEnvironment]" = None
         self.rac: "Optional[RacNode]" = None
         self.killed = False
@@ -77,8 +118,8 @@ class LiveNode:
     # -- lifecycle -------------------------------------------------------------
     async def start(self) -> None:
         """Open the server socket and register with the directory."""
-        self._server = await asyncio.start_server(
-            self._accept, self.host, self._requested_port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _InboundLink(self), self.host, self._requested_port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         await self._client.register(self.roster_entry())
@@ -138,21 +179,14 @@ class LiveNode:
             self.env.close()
         if self._server is not None:
             self._server.close()
+            self._drop_inbound()
             await self._server.wait_closed()
             self._server = None
-        self._drop_inbound()
-        if self._inbound_tasks:
-            await asyncio.gather(*self._inbound_tasks, return_exceptions=True)
-            self._inbound_tasks.clear()
 
     def _drop_inbound(self) -> None:
-        """Abort accepted connections; their handlers exit through the
-        normal ConnectionError path (cancelling the handler tasks
-        instead would trip asyncio.streams' done-callback)."""
-        for writer in list(self._inbound):
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
+        """Abort accepted connections: peers see a reset."""
+        for transport in list(self._inbound):
+            transport.abort()
         self._inbound.clear()
 
     def kill(self) -> None:
@@ -172,40 +206,6 @@ class LiveNode:
         self._drop_inbound()
 
     # -- inbound ---------------------------------------------------------------
-    async def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        self._inbound.add(writer)
-        task = asyncio.current_task()
-        if task is not None:
-            self._inbound_tasks.add(task)
-        try:
-            src = await read_hello(reader)
-            # Hello-ack: complete the round-trip so the sender's link
-            # knows this node is really serving (its reconnect backoff
-            # resets only on this ack, not on a bare TCP accept).
-            write_frame(writer, encode_hello(self.node_id))
-            await writer.drain()
-            while True:
-                frame = await read_frame(reader)
-                self._dispatch(src, frame)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError, WireError):
-            # EOF / reset / corrupted hello or length prefix: drop the
-            # connection; the sender's link task reconnects if it cares.
-            pass
-        except asyncio.CancelledError:
-            # Loop teardown racing the aborted transport: exit normally
-            # so asyncio.streams' done-callback (which re-raises from
-            # cancelled handler tasks) stays quiet.
-            pass
-        finally:
-            if task is not None:
-                self._inbound_tasks.discard(task)
-            self._inbound.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
     def _dispatch(self, src: int, frame: bytes) -> None:
         if self.env is None or self.rac is None:
             return  # frames racing ahead of activation are dropped

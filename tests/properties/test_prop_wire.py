@@ -1,9 +1,12 @@
 """Property-based tests for the wire codecs: decode(encode(x)) == x,
 and decode on arbitrary / mutated bytes fails only with WireError."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import wire
 from repro.core.messages import (
     Accusation,
     BlacklistShare,
@@ -146,3 +149,109 @@ def test_deeply_nested_join_announce_is_rejected():
         inner = bytes([0x04]) + len(inner).to_bytes(4, "big") + inner + (0).to_bytes(16, "big")
     with pytest.raises(WireError):
         decode_message(inner)
+
+
+# ---------------------------------------------------------------------------
+# the one-call group-Broadcast codec against the general path
+# ---------------------------------------------------------------------------
+
+
+def _general_encode(message: Broadcast) -> bytes:
+    """``encode_message``'s Broadcast branch as it stood before the
+    group-domain header got a single ``struct``: field by field."""
+    kind, key = message.domain
+    if kind == "group":
+        domain = bytes([0]) + struct.pack(">Q", key)
+    else:
+        domain = bytes([1]) + struct.pack(">Q", key[0]) + struct.pack(">Q", key[1])
+    if not 0 <= message.msg_id < (1 << 128):
+        raise WireError(f"id out of range: {message.msg_id}")
+    return (
+        bytes([1])
+        + domain
+        + message.msg_id.to_bytes(16, "big")
+        + struct.pack(">I", message.ring_index)
+        + struct.pack(">I", len(message.wire))
+        + message.wire
+    )
+
+
+def _general_decode(data: bytes):
+    """``decode_message`` with a Broadcast read through ``_Reader``,
+    field by field (other tags only ever had that path)."""
+    if not data or data[0] != 1:
+        return decode_message(data)
+    reader = wire._Reader(data)
+    reader.u8()
+    domain, msg_id, ring_index, blob = reader.domain(), reader.node_id(), reader.u32(), reader.blob()
+    reader.done()
+    return Broadcast(domain, msg_id, blob, ring_index)
+
+
+def _outcome(decode, data: bytes):
+    try:
+        return decode(data)
+    except WireError:
+        return WireError
+
+
+any_broadcast = st.builds(
+    Broadcast,
+    domain=domains,
+    msg_id=ids,
+    wire=st.one_of(st.just(b""), st.binary(max_size=64), st.just(bytes(range(250)) * 40)),
+    ring_index=st.one_of(
+        st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([0, 2**31, 2**32 - 1])
+    ),
+)
+
+
+@settings(max_examples=300)
+@given(any_broadcast)
+def test_broadcast_bytes_equal_the_general_encoding(message):
+    encoded = encode_message(message)
+    assert encoded == _general_encode(message)
+    assert decode_message(encoded) == _general_decode(encoded) == message
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("msg_id", 1 << 128),
+        ("msg_id", -1),
+        ("domain", group_domain(1 << 64)),
+        ("domain", group_domain(-1)),
+        ("domain", ("channel", (1, 1 << 64))),
+        ("ring_index", 1 << 32),
+        ("ring_index", -1),
+    ],
+)
+def test_out_of_range_fields_fail_as_on_the_general_path(field, value):
+    fields = dict(domain=group_domain(3), msg_id=5, wire=b"blob", ring_index=2)
+    message = Broadcast(**{**fields, field: value})
+    with pytest.raises((WireError, struct.error)) as general:
+        _general_encode(message)
+    with pytest.raises(general.type) as fast:
+        encode_message(message)
+    assert str(fast.value) == str(general.value)
+    if field == "msg_id":
+        assert general.type is WireError
+
+
+@settings(max_examples=300)
+@given(any_broadcast, st.data())
+def test_damaged_broadcasts_decode_as_on_the_general_path(message, data):
+    """Mutate, truncate or extend a valid frame: the two decoders agree
+    on the message, or both raise WireError."""
+    encoded = encode_message(message)
+    header = min(len(encoded), 60)  # where every field but the blob lives
+    damage = data.draw(st.sampled_from(["mutate", "truncate", "extend"]))
+    if damage == "mutate":
+        position = data.draw(st.integers(min_value=0, max_value=header - 1))
+        value = data.draw(st.integers(min_value=0, max_value=255))
+        damaged = encoded[:position] + bytes([value]) + encoded[position + 1 :]
+    elif damage == "truncate":
+        damaged = encoded[: data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))]
+    else:
+        damaged = encoded + data.draw(st.binary(min_size=1, max_size=40))
+    assert _outcome(decode_message, damaged) == _outcome(_general_decode, damaged)

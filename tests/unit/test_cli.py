@@ -340,6 +340,18 @@ class TestLive:
         )
         assert "FAILED" not in capsys.readouterr().out
 
+    def test_demo_check_fails_on_a_counter_a_clean_run_leaves_at_zero(self, capsys, monkeypatch):
+        from repro.live.cluster import LiveReport
+
+        counted = LiveReport.counters
+        monkeypatch.setattr(
+            LiveReport, "counters", lambda self: {**counted(self), "live_inbound_rejected": 1}
+        )
+        argv = ["live", "demo", "--nodes", "3", "--duration", "2", "--messages", "1"]
+        assert main(argv) == 0
+        assert main(argv + ["--check"]) == 1
+        assert "live_inbound_rejected" in capsys.readouterr().out.split("FAILED")[-1]
+
 
 class TestScale:
     def test_requires_a_subcommand(self):
