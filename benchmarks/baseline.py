@@ -14,8 +14,9 @@ The committed ``BENCH_protocol.json`` is the regression anchor:
 ``benchmarks/test_bench_smoke.py`` (run by CI) re-measures the
 seal/peel, DH trial-peel, snapshot-save, bare-engine and per-segment
 microbenches and fails when one has regressed more than 2x against the
-committed numbers, or when a live frame takes more than 1.3x the
-committed number of Python calls.
+committed numbers, when a live frame takes more than 1.3x the
+committed number of Python calls, or when a packet under a fault storm
+costs more than 2.2 calendar events.
 
 The measurement functions are importable so the smoke test and the
 recorder can never disagree on methodology.
@@ -242,6 +243,25 @@ def measure_segment_path(window: float = 0.3) -> dict:
     }
 
 
+def measure_storm_events_per_packet(nodes: int = 16, horizon: float = 4.0) -> float:
+    """Calendar events fired per packet the router handled, on a
+    2 %-loss run under the canned storm plan (three crash-restart
+    outages, a loss window and two degradations). A count, so the host
+    does not enter and it repeats exactly: 2 per packet on the folded
+    hop, 3 on the general one (which only packets near a window edge
+    take), plus the timers of the protocol above."""
+    from repro.chaos.plan import storm_plan
+    from repro.core.config import timer_regime
+    from repro.core.system import RacSystem
+
+    system = RacSystem(timer_regime("detect", link_loss_rate=0.02), seed=16)
+    population = system.bootstrap(nodes)
+    storm_plan(nodes, horizon, seed=16).compile_sim(system, population)
+    system.run(horizon)
+    network = system.network
+    return system.sim.events_processed / (network.packets_delivered + network.packets_dropped)
+
+
 async def _live_life(window: float, count_calls: bool) -> "tuple[int, int, float]":
     """``(frames sent, calls, CPU seconds)`` over ``window`` wall seconds
     of one warmed 8-node loopback cluster on ``rac_bench``'s live shape
@@ -398,6 +418,8 @@ def record(path: pathlib.Path = BASELINE_PATH, quick: bool = False) -> dict:
         # scales its own reading by the ratio of its kernel time to this
         "host_kernel_us": round(host_kernel_us, 1),
         "segment_us": round(measure_segment_us(), 1),
+        # a count: what a packet costs the calendar with fault windows armed
+        "storm_events_per_packet": round(measure_storm_events_per_packet(), 3),
         "snapshot_save_ms": round(measure_snapshot_save_ms(), 1),
         # one frame on a loopback TCP link, sender and receiver together
         **measure_live_frame(),

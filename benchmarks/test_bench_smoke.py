@@ -4,8 +4,9 @@ Re-measures the seal+peel, trial-peel, snapshot-save, bare-engine and
 per-segment microbenches with the exact methodology of
 ``benchmarks/baseline.py`` and fails when one has regressed more than 2x
 against the committed ``BENCH_protocol.json`` (a live TCP frame is
-gated on its count of Python calls instead, at 1.3x: a count does not
-depend on the host). The 2x margin absorbs CI-machine noise while
+gated on its count of Python calls instead, at 1.3x, and a packet under
+a fault storm on its count of calendar events: a count does not depend
+on the host). The 2x margin absorbs CI-machine noise while
 still catching an accidentally reverted fast path (the crypto
 optimisations are 4-6x, so losing one blows the gate; the simulator's
 data path is a sum of small trims, so its gate catches a wholesale
@@ -88,6 +89,18 @@ def test_engine_events_within_2x_of_baseline(committed):
 def test_segment_cost_within_2x_of_baseline(committed):
     measured = baseline.measure_segment_us(repeats=2)
     _assert_not_regressed("flood segment", measured, committed["segment_us"])
+
+
+def test_a_storm_packet_costs_two_events_not_three(committed):
+    # 2.93 while a scheduled degradation put every packet of the run on
+    # the three-event hop; 2.01 with the general hop kept to the packets
+    # near a window edge. Exact, so the bound is absolute.
+    measured = baseline.measure_storm_events_per_packet()
+    assert measured <= 2.2, (
+        f"a packet under the storm plan costs {measured:.2f} calendar events "
+        f"({committed['storm_events_per_packet']:.2f} committed): the router -> downlink "
+        "hop is an event of its own again"
+    )
 
 
 def test_live_frame_calls_within_1_3x_of_baseline(committed):

@@ -20,21 +20,27 @@ event order, so two runs with the same seed replay *exactly* the same
 drops. A zero-loss injector never draws from the RNG, which keeps
 pre-existing lossless simulations byte-identical.
 
-:class:`repro.simnet.network.StarNetwork` consults
+The plan is one sorted timeline of window edges
+(:attr:`FaultInjector.edges`). Nothing about it changes between two
+edges, so the injector keeps the state of the present stretch — links
+down, partitions open, the edge behind and the edge ahead — and
+re-derives it when the clock crosses the next edge or a window is
+scheduled. :class:`repro.simnet.network.StarNetwork` consults
 :meth:`FaultInjector.drop_reason` once per packet at the router and
-counts the verdicts (``packets_dropped`` / ``bytes_dropped``).
+counts the verdicts (``packets_dropped`` / ``bytes_dropped``), then
+reads ``quiet_from`` / ``quiet_until`` to tell whether the packet's
+flight to its downlink is clear of edges.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right, insort
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from math import inf
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 __all__ = ["FaultInjector", "Outage", "Partition", "DIRECTIONS"]
-
-_WINDOW_END = attrgetter("end")
 
 #: Valid link directions: "up" is node → router, "down" is router → node.
 DIRECTIONS = ("up", "down")
@@ -96,16 +102,26 @@ class FaultInjector:
         self.rng = random.Random(seed)
         self.default_loss_rate = 0.0
         self._link_loss: Dict[Tuple[int, str], float] = {}
-        #: (node_id, direction) -> that link's outage windows, and every
-        #: partition window; both latest-ending first, so the windows
-        #: that have ended are a tail the per-packet verdict pops off.
-        self._outages: Dict[Tuple[int, str], List[Outage]] = {}
+        #: The plan as scheduled, never pruned: ``outage_active`` and
+        #: ``partitioned`` answer from it for any instant.
+        self.outages: List[Outage] = []
         self.partitions: List[Partition] = []
+        #: Every instant at which a window of the plan (outage,
+        #: partition, degradation) opens or closes, sorted.
+        self.edges: List[float] = []
+        #: The stretch the clock stood in at the last refresh: the last
+        #: edge at or before it, the first after it, and what holds in
+        #: between — the links down and the partitions open.
+        self.quiet_from = -inf
+        self.quiet_until = inf
+        self._down: Set[Tuple[int, str]] = set()
+        self._open: List[Partition] = []
         self._network = None
-        #: True while no loss/outage/partition is configured at all —
-        #: the common (paper-faithful) case, in which the per-packet
-        #: verdict short-circuits without touching the RNG (it would
-        #: not draw anyway: the Bernoulli draw is skipped at p == 0).
+        #: True while no loss is configured and no window was ever
+        #: scheduled — the common (paper-faithful) case, in which the
+        #: per-packet verdict short-circuits without touching the RNG
+        #: (it would not draw anyway: the Bernoulli draw is skipped at
+        #: p == 0).
         self._faultless = True
         if loss_rate:
             self.set_loss_rate(loss_rate)
@@ -140,8 +156,7 @@ class FaultInjector:
         self._faultless = (
             self.default_loss_rate == 0.0
             and not any(self._link_loss.values())
-            and not any(self._outages.values())
-            and not self.partitions
+            and not self.edges
         )
 
     # -- scheduled faults -----------------------------------------------------
@@ -151,11 +166,9 @@ class FaultInjector:
         """Black-hole ``node_id``'s link(s) during ``[at, at+duration)``."""
         if duration <= 0:
             raise ValueError("outage duration must be positive")
-        for d in _check_direction(direction):
-            windows = self._outages.setdefault((node_id, d), [])
-            windows.append(Outage(node_id, d, at, at + duration))
-            windows.sort(key=_WINDOW_END, reverse=True)
-        self._faultless = False
+        end = at + duration
+        self.outages.extend(Outage(node_id, d, at, end) for d in _check_direction(direction))
+        self._add_edges(at, end)
 
     def schedule_partition(
         self, side_a: "Iterable[int]", side_b: "Iterable[int]", at: float, duration: float
@@ -166,20 +179,21 @@ class FaultInjector:
         a, b = frozenset(side_a), frozenset(side_b)
         if a & b:
             raise ValueError(f"partition sides overlap: {sorted(a & b)}")
-        self.partitions.append(Partition(a, b, at, at + duration))
-        self.partitions.sort(key=_WINDOW_END, reverse=True)
-        self._faultless = False
+        end = at + duration
+        self.partitions.append(Partition(a, b, at, end))
+        self._add_edges(at, end)
 
     def schedule_degradation(
         self, node_id: int, at: float, duration: float, factor: float, direction: str = "both"
     ) -> None:
         """Scale ``node_id``'s link rate by ``factor`` during the window.
 
-        Applied to the live links at the window edges; a node that
-        detaches and re-attaches mid-window comes back with fresh
-        full-rate links (a rebooted host gets a clean interface).
-        From this call on the network takes the two-event router →
-        downlink hop (``StarNetwork.overtaking_free`` goes off for good).
+        The opening edge scales the links the node has then; the closing
+        edge restores those of them that are still attached. A node that
+        attaches or re-attaches mid-window has fresh full-rate links and
+        keeps them (a rebooted host gets a clean interface). A packet
+        already past the router when this call puts an edge into its
+        flight keeps the rate it was folded at.
         """
         if not 0.0 < factor <= 1.0:
             raise ValueError("degradation factor must be in (0, 1]")
@@ -189,43 +203,61 @@ class FaultInjector:
             raise ValueError("cannot schedule a degradation in the past")
         if self._network is None:
             raise RuntimeError("bandwidth degradation requires a bound network")
-        self._network.overtaking_free = False
         directions = _check_direction(direction)
-        self.sim.schedule_at(at, self._scale_links, node_id, directions, factor)
-        self.sim.schedule_at(at + duration, self._scale_links, node_id, directions, 1.0 / factor)
+        scaled: list = []
+        edge = self._scale_links
+        opening = self.sim.schedule_at(at, edge, node_id, directions, factor, scaled, False)
+        # 1.0 / factor, multiplied in: factor * (1.0 / factor) is not
+        # always 1.0, and pinned runs replay the product.
+        closing = self.sim.schedule_at(
+            at + duration, edge, node_id, directions, 1.0 / factor, scaled, True
+        )
+        # the instants the engine rounded to, not the ones asked for
+        self._add_edges(opening.time, closing.time)
 
-    def _scale_links(self, node_id: int, directions: Tuple[str, ...], factor: float) -> None:
+    def _scale_links(
+        self, node_id: int, directions: Tuple[str, ...], factor: float, scaled: list, closing: bool
+    ) -> None:
+        """One edge of a degradation window. ``scaled`` travels with
+        both of its events: the ``Link`` objects the opening edge found
+        and scaled, the only ones the closing edge may scale back."""
         for d in directions:
             links = self._network.uplinks if d == "up" else self._network.downlinks
             link = links.get(node_id)
-            if link is not None:
-                link.rate_factor *= factor
+            if link is None:
+                continue
+            if not closing:
+                scaled.append(link)
+            elif link not in scaled:
+                continue
+            link.rate_factor *= factor
+
+    # -- the timeline ----------------------------------------------------------
+    def _add_edges(self, start: float, end: float) -> None:
+        insort(self.edges, start)
+        insort(self.edges, end)
+        self._faultless = False
+        self._refresh()
+
+    def _refresh(self) -> None:
+        """Re-derive the present stretch of the timeline from the plan."""
+        now = self.sim.now
+        edges = self.edges
+        ahead = bisect_right(edges, now)
+        self.quiet_from = edges[ahead - 1] if ahead else -inf
+        self.quiet_until = edges[ahead] if ahead < len(edges) else inf
+        self._down = {(o.node_id, o.direction) for o in self.outages if o.start <= now < o.end}
+        self._open = [p for p in self.partitions if p.start <= now < p.end]
 
     # -- the per-packet verdict -----------------------------------------------
-    # ``outage_active`` and ``partitioned`` answer for the present and the
-    # future: windows that ended before the simulation clock may already
-    # have been dropped by the per-packet path below.
     def outage_active(self, node_id: int, direction: str, now: float) -> bool:
-        return any(o.active(now) for o in self._outages.get((node_id, direction), ()))
+        return any(
+            o.node_id == node_id and o.direction == direction and o.active(now)
+            for o in self.outages
+        )
 
     def partitioned(self, src: int, dst: int, now: float) -> bool:
         return any(p.active(now) and p.separates(src, dst) for p in self.partitions)
-
-    def _link_down(self, link: Tuple[int, str], now: float) -> bool:
-        """:meth:`outage_active` for the per-packet path: the clock the
-        router asks with never runs backwards, so windows that have
-        ended are dropped instead of being scanned again."""
-        windows = self._outages.get(link)
-        if not windows:
-            return False
-        while windows[-1].end <= now:
-            windows.pop()
-            if not windows:
-                return False
-        for outage in windows:
-            if outage.start <= now:
-                return True
-        return False
 
     def drop_reason(self, src: int, dst: int) -> "Optional[str]":
         """Decide one packet's fate; None means it survives.
@@ -236,14 +268,13 @@ class FaultInjector:
         """
         if self._faultless:
             return None
-        now = self.sim.now
-        if self._link_down((src, "up"), now) or self._link_down((dst, "down"), now):
+        if self.sim.now >= self.quiet_until:
+            self._refresh()
+        down = self._down
+        if down and ((src, "up") in down or (dst, "down") in down):
             return "outage"
-        partitions = self.partitions
-        while partitions and partitions[-1].end <= now:
-            partitions.pop()
-        for partition in partitions:
-            if partition.start <= now and partition.separates(src, dst):
+        for partition in self._open:
+            if partition.separates(src, dst):
                 return "partition"
         p_up = p_down = self.default_loss_rate
         if self._link_loss:

@@ -16,15 +16,18 @@ The model therefore captures exactly two resources:
 The router itself is non-blocking (an ideal switch). Each transfer
 additionally pays a small fixed propagation delay. A packet costs two
 events on an overtaking-free star (leave the uplink; last byte off the
-downlink), three otherwise (its arrival at the downlink is an event of
-its own; see :attr:`StarNetwork.overtaking_free`). Payloads are opaque
-Python objects carried next to an explicit byte size, so protocol
-simulations can ship rich objects while the network only accounts for
-their declared wire size.
+downlink) unless an edge of the fault plan falls inside its flight from
+the router or it queues behind a packet with one, three otherwise (its
+arrival at the downlink is an event of its own; see
+:attr:`StarNetwork.overtaking_free`). Payloads are opaque Python objects
+carried next to an explicit byte size, so protocol simulations can ship
+rich objects while the network only accounts for their declared wire
+size.
 """
 
 from __future__ import annotations
 
+from math import inf
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from .engine import SimulationError, Simulator
@@ -81,6 +84,7 @@ class Link:
         "packets_carried",
         "busy_seconds",
         "rate_factor",
+        "hop_until",
     )
 
     def __init__(self, sim: Simulator, bandwidth_bps: float) -> None:
@@ -101,6 +105,10 @@ class Link:
         #: rate_factor``. 1.0 is a healthy link; degradation windows
         #: (:class:`repro.simnet.faults.FaultInjector`) scale it down.
         self.rate_factor = 1.0
+        #: As a star's downlink: when the last packet the router sent
+        #: here on the general hop arrives. Until then the link's
+        #: backlog is not yet known at the router.
+        self.hop_until = -inf
 
     def transmission_time(self, size_bytes: int) -> float:
         return size_bytes * 8 / (self.bandwidth_bps * self.rate_factor)
@@ -186,12 +194,12 @@ class StarNetwork:
         if faults is not None:
             faults.bind(self)
         self.topology = topology
-        #: True while packets reach a downlink in the order they left
+        #: True when packets reach a downlink in the order they left
         #: the router (one propagation delay for everyone: no jitter, no
-        #: topology pair delay) and no link rate is scheduled to change;
-        #: ``_at_router`` then does the downlink's arithmetic itself.
-        #: Derived here, turned off for good by
-        #: :meth:`FaultInjector.schedule_degradation`, never set.
+        #: topology pair delay); ``_at_router`` then does the downlink's
+        #: arithmetic itself for every packet whose flight is clear of
+        #: the fault plan's edges. A fact about what the network was
+        #: given: derived here, written nowhere else.
         self.overtaking_free = propagation_jitter == 0 and (
             topology is None or not any(map(any, topology.latency))
         )
@@ -298,8 +306,9 @@ class StarNetwork:
             # Destination left the system while the packet flew.
             self._drop(packet, "detached")
             return
-        if self.faults is not None:
-            reason = self.faults.drop_reason(src, dst)
+        faults = self.faults
+        if faults is not None:
+            reason = faults.drop_reason(src, dst)
             if reason is not None:
                 self._drop(packet, reason)
                 return
@@ -326,11 +335,23 @@ class StarNetwork:
         if not self.overtaking_free:
             sim.schedule(delay, self._enqueue_downlink, downlink, packet)
             return
+        now = sim.now
+        arrival = now + delay
+        # A link's rate may change at an edge of the fault plan, so a
+        # packet with one in [now, arrival] (drop_reason has just
+        # brought quiet_from <= now < quiet_until up to date) learns its
+        # rate at arrival, and so does every packet behind it until its
+        # downlink has nothing left on the general hop.
+        if faults is not None and faults.edges and (
+            now <= downlink.hop_until or faults.quiet_from == now or arrival >= faults.quiet_until
+        ):
+            downlink.hop_until = arrival
+            sim.schedule(delay, self._enqueue_downlink, downlink, packet)
+            return
         # Nobody can reach this downlink before this packet does, so
         # _enqueue_downlink's arithmetic (keep the two in step) is done
         # here with ``arrival`` for its ``sim.now``, and _deliver gets
         # the float schedule_at would have rounded to at ``arrival``.
-        arrival = sim.now + delay
         size_bytes = packet.size_bytes
         start = downlink.busy_until
         if start < arrival:
@@ -343,9 +364,10 @@ class StarNetwork:
         sim.schedule_from(arrival, departure, self._deliver, packet)
 
     def _enqueue_downlink(self, downlink: Link, packet: Packet) -> None:
-        # The general hop: with jitter or pair delay the arrival order is
-        # only known at arrival. Link.enqueue again (see send); the same
-        # lines stand in _at_router for the overtaking-free star.
+        # The general hop: with jitter or pair delay the arrival order,
+        # and across a fault-plan edge the link's rate, is only known at
+        # arrival. Link.enqueue again (see send); the same lines stand
+        # in _at_router for the overtaking-free star.
         sim = self.sim
         size_bytes = packet.size_bytes
         start = downlink.busy_until

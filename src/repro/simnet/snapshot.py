@@ -62,7 +62,9 @@ __all__ = [
 #: (node, domain) instead of one per first-seen message.
 #: /5: the star carries ``overtaking_free`` (and may hold ``_deliver``
 #: events scheduled from the router); the ARQ keeps its RTT tallies.
-SNAPSHOT_MAGIC = b"RACSNAP/5\n"
+#: /6: the injector holds its plan, an edge timeline and the active
+#: sets of the present stretch; a ``Link`` carries ``hop_until``.
+SNAPSHOT_MAGIC = b"RACSNAP/6\n"
 _MAGIC_PREFIX = b"RACSNAP/"
 
 

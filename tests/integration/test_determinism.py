@@ -359,3 +359,65 @@ def test_freerider_verdicts_and_event_order_are_pinned():
     assert tuple(h.hexdigest() for h in system.sim.times_hashes) == EXPECTED_ORDER_FREERIDER_TIMES
     assert system.sim.order_hash.hexdigest() == EXPECTED_ORDER_FREERIDER
     assert verdicts == EXPECTED_VERDICTS_FREERIDER
+
+
+# ---------------------------------------------------------------------------
+# a storm: the fault plan's window edges, walked with traffic in flight
+# ---------------------------------------------------------------------------
+EXPECTED_STORM_OBSERVABLE = "5e6799d795371eae3a24c7e2275ef9a0156a2a2a0f620d926f23429a9fe44cb1"
+EXPECTED_STORM_TIMES = (
+    "7953e48ef79234dc2f05af830cc885f4261fee34f33284adbeeefb8cadb15859",
+    "a78cb0790d014b80991409dadcb35dc4f44e77514189cc8429c9a1b46bfed2b8",
+)
+# The digest and the two ``(time, callback)`` streams were recorded on
+# the commit before fault-plan edges stopped switching the folded hop
+# off for the whole run, and did not move; the event count was 294,758
+# there (every packet on the three-event hop from t = 0).
+EXPECTED_STORM_EVENTS = 204_547
+
+
+def storm_event_order():
+    """16 nodes, 2 % loss, the canned ``storm`` plan for seed 11 (a
+    crash-restart, two partitions, a loss window and two degradations)
+    and one planted silent relay. Returns the system, the relay and the
+    digest of everything observable: every counter that is not an engine
+    tally, every delivery with its instant, every eviction."""
+    from repro.chaos.plan import storm_plan
+    from repro.core.config import timer_regime
+    from repro.freeride.registry import make_behavior
+    from tests.integration.test_scenario_equivalence import ENGINE_TALLIES
+
+    # a 0.15 s slot: a third of the cover traffic, a third of the events
+    config = timer_regime("detect", link_loss_rate=0.02, send_interval=0.15)
+    system = _order_recording_system(config, seed=11)
+    nodes = system.bootstrap(16, behaviors={9: make_behavior("silent-relay", seed=11)})
+    storm_plan(16, 12.0, seed=11).compile_sim(system, nodes)
+    system.run(0.5)
+    for burst in range(16):
+        # an application stops talking to, and as, an evicted node
+        _ring_traffic(system, [n for n in nodes if n not in system.evicted], f"storm-{burst}")
+        system.run(0.5)
+    system.run(0.5)  # t = 9.0: the last window closed at 8.52
+    observable = hashlib.sha256()
+    for key, value in sorted(system.stats_report().items()):
+        if key not in ENGINE_TALLIES:
+            observable.update(f"c|{key}|{value!r}|".encode())
+    for node_id in sorted(system.nodes):
+        node = system.nodes[node_id]
+        for when, payload in zip(node.delivered_at, node.delivered):
+            observable.update(f"d|{node_id}|{when!r}|".encode() + payload)
+    for accused, info in system.evicted.items():
+        observable.update(f"e|{info['at']!r}|{accused}|{info['by']}|{info['kind']}|".encode())
+    return system, nodes[9], observable.hexdigest()
+
+
+def test_storm_plan_run_is_pinned():
+    system, relay, observable = storm_event_order()
+    report = system.stats_report()
+    # the run must walk every kind of window edge, under load
+    assert report["net_dropped_loss"] > 0 and report["net_dropped_outage"] > 0
+    assert report["net_dropped_partition"] > 0 and report["transport_retransmits"] > 0
+    assert {accused: info["at"] for accused, info in system.evicted.items()} == {relay: 6.0}
+    assert observable == EXPECTED_STORM_OBSERVABLE
+    assert tuple(h.hexdigest() for h in system.sim.times_hashes) == EXPECTED_STORM_TIMES
+    assert system.sim.events_processed == EXPECTED_STORM_EVENTS

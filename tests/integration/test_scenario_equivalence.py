@@ -18,6 +18,12 @@ monolithic 5bc98936…, parity e5d626c1…, protocol 34c3aab1… before) and
 the protocol workload's metrics digest (f8eaf861… before, its
 ``events_processed`` key). Their ``counters_observable`` twins were
 recorded on the commit before and did not move, nor did anything else.
+And once more for ``campaign-storm`` alone (``counters`` 4498c878…
+before; 421,019 → 285,020 events), on the commit that stopped a
+scheduled degradation from switching that fold off for the whole run:
+only packets near an edge of the fault plan still pay the hop. Its
+``counters_observable`` twin was recorded on the commit before and did
+not move.
 
 Each digest is the first 16 hex digits of a SHA-256 over:
 
@@ -104,8 +110,9 @@ CELLS = {
         lambda: campaign_cell(
             {"strategy": "silent-relay", "plan": "storm", "nodes": 10, "horizon": 12.0}, 0
         ),
-        dict(counters="4498c8785f41c6e8", delivered="8aaddb1c194dca14",
-             evictions="0646cb8e8c5ac2f5", report="5e515fde426221e1", metrics="a7c34eb3655a4b86"),
+        dict(counters="cf1911b455cceeb1", counters_observable="56caec1e5117c5c6",
+             delivered="8aaddb1c194dca14", evictions="0646cb8e8c5ac2f5",
+             report="5e515fde426221e1", metrics="a7c34eb3655a4b86"),
         CAMPAIGN_KEYS,
     ),
     # frame at exactly floor(f·G)+1 = 4/12: the victim is evicted

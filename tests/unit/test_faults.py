@@ -146,6 +146,33 @@ class TestDegradation:
         assert net.uplinks[1].rate_factor == pytest.approx(1.0)
         assert net.downlinks[1].rate_factor == pytest.approx(1.0)
 
+    def test_link_recreated_inside_the_window_keeps_its_full_rate(self):
+        # The closing edge restores the Link objects the opening edge
+        # scaled; multiplying whatever link is there by 1/factor left a
+        # rebooted node on a 2x link for the rest of the run.
+        sim, faults, net = make()
+        net.attach(1, lambda p: None)
+        faults.schedule_degradation(1, at=1.0, duration=2.0, factor=0.5)
+        sim.run(until=2.0)
+        net.detach(1)
+        sim.run(until=2.5)
+        net.attach(1, lambda p: None)
+        assert net.uplinks[1].rate_factor == net.downlinks[1].rate_factor == 1.0
+        sim.run(until=4.0)
+        assert net.uplinks[1].rate_factor == net.downlinks[1].rate_factor == 1.0
+
+    def test_node_attached_after_the_opening_edge_keeps_its_full_rate(self):
+        sim, faults, net = make()
+        faults.schedule_degradation(1, at=1.0, duration=2.0, factor=0.5)
+        faults.schedule_degradation(2, at=1.0, duration=2.0, factor=0.5, direction="down")
+        net.attach(2, lambda p: None)
+        sim.run(until=2.0)
+        net.attach(1, lambda p: None)
+        sim.run(until=4.0)
+        assert net.uplinks[1].rate_factor == net.downlinks[1].rate_factor == 1.0
+        # the link that lived through its window: scaled and scaled back
+        assert (net.uplinks[2].rate_factor, net.downlinks[2].rate_factor) == (1.0, 1.0)
+
     def test_invalid_factor_rejected(self):
         _sim, faults, _net = make()
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ import pytest
 
 import repro
 
-from repro.core.config import RacConfig
+from repro.core.config import RacConfig, timer_regime
 from repro.core.system import RacSystem
 from repro.simnet.engine import ScheduledEvent, Simulator
 from repro.simnet.snapshot import (
@@ -142,30 +142,52 @@ class TestSnapshotInvariants:
     def test_mid_flood_folded_deliveries_and_the_hop_property_round_trip(self, degraded):
         # The paper's ideal network: _at_router schedules _deliver itself,
         # so a mid-flood calendar holds folded deliveries and no hop
-        # event. A scheduled degradation turns the property off for
-        # good; the restored copy must keep taking the two-event hop.
-        system = RacSystem(RacConfig.small(link_bandwidth_bps=20e6), seed=11)
+        # event. With fault windows open the snapshot also carries the
+        # injector's edge timeline and the state of its present stretch;
+        # the restored copy must cross the closing edges in lock-step.
+        # (Timers above the windows: nobody is convicted for the outage.)
+        system = RacSystem(timer_regime("detect", link_bandwidth_bps=20e6), seed=11)
         nodes = system.bootstrap(8)
         system.run(0.5)
         if degraded:
-            system.degrade_bandwidth(nodes[2], duration=0.2, factor=0.5)
+            system.degrade_bandwidth(nodes[2], duration=0.7, factor=0.5)
+            system.inject_link_outage(nodes[3], duration=0.8)
+            system.inject_partition(nodes[:2], nodes[4:], duration=0.9)
         system.run(0.5)
 
-        assert system.network.overtaking_free is not degraded
+        assert system.network.overtaking_free
         assert _pending(system, "_deliver")
-        assert degraded or not _pending(system, "_enqueue_downlink")
+        faults = system.faults
+        if degraded:
+            assert faults.edges == [0.5, 0.5, 0.5, 1.2, 1.3, 1.4]
+            assert (faults.quiet_from, faults.quiet_until) == (0.5, 1.2)
+            assert faults._down == {(nodes[3], "up"), (nodes[3], "down")}
+            assert faults._open == faults.partitions != []
+            assert system.network.downlinks[nodes[2]].rate_factor == 0.5
+        else:
+            assert not faults.edges and not _pending(system, "_enqueue_downlink")
         blob = snapshot_system(system, verify=True)
         restored = restore_system(blob)
-        assert restored.network.overtaking_free is system.network.overtaking_free
+        assert restored.network.overtaking_free
         assert restored.stats.transport is restored.transport
-        for name in ("_deliver", "_enqueue_downlink", "_at_router"):
+        for name in ("edges", "quiet_from", "quiet_until", "_down", "_open", "outages"):
+            assert getattr(restored.faults, name) == getattr(faults, name)
+        for name in ("_deliver", "_enqueue_downlink", "_at_router", "_scale_links"):
             assert _pending(restored, name) == _pending(system, name)
         for _ in range(4):
             system.run(0.25)
             restored.run(0.25)
             assert restored.sim.events_processed == system.sim.events_processed
             assert restored.stats_report() == system.stats_report()
+            assert restored.faults.quiet_from == faults.quiet_from
         assert _pending(restored, "_deliver") == _pending(system, "_deliver")
+        if degraded:
+            # every window has closed, and the closing edge found the
+            # restored copy of the Link its opening edge had scaled
+            assert faults.quiet_until == float("inf") and not faults._down and not faults._open
+            for of in (system, restored):
+                assert of.network.downlinks[nodes[2]].rate_factor == 1.0
+                assert of.stats_report()["net_dropped_outage"] > 0
 
     def test_pending_fired_and_cancelled_events_round_trip(self):
         sim = Simulator()
@@ -335,10 +357,10 @@ class TestSnapshotErrors:
         for stale in (_Rac2Event(), _Rac3Monitor()):
             with pytest.raises(AttributeError):
                 pickle.loads(pickle.dumps(stale))
-        for version in ("1", "2", "3", "4"):
+        for version in ("1", "2", "3", "4", "5"):
             old = f"RACSNAP/{version}\n".encode() + body
             with pytest.raises(
-                SnapshotError, match=f"version mismatch.*RACSNAP/{version}.*RACSNAP/5"
+                SnapshotError, match=f"version mismatch.*RACSNAP/{version}.*RACSNAP/6"
             ):
                 restore_system(old)
             path = tmp_path / "old.snap"
