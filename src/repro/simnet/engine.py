@@ -27,6 +27,16 @@ All of it is order-preserving: events fire in exactly ``(time, seq)``
 order with ``seq`` drawn once per ``schedule`` call, so fixed-seed runs
 replay byte-identically.
 
+The event loop makes no reference cycles: a fired event's record, its
+packets and segments die by reference count (``test_engine.py`` pins
+zero unreachable objects after a flood, a lossy and a DH window).
+CPython's cycle collector nonetheless walks the young generation every
+700 net allocations, and a flood allocates ~25 objects per segment, so
+:meth:`Simulator.run` raises the generation-0 threshold to
+:data:`_RUN_GC_THRESHOLD` for the length of the run and puts back the
+thresholds it found. It never lowers a larger threshold and never arms
+a collector the caller turned off.
+
 A caller that will probably never need its timer can take the place in
 line without the calendar entry: :meth:`Simulator.reserve` draws the
 ``(time, seq)`` key ``schedule`` would have used, and
@@ -42,6 +52,7 @@ builds the star topology on top of it.
 
 from __future__ import annotations
 
+import gc
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -50,6 +61,12 @@ __all__ = ["Simulator", "ScheduledEvent", "SimulationError"]
 #: Compaction never triggers below this queue size; rebuilding tiny
 #: heaps costs more than letting the dead entries surface naturally.
 _COMPACT_MIN_QUEUE = 64
+
+#: Generation-0 collection threshold while :meth:`Simulator.run` drains
+#: the calendar (CPython's default is 700). Sized on ``sim-flood-40``:
+#: 2,000 and 5,000 both cut its CPU by ~7% with peak RSS flat; 10,000
+#: saved less and grew RSS by 6.5%.
+_RUN_GC_THRESHOLD = 5_000
 
 
 class SimulationError(Exception):
@@ -248,19 +265,32 @@ class Simulator:
         and the clock is advanced exactly to the horizon — so repeated
         ``run(until=...)`` calls chain cleanly. A run that stops on its
         event budget leaves the clock at the last event fired.
+
+        Until the run returns or raises, a cycle collector the caller
+        left on has a young generation at least
+        :data:`_RUN_GC_THRESHOLD` allocations deep (see the module
+        docstring).
         """
-        step = self.step
-        if max_events is None:
-            while step(until):
-                pass
-        else:
-            for _ in range(max_events):
-                if not step(until):
-                    break
+        thresholds = gc.get_threshold()
+        raised = 0 < thresholds[0] < _RUN_GC_THRESHOLD
+        if raised:
+            gc.set_threshold(_RUN_GC_THRESHOLD, *thresholds[1:])
+        try:
+            step = self.step
+            if max_events is None:
+                while step(until):
+                    pass
             else:
-                return
-        if until is not None and until > self.now:
-            self.now = until
+                for _ in range(max_events):
+                    if not step(until):
+                        break
+                else:
+                    return
+            if until is not None and until > self.now:
+                self.now = until
+        finally:
+            if raised:
+                gc.set_threshold(*thresholds)
 
     def idle(self) -> bool:
         """True when no live events remain."""

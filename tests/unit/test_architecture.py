@@ -124,6 +124,24 @@ def test_no_second_regime_function():
     assert {entry.split(":")[1] for entry in found} <= allowed, found
 
 
+def test_only_the_event_loop_touches_the_cycle_collector():
+    """``Simulator.run`` sizes the young generation for its own length
+    and hands the collector back as it found it; a second module that
+    tunes, freezes or disables it would fight that policy, or leave the
+    process without a collector for cycles that do exist (sharded's
+    discarded shard systems)."""
+    importers = {
+        name
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(alias.name == "gc" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "gc")
+    }
+    assert importers == {"simnet/engine.py"}, (
+        f"{sorted(importers)} import gc: the collector policy lives in Simulator.run alone"
+    )
+
+
 _RESULTS_DIR = re.compile(r"(^|[\s/])results(/|$)")
 
 
