@@ -23,7 +23,7 @@ SEED ?= 20130708
 bench-pairs:  # N alternating parent/change runs of one rac_bench workload: medians, quartiles, wins, every pair
 	$(PYTHON) benchmarks/pairs.py --parent $(PARENT) --workload $(WORKLOAD) --n $(N) --seed $(SEED)
 
-ci-bench-smoke:  # fail if seal/peel, DH trial-peel, shard-snapshot, bare-engine or per-segment cost regressed >2x vs BENCH_protocol.json at its host speed, a storm packet costs >2.2 events, or a 0.3 s flood window runs >60 cycle-collector passes
+ci-bench-smoke:  # fail if seal/peel, DH trial-peel, shard-snapshot, bare-engine or per-segment cost regressed >2x vs BENCH_protocol.json at its host speed, a storm packet costs >2.2 events, a 0.3 s flood window runs >60 cycle-collector passes, or a sealed DH layer tried by 24 keys costs >1 full-length pow
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_smoke.py -q
 
 SWEEP_SMOKE = PYTHONPATH=src $(PYTHON) -m repro sweep run --run-dir results/sweep_smoke \

@@ -17,7 +17,8 @@ microbenches and fails when one has regressed more than 2x against the
 committed numbers at the committed host speed (``host_kernel_us``),
 when a live frame takes more than 1.3x the committed number of Python
 calls, when a packet under a fault storm costs more than 2.2 calendar
-events, or when a flood window runs more than 60 cycle-collector passes.
+events, when a flood window runs more than 60 cycle-collector passes,
+or when a sealed DH layer costs more than one full-length ``pow``.
 
 The measurement functions are importable so the smoke test and the
 recorder can never disagree on methodology.
@@ -113,6 +114,45 @@ def measure_dh_trial_peel_us(repeats: int = 5, number: int = 10) -> float:
         assert opened == 1
 
     return _best_of(layer, repeats, number) / len(keys) * 1e6
+
+
+def measure_dh_full_pows_per_layer(boxes: int = 60) -> float:
+    """Built-in ``pow`` calls ``crypto/dh.py`` makes per sealed layer —
+    each a full-length exponentiation, since tables are built by
+    multiplying — when ``boxes`` boxes are sealed round-robin to 12 of
+    24 DH identities and all 24 keys try each one, from cold process
+    caches. A count, exact run to run: 3.0 while broadcast values and
+    recipient keys shared one store (a cold seal and two counted trials
+    per layer), 0.43 with a comb at the first trial and recipient keys
+    in a store of their own (26 calls: two trials of the first value,
+    two seals to each of the 12 keys)."""
+    from repro.crypto import clear_process_caches, dh
+    from repro.crypto.keys import AuthenticationError, KeyPair, seal
+
+    keys = [KeyPair.generate("dh", seed=seed) for seed in range(24)]
+    clear_process_caches()
+    calls = 0
+
+    def counted_pow(*args):
+        nonlocal calls
+        calls += 1
+        return pow(*args)
+
+    dh.pow = counted_pow  # module globals shadow the builtin
+    try:
+        for box in range(boxes):
+            blob = seal(keys[box % 12].public, b"layer", seed=10_000 + box)
+            opened = 0
+            for key in keys:
+                try:
+                    key.unseal(blob)
+                    opened += 1
+                except AuthenticationError:
+                    pass
+            assert opened == 1
+    finally:
+        del dh.pow
+    return calls / boxes
 
 
 def measure_dh_keygen(repeats: int = 3, number: int = 100) -> float:
@@ -441,6 +481,8 @@ def record(path: pathlib.Path = BASELINE_PATH, quick: bool = False) -> dict:
         "sim_seal_unseal_10k_us": round(measure_seal_unseal_10k("sim"), 1),
         "dh_seal_unseal_10k_us": round(measure_seal_unseal_10k("dh"), 1),
         "dh_trial_peel_us": round(measure_dh_trial_peel_us(), 1),
+        # a count: built-in pow calls per sealed layer tried by 24 keys
+        "dh_full_pows_per_layer": round(measure_dh_full_pows_per_layer(), 2),
         "dh_keygen_ms": round(measure_dh_keygen(), 3),
         "engine_events_per_sec": round(engine_rate),
         # how fast the host ran while that was measured: the smoke gate

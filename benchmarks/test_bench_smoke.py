@@ -5,10 +5,11 @@ per-segment microbenches with the exact methodology of
 ``benchmarks/baseline.py``, scales each reading to the speed the host
 had when the committed ``BENCH_protocol.json`` was recorded (a fixed
 pure-Python kernel timed alongside, ``host_kernel_us``), and fails when
-one has regressed more than 2x against it. Three gates hold counts,
+one has regressed more than 2x against it. Four gates hold counts,
 which do not depend on the host: a live TCP frame's Python calls (at
-1.3x), a packet's calendar events under a fault storm, and the cycle
-collector's passes over a flood window. The 2x margin absorbs
+1.3x), a packet's calendar events under a fault storm, the cycle
+collector's passes over a flood window, and the full-length ``pow``
+calls per sealed DH layer. The 2x margin absorbs
 CI-machine noise while still catching an accidentally reverted fast
 path (the crypto optimisations are 4-6x, so losing one blows the gate;
 the simulator's data path is a sum of small trims, so its gate catches
@@ -66,10 +67,23 @@ def test_dh_seal_unseal_within_2x_of_baseline(committed):
 
 
 def test_dh_trial_peel_within_2x_of_baseline(committed):
-    # 24 keys try one box: 22 of the 24 exponentiations walk the shared
-    # window table of the ephemeral value instead of squaring it afresh
-    # (~2.2x per trial with KDF and MAC), so losing the table trips this
+    # 24 keys try one box from cold caches: 22 of the 24 exponentiations
+    # walk the ephemeral value's comb instead of squaring it afresh
+    # (~2x per trial with KDF and MAC), so losing the table trips this
     _assert_not_regressed(committed, "dh trial peel", "dh_trial_peel_us", baseline.measure_dh_trial_peel_us)
+
+
+def test_a_sealed_dh_layer_costs_under_one_full_pow(committed):
+    # 3.0 while broadcast values and recipient keys shared one LRU (the
+    # values flushed the keys, and each value paid two counted trials);
+    # 0.43 with a comb at a value's first trial and recipient keys in a
+    # store of their own. Exact, so the bound is absolute.
+    measured = baseline.measure_dh_full_pows_per_layer()
+    assert measured <= 1.0, (
+        f"a sealed layer tried by 24 keys costs {measured:.2f} full-length pow calls "
+        f"({committed['dh_full_pows_per_layer']:.2f} committed): broadcast values are counted "
+        "again after the first reaches the threshold, or recipient keys lost their tables"
+    )
 
 
 def test_keystream_within_2x_of_baseline(committed):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import struct
 from typing import Union
 
+from ..crypto.dh import GROUP_2048, GROUP_TEST
 from ..crypto.keys import PublicKey
 from .messages import (
     Accusation,
@@ -54,6 +55,9 @@ class WireError(Exception):
 #: one JoinRequest; hostile input could wrap announces in announces
 #: until the recursion limit crashes the decoder).
 _MAX_DEPTH = 4
+
+#: The DH groups a decoded key may belong to.
+_DH_GROUPS = {(g.prime, g.generator, g.exponent_bits): g for g in (GROUP_TEST, GROUP_2048)}
 
 
 _TAG_BROADCAST = 1
@@ -158,18 +162,18 @@ class _Reader:
         if backend == "sim":
             return PublicKey("sim", key_id)
         if backend == "dh":
-            from ..crypto.dh import DHGroup
-
             value = int.from_bytes(self.blob(), "big")
             prime = int.from_bytes(self.blob(), "big")
-            generator = self.u32()
-            exponent_bits = self.u32()
-            try:
-                return PublicKey(
-                    "dh", key_id, dh_value=value, dh_group=DHGroup(prime, generator, exponent_bits)
-                )
-            except (ValueError, TypeError) as exc:
-                raise WireError(f"invalid dh key material: {exc}") from None
+            generator, exponent_bits = self.u32(), self.u32()
+            # Only the groups this build defines: a peer-chosen prime or
+            # exponent length would set what every sealer to the key
+            # pays in time and memory.
+            group = _DH_GROUPS.get((prime, generator, exponent_bits))
+            if group is None:
+                raise WireError("dh key in an unknown group")
+            if not 2 <= value <= prime - 2:
+                raise WireError("dh public value out of range")
+            return PublicKey("dh", key_id, dh_value=value, dh_group=group)
         raise WireError(f"unknown key backend {backend!r}")
 
     def done(self) -> None:

@@ -22,16 +22,19 @@ from . import stream as _stream
 def clear_process_caches() -> None:
     """Reset every module-level crypto cache in this process.
 
-    The shared-base store of :mod:`repro.crypto.dh` (trial counts and
-    window tables of public values) and the ``lru_cache``'d derivations
-    (:func:`repro.crypto.stream._split_key`,
+    The two shared-base stores of :mod:`repro.crypto.dh` (trial counts,
+    combs of broadcast values, window tables of recipient keys), its
+    cache of each key's comb column recoding, and the ``lru_cache``'d
+    derivations (:func:`repro.crypto.stream._split_key`,
     :func:`repro.crypto.keys._sim_symmetric_key`,
     :func:`repro.crypto.hashes.ring_position`) are pure-function caches,
     so they never change results — but a sweep worker that executes many
     runs back to back would (a) grow them without bound across runs and
     (b) inherit a fork-parent's warm cache, making per-run memory and
     timing depend on sibling runs. Worker-run boundaries call this to
-    keep every run cold-started and memory-bounded.
+    keep every run cold-started and memory-bounded; it also returns both
+    stores to counting, so a run hosting one node never builds a
+    broadcast table because a sibling run hosted a group.
     """
     _dh.clear_base_store()
     _stream._split_key.cache_clear()

@@ -5,18 +5,29 @@ ElGamal-style key-encapsulation mechanism built only on the standard
 library's big ints. RAC itself never depends on a particular cipher;
 see :mod:`repro.crypto.keys` for the backend indirection.
 
-Every exponentiation returns the integer ``pow(base, x, p)`` would, by
-one of three routes: ``g^x`` (key generation, ephemeral keys) walks a
-per-group comb table of ``g``; ``peer^x`` (:meth:`DHPrivateKey.shared_secret`)
-is a plain ``pow`` for the first two trials against a base and, from
-the third, walks a window table of that base's public powers kept in a
-small LRU store — the 2*G trial decryptions RAC's receive rule asks of a
-G-member group share one base per broadcast, so a process simulating
-the group squares it once, not 2*G times; exponents too long for a
-table fall back to ``pow``. Only public powers of public values are
-shared: each key still derives its own secret from its own exponent.
-None of the three routes is constant-time, which is within what this
-stdlib-only, simulation-grade backend claims.
+Every exponentiation returns the integer ``pow(base, x, p)`` would. A
+base that gets reused walks a table built once for it, and which side
+is reused picks the table kind:
+
+* ``g^x`` (key generation, ephemeral keys) walks a per-group window
+  table of ``g``;
+* a broadcast's ephemeral value raised by the process's long-lived keys
+  (:meth:`DHPrivateKey.shared_secret`, the 2*G trial decryptions RAC's
+  receive rule asks of a G-member group) walks an 8-row comb of that
+  value — the keys come back on every broadcast, so each key's column
+  recoding is computed once and cached;
+* a recipient's long-lived public key raised to a fresh ephemeral
+  exponent (``shared_secret(..., sealing=True)``, one per ``seal``)
+  walks a window table of that key, which needs no per-exponent work.
+
+The last two live in two small LRU stores of public powers of public
+values. A store pays plain ``pow`` for the first trials against a base
+until one of its bases reaches the third; from then on it tables a new
+base at its first trial. A process hosting one node (two trials per
+ephemeral value) therefore never builds a broadcast table. Exponents
+too long for a table fall back to ``pow``; each key still derives its
+own secret from its own exponent. None of the routes is constant-time,
+which is within what this stdlib-only, simulation-grade backend claims.
 
 The paper assumes a global active opponent that *cannot invert
 encryption* (Section II-A). A 2048-bit MODP group with SHA-256 key
@@ -29,66 +40,24 @@ obviously not secure and exists only to keep the full test suite fast.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import secrets
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from typing import Callable, Dict, List, Tuple
 
 __all__ = ["DHGroup", "GROUP_2048", "GROUP_TEST", "DHPrivateKey", "DHPublicKey", "generate_keypair"]
 
-#: Fixed-base comb window (bits). Each fixed-base exponentiation costs
-#: at most ``exponent_bits / _COMB_WINDOW`` modular multiplications and
-#: zero squarings once the per-group table is built.
-_COMB_WINDOW = 5
+#: Window (bits) of ``g``'s table. Each ``g^x`` costs at most
+#: ``exponent_bits / _G_WINDOW`` modular multiplications and zero
+#: squarings once the per-group table is built.
+_G_WINDOW = 5
 
-#: (prime, generator, exponent_bits) -> comb table. Key generation and
-#: every ephemeral KEM key share the same base g, so the table is built
-#: once per group and amortised across the whole population.
-_COMB_TABLES: "Dict[Tuple[int, int, int], List[List[int]]]" = {}
-
-# ---------------------------------------------------------------------------
-# Shared-base store
-#
-# RAC's receive rule makes every group member try its ID key and then
-# its pseudonym key on every first-seen broadcast, so a process that
-# simulates G nodes raises one ephemeral public value to 2*G different
-# exponents. The squarings of those exponentiations depend on the base
-# alone: ``shared_secret`` counts the trials made against a base and, at
-# the ``_BASE_BUILD_AT``-th, builds the comb table of its public powers
-# once; every later exponent costs ``bits / _BASE_WINDOW`` multiplications
-# and no squaring. What is shared is public (powers of a value that
-# travelled in the clear); exponents, secrets, KDF outputs and MAC
-# checks stay per key, and the integer returned is ``pow``'s.
-#
-# Break-even, measured on the 512-bit test group (160-bit exponents) in
-# units of one cold ``pow``: building a table at w=4 is 40 rows x 15
-# multiplications = 3.3, walking it is <= 40 multiplications = 0.21
-# (3.6 and 0.22 on the 2048-bit group). n trials against one base cost
-# 2 + 3.3 + 0.21 (n - 2): worse than n cold exponentiations up to the
-# sixth trial (5.5 for 3 at worst), better from the seventh, 0.42 n at
-# the 24 trials of a 12-node group. w=3 (build 2.1, walk 0.29) and w=5
-# (5.4, 0.17) land at 0.43 n and 0.47 n there. Building at the third
-# trial rather than the second is what keeps a process that hosts one
-# node — two trials per ephemeral value, ``live/worker.py`` — from ever
-# building: it pays exactly ``pow``. A table is 40 x 16 integers of 512
-# bits, ~60 kB (~290 kB on the 2048-bit group), and a simulated group
-# has a dozen or so broadcasts in flight, so the store is small: at 16,
-# 32 and 64 entries the 12-node onion benchmark spends the same time
-# and peaks at 60.6, 61.6 and 63.6 MiB.
-# ---------------------------------------------------------------------------
-
-_BASE_WINDOW = 4
-_BASE_BUILD_AT = 3
-_BASE_STORE_MAX = 16
-
-#: (prime, base) -> trials made so far (int), or the base's table once built.
-_BASE_STORE: "OrderedDict[Tuple[int, int], Union[int, List[List[int]]]]" = OrderedDict()
-
-
-def clear_base_store() -> None:
-    """Forget every trial count and shared-base table."""
-    _BASE_STORE.clear()
+#: (prime, generator, exponent_bits) -> window table of ``g``. Key
+#: generation and every ephemeral KEM key share the same base g, so the
+#: table is built once per group and amortised across the population.
+_G_TABLES: "Dict[Tuple[int, int, int], List[List[int]]]" = {}
 
 
 def _window_table(base: int, prime: int, exponent_bits: int, window: int) -> "List[List[int]]":
@@ -122,24 +91,167 @@ def _window_pow(table: "List[List[int]]", window: int, base: int, exponent: int,
     return result
 
 
-def _shared_base_pow(base: int, exponent: int, group: "DHGroup") -> int:
-    """``pow(base, exponent, group.prime)``, through the shared-base store."""
+# ---------------------------------------------------------------------------
+# Shared-base stores
+#
+# RAC's receive rule makes every group member try its ID key and then
+# its pseudonym key on every first-seen broadcast, so a process that
+# simulates G nodes raises one ephemeral public value E to 2*G exponents
+# — the same 2*G on every broadcast. ``seal`` raises a recipient's
+# public key, one of a few dozen in a group, to a fresh exponent each
+# time. Whichever side is reused gets the work done once: a broadcast
+# value gets an 8-row comb (the 255 subset products of ``E^(2^(w*j))``,
+# w = bits/8; 20 squarings and <= 20 multiplications per trial on the
+# 160-bit exponents), walked with each key's column recoding, which a
+# key pays once; a recipient key gets a window table (w=4, <= bits/4
+# multiplications and no per-exponent work, which a fresh exponent could
+# not amortise). What is shared is public; exponents, secrets, KDF
+# outputs and MAC checks stay per key, and the integer is ``pow``'s.
+#
+# Break-even, measured on the 512-bit test group (160-bit exponents) in
+# units of one cold ``pow`` (~240 us on a shared x86-64 host; 2048-bit
+# group in brackets): a comb costs 2.1 [1.6] to build and 0.21 [0.22] a
+# trial, plus 0.05 [0.006] once per key for its recoding; a w=4 window
+# table 3.5 [3.7] and 0.22 [0.23]. The comb wins on the build and on
+# size, not per trial. n trials against a value tabled at its first cost
+# 2.1 + 0.21 n: behind cold ``pow`` at two trials (2.5 against 2), ahead
+# from the third, 0.30 n at the 24 trials of a 12-node group (0.43 n for
+# a window table built at the third). So a store counts until one base
+# reaches the third trial — the process hosts a group — and from then
+# on tables every base it meets; a process that hosts one node (two
+# trials per ephemeral value, ``live/worker.py``) never builds a
+# broadcast table and pays exactly ``pow``. A comb is 256 integers,
+# ~25 kB (~73 kB on the 2048-bit group), a window table 640, ~60 kB
+# (~290 kB). A simulated group has a dozen or so broadcasts in flight,
+# so that store holds 16; recipient keys get 32 of their own, every key
+# of a 12-node group — sharing one LRU, the broadcast values flushed
+# them before their third seal.
+# ---------------------------------------------------------------------------
+
+_BASE_BUILD_AT = 3
+_BASE_STORE_MAX = 16
+_COMB_ROWS = 8
+_COLUMN_CACHE_MAX = 1024
+_RECIPIENT_STORE_MAX = 32
+_RECIPIENT_WINDOW = 4
+
+
+def _comb_width(exponent_bits: int) -> int:
+    return -(-exponent_bits // _COMB_ROWS)
+
+
+def _comb_table(base: int, prime: int, exponent_bits: int) -> "List[int]":
+    """Entry ``s`` is the product of ``base ** (1 << width * j) % prime``
+    over the bits ``j`` set in ``s``, ``width`` being ``_comb_width``."""
+    width = _comb_width(exponent_bits)
+    row = base % prime
+    table = [1]
+    for j in range(_COMB_ROWS):
+        if j:
+            for _ in range(width):
+                row = row * row % prime
+        table += [entry * row % prime for entry in table]
+    return table
+
+
+@functools.lru_cache(maxsize=_COLUMN_CACHE_MAX)
+def _comb_columns(exponent: int, width: int) -> "Tuple[int, ...]":
+    """The comb indexes of ``exponent``, most significant column first:
+    bit ``j`` of column ``i``'s index is bit ``i + width * j`` of the
+    exponent. Cached here, never on a key object (snapshots pickle keys):
+    the exponents a comb is walked with are the process's long-lived
+    keys, each back on every broadcast."""
+    mask = (1 << width) - 1
+    rows = [format(exponent >> width * j & mask, f"0{width}b") for j in reversed(range(_COMB_ROWS))]
+    return tuple(int("".join(bits), 2) for bits in zip(*rows))
+
+
+def _comb_pow(table: "List[int]", base: int, exponent: int, group: "DHGroup") -> int:
+    """``pow(base, exponent, prime)`` by walking ``base``'s comb: one
+    squaring and at most one multiplication per column. An exponent the
+    comb has no rows for (or a negative one) falls back to ``pow``."""
     prime = group.prime
-    store = _BASE_STORE
-    key = (prime, base)
-    entry = store.get(key)
-    if entry is None:
-        if len(store) >= _BASE_STORE_MAX:
-            store.popitem(last=False)
-        store[key] = 1
+    width = _comb_width(group.exponent_bits)
+    if exponent >> width * _COMB_ROWS:
         return pow(base, exponent, prime)
-    store.move_to_end(key)
-    if isinstance(entry, int):
-        if entry + 1 < _BASE_BUILD_AT:
-            store[key] = entry + 1
-            return pow(base, exponent, prime)
-        entry = store[key] = _window_table(base, prime, group.exponent_bits, _BASE_WINDOW)
-    return _window_pow(entry, _BASE_WINDOW, base, exponent, prime)
+    result = 1
+    for index in _comb_columns(exponent, width):
+        result = result * result % prime
+        if index:
+            result = result * table[index] % prime
+    return result
+
+
+def _recipient_table(base: int, prime: int, exponent_bits: int) -> "List[List[int]]":
+    return _window_table(base, prime, exponent_bits, _RECIPIENT_WINDOW)
+
+
+def _recipient_pow(table: "List[List[int]]", base: int, exponent: int, group: "DHGroup") -> int:
+    return _window_pow(table, _RECIPIENT_WINDOW, base, exponent, group.prime)
+
+
+class _BaseStore(OrderedDict):
+    """A bounded LRU of the bases one role raises to many exponents.
+
+    ``(prime, exponent_bits, base)`` maps to the trials counted so far
+    (an int) or the base's table once built; ``exponent_bits`` is in the
+    key because a table's layout depends on it. Until one base reaches
+    ``_BASE_BUILD_AT`` trials every base pays ``pow`` for its first
+    trials; from then on (``eager``) every trial walks a table, and a
+    new base's table is built at its first trial.
+    """
+
+    def __init__(
+        self,
+        capacity: int,
+        build: "Callable[[int, int, int], List]",
+        walk: "Callable[[List, int, int, DHGroup], int]",
+    ) -> None:
+        super().__init__()
+        self.capacity = capacity
+        self.build = build
+        self.walk = walk
+        self.eager = False
+
+    def clear(self) -> None:
+        super().clear()
+        self.eager = False
+
+    def pow(self, base: int, exponent: int, group: "DHGroup") -> int:
+        """``pow(base, exponent, group.prime)``, through the store."""
+        prime, bits = group.prime, group.exponent_bits
+        key = (prime, bits, base)
+        entry = self.get(key)
+        if entry is None:
+            if len(self) >= self.capacity:
+                self.popitem(last=False)
+            if not self.eager:
+                self[key] = 1
+                return pow(base, exponent, prime)
+            entry = self[key] = self.build(base, prime, bits)
+        else:
+            self.move_to_end(key)
+            if entry.__class__ is int:
+                if entry + 1 < _BASE_BUILD_AT and not self.eager:
+                    self[key] = entry + 1
+                    return pow(base, exponent, prime)
+                self.eager = True
+                entry = self[key] = self.build(base, prime, bits)
+        return self.walk(entry, base, exponent, group)
+
+
+#: Broadcast ephemeral values, raised by the process's long-lived keys.
+_BASE_STORE = _BaseStore(_BASE_STORE_MAX, _comb_table, _comb_pow)
+#: Recipients' long-lived public keys, raised to fresh ephemeral exponents.
+_RECIPIENT_STORE = _BaseStore(_RECIPIENT_STORE_MAX, _recipient_table, _recipient_pow)
+
+
+def clear_base_store() -> None:
+    """Forget every trial count, table and column recoding of both
+    stores, and return them to counting."""
+    _BASE_STORE.clear()
+    _RECIPIENT_STORE.clear()
+    _comb_columns.cache_clear()
 
 
 @dataclass(frozen=True)
@@ -164,7 +276,7 @@ class DHGroup:
                 return exponent
 
     def fixed_base_pow(self, exponent: int) -> int:
-        """``generator ** exponent mod prime`` via a fixed-base comb.
+        """``generator ** exponent mod prime`` via a fixed-base window table.
 
         Byte-identical to ``pow(generator, exponent, prime)`` but 3-4x
         faster once the per-group table exists, because the precomputed
@@ -173,12 +285,12 @@ class DHGroup:
         built-in ``pow``.
         """
         key = (self.prime, self.generator, self.exponent_bits)
-        table = _COMB_TABLES.get(key)
+        table = _G_TABLES.get(key)
         if table is None:
-            table = _COMB_TABLES[key] = _window_table(
-                self.generator, self.prime, self.exponent_bits, _COMB_WINDOW
+            table = _G_TABLES[key] = _window_table(
+                self.generator, self.prime, self.exponent_bits, _G_WINDOW
             )
-        return _window_pow(table, _COMB_WINDOW, self.generator, exponent, self.prime)
+        return _window_pow(table, _G_WINDOW, self.generator, exponent, self.prime)
 
 
 # RFC 3526, group 14 (2048-bit MODP).
@@ -227,11 +339,17 @@ class DHPrivateKey:
     def public_key(self) -> DHPublicKey:
         return DHPublicKey(self.group, self.group.fixed_base_pow(self.exponent))
 
-    def shared_secret(self, peer: DHPublicKey) -> bytes:
-        """Raw DH shared secret ``peer^x mod p``, hashed to 32 bytes."""
+    def shared_secret(self, peer: DHPublicKey, sealing: bool = False) -> bytes:
+        """Raw DH shared secret ``peer^x mod p``, hashed to 32 bytes.
+
+        By default ``peer`` is a broadcast's ephemeral value and this a
+        long-lived key trying it; ``sealing`` says this is a fresh
+        ephemeral key and ``peer`` a recipient's long-lived key. The
+        role only picks the store whose table is walked."""
         if peer.group.prime != self.group.prime:
             raise ValueError("DH keys belong to different groups")
-        secret = _shared_base_pow(peer.value, self.exponent, self.group)
+        store = _RECIPIENT_STORE if sealing else _BASE_STORE
+        secret = store.pow(peer.value, self.exponent, self.group)
         raw = secret.to_bytes((self.group.prime.bit_length() + 7) // 8, "big")
         return hashlib.sha256(b"rac/dh-kdf" + raw).digest()
 

@@ -190,7 +190,7 @@ def seal(public: PublicKey, plaintext: bytes, seed: "int | None" = None) -> byte
         eph = _dh.generate_keypair(group, seed=seed)
         pub_len = (group.prime.bit_length() + 7) // 8
         eph_bytes = eph.public_key().value.to_bytes(pub_len, "big")
-        shared = eph.shared_secret(_dh.DHPublicKey(group, public.dh_value))
+        shared = eph.shared_secret(_dh.DHPublicKey(group, public.dh_value), sealing=True)
         nonce = hashlib.sha256(b"rac/seal-nonce" + eph_bytes).digest()[:16]
         return _TAG_DH + eph_bytes + _stream.encrypt(shared, nonce, plaintext)
     raise ValueError(f"unknown key backend: {public.backend!r}")

@@ -1,7 +1,8 @@
 """Equivalence properties for the optimised crypto hot paths.
 
 The fast-path implementations (bulk big-int keystream XOR, cached key
-splitting, comb fixed-base exponentiation, the shared-base window tables)
+splitting, ``g``'s window table, the shared-base stores' combs and
+window tables)
 must be *byte-identical* to the straightforward seed-code definitions —
 every wire blob of a fixed-seed simulation is pinned by
 ``tests/integration/test_determinism.py``, so even a single differing
@@ -17,8 +18,8 @@ import hashlib
 
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import dh, stream
-from repro.crypto.dh import GROUP_2048, GROUP_TEST, DHPrivateKey, DHPublicKey
+from repro.crypto import clear_process_caches, dh, stream
+from repro.crypto.dh import GROUP_2048, GROUP_TEST, DHGroup, DHPrivateKey, DHPublicKey
 from repro.crypto.keys import KeyPair, seal
 
 keys = st.binary(min_size=16, max_size=32)
@@ -104,20 +105,37 @@ class TestSealEquivalence:
     def test_dh_seal_open_identical_with_cold_and_warm_kem_cache(
         self, key_seed, plaintext, seal_seed
     ):
-        # The name predates the shared-base store, which took the KEM
+        # The name predates the shared-base stores, which took the KEM
         # cache's place: cold, counted-but-unbuilt (two trials) and
-        # table-built states must all produce the same bytes.
+        # table-built states of both stores must produce the same bytes.
         pair = KeyPair.generate("dh", seed=key_seed)
         dh.clear_base_store()
         blobs, opened = [], []
         for _ in range(dh._BASE_BUILD_AT + 1):
             blobs.append(seal(pair.public, plaintext, seed=seal_seed))
             opened.append(pair.unseal(blobs[-1]))
-        assert all(isinstance(entry, list) for entry in dh._BASE_STORE.values())
+        assert _tables() == _tables(dh._RECIPIENT_STORE) == 1
         dh.clear_base_store()
         assert pair.unseal(blobs[-1]) == plaintext  # cold unseal of a table-sealed blob
         assert set(blobs) == {blobs[0]}
         assert set(opened) == {plaintext}
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=2**60))
+    def test_recipient_table_survives_interleaved_broadcasts(self, key_seed, seal_seed):
+        pair = KeyPair.generate("dh", seed=key_seed)
+        recipient = (GROUP_TEST.prime, GROUP_TEST.exponent_bits, pair.public.dh_value)
+        dh.clear_base_store()
+        blobs = [seal(pair.public, b"layer", seed=seal_seed) for _ in range(dh._BASE_BUILD_AT)]
+        assert isinstance(dh._RECIPIENT_STORE[recipient], list)
+        for value in range(2, 2 + dh._BASE_STORE_MAX + 4):  # broadcasts in flight, each tried thrice
+            for exponent in (3, 5, 7):
+                _secret(GROUP_TEST, exponent, value)
+        assert len(dh._BASE_STORE) == dh._BASE_STORE_MAX
+        assert isinstance(dh._RECIPIENT_STORE[recipient], list)
+        blobs.append(seal(pair.public, b"layer", seed=seal_seed))
+        assert set(blobs) == {blobs[0]}
+        assert pair.unseal(blobs[0]) == b"layer"
 
 
 class TestFixedBasePowEquivalence:
@@ -133,8 +151,8 @@ class TestFixedBasePowEquivalence:
         assert group.fixed_base_pow(exponent) == pow(group.generator, exponent, group.prime)
 
 
-def _secret(group, exponent: int, base: int) -> bytes:
-    return DHPrivateKey(group, exponent).shared_secret(DHPublicKey(group, base))
+def _secret(group, exponent: int, base: int, sealing: bool = False) -> bytes:
+    return DHPrivateKey(group, exponent).shared_secret(DHPublicKey(group, base), sealing=sealing)
 
 
 def _reference_secret(group, exponent: int, base: int) -> bytes:
@@ -143,15 +161,21 @@ def _reference_secret(group, exponent: int, base: int) -> bytes:
     return hashlib.sha256(b"rac/dh-kdf" + raw).digest()
 
 
-def _tables() -> int:
-    return sum(isinstance(entry, list) for entry in dh._BASE_STORE.values())
+def _tables(store=None) -> int:
+    store = dh._BASE_STORE if store is None else store
+    return sum(isinstance(entry, list) for entry in store.values())
+
+
+def _entry(store, group, base):
+    return store.get((group.prime, group.exponent_bits, base))
 
 
 groups = st.sampled_from([GROUP_TEST, GROUP_2048])
+roles = st.sampled_from([False, True])  # sealing: the recipient store, else the broadcast store
 
 
 class TestSharedBaseEquivalence:
-    """``DHPrivateKey.shared_secret`` through the shared-base store is
+    """``DHPrivateKey.shared_secret`` through either shared-base store is
     ``pow`` — in every store state and in any trial order."""
 
     @settings(max_examples=25, deadline=None)
@@ -168,16 +192,50 @@ class TestSharedBaseEquivalence:
         assert _tables() == 1
 
     @settings(max_examples=10, deadline=None)
-    @given(
-        groups,
-        st.integers(min_value=2, max_value=2**512),
-        st.integers(min_value=1, max_value=2**64),
-    )
-    def test_over_long_exponent_falls_back_to_pow(self, group, base, excess):
+    @given(groups, roles, st.integers(min_value=2, max_value=2**512), st.integers(min_value=1, max_value=2**64))
+    def test_over_long_exponent_falls_back_to_pow(self, group, sealing, base, excess):
         exponent = (excess << group.exponent_bits) | 5
         dh.clear_base_store()
-        for _ in range(dh._BASE_BUILD_AT + 1):
-            assert _secret(group, exponent, base) == _reference_secret(group, exponent, base)
+        # counting, tabled at the third trial, walked, and a fresh base tabled at its first
+        for candidate in [base] * (dh._BASE_BUILD_AT + 1) + [base + 1]:
+            assert _secret(group, exponent, candidate, sealing) == _reference_secret(group, exponent, candidate)
+
+    @settings(max_examples=6, deadline=None)
+    @given(groups, roles, st.integers(min_value=2, max_value=2**512))
+    def test_every_store_state_matches_builtin_pow(self, group, sealing, base):
+        # Counting (trials 1-2), tabled at the third, walked after, and a
+        # fresh base tabled at its first trial once the store is eager.
+        store = dh._RECIPIENT_STORE if sealing else dh._BASE_STORE
+        for exponent in (0, 1, (1 << group.exponent_bits) - 1):
+            expected = _reference_secret(group, exponent, base)
+            dh.clear_base_store()
+            for trial in range(1, dh._BASE_BUILD_AT + 2):
+                assert _secret(group, exponent, base, sealing) == expected
+                assert isinstance(_entry(store, group, base), list) == (trial >= dh._BASE_BUILD_AT)
+                assert store.eager == (trial >= dh._BASE_BUILD_AT)
+            fresh = base + 1
+            assert _secret(group, exponent, fresh, sealing) == _reference_secret(group, exponent, fresh)
+            assert isinstance(_entry(store, group, fresh), list)
+
+    @settings(max_examples=8, deadline=None)
+    @given(roles, st.integers(min_value=2, max_value=GROUP_TEST.prime - 2), st.data())
+    def test_groups_sharing_a_prime_keep_their_own_tables(self, sealing, base, data):
+        # A comb's column width is exponent_bits / 8, so a table built
+        # for one group and walked for the other would be wrong: the
+        # store key carries exponent_bits, not just (prime, base).
+        wide = DHGroup(GROUP_TEST.prime, GROUP_TEST.generator, 256)
+        trials = data.draw(
+            st.lists(
+                st.sampled_from([GROUP_TEST, wide]).flatmap(
+                    lambda g: st.tuples(st.just(g), st.integers(min_value=1, max_value=(1 << g.exponent_bits) - 1))
+                ),
+                min_size=8,
+                max_size=12,
+            ).filter(lambda ts: len({g for g, _ in ts[:3]}) == 2)
+        )
+        dh.clear_base_store()
+        for group, exponent in trials:
+            assert _secret(group, exponent, base, sealing) == _reference_secret(group, exponent, base)
 
     @settings(max_examples=15, deadline=None)
     @given(st.data())
@@ -207,17 +265,60 @@ class TestSharedBaseEquivalence:
             assert len(dh._BASE_STORE) <= dh._BASE_STORE_MAX
 
     def test_evicted_base_is_counted_and_built_afresh(self):
+        # The first base is counted and tabled at its third trial; that
+        # makes the store eager, so every later base (the hot one back
+        # from eviction included) is tabled at its first.
         group, exponent = GROUP_TEST, 0xC0FFEE
         hot, *others = range(2, 3 + dh._BASE_STORE_MAX)
         dh.clear_base_store()
-        for round_ in range(2):
-            for trial in range(1, dh._BASE_BUILD_AT + 1):
-                assert _secret(group, exponent, hot) == _reference_secret(group, exponent, hot)
-                assert _tables() == (trial == dh._BASE_BUILD_AT)
-            for base in others:
-                _secret(group, exponent, base)
-            assert (group.prime, hot) not in dh._BASE_STORE
-            assert len(dh._BASE_STORE) == dh._BASE_STORE_MAX
+        for trial in range(1, dh._BASE_BUILD_AT + 1):
+            assert _secret(group, exponent, hot) == _reference_secret(group, exponent, hot)
+            assert _tables() == (trial == dh._BASE_BUILD_AT)
+        for count, base in enumerate(others, start=2):
+            assert _secret(group, exponent, base) == _reference_secret(group, exponent, base)
+            assert _tables() == min(count, dh._BASE_STORE_MAX)
+        assert _entry(dh._BASE_STORE, group, hot) is None
+        assert _secret(group, exponent, hot) == _reference_secret(group, exponent, hot)
+        assert isinstance(_entry(dh._BASE_STORE, group, hot), list)
+        assert _tables() == len(dh._BASE_STORE) == dh._BASE_STORE_MAX
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        roles,
+        st.lists(st.integers(min_value=2, max_value=GROUP_TEST.prime - 2), min_size=2, max_size=12, unique=True),
+        st.integers(min_value=1, max_value=2**160 - 1),
+    )
+    def test_one_base_at_the_threshold_tables_fresh_bases_at_their_first_trial(
+        self, sealing, bases, exponent
+    ):
+        store = dh._RECIPIENT_STORE if sealing else dh._BASE_STORE
+        first, *fresh = bases
+        dh.clear_base_store()
+        for base in fresh:  # one trial each: counted, nothing built
+            _secret(GROUP_TEST, exponent, base, sealing)
+            assert _entry(store, GROUP_TEST, base) == 1
+        for _ in range(dh._BASE_BUILD_AT):
+            _secret(GROUP_TEST, exponent, first, sealing)
+        assert store.eager and _tables(store) == 1
+        for base in fresh:  # counted before the threshold: tabled at the next trial
+            _secret(GROUP_TEST, exponent, base, sealing)
+            assert isinstance(_entry(store, GROUP_TEST, base), list)
+        new = max(bases) + 1
+        assert _secret(GROUP_TEST, exponent, new, sealing) == _reference_secret(GROUP_TEST, exponent, new)
+        assert isinstance(_entry(store, GROUP_TEST, new), list)
+
+    def test_clearing_the_process_caches_returns_the_stores_to_counting(self):
+        for sealing in (False, True):
+            for _ in range(dh._BASE_BUILD_AT):
+                _secret(GROUP_TEST, 0xC0FFEE, 7, sealing)
+        assert dh._BASE_STORE.eager and dh._RECIPIENT_STORE.eager
+        assert dh._comb_columns.cache_info().currsize
+        clear_process_caches()
+        assert dh._comb_columns.cache_info().currsize == 0
+        for store, sealing in ((dh._BASE_STORE, False), (dh._RECIPIENT_STORE, True)):
+            assert not store and not store.eager
+            _secret(GROUP_TEST, 0xC0FFEE, 7, sealing)
+            assert _entry(store, GROUP_TEST, 7) == 1
 
     @settings(max_examples=10, deadline=None)
     @given(

@@ -18,8 +18,9 @@ from repro.core.messages import (
     channel_domain,
     group_domain,
 )
-from repro.core.wire import WireError, decode_message, encode_message
-from repro.crypto.keys import KeyPair
+from repro.core.wire import WireError, decode_message, decode_public_key, encode_message, encode_public_key
+from repro.crypto.dh import GROUP_2048, GROUP_TEST, DHGroup
+from repro.crypto.keys import KeyPair, PublicKey
 
 ids = st.integers(min_value=0, max_value=(1 << 128) - 1)
 gids = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -149,6 +150,58 @@ def test_deeply_nested_join_announce_is_rejected():
         inner = bytes([0x04]) + len(inner).to_bytes(4, "big") + inner + (0).to_bytes(16, "big")
     with pytest.raises(WireError):
         decode_message(inner)
+
+
+# ---------------------------------------------------------------------------
+# DH keys off the wire: a group this build defines and a value in [2, p-2]
+# ---------------------------------------------------------------------------
+
+
+def _dh_key_blob(group: DHGroup, value: int) -> bytes:
+    return encode_public_key(PublicKey("dh", 7, dh_value=value, dh_group=group))
+
+
+@pytest.mark.parametrize("group", [GROUP_TEST, GROUP_2048], ids=["test", "2048"])
+def test_dh_keys_of_the_defined_groups_round_trip(group):
+    key = KeyPair.generate("dh", seed=3, group=group).public
+    assert decode_public_key(encode_public_key(key)) == key
+    for value in (2, group.prime - 2):
+        assert decode_public_key(_dh_key_blob(group, value)).dh_value == value
+
+
+@settings(max_examples=100)
+@given(
+    st.sampled_from([GROUP_TEST, GROUP_2048]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+)
+def test_dh_key_in_a_foreign_group_is_refused(group, generator, exponent_bits, other_prime):
+    # A sealer to a key raises g to exponent_bits-long exponents and
+    # tables its public value: a peer-chosen exponent length of 2**20
+    # took 11 s and 754 MiB per seal, and 2**32 - 1 a 512 MiB shift.
+    prime = group.prime + 2 if other_prime else group.prime
+    forged = DHGroup(prime, generator, exponent_bits)
+    if forged in (GROUP_TEST, GROUP_2048):
+        return
+    with pytest.raises(WireError, match="unknown group"):
+        decode_public_key(_dh_key_blob(forged, 4))
+
+
+@pytest.mark.parametrize("exponent_bits", [2**16, 2**20, 2**32 - 1])
+def test_dh_key_with_a_huge_exponent_length_is_refused(exponent_bits):
+    forged = DHGroup(GROUP_TEST.prime, GROUP_TEST.generator, exponent_bits)
+    with pytest.raises(WireError, match="unknown group"):
+        decode_public_key(_dh_key_blob(forged, 4))
+
+
+@pytest.mark.parametrize("group", [GROUP_TEST, GROUP_2048], ids=["test", "2048"])
+@pytest.mark.parametrize(
+    "primes, offset", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)], ids=["0", "1", "p-1", "p", "p+1"]
+)
+def test_dh_key_with_a_degenerate_value_is_refused(group, primes, offset):
+    with pytest.raises(WireError, match="out of range"):
+        decode_public_key(_dh_key_blob(group, primes * group.prime + offset))
 
 
 # ---------------------------------------------------------------------------

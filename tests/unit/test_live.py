@@ -20,9 +20,11 @@ from repro.core.identity import build_population
 from repro.core.system import RacSystem
 from repro.core.messages import Broadcast, group_domain
 from repro.core.wire import WireError, encode_message
+from repro.crypto.dh import GROUP_TEST, DHGroup
+from repro.crypto.keys import KeyPair, PublicKey
 from repro.live import environment as live_environment
 from repro.live.cluster import LiveCluster, LiveReport
-from repro.live.directory import BootstrapDirectory, DirectoryClient, RosterEntry
+from repro.live.directory import BootstrapDirectory, DirectoryClient, DirectoryError, RosterEntry
 from repro.live.environment import LiveEnvironment, PeerLink
 from repro.live.framing import (
     MAX_FRAME,
@@ -177,6 +179,36 @@ def test_directory_rejects_garbage_without_dying():
     line, count = run(scenario())
     assert b'"ok": false' in line
     assert count == 1
+
+
+def test_directory_refuses_a_dh_key_in_a_foreign_group():
+    # Every node seals onions to the roster's keys: a registered key
+    # that sets its own exponent length would stall each of them.
+    entry = _entries(1)[0]
+    honest = KeyPair.generate("dh", seed=1).public
+    forged = dataclasses.replace(
+        entry,
+        id_key=PublicKey(
+            "dh", honest.key_id, dh_value=honest.dh_value,
+            dh_group=DHGroup(GROUP_TEST.prime, GROUP_TEST.generator, 2**20),
+        ),
+    )
+    with pytest.raises(WireError):
+        RosterEntry.from_json(forged.to_json())
+
+    async def scenario():
+        directory = BootstrapDirectory()
+        await directory.start()
+        client = DirectoryClient(*directory.address)
+        try:
+            with pytest.raises(DirectoryError, match="unknown group"):
+                await client.register(forged)
+            return await client.register(entry), directory.roster()
+        finally:
+            await directory.close()
+
+    count, roster = run(scenario())
+    assert count == 1 and roster == [entry]
 
 
 # ---------------------------------------------------------------------------

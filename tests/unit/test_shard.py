@@ -13,7 +13,7 @@ import pytest
 from repro.core.config import RacConfig, check_timers
 from repro.core.system import RacSystem
 from repro.crypto import clear_process_caches
-from repro.crypto.dh import _BASE_STORE
+from repro.crypto import dh
 from repro.groups import (
     BundleDirectory,
     GroupSpec,
@@ -311,27 +311,43 @@ class TestShardSystem:
 class TestShardCacheHygiene:
     """Satellite: a worker picking up a shard must start cache-cold."""
 
+    POISON = (0xDEAD, 160, 0xBEEF)  # no such (prime, exponent_bits, base)
+
+    def _poison(self):
+        # Both stores eager, one entry each, one column recoding cached.
+        for store in (dh._BASE_STORE, dh._RECIPIENT_STORE):
+            store[self.POISON] = 1
+            store.eager = True
+        dh._comb_columns(0xC0FFEE, 20)
+
+    def _assert_cold(self):
+        for store in (dh._BASE_STORE, dh._RECIPIENT_STORE):
+            assert self.POISON not in store
+            assert not store.eager, "a store left eager would table bases at their first trial"
+        assert dh._comb_columns.cache_info().currsize == 0
+
     def test_run_shard_epoch_clears_stale_process_caches(self, tmp_path):
         from repro.orchestrator.sharded import run_sharded
 
-        poison_key = (0xDEAD, 0xBEEF)  # no such (prime, base)
-        _BASE_STORE[poison_key] = 1
+        self._poison()
         try:
             spec = ScaleSpec(nodes=8, num_shards=1, seed=5, horizon=0.5, epoch=0.5)
             run_sharded(spec, str(tmp_path / "run"), serial=True)
             # run_shard_epoch resets process caches at shard pickup even
-            # on the inline path, so the pre-existing entry cannot have
-            # survived into (or influenced) the shard's run.
-            assert poison_key not in _BASE_STORE
+            # on the inline path, so the pre-existing entries cannot have
+            # survived into (or influenced) the shard's run (sim keys: it
+            # adds none of its own).
+            self._assert_cold()
         finally:
             clear_process_caches()
 
     def test_worker_reset_hook_covers_kem_cache(self):
         from repro.orchestrator.workloads import reset_worker_caches
 
-        _BASE_STORE[(0xDEAD, 0xBEEF)] = 1
+        self._poison()
         reset_worker_caches()
-        assert not _BASE_STORE
+        assert not dh._BASE_STORE and not dh._RECIPIENT_STORE
+        self._assert_cold()
 
 
 class TestShardSnapshots:
