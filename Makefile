@@ -1,6 +1,7 @@
 # Convenience targets for the RAC reproduction.
 
 PYTHON ?= python
+REPRO = PYTHONPATH=src $(PYTHON) -m repro
 
 .PHONY: install test test-fast bench bench-pairs ci-bench-smoke sweep-smoke live-smoke chaos-smoke campaign-smoke coalition-smoke scale-smoke pubsub-smoke topo-smoke report examples ci clean
 
@@ -26,39 +27,39 @@ bench-pairs:  # N alternating parent/change runs of one rac_bench workload: medi
 ci-bench-smoke:  # fail if seal/peel, DH trial-peel, shard-snapshot, bare-engine or per-segment cost regressed >2x vs BENCH_protocol.json at its host speed, a storm packet costs >2.2 events, a 0.3 s flood window runs >60 cycle-collector passes, or a sealed DH layer tried by 24 keys costs >1 full-length pow
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_smoke.py -q
 
-SWEEP_SMOKE = PYTHONPATH=src $(PYTHON) -m repro sweep run --run-dir results/sweep_smoke \
+SWEEP_SMOKE = $(REPRO) sweep run --run-dir results/sweep_smoke \
 	--experiment protocol --axis nodes=4,6 --seeds 0,1 --base duration=1.0 --base messages=1
 sweep-smoke:  # 2x2 sweep on 2 workers with one injected crash; must recover, and re-entering it serially must run nothing
 	rm -rf results/sweep_smoke
 	$(SWEEP_SMOKE) --workers 2 --checkpoint-interval 0.5 --inject-crash 1
 	$(SWEEP_SMOKE) --serial | grep "4/4 cells ok"
 	test `wc -l < results/sweep_smoke/results.jsonl` -eq 4
-	PYTHONPATH=src $(PYTHON) -m repro sweep status --run-dir results/sweep_smoke
-	PYTHONPATH=src $(PYTHON) -m repro sweep aggregate --run-dir results/sweep_smoke \
+	$(REPRO) sweep status --run-dir results/sweep_smoke
+	$(REPRO) sweep aggregate --run-dir results/sweep_smoke \
 		--metric events_processed --by nodes
 
 live-smoke:  # 8 live nodes over real TCP for ~10s; >=1 delivery, 0 evictions, 0 rejected/oversize frames, 0 dispatch errors
-	PYTHONPATH=src $(PYTHON) -m repro live demo --nodes 8 --duration 10 --check
+	$(REPRO) live demo --nodes 8 --duration 10 --check
 
 chaos-smoke:  # seeded crash-restart + partition on a 6-node live cluster, invariant-checked
-	PYTHONPATH=src $(PYTHON) -m repro chaos run --substrate live --plan smoke \
+	$(REPRO) chaos run --substrate live --plan smoke \
 		--nodes 6 --horizon 15 --seed 0 --check
 
 campaign-smoke:  # 2 strategies x 2 fault plans x 1 loss point, pool + injected crash
 	rm -rf results/campaign_smoke
-	PYTHONPATH=src $(PYTHON) -m repro campaign run --run-dir results/campaign_smoke \
+	$(REPRO) campaign run --run-dir results/campaign_smoke \
 		--spec smoke --workers 2 --inject-crash 1
-	PYTHONPATH=src $(PYTHON) -m repro campaign report --run-dir results/campaign_smoke --check
+	$(REPRO) campaign report --run-dir results/campaign_smoke --check
 
 coalition-smoke:  # 2 coordinated strategies x {none, storm}, 2-member sub-f*G coalition, crash-resumed
 	rm -rf results/coalition_smoke
-	PYTHONPATH=src $(PYTHON) -m repro campaign run --run-dir results/coalition_smoke \
+	$(REPRO) campaign run --run-dir results/coalition_smoke \
 		--spec coalition-smoke --workers 2 --inject-crash 1
-	PYTHONPATH=src $(PYTHON) -m repro campaign report --run-dir results/coalition_smoke --check
+	$(REPRO) campaign report --run-dir results/coalition_smoke --check
 
 scale-smoke:  # sharded N=64 on 2 workers == monolithic; pool and serial fingerprints identical
 	rm -rf results/scale_smoke
-	PYTHONPATH=src $(PYTHON) -m repro scale run --run-dir results/scale_smoke/pool \
+	$(REPRO) scale run --run-dir results/scale_smoke/pool \
 		--nodes 64 --shards 2 --seed 7 --horizon 2.0 --workers 2 --verify
 	PYTHONPATH=src $(PYTHON) -c "import json; \
 		from repro.orchestrator.sharded import load_sharded_manifest, run_sharded; \
@@ -70,19 +71,19 @@ scale-smoke:  # sharded N=64 on 2 workers == monolithic; pool and serial fingerp
 	rm -rf results/scale_smoke
 
 pubsub-smoke:  # live pub/sub: dynamic join -> split, leaves -> dissolve, 0 evictions, delivery parity
-	PYTHONPATH=src $(PYTHON) -m repro pubsub bench --nodes 6 --seed 0 --check
+	$(REPRO) pubsub bench --nodes 6 --seed 0 --check
 
 topo-smoke:  # wan-king on both substrates, invariant-checked, + lan==bare-star equivalence gate
-	PYTHONPATH=src $(PYTHON) -m repro topo verify
-	PYTHONPATH=src $(PYTHON) -m repro topo run --preset wan-king --substrate both \
+	$(REPRO) topo verify
+	$(REPRO) topo run --preset wan-king --substrate both \
 		--nodes 6 --horizon 12 --seed 0 --check
 
 report:
-	PYTHONPATH=src $(PYTHON) -m repro results make full_report
+	$(REPRO) results make full_report
 
 ci:  # what .github/workflows/ci.yml runs
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
-	PYTHONPATH=src $(PYTHON) -m repro results check  # every pinned+fast results/*.txt rebuilt in memory, diffed against the committed file, gated
+	$(REPRO) results check  # every pinned+fast results/*.txt rebuilt in memory, diffed against the committed file, gated
 	$(MAKE) sweep-smoke
 	$(MAKE) live-smoke
 	$(MAKE) chaos-smoke

@@ -29,10 +29,11 @@ from .frontier import (
 )
 from .runner import campaign_report, run_campaign
 from .scoring import run_campaign_cell
-from .spec import CAMPAIGN_EXPERIMENT, CampaignSpec
+from .spec import CAMPAIGN_EXPERIMENT, CANNED_CAMPAIGNS, CampaignSpec
 
 __all__ = [
     "CAMPAIGN_EXPERIMENT",
+    "CANNED_CAMPAIGNS",
     "DEFAULT_BLACKLIST_POLLUTION_THRESHOLD",
     "CampaignSpec",
     "CellAggregate",

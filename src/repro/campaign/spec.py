@@ -25,7 +25,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from ..orchestrator.grid import SweepGrid
 from ..scenario import Scenario
 
-__all__ = ["CAMPAIGN_EXPERIMENT", "CampaignSpec", "describe_grid"]
+__all__ = ["CAMPAIGN_EXPERIMENT", "CANNED_CAMPAIGNS", "CampaignSpec", "describe_grid"]
 
 #: The registered workload every campaign cell runs through; a run
 #: directory whose grid names it is a campaign directory.
@@ -268,3 +268,14 @@ class CampaignSpec:
             seeds=tuple(seeds),
             horizon=14.0,
         )
+
+
+#: The canned matrices by the name ``repro campaign run --spec`` takes:
+#: smoke = CI mini-matrix, full = the committed artefact, coalition =
+#: the colluding-fraction sweep, coalition-smoke = its CI mini version.
+CANNED_CAMPAIGNS = {
+    "smoke": CampaignSpec.smoke,
+    "full": CampaignSpec.full,
+    "coalition": CampaignSpec.coalition,
+    "coalition-smoke": CampaignSpec.coalition_smoke,
+}

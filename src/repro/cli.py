@@ -20,924 +20,68 @@
 ``results`` is the one door to the committed ``results/*.txt`` files
 (:mod:`repro.experiments.artefacts`); ``fig1``, ``claims``, ``nash``,
 ``ablation`` and ``report`` print the text of their row.
+
+Every verb takes one path: registry entry → spec → run → render/check.
+Each flag group is declared once, by the registry it fronts (HARNESSES
+rows, CampaignSpec and ScaleSpec fields, the pool). A verb's builder
+makes the spec and binds the run to it; it is the one place input is
+judged: a rejected argument is one stderr line and exit 2, before
+anything runs or is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import sys
-from typing import List, Optional
+import typing
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from .campaign import campaign_report
+from .campaign.spec import CAMPAIGN_EXPERIMENT, CANNED_CAMPAIGNS, CampaignSpec, describe_grid
+from .chaos.plan import CANNED_PLANS, canned_plan
+from .experiments import artefacts
+from .experiments.empirical import measure_rac_throughput
+from .experiments.fig2_trace import trace_dissemination
+from .experiments.fig3 import figure3
+from .experiments.runner import Table
+from .experiments.table1 import table1
+from .freeride.registry import BEHAVIORS, UnknownBehaviorError
+from .orchestrator import SweepGrid, open_run, start_run
+from .orchestrator.workloads import UnknownWorkloadError, resolve_workload
+from .pubsub.capacity import capacity_table, render_capacity_table
+from .scenario import HARNESSES, Scenario, run_scenario
+from .simnet.shard import ScaleSpec
+from .topo.model import PRESET_NAMES, PRESETS, preset
 
 __all__ = ["main", "build_parser"]
 
+#: What a verb's builder returns: the run, bound to its spec; it prints
+#: and returns the exit status (None is 0).
+Run = Callable[[], Optional[int]]
 
-def _scenario_flags(
-    p: argparse.ArgumentParser, *, nodes: int, seconds, check: str, substrates: "Optional[str]" = None
-) -> None:
-    """The flags every judged scenario command shares (`live demo`,
-    `chaos run`, `topo run`); ``seconds`` is (flag, default, help)."""
-    flag, default, what = seconds
-    if substrates is not None:
-        p.add_argument("--substrate", choices=("sim", "live", "both"), default="sim", help=substrates)
-    p.add_argument("--nodes", type=int, default=nodes, help=f"population size (default {nodes})")
-    p.add_argument(flag, type=float, default=default, help=f"{what} (default {default:g})")
-    p.add_argument("--seed", type=int, default=0, help="population, plan and traffic seed (default 0)")
-    p.add_argument(
-        "--port-base",
-        type=int,
-        default=None,
-        metavar="P",
-        help="live substrate: bind node i to port P+i (default: ephemeral ports)",
-    )
-    p.add_argument("--check", action="store_true", help=check)
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose rejection is one stderr line, not a usage block."""
 
-def _run_and_report(
-    args: argparse.Namespace,
-    harness: str,
-    flags: "tuple",
-    expect: str = "invariant violation(s) above",
-    passed=lambda outcome: outcome.ok,
-) -> int:
-    """One scenario of ``harness`` per requested substrate, built from
-    the named ``flags``: run, print; with ``--check`` exit 1 unless all
-    ``passed``. A field a substrate would drop exits 2 before any run."""
-    from .scenario import HARNESSES, Scenario, UnsupportedOnSubstrate, run_scenario
+    def error(self, message: str) -> "typing.NoReturn":
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
-    chosen = getattr(args, "substrate", HARNESSES[harness].get("substrate"))
-    substrates = ("sim", "live") if chosen == "both" else (chosen,)
-    params = {flag: getattr(args, flag) for flag in flags}
-    try:
-        scenarios = [
-            Scenario.from_params({**params, "substrate": substrate}, args.seed, harness)
-            for substrate in substrates
-        ]
-        for substrate, scenario in zip(substrates, scenarios):
-            scenario.check_substrate(substrate)
-    except UnsupportedOnSubstrate as exc:
-        print(exc)
-        return 2
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    failed = False
-    for substrate, scenario in zip(substrates, scenarios):
-        outcome = run_scenario(scenario, substrate, port_base=args.port_base)
-        print(outcome.render())
-        failed = failed or not passed(outcome)
-    if args.check and failed:
-        print(f"{args.command} run FAILED: {expect}")
-        return 1
-    return 0
 
+# -- value parsers (argparse names each in its one-line rejection) ------------
+def _csv(cast) -> "Callable[[str], tuple]":
+    """``V1,V2,...`` → a tuple of ``cast`` values."""
 
-def build_parser() -> argparse.ArgumentParser:
-    from .chaos.plan import CANNED_PLANS
+    def parse(text: str) -> tuple:
+        return tuple(cast(v) for v in text.split(",") if v != "")
 
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="RAC (ICDCS 2013) reproduction - regenerate paper figures and tables",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="run the command under cProfile and print the top 25 functions "
-        "by cumulative time to stderr (hot-path triage for the simulator)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    parse.__name__ = f"comma-separated {getattr(cast, '__name__', 'value')}"
+    return parse
 
-    sub.add_parser("fig1", help="Figure 1: Dissent v1/v2 throughput vs N")
 
-    fig3 = sub.add_parser("fig3", help="Figure 3: RAC vs baselines throughput vs N")
-    fig3.add_argument("--group-size", type=int, default=1000, help="G (default 1000)")
-    fig3.add_argument("--relays", type=int, default=5, help="L (default 5)")
-    fig3.add_argument("--rings", type=int, default=7, help="R (default 7)")
-
-    table1 = sub.add_parser("table1", help="Table I: anonymity guarantees")
-    table1.add_argument("--nodes", type=int, default=100_000, help="N (default 100000)")
-    table1.add_argument("--group-size", type=int, default=1000, help="G (default 1000)")
-
-    sub.add_parser("claims", help="scoreboard of every in-text numeric claim")
-    sub.add_parser("nash", help="Section V-B Nash deviation analysis")
-    sub.add_parser("ablation", help="L/R/G anonymity-vs-performance sweeps")
-
-    trace = sub.add_parser("trace", help="Figure 2: one onion's dissemination, traced")
-    trace.add_argument("--population", type=int, default=10)
-    trace.add_argument("--seed", type=int, default=7)
-
-    measure = sub.add_parser("measure", help="packet-level RAC throughput measurement")
-    measure.add_argument("--nodes", type=int, default=10)
-    measure.add_argument("--duration", type=float, default=2.0)
-    measure.add_argument("--seed", type=int, default=3)
-
-    sub.add_parser("report", help="full reproduction report (all paper artefacts in one text)")
-
-    results = sub.add_parser(
-        "results",
-        help="the committed results/*.txt artefacts: `list` the registry, `make` rows (rebuild "
-        "and write their files), `check` rows (rebuild in memory, run their gates, diff pinned "
-        "rows against results/; default: every pinned+fast row)",
-    )
-    results.add_argument("action", choices=("list", "make", "check"))
-    results.add_argument("names", nargs="*", metavar="NAME", help="registry rows")
-
-    sweep = sub.add_parser(
-        "sweep", help="parallel (config x seed) sweep campaigns with checkpoint/resume"
-    )
-    sweep_sub = sweep.add_subparsers(dest="sweep_command", required=True)
-
-    run = sweep_sub.add_parser("run", help="launch a new sweep campaign")
-    run.add_argument("--run-dir", required=True, help="campaign directory (manifest, store, checkpoints)")
-    run.add_argument("--experiment", required=True, help="registered workload name (e.g. protocol)")
-    run.add_argument(
-        "--axis",
-        action="append",
-        default=[],
-        metavar="NAME=V1,V2,...",
-        help="swept parameter axis; repeatable",
-    )
-    run.add_argument("--seeds", default="0", help="comma-separated seed list (default: 0)")
-    run.add_argument(
-        "--base",
-        action="append",
-        default=[],
-        metavar="NAME=VALUE",
-        help="constant parameter shared by every cell; repeatable",
-    )
-    run.add_argument("--workers", type=int, default=2, help="worker processes (default 2)")
-    run.add_argument(
-        "--checkpoint-interval",
-        type=float,
-        default=None,
-        metavar="SIM_SECONDS",
-        help="snapshot long runs every N sim-seconds (default: off)",
-    )
-    run.add_argument("--max-retries", type=int, default=2, help="extra attempts per crashed cell")
-    run.add_argument(
-        "--timeout", type=float, default=None, help="wall-seconds before a worker counts as hung"
-    )
-    run.add_argument("--serial", action="store_true", help="run in-process without the worker pool")
-    run.add_argument(
-        "--inject-crash",
-        type=int,
-        default=0,
-        metavar="K",
-        help="chaos-test: kill the first attempt of the first K pending cells",
-    )
-
-    resume = sweep_sub.add_parser("resume", help="continue an interrupted campaign")
-    resume.add_argument("--run-dir", required=True)
-    resume.add_argument("--workers", type=int, default=None, help="override manifest worker count")
-
-    status = sweep_sub.add_parser("status", help="progress of a campaign")
-    status.add_argument("--run-dir", required=True)
-
-    aggregate = sweep_sub.add_parser("aggregate", help="summarize a campaign's result store")
-    aggregate.add_argument("--run-dir", required=True)
-    aggregate.add_argument("--metric", required=True, help="metric name to aggregate")
-    aggregate.add_argument("--by", default="seed", help="group rows by this parameter (default: seed)")
-
-    live = sub.add_parser("live", help="asyncio runtime: RAC nodes over real TCP sockets")
-    live_sub = live.add_subparsers(dest="live_command", required=True)
-
-    demo = live_sub.add_parser("demo", help="run a live cluster on localhost and report")
-    _scenario_flags(
-        demo,
-        nodes=8,
-        seconds=("--duration", 10.0, "wall seconds"),
-        check="exit nonzero unless >=1 delivery, 0 evictions and 0 rejected or unsendable frames (CI smoke contract)",
-    )
-    demo.add_argument(
-        "--messages", type=int, default=2, help="anonymous messages queued per node (default 2)"
-    )
-    demo.add_argument(
-        "--subprocess",
-        action="store_true",
-        help="one worker process per node instead of asyncio tasks",
-    )
-
-    chaos = sub.add_parser(
-        "chaos", help="scripted fault plans with invariant-checked runs on sim or live"
-    )
-    chaos_sub = chaos.add_subparsers(dest="chaos_command", required=True)
-
-    chaos_run = chaos_sub.add_parser(
-        "run", help="play one fault plan on a substrate and judge the invariants"
-    )
-    _scenario_flags(
-        chaos_run,
-        nodes=6,
-        seconds=("--horizon", 18.0, "plan horizon / run seconds"),
-        check="exit nonzero on any invariant violation (CI smoke contract)",
-        substrates="where the plan runs (default sim; 'both' runs the same plan twice)",
-    )
-    chaos_run.add_argument(
-        "--plan",
-        choices=CANNED_PLANS,
-        default="smoke",
-        help="canned timeline: none = no faults; smoke = 1 crash-restart + 1 "
-        "partition; storm = seeded random fault mix (default smoke)",
-    )
-    chaos_run.add_argument(
-        "--heal-bound",
-        type=float,
-        default=4.0,
-        help="seconds after each fault heals within which delivery must resume",
-    )
-
-    chaos_plan = chaos_sub.add_parser("plan", help="print a plan's timeline and fingerprint")
-    chaos_plan.add_argument("--plan", choices=CANNED_PLANS, default="smoke")
-    chaos_plan.add_argument("--nodes", type=int, default=6)
-    chaos_plan.add_argument("--horizon", type=float, default=18.0)
-    chaos_plan.add_argument("--seed", type=int, default=0)
-
-    campaign = sub.add_parser(
-        "campaign",
-        help="adversarial matrix: strategies x fault plans x loss points, "
-        "scored into an accountability frontier",
-    )
-    campaign_sub = campaign.add_subparsers(dest="campaign_command", required=True)
-
-    crun = campaign_sub.add_parser("run", help="expand a campaign spec and run it on the pool")
-    crun.add_argument("--run-dir", required=True, help="campaign directory (manifest, store)")
-    crun.add_argument(
-        "--spec",
-        choices=("smoke", "full", "coalition", "coalition-smoke"),
-        default=None,
-        help="start from a canned matrix (smoke = CI mini-matrix, full = "
-        "the committed artefact, coalition = the colluding-fraction sweep, "
-        "coalition-smoke = its CI mini version); explicit axis flags "
-        "override its fields",
-    )
-    crun.add_argument(
-        "--strategies", default=None, help="comma-separated behaviour registry names"
-    )
-    crun.add_argument("--plans", default=None, help="comma-separated fault plans (none,smoke,storm)")
-    crun.add_argument("--loss", default=None, help="comma-separated link-loss intensities")
-    crun.add_argument("--nodes", default=None, help="comma-separated group sizes")
-    crun.add_argument(
-        "--topologies",
-        default=None,
-        help="comma-separated topology presets (lan,wan-king,hetero-access,"
-        "planet-diurnal) — the network-shape axis (default lan)",
-    )
-    crun.add_argument("--seeds", default=None, help="comma-separated seed list")
-    crun.add_argument(
-        "--coalition-fraction",
-        default=None,
-        help="comma-separated colluding fractions in (0, 0.5) — plants "
-        "round(fraction x nodes) coordinated deviants per cell (coalition "
-        "strategies only)",
-    )
-    crun.add_argument(
-        "--coalition-size",
-        default=None,
-        help="comma-separated coalition member counts; converted to "
-        "fractions against the single --nodes value (mutually exclusive "
-        "with --coalition-fraction)",
-    )
-    crun.add_argument(
-        "--shuffle-rounds",
-        type=int,
-        default=None,
-        help="minimum blacklist-shuffle rounds per cell (derives the "
-        "blacklist period from the horizon)",
-    )
-    crun.add_argument("--horizon", type=float, default=None, help="per-cell sim seconds")
-    crun.add_argument(
-        "--detection-bound",
-        type=float,
-        default=None,
-        help="sim-seconds by which a detectable misbehaver must be evicted "
-        "(default: the horizon)",
-    )
-    crun.add_argument("--heal-bound", type=float, default=None, help="liveness bound (seconds)")
-    crun.add_argument("--workers", type=int, default=2, help="worker processes (default 2)")
-    crun.add_argument("--serial", action="store_true", help="run in-process without the pool")
-    crun.add_argument(
-        "--inject-crash",
-        type=int,
-        default=0,
-        metavar="K",
-        help="chaos-test: kill the first attempt of the first K pending cells",
-    )
-    crun.add_argument("--max-retries", type=int, default=2, help="extra attempts per crashed cell")
-    crun.add_argument(
-        "--timeout", type=float, default=None, help="wall-seconds before a worker counts as hung"
-    )
-
-    creport = campaign_sub.add_parser(
-        "report", help="fold the result store into the accountability frontier"
-    )
-    creport.add_argument("--run-dir", required=True)
-    creport.add_argument("--out", default=None, help="also write the frontier to this file")
-    creport.add_argument(
-        "--check",
-        action="store_true",
-        help="exit nonzero unless the baseline is sound and no cell anywhere "
-        "evicted an honest node (CI smoke contract)",
-    )
-
-    topo = sub.add_parser(
-        "topo",
-        help="WAN topology models: fingerprinted latency/bandwidth presets "
-        "played on either substrate",
-    )
-    topo_sub = topo.add_subparsers(dest="topo_command", required=True)
-
-    topo_sub.add_parser("list", help="list the canned topology presets")
-
-    tshow = topo_sub.add_parser("show", help="describe one preset (fingerprint, classes)")
-    tshow.add_argument("--preset", required=True, help="preset name (see `repro topo list`)")
-    tshow.add_argument("--nodes", type=int, default=10, help="population size (default 10)")
-    tshow.add_argument("--seed", type=int, default=0, help="preset sampler seed (default 0)")
-    tshow.add_argument(
-        "--matrix", action="store_true", help="also print the full latency matrix"
-    )
-
-    trun = topo_sub.add_parser(
-        "run", help="play one topology on a substrate and judge the invariants"
-    )
-    trun.add_argument(
-        "--preset", dest="topology", required=True, help="preset name (see `repro topo list`)"
-    )
-    _scenario_flags(
-        trun,
-        nodes=10,
-        seconds=("--horizon", 12.0, "run seconds"),
-        check="exit nonzero on any invariant violation (CI smoke contract)",
-        substrates="where the model runs (default sim; 'both' runs it twice)",
-    )
-    trun.add_argument(
-        "--topology-seed", type=int, default=0, help="preset sampler seed (default 0)"
-    )
-    trun.add_argument(
-        "--deviant",
-        default="honest",
-        help="behaviour registry name to plant (sim only: exit 2 on live; default honest)",
-    )
-    trun.add_argument(
-        "--timer-scale",
-        type=float,
-        default=1.0,
-        help="misbehaviour timers x this factor (default 1.0)",
-    )
-    trun.add_argument(
-        "--no-contract",
-        dest="enforce_contract",
-        action="store_false",
-        help="bypass the topology timer contract (the false-positive probe)",
-    )
-    trun.add_argument(
-        "--churn",
-        action="store_true",
-        help="compile the model's diurnal churn trace onto the run",
-    )
-
-    topo_sub.add_parser(
-        "verify",
-        help="lan-equivalence gate: the lan preset must be byte-identical "
-        "to running with no topology at all",
-    )
-
-    scale = sub.add_parser(
-        "scale",
-        help="group-sharded parallel simulation: one deterministic "
-        "sub-simulator per group bundle, merged at epoch barriers",
-    )
-    scale_sub = scale.add_subparsers(dest="scale_command", required=True)
-
-    def _scale_spec_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--nodes", type=int, default=64, help="population size (default 64)")
-        p.add_argument("--shards", type=int, default=2, help="sub-simulators (default 2)")
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--horizon", type=float, default=4.0, help="sim seconds (default 4)")
-        p.add_argument("--epoch", type=float, default=1.0, help="barrier period (default 1)")
-        p.add_argument(
-            "--messages", type=int, default=1, help="messages per node pair (default 1)"
-        )
-        p.add_argument("--group-max", type=int, default=16, help="group split bound (default 16)")
-        p.add_argument(
-            "--deviant",
-            action="append",
-            default=[],
-            metavar="INDEX=BEHAVIOR",
-            help="plant a freeride behaviour at a 1-based creation index; repeatable",
-        )
-
-    srun = scale_sub.add_parser("run", help="run a sharded simulation on the worker pool")
-    srun.add_argument("--run-dir", required=True, help="run directory (barriers, snapshots, store)")
-    _scale_spec_flags(srun)
-    srun.add_argument("--workers", type=int, default=2, help="worker processes (default 2)")
-    srun.add_argument("--serial", action="store_true", help="run shards in-process, no pool")
-    srun.add_argument(
-        "--inject-crash",
-        type=int,
-        default=0,
-        metavar="K",
-        help="chaos-test: kill the first attempt of the first K shard cells",
-    )
-    srun.add_argument(
-        "--verify",
-        action="store_true",
-        help="also run the monolithic simulation and assert outcome equivalence",
-    )
-
-    sverify = scale_sub.add_parser(
-        "verify", help="serial sharded run + monolithic run, compared for equivalence"
-    )
-    sverify.add_argument(
-        "--run-dir", default=None, help="run directory (default: a fresh temp dir)"
-    )
-    _scale_spec_flags(sverify)
-
-    pubsub = sub.add_parser(
-        "pubsub",
-        help="anonymous pub/sub service over the live runtime: topics, "
-        "puzzle-gated joins, live group splits/dissolves",
-    )
-    pubsub_sub = pubsub.add_subparsers(dest="pubsub_command", required=True)
-
-    pserve = pubsub_sub.add_parser(
-        "serve", help="run the service on localhost and accept client frames"
-    )
-    pserve.add_argument("--nodes", type=int, default=6, help="bootstrap size (default 6)")
-    pserve.add_argument("--seed", type=int, default=0, help="population seed (default 0)")
-    pserve.add_argument(
-        "--api-port", type=int, default=0, help="client API port (default: ephemeral)"
-    )
-    pserve.add_argument(
-        "--port-base",
-        type=int,
-        default=None,
-        metavar="P",
-        help="bind node i to port P+i (default: ephemeral ports)",
-    )
-    pserve.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="wall seconds to serve (default: until Ctrl-C)",
-    )
-
-    pbench = pubsub_sub.add_parser(
-        "bench", help="scripted join/subscribe/publish/leave scenario + report"
-    )
-    pbench.add_argument("--nodes", type=int, default=6, help="bootstrap size (default 6)")
-    pbench.add_argument("--seed", type=int, default=0, help="population seed (default 0)")
-    pbench.add_argument(
-        "--settle", type=float, default=3.0, help="seconds between scenario phases (default 3)"
-    )
-    pbench.add_argument(
-        "--port-base",
-        type=int,
-        default=None,
-        metavar="P",
-        help="bind node i to port P+i (default: ephemeral ports)",
-    )
-    pbench.add_argument(
-        "--check",
-        action="store_true",
-        help="exit nonzero unless >=1 live split, >=1 dissolve, 0 evictions "
-        "and delivery parity hold (CI smoke contract)",
-    )
-
-    pubsub_sub.add_parser("capacity", help="groups x members -> msg/s capacity planning table")
-
-    return parser
-
-
-def main(argv: "Optional[List[str]]" = None) -> int:
-    from .orchestrator.pool import RunDirError
-
-    try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        if getattr(args, "serial", False) and getattr(args, "inject_crash", 0):
-            parser.error("--inject-crash kills a worker process; it cannot be combined with --serial")
-        if args.profile and args.command != "scale":
-            return _profiled_dispatch(args)
-        # `scale` profiles per shard inside the workers (one dump per
-        # shard id plus a merged report) rather than wrapping the
-        # coordinator: two enabled cProfile instances in one process
-        # is an error, and the coordinator does no simulation work.
-        return _dispatch(args)
-    except BrokenPipeError:
-        # Piping into `head` etc. closes stdout early; not an error.
-        return 0
-    except RunDirError as exc:
-        # A missing, foreign or already-taken --run-dir: one line, not a traceback.
-        print(exc, file=sys.stderr)
-        return 2
-
-
-def _profiled_dispatch(args: argparse.Namespace) -> int:
-    """Run the command under cProfile; stats go to stderr so stdout
-    stays the command's own text (an artefact table, for a row command)."""
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        return _dispatch(args)
-    finally:
-        profiler.disable()
-        stats = pstats.Stats(profiler, stream=sys.stderr)
-        stats.sort_stats("cumulative").print_stats(25)
-
-
-#: Commands that print one registry row's text (exit 1 if its gate fails).
-_ROW_COMMANDS = {
-    "fig1": "figure1",
-    "claims": "text_claims",
-    "nash": "nash_analysis",
-    "ablation": "ablation",
-    "report": "full_report",
-}
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command in _ROW_COMMANDS:
-        from .experiments.artefacts import show
-
-        text, failures = show(_ROW_COMMANDS[args.command])
-        print(text)
-        if failures:
-            print("\n".join(failures), file=sys.stderr)
-            return 1
-    elif args.command == "results":
-        return _dispatch_results(args)
-    elif args.command == "fig3":
-        from .experiments.fig3 import figure3
-
-        print(
-            figure3(
-                group_size=args.group_size, num_relays=args.relays, num_rings=args.rings
-            ).render()
-        )
-    elif args.command == "table1":
-        from .experiments.table1 import table1
-
-        print(table1(N=args.nodes, G=args.group_size).render())
-    elif args.command == "trace":
-        from .experiments.fig2_trace import trace_dissemination
-
-        trace = trace_dissemination(population=args.population, seed=args.seed)
-        print(trace.narrative())
-    elif args.command == "sweep":
-        return _dispatch_sweep(args)
-    elif args.command == "live":
-        return _dispatch_live(args)
-    elif args.command == "chaos":
-        return _dispatch_chaos(args)
-    elif args.command == "campaign":
-        return _dispatch_campaign(args)
-    elif args.command == "topo":
-        return _dispatch_topo(args)
-    elif args.command == "scale":
-        return _dispatch_scale(args)
-    elif args.command == "pubsub":
-        return _dispatch_pubsub(args)
-    elif args.command == "measure":
-        from .experiments.empirical import measure_rac_throughput
-
-        m = measure_rac_throughput(
-            args.nodes, warmup=0.5, duration=args.duration, seed=args.seed
-        )
-        print(
-            f"N={m.nodes}: measured {m.measured_bps_per_node:,.0f} b/s per node, "
-            f"model {m.model_bps_per_node:,.0f} b/s, efficiency {m.efficiency:.2f}, "
-            f"{m.deliveries} deliveries, {m.evictions} evictions"
-        )
-    return 0
-
-
-def _dispatch_results(args: argparse.Namespace) -> int:
-    from .experiments import artefacts
-
-    if args.action == "list":
-        print(artefacts.render_index())
-        return 0
-    unknown = sorted(set(args.names) - set(artefacts.ARTEFACTS))
-    if unknown or (args.action == "make" and not args.names):
-        raise SystemExit(f"results {args.action}: name rows of `repro results list`, not {unknown}")
-    if args.action == "make":
-        failures = artefacts.make(args.names)
-        print("wrote", *(file for name in args.names for file in artefacts.ARTEFACTS[name].files))
-    else:
-        failures = artefacts.check(args.names or None)
-    print("\n".join(failures + [f"results {args.action} " + ("FAILED" if failures else "OK")]))
-    return 1 if failures else 0
-
-
-def _dispatch_live(args: argparse.Namespace) -> int:
-    # what a run without faults leaves at zero: malformed connections or
-    # records, frames no link can carry, node bugs caught at dispatch
-    unclean = "live_inbound_rejected live_frames_rejected live_frames_dropped_oversize live_dispatch_errors"
-    expect = "expected >=1 delivery, 0 evictions, 0 errors, 0 of " + unclean
-
-    def clean(counters) -> bool:
-        return not any(counters.get(name) for name in unclean.split())
-
-    if args.subprocess:
-        from .live.cluster import run_subprocess_demo
-
-        report = run_subprocess_demo(
-            args.nodes,
-            args.duration,
-            seed=args.seed,
-            messages=args.messages,
-            port_base=args.port_base,
-        )
-        print(report.render())
-        ok = report.deliveries >= 1 and not report.evicted and not report.errors
-        if args.check and not (ok and clean(report.counters())):
-            print(f"live run FAILED: {expect}")
-            return 1
-        return 0
-    return _run_and_report(
-        args,
-        "live",
-        ("nodes", "duration", "messages"),
-        expect,
-        lambda o: o.deliveries and not o.evictions and not o.errors and clean(o.counters),
-    )
-
-
-def _dispatch_pubsub(args: argparse.Namespace) -> int:
-    if args.pubsub_command == "bench":
-        from .pubsub.bench import check_report, run_bench_blocking
-
-        report = run_bench_blocking(
-            args.nodes, seed=args.seed, settle=args.settle, port_base=args.port_base
-        )
-        print(report.render())
-        if args.check:
-            ok, failures = check_report(report)
-            if not ok:
-                print("pubsub smoke FAILED:")
-                for reason in failures:
-                    print(f"  - {reason}")
-                return 1
-            print("pubsub smoke OK")
-    elif args.pubsub_command == "serve":
-        import asyncio
-
-        from .pubsub.service import PubSubService
-
-        async def _serve() -> None:
-            service = PubSubService(args.nodes, seed=args.seed, port_base=args.port_base)
-            await service.start()
-            api_port = await service.serve(port=args.api_port)
-            print(f"pubsub service: {args.nodes} nodes, client API on 127.0.0.1:{api_port}")
-            try:
-                if args.duration is not None:
-                    await asyncio.sleep(args.duration)
-                else:
-                    await asyncio.Event().wait()
-            except (KeyboardInterrupt, asyncio.CancelledError):
-                pass
-            report = await service.stop(duration=args.duration or 0.0)
-            print(report.render())
-
-        try:
-            asyncio.run(_serve())
-        except KeyboardInterrupt:
-            pass
-    elif args.pubsub_command == "capacity":
-        from .pubsub.capacity import capacity_table, render_capacity_table
-
-        print(render_capacity_table(capacity_table()))
-    return 0
-
-
-def _dispatch_chaos(args: argparse.Namespace) -> int:
-    if args.chaos_command == "plan":
-        from .chaos.plan import canned_plan
-
-        print(canned_plan(args.plan, args.nodes, args.horizon, args.seed).render())
-        return 0
-    return _run_and_report(args, "chaos", ("plan", "nodes", "horizon", "heal_bound"))
-
-
-def _dispatch_campaign(args: argparse.Namespace) -> int:
-    from .campaign import CampaignSpec, campaign_report, run_campaign
-    from .freeride.registry import UnknownBehaviorError
-
-    if args.campaign_command == "run":
-        import dataclasses
-
-        canned = {
-            "full": CampaignSpec.full,
-            "smoke": CampaignSpec.smoke,
-            "coalition": CampaignSpec.coalition,
-            "coalition-smoke": CampaignSpec.coalition_smoke,
-        }
-        base = canned[args.spec]() if args.spec else CampaignSpec()
-        overrides = {}
-        if args.strategies is not None:
-            overrides["strategies"] = tuple(
-                s for s in args.strategies.split(",") if s != ""
-            )
-        if args.plans is not None:
-            overrides["plans"] = tuple(p for p in args.plans.split(",") if p != "")
-        if args.loss is not None:
-            overrides["loss_points"] = tuple(
-                float(v) for v in args.loss.split(",") if v != ""
-            )
-        if args.nodes is not None:
-            overrides["group_sizes"] = tuple(
-                int(v) for v in args.nodes.split(",") if v != ""
-            )
-        if args.topologies is not None:
-            overrides["topologies"] = tuple(
-                t for t in args.topologies.split(",") if t != ""
-            )
-        if args.seeds is not None:
-            overrides["seeds"] = tuple(int(s) for s in args.seeds.split(",") if s != "")
-        if args.coalition_fraction is not None and args.coalition_size is not None:
-            raise SystemExit(
-                "bad campaign spec: pass --coalition-fraction or "
-                "--coalition-size, not both"
-            )
-        if args.coalition_fraction is not None:
-            overrides["coalition_fractions"] = tuple(
-                float(v) for v in args.coalition_fraction.split(",") if v != ""
-            )
-        if args.coalition_size is not None:
-            sizes = overrides.get("group_sizes", base.group_sizes)
-            if len(sizes) != 1:
-                raise SystemExit(
-                    "bad campaign spec: --coalition-size needs exactly one "
-                    "group size (use a single --nodes value)"
-                )
-            overrides["coalition_fractions"] = tuple(
-                int(v) / sizes[0] for v in args.coalition_size.split(",") if v != ""
-            )
-        if args.shuffle_rounds is not None:
-            overrides["shuffle_rounds"] = args.shuffle_rounds
-        if args.horizon is not None:
-            overrides["horizon"] = args.horizon
-        if args.detection_bound is not None:
-            overrides["detection_bound"] = args.detection_bound
-        if args.heal_bound is not None:
-            overrides["heal_bound"] = args.heal_bound
-        try:
-            spec = dataclasses.replace(base, **overrides)
-        except (UnknownBehaviorError, ValueError) as exc:
-            raise SystemExit(f"bad campaign spec: {exc}")
-        print(spec.describe())
-        final = run_campaign(
-            spec,
-            args.run_dir,
-            workers=args.workers,
-            serial=args.serial,
-            inject_crash=args.inject_crash,
-            max_retries=args.max_retries,
-            timeout=args.timeout,
-        )
-        print(final.render())
-        return 0 if final.failed == 0 and final.pending == 0 else 1
-    elif args.campaign_command == "report":
-        description, report = campaign_report(args.run_dir)
-        text = description + "\n\n" + report.render()
-        print(text)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-            print(f"\nwrote {args.out}")
-        if args.check:
-            failures = report.failures()
-            if failures:
-                print("campaign check FAILED: " + "; ".join(failures))
-                return 1
-        return 0
-    return 0
-
-
-def _dispatch_topo(args: argparse.Namespace) -> int:
-    from .topo.model import PRESET_NAMES, preset
-
-    if args.topo_command == "list":
-        blurbs = {
-            "lan": "uniform star, zero extra delay (byte-identical to no topology)",
-            "wan-king": "king-style synthetic WAN: seeded points on a 40ms plane",
-            "hetero-access": "fiber/cable/dsl access tiers, asymmetric up/down",
-            "planet-diurnal": "three regions, inter-region delay up to ~100ms one-way",
-        }
-        for name in PRESET_NAMES:
-            print(f"{name:16s} {blurbs[name]}")
-        return 0
-
-    if args.topo_command == "show":
-        try:
-            model = preset(args.preset, args.nodes, seed=args.seed)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        print(model.describe())
-        if args.matrix:
-            print()
-            print(model.render_matrix())
-        return 0
-
-    if args.topo_command == "verify":
-        from .topo.run import lan_equivalence
-
-        plain, lan_digest = lan_equivalence()
-        if plain != lan_digest:
-            print(
-                "topo verify FAILED: lan preset diverged from the bare star\n"
-                f"  no topology: {plain}\n  lan preset : {lan_digest}"
-            )
-            return 1
-        print(f"topo verify OK: lan preset byte-identical to the bare star ({plain[:16]})")
-        return 0
-
-    return _run_and_report(
-        args,
-        "topo",
-        ("topology", "topology_seed", "nodes", "horizon", "deviant", "timer_scale",
-         "enforce_contract", "churn"),
-    )
-
-
-def _scale_spec_from_args(args: argparse.Namespace):
-    from .simnet.shard import ScaleSpec
-
-    deviants = {}
-    for pair in args.deviant:
-        if "=" not in pair:
-            raise SystemExit(f"--deviant expects INDEX=BEHAVIOR, got {pair!r}")
-        index, behavior = pair.split("=", 1)
-        deviants[int(index)] = behavior
-    return ScaleSpec(
-        nodes=args.nodes,
-        num_shards=args.shards,
-        seed=args.seed,
-        horizon=args.horizon,
-        epoch=args.epoch,
-        messages=args.messages,
-        group_max=args.group_max,
-        deviants=deviants,
-    )
-
-
-def _render_scale_outcome(outcome) -> str:
-    lines = [
-        f"nodes={outcome.spec.nodes} shards={outcome.spec.num_shards} "
-        f"epochs={outcome.spec.epoch_count} horizon={outcome.spec.horizon}s",
-        f"delivered {len(outcome.delivered)} payloads, {len(outcome.evicted)} evicted, "
-        f"{outcome.events_processed} events in {outcome.wall_seconds:.2f}s wall "
-        f"({outcome.events_per_second:,.0f} events/s)",
-    ]
-    for shard, fingerprint in enumerate(outcome.shard_fingerprints):
-        summary = outcome.per_shard[shard]
-        lines.append(
-            f"  shard {shard}: groups={summary['groups']} nodes={summary['nodes']} "
-            f"delivered={len(summary['delivered'])} {fingerprint[:16]}"
-        )
-    lines.append(f"merged fingerprint: {outcome.merged_fingerprint}")
-    return "\n".join(lines)
-
-
-def _dispatch_scale(args: argparse.Namespace) -> int:
-    import tempfile
-
-    from .orchestrator.sharded import run_sharded, verify_sharded
-
-    spec = _scale_spec_from_args(args)
-    if args.scale_command == "run":
-        outcome = run_sharded(
-            spec,
-            args.run_dir,
-            workers=args.workers,
-            serial=args.serial,
-            inject_crash=args.inject_crash,
-            profile=args.profile,
-        )
-        print(_render_scale_outcome(outcome))
-        if args.profile:
-            print(outcome.profile_report)
-        if args.verify:
-            report = verify_sharded(outcome)
-            print(report.render())
-            if not report.equivalent:
-                return 1
-    elif args.scale_command == "verify":
-        run_dir = args.run_dir or tempfile.mkdtemp(prefix="rac_scale_verify_")
-        outcome = run_sharded(spec, run_dir, serial=True, profile=args.profile)
-        print(_render_scale_outcome(outcome))
-        if args.profile:
-            print(outcome.profile_report)
-        report = verify_sharded(outcome)
-        print(report.render())
-        if not report.equivalent:
-            return 1
-    return 0
-
-
-def _parse_scalar(text: str):
-    """CLI value → int, then float, then bare string."""
+def _scalar(text: str):
+    """int, then float, then the bare string."""
     for cast in (int, float):
         try:
             return cast(text)
@@ -946,87 +90,608 @@ def _parse_scalar(text: str):
     return text
 
 
-def _parse_kv(pairs: "List[str]", split_values: bool) -> dict:
-    out = {}
-    for pair in pairs:
-        name, sep, raw = pair.partition("=")
-        if not sep or not name:
-            raise SystemExit(f"expected NAME=VALUE, got {pair!r}")
-        if split_values:
-            out[name] = [_parse_scalar(v) for v in raw.split(",") if v != ""]
+def _pair(key, value, name: str) -> "Callable[[str], tuple]":
+    """``KEY=VALUE`` → (``key(KEY)``, ``value(VALUE)``)."""
+
+    def parse(text: str) -> tuple:
+        k, sep, v = text.partition("=")
+        if not sep or not k:
+            raise ValueError(text)
+        return key(k), value(v)
+
+    parse.__name__ = name
+    return parse
+
+
+# -- flag tables: each group declared once -------------------------------------
+#: The scenario verbs' flags, keyed as :meth:`Scenario.from_params` reads them.
+_SCENARIO_FLAGS: "Dict[str, Dict[str, Any]]" = {
+    "nodes": dict(type=int, help="population size"),
+    "horizon": dict(type=float, help="run seconds"),
+    "plan": dict(choices=CANNED_PLANS, help="canned timeline: none = no faults; smoke = "
+                 "1 crash-restart + 1 partition; storm = seeded random fault mix"),
+    "heal_bound": dict(type=float, help="seconds after each fault heals within which "
+                       "delivery must resume"),
+    "messages": dict(type=int, help="anonymous messages queued per node"),
+    "topology": dict(flag="--preset", dest="topology", choices=PRESET_NAMES, required=True,
+                     help="preset (see `repro topo list`)"),
+    "topology_seed": dict(type=int, default=0, help="preset sampler seed"),
+    "deviant": dict(choices=BEHAVIORS, metavar="NAME", default="honest",
+                    help="behaviour registry name to plant (sim only: exit 2 on live)"),
+    "timer_scale": dict(type=float, default=1.0, help="misbehaviour timers x this factor"),
+    "enforce_contract": dict(flag="--no-contract", dest="enforce_contract", action="store_false",
+                             help="bypass the topology timer contract (the false-positive probe)"),
+    "churn": dict(action="store_true", help="compile the model's diurnal churn trace onto the run"),
+}
+
+#: The worker-pool flags; each pool verb takes the ones it honours.
+_POOL_FLAGS: "Dict[str, Dict[str, Any]]" = {
+    "workers": dict(type=int, default=2, help="worker processes"),
+    "serial": dict(action="store_true", help="run in-process without the worker pool"),
+    "inject_crash": dict(type=int, default=0, metavar="K",
+                         help="chaos-test: kill the first attempt of the first K pending cells"),
+    "max_retries": dict(type=int, default=2, help="extra attempts per crashed cell"),
+    "timeout": dict(type=float, help="wall-seconds before a worker counts as hung"),
+}
+
+
+def _add(p: argparse.ArgumentParser, table, names, defaults=None) -> "Tuple[str, ...]":
+    """Add the ``names`` rows of ``table`` to ``p``; return their dests. A
+    row may spell its ``flag``, a name may be ``(name, flag)``, and
+    ``defaults`` (a registry row) overrides a row's default."""
+    dests = []
+    for name in names:
+        name, flag = name if isinstance(name, tuple) else (name, None)
+        kw = dict(table[name])
+        spelled = kw.pop("flag", "--" + name.replace("_", "-"))
+        if defaults and name in defaults and not kw.get("required"):
+            kw["default"] = defaults[name]
+        if kw.get("default") is not None and "action" not in kw:
+            kw["help"] += " (default %(default)s)"
+        dests.append(p.add_argument(flag or spelled, **kw).dest)
+    return tuple(dests)
+
+
+def _spec_flags(p: argparse.ArgumentParser, spec, spellings, skip=(), keep_defaults=True) -> None:
+    """One flag per field of the dataclass ``spec``: a tuple field takes
+    ``V1,V2,...``, a dict field repeated ``KEY=VALUE``. An unset flag
+    keeps the field's default or, ``keep_defaults=False``, leaves the
+    field to whatever the spec is built from."""
+    hints, fields = typing.get_type_hints(spec), {}
+    for f in dataclasses.fields(spec):
+        if f.name in skip:
+            continue
+        kw = {"help": f"{spec.__name__}.{f.name}", **spellings.get(f.name, {})}
+        flag = kw.pop("flag", "--" + f.name.replace("_", "-"))
+        origin, args = typing.get_origin(hints[f.name]), typing.get_args(hints[f.name])
+        if origin is dict:
+            metavar = kw.setdefault("metavar", "KEY=VALUE")
+            kw.update(action="append", default=[], type=_pair(*args, metavar))
+            kw["help"] += "; repeatable"
         else:
-            out[name] = _parse_scalar(raw)
-    return out
+            kw["default"] = f.default if keep_defaults else None
+            kw["help"] += " (default %(default)s)" if keep_defaults else ""
+            if origin is tuple:
+                kw.update(type=_csv(args[0]), metavar="V1,V2,...")
+            else:
+                kw["type"] = args[0] if origin is typing.Union else hints[f.name]
+        fields[f.name] = p.add_argument(flag, **kw).dest
+    p.set_defaults(spec_fields=fields)
 
 
-def _dispatch_sweep(args: argparse.Namespace) -> int:
-    from .orchestrator import SweepGrid, open_run, start_run
+def _spec_values(args: argparse.Namespace) -> "Dict[str, Any]":
+    """The fields :func:`_spec_flags` declared, as given (unset ones left out)."""
+    values = {name: getattr(args, dest) for name, dest in args.spec_fields.items()}
+    return {k: dict(v) if isinstance(v, list) else v for k, v in values.items() if v is not None}
 
-    if args.sweep_command == "run":
-        from .orchestrator.workloads import UnknownWorkloadError, resolve_workload
 
+def _pool(args: argparse.Namespace) -> "Dict[str, Any]":
+    """The pool options a run records; ``--serial`` and ``--inject-crash``
+    are run arguments, and exclusive."""
+    if args.serial and args.inject_crash:
+        raise ValueError("--inject-crash kills a worker process; it cannot be combined with --serial")
+    return {k: getattr(args, k) for k in ("workers", "max_retries", "timeout") if hasattr(args, k)}
+
+
+# -- the parser ----------------------------------------------------------------
+#: Verbs that print one results row's text (exit 1 if its gate fails).
+_ROW_VERBS = {"fig1": "figure1", "claims": "text_claims", "nash": "nash_analysis",
+              "ablation": "ablation", "report": "full_report"}
+
+#: What a clean live run leaves at zero: malformed connections or
+#: records, frames no link can carry, node bugs caught at dispatch.
+_UNCLEAN = ("live_inbound_rejected", "live_frames_rejected", "live_frames_dropped_oversize",
+            "live_dispatch_errors")
+
+
+def _live_ok(deliveries, evictions, errors, counters) -> bool:
+    clean = not any(counters.get(name) for name in _UNCLEAN)
+    return bool(deliveries) and not evictions and not errors and clean
+
+
+def _show(text: str) -> Run:
+    return lambda: print(text)
+
+
+def _group(sub, name: str, help: str):
+    return sub.add_parser(name, help=help).add_subparsers(dest=f"{name}_command", required=True)
+
+
+def _scenario_verb(sub, name, harness, help, check, *names, substrates=True):
+    """A verb that runs one scenario of ``harness`` per substrate."""
+    p = sub.add_parser(name, help=help)
+    if substrates:
+        p.add_argument("--substrate", choices=("sim", "live", "both"), default="sim",
+                       help="where it runs (default sim; 'both' runs the same scenario twice)")
+    params = _add(p, _SCENARIO_FLAGS, names, HARNESSES[harness])
+    p.add_argument("--seed", type=int, default=0, help="population, plan and traffic seed (default 0)")
+    p.add_argument("--port-base", type=int, metavar="P",
+                   help="live substrate: bind node i to port P+i (default: ephemeral ports)")
+    p.add_argument("--check", action="store_true", help=check)
+    p.set_defaults(build=_scenario, harness=harness, params=params,
+                   passed=lambda outcome: outcome.ok, expect="invariant violation(s) above")
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="repro", description="RAC (ICDCS 2013) reproduction - regenerate paper figures and tables"
+    )
+    parser.add_argument("--profile", action="store_true",
+                        help="run the command under cProfile and print the top 25 functions by "
+                        "cumulative time to stderr (hot-path triage for the simulator)")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    for verb, row in _ROW_VERBS.items():
+        sub.add_parser(verb, help=artefacts.ARTEFACTS[row].claim).set_defaults(build=_row, row=row)
+    results = sub.add_parser(
+        "results", help="the committed results/*.txt artefacts: `list` the registry, `make` rows "
+        "(rebuild and write their files), `check` rows (rebuild in memory, run their gates, diff "
+        "pinned rows against results/; default: every pinned+fast row)")
+    results.add_argument("action", choices=("list", "make", "check"))
+    results.add_argument("names", nargs="*", metavar="NAME", help="registry rows")
+    results.set_defaults(build=_results)
+
+    fig3 = sub.add_parser("fig3", help="Figure 3: RAC vs baselines throughput vs N")
+    fig3.add_argument("--group-size", type=int, default=1000, help="G (default 1000)")
+    fig3.add_argument("--relays", type=int, default=5, help="L (default 5)")
+    fig3.add_argument("--rings", type=int, default=7, help="R (default 7)")
+    fig3.set_defaults(build=lambda a: _show(
+        figure3(group_size=a.group_size, num_relays=a.relays, num_rings=a.rings).render()))
+    t1 = sub.add_parser("table1", help="Table I: anonymity guarantees")
+    t1.add_argument("--nodes", type=int, default=100_000, help="N (default 100000)")
+    t1.add_argument("--group-size", type=int, default=1000, help="G (default 1000)")
+    t1.set_defaults(build=lambda a: _show(table1(N=a.nodes, G=a.group_size).render()))
+    trace = sub.add_parser("trace", help="Figure 2: one onion's dissemination, traced")
+    trace.add_argument("--population", type=int, default=10)
+    trace.add_argument("--seed", type=int, default=7)
+    trace.set_defaults(build=lambda a: _show(
+        trace_dissemination(population=a.population, seed=a.seed).narrative()))
+    measure = sub.add_parser("measure", help="packet-level RAC throughput measurement")
+    measure.add_argument("--nodes", type=int, default=10)
+    measure.add_argument("--duration", type=float, default=2.0)
+    measure.add_argument("--seed", type=int, default=3)
+    measure.set_defaults(build=_measure)
+
+    sweep = _group(sub, "sweep", "parallel (config x seed) sweep campaigns with checkpoint/resume")
+    run = sweep.add_parser("run", help="launch a new sweep campaign")
+    run.add_argument("--run-dir", required=True, help="campaign directory (manifest, store, checkpoints)")
+    run.add_argument("--experiment", required=True, help="registered workload name (e.g. protocol)")
+    run.add_argument("--axis", action="append", required=True, metavar="NAME=V1,V2,...",
+                     type=_pair(str, lambda raw: list(_csv(_scalar)(raw)), "NAME=V1,V2,..."),
+                     help="swept parameter axis; repeatable")
+    run.add_argument("--seeds", type=_csv(int), default=(0,), help="comma-separated seed list (default: 0)")
+    run.add_argument("--base", action="append", default=[], type=_pair(str, _scalar, "NAME=VALUE"),
+                     metavar="NAME=VALUE", help="constant parameter shared by every cell; repeatable")
+    run.add_argument("--checkpoint-interval", type=float, metavar="SIM_SECONDS",
+                     help="snapshot long runs every N sim-seconds (default: off)")
+    _add(run, _POOL_FLAGS, _POOL_FLAGS)
+    run.set_defaults(build=_sweep_run)
+    resume = sweep.add_parser("resume", help="continue an interrupted campaign")
+    resume.add_argument("--workers", type=int, help="override manifest worker count")
+    status = sweep.add_parser("status", help="progress of a campaign")
+    aggregate = sweep.add_parser("aggregate", help="summarize a campaign's result store")
+    aggregate.add_argument("--metric", required=True, help="metric name to aggregate")
+    aggregate.add_argument("--by", default="seed", help="group rows by this parameter (default: seed)")
+    for p, build in ((resume, _sweep_resume), (status, _sweep_status), (aggregate, _sweep_aggregate)):
+        p.add_argument("--run-dir", required=True)
+        p.set_defaults(build=build)
+
+    live = _group(sub, "live", "asyncio runtime: RAC nodes over real TCP sockets")
+    demo = _scenario_verb(
+        live, "demo", "live", "run a live cluster on localhost and report",
+        "exit nonzero unless >=1 delivery, 0 evictions and 0 rejected or unsendable frames "
+        "(CI smoke contract)",
+        "nodes", ("horizon", "--duration"), "messages", substrates=False,
+    )
+    demo.add_argument("--subprocess", action="store_true",
+                      help="one worker process per node instead of asyncio tasks")
+    demo.set_defaults(build=_live_demo,
+                      passed=lambda o: _live_ok(o.deliveries, o.evictions, o.errors, o.counters),
+                      expect="expected >=1 delivery, 0 evictions, 0 errors, 0 of " + " ".join(_UNCLEAN))
+
+    chaos = _group(sub, "chaos", "scripted fault plans with invariant-checked runs on sim or live")
+    invariant_check = "exit nonzero on any invariant violation (CI smoke contract)"
+    _scenario_verb(chaos, "run", "chaos", "play one fault plan on a substrate and judge the invariants",
+                   invariant_check, "nodes", "horizon", "plan", "heal_bound")
+    plan = chaos.add_parser("plan", help="print a plan's timeline and fingerprint")
+    plan.add_argument("--plan", choices=CANNED_PLANS, default="smoke")
+    plan.add_argument("--nodes", type=int, default=6)
+    plan.add_argument("--horizon", type=float, default=18.0)
+    plan.add_argument("--seed", type=int, default=0)
+    plan.set_defaults(build=lambda a: _show(canned_plan(a.plan, a.nodes, a.horizon, a.seed).render()))
+
+    campaign = _group(sub, "campaign", "adversarial matrix: strategies x fault plans x loss points, "
+                      "scored into an accountability frontier")
+    crun = campaign.add_parser("run", help="expand a campaign spec and run it on the pool")
+    crun.add_argument("--run-dir", required=True, help="campaign directory (manifest, store)")
+    crun.add_argument("--spec", choices=CANNED_CAMPAIGNS, help="start from a canned matrix "
+                      "(repro.campaign.CANNED_CAMPAIGNS); explicit field flags override its fields")
+    spellings = {"loss_points": "--loss", "group_sizes": "--nodes",
+                 "coalition_fractions": "--coalition-fraction"}
+    _spec_flags(crun, CampaignSpec, {name: dict(flag=flag) for name, flag in spellings.items()},
+                skip=("base",), keep_defaults=False)
+    crun.add_argument("--coalition-size", type=_csv(int), metavar="V1,V2,...",
+                      help="coalition member counts; converted to fractions against the single "
+                      "--nodes value (mutually exclusive with --coalition-fraction)")
+    _add(crun, _POOL_FLAGS, _POOL_FLAGS)
+    crun.set_defaults(build=_campaign_run)
+    creport = campaign.add_parser("report", help="fold the result store into the accountability frontier")
+    creport.add_argument("--run-dir", required=True)
+    creport.add_argument("--out", help="also write the frontier to this file")
+    creport.add_argument("--check", action="store_true", help="exit nonzero unless the baseline is "
+                         "sound and no cell anywhere evicted an honest node (CI smoke contract)")
+    creport.set_defaults(build=_campaign_report)
+
+    topo = _group(sub, "topo", "WAN topology models: fingerprinted latency/bandwidth presets "
+                  "played on either substrate")
+    topo.add_parser("list", help="list the canned topology presets").set_defaults(build=lambda a: _show(
+        "\n".join(f"{name:16s} {line}" for name, (_, line) in PRESETS.items())))
+    tshow = topo.add_parser("show", help="describe one preset (fingerprint, classes)")
+    tshow.add_argument("--preset", required=True, choices=PRESET_NAMES, help="preset name")
+    tshow.add_argument("--nodes", type=int, default=10, help="population size (default 10)")
+    tshow.add_argument("--seed", type=int, default=0, help="preset sampler seed (default 0)")
+    tshow.add_argument("--matrix", action="store_true", help="also print the full latency matrix")
+    tshow.set_defaults(build=_topo_show)
+    _scenario_verb(topo, "run", "topo", "play one topology on a substrate and judge the invariants",
+                   invariant_check, "topology", "nodes", "horizon", "topology_seed", "deviant",
+                   "timer_scale", "enforce_contract", "churn")
+    topo.add_parser("verify", help="lan-equivalence gate: the lan preset must be byte-identical to "
+                    "running with no topology at all").set_defaults(build=lambda a: _topo_verify)
+
+    scale = _group(sub, "scale", "group-sharded parallel simulation: one deterministic "
+                   "sub-simulator per group bundle, merged at epoch barriers")
+    spellings = {
+        "num_shards": dict(flag="--shards", help="sub-simulators"),
+        "deviants": dict(flag="--deviant", metavar="INDEX=BEHAVIOR",
+                         help="plant a freeride behaviour at a 1-based creation index"),
+    }
+    srun = scale.add_parser("run", help="run a sharded simulation on the worker pool")
+    srun.add_argument("--run-dir", required=True, help="run directory (barriers, snapshots, store)")
+    sverify = scale.add_parser("verify", help="serial sharded run + monolithic run, compared for "
+                               "equivalence")
+    sverify.add_argument("--run-dir", help="run directory (default: a fresh temp dir)")
+    for p in (srun, sverify):
+        _spec_flags(p, ScaleSpec, spellings, skip=("config", "coalition", "plan"))
+    _add(srun, _POOL_FLAGS, ("workers", "serial", "inject_crash"))
+    srun.add_argument("--verify", action="store_true",
+                      help="also run the monolithic simulation and assert outcome equivalence")
+    srun.set_defaults(build=_scale)
+    sverify.set_defaults(build=_scale, serial=True, inject_crash=0, verify=True)
+
+    pubsub = _group(sub, "pubsub", "anonymous pub/sub service over the live runtime: topics, "
+                    "puzzle-gated joins, live group splits/dissolves")
+    pserve = pubsub.add_parser("serve", help="run the service on localhost and accept client frames")
+    pbench = pubsub.add_parser("bench", help="scripted join/subscribe/publish/leave scenario + report")
+    for p in (pserve, pbench):
+        p.add_argument("--nodes", type=int, default=6, help="bootstrap size (default 6)")
+        p.add_argument("--seed", type=int, default=0, help="population seed (default 0)")
+        p.add_argument("--port-base", type=int, metavar="P",
+                       help="bind node i to port P+i (default: ephemeral ports)")
+    pserve.add_argument("--api-port", type=int, default=0, help="client API port (default: ephemeral)")
+    pserve.add_argument("--duration", type=float, help="wall seconds to serve (default: until Ctrl-C)")
+    pserve.set_defaults(build=lambda a: lambda: _pubsub_serve(a))
+    pbench.add_argument("--settle", type=float, default=3.0,
+                        help="seconds between scenario phases (default 3)")
+    pbench.add_argument("--check", action="store_true", help="exit nonzero unless >=1 live split, "
+                        ">=1 dissolve, 0 evictions and delivery parity hold (CI smoke contract)")
+    pbench.set_defaults(build=lambda a: lambda: _pubsub_bench(a))
+    pubsub.add_parser("capacity", help="groups x members -> msg/s capacity planning table"
+                      ).set_defaults(build=lambda a: _show(render_capacity_table(capacity_table())))
+    return parser
+
+
+# -- main: parse, build the spec (the one place input is judged), run ----------
+def main(argv: "Optional[List[str]]" = None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help, or a flag argparse refused in one stderr line
+        return exc.code
+    # `scale` profiles per shard inside the workers (one dump per shard
+    # id plus a merged report) rather than wrapping the coordinator: two
+    # enabled cProfile instances in one process is an error, and the
+    # coordinator does no simulation work.
+    with _profiled(args.profile and args.command != "scale"):
         try:
-            resolve_workload(args.experiment)
-        except UnknownWorkloadError as exc:
-            raise SystemExit(str(exc))
-        axes = _parse_kv(args.axis, split_values=True)
-        if not axes:
-            raise SystemExit("sweep run needs at least one --axis NAME=V1,V2,...")
-        grid = SweepGrid(
-            args.experiment,
-            axes,
-            seeds=[int(s) for s in args.seeds.split(",") if s != ""],
-            base_params=_parse_kv(args.base, split_values=False),
-        )
-        options = {
-            "workers": args.workers,
-            "checkpoint_interval": args.checkpoint_interval,
-            "max_retries": args.max_retries,
-            "timeout": args.timeout,
-        }
-        run = start_run(args.run_dir, grid, options)
-        final = run.run(serial=args.serial, inject_crash=args.inject_crash)
-        print(final.render())
-        return 0 if final.failed == 0 else 1
-    elif args.sweep_command == "resume":
-        final = open_run(args.run_dir, workers=args.workers).run()
-        print(final.render())
-        return 0 if final.failed == 0 else 1
-    elif args.sweep_command == "status":
-        from .campaign.spec import CAMPAIGN_EXPERIMENT, describe_grid
+            run = args.build(args)
+        except (UnknownBehaviorError, UnknownWorkloadError, ValueError) as exc:
+            print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+            return 2
+        try:
+            return run() or 0
+        except BrokenPipeError:  # piping into `head` closes stdout early
+            return 0
 
-        run = open_run(args.run_dir)
-        if run.grid.experiment == CAMPAIGN_EXPERIMENT:
-            print(describe_grid(run.grid))
-        print(run.status().render())
-        return 0
-    elif args.sweep_command == "aggregate":
-        from .experiments.runner import Table
 
-        store = open_run(args.run_dir).store
-        rows, skipped = store.aggregate(args.metric, by=args.by, with_skipped=True)
+@contextlib.contextmanager
+def _profiled(enabled: bool):
+    """cProfile the block; stats go to stderr so stdout stays the
+    command's own text (an artefact table, for a row verb)."""
+    import cProfile
+    import pstats
+
+    profiler = cProfile.Profile()
+    try:
+        with profiler if enabled else contextlib.nullcontext():
+            yield
+    finally:
+        if enabled:
+            pstats.Stats(profiler, stream=sys.stderr).sort_stats("cumulative").print_stats(25)
+
+
+# -- builders: flags → spec → the run bound to it ------------------------------
+def _row(args: argparse.Namespace) -> Run:
+    def run() -> int:
+        text, failures = artefacts.show(args.row)
+        print(text)
+        if failures:
+            print("\n".join(failures), file=sys.stderr)
+        return 1 if failures else 0
+
+    return run
+
+
+def _results(args: argparse.Namespace) -> Run:
+    unknown = sorted(set(args.names) - set(artefacts.ARTEFACTS))
+    if unknown or (args.action == "make" and not args.names):
+        raise ValueError(f"results {args.action}: name rows of `repro results list`, not {unknown}")
+
+    def run() -> int:
+        if args.action == "list":
+            print(artefacts.render_index())
+            return 0
+        if args.action == "make":
+            failures = artefacts.make(args.names)
+            print("wrote", *(file for name in args.names for file in artefacts.ARTEFACTS[name].files))
+        else:
+            failures = artefacts.check(args.names or None)
+        print("\n".join(failures + [f"results {args.action} " + ("FAILED" if failures else "OK")]))
+        return 1 if failures else 0
+
+    return run
+
+
+def _measure(args: argparse.Namespace) -> Run:
+    m = measure_rac_throughput(args.nodes, warmup=0.5, duration=args.duration, seed=args.seed)
+    return _show(
+        f"N={m.nodes}: measured {m.measured_bps_per_node:,.0f} b/s per node, "
+        f"model {m.model_bps_per_node:,.0f} b/s, efficiency {m.efficiency:.2f}, "
+        f"{m.deliveries} deliveries, {m.evictions} evictions"
+    )
+
+
+def _scenarios(args: argparse.Namespace):
+    """(substrate, Scenario) of the verb's harness per requested
+    substrate; a field a substrate would drop is refused before any run."""
+    chosen = getattr(args, "substrate", HARNESSES[args.harness].get("substrate"))
+    params = {dest: getattr(args, dest) for dest in args.params if getattr(args, dest) is not None}
+    built = []
+    for substrate in ("sim", "live") if chosen == "both" else (chosen,):
+        scenario = Scenario.from_params({**params, "substrate": substrate}, args.seed, args.harness)
+        scenario.check_substrate(substrate)
+        built.append((substrate, scenario))
+    return built
+
+
+def _verdict(args: argparse.Namespace, failed: bool) -> int:
+    if args.check and failed:
+        print(f"{args.command} run FAILED: {args.expect}")
+        return 1
+    return 0
+
+
+def _scenario(args: argparse.Namespace) -> Run:
+    scenarios = _scenarios(args)
+
+    def run() -> int:
+        failed = False
+        for substrate, scenario in scenarios:
+            outcome = run_scenario(scenario, substrate, port_base=args.port_base)
+            print(outcome.render())
+            failed = failed or not args.passed(outcome)
+        return _verdict(args, failed)
+
+    return run
+
+
+def _live_demo(args: argparse.Namespace) -> Run:
+    if not args.subprocess:
+        return _scenario(args)
+    from .live.cluster import run_subprocess_demo
+
+    [(_, s)] = _scenarios(args)
+
+    def run() -> int:
+        report = run_subprocess_demo(s.nodes, s.horizon, seed=s.seed, messages=s.messages,
+                                     port_base=args.port_base)
+        print(report.render())
+        ok = _live_ok(report.deliveries, report.evicted, report.errors, report.counters())
+        return _verdict(args, not ok)
+
+    return run
+
+
+def _finished(status) -> int:
+    print(status.render())
+    return 0 if status.failed == 0 else 1
+
+
+def _sweep_run(args: argparse.Namespace) -> Run:
+    resolve_workload(args.experiment)
+    grid = SweepGrid(args.experiment, dict(args.axis), seeds=list(args.seeds), base_params=dict(args.base))
+    sweep = start_run(args.run_dir, grid, {"checkpoint_interval": args.checkpoint_interval, **_pool(args)})
+    return lambda: _finished(sweep.run(serial=args.serial, inject_crash=args.inject_crash))
+
+
+def _sweep_resume(args: argparse.Namespace) -> Run:
+    sweep = open_run(args.run_dir, workers=args.workers)
+    return lambda: _finished(sweep.run())
+
+
+def _sweep_status(args: argparse.Namespace) -> Run:
+    sweep = open_run(args.run_dir)
+    head = describe_grid(sweep.grid) + "\n" if sweep.grid.experiment == CAMPAIGN_EXPERIMENT else ""
+    return lambda: print(head + sweep.status().render())
+
+
+def _sweep_aggregate(args: argparse.Namespace) -> Run:
+    store, metric, by = open_run(args.run_dir).store, args.metric, args.by
+
+    def run() -> int:
+        rows, skipped = store.aggregate(metric, by=by, with_skipped=True)
         if not rows:
-            print(f"no successful records with metric {args.metric!r}")
+            print(f"no successful records with metric {metric!r}")
             if skipped:
                 print(f"({skipped} successful record(s) lack that metric)")
             return 1
-        table = Table(
-            headers=[args.by, "n", "mean", "min", "max"],
-            title=f"sweep aggregate: {args.metric} by {args.by}",
-        )
+        table = Table(headers=[by, "n", "mean", "min", "max"], title=f"sweep aggregate: {metric} by {by}")
         for row in rows:
-            table.add_row(
-                row[args.by],
-                row["n"],
-                f"{row['mean']:.6g}",
-                f"{row['min']:.6g}",
-                f"{row['max']:.6g}",
-            )
+            table.add_row(row[by], row["n"], *(f"{row[k]:.6g}" for k in ("mean", "min", "max")))
         print(table.render())
         if skipped:
-            print(f"skipped {skipped} successful record(s) missing metric {args.metric!r}")
+            print(f"skipped {skipped} successful record(s) missing metric {metric!r}")
         return 0
+
+    return run
+
+
+def _campaign_run(args: argparse.Namespace) -> Run:
+    base = CANNED_CAMPAIGNS[args.spec]() if args.spec else CampaignSpec()
+    fields = _spec_values(args)
+    if args.coalition_size is not None:
+        if "coalition_fractions" in fields:
+            raise ValueError("pass --coalition-fraction or --coalition-size, not both")
+        sizes = fields.get("group_sizes", base.group_sizes)
+        if len(sizes) != 1:
+            raise ValueError("--coalition-size needs exactly one group size (use a single --nodes value)")
+        fields["coalition_fractions"] = tuple(size / sizes[0] for size in args.coalition_size)
+    spec = dataclasses.replace(base, **fields)
+    sweep = start_run(args.run_dir, spec.to_grid(), _pool(args))
+
+    def run() -> int:
+        print(spec.describe())
+        final = sweep.run(serial=args.serial, inject_crash=args.inject_crash)
+        print(final.render())
+        return 0 if final.failed == 0 and final.pending == 0 else 1
+
+    return run
+
+
+def _campaign_report(args: argparse.Namespace) -> Run:
+    description, report = campaign_report(args.run_dir)
+
+    def run() -> int:
+        text = description + "\n\n" + report.render()
+        print(text)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            print(f"\nwrote {args.out}")
+        failures = report.failures() if args.check else []
+        if failures:
+            print("campaign check FAILED: " + "; ".join(failures))
+        return 1 if failures else 0
+
+    return run
+
+
+def _topo_show(args: argparse.Namespace) -> Run:
+    model = preset(args.preset, args.nodes, seed=args.seed)
+    return _show(model.describe() + ("\n\n" + model.render_matrix() if args.matrix else ""))
+
+
+def _topo_verify() -> int:
+    from .topo.run import lan_equivalence
+
+    plain, lan_digest = lan_equivalence()
+    if plain != lan_digest:
+        print("topo verify FAILED: lan preset diverged from the bare star\n"
+              f"  no topology: {plain}\n  lan preset : {lan_digest}")
+        return 1
+    print(f"topo verify OK: lan preset byte-identical to the bare star ({plain[:16]})")
     return 0
+
+
+def _scale(args: argparse.Namespace) -> Run:
+    """``scale run``, or ``scale verify``: the same run, serial, always
+    compared with the monolithic simulation."""
+    import tempfile
+
+    from .orchestrator.sharded import run_sharded, verify_sharded
+
+    spec, pool = ScaleSpec(**_spec_values(args)), _pool(args)
+
+    def run() -> int:
+        run_dir = args.run_dir or tempfile.mkdtemp(prefix="rac_scale_verify_")
+        outcome = run_sharded(spec, run_dir, serial=args.serial, inject_crash=args.inject_crash,
+                              profile=args.profile, **pool)
+        print(outcome.render())
+        if args.profile:
+            print(outcome.profile_report)
+        if not args.verify:
+            return 0
+        report = verify_sharded(outcome)
+        print(report.render())
+        return 0 if report.equivalent else 1
+
+    return run
+
+
+def _pubsub_bench(args: argparse.Namespace) -> int:
+    from .pubsub.bench import check_report, run_bench_blocking
+
+    report = run_bench_blocking(args.nodes, seed=args.seed, settle=args.settle, port_base=args.port_base)
+    print(report.render())
+    if not args.check:
+        return 0
+    ok, failures = check_report(report)
+    print("pubsub smoke OK" if ok else "pubsub smoke FAILED:")
+    for reason in [] if ok else failures:
+        print(f"  - {reason}")
+    return 0 if ok else 1
+
+
+def _pubsub_serve(args: argparse.Namespace) -> None:
+    import asyncio
+
+    from .pubsub.service import PubSubService
+
+    async def serve() -> None:
+        service = PubSubService(args.nodes, seed=args.seed, port_base=args.port_base)
+        await service.start()
+        api_port = await service.serve(port=args.api_port)
+        print(f"pubsub service: {args.nodes} nodes, client API on 127.0.0.1:{api_port}")
+        try:
+            await (asyncio.sleep(args.duration) if args.duration is not None else asyncio.Event().wait())
+        except (KeyboardInterrupt, asyncio.CancelledError):
+            pass
+        print((await service.stop(duration=args.duration or 0.0)).render())
+
+    try:
+        asyncio.run(serve())
+    except KeyboardInterrupt:
+        pass
 
 
 if __name__ == "__main__":

@@ -59,6 +59,8 @@ def measure_rac_throughput(
     Returns per-node receive goodput next to the analytic prediction
     ``C / ((L+1)·R·G)`` for the same parameters.
     """
+    if n < 2:
+        raise ValueError(f"a throughput measurement needs at least two nodes, got {n}")
     if config is None:
         # Event count scales with C (saturation interval ~ 1/C), and
         # both the measurement and the model scale linearly in C, so a

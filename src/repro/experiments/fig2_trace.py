@@ -64,6 +64,11 @@ def trace_dissemination(
     seed: int = 7,
 ) -> Figure2Trace:
     """Run the Figure 2 scenario and capture its trace."""
+    if population < num_relays + 1:
+        raise ValueError(
+            f"an onion through {num_relays} relays needs a population of at least "
+            f"{num_relays + 1}, got {population}"
+        )
     config = RacConfig(
         num_relays=num_relays,
         num_rings=num_rings,

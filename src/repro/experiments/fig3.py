@@ -81,6 +81,8 @@ def figure3(
     link_bps: float = GBPS,
 ) -> Figure3Result:
     """Regenerate Figure 3's data over the paper's sweep."""
+    if group_size < 2:
+        raise ValueError(f"group size G={group_size}: a group needs at least two members")
     if sizes is None:
         sizes = paper_sweep_sizes()
     return Figure3Result(

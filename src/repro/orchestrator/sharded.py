@@ -241,6 +241,22 @@ class ShardedOutcome:
         coordinator's own (eventless) engine."""
         return dict(self.stats)
 
+    def render(self) -> str:
+        spec = self.spec
+        lines = [
+            f"nodes={spec.nodes} shards={spec.num_shards} epochs={spec.epoch_count} horizon={spec.horizon}s",
+            f"delivered {len(self.delivered)} payloads, {len(self.evicted)} evicted, "
+            f"{self.events_processed} events in {self.wall_seconds:.2f}s wall "
+            f"({self.events_per_second:,.0f} events/s)",
+        ]
+        for shard, (fingerprint, summary) in enumerate(zip(self.shard_fingerprints, self.per_shard)):
+            lines.append(
+                f"  shard {shard}: groups={summary['groups']} nodes={summary['nodes']} "
+                f"delivered={len(summary['delivered'])} {fingerprint[:16]}"
+            )
+        lines.append(f"merged fingerprint: {self.merged_fingerprint}")
+        return "\n".join(lines)
+
     def to_dict(self) -> "Dict[str, Any]":
         return {
             "spec": self.spec.to_dict(),

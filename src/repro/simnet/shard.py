@@ -82,8 +82,8 @@ class ScaleSpec:
     equivalence oracle.
     """
 
-    nodes: int
-    num_shards: int
+    nodes: int = 64
+    num_shards: int = 2
     seed: int = 7
     horizon: float = 4.0
     epoch: float = 1.0

@@ -14,6 +14,7 @@ either substrate.
 
 from .model import (
     PRESET_NAMES,
+    PRESETS,
     AccessClass,
     TopologyModel,
     frame_shaping_delay,
@@ -27,6 +28,7 @@ from .traces import diurnal_churn_plan, publish_times
 
 __all__ = [
     "PRESET_NAMES",
+    "PRESETS",
     "AccessClass",
     "TopologyModel",
     "frame_shaping_delay",

@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 __all__ = [
     "AccessClass",
     "TopologyModel",
+    "PRESETS",
     "PRESET_NAMES",
     "preset",
     "lan",
@@ -270,10 +271,6 @@ def frame_shaping_delay(
 # canned presets
 # ---------------------------------------------------------------------------
 
-#: Names `preset()` accepts, in the order `repro topo list` prints them.
-PRESET_NAMES = ("lan", "wan-king", "hetero-access", "planet-diurnal")
-
-
 def lan(n: int = 16, seed: int = 0) -> TopologyModel:
     """The paper's network: zero extra delay, every link at the
     configured rate. Byte-identical to running without a topology."""
@@ -402,20 +399,23 @@ def from_matrix(
     )
 
 
-_BUILDERS = {
-    "lan": lan,
-    "wan-king": wan_king,
-    "hetero-access": hetero_access,
-    "planet-diurnal": planet_diurnal,
+#: Name → (builder, the line `repro topo list` prints), in listing order.
+PRESETS = {
+    "lan": (lan, "uniform star, zero extra delay (byte-identical to no topology)"),
+    "wan-king": (wan_king, "king-style synthetic WAN: seeded points on a 40ms plane"),
+    "hetero-access": (hetero_access, "fiber/cable/dsl access tiers, asymmetric up/down"),
+    "planet-diurnal": (planet_diurnal, "three regions, inter-region delay up to ~100ms one-way"),
 }
+
+#: Names `preset()` accepts.
+PRESET_NAMES = tuple(PRESETS)
 
 
 def preset(name: str, n: int = 16, seed: int = 0) -> TopologyModel:
     """A canned model by name; unknown names list the registry."""
-    builder = _BUILDERS.get(name)
-    if builder is None:
+    if name not in PRESETS:
         raise ValueError(
             f"unknown topology preset {name!r}; known presets: "
             + ", ".join(PRESET_NAMES)
         )
-    return builder(n, seed)
+    return PRESETS[name][0](n, seed)

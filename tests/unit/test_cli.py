@@ -5,6 +5,39 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def rejected(capsys, argv) -> str:
+    """Run ``argv``; it must be refused with exit 2 and one stderr line."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1, err
+    return err
+
+
+#: Bad inputs that once ended in a traceback; {run_dir} is a fresh path.
+BAD_INPUTS = [
+    ["scale", "verify", "--run-dir", "{run_dir}", "--deviant", "x=forward-dropper"],
+    ["scale", "verify", "--run-dir", "{run_dir}", "--deviant", "2=bogus"],
+    ["chaos", "plan", "--nodes", "1"],
+    ["chaos", "plan", "--horizon", "-1"],
+    ["fig3", "--group-size", "0"],
+    ["table1", "--nodes", "0"],
+    ["trace", "--population", "1"],
+    ["measure", "--nodes", "1"],
+    ["sweep", "run", "--run-dir", "{run_dir}", "--experiment", "protocol", "--axis", "nodes=4",
+     "--seeds", ","],
+    ["campaign", "run", "--run-dir", "{run_dir}", "--spec", "smoke", "--loss", "abc"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", BAD_INPUTS, ids=lambda argv: " ".join(a for a in argv if a not in ("--run-dir", "{run_dir}"))
+)
+def test_bad_input_is_one_stderr_line_and_exit_2(tmp_path, capsys, argv):
+    run_dir = tmp_path / "run"
+    rejected(capsys, [arg.format(run_dir=run_dir) for arg in argv])
+    assert not run_dir.exists()
+
+
 class TestParser:
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):
@@ -70,15 +103,14 @@ class TestResults:
         assert main(["results", "check", "table1"]) == 0
         assert "results check OK" in capsys.readouterr().out
 
-    def test_unknown_row_is_rejected_before_building_anything(self):
-        with pytest.raises(SystemExit, match="tabel1"):
-            main(["results", "make", "tabel1"])
+    def test_unknown_row_is_rejected_before_building_anything(self, capsys):
+        assert "tabel1" in rejected(capsys, ["results", "make", "tabel1"])
 
 
 class TestSweep:
-    def test_run_requires_an_axis(self):
-        with pytest.raises(SystemExit):
-            main(["sweep", "run", "--run-dir", "/tmp/x", "--experiment", "protocol"])
+    def test_run_requires_an_axis(self, tmp_path, capsys):
+        argv = ["sweep", "run", "--run-dir", str(tmp_path / "x"), "--experiment", "protocol"]
+        assert "--axis" in rejected(capsys, argv)
 
     def test_serial_run_status_aggregate(self, tmp_path, capsys, cheap_point):
         run_dir = str(tmp_path / "camp")
@@ -154,9 +186,8 @@ class TestSweep:
         [["sweep", "run", "--experiment", "protocol", "--axis", "nodes=4"], ["campaign", "run", "--spec", "smoke"]],
     )
     def test_serial_with_inject_crash_is_a_usage_error(self, tmp_path, capsys, command):
-        with pytest.raises(SystemExit) as err:
-            main([*command, "--run-dir", str(tmp_path / "x"), "--serial", "--inject-crash", "1"])
-        assert err.value.code == 2 and "--serial" in capsys.readouterr().err
+        argv = [*command, "--run-dir", str(tmp_path / "x"), "--serial", "--inject-crash", "1"]
+        assert "--serial" in rejected(capsys, argv)
         assert not (tmp_path / "x").exists()
 
     def test_aggregate_unknown_metric_fails(self, tmp_path, capsys, cheap_point):
@@ -170,28 +201,22 @@ class TestSweep:
         capsys.readouterr()
         assert main(["sweep", "aggregate", "--run-dir", run_dir, "--metric", "nope"]) == 1
 
-    def test_run_unknown_workload_names_the_registry(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(
-                [
-                    "sweep", "run", "--run-dir", "/tmp/x",
-                    "--experiment", "portocol", "--axis", "nodes=4",
-                ]
-            )
-        message = str(err.value)
+    def test_run_unknown_workload_names_the_registry(self, tmp_path, capsys):
+        message = rejected(
+            capsys,
+            [
+                "sweep", "run", "--run-dir", str(tmp_path / "x"),
+                "--experiment", "portocol", "--axis", "nodes=4",
+            ],
+        )
         assert "portocol" in message and "protocol" in message
 
 
 class TestCampaign:
-    def test_unknown_strategy_rejected_before_running(self):
-        with pytest.raises(SystemExit) as err:
-            main(
-                [
-                    "campaign", "run", "--run-dir", "/tmp/x",
-                    "--strategies", "sleepy-relay", "--serial",
-                ]
-            )
-        assert "sleepy-relay" in str(err.value)
+    def test_unknown_strategy_rejected_before_running(self, tmp_path, capsys):
+        argv = ["campaign", "run", "--run-dir", str(tmp_path / "x"), "--strategies", "sleepy-relay", "--serial"]
+        assert "sleepy-relay" in rejected(capsys, argv)
+        assert not (tmp_path / "x").exists()
 
     def test_serial_run_status_report_check(self, tmp_path, capsys):
         run_dir = str(tmp_path / "camp")
@@ -228,34 +253,26 @@ class TestCampaign:
         with open(report_path, encoding="utf-8") as fh:
             assert "no-noise" in fh.read()
 
-    def test_coalition_fraction_and_size_are_mutually_exclusive(self):
-        with pytest.raises(SystemExit, match="not both"):
-            main(
-                [
-                    "campaign", "run", "--run-dir", "/tmp/x",
-                    "--coalition-fraction", "0.25",
-                    "--coalition-size", "3", "--serial",
-                ]
-            )
+    def test_coalition_fraction_and_size_are_mutually_exclusive(self, tmp_path, capsys):
+        argv = [
+            "campaign", "run", "--run-dir", str(tmp_path / "x"),
+            "--coalition-fraction", "0.25", "--coalition-size", "3", "--serial",
+        ]
+        assert "not both" in rejected(capsys, argv)
 
-    def test_coalition_size_needs_a_single_group_size(self):
-        with pytest.raises(SystemExit, match="exactly one"):
-            main(
-                [
-                    "campaign", "run", "--run-dir", "/tmp/x",
-                    "--nodes", "12,16", "--coalition-size", "3", "--serial",
-                ]
-            )
+    def test_coalition_size_needs_a_single_group_size(self, tmp_path, capsys):
+        argv = [
+            "campaign", "run", "--run-dir", str(tmp_path / "x"),
+            "--nodes", "12,16", "--coalition-size", "3", "--serial",
+        ]
+        assert "exactly one" in rejected(capsys, argv)
 
-    def test_coalition_fraction_on_unilateral_strategy_rejected(self):
-        with pytest.raises(SystemExit, match="bad campaign spec"):
-            main(
-                [
-                    "campaign", "run", "--run-dir", "/tmp/x",
-                    "--strategies", "silent-relay",
-                    "--coalition-fraction", "0.25", "--serial",
-                ]
-            )
+    def test_coalition_fraction_on_unilateral_strategy_rejected(self, tmp_path, capsys):
+        argv = [
+            "campaign", "run", "--run-dir", str(tmp_path / "x"),
+            "--strategies", "silent-relay", "--coalition-fraction", "0.25", "--serial",
+        ]
+        assert "not a coordinated behaviour" in rejected(capsys, argv)
 
     def test_coalition_size_run_and_frontier_report(self, tmp_path, capsys):
         # A minimal real coalition cell: at the config default f=0.1
@@ -316,9 +333,13 @@ class TestLive:
             build_parser().parse_args(["live"])
 
     def test_demo_defaults(self):
+        # An unset flag is the live harness row's value.
+        from repro.scenario import HARNESSES
+
         args = build_parser().parse_args(["live", "demo"])
-        assert args.nodes == 8 and args.duration == 10.0 and args.port_base is None
-        assert not args.subprocess and not args.check
+        row = HARNESSES["live"]
+        assert (args.nodes, args.duration, args.messages) == (row["nodes"], row["horizon"], row["messages"])
+        assert args.port_base is None and not args.subprocess and not args.check
 
     def test_demo_options(self):
         args = build_parser().parse_args(
@@ -363,11 +384,9 @@ class TestScale:
         assert args.nodes == 64 and args.shards == 2 and args.workers == 2
         assert args.epoch == 1.0 and not args.serial and not args.verify
 
-    def test_deviant_flag_requires_pair(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(
-                ["scale", "run", "--run-dir", str(tmp_path), "--deviant", "silent-relay"]
-            )
+    def test_deviant_flag_requires_pair(self, tmp_path, capsys):
+        argv = ["scale", "run", "--run-dir", str(tmp_path / "x"), "--deviant", "silent-relay"]
+        assert "INDEX=BEHAVIOR" in rejected(capsys, argv)
 
     def test_verify_reports_equivalence(self, tmp_path, capsys):
         code = main(
@@ -412,6 +431,22 @@ class TestTopo:
         out = capsys.readouterr().out
         for name in ("lan", "wan-king", "hetero-access", "planet-diurnal"):
             assert name in out
+
+    def test_list_describes_every_registered_preset(self, capsys):
+        from repro.topo.model import PRESETS
+
+        assert main(["topo", "list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == list(PRESETS)
+        for line, (_, description) in zip(lines, PRESETS.values()):
+            assert description and line.endswith(description)
+
+    def test_chaos_run_defaults_to_its_harness_row(self):
+        from repro.scenario import HARNESSES
+
+        args = build_parser().parse_args(["chaos", "run"])
+        row = HARNESSES["chaos"]
+        assert (args.nodes, args.horizon, args.plan) == (row["nodes"], row["horizon"], row["plan"])
 
     def test_show_prints_matrix_and_fingerprint(self, capsys):
         assert main(["topo", "show", "--preset", "wan-king", "--nodes", "4", "--matrix"]) == 0

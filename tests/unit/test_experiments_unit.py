@@ -3,6 +3,9 @@
 import pytest
 
 from repro.experiments.comparison import complexity_comparison, render_comparison
+from repro.experiments.empirical import measure_rac_throughput
+from repro.experiments.fig2_trace import trace_dissemination
+from repro.experiments.fig3 import figure3
 from repro.experiments.fig1 import empirical_dissent_v1_point, empirical_dissent_v2_point
 from repro.experiments.runner import Table, format_rate, kbps, paper_sweep_sizes
 from repro.experiments.ablation import recommend_parameters, sweep_relays
@@ -73,3 +76,22 @@ class TestAblationUnits:
         with pytest.raises(ValueError):
             recommend_parameters(f=0.45, max_sender_break=1e-300, max_relays=3,
                                  min_anonymity_set=10)
+
+
+
+class TestHarnessInputs:
+    """A harness refuses a value it cannot take with a ValueError of its
+    own, before it runs anything (the CLI prints it as one line)."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: figure3(group_size=1),
+            lambda: measure_rac_throughput(1),
+            lambda: trace_dissemination(population=2),
+        ],
+        ids=["figure3 G=1", "measure n=1", "trace population=2"],
+    )
+    def test_out_of_range_is_a_value_error(self, call):
+        with pytest.raises(ValueError):
+            call()

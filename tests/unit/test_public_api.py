@@ -7,6 +7,7 @@ the examples reference must be importable from the documented location.
 import importlib
 import pathlib
 import re
+import shlex
 
 import pytest
 
@@ -108,10 +109,35 @@ def test_design_md_package_layout_lists_every_package():
     assert packages <= listed, sorted(packages - listed)
 
 
-def test_cli_module_runs():
+#: Where `repro` command lines are documented or scripted.
+DOCUMENTED = ("Makefile", "README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
+
+
+def documented_commands():
+    """(file, argv) of every `repro` command line in :data:`DOCUMENTED`:
+    backslash continuations joined, ``#`` comments stripped, Makefile
+    variables expanded, ``$D``-style arguments taken literally."""
+    root = pathlib.Path(__file__).resolve().parents[2]
+    for name in DOCUMENTED:
+        text = (root / name).read_text(encoding="utf-8").replace("\\\n", " ")
+        variables = dict(re.findall(r"^([A-Z_]+) *= *(.*)$", text, re.M)) if name == "Makefile" else {}
+        for line in text.splitlines():
+            line = re.sub(r"(^|\s)#.*", "", line)
+            while (expanded := re.sub(r"\$\(([A-Z_]+)\)", lambda m: variables.get(m[1], m[0]), line)) != line:
+                line = expanded
+            for match in re.finditer(r"-m repro\s+([^|&;>`]*)", line):
+                yield name, shlex.split(match[1])
+
+
+def test_every_documented_command_parses():
     from repro.cli import build_parser
 
-    parser = build_parser()
-    commands = {a.dest for a in parser._subparsers._group_actions[0]._choices_actions}
-    # argparse stores choices differently across versions; fall back:
-    assert parser is not None
+    commands = list(documented_commands())
+    assert len(commands) >= 50 and {name for name, _ in commands} == set(DOCUMENTED)
+    parser, refused = build_parser(), []
+    for name, argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            refused.append(f"{name}: repro {' '.join(argv)}")
+    assert not refused, refused
