@@ -14,7 +14,7 @@ test:
 test-fast:
 	$(PYTHON) -m pytest tests/ --ignore=tests/integration/test_throughput_validation.py
 
-bench:  # refresh BENCH_protocol.json, live frame cost included (~3 min)
+bench:  # re-measure every row of benchmarks/baseline.py::GATES and rewrite BENCH_protocol.json
 	PYTHONPATH=src $(PYTHON) benchmarks/baseline.py
 
 PARENT ?= HEAD~1
@@ -24,7 +24,7 @@ SEED ?= 20130708
 bench-pairs:  # N alternating parent/change runs of one rac_bench workload: medians, quartiles, wins, every pair
 	$(PYTHON) benchmarks/pairs.py --parent $(PARENT) --workload $(WORKLOAD) --n $(N) --seed $(SEED)
 
-ci-bench-smoke:  # fail if seal/peel, DH trial-peel, shard-snapshot, bare-engine or per-segment cost regressed >2x vs BENCH_protocol.json at its host speed, a storm packet costs >2.2 events, a 0.3 s flood window runs >60 cycle-collector passes, or a sealed DH layer tried by 24 keys costs >1 full-length pow
+ci-bench-smoke:  # re-measure every GATES row; fail one past its bound against BENCH_protocol.json (wall-clock rows host-normalised)
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_smoke.py -q
 
 SWEEP_SMOKE = $(REPRO) sweep run --run-dir results/sweep_smoke \
@@ -93,7 +93,6 @@ ci:  # what .github/workflows/ci.yml runs
 	$(MAKE) pubsub-smoke
 	$(MAKE) topo-smoke
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_smoke.py -q
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_scale.py -q
 	$(PYTHON) -m pytest benchmarks/rac_bench/tests -q  # the repo benchmark's self-tests: every layers.TARGETS path resolves
 	$(PYTHON) benchmarks/rac_bench/run.py --workload sim-flood-40 --seconds 2 --trace 0  # one real workload; non-zero exit = failed operations or checks
 

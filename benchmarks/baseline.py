@@ -1,27 +1,26 @@
-"""Record the performance baseline to ``BENCH_protocol.json``.
+"""The micro-gates: one ``GATES`` table, recorded to ``BENCH_protocol.json``
+and checked against it.
 
-Run as a script (``make bench`` does) to measure the crypto microbench
-suite, the simulation engine's event rate and the 64-node end-to-end
-wall clock, and write them — together with the frozen *seed-commit*
-numbers and the resulting speedups — to the repo root::
+A row names a gate, the ``measure_*`` call that reads it and its kind:
 
-    PYTHONPATH=src python benchmarks/baseline.py                 # full, ~2 min
-    PYTHONPATH=src python benchmarks/baseline.py --quick         # skip 64-node
+* ``time`` / ``rate`` — a wall-clock reading, taken between two runs of a
+  fixed pure-Python kernel (``host_kernel_us``) and scaled by how much
+  slower that kernel runs now than beside the committed reading; fails
+  at ``bound`` (2x) slower than committed;
+* ``count`` — a count the host does not enter; fails above ``bound``;
+* ``relative`` — a count that wall-clock timers make repeat only to a
+  few per cent; fails above ``bound`` times its committed value.
+
+::
+
+    PYTHONPATH=src python benchmarks/baseline.py                 # record every row (make bench)
     PYTHONPATH=src python benchmarks/baseline.py --segment       # life of one segment
     PYTHONPATH=src python benchmarks/baseline.py --live-frame    # cost of one live TCP frame
 
-The committed ``BENCH_protocol.json`` is the regression anchor:
-``benchmarks/test_bench_smoke.py`` (run by CI) re-measures the
-seal/peel, DH trial-peel, snapshot-save, bare-engine and per-segment
-microbenches and fails when one has regressed more than 2x against the
-committed numbers at the committed host speed (``host_kernel_us``),
-when a live frame takes more than 1.3x the committed number of Python
-calls, when a packet under a fault storm costs more than 2.2 calendar
-events, when a flood window runs more than 60 cycle-collector passes,
-or when a sealed DH layer costs more than one full-length ``pow``.
-
-The measurement functions are importable so the smoke test and the
-recorder can never disagree on methodology.
+``benchmarks/test_bench_smoke.py`` checks every row (``make
+ci-bench-smoke``). A new gate is one row, plus a ``measure_*`` function
+if it needs one: the recorder and the check call the same one, so they
+can never disagree on methodology.
 """
 
 from __future__ import annotations
@@ -32,26 +31,15 @@ import pathlib
 import platform
 import sys
 import time
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(_REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(_REPO_ROOT / "src"))
 
 BASELINE_PATH = _REPO_ROOT / "BENCH_protocol.json"
-
-#: Seed-commit numbers, measured on the development machine (Python
-#: 3.11, one warm run) by executing these same measurement functions
-#: against the pre-optimisation tree (``git worktree`` of the seed).
-#: They are frozen here because the seed code is no longer on any
-#: branch head; the speedups in BENCH_protocol.json are relative to
-#: these.
-SEED_BASELINE = {
-    "keystream_10k_us": 1151.0,
-    "sim_seal_unseal_10k_us": 2423.0,
-    "dh_seal_unseal_10k_us": 3086.0,
-    "dh_keygen_ms": 0.202,
-    "end_to_end_64_node_wall_s": 267.85,
-}
 
 
 def _best_of(fn, repeats: int, number: int) -> float:
@@ -400,7 +388,7 @@ def measure_live_frame_calls(repeats: int = 3, window: float = 2.0) -> float:
 
 
 def measure_live_frame() -> dict:
-    """The ``microbench`` entries for one live frame: calls (profiled
+    """What ``--live-frame`` prints for one live frame: calls (profiled
     lives) and process CPU microseconds (separate, unprofiled lives)."""
     return {
         "live_frame_calls": round(measure_live_frame_calls(), 1),
@@ -426,105 +414,107 @@ def measure_snapshot_save_ms(repeats: int = 5) -> float:
     return statistics.median(samples) * 1e3
 
 
-def measure_end_to_end(nodes: int = 64) -> dict:
-    """Wall seconds of the acceptance-criterion 64-node experiment."""
-    from repro.core.config import RacConfig
-    from repro.core.system import RacSystem
+def measure_sharded_events_per_sec(
+    nodes: int = 64, shards: int = 2, horizon: float = 2.0, seed: int = 7
+) -> float:
+    """Events per wall second of one serial sharded run: the N=64 point
+    of ``results/scaling_curve.txt``, measured by its own
+    ``measure_point`` (snapshots and barrier files included)."""
+    from repro.experiments.scale_curve import measure_point
 
-    t0 = time.perf_counter()
-    system = RacSystem(RacConfig.small(), seed=7)
-    population = system.bootstrap(nodes)
-    system.run(1.0)
-    for i in range(16):
-        system.send(population[i], population[(i + 32) % nodes], b"payload-%d" % i)
-    system.run(5.0)
-    wall = time.perf_counter() - t0
-    return {
-        "nodes": nodes,
-        "wall_seconds": round(wall, 2),
-        "events_processed": system.sim.events_processed,
-        "delivered": system.stats.value("delivered"),
-    }
+    return measure_point(nodes, shards, horizon=horizon, seed=seed)["events_per_sec"]
 
 
-def measure_scaling(points=None, horizon: float = 2.0) -> dict:
-    """The sharded-simulator ``scaling`` section: events/s and wall time
-    at N in {64, 256, 1024}, measured with the same code path as the
-    committed ``results/scaling_curve.txt`` artifact."""
-    from repro.experiments.scale_curve import SCALE_POINTS, measure_point
-
-    measured = []
-    for nodes, shards in points or SCALE_POINTS:
-        point = measure_point(nodes, shards, horizon=horizon)
-        # fingerprint lists live in results/scaling_curve.txt; the bench
-        # file keeps the curve compact and diffable
-        point.pop("shard_fingerprints", None)
-        point.pop("shard_nodes", None)
-        measured.append(point)
-    return {"horizon": horizon, "points": measured}
+KINDS = ("time", "rate", "count", "relative")
 
 
-def record_scaling(path: pathlib.Path = BASELINE_PATH) -> dict:
-    """Measure the scaling curve and fold it into the committed bench
-    file, leaving every other section untouched (the microbench and
-    end-to-end sections take minutes to re-measure)."""
-    doc = json.loads(path.read_text())
-    doc["scaling"] = measure_scaling()
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return doc
+@dataclass(frozen=True)
+class Gate:
+    """One row of ``GATES``: ``measure()`` reads it, ``kind`` (one of
+    ``KINDS``, see the module docstring) says how the reading is judged
+    against the committed one."""
 
+    name: str
+    measure: Callable[[], float]
+    kind: str
+    bound: float = 2.0
+    rounds: int = 1  # wall-clock rows: best of this many bracketed calls
 
-def record(path: pathlib.Path = BASELINE_PATH, quick: bool = False) -> dict:
-    engine_rate, host_kernel_us = with_host_kernel(measure_engine_events_per_sec, 3, rate=True)
-    micro = {
-        "keystream_10k_us": round(measure_keystream_10k(), 1),
-        "sim_seal_unseal_10k_us": round(measure_seal_unseal_10k("sim"), 1),
-        "dh_seal_unseal_10k_us": round(measure_seal_unseal_10k("dh"), 1),
-        "dh_trial_peel_us": round(measure_dh_trial_peel_us(), 1),
-        # a count: built-in pow calls per sealed layer tried by 24 keys
-        "dh_full_pows_per_layer": round(measure_dh_full_pows_per_layer(), 2),
-        "dh_keygen_ms": round(measure_dh_keygen(), 3),
-        "engine_events_per_sec": round(engine_rate),
-        # how fast the host ran while that was measured: the smoke gate
-        # scales its own reading by the ratio of its kernel time to this
-        "host_kernel_us": round(host_kernel_us, 1),
-        "segment_us": round(measure_segment_us(), 1),
-        # a count: what a packet costs the calendar with fault windows armed
-        "storm_events_per_packet": round(measure_storm_events_per_packet(), 3),
-        # a count: cycle-collector passes over one 0.3 s flood window
-        "flood_gc_collections": measure_flood_gc_collections(),
-        "snapshot_save_ms": round(measure_snapshot_save_ms(), 1),
-        # one frame on a loopback TCP link, sender and receiver together
-        **measure_live_frame(),
-    }
-    doc = {
-        "schema": 1,
-        "python": platform.python_version(),
-        "microbench": micro,
-        "seed_baseline": SEED_BASELINE,
-        "speedups": {
-            "keystream_10k": round(SEED_BASELINE["keystream_10k_us"] / micro["keystream_10k_us"], 2),
-            "sim_seal_unseal_10k": round(
-                SEED_BASELINE["sim_seal_unseal_10k_us"] / micro["sim_seal_unseal_10k_us"], 2
-            ),
-            "dh_seal_unseal_10k": round(
-                SEED_BASELINE["dh_seal_unseal_10k_us"] / micro["dh_seal_unseal_10k_us"], 2
-            ),
-            "dh_keygen": round(SEED_BASELINE["dh_keygen_ms"] / micro["dh_keygen_ms"], 2),
-        },
-    }
-    if not quick:
-        end = measure_end_to_end()
-        doc["end_to_end"] = end
-        doc["speedups"]["end_to_end_64_node"] = round(
-            SEED_BASELINE["end_to_end_64_node_wall_s"] / end["wall_seconds"], 2
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"gate {self.name}: kind {self.kind!r} is not one of {KINDS}")
+
+    @property
+    def wall_clock(self) -> bool:
+        return self.kind in ("time", "rate")
+
+    def read(self) -> "tuple[float, float | None]":
+        """``(reading, host kernel µs)``; no kernel for a count."""
+        if self.wall_clock:
+            return with_host_kernel(self.measure, self.rounds, rate=self.kind == "rate")
+        return self.measure(), None
+
+    def check(self, doc: dict) -> "str | None":
+        """None when a fresh reading is within bound against the row
+        committed in ``doc``, else why not. A row with nothing committed
+        fails unmeasured."""
+        row = doc.get("gates", {}).get(self.name, {})
+        if "value" not in row or (self.wall_clock and "host_kernel_us" not in row):
+            return f"{self.name}: no committed value in {BASELINE_PATH.name} (run `make bench`)"
+        rate = self.kind == "rate"
+        reading, kernel = self.read()
+        scaled, host = reading, "a count: the host does not enter"
+        if kernel is not None:
+            slowdown = kernel / row["host_kernel_us"]
+            scaled = reading * slowdown if rate else reading / slowdown
+            host = f"host kernel {kernel:.0f} us, {row['host_kernel_us']:.0f} us committed"
+        if self.kind == "count":
+            limit = self.bound
+        else:
+            limit = row["value"] / self.bound if rate else row["value"] * self.bound
+        if (scaled >= limit) if rate else (scaled <= limit):
+            return None
+        return (
+            f"{self.name}: {reading:.4g} raw, {scaled:.4g} host-scaled ({host}); "
+            f"bound {'>=' if rate else '<='} {limit:.4g} ({self.kind}, {row['value']:.4g} committed; "
+            "re-run `make bench` if this is an intentional trade-off)"
         )
-    if path.exists():
-        # a full re-record must not silently drop the scaling section
-        # (it is re-measured separately via --scaling)
-        previous = json.loads(path.read_text())
-        if "scaling" in previous:
-            doc["scaling"] = previous["scaling"]
+
+
+#: Every micro-gate; each ``measure`` is called with the arguments the
+#: gate has always used.
+GATES = (
+    Gate("keystream_10k_us", partial(measure_keystream_10k, repeats=5, number=200), "time"),
+    Gate("sim_seal_unseal_10k_us", partial(measure_seal_unseal_10k, "sim", repeats=5, number=50), "time"),
+    Gate("dh_seal_unseal_10k_us", partial(measure_seal_unseal_10k, "dh", repeats=5, number=30), "time"),
+    # 22 of the 24 trials walk the ephemeral value's comb instead of
+    # squaring it afresh (~2x per trial), so losing the table trips this
+    Gate("dh_trial_peel_us", measure_dh_trial_peel_us, "time"),
+    Gate("dh_full_pows_per_layer", measure_dh_full_pows_per_layer, "count", bound=1.0),
+    Gate("dh_keygen_ms", measure_dh_keygen, "time"),
+    # the C pickler is ~5x the pure-Python one it replaced
+    Gate("snapshot_save_ms", measure_snapshot_save_ms, "time"),
+    Gate("engine_events_per_sec", measure_engine_events_per_sec, "rate", rounds=3),
+    Gate("sharded_events_per_sec", measure_sharded_events_per_sec, "rate"),
+    Gate("segment_us", partial(measure_segment_us, repeats=2), "time"),
+    Gate("flood_gc_collections", measure_flood_gc_collections, "count", bound=60),
+    Gate("storm_events_per_packet", measure_storm_events_per_packet, "count", bound=2.2),
+    # 181 calls with a task switch per frame written, 107 with the I/O in
+    # the loop's own callbacks. No wall-clock row: an asyncio loop on a
+    # shared host has no steady time per frame
+    Gate("live_frame_calls", partial(measure_live_frame_calls, repeats=1), "relative", bound=1.3),
+)
+
+
+def record(path: pathlib.Path = BASELINE_PATH) -> dict:
+    """Read every row and rewrite ``path`` whole."""
+    gates = {}
+    for gate in GATES:
+        reading, kernel = gate.read()
+        gates[gate.name] = {"value": float(f"{reading:.4g}")}
+        if kernel is not None:
+            gates[gate.name]["host_kernel_us"] = round(kernel, 1)
+    doc = {"schema": 2, "python": platform.python_version(), "gates": gates}
     path.write_text(json.dumps(doc, indent=2) + "\n")
     return doc
 
@@ -532,15 +522,6 @@ def record(path: pathlib.Path = BASELINE_PATH, quick: bool = False) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", type=pathlib.Path, default=BASELINE_PATH)
-    parser.add_argument(
-        "--quick", action="store_true", help="skip the ~2-minute 64-node end-to-end run"
-    )
-    parser.add_argument(
-        "--scaling",
-        action="store_true",
-        help="re-measure only the sharded scaling section (N=64/256/1024) "
-        "and fold it into the existing baseline file",
-    )
     parser.add_argument(
         "--segment",
         action="store_true",
@@ -560,11 +541,7 @@ def main(argv=None) -> int:
     if args.segment:
         print(json.dumps({**measure_segment_path(), "segment_us": round(measure_segment_us(), 1)}, indent=2))
         return 0
-    if args.scaling:
-        doc = record_scaling(args.output)
-    else:
-        doc = record(args.output, quick=args.quick)
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(record(args.output), indent=2))
     print(f"\n[written {args.output}]")
     return 0
 

@@ -1,17 +1,17 @@
 """The sharded-simulator scaling curve (results/scaling_curve.txt).
 
-The monolithic event loop tops out around N=64 on one core (the
-committed ``end_to_end`` bench point: 9.3M events for 6 sim-seconds);
-the group-sharded engine (:mod:`repro.simnet.shard`) pushes the same
-protocol to N=1024+ by running one deterministic sub-simulator per
-group bundle and exchanging cross-group records at epoch barriers.
+The monolithic event loop tops out around N=64 on one core (a 64-node
+run of 6 sim-seconds is 5,905,848 events); the group-sharded engine
+(:mod:`repro.simnet.shard`) pushes the same protocol to N=1024+ by
+running one deterministic sub-simulator per group bundle and exchanging
+cross-group records at epoch barriers.
 
 This module measures that curve with the exact code path ``repro
 scale run`` uses, and is the shared methodology for both the committed
-artifact (the ``scaling_curve`` row of :mod:`.artefacts`) and the
-``scaling`` section of ``BENCH_protocol.json`` (``benchmarks/baseline.py
---scaling``), so the bench gate and the artifact can never disagree on
-what was measured.
+artifact (the ``scaling_curve`` row of :mod:`.artefacts`) and the N=64
+``sharded_events_per_sec`` gate of ``BENCH_protocol.json``
+(``benchmarks/baseline.py``), so the bench gate and the artifact can
+never disagree on what was measured.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ SPEC = ScaleSpec(nodes=24, num_shards=2, seed=3, horizon=3.0)
 EVICT_SPEC = ScaleSpec(
     nodes=24, num_shards=2, seed=3, horizon=6.0, deviants={1: "silent-relay"}
 )
+EXPECTED_N64_MERGED_FINGERPRINT = "eab7c1aeb9d62a375065d02600d97b34f3b25872cd5e9688e135aca8f449e987"
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +106,14 @@ class TestBarrierDeterminism:
             a = open(tmp_path / "a" / name, "rb").read()
             b = open(tmp_path / "b" / name, "rb").read()
             assert a == b
+
+    def test_scaling_curve_n64_fingerprint_is_pinned(self, tmp_path):
+        # The N=64 point of results/scaling_curve.txt, run serially: the
+        # cross-shard schedule reproduces across commits, not only
+        # between two runs of one.
+        spec = ScaleSpec(nodes=64, num_shards=2, seed=7, horizon=2.0)
+        outcome = run_sharded(spec, str(tmp_path / "run"), serial=True)
+        assert outcome.merged_fingerprint == EXPECTED_N64_MERGED_FINGERPRINT
 
     def test_different_seed_diverges(self, tmp_path):
         other = ScaleSpec(nodes=24, num_shards=2, seed=4, horizon=3.0)
