@@ -3,7 +3,7 @@
 PYTHON ?= python
 REPRO = PYTHONPATH=src $(PYTHON) -m repro
 
-.PHONY: install test test-fast bench bench-pairs ci-bench-smoke sweep-smoke live-smoke chaos-smoke campaign-smoke coalition-smoke scale-smoke pubsub-smoke topo-smoke report examples ci clean
+.PHONY: install test test-fast bench bench-pairs ci-bench-smoke sweep-smoke live-smoke chaos-smoke campaign-smoke coalition-smoke scale-smoke topo-smoke report examples ci clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -41,9 +41,11 @@ sweep-smoke:  # 2x2 sweep on 2 workers with one injected crash; must recover, an
 live-smoke:  # 8 live nodes over real TCP for ~10s; >=1 delivery, 0 evictions, 0 rejected/oversize frames, 0 dispatch errors
 	$(REPRO) live demo --nodes 8 --duration 10 --check
 
-chaos-smoke:  # seeded crash-restart + partition on a 6-node live cluster, invariant-checked
+chaos-smoke:  # seeded crash-restart + partition, then join -> split and leaves -> dissolve, on 6 live nodes, invariant-checked
 	$(REPRO) chaos run --substrate live --plan smoke \
 		--nodes 6 --horizon 15 --seed 0 --check
+	$(REPRO) chaos run --substrate live --plan membership \
+		--nodes 6 --horizon 12 --seed 0 --check
 
 campaign-smoke:  # 2 strategies x 2 fault plans x 1 loss point, pool + injected crash
 	rm -rf results/campaign_smoke
@@ -70,9 +72,6 @@ scale-smoke:  # sharded N=64 on 2 workers == monolithic; pool and serial fingerp
 		print('pool/serial shard fingerprints identical:', ' '.join(f[:16] for f in pool))"
 	rm -rf results/scale_smoke
 
-pubsub-smoke:  # live pub/sub: dynamic join -> split, leaves -> dissolve, 0 evictions, delivery parity
-	$(REPRO) pubsub bench --nodes 6 --seed 0 --check
-
 topo-smoke:  # wan-king on both substrates, invariant-checked, + lan==bare-star equivalence gate
 	$(REPRO) topo verify
 	$(REPRO) topo run --preset wan-king --substrate both \
@@ -90,7 +89,6 @@ ci:  # what .github/workflows/ci.yml runs
 	$(MAKE) campaign-smoke
 	$(MAKE) coalition-smoke
 	$(MAKE) scale-smoke
-	$(MAKE) pubsub-smoke
 	$(MAKE) topo-smoke
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_smoke.py -q
 	$(PYTHON) -m pytest benchmarks/rac_bench/tests -q  # the repo benchmark's self-tests: every layers.TARGETS path resolves

@@ -1,82 +1,45 @@
 #!/usr/bin/env python
-"""Anonymous publish-subscribe over RAC, with live group membership.
+"""Anonymous publish-subscribe over RAC, the paper's own sketch (§IV-C).
 
-The paper's own application sketch (Section IV-C): *"in an anonymous
-publish-subscribe system, nodes would subscribe to a given topic using
-their public pseudonym key"*. The full service now lives in
-:mod:`repro.pubsub`; this example drives its deterministic sim twin
-(:class:`~repro.pubsub.SimPubSub`) through the part the sketch leaves
-implicit — what happens to subscriptions when the *groups themselves*
-change underneath them:
-
-* a topic directory maps topic names to subscriber pseudonym keys —
-  crucially, pseudonym keys are NOT linkable to node identities;
-* publishing sends one onion per subscriber key; nobody (including the
-  publisher) learns which node is behind a subscription, and nobody
-  learns who published;
-* subscriptions store NO group id. The subscriber's group is resolved
-  at *publish* time against the live group directory, so a group split
-  or dissolve between subscribe and publish cannot strand a
-  subscription on a stale group id. (An earlier version of this very
-  example cached ``(key, gid)`` at subscribe time — the regression test
-  in ``tests/unit/test_pubsub.py`` pins the bug it had.)
+*"Nodes would subscribe to a given topic using their public pseudonym
+key."* A topic is the list of its subscribers' pseudonym keys, which no
+one can link to a node id; a publish is one anonymous ``send`` per key.
+``send`` resolves the subscriber's group when it is called, so joins
+that split the groups between subscribe and publish cannot strand a
+subscription on a stale group id.
 """
 
-from repro import RacConfig
-from repro.pubsub import SimPubSub, decode_publish
+from repro import RacConfig, RacSystem
 
 
 def main() -> None:
-    config = RacConfig(
-        num_relays=2,
-        num_rings=3,
-        group_min=3,
-        group_max=6,
-        message_size=2048,
-        send_interval=0.05,
-        relay_timeout=60.0,  # honest churn ahead: keep timers out of the way
-        predecessor_timeout=60.0,
-        rate_window=60.0,
-        blacklist_period=2.0,
-        puzzle_bits=4,
-    )
-    service = SimPubSub(config, seed=99)
-    nodes = service.bootstrap(8)
-    service.run(1.5)
+    # Small groups so joins split them; timers far beyond honest churn.
+    config = RacConfig.small(group_min=3, group_max=6, relay_timeout=60.0,
+                             predecessor_timeout=60.0, rate_window=60.0, puzzle_bits=4)
+    system = RacSystem(config, seed=99)
+    nodes = system.bootstrap(8)
+    system.run(1.5)
 
     whistleblower, readers = nodes[0], nodes[5:8]
-    for reader in readers:
-        service.subscribe(reader, "leaks")
-    print(f"'leaks' topic has {service.core.topics.subscriber_count('leaks')} "
-          "anonymous subscribers")
+    leaks = [system.pseudonym_keys[reader] for reader in readers]
+    # The application's key directory: who answers to which pseudonym.
+    holder = {key: node for node, key in system.pseudonym_keys.items()}
 
-    # The group layout the subscribers were registered under...
-    before = dict(service.system.directory.sizes())
+    before = system.directory.sizes()
+    for _ in range(5):  # puzzle-gated joins push groups past group_max
+        system.join()
+    print(f"group sizes {before} -> {system.directory.sizes()} (joins split the groups)")
 
-    # ...does not survive: five nodes join mid-run via the Section IV-C
-    # hash puzzle, pushing groups past group_max and splitting them.
-    for _ in range(5):
-        service.join()
-    after = dict(service.system.directory.sizes())
-    print(f"group sizes {before} -> {after} (joins split the groups)")
-
-    # Publish AFTER the reconfiguration: the topic directory resolves
-    # each pseudonym key's current group now, not at subscribe time.
     story = b"document #42: the audit was never filed"
-    service.publish(whistleblower, "leaks", story)
-    service.run(12.0)
+    for key in leaks:
+        system.send(whistleblower, holder[key], story)
+    system.run(12.0)
 
-    parity = service.parity()
-    print(f"delivery parity: {parity.delivered}/{parity.expected} "
-          f"(missing: {len(parity.missing)})")
-    for reader in readers:
-        got = [decode_publish(p) for p in service.system.delivered_messages(reader)]
-        print(f"subscriber {reader % 10**6}... received: "
-              + ", ".join(f"[{t}#{s}] {body!r}" for t, s, body in got))
-    others = [n for n in nodes if n not in readers]
-    leaked = [n for n in others if service.system.delivered_messages(n)]
+    for key in leaks:
+        print(f"subscriber {holder[key] % 10**6}... received {system.delivered_messages(holder[key])}")
+    leaked = [n for n in system.nodes if n not in readers and system.delivered_messages(n)]
     print(f"non-subscribers that received anything: {leaked} (must be empty)")
-    print(f"evictions: {len(service.system.evicted)} (must be 0 - everyone honest)")
+    print(f"evictions: {len(system.evicted)} (must be 0 - everyone honest)")
 
 
 if __name__ == "__main__":

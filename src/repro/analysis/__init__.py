@@ -8,6 +8,8 @@
 * :mod:`repro.analysis.costs` — the ``x * Bcast(y)`` cost notation;
 * :mod:`repro.analysis.throughput` — saturation-throughput curves for
   Figures 1 and 3;
+* :mod:`repro.analysis.capacity` — groups × members → anonymous msg/s
+  at an anonymity degree (the ``pubsub_capacity`` table);
 * :mod:`repro.analysis.gametheory` — the Nash-equilibrium deviation
   analysis of Section V-B.
 """

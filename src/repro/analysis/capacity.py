@@ -1,4 +1,4 @@
-"""The pub/sub capacity model: groups × members → msg/s at degree k.
+"""Capacity planning: groups × members → msg/s at anonymity degree k.
 
 RAC's costs make capacity planning unusually clean, because the
 protocol's defining property — every group member transmits every
@@ -15,14 +15,12 @@ slot, message or cover — fixes the arithmetic (DESIGN.md §4):
   (``k = g``: the anonymity set is the group), never throughput;
 * groups are the scaling axis: ``G`` groups deliver ``G×`` that rate;
 * a publish to a topic with ``s`` subscribers is ``s`` anonymous
-  messages (per-subscriber pseudonym onions), dividing publish
-  capacity by the fan-out.
+  messages (one onion per subscriber pseudonym key, §IV-C), dividing
+  publish capacity by the fan-out.
 
 So "how many groups × members serve X msg/s at degree k?" inverts to
-``G = ceil(X·s / per_group_rate)`` and ``N = G·k`` — the table the
-``repro pubsub capacity`` command and ``results/pubsub_capacity.txt``
-commit. The ``pubsub_point`` sweep workload measures the sim twin
-against this model.
+``G = ceil(X·s / per_group_rate)`` and ``N = G·k`` — the table
+``repro results make pubsub_capacity`` commits.
 """
 
 from __future__ import annotations

@@ -4,14 +4,15 @@ The modules, in dependency order:
 
 * :mod:`repro.chaos.plan` — :class:`FaultPlan`, the declarative seeded
   timeline (crash, crash-restart, partition, loss, degradation,
-  reorder, directory outage) that compiles onto the simulator's
+  reorder, directory outage, join, leave) that compiles onto the simulator's
   :class:`repro.simnet.faults.FaultInjector` or onto the live backend;
 * :mod:`repro.chaos.proxy` — :class:`ChaosProxy`, the in-process fault
   shim that shapes real TCP frames (drop/delay/reorder/black-hole) at
   the live environment's unicast chokepoint;
 * :mod:`repro.chaos.supervisor` — :class:`ChaosSupervisor`, which plays
   the timeline against a live cluster: kills nodes, restarts them with
-  the same identity through the directory, and bounces the directory;
+  the same identity through the directory, admits joiners, departs
+  leavers and bounces the directory;
 * :mod:`repro.chaos.invariants` — :class:`InvariantChecker`, the judge:
   no honest eviction, clean final blacklists, delivery resumes within
   the heal bound after every fault window.

@@ -144,12 +144,12 @@ class InvariantChecker:
         """Register every healing window of a compiled plan, plus its
         crash intervals, so eviction verdicts that land while a victim
         is down (for good, or until its restart) are excused on both
-        substrates. A runtime that also notes the actual kill and
-        restart times only adds intervals."""
+        substrates; a leave is down for good. A runtime that also notes
+        the actual kill and restart times only adds intervals."""
         for kind, start, end in plan.fault_windows():
             self.note_fault_window(kind, start, end)
         for event in plan.schedule():
-            if event.kind == "crash":
+            if event.kind in ("crash", "leave"):
                 self.note_crash(node_ids[event.node], event.at)
                 if event.restart_after is not None:
                     self.note_restart(node_ids[event.node], event.at + event.restart_after)

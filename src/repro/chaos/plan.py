@@ -1,26 +1,30 @@
 """Declarative, seeded fault plans runnable on both substrates.
 
 A :class:`FaultPlan` is a *timeline* — crash, crash-then-restart,
-partition, per-link loss, bandwidth degradation, frame-reorder and
-directory-outage events, each anchored at a plan-relative time — that
-compiles onto whichever substrate hosts the run:
+partition, per-link loss, bandwidth degradation, frame-reorder,
+directory-outage, join and leave events, each anchored at a
+plan-relative time — that compiles onto whichever substrate hosts the
+run:
 
 * **sim** — :meth:`FaultPlan.compile_sim` maps every event onto the
   existing :class:`repro.simnet.faults.FaultInjector` APIs (outages,
   partitions, loss-rate windows, degradations) plus scheduled
-  ``RacNode.stop`` calls for permanent crashes. Compiling a plan never
-  touches the injector's RNG stream out of order, so lossless runs
-  without a plan keep their determinism fingerprints.
+  ``RacNode.stop`` calls for permanent crashes and
+  ``RacSystem.join`` / ``leave`` calls for membership churn. Compiling
+  a plan never touches the injector's RNG stream out of order, so
+  lossless runs without a plan keep their determinism fingerprints.
 * **live** — :class:`repro.chaos.supervisor.ChaosSupervisor` plays the
   same timeline against a :class:`repro.live.cluster.LiveCluster`,
   driving the :class:`repro.chaos.proxy.ChaosProxy` fault shim for
-  network shaping and killing/restarting real nodes for crash events.
+  network shaping, killing/restarting real nodes for crash events and
+  admitting/departing them for membership events.
 
 Events reference nodes by **creation index** (0-based bootstrap order),
 never by node id: indices are the substrate-neutral names, and both
 substrates build the identical population for one seed (see
 :func:`repro.core.identity.build_population`), so index ``i`` is the
-same participant everywhere.
+same participant everywhere. Joiners continue that order: the k-th
+join of a plan over ``n`` bootstrap nodes admits index ``n + k``.
 
 Two backends given the same plan must agree on *what happens when*;
 :meth:`FaultPlan.fingerprint` hashes the normalized schedule so tests
@@ -48,13 +52,20 @@ __all__ = [
     "FaultPlan",
     "smoke_plan",
     "storm_plan",
+    "membership_plan",
     "CANNED_PLANS",
+    "CANNED_GEOMETRY",
     "canned_plan",
 ]
 
 #: Event kinds, in the (arbitrary but fixed) order used to break ties
-#: between events scheduled at the same instant.
-KINDS = ("crash", "partition", "loss", "degrade", "reorder", "directory_outage")
+#: between events scheduled at the same instant. Append only: the index
+#: is part of every sort key, so a new kind goes last.
+KINDS = ("crash", "partition", "loss", "degrade", "reorder", "directory_outage", "join", "leave")
+
+#: The membership kinds: a join admits the next node of the identity
+#: stream, a leave departs a node gracefully.
+MEMBERSHIP = ("join", "leave")
 
 
 @dataclass(frozen=True)
@@ -111,6 +122,10 @@ class FaultEvent:
             )
         if self.kind == "directory_outage":
             return f"t={self.at:g}s directory outage for {self.duration:g}s"
+        if self.kind == "join":
+            return f"t={self.at:g}s the next node joins"
+        if self.kind == "leave":
+            return f"t={self.at:g}s node#{self.node} leaves"
         return f"t={self.at:g}s {self.kind}"
 
 
@@ -199,6 +214,21 @@ class FaultPlan:
             raise ValueError("directory outage duration must be positive")
         return self._add(FaultEvent("directory_outage", at, duration=duration))
 
+    def join(self, at: float) -> "FaultPlan":
+        """Admit one node through the §IV-C puzzle handshake. Joiners
+        take the creation indices after the bootstrap population, in
+        join order."""
+        return self._add(FaultEvent("join", at))
+
+    def leave(self, node: int, at: float) -> "FaultPlan":
+        """Depart node ``node`` gracefully: announced, so its silence
+        is never evidence; the node is down for good."""
+        return self._add(FaultEvent("leave", at, node=node))
+
+    @property
+    def joins(self) -> int:
+        return sum(1 for event in self.events if event.kind == "join")
+
     # -- the normalized timeline ----------------------------------------------
     def schedule(self) -> "List[FaultEvent]":
         """The events in deterministic play order (time, then kind)."""
@@ -237,15 +267,23 @@ class FaultPlan:
         return self.to_dict() == other.to_dict()
 
     def validate(self, population: int) -> None:
-        """Reject events that reference nodes outside the population or
-        fall outside the horizon."""
-        for event in self.events:
+        """Reject events that reference nodes outside the ``population``
+        bootstrapped, or fall outside the horizon. A leave may also name
+        a joiner that has joined by then, and each node leaves once."""
+        joined, left = population, set()
+        for event in self.schedule():
+            joined += event.kind == "join"
+            limit = joined if event.kind == "leave" else population
             indices = set(event.side_a) | set(event.side_b)
             if event.node is not None:
                 indices.add(event.node)
-            bad = [i for i in indices if not 0 <= i < population]
+            bad = [i for i in indices if not 0 <= i < limit]
             if bad:
-                raise ValueError(f"{event.describe()}: node index {bad[0]} outside 0..{population - 1}")
+                raise ValueError(f"{event.describe()}: node index {bad[0]} outside 0..{limit - 1}")
+            if event.kind == "leave":
+                if event.node in left:
+                    raise ValueError(f"{event.describe()}: node#{event.node} has already left")
+                left.add(event.node)
             if event.at >= self.horizon:
                 raise ValueError(f"{event.describe()}: scheduled at/after the {self.horizon:g}s horizon")
 
@@ -253,7 +291,9 @@ class FaultPlan:
         """``(kind, start, heal_time)`` for every *healing* fault — the
         windows the invariant checker's liveness bound is anchored to.
         Permanent crashes never heal and are excluded; directory outages
-        do not gate node-to-node delivery and are excluded too."""
+        do not gate node-to-node delivery and are excluded too. A join
+        or leave is a zero-length window: delivery must resume within
+        the heal bound of the reconfiguration it causes."""
         windows = []
         for event in self.schedule():
             if event.kind == "directory_outage":
@@ -274,14 +314,22 @@ class FaultPlan:
         """Arm the plan on a :class:`repro.core.system.RacSystem`.
 
         Must be called *before* ``system.run`` crosses the first event
-        time. Returns the compile notes — events with no sim analogue,
-        each recorded rather than silently dropped.
+        time. ``node_ids`` names the whole population, joiners included
+        (the identities the system will mint, in join order). Returns
+        the compile notes — events with no sim analogue, each recorded
+        rather than silently dropped.
         """
-        self.validate(len(node_ids))
+        joiner = len(node_ids) - self.joins
+        self.validate(joiner)
         notes: "List[str]" = []
         restore_rate = system.config.link_loss_rate
         for event in self.schedule():
-            if event.kind == "crash":
+            if event.kind == "join":
+                system.sim.schedule_at(event.at, self._sim_join, system, node_ids[joiner])
+                joiner += 1
+            elif event.kind == "leave":
+                system.sim.schedule_at(event.at, self._sim_leave, system, node_ids[event.node])
+            elif event.kind == "crash":
                 victim = node_ids[event.node]
                 if event.restart_after is None:
                     # Dead host: the state machine stops and the links
@@ -333,6 +381,18 @@ class FaultPlan:
         node = system.nodes.get(node_id)
         if node is not None and node.active:
             node.stop()
+
+    @staticmethod
+    def _sim_join(system, expected: int) -> None:
+        joined = system.join()
+        if joined != expected:
+            raise RuntimeError(f"joiner {joined:#x} is not the planned identity {expected:#x}")
+
+    @staticmethod
+    def _sim_leave(system, node_id: int) -> None:
+        node = system.nodes.get(node_id)
+        if node is not None and node.active:
+            system.leave(node_id)
 
     # -- canned plans ---------------------------------------------------------
     @classmethod
@@ -450,15 +510,38 @@ def storm_plan(
     return plan
 
 
+def membership_plan(population: int, horizon: float, seed: int = 0) -> FaultPlan:
+    """Churn through the §IV-C group lifecycle: at mid-run one node
+    joins, then nodes 1 and 2 leave. Under its :data:`CANNED_GEOMETRY`
+    on 6 nodes the join makes 7 members, which split at the median into
+    3|4; any two leaves then leave a group below ``group_min``, which
+    dissolves — whatever the node ids are.
+
+    Churn starts at half the horizon because an onion in flight across
+    a split blames its honest first relay one ``relay_timeout`` later
+    (DESIGN.md §15): the plan is clean on runs shorter than twice that
+    timeout, which the chaos harness's regimes give."""
+    if population < 4:
+        raise ValueError("the membership plan needs at least 4 nodes")
+    plan = FaultPlan(seed=seed, horizon=horizon).join(at=round(horizon * 0.5, 3))
+    return plan.leave(1, at=round(horizon * 0.6, 3)).leave(2, at=round(horizon * 0.7, 3))
+
+
 _CANNED = {
     "none": lambda population, horizon, seed=0: FaultPlan(seed=seed, horizon=horizon),
     "smoke": smoke_plan,
     "storm": storm_plan,
+    "membership": membership_plan,
 }
 
 #: The canned timelines every entry point accepts by name. ``none`` is
 #: the baseline: an empty plan, zero fault windows.
 CANNED_PLANS = tuple(_CANNED)
+
+#: The group bounds a canned plan is written for, under a scenario's
+#: own config overrides: churn only splits and dissolves groups when
+#: they are small (``RacConfig.small`` keeps one unbounded group).
+CANNED_GEOMETRY: "Dict[str, Dict[str, int]]" = {"membership": dict(group_min=3, group_max=6)}
 
 
 def canned_plan(name: str, nodes: int, horizon: float, seed: int = 0) -> FaultPlan:

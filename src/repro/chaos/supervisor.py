@@ -17,6 +17,11 @@ timeline event and, as the wall clock crosses each one:
 * **directory outage** — closes the rendezvous server and restarts it
   on the same port after the window (registrations survive in memory,
   as a directory restored from its log would);
+* **join / leave** — admits the next identity of the cluster's stream
+  through :meth:`~repro.live.cluster.LiveCluster.join_node` (the
+  puzzle re-verified at every replica) or departs a node through
+  :meth:`~repro.live.cluster.LiveCluster.leave_node`, then probes every
+  directory replica with the checker — a split or dissolve rewrote them;
 * **partition / loss / degrade / reorder** — nothing to do here: these
   are time-windows the :class:`repro.chaos.proxy.ChaosProxy` evaluates
   per frame; the supervisor only installs the shim on every node's
@@ -36,7 +41,7 @@ from typing import List, Optional
 from ..live.cluster import LiveCluster
 from ..live.directory import DirectoryUnavailable
 from .invariants import InvariantChecker
-from .plan import FaultEvent, FaultPlan
+from .plan import MEMBERSHIP, FaultEvent, FaultPlan
 from .proxy import ChaosProxy
 
 __all__ = ["ChaosSupervisor"]
@@ -68,6 +73,7 @@ class ChaosSupervisor:
             topology=topology,
         )
         self._tasks: "List[asyncio.Task]" = []
+        self._churn = asyncio.Lock()
         #: Human-readable record of what the supervisor actually did.
         self.log: "List[str]" = []
         self.restarts = 0
@@ -81,8 +87,7 @@ class ChaosSupervisor:
         self.proxy.start(loop)
         for node in self.cluster.nodes:
             if node.env is not None:
-                self.proxy.register(node.node_id, node.env.stats)
-                node.env.fault_shim = self.proxy
+                self._install(node)
         for event in self.plan.schedule():
             self._tasks.append(loop.create_task(self._play(event)))
 
@@ -90,7 +95,10 @@ class ChaosSupervisor:
         """Cancel pending events and flush the proxy."""
         for task in self._tasks:
             task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
+        results = await asyncio.gather(*self._tasks, return_exceptions=True)
+        for event, result in zip(self.plan.schedule(), results):
+            if isinstance(result, Exception):  # an event that died must not vanish
+                self._note(f"{event.describe()} failed: {result!r}")
         self._tasks.clear()
         self.proxy.close()
 
@@ -104,7 +112,31 @@ class ChaosSupervisor:
             await self._play_crash(event)
         elif event.kind == "directory_outage":
             await self._play_directory_outage(event)
+        elif event.kind in MEMBERSHIP:
+            await self._play_membership(event)
         # partition/loss/degrade/reorder: proxy windows, nothing to arm.
+
+    async def _play_membership(self, event: FaultEvent) -> None:
+        """Admit the next joiner or depart a node, then probe every
+        directory replica: a split or dissolve just rewrote them."""
+        async with self._churn:  # joiners take creation indices in join order
+            if event.kind == "join":
+                node = await self.cluster.join_node()
+                self._install(node)
+                self._note(f"node#{len(self.cluster.nodes) - 1} ({node.node_id:#x}) joined")
+            elif not self.cluster.nodes[event.node].killed:
+                node_id = await self.cluster.leave_node(event.node)
+                self._note(f"node#{event.node} ({node_id:#x}) left")
+        if self.checker is not None:
+            now = self.proxy.now
+            self.checker.check_directory(now, self.cluster.group_directory)
+            for node in self.cluster.live_nodes():
+                self.checker.check_directory(now, node.env.directory)
+
+    def _install(self, node) -> None:
+        """Route a new incarnation's frames through the fault shim."""
+        self.proxy.register(node.node_id, node.env.stats)
+        node.env.fault_shim = self.proxy
 
     async def _play_crash(self, event: FaultEvent) -> None:
         index = event.node
@@ -157,9 +189,7 @@ class ChaosSupervisor:
         # excluded from the roster; future ones arrive via the cluster
         # coordinator like everyone else's.
         self.cluster.adopt_replacement(index, node)
-        assert node.env is not None
-        self.proxy.register(node.node_id, node.env.stats)
-        node.env.fault_shim = self.proxy
+        self._install(node)
         self.restarts += 1
         self._note(f"restarted node#{index} ({material.node_id:#x}) on port {node.port}")
         if self.checker is not None:

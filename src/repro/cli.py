@@ -14,7 +14,6 @@
     python -m repro chaos run --substrate both  # fault plan + invariant check
     python -m repro campaign run --spec smoke --run-dir /tmp/c  # adversarial matrix
     python -m repro scale verify --nodes 64 --shards 2  # sharded == monolithic
-    python -m repro pubsub bench --check  # live pub/sub with dynamic membership
     python -m repro results list | make NAME... | check [NAME...]
 
 ``results`` is the one door to the committed ``results/*.txt`` files
@@ -50,7 +49,6 @@ from .experiments.table1 import table1
 from .freeride.registry import BEHAVIORS, UnknownBehaviorError
 from .orchestrator import SweepGrid, open_run, start_run
 from .orchestrator.workloads import UnknownWorkloadError, resolve_workload
-from .pubsub.capacity import capacity_table, render_capacity_table
 from .scenario import HARNESSES, Scenario, run_scenario
 from .simnet.shard import ScaleSpec
 from .topo.model import PRESET_NAMES, PRESETS, preset
@@ -109,7 +107,8 @@ _SCENARIO_FLAGS: "Dict[str, Dict[str, Any]]" = {
     "nodes": dict(type=int, help="population size"),
     "horizon": dict(type=float, help="run seconds"),
     "plan": dict(choices=CANNED_PLANS, help="canned timeline: none = no faults; smoke = "
-                 "1 crash-restart + 1 partition; storm = seeded random fault mix"),
+                 "1 crash-restart + 1 partition; storm = seeded random fault mix; membership = "
+                 "1 join + 2 leaves (a group split, then a dissolve, on 6 nodes)"),
     "heal_bound": dict(type=float, help="seconds after each fault heals within which "
                        "delivery must resume"),
     "messages": dict(type=int, help="anonymous messages queued per node"),
@@ -378,26 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also run the monolithic simulation and assert outcome equivalence")
     srun.set_defaults(build=_scale)
     sverify.set_defaults(build=_scale, serial=True, inject_crash=0, verify=True)
-
-    pubsub = _group(sub, "pubsub", "anonymous pub/sub service over the live runtime: topics, "
-                    "puzzle-gated joins, live group splits/dissolves")
-    pserve = pubsub.add_parser("serve", help="run the service on localhost and accept client frames")
-    pbench = pubsub.add_parser("bench", help="scripted join/subscribe/publish/leave scenario + report")
-    for p in (pserve, pbench):
-        p.add_argument("--nodes", type=int, default=6, help="bootstrap size (default 6)")
-        p.add_argument("--seed", type=int, default=0, help="population seed (default 0)")
-        p.add_argument("--port-base", type=int, metavar="P",
-                       help="bind node i to port P+i (default: ephemeral ports)")
-    pserve.add_argument("--api-port", type=int, default=0, help="client API port (default: ephemeral)")
-    pserve.add_argument("--duration", type=float, help="wall seconds to serve (default: until Ctrl-C)")
-    pserve.set_defaults(build=lambda a: lambda: _pubsub_serve(a))
-    pbench.add_argument("--settle", type=float, default=3.0,
-                        help="seconds between scenario phases (default 3)")
-    pbench.add_argument("--check", action="store_true", help="exit nonzero unless >=1 live split, "
-                        ">=1 dissolve, 0 evictions and delivery parity hold (CI smoke contract)")
-    pbench.set_defaults(build=lambda a: lambda: _pubsub_bench(a))
-    pubsub.add_parser("capacity", help="groups x members -> msg/s capacity planning table"
-                      ).set_defaults(build=lambda a: _show(render_capacity_table(capacity_table())))
     return parser
 
 
@@ -656,42 +635,6 @@ def _scale(args: argparse.Namespace) -> Run:
         return 0 if report.equivalent else 1
 
     return run
-
-
-def _pubsub_bench(args: argparse.Namespace) -> int:
-    from .pubsub.bench import check_report, run_bench_blocking
-
-    report = run_bench_blocking(args.nodes, seed=args.seed, settle=args.settle, port_base=args.port_base)
-    print(report.render())
-    if not args.check:
-        return 0
-    ok, failures = check_report(report)
-    print("pubsub smoke OK" if ok else "pubsub smoke FAILED:")
-    for reason in [] if ok else failures:
-        print(f"  - {reason}")
-    return 0 if ok else 1
-
-
-def _pubsub_serve(args: argparse.Namespace) -> None:
-    import asyncio
-
-    from .pubsub.service import PubSubService
-
-    async def serve() -> None:
-        service = PubSubService(args.nodes, seed=args.seed, port_base=args.port_base)
-        await service.start()
-        api_port = await service.serve(port=args.api_port)
-        print(f"pubsub service: {args.nodes} nodes, client API on 127.0.0.1:{api_port}")
-        try:
-            await (asyncio.sleep(args.duration) if args.duration is not None else asyncio.Event().wait())
-        except (KeyboardInterrupt, asyncio.CancelledError):
-            pass
-        print((await service.stop(duration=args.duration or 0.0)).render())
-
-    try:
-        asyncio.run(serve())
-    except KeyboardInterrupt:
-        pass
 
 
 if __name__ == "__main__":

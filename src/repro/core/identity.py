@@ -35,7 +35,7 @@ __all__ = [
 class NodeMaterial:
     """Everything needed to instantiate one node deterministically."""
 
-    #: 1-based creation index (the system's ``_key_seed``).
+    #: 1-based creation index (the low digits of the key seed).
     index: int
     node_id: int
     id_keypair: KeyPair
@@ -67,15 +67,15 @@ def generate_node_material(rng: random.Random, key_seed: int, config: RacConfig)
 
 
 class PopulationFactory:
-    """A resumable stream of node identities off one system RNG.
+    """A resumable stream of node identities off one seeded RNG.
 
-    ``RacSystem`` numbers nodes with a monotone ``_key_seed`` and draws
-    each identity from a single shared RNG, so "the next node to join"
-    is a well-defined object even after bootstrap. This factory holds
-    that cursor: ``take(count)`` yields a bootstrap population and
-    later ``next_material()`` calls yield exactly the identities a
-    ``RacSystem.join()`` sequence would mint — which is what lets a
-    live cluster admit dynamic joiners that match its sim twin.
+    ``take(count)`` yields a bootstrap population and later
+    ``next_material()`` calls yield the dynamic joiners. A
+    ``RacSystem`` mints from its own factory, and nothing else draws
+    from it, so the k-th ``RacSystem.join()`` is the k-th
+    ``next_material()`` after bootstrap whatever the run did in
+    between — which is what lets a live cluster admit the joiners its
+    sim twin admits.
     """
 
     def __init__(self, config: RacConfig, seed: int = 0) -> None:
@@ -90,6 +90,13 @@ class PopulationFactory:
 
     def take(self, count: int) -> "List[NodeMaterial]":
         return [self.next_material() for _ in range(count)]
+
+    def fork(self) -> random.Random:
+        """An RNG that continues from the cursor's current state; what
+        it draws never moves the identity stream."""
+        rng = random.Random()
+        rng.setstate(self._rng.getstate())
+        return rng
 
 
 def build_population(config: RacConfig, count: int, seed: int = 0) -> "List[NodeMaterial]":

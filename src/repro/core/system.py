@@ -42,7 +42,7 @@ from ..simnet.trace import Tracer
 from ..simnet.transport import ReliableTransport
 from ..crypto.shuffle import ShuffleParticipant, run_shuffle
 from .config import RacConfig, check_timers
-from .identity import generate_node_material
+from .identity import PopulationFactory
 from .messages import DomainId, JoinRequest
 from .node import RacNode
 from .wire import verify_unicast_payload
@@ -74,6 +74,10 @@ class RacSystem:
         .timer_floors`) so experiments can *measure* the false-eviction
         region the contract exists to forbid."""
         self.config = config if config is not None else RacConfig()
+        #: Every identity this system mints, bootstrap and joiners alike.
+        self._identities = PopulationFactory(self.config, seed)
+        #: The blacklist shuffle's stream: forked from the identity
+        #: stream when bootstrap ends, so a shuffle never moves a joiner.
         self.rng = random.Random(seed)
         self.sim = Simulator()
         self.stats = StatsRegistry()
@@ -113,7 +117,6 @@ class RacSystem:
         self._send_times: Dict[bytes, List[float]] = {}
         self._interval_override: "float | None" = self.config.send_interval
         self._blacklist_rounds_scheduled = False
-        self._key_seed = 0
         self._puzzle_vectors: Dict[int, int] = {}
 
     # ======================================================================
@@ -313,6 +316,7 @@ class RacSystem:
         for index in range(count):
             node_id = self._create_node(behaviors.get(index))
             created.append(node_id)
+        self.rng = self._identities.fork()
         self._start_blacklist_rounds()
         self._validate_timers(count)
         return created
@@ -381,9 +385,7 @@ class RacSystem:
         return valid
 
     def _create_node(self, behavior=None) -> int:
-        self._key_seed += 1
-        material = generate_node_material(self.rng, self._key_seed, self.config)
-        return self._instantiate_node(material, behavior)
+        return self._instantiate_node(self._identities.next_material(), behavior)
 
     def _instantiate_node(self, material, behavior=None) -> int:
         """Wire one pre-drawn :class:`~repro.core.identity.NodeMaterial`

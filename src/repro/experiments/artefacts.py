@@ -209,7 +209,7 @@ def _ablation() -> Built:
 
 
 def _pubsub_capacity() -> Built:
-    from ..pubsub.capacity import capacity_table, render_capacity_table
+    from ..analysis.capacity import capacity_table, render_capacity_table
 
     return [render_capacity_table(capacity_table())], []
 

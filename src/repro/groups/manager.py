@@ -85,15 +85,8 @@ class GroupDirectory:
         first = Group(next(self._gid_counter), 0, _ID_SPACE, num_rings)
         self.groups: Dict[int, Group] = {first.gid: first}
         self._node_group: Dict[int, int] = {}
-        #: Monotone mutation counter: bumped once per emitted
-        #: :class:`GroupEvent`. Publish-time caches (the pub/sub topic
-        #: directory) key their resolved group lookups on it, so a
-        #: split or dissolve anywhere invalidates them without a
-        #: callback web.
-        self.version = 0
-        #: Running tally of emitted events by kind — the cheap way for
-        #: a long-running service to answer "how many splits/dissolves
-        #: has this deployment been through".
+        #: Running tally of emitted events by kind: how many splits and
+        #: dissolves this deployment has been through.
         self.event_counts: Dict[str, int] = {}
 
     # -- lookups -----------------------------------------------------------
@@ -143,8 +136,7 @@ class GroupDirectory:
         return self._note(events)
 
     def _note(self, events: "List[GroupEvent]") -> "List[GroupEvent]":
-        """Account a batch of emitted events (version + kind tallies)."""
-        self.version += len(events)
+        """Account a batch of emitted events in the kind tallies."""
         for event in events:
             self.event_counts[event.kind] = self.event_counts.get(event.kind, 0) + 1
         return events

@@ -130,7 +130,6 @@ class BundleDirectory(GroupDirectory):
         self.smax = smax
         self.groups: Dict[int, Group] = {}
         self._node_group: Dict[int, int] = {}
-        self.version = 0
         self.event_counts: Dict[str, int] = {}
         max_gid = 0
         for spec in specs:

@@ -120,8 +120,6 @@ class LiveCluster:
         self._retired: "List[LiveNode]" = []
         self._incarnations: "Dict[int, int]" = {}
         self.evicted: "List[int]" = []
-        #: Graceful departures (node ids), distinct from evictions.
-        self.departed: "List[int]" = []
         #: Canonical post-bootstrap membership history: ordered
         #: ("join", RosterEntry) / ("remove", node_id) records. A late
         #: joiner's replica replays it over the bootstrap roster —
@@ -130,11 +128,9 @@ class LiveCluster:
         #: final member set, must be shared.
         self._membership_log: "List[tuple]" = []
         self._initial_roster: "Optional[List[RosterEntry]]" = None
-        #: The cluster's own (coordinator-side) directory replica. The
-        #: service layer resolves publish fan-out against it — it
-        #: outlives any individual node — and its ``event_counts``
-        #: deltas since bootstrap are the deployment-level
-        #: split/dissolve tally.
+        #: The cluster's own (coordinator-side) directory replica: it
+        #: outlives any individual node, and its ``event_counts`` deltas
+        #: since bootstrap are the deployment-level split/dissolve tally.
         self.group_directory: "Optional[GroupDirectory]" = None
         self._baseline_counts: "Dict[str, int]" = {}
         self._on_delivered = on_delivered
@@ -250,7 +246,6 @@ class LiveCluster:
             membership_log=list(self._membership_log),
         )
         self.nodes.append(joiner)
-        self._check_directories()
         return joiner
 
     async def leave_node(self, index: int) -> int:
@@ -262,13 +257,11 @@ class LiveCluster:
         if not node.killed:
             await node.shutdown()
             node.killed = True  # cluster shutdown must not re-stop it
-        self.departed.append(node_id)
         for other in self.live_nodes():
             other.env.apply_leave(node_id)
         if self.group_directory is not None:
             self.group_directory.remove_node(node_id)
         self._membership_log.append(("remove", node_id))
-        self._check_directories()
         return node_id
 
     def reconfigurations(self) -> "Dict[str, int]":
@@ -284,14 +277,6 @@ class LiveCluster:
 
     def live_nodes(self) -> "List[LiveNode]":
         return [n for n in self.nodes if not n.killed and n.env is not None]
-
-    def _check_directories(self) -> None:
-        """Assert every replica's directory is still a partition — the
-        §IV-C invariant most at risk under dynamic churn."""
-        if self.group_directory is not None:
-            self.group_directory.check_invariants()
-        for node in self.live_nodes():
-            node.env.directory.check_invariants()
 
     def adopt_replacement(self, index: int, node: LiveNode) -> None:
         """Swap a restarted node into slot ``index``. The dead

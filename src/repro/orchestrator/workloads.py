@@ -21,7 +21,6 @@ instead of starting over.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -212,11 +211,13 @@ def live_point(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Dict
 def chaos_point(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Dict[str, float]":
     """One invariant-checked chaos run on ``substrate`` (``sim`` default,
     or ``live``), sweepable over ``plan``, ``nodes``, ``horizon`` and
-    seeds. The violation count is a metric, not an exception: a soak
-    campaign aggregates it to zero.
+    seeds — ``plan=membership`` with ``group_min``/``group_max`` axes is
+    the membership-churn sweep. The violation count is a metric, not an
+    exception: a soak campaign aggregates it to zero.
     """
     outcome, metrics = _judged_point(
-        "chaos", params, seed, ctx, "chaos_frames_dropped", "chaos_frames_blackholed"
+        "chaos", params, seed, ctx, "chaos_frames_dropped", "chaos_frames_blackholed",
+        "group_splits", "group_dissolves",
     )
     checked = float(outcome.report.checks.get("heal_windows", 0))
     return {**metrics, "heal_windows_checked": checked}
@@ -235,87 +236,6 @@ def shard_epoch(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Dic
     from .sharded import run_shard_epoch
 
     return run_shard_epoch(params, seed, ctx)
-
-
-@workload("pubsub_point")
-def pubsub_point(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Dict[str, float]":
-    """One anonymous pub/sub run on the sim twin, with membership churn.
-
-    Parameters: ``nodes`` (bootstrap population), ``duration``
-    (sim-seconds, split around the churn window), ``topics``,
-    ``subscribers`` (how many nodes subscribe, round-robin over the
-    topics), ``publishes`` (per half, round-robin over topics), ``joins``
-    and ``leaves`` (mid-run churn driving live splits/dissolves), plus
-    any RacConfig override — notably the group bounds ``group_min`` /
-    ``group_max`` (the split/dissolve thresholds — the axis a
-    membership-churn sweep actually cares about). Not
-    checkpointable (cells are short); deterministic in ``(params, seed)``.
-    """
-    from ..core.config import RacConfig
-    from ..pubsub.sim import SimPubSub
-
-    config_fields = {f.name for f in dataclasses.fields(RacConfig)}
-    overrides = {k: v for k, v in params.items() if k in config_fields}
-    # A group must keep >= num_relays + 1 members to originate onions
-    # at all, so the churn defaults keep every split/dissolve product
-    # origination-capable (RacConfig.small's group_min=2 does not).
-    overrides.setdefault("group_min", int(overrides.get("num_relays", 2)) + 1)
-    overrides.setdefault("group_max", 2 * int(overrides["group_min"]))
-    config = RacConfig.small(**overrides)
-    duration = float(params.get("duration", 4.0))
-    topics = max(1, int(params.get("topics", 2)))
-    service = SimPubSub(config, seed=seed)
-    node_ids = service.bootstrap(int(params.get("nodes", 8)))
-    baseline = dict(service.reconfigurations())
-
-    subscribers = min(int(params.get("subscribers", len(node_ids))), len(node_ids))
-    for index in range(subscribers):
-        service.subscribe(node_ids[index], f"t{index % topics}")
-
-    def publish_round(tag: str) -> None:
-        publishes = int(params.get("publishes", topics))
-        for m in range(publishes):
-            publisher = node_ids[(m + 1) % len(node_ids)]
-            if publisher in service.excused():
-                continue
-            service.publish(publisher, f"t{m % topics}", f"pubsub/{seed}/{tag}/{m}".encode())
-
-    publish_round("pre")
-    service.run(duration / 2)
-
-    for _ in range(int(params.get("joins", 1))):
-        joined = service.join()
-        service.subscribe(joined, f"t{joined % topics}")
-    survivors = [n for n in node_ids if n not in service.excused()]
-    for victim in survivors[-int(params.get("leaves", 1)) :][::-1]:
-        if len(survivors) > 2:
-            service.leave(victim)
-            survivors.remove(victim)
-
-    publish_round("post")
-    service.run(duration / 2)
-    # Drain window: fan-outs enlarged by the joins may still be in
-    # flight; give them bounded extra sim-time before judging parity,
-    # so `parity_missing` means *lost*, not *late*.
-    drain = float(params.get("drain", duration))
-    drained = 0.0
-    while drained < drain and not service.parity().ok:
-        service.run(duration / 4)
-        drained += duration / 4
-    ctx.maybe_crash()
-
-    parity = service.parity()
-    reconfigs = service.reconfigurations()
-    return {
-        "sim_time_s": service.system.now,
-        "fanout_expected": float(parity.expected),
-        "deliveries": float(parity.delivered),
-        "parity_missing": float(len(parity.missing)),
-        "splits": float(reconfigs.get("split", 0) - baseline.get("split", 0)),
-        "dissolves": float(reconfigs.get("dissolve", 0) - baseline.get("dissolve", 0)),
-        "evictions": float(len(service.system.evicted)),
-        "publish_drops": float(service.system.stats.value("pubsub_publish_queue_dropped")),
-    }
 
 
 @workload("topo_point")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .chaos.invariants import InvariantChecker, InvariantReport, final_blacklists
-from .chaos.plan import CANNED_PLANS, FaultPlan, canned_plan
+from .chaos.plan import CANNED_GEOMETRY, CANNED_PLANS, FaultPlan, canned_plan
 from .core.config import (
     MISBEHAVIOUR_TIMERS,
     WAN_ARQ,
@@ -238,7 +238,14 @@ class Scenario:
 
     # -- lowering --------------------------------------------------------------
     def configuration(self) -> RacConfig:
-        return timer_regime(self.regime, **self.config)
+        geometry = CANNED_GEOMETRY.get(self.plan, {}) if isinstance(self.plan, str) else {}
+        return timer_regime(self.regime, **{**geometry, **self.config})
+
+    @property
+    def population(self) -> int:
+        """Every node the run ever hosts: the bootstrap plus the plan's
+        joiners, who take the creation indices after it."""
+        return self.nodes + self.fault_plan().joins
 
     def model(self) -> "Optional[TopologyModel]":
         if isinstance(self.topology, str):
@@ -473,9 +480,12 @@ def traffic_sends(
     scenario: Scenario, node_ids: "Sequence[int]", directory
 ) -> "List[Tuple[Optional[float], int, int, bytes]]":
     """The scenario's application sends as (at, src index, dst index,
-    payload); ``at`` is None for a send queued before the run starts."""
+    payload); ``at`` is None for a send queued before the run starts.
+    Round-robin traffic covers the whole population, joiners included:
+    the runner skips a send while either end is not in the run."""
     n, tag, seed = scenario.nodes, scenario.tag, scenario.seed
     if scenario.traffic == "round-robin":
+        n = scenario.population
         amplitude = 0.5 if scenario.diurnal else 0.0
         times = publish_times(scenario.horizon, scenario.traffic_interval, amplitude=amplitude)
         return [
@@ -484,7 +494,7 @@ def traffic_sends(
     if scenario.traffic == "ring":
         return [(None, *send) for send in ring_sends(n, scenario.messages, tag, seed)]
     by_gid: "Dict[int, List[int]]" = {}  # each group's members, in creation order
-    for index, node_id in enumerate(node_ids):
+    for index, node_id in enumerate(node_ids[:n]):
         by_gid.setdefault(directory.group_of_node(node_id).gid, []).append(index)
     return [
         (None, src, members[(i + 1) % len(members)], f"{tag}/{seed}/{gid}/{i}/{m}".encode())
@@ -496,9 +506,9 @@ def traffic_sends(
 
 
 def _pump(system: RacSystem, sent: "List[int]", src: int, dst: int, payload: bytes) -> None:
-    """One application send, skipped when either end is evicted or
-    crashed for good. Module-level with bound args (no closures) so a
-    prepared run stays snapshot-compatible."""
+    """One application send, skipped when either end has not joined
+    yet, has left, or is evicted or crashed for good. Module-level with
+    bound args (no closures) so a prepared run stays snapshot-compatible."""
     for node_id in (src, dst):
         node = system.nodes.get(node_id)
         if node is None or not node.active:
@@ -636,6 +646,8 @@ class Outcome:
         if self.detection_time_s is not None:
             lines.append(f"  detection   : every planted deviant evicted by t={self.detection_time_s:.2f}s")
         for name in (
+            "group_splits",
+            "group_dissolves",
             "chaos_frames_dropped",
             "chaos_frames_blackholed",
             "chaos_frames_delayed",
@@ -713,10 +725,13 @@ class SimRun:
 
     scenario: Scenario
     system: RacSystem
+    #: The whole population, joiners included, in creation order.
     node_ids: "List[int]"
     plan: FaultPlan
     notes: "List[str]"
     sent: "List[int]"
+    #: The directory's event tallies when bootstrap ended.
+    bootstrapped: "Dict[str, int]"
 
     def run_to(self, t: float) -> None:
         """Advance the simulation to absolute time ``t``."""
@@ -727,6 +742,7 @@ class SimRun:
         system, nodes = self.system, self.system.nodes
         checker = _checker(self.scenario, self.node_ids, self.plan)
         checker.check_directory(system.now, system.directory)
+        counts = system.directory.event_counts
         return _judged(
             self.scenario,
             "sim",
@@ -735,6 +751,7 @@ class SimRun:
             deliveries=[
                 (at, node_id, payload)
                 for node_id in self.node_ids
+                if node_id in nodes
                 for at, payload in zip(nodes[node_id].delivered_at, nodes[node_id].delivered)
             ],
             evictions=[
@@ -743,7 +760,10 @@ class SimRun:
             ],
             survivors=[node for node in nodes.values() if node.active],
             end=system.now,
-            counters=system.stats_report(),
+            counters={
+                **system.stats_report(),
+                **_churn_counters({k: n - self.bootstrapped.get(k, 0) for k, n in counts.items()}),
+            },
             latency_mean_s=system.latency_meter.mean(),
             latency_p95_s=system.latency_meter.percentile(95),
             throughput_bps=system.global_meter.throughput_bps(end=system.now),
@@ -763,8 +783,10 @@ def prepare(scenario: Scenario) -> SimRun:
         config, seed=scenario.seed, topology=model, enforce_contract=scenario.enforce_contract
     )
     node_ids = system.bootstrap(scenario.nodes, behaviors=plant_behaviors(scenario, config))
+    bootstrapped = dict(system.directory.event_counts)
     if scenario.enforce_contract:
         check_timers(config, system.send_interval_for(node_ids[0]), topology=model, plan=plan)
+    node_ids += _joiner_ids(scenario, config)
     notes = plan.compile_sim(system, node_ids)
 
     sent: "List[int]" = []
@@ -774,7 +796,22 @@ def prepare(scenario: Scenario) -> SimRun:
             _pump(*send)
         else:
             system.sim.schedule_at(at, _pump, *send)
-    return SimRun(scenario, system, node_ids, plan, notes, sent)
+    return SimRun(scenario, system, node_ids, plan, notes, sent, bootstrapped)
+
+
+def _joiner_ids(scenario: Scenario, config: RacConfig) -> "List[int]":
+    """The identities the plan's joins mint, in join order: the
+    population's creation indices after the bootstrap."""
+    if scenario.population == scenario.nodes:
+        return []
+    joiners = build_population(config, scenario.population, scenario.seed)[scenario.nodes :]
+    return [material.node_id for material in joiners]
+
+
+def _churn_counters(deltas: "Mapping[str, int]") -> "Dict[str, int]":
+    """Group splits and dissolves since bootstrap, as counters (absent
+    when there were none)."""
+    return {f"group_{kind}s": deltas[kind] for kind in ("split", "dissolve") if deltas.get(kind)}
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +849,7 @@ async def _run_live(scenario: Scenario, port_base: "Optional[int]") -> Outcome:
         on_delivered=lambda node_id, payload: deliveries.append((now(), node_id, payload)),
         eviction_observer=on_eviction,
     )
-    node_ids = [m.node_id for m in cluster.materials]
+    node_ids = [m.node_id for m in cluster.materials] + _joiner_ids(scenario, config)
     checker = _checker(scenario, node_ids, plan)
 
     await cluster.start()
@@ -828,11 +865,16 @@ async def _run_live(scenario: Scenario, port_base: "Optional[int]") -> Outcome:
 
     sent: "List[int]" = []
 
+    def in_run(index: int) -> bool:
+        """Joined, and not crashed, departed or evicted."""
+        node = cluster.nodes[index] if index < len(cluster.nodes) else None
+        return node is not None and not node.killed and node.node_id not in cluster.evicted
+
     async def pump() -> None:
         for at, src, dst, payload in traffic_sends(scenario, node_ids, cluster.group_directory):
             if at is not None:
                 await asyncio.sleep(max(0.0, at - now()))
-            if not cluster.nodes[src].killed and cluster.queue_message(src, dst, payload):
+            if in_run(src) and in_run(dst) and cluster.queue_message(src, dst, payload):
                 sent.append(node_ids[src])
 
     pump_task = loop.create_task(pump())
@@ -840,7 +882,7 @@ async def _run_live(scenario: Scenario, port_base: "Optional[int]") -> Outcome:
         await cluster.run_for(scenario.horizon)
     finally:
         pump_task.cancel()
-        await asyncio.gather(pump_task, return_exceptions=True)
+        [pumped] = await asyncio.gather(pump_task, return_exceptions=True)
         if supervisor is not None:
             await supervisor.stop()
     end = now()
@@ -849,6 +891,8 @@ async def _run_live(scenario: Scenario, port_base: "Optional[int]") -> Outcome:
         checker.check_directory(end, node.env.directory)
     survivors = [node.rac for node in cluster.nodes if node.rac is not None and not node.killed]
     live_report = await cluster.shutdown(scenario.horizon)
+    if isinstance(pumped, Exception):  # the traffic stopped there: say so
+        live_report.errors.append(f"traffic: {pumped!r}")
     return _judged(
         scenario,
         "live",
@@ -858,7 +902,7 @@ async def _run_live(scenario: Scenario, port_base: "Optional[int]") -> Outcome:
         evictions,
         survivors,
         end,
-        counters=live_report.counters(),
+        counters={**live_report.counters(), **_churn_counters(cluster.reconfigurations())},
         sent=sent,
         log=list(supervisor.log) if supervisor is not None else [],
         errors=live_report.errors,

@@ -39,7 +39,8 @@ from ..core.system import RacSystem
 from ..groups.channels import ChannelDirectory
 from ..groups.manager import GroupDirectory
 from ..groups.partition import BundleDirectory, GroupSpec, plan_bundles, snapshot_groups
-from ..scenario import Scenario, plant_behaviors, traffic_sends
+from ..chaos.plan import MEMBERSHIP
+from ..scenario import Scenario, UnsupportedOnSubstrate, plant_behaviors, traffic_sends
 
 __all__ = [
     "ScaleSpec",
@@ -103,7 +104,12 @@ class ScaleSpec:
             raise ValueError("horizon and epoch must be positive")
         if self.group_max < 4:
             raise ValueError("group_max below 4 cannot honour group_min=2 splits")
-        self.scenario()  # plan name, behaviour names, coalition shape, config keys
+        # The scenario checks plan name, behaviour names, coalition shape, config keys.
+        plan = self.scenario().fault_plan()
+        if any(event.kind in MEMBERSHIP for event in plan.events):
+            raise UnsupportedOnSubstrate(
+                "plan", "sharded", "a join or leave would reconfigure the groups of one shard only"
+            )
 
     @property
     def epoch_count(self) -> int:
@@ -270,7 +276,6 @@ class ShardSystem(RacSystem):
         behaviors = behaviors or {}
         created: "List[int]" = []
         for material in sorted(materials, key=lambda m: m.index):
-            self._key_seed = max(self._key_seed, material.index)
             created.append(self._instantiate_node(material, behaviors.get(material.index - 1)))
         self._start_blacklist_rounds()
         if self.nodes:

@@ -64,7 +64,10 @@ __all__ = [
 #: events scheduled from the router); the ARQ keeps its RTT tallies.
 #: /6: the injector holds its plan, an edge timeline and the active
 #: sets of the present stretch; a ``Link`` carries ``hop_until``.
-SNAPSHOT_MAGIC = b"RACSNAP/6\n"
+#: /7: a system mints identities from its own ``PopulationFactory``
+#: (no ``_key_seed``), a directory has no ``version`` and a prepared
+#: run carries its post-bootstrap directory tallies.
+SNAPSHOT_MAGIC = b"RACSNAP/7\n"
 _MAGIC_PREFIX = b"RACSNAP/"
 
 

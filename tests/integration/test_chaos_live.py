@@ -4,7 +4,8 @@ These are the acceptance tests of the unified chaos layer on the real
 TCP substrate: a scripted partition black-holes traffic and heals with
 zero honest evictions and post-heal delivery; a crash-restarted node
 comes back under its original identity (same keys, same port) and
-delivers again; and a configuration that deliberately convicts honest
+delivers again; a planned join splits a group and two leaves dissolve
+one, with the joiner the node the simulator admits; and a configuration that deliberately convicts honest
 nodes makes the invariant checker fail loudly, naming the offending
 eviction.
 
@@ -15,6 +16,8 @@ jitter plus scripted adversity can never fake freeriding).
 
 import asyncio
 import dataclasses
+
+import pytest
 
 from repro.chaos import ChaosSupervisor, FaultPlan
 from repro.core.config import timer_regime
@@ -81,6 +84,47 @@ class TestCrashRestart:
         assert not report.evicted
         # The report still carries the first incarnation's counters.
         assert report.per_node[node.node_id].get("live_connects", 0) > 0
+
+
+class TestLiveMembership:
+    def test_membership_plan_splits_dissolves_and_reaches_the_joiner(self):
+        """One join splits the 6-node group, two leaves dissolve a
+        half, nobody is evicted, and the joiner — the node the
+        simulator admits under the same plan — receives traffic."""
+        scenario = Scenario.from_params(
+            {"substrate": "live", "plan": "membership", "nodes": 6, "horizon": 12.0}, 0, "chaos"
+        )
+        live = run_scenario(scenario, "live")
+        assert live.report.ok, live.render()
+        assert not live.evictions and not live.errors
+        assert live.counters["group_splits"] >= 1 and live.counters["group_dissolves"] >= 1
+        joiner = live.node_ids[6]
+        assert any(f"node#6 ({joiner:#x}) joined" in line for line in live.log), live.log
+        assert any(node == joiner for _at, node, _payload in live.deliveries)
+        # The simulator mints the same joiner (its compiler raises otherwise).
+        assert run_scenario(scenario, "sim").node_ids == live.node_ids
+
+    def test_a_forged_puzzle_is_refused_before_any_replica_changes(self):
+        asyncio.run(self._forged_join())
+
+    async def _forged_join(self):
+        cluster = LiveCluster(3, config=timer_regime("wall-heal"), seed=11)
+        await cluster.start()
+        try:
+            genuine = cluster._factory.next_material()
+            claimed = genuine.node_id ^ 1  # an id the puzzle does not yield
+            forged = dataclasses.replace(
+                genuine, node_id=claimed, puzzle=dataclasses.replace(genuine.puzzle, node_id=claimed)
+            )
+            with pytest.raises(ValueError, match="puzzle"):
+                await cluster.join_node(forged)
+            assert len(cluster.live_nodes()) == len(cluster.materials) == 3
+            joiner = await cluster.join_node(genuine)
+            assert joiner.node_id == genuine.node_id
+            assert len(cluster.live_nodes()) == 4
+        finally:
+            report = await cluster.shutdown()
+        assert not report.evicted
 
 
 class TestDeliberateHonestEviction:

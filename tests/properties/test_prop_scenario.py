@@ -26,7 +26,9 @@ indices = st.integers(min_value=0, max_value=NODES - 1)
 def fault_plans(draw):
     plan = FaultPlan(seed=draw(st.integers(0, 2**31)), horizon=10.0)
     for _ in range(draw(st.integers(0, 5))):
-        kind = draw(st.sampled_from(("crash", "restart", "partition", "loss", "degrade", "reorder", "dir")))
+        kind = draw(st.sampled_from(
+            ("crash", "restart", "partition", "loss", "degrade", "reorder", "dir", "join", "leave")
+        ))
         at = draw(times)
         if kind == "crash":
             plan.crash(draw(indices), at)
@@ -42,6 +44,12 @@ def fault_plans(draw):
             plan.degrade(draw(indices), draw(st.floats(0.1, 1.0)), at, draw(spans))
         elif kind == "reorder":
             plan.reorder(draw(indices), draw(st.integers(2, 9)), at, draw(spans))
+        elif kind == "join":
+            plan.join(at)
+        elif kind == "leave":
+            node = draw(indices)
+            if all(event.node != node for event in plan.events if event.kind == "leave"):
+                plan.leave(node, at)  # each node leaves once
         else:
             plan.directory_outage(at, draw(spans))
     return plan

@@ -19,16 +19,14 @@ SRC = ROOT / "src" / "repro"
 
 #: Where a ``RacSystem`` / ``LiveCluster`` (or a subclass) may be
 #: constructed: the scenario pipeline, the sharded simulator's own
-#: system, the pub/sub service and its sim twin (a client-API script,
-#: not a population → plan → traffic run), the lan-equivalence gate,
-#: the five paper experiments that drive a system by hand, and the
-#: fault sweep (an adaptive send loop — it counts accepted sends and
-#: re-reads the eviction set every round — whose bytes are pinned).
+#: system, the lan-equivalence gate, the five paper experiments that
+#: drive a system by hand, and the fault sweep (an adaptive send loop —
+#: it counts accepted sends and re-reads the eviction set every round —
+#: whose bytes are pinned). Membership churn is a plan event, not a
+#: site: join and leave run through ``run_scenario``.
 CONSTRUCTION_SITES = {
     "scenario.py",
     "simnet/shard.py",
-    "pubsub/sim.py",
-    "pubsub/service.py",
     "topo/run.py",
     "experiments/empirical.py",
     "experiments/latency.py",
@@ -39,8 +37,7 @@ CONSTRUCTION_SITES = {
 }
 
 #: The only classes named ``*Outcome``. ``LiveReport`` stays the
-#: cluster's shutdown report (what a live ``Outcome`` is built from)
-#: and ``PubSubReport`` the service's.
+#: cluster's shutdown report (what a live ``Outcome`` is built from).
 OUTCOME_TYPES = {
     "scenario.py": {"Outcome"},
     "orchestrator/sharded.py": {"ShardedOutcome"},

@@ -13,7 +13,7 @@ import asyncio
 import pytest
 
 from repro.chaos.invariants import InvariantChecker
-from repro.chaos.plan import FaultPlan, smoke_plan, storm_plan
+from repro.chaos.plan import MEMBERSHIP, FaultPlan, canned_plan, smoke_plan, storm_plan
 from repro.chaos.proxy import ChaosProxy
 from repro.simnet.stats import StatsRegistry
 
@@ -42,6 +42,23 @@ class TestPlanDeterminism:
 
     def test_storm_different_seed_differs(self):
         assert storm_plan(8, 30.0, seed=1).fingerprint() != storm_plan(8, 30.0, seed=2).fingerprint()
+
+    def test_every_generated_and_canned_fingerprint_is_pinned(self):
+        """Event kinds are appended to ``KINDS``, never inserted, and the
+        random storm never draws a membership event: the fingerprints
+        recorded before join/leave existed do not move."""
+        pins = {
+            "random": (FaultPlan.random(7, 16, 24.0), "9fb2cdbeb2b94fcc"),
+            "random-256": (FaultPlan.random(3, 256, 12.0), "1cf681dc64d83e68"),
+            "none": (canned_plan("none", 8, 24.0, seed=1), "315922a05a95031e"),
+            "smoke": (canned_plan("smoke", 8, 24.0, seed=1), "3ddecd33945f1f26"),
+            "storm": (canned_plan("storm", 8, 24.0, seed=1), "7aef1abcd39d8c67"),
+            "membership": (canned_plan("membership", 6, 16.0), "7beb1d5c374c9e2a"),
+        }
+        assert {name: plan.fingerprint()[:16] for name, (plan, _) in pins.items()} == {
+            name: pin for name, (_, pin) in pins.items()
+        }
+        assert not any(e.kind in MEMBERSHIP for e in FaultPlan.random(3, 256, 12.0).events)
 
     def test_schedule_is_sorted_by_time(self):
         plan = (

@@ -1,8 +1,12 @@
-"""Unit tests for the cost notation and the throughput model."""
+"""Unit tests for the cost notation, the throughput model and the
+capacity table."""
+
+import math
 
 import pytest
 
-from repro.analysis import costs, throughput
+from repro.analysis import capacity, costs, throughput
+from repro.core.config import RacConfig
 
 
 class TestCostModels:
@@ -114,3 +118,38 @@ class TestThroughputModel:
             throughput.dissent_v1_throughput(1)
         with pytest.raises(ValueError):
             throughput.rac_throughput(100, 0)
+
+
+class TestCapacityModel:
+    def test_group_rate_is_size_free(self):
+        model = capacity.CapacityModel(RacConfig())
+        # C / ((L+1) * R * M * 8): members add uplinks and cover in
+        # lockstep, so the per-group rate has no g term at all.
+        config = model.config
+        expected = config.link_bandwidth_bps / (
+            (config.num_relays + 1) * config.num_rings * config.message_size * 8
+        )
+        assert model.group_msgs_per_sec() == pytest.approx(expected)
+
+    def test_plan_inverts_to_groups(self):
+        model = capacity.CapacityModel(RacConfig())
+        point = model.plan(1000.0, anonymity_degree=500, subscribers_per_topic=10)
+        per_group = model.group_msgs_per_sec()
+        assert point.groups == max(1, math.ceil(1000.0 * 10 / per_group))
+        assert point.members == point.groups * 500
+        assert point.publishes_per_sec == pytest.approx(point.groups * per_group / 10)
+
+    def test_plan_validates(self):
+        model = capacity.CapacityModel(RacConfig())
+        with pytest.raises(ValueError):
+            model.plan(0.0, 500)
+        with pytest.raises(ValueError):
+            model.plan(1.0, model.config.group_min - 1)
+        with pytest.raises(ValueError):
+            model.publishes_per_sec(1, 0)
+
+    def test_table_renders(self):
+        points = capacity.capacity_table(RacConfig())
+        text = capacity.render_capacity_table(points, RacConfig())
+        assert "anonymity degree" in text
+        assert len(points) == 4 * 3 * 3

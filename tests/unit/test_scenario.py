@@ -28,15 +28,15 @@ from repro.simnet.snapshot import restore_system, snapshot_system
 
 
 class TestCannedPlans:
-    """One spelling of ``none | smoke | storm``, checked at every door."""
+    """One spelling of ``none | smoke | storm | membership``, checked at every door."""
 
     def test_the_names(self):
-        assert CANNED_PLANS == ("none", "smoke", "storm")
+        assert CANNED_PLANS == ("none", "smoke", "storm", "membership")
         for name in CANNED_PLANS:
             canned_plan(name, 8, 12.0, seed=1).validate(8)
 
     def test_unknown_name_raises_on_every_entry_point(self, capsys):
-        with pytest.raises(ValueError, match="known plans: none, smoke, storm"):
+        with pytest.raises(ValueError, match="known plans: none, smoke, storm, membership"):
             canned_plan("tsunami", 8, 12.0)
         with pytest.raises(ValueError, match="tsunami"):
             Scenario(nodes=8, horizon=12.0, plan="tsunami")
@@ -58,6 +58,45 @@ class TestCannedPlans:
         )
         assert metrics["heal_windows_checked"] == 0.0
         assert metrics["deliveries"] > 0 and metrics["violations"] == 0.0
+
+
+class TestMembershipPlan:
+    """Join and leave are plan events: one join splits the 6-node
+    group, two leaves dissolve one half, and the judge holds delivery to
+    resume after each."""
+
+    PARAMS = {"plan": "membership", "nodes": 6, "horizon": 16.0}
+
+    def test_split_dissolve_and_delivery_to_the_joiner_on_sim(self):
+        scenario = Scenario.from_params(self.PARAMS, 0, "chaos")
+        assert scenario.population == 7
+        outcome = run_scenario(scenario)
+        assert outcome.ok, outcome.render()
+        assert outcome.counters["group_splits"] >= 1 and outcome.counters["group_dissolves"] >= 1
+        assert not outcome.evictions
+        assert outcome.report.checks["heal_windows"] == 3  # the join and both leaves
+        joiner = build_population(scenario.configuration(), 7, seed=0)[6].node_id
+        assert outcome.node_ids[6] == joiner
+        assert any(node == joiner for _at, node, _payload in outcome.deliveries)
+
+    def test_a_churn_sweep_cell_is_a_chaos_point(self):
+        metrics = resolve_workload("chaos_point")(self.PARAMS, 0, WorkerContext())
+        assert metrics["group_splits"] >= 1 and metrics["group_dissolves"] >= 1
+        assert metrics["evictions"] == 0.0 and metrics["violations"] == 0.0
+
+    def test_a_leave_may_name_a_joiner_once_it_has_joined(self):
+        plan = FaultPlan(horizon=10.0).join(2.0).leave(6, 3.0)
+        plan.validate(6)
+        with pytest.raises(ValueError, match="outside 0..5"):
+            FaultPlan(horizon=10.0).leave(6, 1.0).join(2.0).validate(6)
+        with pytest.raises(ValueError, match="already left"):
+            FaultPlan(horizon=10.0).leave(1, 1.0).leave(1, 2.0).validate(6)
+        with pytest.raises(ValueError, match="outside 0..5"):
+            FaultPlan(horizon=10.0).join(1.0).crash(6, 2.0).validate(6)
+
+    def test_sharded_runs_refuse_membership_plans(self):
+        with pytest.raises(UnsupportedOnSubstrate, match="'plan'.*sharded"):
+            ScaleSpec(nodes=16, num_shards=1, plan="membership")
 
 
 class TestSubstrateSupport:

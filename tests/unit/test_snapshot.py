@@ -357,10 +357,10 @@ class TestSnapshotErrors:
         for stale in (_Rac2Event(), _Rac3Monitor()):
             with pytest.raises(AttributeError):
                 pickle.loads(pickle.dumps(stale))
-        for version in ("1", "2", "3", "4", "5"):
+        for version in ("1", "2", "3", "4", "5", "6"):
             old = f"RACSNAP/{version}\n".encode() + body
             with pytest.raises(
-                SnapshotError, match=f"version mismatch.*RACSNAP/{version}.*RACSNAP/6"
+                SnapshotError, match=f"version mismatch.*RACSNAP/{version}.*RACSNAP/7"
             ):
                 restore_system(old)
             path = tmp_path / "old.snap"

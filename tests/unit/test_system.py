@@ -74,6 +74,24 @@ class TestDeterminism:
         b = RacSystem(config(), seed=45)
         assert a.bootstrap(8) != b.bootstrap(8)
 
+    def test_a_joiner_is_the_next_identity_after_a_shuffle_drew(self):
+        """The blacklist shuffle draws its permutations after bootstrap;
+        a later join must still mint the identity a live cluster's
+        factory hands out next, or the two substrates admit different
+        nodes under one plan."""
+        from repro.core.identity import build_population
+        from repro.scenario import Scenario, prepare
+
+        scenario = Scenario(
+            nodes=10, horizon=8.0, regime="detect", config=dict(group_min=3, group_max=12),
+            deviants={3: "silent-relay"},
+        )
+        run = prepare(scenario)
+        run.run_to(scenario.horizon)
+        assert run.system.stats.value("blacklist_rounds")  # a shuffle has drawn
+        expected = build_population(scenario.configuration(), 11, seed=0)[10].node_id
+        assert run.system.join() == expected
+
 
 class TestDomainViews:
     def test_group_view(self):
@@ -152,3 +170,27 @@ class TestEvictionPlumbing:
         system.report_eviction(nodes[1], nodes[0], group_domain(1), "predecessor")
         assert nodes[0] not in system.active_node_ids()
         assert len(system.active_node_ids()) == 5
+
+
+class TestSendAfterSplit:
+    def test_a_send_after_a_split_reaches_the_moved_destination(self):
+        """``send`` resolves the destination's group when it is called:
+        a destination that a join split into a new group since the
+        sender learned its key still gets the message (an application
+        that cached the group id would route at the old group)."""
+        system = RacSystem(
+            config(group_min=3, group_max=6, relay_timeout=60.0, predecessor_timeout=60.0,
+                   rate_window=60.0),
+            seed=99,
+        )
+        nodes = system.bootstrap(6)
+        system.run(1.0)
+        before = {n: system.group_of(n) for n in nodes}
+        system.join()
+        moved = [n for n in nodes if system.group_of(n) != before[n]]
+        assert moved, "the join did not split the group"
+        src = next(n for n in nodes if n not in moved)
+        assert system.send(src, moved[0], b"post-split")
+        system.run(8.0)
+        assert system.delivered_messages(moved[0]) == [b"post-split"]
+        assert not system.evicted
