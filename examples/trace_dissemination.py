@@ -12,7 +12,7 @@ from repro.experiments.fig2_trace import trace_dissemination
 
 
 def main() -> None:
-    trace = trace_dissemination(population=10, num_relays=2, num_rings=3, seed=7)
+    trace = trace_dissemination(population=10, seed=7)
     print("=== Figure 2 walkthrough (10 nodes, L=2 relays, R=3 rings) ===\n")
     print(trace.narrative())
     print()

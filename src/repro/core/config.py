@@ -109,9 +109,8 @@ class RacConfig:
     #: Per-link, per-packet Bernoulli drop probability. 0 reproduces
     #: the paper's lossless router (footnote 6 then holds trivially);
     #: anything above it makes the ARQ transport earn reliability.
-    #: Scheduled outages/partitions are injected at runtime through
-    #: :meth:`repro.core.system.RacSystem.inject_link_outage` and
-    #: friends.
+    #: Outages, partitions and loss windows are events of a
+    #: :class:`repro.chaos.plan.FaultPlan`.
     link_loss_rate: float = 0.0
 
     # -- ARQ transport (the "TCP" of paper footnote 6) -------------------------

@@ -255,29 +255,6 @@ class RacSystem:
         """
         self.faults.set_loss_rate(rate, node_id=node_id, direction=direction)
 
-    def inject_link_outage(
-        self, node_id: int, duration: float, at: "float | None" = None, direction: str = "both"
-    ) -> None:
-        """Black-hole a node's link(s) for ``duration`` seconds from
-        ``at`` (default: now)."""
-        start = self.now if at is None else at
-        self.faults.schedule_outage(node_id, start, duration, direction=direction)
-
-    def inject_partition(
-        self, side_a, side_b, duration: float, at: "float | None" = None
-    ) -> None:
-        """Split the network into two halves for ``duration`` seconds."""
-        start = self.now if at is None else at
-        self.faults.schedule_partition(side_a, side_b, start, duration)
-
-    def degrade_bandwidth(
-        self, node_id: int, factor: float, duration: float, at: "float | None" = None,
-        direction: str = "both",
-    ) -> None:
-        """Scale a node's link rate by ``factor`` for ``duration`` seconds."""
-        start = self.now if at is None else at
-        self.faults.schedule_degradation(node_id, start, duration, factor, direction=direction)
-
     def stats_report(self) -> "Dict[str, int]":
         """Every protocol counter plus the network's delivery *and* drop
         counters — loss must be visible, not silently absorbed."""
@@ -457,11 +434,6 @@ class RacSystem:
 
     def active_node_ids(self) -> List[int]:
         return [nid for nid, node in self.nodes.items() if node.active]
-
-    def saturation_interval(self, group_size: int) -> float:
-        """Origination interval that saturates the uplinks (see
-        :meth:`repro.core.config.RacConfig.saturation_interval`)."""
-        return self.config.saturation_interval(group_size)
 
     # ======================================================================
     # anonymous blacklist dissemination (Section IV-C "Evicting nodes")

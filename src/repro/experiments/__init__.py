@@ -36,7 +36,7 @@ from .latency import LatencyPoint, latency_vs_relays, measure_latency, render_la
 from .fig1 import Figure1Result, empirical_dissent_v1_point, empirical_dissent_v2_point, figure1
 from .fig2_trace import Figure2Trace, trace_dissemination
 from .fig3 import Figure3Result, figure3
-from .nash import SimulatedDeviation, nash_table, simulate_deviation, standard_deviations
+from .nash import SimulatedDeviation, nash_table, simulate_deviation
 from .runner import Table, format_rate, kbps, paper_sweep_sizes
 from .table1 import PROPERTIES, PROTOCOL_COLUMNS, Table1Result, table1
 from .text_claims import Claim, all_claims, render_claims
@@ -79,7 +79,6 @@ __all__ = [
     "SimulatedDeviation",
     "nash_table",
     "simulate_deviation",
-    "standard_deviations",
     "Table",
     "format_rate",
     "kbps",

@@ -21,8 +21,6 @@ from typing import List
 
 from ..analysis.metrics import degree_of_anonymity
 from ..analysis.observer import GlobalObserver
-from ..core.config import RacConfig
-from ..core.system import RacSystem
 from .runner import Table
 
 __all__ = ["AnonymityMeasurement", "measure_anonymity", "anonymity_vs_population", "render_anonymity"]
@@ -47,9 +45,16 @@ def measure_anonymity(
     observe_seconds: float = 6.0,
 ) -> AnonymityMeasurement:
     """Run traffic under a global tap and attack the log."""
-    config = RacConfig.small(blacklist_period=0.0)
-    system = RacSystem(config, seed=seed)
-    nodes = system.bootstrap(population)
+    from ..scenario import Scenario, prepare
+
+    run = prepare(Scenario(
+        nodes=population,
+        horizon=1.2 + observe_seconds,
+        seed=seed,
+        config=dict(blacklist_period=0.0),
+        traffic="ring", messages=0,
+    ))
+    system, nodes = run.system, run.node_ids
     observer = GlobalObserver(system, rng_seed=seed + 1)
     observer.attach()
     system.run(1.2)

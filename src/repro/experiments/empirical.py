@@ -5,7 +5,7 @@ randomly selects a destination node and sends anonymous messages to
 this node at the maximum throughput it can sustain"*. Saturation is
 reached by pre-filling every node's send queue and letting the
 origination interval equal the link-capacity share computed by
-:meth:`repro.core.system.RacSystem.saturation_interval`.
+:meth:`repro.core.config.RacConfig.saturation_interval`.
 
 A 100 000-node packet simulation is out of reach for pure Python (the
 repro band's ``repro_why``); this module exists to *pin the analytic
@@ -18,12 +18,25 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
-
-from ..core.config import RacConfig
-from ..core.system import RacSystem
 
 __all__ = ["RacMeasurement", "measure_rac_throughput"]
+
+#: ``RacConfig.small`` at saturation. Event count scales with C
+#: (saturation interval ~ 1/C), and both the measurement and the model
+#: scale linearly in C, so a slower link keeps pure-Python packet
+#: simulation tractable without touching the comparison (DESIGN.md
+#: substitution 3). No shuffles during the measurement.
+SATURATION = dict(
+    send_interval=None,
+    relay_timeout=4.0,
+    predecessor_timeout=2.0,
+    rate_window=4.0,
+    blacklist_period=0.0,
+    link_bandwidth_bps=50e6,
+)
+
+#: Own messages each sender keeps queued.
+QUEUE_DEPTH = 64
 
 
 @dataclass
@@ -48,40 +61,27 @@ class RacMeasurement:
 
 def measure_rac_throughput(
     n: int,
-    config: "Optional[RacConfig]" = None,
     warmup: float = 2.0,
     duration: float = 6.0,
     seed: int = 1,
-    queue_depth: int = 64,
 ) -> RacMeasurement:
     """Run RAC at saturation for ``duration`` seconds (after warm-up).
 
     Returns per-node receive goodput next to the analytic prediction
     ``C / ((L+1)·R·G)`` for the same parameters.
     """
+    from ..scenario import Scenario, prepare
+
     if n < 2:
         raise ValueError(f"a throughput measurement needs at least two nodes, got {n}")
-    if config is None:
-        # Event count scales with C (saturation interval ~ 1/C), and
-        # both the measurement and the model scale linearly in C, so a
-        # slower link keeps pure-Python packet simulation tractable
-        # without touching the comparison (DESIGN.md substitution 3).
-        config = RacConfig(
-            num_relays=2,
-            num_rings=3,
-            group_min=2,
-            group_max=10**9,
-            message_size=2048,
-            send_interval=None,  # saturation
-            relay_timeout=4.0,
-            predecessor_timeout=2.0,
-            rate_window=4.0,
-            blacklist_period=0.0,  # no shuffles during measurement
-            puzzle_bits=2,
-            link_bandwidth_bps=50e6,
-        )
-    system = RacSystem(config, seed=seed)
-    nodes = system.bootstrap(n)
+    run = prepare(Scenario(
+        nodes=n,
+        horizon=warmup + duration,
+        seed=seed,
+        config=SATURATION,
+        traffic="ring", messages=0,
+    ))
+    system, nodes, config = run.system, run.node_ids, run.system.config
 
     # Every node sends to one fixed random destination; queues are
     # topped up in chunks so senders never starve (the paper's "at the
@@ -92,7 +92,7 @@ def measure_rac_throughput(
     def refill() -> None:
         for src, dst in flows.items():
             node = system.nodes[src]
-            while len(node.send_queue) < queue_depth:
+            while len(node.send_queue) < QUEUE_DEPTH:
                 if not system.send(src, dst, b"p" * (config.message_size // 4)):
                     break
 
@@ -110,9 +110,6 @@ def measure_rac_throughput(
     run_refilled(duration)
     window = system.now - start
     delivered = system.global_meter.count - delivered_before
-    payload_bits = sum(
-        nbytes * 8 for t, nbytes in system.global_meter.samples if t > start
-    )
     # The paper counts anonymous *messages* of the padded size; we
     # credit the padded message size per delivery to match its metric.
     delivered_bits = delivered * config.message_size * 8
@@ -121,12 +118,11 @@ def measure_rac_throughput(
     model = config.link_bandwidth_bps / (
         (config.num_relays + 1) * config.num_rings * group_size
     )
-    del payload_bits  # payload accounting kept for future latency work
     return RacMeasurement(
         nodes=n,
         measured_bps_per_node=delivered_bits / window / n,
         model_bps_per_node=model,
         deliveries=delivered,
-        evictions=len(system.evicted),
+        evictions=len(run.outcome().evictions),
         duration=window,
     )

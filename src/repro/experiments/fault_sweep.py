@@ -14,45 +14,62 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..core.config import RacConfig
-from ..core.system import RacSystem
-from ..freeride.strategies import ForwardDropper, SilentRelay
 from .runner import Table, format_rate
 
-__all__ = ["LOSS_RATES", "run_once", "artefact"]
+__all__ = ["LOSS_RATES", "scenario", "run_once", "artefact"]
 
 LOSS_RATES = (0.0, 0.02, 0.05, 0.10)
 NUM_NODES = 16
 OUTAGE_DURATION = 0.4
 SEED = 21
 DURATION = 25.0
+#: Warm-up, the send loop's last 0.6 s step past DURATION, then the drain.
+HORIZON = 1.0 + DURATION + 0.6 + 4.0
 
 
-def run_once(loss_rate: float) -> "Dict[str, float]":
+def scenario(loss_rate: float):
+    """The sweep's run at ``loss_rate`` as a :class:`repro.scenario.Scenario`:
+    freeriders at creation indices 3 and 9, and honest node 2 loses both
+    links for :data:`OUTAGE_DURATION` at t=1 s. Traffic is the caller's."""
+    from ..chaos.plan import FaultPlan
+    from ..scenario import Scenario
+
     # The lossy-acceptance configuration: detection timers opened up to
     # leave the ARQ its retransmission budget, backoff capped so
     # post-outage probes return within one rto_max.
-    config = RacConfig.small(
-        relay_timeout=2.0,
-        predecessor_timeout=1.2,
-        rate_window=2.0,
-        blacklist_period=1.5,
-        link_loss_rate=loss_rate,
-        transport_rto_max=0.25,
+    return Scenario(
+        nodes=NUM_NODES,
+        horizon=HORIZON,
+        seed=SEED,
+        config=dict(
+            relay_timeout=2.0,
+            predecessor_timeout=1.2,
+            rate_window=2.0,
+            blacklist_period=1.5,
+            link_loss_rate=loss_rate,
+            transport_rto_max=0.25,
+        ),
+        plan=FaultPlan(SEED, HORIZON).crash_restart(2, at=1.0, downtime=OUTAGE_DURATION),
+        deviants={3: "forward-dropper", 9: "silent-relay"},
+        traffic="ring", messages=0,
     )
-    system = RacSystem(config, seed=SEED)
-    nodes = system.bootstrap(NUM_NODES, behaviors={3: ForwardDropper(1.0), 9: SilentRelay()})
-    freeriders = {nodes[3], nodes[9]}
-    honest = [n for n in nodes if n not in freeriders]
+
+
+def run_once(loss_rate: float) -> "Dict[str, float]":
+    from ..scenario import prepare
+
+    run = prepare(scenario(loss_rate))
+    system = run.system
+    freeriders = {run.node_ids[3], run.node_ids[9]}
+    honest = [n for n in run.node_ids if n not in freeriders]
     system.run(1.0)
-    system.inject_link_outage(honest[2], duration=OUTAGE_DURATION)
 
     sent = 0
     delivered_before = sum(len(system.delivered_messages(n)) for n in honest)
     payload = b"x" * 64
     start = system.now
     while system.now < start + DURATION:
-        live = [n for n in honest if n not in system.evicted]
+        live = [n for n in honest if system.nodes[n].active]
         for i, src in enumerate(live):
             if system.send(src, live[(i + 1) % len(live)], payload):
                 sent += 1
@@ -61,14 +78,17 @@ def run_once(loss_rate: float) -> "Dict[str, float]":
 
     delivered = sum(len(system.delivered_messages(n)) for n in honest) - delivered_before
     report = system.stats_report()
-    false_evicted = [n for n in system.evicted if n in honest]
+    outcome = run.outcome()
+    # Every evicted honest node counts, the outage victim included: the
+    # judge would excuse an eviction while the victim's links are down.
+    false_evicted = [e for e in outcome.evictions if e.accused not in freeriders]
     return {
         "loss_rate": loss_rate,
         "sent": sent,
         "delivered": delivered,
         "goodput_bps": delivered * len(payload) * 8 / (system.now - start),
         "delivery_ratio": delivered / sent if sent else 0.0,
-        "freeriders_evicted": sum(1 for n in freeriders if n in system.evicted),
+        "freeriders_evicted": outcome.deviants_evicted,
         "false_evictions": len(false_evicted),
         "false_eviction_rate": len(false_evicted) / len(honest),
         "retransmits": report["transport_retransmits"],

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..core.config import RacConfig
-from ..core.system import RacSystem
 from ..simnet.trace import TraceEvent
 
 __all__ = ["Figure2Trace", "trace_dissemination"]
@@ -57,34 +55,26 @@ class Figure2Trace:
         return "\n".join(lines)
 
 
-def trace_dissemination(
-    population: int = 10,
-    num_relays: int = 2,
-    num_rings: int = 3,
-    seed: int = 7,
-) -> Figure2Trace:
-    """Run the Figure 2 scenario and capture its trace."""
-    if population < num_relays + 1:
+def trace_dissemination(population: int = 10, seed: int = 7) -> Figure2Trace:
+    """Run the Figure 2 scenario (two relays, three rings) and capture
+    its trace."""
+    from ..scenario import Scenario, prepare
+
+    if population < 3:
         raise ValueError(
-            f"an onion through {num_relays} relays needs a population of at least "
-            f"{num_relays + 1}, got {population}"
+            f"an onion through 2 relays needs a population of at least 3, got {population}"
         )
-    config = RacConfig(
-        num_relays=num_relays,
-        num_rings=num_rings,
-        group_min=2,
-        group_max=10**9,
-        message_size=2048,
-        send_interval=0.05,
-        relay_timeout=2.0,
-        predecessor_timeout=1.0,
-        rate_window=2.0,
-        blacklist_period=0.0,
-        puzzle_bits=2,
-        trace=True,
-    )
-    system = RacSystem(config, seed=seed)
-    nodes = system.bootstrap(population)
+    run = prepare(Scenario(
+        nodes=population,
+        horizon=5.0,
+        seed=seed,
+        config=dict(
+            relay_timeout=2.0, predecessor_timeout=1.0, rate_window=2.0, blacklist_period=0.0,
+            trace=True,
+        ),
+        traffic="ring", messages=0,
+    ))
+    system, nodes = run.system, run.node_ids
     system.run(1.0)
     sender, destination = nodes[0], nodes[-1]
     payload = b"the message of figure 2"
@@ -109,5 +99,5 @@ def trace_dissemination(
         relays=relays,
         delivered_payload=delivered[0] if delivered else None,
         events=relevant,
-        broadcasts_caused=num_relays + 1,
+        broadcasts_caused=len(relays) + 1,
     )

@@ -11,11 +11,10 @@ linear-in-L growth — the latency face of the anonymity tradeoff.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import List
 
-from ..core.config import RacConfig
-from ..core.system import RacSystem
 from .runner import Table
 
 __all__ = ["LatencyPoint", "measure_latency", "latency_vs_relays", "render_latency"]
@@ -37,29 +36,22 @@ def measure_latency(
     population: int = 12,
     messages: int = 20,
     seed: int = 71,
-    send_interval: float = 0.05,
-    jitter: float = 0.0,
 ) -> LatencyPoint:
     """Deliver ``messages`` across random pairs; collect latencies."""
-    config = RacConfig(
-        num_relays=num_relays,
-        num_rings=3,
-        group_min=2,
-        group_max=10**9,
-        message_size=2048,
-        send_interval=send_interval,
-        relay_timeout=3.0,
-        predecessor_timeout=1.0,
-        rate_window=2.0,
-        blacklist_period=0.0,
-        puzzle_bits=2,
-        propagation_jitter=jitter,
-    )
-    system = RacSystem(config, seed=seed)
-    nodes = system.bootstrap(population)
-    system.run(1.2)
-    import random
+    from ..scenario import Scenario, prepare
 
+    run = prepare(Scenario(
+        nodes=population,
+        horizon=1.2 + messages * 0.3 + 4.0,
+        seed=seed,
+        config=dict(
+            num_relays=num_relays, relay_timeout=3.0, predecessor_timeout=1.0, rate_window=2.0,
+            blacklist_period=0.0,
+        ),
+        traffic="ring", messages=0,
+    ))
+    system, nodes = run.system, run.node_ids
+    system.run(1.2)
     rng = random.Random(seed)
     for i in range(messages):
         src = rng.choice(nodes)

@@ -12,15 +12,21 @@ Two complementary views:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 from ..analysis.gametheory import NashAnalysis
-from ..core.config import RacConfig
-from ..core.system import RacSystem
-from ..freeride.strategies import ForwardDropper, NoNoise, SilentRelay
 from .runner import Table
 
-__all__ = ["nash_table", "SimulatedDeviation", "simulate_deviation", "standard_deviations"]
+__all__ = ["nash_table", "SimulatedDeviation", "simulate_deviation"]
+
+#: The simulable deviations (the detectable ones; the undetectable
+#: lemmas are analytic-only by nature): lemma label → behaviour-registry
+#: name.
+DEVIATIONS = {
+    "drop-forwarding": "forward-dropper",
+    "silent-relay": "silent-relay",
+    "skip-noise": "no-noise",
+}
 
 
 def nash_table(analysis: "Optional[NashAnalysis]" = None) -> str:
@@ -60,32 +66,6 @@ class SimulatedDeviation:
     population: int
 
 
-def _small_config() -> RacConfig:
-    return RacConfig(
-        num_relays=2,
-        num_rings=3,
-        group_min=2,
-        group_max=10**9,
-        message_size=2048,
-        send_interval=0.05,
-        relay_timeout=0.8,
-        predecessor_timeout=0.5,
-        rate_window=1.0,
-        blacklist_period=1.0,
-        puzzle_bits=2,
-    )
-
-
-def standard_deviations() -> "Dict[str, Callable[[], object]]":
-    """The simulable deviations (detectable ones; the undetectable
-    lemmas are analytic-only by nature)."""
-    return {
-        "drop-forwarding": lambda: ForwardDropper(1.0),
-        "silent-relay": SilentRelay,
-        "skip-noise": NoNoise,
-    }
-
-
 def simulate_deviation(
     strategy_name: str,
     population: int = 14,
@@ -97,25 +77,32 @@ def simulate_deviation(
     Traffic is generated in a ring of flows (every honest node sends to
     the next) so relays and forwards are continuously exercised.
     """
-    factories = standard_deviations()
-    if strategy_name not in factories:
+    from ..scenario import Scenario, prepare
+
+    if strategy_name not in DEVIATIONS:
         raise ValueError(f"unknown simulable strategy {strategy_name!r}")
-    config = _small_config()
-    system = RacSystem(config, seed=seed)
-    nodes = system.bootstrap(population, behaviors={0: factories[strategy_name]()})
-    deviant = nodes[0]
-    honest = [n for n in nodes if n != deviant]
+    run = prepare(Scenario(
+        nodes=population,
+        horizon=max_time + 0.6,
+        seed=seed,
+        config=dict(relay_timeout=0.8, blacklist_period=1.0),
+        deviants={0: DEVIATIONS[strategy_name]},
+        traffic="ring", messages=0,
+    ))
+    system = run.system
+    deviant, honest = run.node_ids[0], run.node_ids[1:]
     system.run(1.2)
     step = 0
-    while system.now < max_time and deviant not in system.evicted:
+    while system.now < max_time and system.nodes[deviant].active:
         for i, src in enumerate(honest):
             system.send(src, honest[(i + 1) % len(honest)], b"flow-%d" % step)
         system.run(0.6)
         step += 1
+    outcome = run.outcome()
     return SimulatedDeviation(
         strategy=strategy_name,
-        evicted=deviant in system.evicted,
-        eviction_time=system.evicted[deviant]["at"] if deviant in system.evicted else None,
-        false_evictions=sum(1 for n in system.evicted if n != deviant),
+        evicted=outcome.detected,
+        eviction_time=outcome.detection_time_s,
+        false_evictions=outcome.honest_evictions,
         population=population,
     )

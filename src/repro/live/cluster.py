@@ -24,7 +24,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from ..core.config import RacConfig, check_timers, timer_regime
 from ..core.identity import NodeMaterial, PopulationFactory
@@ -394,6 +394,7 @@ async def _run_subprocess_cluster(
 
     delivered: "Dict[int, List[bytes]]" = {}
     per_node: "Dict[int, Dict[str, int]]" = {}
+    evicted: "Set[int]" = set()
     errors: "List[str]" = []
     for index, (proc, (stdout, stderr)) in enumerate(zip(procs, outputs)):
         if proc.returncode != 0:
@@ -405,13 +406,14 @@ async def _run_subprocess_cluster(
         node_id = int(summary["node_id"])
         delivered[node_id] = [bytes.fromhex(h) for h in summary["delivered_hex"]]
         per_node[node_id] = {k: int(v) for k, v in summary["counters"].items()}
+        evicted.update(summary["evicted"])
         errors.extend(summary.get("errors", []))
     return LiveReport(
         nodes=count,
         duration=duration,
         delivered=delivered,
         per_node=per_node,
-        evicted=[],
+        evicted=sorted(evicted),
         errors=errors,
     )
 

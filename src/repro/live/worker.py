@@ -10,8 +10,8 @@ rebuilds it locally and picks its own index. The directory supplies
 only what determinism cannot — which TCP port each peer actually bound.
 
 On exit the worker prints one JSON line summarising what its node
-delivered and counted; the parent cluster aggregates these into a
-:class:`repro.live.cluster.LiveReport`.
+delivered, counted and evicted from its replica; the parent cluster
+aggregates these into a :class:`repro.live.cluster.LiveReport`.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import argparse
 import asyncio
 import json
 import sys
+from typing import List
 
 from ..core.config import RacConfig, timer_regime
 from ..core.identity import build_population
@@ -53,8 +54,15 @@ async def _amain(args: argparse.Namespace) -> dict:
     material = population[args.index]
     host, port_text = args.directory.rsplit(":", 1)
 
+    evicted: "List[int]" = []
+
+    def on_eviction(reporter: int, accused: int, domain, kind: str) -> None:
+        if accused not in evicted:
+            evicted.append(accused)
+        node.env.apply_eviction(accused)
+
     node = LiveNode(
-        material, config, host, int(port_text), port=args.port
+        material, config, host, int(port_text), port=args.port, on_eviction=on_eviction
     )
     await node.start()
     await node.activate(args.count)
@@ -78,6 +86,7 @@ async def _amain(args: argparse.Namespace) -> dict:
         "node_id": material.node_id,
         "delivered_hex": [payload.hex() for payload in delivered],
         "counters": counters,
+        "evicted": evicted,
         "errors": errors,
     }
 

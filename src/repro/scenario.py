@@ -151,9 +151,7 @@ class Scenario:
     * ``round-robin`` — from t=0.2 s, node ``k % n`` sends to node
       ``(k+1) % n`` every ``traffic_interval`` seconds: the liveness
       probe (a silent system can neither prove nor violate "delivery
-      resumes") that also keeps relay paths and ring forwarding fed;
-      ``diurnal`` modulates its rate sinusoidally over one
-      horizon-long day.
+      resumes") that also keeps relay paths and ring forwarding fed.
 
     ``detection_bound`` defaults to the horizon.
     ``enforce_contract=False`` runs timers *below* the topology and
@@ -174,7 +172,6 @@ class Scenario:
     traffic: str = "round-robin"
     messages: int = 1
     traffic_interval: float = 0.25
-    diurnal: bool = False
     tag: str = "scenario"
     heal_bound: float = 4.0
     detection_bound: "Optional[float]" = None
@@ -322,9 +319,9 @@ class Scenario:
         Reads the scenario fields of :data:`_PARAM_FIELDS` by name
         (``duration`` is ``horizon``), plus ``substrate`` (picks the
         harness's regime), ``churn`` (1: the diurnal trace, under
-        heal-scale timers), ``deviant`` (``strategy``) +
-        ``deviant_index``, ``coalition_fraction``, ``rate_schedule``
-        (``diurnal``), ``timer_scale`` (misbehaviour timers × factor),
+        heal-scale timers), ``deviant`` (``strategy``, planted at
+        :data:`DEFAULT_DEVIANT_INDEX`), ``coalition_fraction``,
+        ``timer_scale`` (misbehaviour timers × factor),
         ``shuffle_rounds`` (derives ``blacklist_period`` so that many
         shuffle rounds fit the horizon; an explicit period wins) and
         ``loss`` (``link_loss_rate``). Every other key must name a
@@ -345,13 +342,9 @@ class Scenario:
         if int(p.pop("churn", 0)):
             fields["plan"] = "diurnal"
             regime = "heal" if regime == "detect" else regime
-        schedule = p.pop("rate_schedule", None)
-        if schedule not in (None, "diurnal"):
-            raise ValueError(f"unknown rate schedule {schedule!r}; known: diurnal")
-        fields["diurnal"] = schedule == "diurnal"
 
         name = str(p.pop("deviant", "honest"))
-        index = int(p.pop("deviant_index", DEFAULT_DEVIANT_INDEX)) % nodes
+        index = DEFAULT_DEVIANT_INDEX % nodes
         fraction = float(p.pop("coalition_fraction", 0.0))
         spec = BEHAVIORS.get(name)
         if spec is None:
@@ -486,8 +479,7 @@ def traffic_sends(
     n, tag, seed = scenario.nodes, scenario.tag, scenario.seed
     if scenario.traffic == "round-robin":
         n = scenario.population
-        amplitude = 0.5 if scenario.diurnal else 0.0
-        times = publish_times(scenario.horizon, scenario.traffic_interval, amplitude=amplitude)
+        times = publish_times(scenario.horizon, scenario.traffic_interval)
         return [
             (at, k % n, (k + 1) % n, f"{tag}/{seed}/{k}".encode()) for k, at in enumerate(times)
         ]

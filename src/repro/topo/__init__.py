@@ -4,9 +4,9 @@ One :class:`~repro.topo.model.TopologyModel` — a fingerprinted
 per-pair propagation-latency matrix plus per-node access classes —
 drives both substrates: the deterministic simulator's star realizes it
 through its fluid links, and the live chaos proxy applies the same
-arithmetic to real TCP frames. :mod:`repro.topo.traces` compiles
-trace-driven workloads (diurnal churn, sinusoidal publish rates) onto
-the fault-plan machinery; :mod:`repro.topo.run` (imported directly,
+arithmetic to real TCP frames. :mod:`repro.topo.traces` compiles the
+diurnal churn trace onto the fault-plan machinery and lays out the
+publish schedule; :mod:`repro.topo.run` (imported directly,
 not re-exported here — it pulls in the system) is the lan-equivalence
 gate. :func:`repro.scenario.run_scenario` runs and judges a model on
 either substrate.

@@ -12,9 +12,7 @@ from __future__ import annotations
 import hashlib
 from typing import Optional
 
-from ..core.config import RacConfig
-from ..core.system import RacSystem
-from ..scenario import ring_sends
+from ..scenario import Scenario, prepare
 from .model import TopologyModel, lan
 
 __all__ = ["run_digest", "lan_equivalence"]
@@ -30,11 +28,12 @@ def run_digest(
     """Digest of everything observable in a fixed-seed traffic run:
     the full stats report, every delivered payload per node, the final
     clock and the event count."""
-    system = RacSystem(RacConfig.small(), seed=seed, topology=topology)
-    ids = system.bootstrap(nodes)
-    for src, dst, payload in ring_sends(nodes, 1, "topo-gate", seed):
-        system.send(ids[src], ids[dst], payload)
-    system.run(horizon)
+    run = prepare(Scenario(
+        nodes=nodes, horizon=horizon, seed=seed, topology=topology,
+        traffic="ring", messages=1, tag="topo-gate",
+    ))
+    run.run_to(horizon)
+    system = run.system
     hasher = hashlib.sha256()
     hasher.update(repr(sorted(system.stats_report().items())).encode())
     for node_id in sorted(system.nodes):

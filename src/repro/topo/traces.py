@@ -1,4 +1,4 @@
-"""Trace-driven workloads: diurnal churn and publish-rate schedules.
+"""Trace-driven workloads: diurnal churn and the publish schedule.
 
 WAN deployments do not fail like chaos plans — they *breathe*. Nodes in
 one timezone leave in the evening and return in the morning, and the
@@ -11,9 +11,8 @@ of trace onto machinery the repo already trusts:
   dark in turn — so the sim compiler, the live supervisor, and the
   invariant checker all consume it through the existing plan interface
   (fingerprint and all);
-* :func:`publish_times` integrates a sinusoidally modulated send rate
-  into explicit origination times, replacing the fixed-interval traffic
-  pump of a topo run without touching the pump's code path.
+* :func:`publish_times` lays the round-robin traffic's origination
+  times out on a fixed interval.
 
 Nothing here executes anything: traces are data, compiled determinist-
 ically from ``(model, horizon, seed)``.
@@ -21,7 +20,6 @@ ically from ``(model, horizon, seed)``.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Dict, List
 
@@ -82,32 +80,15 @@ def diurnal_churn_plan(
     return plan
 
 
-def publish_times(
-    horizon: float,
-    base_interval: float,
-    *,
-    amplitude: float = 0.5,
-    period: "float | None" = None,
-    phase: float = 0.0,
-    start: float = 0.2,
-) -> "List[float]":
-    """Origination times under a sinusoidally modulated publish rate.
-
-    The instantaneous rate is ``(1/base_interval) * (1 + amplitude *
-    sin(2π·t/period + phase))`` — one full day-cycle over the horizon by
-    default — integrated by stepping each gap at the local rate. With
-    ``amplitude=0`` this degenerates to the fixed-interval pump the
-    chaos runs use, which is the property the tests pin.
-    """
+def publish_times(horizon: float, base_interval: float, *, start: float = 0.2) -> "List[float]":
+    """Origination times every ``base_interval`` seconds from ``start``
+    up to the horizon, accumulated step by step (the float sums the
+    round-robin payloads of every pinned run were scheduled at)."""
     if base_interval <= 0:
         raise ValueError("base_interval must be positive")
-    if not 0.0 <= amplitude < 1.0:
-        raise ValueError("amplitude must be in [0, 1)")
-    period = horizon if period is None else period
     times: "List[float]" = []
     t = start
     while t < horizon:
         times.append(round(t, 6))
-        rate_scale = 1.0 + amplitude * math.sin(2 * math.pi * t / period + phase)
-        t += base_interval / max(1e-9, rate_scale)
+        t += base_interval
     return times

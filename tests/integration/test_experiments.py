@@ -124,7 +124,7 @@ class TestNashExperiment:
 
 class TestFigure2Trace:
     def test_walkthrough(self):
-        trace = trace_dissemination(population=10, num_relays=2, num_rings=3, seed=7)
+        trace = trace_dissemination(population=10, seed=7)
         assert trace.delivered_payload == b"the message of figure 2"
         assert len(trace.relays) == 2
         narrative = trace.narrative()

@@ -31,8 +31,6 @@ class TestModelForm:
 class TestModelVsMeasurement:
     @pytest.mark.parametrize("num_relays", [1, 2, 3])
     def test_measured_mean_within_35_percent(self, num_relays):
-        measured = measure_latency(
-            num_relays, population=10, messages=12, seed=77, send_interval=0.05
-        )
+        measured = measure_latency(num_relays, population=10, messages=12, seed=77)
         predicted = predicted_latency(num_relays, 0.05, 10, 2048)
         assert measured.mean == pytest.approx(predicted, rel=0.35)

@@ -101,7 +101,6 @@ def scenarios(draw):
         traffic=draw(st.sampled_from(("ring", "round-robin", "intra-group"))),
         messages=draw(st.integers(0, 4)),
         traffic_interval=draw(st.floats(0.01, 2.0)),
-        diurnal=draw(st.booleans()),
         tag=draw(st.text(alphabet="abcxyz-", min_size=1, max_size=8)),
         heal_bound=draw(st.floats(0.5, 10.0)),
         detection_bound=draw(st.none() | st.floats(0.5, 10.0)),

@@ -4,37 +4,31 @@
 fault plan lowered, traffic pumped and a verdict reached. Five copies
 of that pipeline grew before it existed; these checks keep a sixth from
 growing back. A new way to *run* the protocol belongs in
-``run_scenario``; a new *result type* belongs in ``Outcome``; a new
+``run_scenario``; an experiment that drives its own send loop lowers a
+``Scenario`` with ``prepare()`` and reads its verdicts from
+``run.outcome()``; a new *result type* belongs in ``Outcome``; a new
 *committed artefact* is a row of ``experiments/artefacts.py``; a new
 way to *drive a run directory* goes through ``orchestrator/pool.py``'s
 ``start_run`` / ``open_run``.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro"
 
 #: Where a ``RacSystem`` / ``LiveCluster`` (or a subclass) may be
-#: constructed: the scenario pipeline, the sharded simulator's own
-#: system, the lan-equivalence gate, the five paper experiments that
-#: drive a system by hand, and the fault sweep (an adaptive send loop —
-#: it counts accepted sends and re-reads the eviction set every round —
-#: whose bytes are pinned). Membership churn is a plan event, not a
-#: site: join and leave run through ``run_scenario``.
-CONSTRUCTION_SITES = {
-    "scenario.py",
-    "simnet/shard.py",
-    "topo/run.py",
-    "experiments/empirical.py",
-    "experiments/latency.py",
-    "experiments/anonymity_empirical.py",
-    "experiments/nash.py",
-    "experiments/fig2_trace.py",
-    "experiments/fault_sweep.py",
-}
+#: constructed: the scenario pipeline and the sharded simulator's own
+#: system. An experiment with an adaptive send loop (the fault sweep,
+#: the Nash deviations, the paper measurements) and the lan-equivalence
+#: gate ``prepare()`` a Scenario and drive ``run.system``; membership
+#: churn is a plan event, not a site.
+CONSTRUCTION_SITES = {"scenario.py", "simnet/shard.py"}
 
 #: The only classes named ``*Outcome``. ``LiveReport`` stays the
 #: cluster's shutdown report (what a live ``Outcome`` is built from).
@@ -66,7 +60,21 @@ def test_systems_and_clusters_are_built_only_on_the_allow_list():
         f"{stray} construct a RacSystem/LiveCluster outside the allow-list: express the run as a "
         "repro.scenario.Scenario and go through prepare()/run_scenario() instead"
     )
-    assert {"RacSystem"} == sites["topo/run.py"]  # run_digest, nothing else
+
+
+def test_importing_the_experiments_loads_no_runner():
+    """The experiments import ``repro.scenario`` inside their bodies: at
+    module level it would drag ``repro.chaos`` and ``repro.live`` into
+    every ``import repro.experiments``."""
+    probe = (
+        "import sys, repro.experiments; "
+        "print(sorted(m for m in ('repro.scenario', 'repro.chaos', 'repro.live') if m in sys.modules))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    ).stdout.strip()
+    assert loaded == "[]", f"import repro.experiments loaded {loaded}"
 
 
 def test_outcome_types_stay_three():
@@ -110,7 +118,7 @@ def test_a_run_directory_has_one_driver():
 def test_no_second_regime_function():
     """Timer regimes live in one table, not in per-harness
     ``*_config(**overrides)`` functions."""
-    allowed = {"timer_regime", "build_config", "_build_config", "_small_config"}
+    allowed = {"timer_regime", "build_config", "_build_config"}
     found = {
         f"{name}:{node.name}"
         for name, tree in _modules()

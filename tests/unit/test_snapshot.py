@@ -150,9 +150,9 @@ class TestSnapshotInvariants:
         nodes = system.bootstrap(8)
         system.run(0.5)
         if degraded:
-            system.degrade_bandwidth(nodes[2], duration=0.7, factor=0.5)
-            system.inject_link_outage(nodes[3], duration=0.8)
-            system.inject_partition(nodes[:2], nodes[4:], duration=0.9)
+            system.faults.schedule_degradation(nodes[2], 0.5, 0.7, 0.5)
+            system.faults.schedule_outage(nodes[3], 0.5, 0.8)
+            system.faults.schedule_partition(nodes[:2], nodes[4:], 0.5, 0.9)
         system.run(0.5)
 
         assert system.network.overtaking_free

@@ -122,7 +122,7 @@ class TestSaturationInterval:
         system = RacSystem(config(), seed=9)
         # R * G * M * 8 / C
         expected = 3 * 10 * 2048 * 8 / 1e9
-        assert system.saturation_interval(10) == pytest.approx(expected)
+        assert system.config.saturation_interval(10) == pytest.approx(expected)
 
     def test_interval_override_wins(self):
         system = RacSystem(config(send_interval=0.123), seed=10)
@@ -132,7 +132,7 @@ class TestSaturationInterval:
     def test_derived_interval_includes_margin(self):
         system = RacSystem(config(send_interval=None), seed=11)
         nodes = system.bootstrap(4)
-        expected = system.saturation_interval(4) * system.config.saturation_margin
+        expected = system.config.saturation_interval(4) * system.config.saturation_margin
         assert system.send_interval_for(nodes[0]) == pytest.approx(expected)
 
 

@@ -329,17 +329,10 @@ class TestTraces:
             assert members - sleepers, f"region {region} fully asleep"
 
     def test_publish_times_flat_amplitude_is_fixed_interval(self):
-        times = publish_times(4.0, 0.5, amplitude=0.0, start=0.2)
+        times = publish_times(4.0, 0.5, start=0.2)
         assert times[0] == pytest.approx(0.2)
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert all(g == pytest.approx(0.5) for g in gaps)
-
-    def test_publish_times_diurnal_modulates_the_rate(self):
-        times = publish_times(20.0, 0.25, amplitude=0.8)
-        gaps = {round(b - a, 6) for a, b in zip(times, times[1:])}
-        assert len(gaps) > 1  # the rate actually varies
-        assert all(0.0 < t < 20.0 for t in times)
-        assert times == publish_times(20.0, 0.25, amplitude=0.8)  # deterministic
 
 
 class TestRunHarness:
