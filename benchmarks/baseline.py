@@ -269,6 +269,30 @@ def measure_flood_gc_collections(window: float = 0.3) -> int:
     return len(passes)
 
 
+def measure_receipt_bytes_per_record() -> float:
+    """Heap bytes per receipt record on the flood shape: what
+    tracemalloc sees allocated and still held when ``_flood_system()``'s
+    window ends, divided by the (node, message) records the nodes'
+    broadcast states hold then (~19k). Receipts are most of that heap,
+    so the quotient is one receipt plus a small share of the fixed
+    cost. A count, exact up to hash-seed table layout: ~680 while a
+    receipt was a dataclass with a dict of copies and a fresh key tuple
+    per copy, ~250 as one tuple over shared keys."""
+    import tracemalloc
+
+    import repro.core.config  # noqa: F401 - imported before tracing starts
+    import repro.core.system  # noqa: F401
+
+    tracemalloc.start()
+    try:
+        system = _flood_system()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    receipts = sum(len(state) for node in system.nodes.values() for state in node._states.values())
+    return held / receipts
+
+
 def measure_segment_path(window: float = 0.3) -> dict:
     """What one segment costs in counts, all deterministic: engine
     events fired and cancelled, ``schedule``/``schedule_at``/
@@ -498,6 +522,9 @@ GATES = (
     Gate("sharded_events_per_sec", measure_sharded_events_per_sec, "rate"),
     Gate("segment_us", partial(measure_segment_us, repeats=2), "time"),
     Gate("flood_gc_collections", measure_flood_gc_collections, "count", bound=60),
+    # one tuple per receipt over shared (predecessor, ring) keys; a
+    # dict or an object per record puts it back above 600
+    Gate("receipt_bytes_per_record", measure_receipt_bytes_per_record, "count", bound=300),
     Gate("storm_events_per_packet", measure_storm_events_per_packet, "count", bound=2.2),
     # 181 calls with a task switch per frame written, 107 with the I/O in
     # the loop's own callbacks. No wall-clock row: an asyncio loop on a

@@ -289,11 +289,6 @@ class PredecessorMonitor:
         """
         return state.missing_predecessors(msg_id, expected)
 
-    @staticmethod
-    def replaying(state: BroadcastState, msg_id: int) -> Set[CopyKey]:
-        """(Predecessor, ring) pairs that sent duplicates (replay)."""
-        return state.replaying_predecessors(msg_id)
-
 
 # --------------------------------------------------------------------------
 # Check 3 — group predecessors keep the constant rate

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,6 +47,11 @@ from .onion import build_noise, build_onion, peel, unwrap_wire
 from .wire import encoded_size
 
 __all__ = ["RacNode", "PendingSend"]
+
+
+def _predecessor_threshold(env: "NodeEnvironment", config: RacConfig, domain: DomainId) -> int:
+    """Followers that must accuse before a check-2/3 eviction in ``domain``."""
+    return config.predecessor_accusation_threshold(len(env.domain_view(domain)))
 
 
 class PendingSend:
@@ -87,7 +93,8 @@ class RacNode:
         "delivered",
         "delivered_at",
         "_control_seen",
-        "_opaque_peels",
+        "_opaque_group_peels",
+        "_opaque_channel_peels",
         "counters",
         "_ticks_since_gc",
     )
@@ -126,8 +133,10 @@ class RacNode:
         self.rate_monitor = RateMonitor(config.rate_window, config.rate_max_per_window)
         self.relays_blacklist = Blacklist()
         self.pred_blacklists: Dict[DomainId, Blacklist] = {}
+        # Not a bound method: a tracker that pointed back at its node
+        # would make every node a reference cycle.
         self.eviction_tracker = EvictionTracker(
-            predecessor_threshold=self._predecessor_threshold,
+            predecessor_threshold=partial(_predecessor_threshold, env, config),
             relay_threshold=config.relay_accusation_threshold,
         )
 
@@ -146,16 +155,17 @@ class RacNode:
         # Control-plane dedup.
         self._control_seen: Set[int] = set()
 
-        #: (domain-kind-is-group, sealed-blob hash) pairs whose trial
-        #: peel already came back opaque. A node's keypairs never
-        #: change, so re-peeling the same blob with the same key
-        #: context can only yield opaque again — skip the crypto. Keyed
-        #: per domain kind because group peels try the ID key while
-        #: channel peels do not, and only *opaque* outcomes are cached
-        #: (relay/deliver outcomes consume rng re-padding the inner
-        #: layer, so they must never be skipped). Cleared alongside the
-        #: broadcast-state GC to stay bounded.
-        self._opaque_peels: Set[Tuple[bool, int]] = set()
+        #: Sealed-blob hashes (msg ids) whose trial peel already came
+        #: back opaque. A node's keypairs never change, so re-peeling
+        #: the same blob with the same key context can only yield
+        #: opaque again — skip the crypto. One set per domain kind
+        #: because group peels try the ID key while channel peels do
+        #: not, and only *opaque* outcomes are cached (relay/deliver
+        #: outcomes consume rng re-padding the inner layer, so they must
+        #: never be skipped). Cleared alongside the broadcast-state GC
+        #: to stay bounded.
+        self._opaque_group_peels: Set[int] = set()
+        self._opaque_channel_peels: Set[int] = set()
 
         # Diagnostics.
         self.counters: Dict[str, int] = {}
@@ -191,10 +201,6 @@ class RacNode:
         if domain not in self.pred_blacklists:
             self.pred_blacklists[domain] = Blacklist()
         return self.pred_blacklists[domain]
-
-    def _predecessor_threshold(self, domain: DomainId) -> int:
-        view = self.env.domain_view(domain)
-        return self.config.predecessor_accusation_threshold(len(view))
 
     # -- lifecycle --------------------------------------------------------------
     def start(self) -> None:
@@ -270,7 +276,8 @@ class RacNode:
         # The opaque-peel memo only dedups blobs still circulating; a
         # blob old enough for its receipt records to be GC'd will not
         # be seen again, so the memo resets with the same cadence.
-        self._opaque_peels.clear()
+        self._opaque_group_peels.clear()
+        self._opaque_channel_peels.clear()
 
     def _originate_slot(self) -> None:
         """Fill this interval's slot: group relay duty > data > noise."""
@@ -405,22 +412,22 @@ class RacNode:
         now = env.now
         node_id = self.node_id
         timeout = self.config.predecessor_timeout
-        predecessor_of = view.topology.predecessor
+        predecessor_key = view.topology.predecessor_key
         edges = self._ring_edges.get(domain)
         if edges is None:
             edges = self._ring_edges[domain] = {}
         owed: Set[CopyKey] = set()
         for ring_index in range(view.num_rings):
-            predecessor = predecessor_of(node_id, ring_index)
-            if predecessor is None:
+            key = predecessor_key(node_id, ring_index)
+            if key is None:
                 continue
             known = edges.get(ring_index)
-            if known is None or known[0] != predecessor:
-                edges[ring_index] = (predecessor, now)
+            if known is None or known[0] != key[0]:
+                edges[ring_index] = (key[0], now)
                 continue  # fresh edge: grace starts now
             if now - known[1] < timeout:
                 continue  # edge still inside its grace period
-            owed.add((predecessor, ring_index))
+            owed.add(key)
         owed.discard(from_key)
         # The ticket is the place in line a timer armed here would
         # take; the monitor asks for at most one real timer at a time,
@@ -450,7 +457,8 @@ class RacNode:
             self._count("broadcast_outside_domain")
             return
         ring_index = broadcast.ring_index
-        if view.topology.predecessor(self.node_id, ring_index) != src:
+        from_key = view.topology.predecessor_key(self.node_id, ring_index)
+        if from_key is None or from_key[0] != src:
             # Not our predecessor on that ring: tolerated (stale topology
             # during reconfigurations) but never counted as a valid copy.
             self._count("broadcast_from_non_predecessor")
@@ -461,7 +469,6 @@ class RacNode:
         state = self._states.get(domain)
         if state is None:
             state = self.state_for(domain)
-        from_key: CopyKey = (src, ring_index)
         is_new = state.on_receive(msg_id, from_key, now)
 
         if is_new and domain[0] == "group" and self.behavior.should_run_checks(self):
@@ -495,8 +502,8 @@ class RacNode:
         # Channels carry only innermost layers, so nodes try only their
         # pseudonym key there (Section IV-C "Receiving a message").
         is_group = domain[0] == "group"
-        peel_key = (is_group, msg_id)
-        if peel_key in self._opaque_peels:
+        opaque = self._opaque_group_peels if is_group else self._opaque_channel_peels
+        if msg_id in opaque:
             # Same sealed blob, same key context, previously opaque:
             # the outcome cannot have changed — skip the trial peel.
             self._count("peel_skipped_duplicate")
@@ -506,7 +513,7 @@ class RacNode:
             wire, id_kp, self.pseudonym_keypair, self.config.message_size, rng=self.rng
         )
         if result.kind == "opaque":
-            self._opaque_peels.add(peel_key)
+            opaque.add(msg_id)
             return
         if result.kind == "deliver":
             self.delivered.append(result.payload)

@@ -429,6 +429,28 @@ class RacSystem:
         """Advance the simulation by ``duration`` seconds."""
         self.sim.run(until=self.sim.now + duration)
 
+    def close(self) -> None:
+        """Take a finished system apart so that dropping it frees it by
+        reference counting, not whenever the cycle collector next walks
+        the oldest generation (a sharded run drops one system per
+        shard-epoch cell).
+
+        A pending calendar entry points back at its simulator and,
+        through its callback, at a node; the system holds its nodes (in
+        ``nodes`` and as transport handlers) while each node points back
+        at it as its environment. Every pending entry is cancelled and
+        shed and every node detached, so only the simulator's own wiring
+        stays cyclic. The system cannot run afterwards.
+        """
+        sim = self.sim
+        for event in sim._queue:
+            event.cancel()
+        sim.peek_time()  # sheds the cancelled entries
+        for node_id in self.nodes:
+            self.transport.detach(node_id)
+        self.nodes.clear()
+        self.transport.on_failure = None
+
     def delivered_messages(self, node_id: int) -> List[bytes]:
         return list(self.nodes[node_id].delivered)
 

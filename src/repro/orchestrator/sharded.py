@@ -203,7 +203,7 @@ def run_shard_epoch(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> 
         _write_json(_summary_path(run_dir, shard), shard_summary(system, meta["fingerprint"]))
 
     deliveries = sum(len(node.delivered) for node in system.nodes.values())
-    return {
+    metrics = {
         "sim_time_s": system.now,
         "events_processed": float(system.sim.events_processed),
         "deliveries": float(deliveries),
@@ -211,6 +211,9 @@ def run_shard_epoch(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> 
         "evictions": float(len(system.evicted)),
         "foreign_evictions": float(len(system.foreign_evicted)),
     }
+    # The next cell restores its own copy from the snapshot.
+    system.close()
+    return metrics
 
 
 # ---------------------------------------------------------------------------

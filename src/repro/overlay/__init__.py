@@ -8,12 +8,12 @@
   suppression and predecessor accounting.
 """
 
-from .broadcast import BroadcastState, CopyKey, MessageRecord
+from .broadcast import BroadcastState, CopyKey
 from .membership import MembershipView
 from .replay import ReplayableView, ViewEvent, converged
 from .rings import RingTopology
 
-__all__ = ["BroadcastState", "CopyKey", "MessageRecord", "MembershipView",
+__all__ = ["BroadcastState", "CopyKey", "MembershipView",
     "ReplayableView",
     "ViewEvent",
     "converged", "RingTopology"]

@@ -10,33 +10,36 @@ are produced by :mod:`repro.core.monitor`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-__all__ = ["CopyKey", "MessageRecord", "BroadcastState"]
+__all__ = ["CopyKey", "BroadcastState"]
 
 
 #: A copy's provenance: (predecessor node id, ring index). The paper's
 #: "once and only once" rule applies per ring — a node that precedes us
-#: on two rings legitimately delivers two copies, one per ring.
+#: on two rings legitimately delivers two copies, one per ring. The
+#: receive path takes it from :meth:`RingTopology.predecessor_key
+#: <repro.overlay.rings.RingTopology.predecessor_key>`, so every copy
+#: over one ring edge carries the same tuple.
 CopyKey = Tuple[int, int]
 
 
-@dataclass(slots=True)
-class MessageRecord:
-    """Receipt bookkeeping for one broadcast message id."""
-
-    first_seen_at: float
-    #: Copies received per (predecessor, ring) pair.
-    copies_from: Dict[CopyKey, int] = field(default_factory=dict)
-    delivered: bool = False
-
-
 class BroadcastState:
-    """Duplicate suppression + per-predecessor receipt accounting."""
+    """Duplicate suppression + per-predecessor receipt accounting.
+
+    A node remembers every broadcast it has seen in every domain (paper
+    §IV-C, check 2), so the receipt is the simulator's largest
+    population of objects. Each one is a single tuple
+    ``(first_seen_at, key, key, ...)``: the time of the first copy, then
+    the :data:`CopyKey` of every copy a predecessor delivered, in
+    arrival order (a self-originated first copy adds no key). A copy
+    count is how often its key occurs; the time can never equal a key.
+    """
+
+    __slots__ = ("_records",)
 
     def __init__(self) -> None:
-        self._records: Dict[int, MessageRecord] = {}
+        self._records: Dict[int, tuple] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -50,21 +53,18 @@ class BroadcastState:
         ``from_key`` is ``None`` for self-originated messages (a node
         "receives" its own broadcast when it initiates it).
         """
-        record = self._records.get(msg_id)
-        is_new = record is None
+        records = self._records
+        record = records.get(msg_id)
         if record is None:
-            record = MessageRecord(first_seen_at=now)
-            self._records[msg_id] = record
+            records[msg_id] = (now,) if from_key is None else (now, from_key)
+            return True
         if from_key is not None:
-            record.copies_from[from_key] = record.copies_from.get(from_key, 0) + 1
-        return is_new
+            records[msg_id] = record + (from_key,)
+        return False
 
     def copies_from(self, msg_id: int, from_key: CopyKey) -> int:
         record = self._records.get(msg_id)
-        return record.copies_from.get(from_key, 0) if record else 0
-
-    def record(self, msg_id: int) -> "Optional[MessageRecord]":
-        return self._records.get(msg_id)
+        return 0 if record is None else record.count(from_key)
 
     def missing_predecessors(self, msg_id: int, expected: "Set[CopyKey]") -> Set[CopyKey]:
         """Expected (predecessor, ring) pairs that never delivered a copy.
@@ -75,18 +75,7 @@ class BroadcastState:
         record = self._records.get(msg_id)
         if record is None:
             return set(expected)
-        return {key for key in expected if record.copies_from.get(key, 0) == 0}
-
-    def replaying_predecessors(self, msg_id: int) -> Set[CopyKey]:
-        """(Predecessor, ring) pairs that delivered the same message more
-        than once (a potential replay attack, paper footnote 7)."""
-        record = self._records.get(msg_id)
-        if record is None:
-            return set()
-        return {key for key, n in record.copies_from.items() if n > 1}
-
-    def seen_ids(self) -> "List[int]":
-        return list(self._records)
+        return {key for key in expected if key not in record}
 
     def forget_before(self, horizon: float) -> int:
         """Garbage-collect records first seen before ``horizon``.
@@ -94,7 +83,8 @@ class BroadcastState:
         Long simulations would otherwise grow memory without bound;
         returns the number of records dropped.
         """
-        stale = [m for m, rec in self._records.items() if rec.first_seen_at < horizon]
+        records = self._records
+        stale = [msg_id for msg_id, record in records.items() if record[0] < horizon]
         for msg_id in stale:
-            del self._records[msg_id]
+            del records[msg_id]
         return len(stale)

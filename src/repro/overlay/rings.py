@@ -42,9 +42,14 @@ class RingTopology:
         self.num_rings = num_rings
         self._rings: List[List[Tuple[int, int]]] = [[] for _ in range(num_rings)]
         self._members: Set[int] = set()
-        #: ring index -> node id -> neighbour (None while alone).
+        #: ring index -> node id -> successor (None while alone).
         self._succ: Dict[int, Dict[int, Optional[int]]] = {r: {} for r in range(num_rings)}
-        self._pred: Dict[int, Dict[int, Optional[int]]] = {r: {} for r in range(num_rings)}
+        #: ring index -> node id -> the predecessor's copy key
+        #: ``(predecessor, ring index)``, None while alone: one tuple
+        #: per ring edge, shared by every copy received over it.
+        self._pred: Dict[int, Dict[int, Optional[Tuple[int, int]]]] = {
+            r: {} for r in range(num_rings)
+        }
         for node_id in node_ids:
             self.add_node(node_id)
 
@@ -74,9 +79,11 @@ class RingTopology:
                 continue
             before = ring[index - 1][1]
             after = ring[(index + 1) % len(ring)][1]
-            succ[before] = pred[after] = node_id
+            succ[before] = node_id
             succ[node_id] = after
-            pred[node_id] = before
+            # ``after``'s old key names ``before`` unless it was alone.
+            pred[node_id] = pred[after] or (before, ring_index)
+            pred[after] = (node_id, ring_index)
 
     def remove_node(self, node_id: int) -> None:
         if node_id not in self._members:
@@ -89,12 +96,12 @@ class RingTopology:
             assert ring[index] == entry
             del ring[index]
             succ, pred = self._succ[ring_index], self._pred[ring_index]
-            before, after = pred.pop(node_id), succ.pop(node_id)
+            before_key, after = pred.pop(node_id), succ.pop(node_id)
             if len(ring) == 1:
-                succ[before] = pred[before] = None
+                succ[after] = pred[after] = None
             elif ring:
-                succ[before] = after
-                pred[after] = before
+                succ[before_key[0]] = after
+                pred[after] = before_key
 
     # -- neighbourhood queries -------------------------------------------------
     def successor(self, node_id: int, ring_index: int) -> "int | None":
@@ -106,6 +113,16 @@ class RingTopology:
 
     def predecessor(self, node_id: int, ring_index: int) -> "int | None":
         """The previous node clockwise on ``ring_index`` (None if alone)."""
+        try:
+            key = self._pred[ring_index][node_id]
+        except KeyError:
+            raise self._bad_query(node_id, ring_index) from None
+        return None if key is None else key[0]
+
+    def predecessor_key(self, node_id: int, ring_index: int) -> "Tuple[int, int] | None":
+        """``(predecessor, ring_index)`` — the copy key of the edge into
+        ``node_id`` on ``ring_index`` — as one tuple that stays the same
+        object until the edge changes (None if alone)."""
         try:
             return self._pred[ring_index][node_id]
         except KeyError:

@@ -67,7 +67,10 @@ __all__ = [
 #: /7: a system mints identities from its own ``PopulationFactory``
 #: (no ``_key_seed``), a directory has no ``version`` and a prepared
 #: run carries its post-bootstrap directory tallies.
-SNAPSHOT_MAGIC = b"RACSNAP/7\n"
+#: /8: a receipt is one ``(first_seen_at, *copy keys)`` tuple (no
+#: ``MessageRecord``), a ring's predecessor table holds shared copy keys
+#: and a node keeps one opaque-peel set per domain kind.
+SNAPSHOT_MAGIC = b"RACSNAP/8\n"
 _MAGIC_PREFIX = b"RACSNAP/"
 
 

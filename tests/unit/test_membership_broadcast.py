@@ -82,9 +82,10 @@ class TestBroadcastState:
         state = BroadcastState()
         state.on_receive(100, (1, 0), 0.0)
         state.on_receive(100, (1, 1), 0.1)  # second ring: legitimate
-        assert state.replaying_predecessors(100) == set()
+        assert state.copies_from(100, (1, 0)) == state.copies_from(100, (1, 1)) == 1
         state.on_receive(100, (1, 0), 0.2)  # same ring twice: replay
-        assert state.replaying_predecessors(100) == {(1, 0)}
+        assert state.copies_from(100, (1, 0)) == 2
+        assert state.copies_from(100, (1, 1)) == 1
 
     def test_garbage_collection(self):
         state = BroadcastState()
@@ -94,9 +95,11 @@ class TestBroadcastState:
         assert dropped == 1
         assert 1 not in state and 2 in state
 
-    def test_record_access(self):
+    def test_first_copy_time_is_kept(self):
         state = BroadcastState()
         state.on_receive(1, (9, 0), 3.5)
-        record = state.record(1)
-        assert record.first_seen_at == 3.5
-        assert state.record(2) is None
+        state.on_receive(1, (9, 1), 9.0)  # a later copy keeps the first time
+        assert state.copies_from(2, (9, 0)) == 0
+        assert state.forget_before(3.5) == 0
+        assert state.forget_before(3.6) == 1
+        assert 1 not in state

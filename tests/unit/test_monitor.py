@@ -90,13 +90,13 @@ class TestPredecessorMonitor:
         monitor.forget_node(1)
         assert monitor.due(2.0)[0][1] == {(2, 1)}
 
-    def test_missing_and_replaying_delegate_to_state(self):
+    def test_missing_delegates_to_state(self):
         state = BroadcastState()
         state.on_receive(100, (1, 0), 0.0)
         state.on_receive(100, (1, 0), 0.1)
         expected = {(1, 0), (2, 1)}
         assert PredecessorMonitor.missing(state, 100, expected) == {(2, 1)}
-        assert PredecessorMonitor.replaying(state, 100) == {(1, 0)}
+        assert state.copies_from(100, (1, 0)) == 2
 
     def test_arriving_copies_settle_the_deadline(self):
         monitor = PredecessorMonitor(timeout=1.0)

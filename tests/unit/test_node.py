@@ -421,8 +421,9 @@ class TestPeelDeduplication:
         wire = build_noise(2048, random.Random(1))
         msg_id = message_id(unwrap_wire(wire))
         node._try_peel(group_domain(1), wire, msg_id)
-        assert node._opaque_peels
+        assert node._opaque_group_peels == {msg_id}
+        assert not node._opaque_channel_peels
         env.now += 10_000.0
         node._ticks_since_gc = node.config.state_gc_ticks - 1  # due next tick
         node._maybe_collect_garbage()
-        assert not node._opaque_peels
+        assert not node._opaque_group_peels

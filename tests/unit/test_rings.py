@@ -104,3 +104,39 @@ class TestNeighbourSets:
         after_victim = topo.successor(victim, 0)
         topo.remove_node(victim)
         assert topo.successor(0, 0) == after_victim
+
+
+class TestPredecessorKeys:
+    def test_key_names_the_predecessor_and_ring(self):
+        topo = RingTopology(range(8), num_rings=3)
+        for node in range(8):
+            for ring in range(3):
+                assert topo.predecessor_key(node, ring) == (topo.predecessor(node, ring), ring)
+
+    def test_one_tuple_per_edge(self):
+        topo = RingTopology(range(8), num_rings=3)
+        assert topo.predecessor_key(0, 1) is topo.predecessor_key(0, 1)
+
+    def test_keys_follow_joins_and_removals(self):
+        topo = RingTopology([], num_rings=2)
+        topo.add_node(1)
+        assert topo.predecessor_key(1, 0) is None
+        for node in range(2, 12):
+            topo.add_node(node)
+        for node in range(1, 12, 3):
+            topo.remove_node(node)
+        fresh = RingTopology(topo.members, num_rings=2)
+        for node in topo.members:
+            for ring in range(2):
+                assert topo.predecessor_key(node, ring) == fresh.predecessor_key(node, ring)
+        while len(topo) > 1:
+            topo.remove_node(min(topo.members))
+        (last,) = topo.members
+        assert topo.predecessor_key(last, 0) is None and topo.predecessor(last, 1) is None
+
+    def test_key_query_rejects_what_predecessor_rejects(self):
+        topo = RingTopology(range(4), num_rings=2)
+        with pytest.raises(ValueError):
+            topo.predecessor_key(99, 0)
+        with pytest.raises(ValueError):
+            topo.predecessor_key(0, 5)

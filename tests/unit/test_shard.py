@@ -7,6 +7,7 @@ boundaries.
 """
 
 import random
+import weakref
 
 import pytest
 
@@ -306,6 +307,21 @@ class TestShardSystem:
         _, fp2 = epoch_step(system, spec, 1, [], fp1)
         assert fp1 != ZERO_FINGERPRINT
         assert fp2 != fp1
+
+    def test_a_closed_system_is_freed_by_reference_counting(self):
+        # A finished shard-epoch cell closes its system; dropping it must
+        # then free the system and its nodes at once, not whenever the
+        # cycle collector next walks the oldest generation. (The
+        # simulator's own wiring stays cyclic, with an empty calendar.)
+        spec = ScaleSpec(nodes=24, num_shards=2, seed=3, horizon=1.0, epoch=0.5)
+        system = build_shard_system(spec, 0)
+        epoch_step(system, spec, 0, [], ZERO_FINGERPRINT)
+        assert system.sim.pending_events()
+        alive = [weakref.ref(system)] + [weakref.ref(node.rng) for node in system.nodes.values()]
+        system.close()
+        assert not system.nodes and not system.sim.pending_events()
+        del system
+        assert [ref for ref in alive if ref() is not None] == []
 
 
 class TestShardCacheHygiene:

@@ -73,6 +73,30 @@ class _Rac3Monitor:
         return object.__new__, (PredecessorMonitor,), (None, slots)
 
 
+def _rac7_receipts() -> bytes:
+    """Pickles the way a ``RACSNAP/7`` receipt table did: a
+    ``BroadcastState`` holding one ``MessageRecord`` (first-copy time,
+    a copy count per key, a ``delivered`` flag) per message id. The
+    class is gone, so the stand-in exists only while the body is
+    written."""
+    from dataclasses import make_dataclass
+
+    from repro.overlay import broadcast
+
+    fields = [("first_seen_at", float), ("copies_from", dict), ("delivered", bool)]
+    record = make_dataclass("MessageRecord", fields, slots=True)
+    record.__module__ = broadcast.__name__
+    receipts = {"_records": {7: record(1.0, {(3, 0): 1, (4, 1): 2}, False)}}
+
+    class Rac7State:
+        def __reduce_ex__(self, protocol):
+            return object.__new__, (broadcast.BroadcastState,), receipts
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(broadcast, "MessageRecord", record, raising=False)
+        return pickle.dumps(Rac7State())
+
+
 class TestSimulatorPickling:
     def test_sequence_counter_survives_pickling(self):
         sim = Simulator()
@@ -353,14 +377,20 @@ class TestSnapshotErrors:
         # A RACSNAP/3 predecessor monitor (expected sets, a heap, the
         # ever-growing checked set) does not fit today's either, and a
         # RACSNAP/4 star would come back without ``overtaking_free``.
+        # A RACSNAP/7 receipt is a ``MessageRecord``, which no longer
+        # exists.
         body = pickle.dumps((_Rac2Event(), _Rac3Monitor()))
         for stale in (_Rac2Event(), _Rac3Monitor()):
             with pytest.raises(AttributeError):
                 pickle.loads(pickle.dumps(stale))
-        for version in ("1", "2", "3", "4", "5", "6"):
-            old = f"RACSNAP/{version}\n".encode() + body
+        rac7 = _rac7_receipts()
+        with pytest.raises(AttributeError, match="MessageRecord"):
+            pickle.loads(rac7)
+        bodies = {version: body for version in ("1", "2", "3", "4", "5", "6")}
+        for version, stale_body in {**bodies, "7": rac7}.items():
+            old = f"RACSNAP/{version}\n".encode() + stale_body
             with pytest.raises(
-                SnapshotError, match=f"version mismatch.*RACSNAP/{version}.*RACSNAP/7"
+                SnapshotError, match=f"version mismatch.*RACSNAP/{version}.*RACSNAP/8"
             ):
                 restore_system(old)
             path = tmp_path / "old.snap"
