@@ -7,9 +7,12 @@ cross-product (:class:`CampaignSpec`), runs every cell through the
 orchestrator pool as a ``campaign_point`` workload, scores each cell
 with the fault-aware invariant checker plus the passive-opponent
 analyses, and folds the result store into an **accountability
-frontier**: per strategy, the fault intensity where detection stays
-sound, where it first degrades (missed detections), where false
-positives begin, and what the adversity costs anonymity.
+frontier**: every record lands in one :class:`Point` per cell, and the
+points are walked along one of two axes — per strategy, the loss
+intensity where detection stays sound, where it first degrades (missed
+detections), where false positives begin, and what the adversity costs
+anonymity; per coordinated strategy, the colluding fraction where
+soundness breaks against the paper's f·G bound.
 
 Entry points: ``repro campaign run|report`` (CLI), the
 ``campaign_frontier`` and ``coalition_frontier`` rows of
@@ -18,12 +21,10 @@ Entry points: ``repro campaign run|report`` (CLI), the
 """
 
 from .frontier import (
-    DEFAULT_BLACKLIST_POLLUTION_THRESHOLD,
-    CellAggregate,
-    CoalitionAggregate,
+    BLACKLIST_POLLUTION_THRESHOLD,
     CoalitionFrontier,
-    CoalitionReport,
     FrontierReport,
+    Point,
     StrategyFrontier,
     build_frontier,
 )
@@ -32,15 +33,13 @@ from .scoring import run_campaign_cell
 from .spec import CAMPAIGN_EXPERIMENT, CANNED_CAMPAIGNS, CampaignSpec
 
 __all__ = [
+    "BLACKLIST_POLLUTION_THRESHOLD",
     "CAMPAIGN_EXPERIMENT",
     "CANNED_CAMPAIGNS",
-    "DEFAULT_BLACKLIST_POLLUTION_THRESHOLD",
     "CampaignSpec",
-    "CellAggregate",
-    "CoalitionAggregate",
     "CoalitionFrontier",
-    "CoalitionReport",
     "FrontierReport",
+    "Point",
     "StrategyFrontier",
     "build_frontier",
     "campaign_report",

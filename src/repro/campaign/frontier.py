@@ -1,10 +1,13 @@
 """The accountability frontier: folding campaign cells into one verdict.
 
 A finished campaign leaves one result-store record per cell. This
-module folds them into the report the ROADMAP asks for — *where does
-accountability stay sound, where does detection degrade, and what does
-active adversity cost anonymity?* For every (strategy, fault-plan)
-pair the aggregator walks the loss-intensity axis and finds:
+module folds every record into one :class:`Point` per cell — (strategy,
+plan, topology, loss, coalition fraction), all seeds and group sizes
+together — and walks the points into the report the ROADMAP asks for:
+*where does accountability stay sound, where does detection degrade,
+and what does active adversity cost anonymity?* Unilateral points
+(fraction 0) walk the loss-intensity axis per (strategy, plan,
+topology), and :class:`StrategyFrontier` finds:
 
 * ``sound_up_to`` — the highest intensity at which every cell is clean
   (guilty convicted within the bound, zero honest evictions);
@@ -14,7 +17,7 @@ pair the aggregator walks the loss-intensity axis and finds:
   eviction (adversity misread as misbehaviour — the failure mode the
   paper's accountability claim forbids);
 * ``pollution_onset`` — the lowest intensity whose cells leave more
-  than :data:`DEFAULT_BLACKLIST_POLLUTION_THRESHOLD` honest-but-
+  than :data:`BLACKLIST_POLLUTION_THRESHOLD` honest-but-
   blacklisted entries per cell lingering at the horizon (the flooder
   finding from the first campaign matrix: pollution short of eviction
   is still an accountability cost, so it now participates in the
@@ -22,13 +25,13 @@ pair the aggregator walks the loss-intensity axis and finds:
 * the anonymity entropy trend from the baseline intensity to the
   highest swept one (evictions shrink the posterior's support).
 
-Cells carrying the ``coalition_fraction`` axis fold into a separate
-**coalition frontier**: per (strategy, plan) the fraction axis is
-walked for the measured *soundness onset* — the first colluding
-fraction where an honest node is evicted or the coalition escapes the
-detection bound — and compared against the paper's analytic f·G bound
-(the eviction quorum is ``floor(f·G)+1`` distinct lists, so coalitions
-of ≤ f·G members must be survivable).
+Coalition points (the ``coalition_fraction`` axis) walk the fraction
+axis per (strategy, plan), and :class:`CoalitionFrontier` finds the
+measured *soundness onset* — the first colluding fraction where an
+honest node is evicted or the coalition escapes the detection bound —
+and compares it against the paper's analytic f·G bound (the eviction
+quorum is ``floor(f·G)+1`` distinct lists, so coalitions of ≤ f·G
+members must be survivable).
 
 Heterogeneous stores are fine: records from other experiments are
 ignored, and records missing a campaign metric are counted as skipped
@@ -39,19 +42,17 @@ rather than crashing the fold (the same contract as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..experiments.runner import Table
 from ..orchestrator.store import ResultRecord, ResultStore
 from .spec import CAMPAIGN_EXPERIMENT
 
 __all__ = [
-    "DEFAULT_BLACKLIST_POLLUTION_THRESHOLD",
-    "CellAggregate",
+    "BLACKLIST_POLLUTION_THRESHOLD",
+    "Point",
     "StrategyFrontier",
-    "CoalitionAggregate",
     "CoalitionFrontier",
-    "CoalitionReport",
     "FrontierReport",
     "build_frontier",
 ]
@@ -64,49 +65,68 @@ _REQUIRED_METRICS = (
     "anonymity_entropy_bits",
 )
 
-#: Mean honest-node blacklist entries a cell may leave lingering at the
-#: horizon before its point is judged UNSOUND. The flooder measures ≈8
-#: per cell at G=12 (pollution without a single false eviction — the
-#: PR-6 finding); the default tolerates that documented level but flags
-#: anything materially worse. Pass ``pollution_threshold=0`` to
-#: :func:`build_frontier` for the strict verdict.
-DEFAULT_BLACKLIST_POLLUTION_THRESHOLD = 16.0
+#: Mean honest-node blacklist entries a unilateral cell may leave
+#: lingering at the horizon before its point is judged UNSOUND. The
+#: flooder measures ≈8 per cell at G=12 (pollution without a single
+#: false eviction — the PR-6 finding); the threshold tolerates that
+#: documented level but flags anything materially worse.
+BLACKLIST_POLLUTION_THRESHOLD = 16.0
 
 
 @dataclass
-class CellAggregate:
-    """All seeds/sizes of one (strategy, plan, loss, topology) point,
-    folded."""
+class Point:
+    """All seeds/sizes of one (strategy, plan, topology, loss,
+    fraction) cell, folded. A coalition point (``fraction > 0``) comes
+    from a sweep holding group size, loss and topology at one value
+    each (:class:`~repro.campaign.spec.CampaignSpec` enforces it)."""
 
     strategy: str
     plan: str
+    topology: str
     loss: float
-    topology: str = "lan"
+    fraction: float
     cells: int = 0
     honest_evictions: int = 0
     missed_detections: int = 0
-    liveness_violations: int = 0
     detected: int = 0
-    detection_required: int = 0
     detection_times: "List[float]" = field(default_factory=list)
     entropy_sum: float = 0.0
     accuracy_sum: float = 0.0
     blacklist_pollution: int = 0
-    pollution_threshold: float = DEFAULT_BLACKLIST_POLLUTION_THRESHOLD
+    size: int = 0  # coalition members per cell
+    nodes: int = 0  # population G
+    relay_threshold: int = 0  # floor(f·G)+1 at the cell's config
+    evicted_members: int = 0
+    shuffle_rounds_min: int = 0
 
     def fold(self, record: ResultRecord) -> None:
         m = record.metrics
         self.cells += 1
         self.honest_evictions += int(m["honest_evictions"])
         self.missed_detections += int(m["missed_detections"])
-        self.liveness_violations += int(m.get("liveness_violations", 0))
         self.blacklist_pollution += int(m.get("blacklist_violations", 0))
         self.entropy_sum += float(m["anonymity_entropy_bits"])
         self.accuracy_sum += float(m.get("attribution_accuracy", 0.0))
+        self.size = max(self.size, int(m.get("coalition_size", 0)))
+        self.nodes = max(self.nodes, int(record.params.get("nodes", 0)))
+        self.relay_threshold = max(
+            self.relay_threshold, int(m.get("relay_threshold", 0))
+        )
+        self.evicted_members += int(m.get("coalition_evicted", 0))
+        rounds = int(m.get("shuffle_rounds", 0))
+        self.shuffle_rounds_min = (
+            rounds if self.cells == 1 else min(self.shuffle_rounds_min, rounds)
+        )
         if m["detected"] >= 1.0:
             self.detected += 1
             if m.get("detection_time_s", -1.0) >= 0.0:
                 self.detection_times.append(float(m["detection_time_s"]))
+
+    @property
+    def detection_required(self) -> int:
+        """Cells that owed a conviction: all of them iff any cell either
+        detected the deviant or was flagged for missing it."""
+        return self.cells if self.detected or self.missed_detections else 0
 
     @property
     def mean_pollution(self) -> float:
@@ -114,7 +134,9 @@ class CellAggregate:
 
     @property
     def polluted(self) -> bool:
-        return self.mean_pollution > self.pollution_threshold
+        """Over the pollution threshold. Judged on unilateral points
+        only: a coalition point is gated by the f·G bound alone."""
+        return not self.fraction and self.mean_pollution > BLACKLIST_POLLUTION_THRESHOLD
 
     @property
     def sound(self) -> bool:
@@ -140,6 +162,28 @@ class CellAggregate:
             return None
         return sum(self.detection_times) / len(self.detection_times)
 
+    @property
+    def bound_fraction(self) -> float:
+        """The largest analytically safe colluding fraction, f·G / G:
+        the quorum needs ``relay_threshold = floor(f·G)+1`` distinct
+        lists, so ``relay_threshold - 1`` colluders are survivable."""
+        if not self.nodes or not self.relay_threshold:
+            return 0.0
+        return (self.relay_threshold - 1) / self.nodes
+
+    @property
+    def above_bound(self) -> bool:
+        """More members than f·G (never true of a unilateral point)."""
+        return self.size > self.relay_threshold - 1 if self.relay_threshold else False
+
+
+def _onset(
+    line: "List[Point]", axis: str, failed: "Callable[[Point], object]"
+) -> "Optional[float]":
+    """The lowest ``axis`` value on a sorted line whose point ``failed``
+    (``None``: no point did)."""
+    return next((getattr(p, axis) for p in line if failed(p)), None)
+
 
 @dataclass
 class StrategyFrontier:
@@ -157,6 +201,34 @@ class StrategyFrontier:
     requires_detection: bool
     topology: str = "lan"
     pollution_onset: "Optional[float]" = None  # None: pollution under threshold
+
+    @classmethod
+    def walk(cls, points: "List[Point]") -> "List[StrategyFrontier]":
+        """One line per (strategy, plan, topology) of the unilateral
+        points, along the loss axis."""
+        lines: "Dict[Tuple[str, str, str], List[Point]]" = {}
+        for p in sorted((p for p in points if not p.fraction), key=lambda p: p.loss):
+            lines.setdefault((p.strategy, p.plan, p.topology), []).append(p)
+        frontiers = []
+        for (strategy, plan, topology), line in lines.items():
+            unsound = _onset(line, "loss", lambda p: not p.sound)
+            sound = [p.loss for p in line if unsound is None or p.loss < unsound]
+            frontiers.append(
+                cls(
+                    strategy=strategy,
+                    plan=plan,
+                    losses=[p.loss for p in line],
+                    sound_up_to=sound[-1] if sound else None,
+                    degrade_onset=_onset(line, "loss", lambda p: p.missed_detections),
+                    false_positive_onset=_onset(line, "loss", lambda p: p.honest_evictions),
+                    entropy_baseline=line[0].mean_entropy,
+                    entropy_worst=line[-1].mean_entropy,
+                    requires_detection=any(p.detection_required for p in line),
+                    topology=topology,
+                    pollution_onset=_onset(line, "loss", lambda p: p.polluted),
+                )
+            )
+        return frontiers
 
     def describe(self) -> str:
         span = f"{self.strategy} under plan {self.plan}"
@@ -191,68 +263,6 @@ class StrategyFrontier:
 
 
 @dataclass
-class CoalitionAggregate:
-    """All seeds/plans' cells of one (strategy, plan, fraction) point."""
-
-    strategy: str
-    plan: str
-    fraction: float
-    cells: int = 0
-    size: int = 0  # coalition members per cell
-    nodes: int = 0  # population G
-    relay_threshold: int = 0  # floor(f·G)+1 at the cell's config
-    honest_evictions: int = 0
-    missed_detections: int = 0
-    detected: int = 0
-    evicted_members: int = 0
-    shuffle_rounds_min: int = 0
-    detection_times: "List[float]" = field(default_factory=list)
-
-    def fold(self, record: ResultRecord) -> None:
-        m = record.metrics
-        self.cells += 1
-        self.size = max(self.size, int(m.get("coalition_size", 0)))
-        self.nodes = max(self.nodes, int(record.params.get("nodes", 0)))
-        self.relay_threshold = max(
-            self.relay_threshold, int(m.get("relay_threshold", 0))
-        )
-        self.honest_evictions += int(m["honest_evictions"])
-        self.missed_detections += int(m["missed_detections"])
-        self.evicted_members += int(m.get("coalition_evicted", 0))
-        rounds = int(m.get("shuffle_rounds", 0))
-        self.shuffle_rounds_min = (
-            rounds if self.cells == 1 else min(self.shuffle_rounds_min, rounds)
-        )
-        if m["detected"] >= 1.0:
-            self.detected += 1
-            if m.get("detection_time_s", -1.0) >= 0.0:
-                self.detection_times.append(float(m["detection_time_s"]))
-
-    @property
-    def sound(self) -> bool:
-        return self.honest_evictions == 0 and self.missed_detections == 0
-
-    @property
-    def bound_fraction(self) -> float:
-        """The largest analytically safe colluding fraction, f·G / G:
-        the quorum needs ``relay_threshold = floor(f·G)+1`` distinct
-        lists, so ``relay_threshold - 1`` colluders are survivable."""
-        if not self.nodes or not self.relay_threshold:
-            return 0.0
-        return (self.relay_threshold - 1) / self.nodes
-
-    @property
-    def above_bound(self) -> bool:
-        return self.size > self.relay_threshold - 1 if self.relay_threshold else False
-
-    @property
-    def mean_detection_time(self) -> "Optional[float]":
-        if not self.detection_times:
-            return None
-        return sum(self.detection_times) / len(self.detection_times)
-
-
-@dataclass
 class CoalitionFrontier:
     """One (strategy, plan) walk along the colluding-fraction axis."""
 
@@ -271,6 +281,27 @@ class CoalitionFrontier:
     bound_fraction: float
     #: Predicted onset: the quorum-completing coalition, (f·G+1)/G.
     predicted_onset: float
+
+    @classmethod
+    def walk(cls, points: "List[Point]") -> "List[CoalitionFrontier]":
+        """One line per (strategy, plan) of the coalition points, along
+        the colluding-fraction axis."""
+        lines: "Dict[Tuple[str, str], List[Point]]" = {}
+        for p in sorted((p for p in points if p.fraction), key=lambda p: p.fraction):
+            lines.setdefault((p.strategy, p.plan), []).append(p)
+        return [
+            cls(
+                strategy=strategy,
+                plan=plan,
+                fractions=[p.fraction for p in line],
+                fp_onset=_onset(line, "fraction", lambda p: p.honest_evictions),
+                miss_onset=_onset(line, "fraction", lambda p: p.missed_detections),
+                bound_fraction=max(p.bound_fraction for p in line),
+                predicted_onset=max(p.relay_threshold for p in line)
+                / (max(p.nodes for p in line) or 1),
+            )
+            for (strategy, plan), line in lines.items()
+        ]
 
     @property
     def measured_onset(self) -> "Optional[float]":
@@ -325,11 +356,32 @@ class CoalitionFrontier:
 
 
 @dataclass
-class CoalitionReport:
-    """The coalition frontier: per-fraction aggregates plus verdicts."""
+class FrontierReport:
+    """The campaign verdict: points, both frontiers, and the gates."""
 
-    points: "List[CoalitionAggregate]"
-    frontiers: "List[CoalitionFrontier]"
+    points: "List[Point]"
+    frontiers: "List[StrategyFrontier]"
+    coalition_frontiers: "List[CoalitionFrontier]"
+    skipped: int
+    failed_cells: int
+    foreign_records: int
+
+    @property
+    def coalition_points(self) -> "List[Point]":
+        """The points on the colluding-fraction axis. They stay out of
+        the baseline: mixing sub- and above-bound fractions into one
+        loss point would turn an *expected* above-bound breakdown into
+        a spurious baseline failure."""
+        return [p for p in self.points if p.fraction]
+
+    @property
+    def baseline_points(self) -> "List[Point]":
+        """The no-fault cells: plan ``none`` at the lowest swept loss."""
+        none_points = [p for p in self.points if p.plan == "none" and not p.fraction]
+        if not none_points:
+            return []
+        floor = min(p.loss for p in none_points)
+        return [p for p in none_points if p.loss == floor]
 
     @property
     def sub_bound_sound(self) -> bool:
@@ -340,7 +392,7 @@ class CoalitionReport:
         storm below the bound are detection latency (the rotation +
         churn stretch conviction past the finite bound) and are
         reported in the frontier rather than failing the gate."""
-        sub = [p for p in self.points if not p.above_bound]
+        sub = [p for p in self.coalition_points if not p.above_bound]
         if not sub:
             return False
         if any(p.honest_evictions for p in sub):
@@ -350,11 +402,40 @@ class CoalitionReport:
         )
 
     @property
-    def breakdowns(self) -> "List[CoalitionAggregate]":
+    def breakdowns(self) -> "List[Point]":
         """Above-bound points where soundness measurably failed."""
         return [p for p in self.points if p.above_bound and not p.sound]
 
-    def render(self) -> str:
+    @property
+    def baseline_ok(self) -> bool:
+        """The acceptance gate: at baseline intensity every strategy's
+        cells show zero honest evictions and zero missed detections.
+        A pure coalition campaign (no classic cells) is instead gated
+        on its sub-f·G fractions being sound."""
+        baseline = self.baseline_points
+        if not baseline:
+            return self.sub_bound_sound
+        return all(p.sound for p in baseline)
+
+    def failures(self) -> "List[str]":
+        """The one campaign gate (``campaign report --check`` and both
+        committed frontier artefacts): no honest eviction in any
+        unilateral cell or sub-f·G coalition cell, every sub-f·G
+        coalition cell sound, the baseline sound. An above-bound
+        coalition breakdown is the measurement, not a failure."""
+        out: "List[str]" = []
+        honest = sum(p.honest_evictions for p in self.points if not p.above_bound)
+        if honest:
+            out.append(f"{honest} honest eviction(s) recorded")
+        if self.coalition_points and not self.sub_bound_sound:
+            out.append("sub-f*G coalition cells are not sound")
+        if not self.baseline_ok:
+            out.append("baseline cells are not sound")
+        return out
+
+    def _render_coalition(self) -> str:
+        """The coalition section: table, onset lines, gate, breakdowns."""
+        points = self.coalition_points
         table = Table(
             headers=[
                 "strategy",
@@ -372,7 +453,7 @@ class CoalitionReport:
             ],
             title="coalition frontier: colluding fraction vs the f*G bound",
         )
-        for p in sorted(self.points, key=lambda p: (p.strategy, p.plan, p.fraction)):
+        for p in sorted(points, key=lambda p: (p.strategy, p.plan, p.fraction)):
             t_detect = (
                 f"{p.mean_detection_time:.2f}s"
                 if p.mean_detection_time is not None
@@ -403,10 +484,10 @@ class CoalitionReport:
         lines = [table.render(), "", "coalition soundness onsets:"]
         lines.extend(
             "  " + f.describe()
-            for f in sorted(self.frontiers, key=lambda f: (f.strategy, f.plan))
+            for f in sorted(self.coalition_frontiers, key=lambda f: (f.strategy, f.plan))
         )
         lines.append("")
-        sub = [p for p in self.points if not p.above_bound]
+        sub = [p for p in points if not p.above_bound]
         lines.append(
             f"sub-f*G cells ({sum(p.cells for p in sub)}): "
             + ("all SOUND" if self.sub_bound_sound else "UNSOUND — bound violated")
@@ -427,65 +508,10 @@ class CoalitionReport:
             )
         return "\n".join(lines)
 
-
-@dataclass
-class FrontierReport:
-    """The campaign verdict: aggregates, frontiers, and the baseline."""
-
-    points: "List[CellAggregate]"
-    frontiers: "List[StrategyFrontier]"
-    skipped: int
-    failed_cells: int
-    foreign_records: int
-    #: Present when the store carried coalition cells (the
-    #: ``coalition_fraction`` axis); those cells fold here, not into
-    #: ``points`` — mixing sub- and above-bound fractions into one
-    #: loss point would turn an *expected* above-bound breakdown into
-    #: a spurious baseline failure.
-    coalition: "Optional[CoalitionReport]" = None
-
-    @property
-    def baseline_points(self) -> "List[CellAggregate]":
-        """The no-fault cells: plan ``none`` at the lowest swept loss."""
-        none_points = [p for p in self.points if p.plan == "none"]
-        if not none_points:
-            return []
-        floor = min(p.loss for p in none_points)
-        return [p for p in none_points if p.loss == floor]
-
-    @property
-    def baseline_ok(self) -> bool:
-        """The acceptance gate: at baseline intensity every strategy's
-        cells show zero honest evictions and zero missed detections.
-        A pure coalition campaign (no classic cells) is instead gated
-        on its sub-f·G fractions being sound."""
-        baseline = self.baseline_points
-        if not baseline:
-            return self.coalition is not None and self.coalition.sub_bound_sound
-        return all(p.sound for p in baseline)
-
-    def failures(self) -> "List[str]":
-        """The one campaign gate (``campaign report --check`` and both
-        committed frontier artefacts): no honest eviction in any
-        unilateral cell or sub-f·G coalition cell, every sub-f·G
-        coalition cell sound, the baseline sound. An above-bound
-        coalition breakdown is the measurement, not a failure."""
-        out: "List[str]" = []
-        sub_bound = [] if self.coalition is None else [
-            p for p in self.coalition.points if not p.above_bound
-        ]
-        honest = sum(p.honest_evictions for p in self.points + sub_bound)
-        if honest:
-            out.append(f"{honest} honest eviction(s) recorded")
-        if self.coalition is not None and not self.coalition.sub_bound_sound:
-            out.append("sub-f*G coalition cells are not sound")
-        if not self.baseline_ok:
-            out.append("baseline cells are not sound")
-        return out
-
     def render(self) -> str:
         lines: "List[str]" = []
-        if self.points:
+        unilateral = [p for p in self.points if not p.fraction]
+        if unilateral:
             table = Table(
                 headers=[
                     "strategy",
@@ -504,7 +530,7 @@ class FrontierReport:
                 title="campaign matrix: strategies x fault plans x loss intensities",
             )
             for p in sorted(
-                self.points, key=lambda p: (p.strategy, p.plan, p.topology, p.loss)
+                unilateral, key=lambda p: (p.strategy, p.plan, p.topology, p.loss)
             ):
                 detect = (
                     f"{p.detected}/{p.detection_required}"
@@ -537,14 +563,14 @@ class FrontierReport:
                     self.frontiers, key=lambda f: (f.strategy, f.plan, f.topology)
                 )
             )
-            threshold = self.points[0].pollution_threshold
             lines.append(
-                f"  (blacklist-pollution threshold: {threshold:g} lingering "
-                "honest entries per cell)"
+                f"  (blacklist-pollution threshold: {BLACKLIST_POLLUTION_THRESHOLD:g} "
+                "lingering honest entries per cell)"
             )
             lines.append("")
-        if self.coalition is not None:
-            lines.append(self.coalition.render())
+        coalition = self.coalition_points
+        if coalition:
+            lines.append(self._render_coalition())
             lines.append("")
         baseline = self.baseline_points
         if baseline:
@@ -558,7 +584,7 @@ class FrontierReport:
                 "pollution threshold -> "
                 + ("SOUND" if self.baseline_ok else "UNSOUND")
             )
-        elif self.coalition is not None:
+        elif coalition:
             lines.append(
                 "baseline (coalition sub-f*G fractions): "
                 + ("SOUND" if self.baseline_ok else "UNSOUND")
@@ -572,14 +598,10 @@ class FrontierReport:
         return "\n".join(lines)
 
 
-def build_frontier(
-    store: ResultStore,
-    *,
-    pollution_threshold: float = DEFAULT_BLACKLIST_POLLUTION_THRESHOLD,
-) -> FrontierReport:
-    """Fold a result store's campaign records into the frontier."""
-    grouped: "Dict[Tuple[str, str, float, str], CellAggregate]" = {}
-    coalition_grouped: "Dict[Tuple[str, str, float], CoalitionAggregate]" = {}
+def build_frontier(store: ResultStore) -> FrontierReport:
+    """Fold a result store's campaign records into the frontier: one
+    loop, one :class:`Point` per cell key."""
+    points: "Dict[Tuple[str, str, str, float, float], Point]" = {}
     skipped = failed = foreign = 0
     for record in store.latest().values():
         if record.experiment != CAMPAIGN_EXPERIMENT:
@@ -591,109 +613,24 @@ def build_frontier(
         if any(name not in record.metrics for name in _REQUIRED_METRICS):
             skipped += 1
             continue
-        fraction = float(record.params.get("coalition_fraction", 0.0))
-        if fraction > 0.0:
-            ckey = (
-                str(record.params.get("strategy", "honest")),
-                str(record.params.get("plan", "none")),
-                fraction,
-            )
-            cpoint = coalition_grouped.get(ckey)
-            if cpoint is None:
-                cpoint = coalition_grouped[ckey] = CoalitionAggregate(*ckey)
-            cpoint.fold(record)
-            continue
         key = (
             str(record.params.get("strategy", "honest")),
             str(record.params.get("plan", "none")),
-            float(record.params.get("loss", 0.0)),
             str(record.params.get("topology", "lan")),
+            float(record.params.get("loss", 0.0)),
+            float(record.params.get("coalition_fraction", 0.0)),
         )
-        point = grouped.get(key)
+        point = points.get(key)
         if point is None:
-            point = grouped[key] = CellAggregate(
-                *key, pollution_threshold=pollution_threshold
-            )
+            point = points[key] = Point(*key)
         point.fold(record)
-        point.detection_required += (
-            1 if record.metrics.get("detection_time_s") is not None
-            and record.metrics["missed_detections"] + record.metrics["detected"] >= 1.0
-            else 0
-        )
 
-    # detection_required above is heuristic for mixed stores; recompute
-    # it exactly: a point requires detection iff any of its cells either
-    # detected the deviant or was flagged for missing it.
-    for point in grouped.values():
-        point.detection_required = point.cells if (
-            point.detected or point.missed_detections
-        ) else 0
-
-    frontiers: "List[StrategyFrontier]" = []
-    by_pair: "Dict[Tuple[str, str, str], List[CellAggregate]]" = {}
-    for (strategy, plan, _loss, topology), point in grouped.items():
-        by_pair.setdefault((strategy, plan, topology), []).append(point)
-    for (strategy, plan, topology), points in by_pair.items():
-        points.sort(key=lambda p: p.loss)
-        losses = [p.loss for p in points]
-        sound_up_to: "Optional[float]" = None
-        for p in points:
-            if p.sound:
-                sound_up_to = p.loss
-            else:
-                break
-        degrade = next((p.loss for p in points if p.missed_detections), None)
-        false_pos = next((p.loss for p in points if p.honest_evictions), None)
-        pollution = next((p.loss for p in points if p.polluted), None)
-        frontiers.append(
-            StrategyFrontier(
-                strategy=strategy,
-                plan=plan,
-                losses=losses,
-                sound_up_to=sound_up_to,
-                degrade_onset=degrade,
-                false_positive_onset=false_pos,
-                entropy_baseline=points[0].mean_entropy,
-                entropy_worst=points[-1].mean_entropy,
-                requires_detection=any(p.detection_required for p in points),
-                topology=topology,
-                pollution_onset=pollution,
-            )
-        )
-
-    coalition: "Optional[CoalitionReport]" = None
-    if coalition_grouped:
-        cfrontiers: "List[CoalitionFrontier]" = []
-        by_strategy: "Dict[Tuple[str, str], List[CoalitionAggregate]]" = {}
-        for (strategy, plan, _fraction), cpoint in coalition_grouped.items():
-            by_strategy.setdefault((strategy, plan), []).append(cpoint)
-        for (strategy, plan), cpoints in by_strategy.items():
-            cpoints.sort(key=lambda p: p.fraction)
-            fp = next((p.fraction for p in cpoints if p.honest_evictions), None)
-            miss = next((p.fraction for p in cpoints if p.missed_detections), None)
-            bound = max(p.bound_fraction for p in cpoints)
-            threshold = max(p.relay_threshold for p in cpoints)
-            nodes = max(p.nodes for p in cpoints) or 1
-            cfrontiers.append(
-                CoalitionFrontier(
-                    strategy=strategy,
-                    plan=plan,
-                    fractions=[p.fraction for p in cpoints],
-                    fp_onset=fp,
-                    miss_onset=miss,
-                    bound_fraction=bound,
-                    predicted_onset=threshold / nodes,
-                )
-            )
-        coalition = CoalitionReport(
-            points=list(coalition_grouped.values()), frontiers=cfrontiers
-        )
-
+    folded = list(points.values())
     return FrontierReport(
-        points=list(grouped.values()),
-        frontiers=frontiers,
+        points=folded,
+        frontiers=StrategyFrontier.walk(folded),
+        coalition_frontiers=CoalitionFrontier.walk(folded),
         skipped=skipped,
         failed_cells=failed,
         foreign_records=foreign,
-        coalition=coalition,
     )

@@ -67,10 +67,12 @@ class CampaignSpec:
     point plants ``round(fraction × nodes)`` coordinated deviants
     (sharing one :class:`~repro.freeride.coalition
     .CoalitionCoordinator`) instead of one. Sweep it toward and past
-    the paper's f·G bound to measure the soundness onset. The axis is
-    only added to the grid when non-empty, so existing campaign cell
-    ids are untouched. ``shuffle_rounds`` is the multi-round horizon
-    knob: when set, each cell's ``blacklist_period`` is derived as
+    the paper's f·G bound to measure the soundness onset; such a sweep
+    holds the group size, loss point and topology at one value each.
+    The axis is only added to the grid when non-empty, so existing
+    campaign cell ids are untouched. ``shuffle_rounds`` is the
+    multi-round horizon knob: when set, each cell's
+    ``blacklist_period`` is derived as
     ``horizon / (shuffle_rounds + 2)`` so at least that many
     blacklist-shuffle rounds complete inside the horizon.
     """
@@ -109,6 +111,16 @@ class CampaignSpec:
                     f"coalition fraction {fraction!r} outside (0, 0.5) — the "
                     "honest majority must stay a majority"
                 )
+        # The frontier walks the fraction axis alone: cells of a second
+        # size, loss point or topology would share a coalition point or
+        # line, where an above-bound cell hides a sub-f·G one.
+        if self.coalition_fractions and max(
+            len(self.group_sizes), len(self.loss_points), len(self.topologies)
+        ) > 1:
+            raise ValueError(
+                "a coalition sweep takes exactly one group size, one loss point "
+                "and one topology (use a single --nodes, --loss and --topologies value)"
+            )
         if self.horizon <= 0:
             raise ValueError("campaign horizon must be positive")
         if self.shuffle_rounds is not None:
@@ -132,16 +144,8 @@ class CampaignSpec:
             Scenario.from_params(cell.params_dict, cell.seed, "campaign")
 
     # -- derived ---------------------------------------------------------------
-    @property
-    def cells_per_seed(self) -> int:
-        return (
-            len(self.strategies) * len(self.plans) * len(self.loss_points)
-            * len(self.group_sizes) * len(self.topologies)
-            * max(1, len(self.coalition_fractions))
-        )
-
     def __len__(self) -> int:
-        return self.cells_per_seed * len(self.seeds)
+        return len(self.to_grid())
 
     def to_grid(self) -> SweepGrid:
         """Expand into the content-addressed (config × seed) grid.

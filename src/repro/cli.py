@@ -561,10 +561,8 @@ def _campaign_run(args: argparse.Namespace) -> Run:
     if args.coalition_size is not None:
         if "coalition_fractions" in fields:
             raise ValueError("pass --coalition-fraction or --coalition-size, not both")
-        sizes = fields.get("group_sizes", base.group_sizes)
-        if len(sizes) != 1:
-            raise ValueError("--coalition-size needs exactly one group size (use a single --nodes value)")
-        fields["coalition_fractions"] = tuple(size / sizes[0] for size in args.coalition_size)
+        nodes = fields.get("group_sizes", base.group_sizes)[0]  # one size: CampaignSpec checks it
+        fields["coalition_fractions"] = tuple(size / nodes for size in args.coalition_size)
     spec = dataclasses.replace(base, **fields)
     sweep = start_run(args.run_dir, spec.to_grid(), _pool(args))
 

@@ -289,9 +289,9 @@ def _coalition_frontier() -> Built:
     text, report, failures = _frontier(CampaignSpec.coalition())
     # The matrix must show where accountability stops, not only that
     # it holds where the paper promises it.
-    if report.coalition is None:
+    if not report.coalition_points:
         failures.append("no coalition cells in the store")
-    elif not report.coalition.breakdowns:
+    elif not report.breakdowns:
         failures.append("no above-bound breakdown measured: the matrix must sweep past f*G")
     evidence, sharded_failures = sharded_evidence()
     return [text + "\n\n" + evidence], failures + sharded_failures

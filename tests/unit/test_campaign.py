@@ -12,6 +12,7 @@ import dataclasses
 import pytest
 
 from repro.campaign import (
+    BLACKLIST_POLLUTION_THRESHOLD,
     CAMPAIGN_EXPERIMENT,
     CampaignSpec,
     build_frontier,
@@ -86,6 +87,22 @@ class TestCampaignSpec:
         spec = CampaignSpec.full(seeds=(0, 1))
         assert len(spec) == 8 * 2 * 3 * 1 * 2
         assert "48 cells" not in spec.describe() or len(spec) == 48
+
+    @pytest.mark.parametrize(
+        "axis",
+        [{"group_sizes": (8, 16)}, {"loss_points": (0.0, 0.05)}, {"topologies": ("lan", "wan-king")}],
+    )
+    def test_coalition_sweep_holds_every_other_axis_at_one_value(self, axis):
+        # At f=0.25 fraction 0.3 plants 2 of 8 (within f*G) and 5 of 16
+        # (above it): folded into one point, the G=8 cell's honest
+        # eviction would read as an above-bound breakdown.
+        coalition = dict(
+            strategies=("coalition-frame",), plans=("none",),
+            coalition_fractions=(0.2, 0.3), base={"assumed_opponent_fraction": 0.25},
+        )
+        with pytest.raises(ValueError, match="exactly one group size, one loss point and one topology"):
+            CampaignSpec(**coalition, **axis)
+        assert len(CampaignSpec(**coalition)) == 2
 
     def test_grid_is_content_addressed_and_stable(self):
         a = {c.cell_id for c in CampaignSpec.smoke().to_grid().cells()}
@@ -207,24 +224,30 @@ class TestFrontier:
 
 
 class TestPollutionThreshold:
-    def test_flooder_pollution_unsound_at_strict_threshold(self):
-        # The flooder's documented residue: honest-but-blacklisted
-        # entries linger at the horizon without a single false
-        # eviction. At threshold 0 that residue must flip the verdict.
+    def test_flooder_pollution_unsound_over_the_threshold(self):
+        # Honest-but-blacklisted entries lingering at the horizon
+        # without a single false eviction: one entry over the threshold
+        # flips the verdict, the threshold itself does not.
+        assert BLACKLIST_POLLUTION_THRESHOLD == 16.0
         store = ResultStore()
-        store.append(_record("flooder", "none", 0.0, blacklist_violations=8.0))
-        report = build_frontier(store, pollution_threshold=0.0)
+        store.append(_record("flooder", "none", 0.0, blacklist_violations=17.0))
+        report = build_frontier(store)
         (point,) = report.points
-        assert point.mean_pollution == pytest.approx(8.0)
+        assert point.mean_pollution == pytest.approx(17.0)
         assert point.polluted and not point.sound
         assert not report.baseline_ok
         (f,) = report.frontiers
         assert f.pollution_onset == 0.0
         assert "blacklist pollution over threshold" in f.describe()
-        assert "8.0!" in report.render()
+        assert "17.0!" in report.render()
+
+        store = ResultStore()
+        store.append(_record("flooder", "none", 0.0, blacklist_violations=16.0))
+        (point,) = build_frontier(store).points
+        assert not point.polluted and point.sound
 
     def test_flooder_pollution_tolerated_at_default_threshold(self):
-        # The default threshold is calibrated to tolerate the measured
+        # The threshold is calibrated to tolerate the measured
         # flooder level (≈8 per cell) with 2x headroom, so the
         # committed matrix stays SOUND while anything materially worse
         # trips the verdict.
@@ -265,9 +288,10 @@ class TestCoalitionFrontier:
         store.append(_record("silent-relay", "none", 0.0))
         store.append(_coalition_record("coalition-shield", "none", 0.25, size=3))
         report = build_frontier(store)
-        assert len(report.points) == 1  # the classic cell only
-        assert report.coalition is not None
-        (point,) = report.coalition.points
+        assert len(report.points) == 2
+        (f,) = report.frontiers  # the classic cell walks the loss axis alone
+        assert f.strategy == "silent-relay"
+        (point,) = report.coalition_points
         assert point.fraction == 0.25
         assert point.size == 3 and point.nodes == 12
         assert point.bound_fraction == pytest.approx(0.25)
@@ -278,9 +302,9 @@ class TestCoalitionFrontier:
         for plan in ("none", "storm"):
             store.append(_coalition_record("coalition-shield", plan, 0.25, size=3))
         report = build_frontier(store)
-        assert report.coalition.sub_bound_sound
+        assert report.sub_bound_sound
         assert report.baseline_ok  # pure-coalition store gates on sub-f*G
-        (f,) = [f for f in report.coalition.frontiers if f.plan == "none"]
+        (f,) = [f for f in report.coalition_frontiers if f.plan == "none"]
         assert f.holds and f.measured_onset is None
         assert "sound across the whole swept range" in f.describe()
 
@@ -296,19 +320,18 @@ class TestCoalitionFrontier:
             "coalition-frame", "none", 4 / 12, size=4,
             detected=0.0, detection_time_s=-1.0, honest_evictions=1.0))
         report = build_frontier(store)
-        coalition = report.coalition
-        assert coalition.sub_bound_sound  # the breakdown is above-bound
+        assert report.sub_bound_sound  # the breakdown is above-bound
         assert report.failures() == []  # ... and is the measurement, not a failure
-        (f,) = coalition.frontiers
+        (f,) = report.coalition_frontiers
         assert f.fp_onset == pytest.approx(4 / 12)
         assert f.measured_onset == pytest.approx(4 / 12)
         assert f.predicted_onset == pytest.approx(4 / 12)
         assert f.holds
         assert "honest evictions from 33.3%" in f.describe()
-        (broken,) = coalition.breakdowns
+        (broken,) = report.breakdowns
         assert broken.fraction == pytest.approx(4 / 12)
-        assert "above-bound breakdowns" in coalition.render()
-        assert "UNSOUND (>f*G)" in coalition.render()
+        assert "above-bound breakdowns" in report.render()
+        assert "UNSOUND (>f*G)" in report.render()
 
     def test_sub_bound_honest_eviction_violates_the_bound(self):
         store = ResultStore()
@@ -316,14 +339,14 @@ class TestCoalitionFrontier:
             "coalition-frame", "none", 0.25, size=3, honest_evictions=1.0,
             detected=0.0, detection_time_s=-1.0))
         report = build_frontier(store)
-        assert not report.coalition.sub_bound_sound
+        assert not report.sub_bound_sound
         assert not report.baseline_ok
         assert report.failures() == [
             "1 honest eviction(s) recorded",
             "sub-f*G coalition cells are not sound",
             "baseline cells are not sound",
         ]
-        (f,) = report.coalition.frontiers
+        (f,) = report.coalition_frontiers
         assert not f.holds
         assert "BOUND VIOLATED" in f.describe()
 
@@ -339,13 +362,12 @@ class TestCoalitionFrontier:
             missed_detections=1.0, detected=0.0, detection_time_s=-1.0,
             coalition_evicted=2.0))
         report = build_frontier(store)
-        coalition = report.coalition
-        assert coalition.sub_bound_sound and report.failures() == []
-        by_plan = {f.plan: f for f in coalition.frontiers}
+        assert report.sub_bound_sound and report.failures() == []
+        by_plan = {f.plan: f for f in report.coalition_frontiers}
         assert by_plan["none"].holds
         assert by_plan["storm"].holds  # storm miss below bound: latency
         assert by_plan["storm"].miss_onset == pytest.approx(0.25)
-        assert "LATE" in coalition.render()
+        assert "LATE" in report.render()
 
     def test_sub_bound_clean_plan_miss_violates_the_bound(self):
         store = ResultStore()
@@ -354,10 +376,98 @@ class TestCoalitionFrontier:
             missed_detections=1.0, detected=0.0, detection_time_s=-1.0,
             coalition_evicted=2.0))
         report = build_frontier(store)
-        assert not report.coalition.sub_bound_sound
+        assert not report.sub_bound_sound
         assert report.failures()[0] == "sub-f*G coalition cells are not sound"
-        (f,) = report.coalition.frontiers
+        (f,) = report.coalition_frontiers
         assert not f.holds
+
+
+def _pin_store():
+    """One store reaching every line shape both frontier sections print:
+    unilateral cells at three loss points, a polluted point, a missed-
+    detection and a false-positive onset, an undetectable strategy and a
+    non-lan topology; coalition SOUND, LATE and UNSOUND (>f*G) rows and
+    an above-bound breakdown; a failed, a foreign and a partial record."""
+    missed = dict(missed_detections=1.0, detected=0.0, detection_time_s=-1.0)
+    wan = _record("forward-dropper", "none", 0.0, seed=1, detection_time_s=6.0)
+    wan.params["topology"] = "wan-king"
+    partial = _record("flooder", "none", 0.0, seed=3)
+    partial.metrics = {"deliveries": 9.0}
+    store = ResultStore()
+    for record in (
+        _record("forward-dropper", "none", 0.0, detection_time_s=4.0),
+        _record("forward-dropper", "none", 0.05, anonymity_entropy_bits=2.9),
+        _record("forward-dropper", "none", 0.10, anonymity_entropy_bits=2.5, **missed),
+        wan,
+        _record("flooder", "smoke", 0.0, blacklist_violations=3.0),
+        _record("flooder", "smoke", 0.05, blacklist_violations=25.0),
+        _record("flooder", "smoke", 0.10, honest_evictions=1.0, attribution_accuracy=0.4),
+        _record("no-noise", "none", 0.0, detected=0.0, detection_time_s=-1.0),
+        _record("silent-relay", "smoke", 0.0, seed=2, status="failed"),
+        _record("x", "none", 0.0, seed=2, experiment="protocol"),
+        partial,
+        _coalition_record("coalition-shield", "none", 0.25, size=3, detection_time_s=7.5),
+        _coalition_record("coalition-shield", "none", 5 / 12, size=5, coalition_evicted=3.0, **missed),
+        _coalition_record("coalition-stagger", "storm", 0.25, size=3, coalition_evicted=2.0, **missed),
+        _coalition_record("coalition-frame", "none", 0.25, size=3, detected=0.0, detection_time_s=-1.0),
+        _coalition_record("coalition-frame", "none", 4 / 12, size=4, honest_evictions=1.0,
+                          detected=0.0, detection_time_s=-1.0),
+    ):
+        store.append(record)
+    return store
+
+
+#: ``build_frontier(_pin_store()).render()``, byte for byte. The two
+#: committed frontier artefacts are slow rows that ``repro results
+#: check`` skips by default; this literal pins what both of them print.
+PINNED_RENDER = """\
+campaign matrix: strategies x fault plans x loss intensities
+strategy         plan   topology  loss  cells  honest evic  missed  pollution  detected  t_detect  entropy  attack acc
+---------------  -----  --------  ----  -----  -----------  ------  ---------  --------  --------  -------  ----------
+flooder          smoke  lan       0%    1      0            0       3.0        1/1       5.00s     3.00     0.100
+flooder          smoke  lan       5%    1      0            0       25.0!      1/1       5.00s     3.00     0.100
+flooder          smoke  lan       10%   1      1            0       0.0        1/1       5.00s     3.00     0.400
+forward-dropper  none   lan       0%    1      0            0       0.0        1/1       4.00s     3.00     0.100
+forward-dropper  none   lan       5%    1      0            0       0.0        1/1       5.00s     2.90     0.100
+forward-dropper  none   lan       10%   1      0            1       0.0        0/1       -         2.50     0.100
+forward-dropper  none   wan-king  0%    1      0            0       0.0        1/1       6.00s     3.00     0.100
+no-noise         none   lan       0%    1      0            0       0.0        0/-       -         3.00     0.100
+
+accountability frontier:
+  flooder under plan smoke: sound up to 0% loss; detection never degrades; false positives from 10%; blacklist pollution over threshold from 5%; entropy 3.00->3.00 bits
+  forward-dropper under plan none: sound up to 5% loss; detection first degrades at 10%; no false positives; entropy 3.00->2.50 bits
+  forward-dropper under plan none on wan-king: sound across the whole swept range (up to 0% loss); detection never degrades; no false positives; entropy 3.00->3.00 bits
+  no-noise under plan none: sound across the whole swept range (up to 0% loss); no conviction required (undetectable deviation); no false positives; entropy 3.00->3.00 bits
+  (blacklist-pollution threshold: 16 lingering honest entries per cell)
+
+coalition frontier: colluding fraction vs the f*G bound
+strategy           plan   fraction  members  cells  honest evic  missed  evicted  detected  t_detect  rounds  verdict
+-----------------  -----  --------  -------  -----  -----------  ------  -------  --------  --------  ------  --------------
+coalition-frame    none   25.0%     3/12     1      0            0       3/3      0/1       -         >=12    SOUND
+coalition-frame    none   33.3%     4/12     1      1            0       4/4      0/1       -         >=12    UNSOUND (>f*G)
+coalition-shield   none   25.0%     3/12     1      0            0       3/3      1/1       7.50s     >=12    SOUND
+coalition-shield   none   41.7%     5/12     1      0            1       3/5      0/1       -         >=12    LATE (>f*G)
+coalition-stagger  storm  25.0%     3/12     1      0            1       2/3      0/1       -         >=12    LATE
+
+coalition soundness onsets:
+  coalition-frame under plan none: soundness breaks at 33.3% colluding; paper bound f*G = 25.0%; honest evictions from 33.3%; bound holds; predicted onset 33.3%
+  coalition-shield under plan none: soundness breaks at 41.7% colluding; paper bound f*G = 25.0%; detection overruns the bound from 41.7%; bound holds; predicted onset 33.3%
+  coalition-stagger under plan storm: soundness breaks at 25.0% colluding; paper bound f*G = 25.0%; detection overruns the bound from 25.0%; bound holds; predicted onset 33.3%
+
+sub-f*G cells (3): all SOUND
+above-bound breakdowns: coalition-frame/none at 33.3% (1 honest evictions, 0 missed detections); coalition-shield/none at 41.7% (0 honest evictions, 1 missed detections)
+
+baseline (plan none @ 0% loss): 3 cells, 0 honest-eviction cells, 0 missed-detection cells, 0 over the pollution threshold -> SOUND
+failed cells (no metrics): 1
+records skipped (missing campaign metrics): 1"""
+
+
+class TestRenderPin:
+    def test_both_walks_render_byte_identically(self):
+        report = build_frontier(_pin_store())
+        assert report.render() == PINNED_RENDER
+        assert report.failures() == ["1 honest eviction(s) recorded"]
+        assert report.baseline_ok
 
 
 class TestTopologyAxis:

@@ -4,6 +4,7 @@ Guards against export regressions — everything README, PROTOCOL.md and
 the examples reference must be importable from the documented location.
 """
 
+import collections
 import importlib
 import pathlib
 import re
@@ -141,3 +142,26 @@ def test_every_documented_command_parses():
         except SystemExit:
             refused.append(f"{name}: repro {' '.join(argv)}")
     assert not refused, refused
+
+
+def test_make_ci_runs_what_the_workflow_runs():
+    """The ``ci:`` recipe and the workflow's ``run:`` steps (minus ``pip
+    install``) are one command multiset: Makefile variables expanded,
+    ``$(MAKE) X`` read as ``make X``, ``#`` comments stripped."""
+    root = pathlib.Path(__file__).resolve().parents[2]
+    makefile = (root / "Makefile").read_text(encoding="utf-8").replace("\\\n", " ")
+    variables = dict(re.findall(r"^([A-Z_]+) *\??= *(.*)$", makefile, re.M), MAKE="make")
+    recipe = []
+    for line in re.search(r"^ci:.*\n((?:\t.*\n)+)", makefile, re.M)[1].splitlines():
+        line = re.sub(r"(^|\s)#.*", "", line)
+        while (expanded := re.sub(r"\$\(([A-Z_]+)\)", lambda m: variables[m[1]], line)) != line:
+            line = expanded
+        recipe.append(" ".join(line.split()))
+    workflow = (root / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    steps = [
+        " ".join(command.split())
+        for command in re.findall(r"^\s*run: *(.*)$", workflow, re.M)
+        if not command.startswith("pip install")
+    ]
+    assert len(steps) >= 10 and "make campaign-smoke" in steps
+    assert collections.Counter(recipe) == collections.Counter(steps)
