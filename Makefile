@@ -91,12 +91,13 @@ ci:  # what .github/workflows/ci.yml runs
 	$(MAKE) coalition-smoke
 	$(MAKE) scale-smoke
 	$(MAKE) topo-smoke
+	$(MAKE) examples
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_smoke.py -q
 	$(PYTHON) -m pytest benchmarks/rac_bench/tests -q  # the repo benchmark's self-tests: every layers.TARGETS path resolves
 	$(PYTHON) benchmarks/rac_bench/run.py --workload sim-flood-40 --seconds 2 --trace 0  # one real workload; non-zero exit = failed operations or checks
 
-examples:
-	for ex in examples/*.py; do echo "=== $$ex ==="; $(PYTHON) $$ex || exit 1; done
+examples:  # every examples/*.py through the public API (system.evicted, stats_report(), ...)
+	for ex in examples/*.py; do echo "=== $$ex ==="; PYTHONPATH=src $(PYTHON) $$ex || exit 1; done
 
 clean:
 	rm -rf .pytest_cache .hypothesis test_output.txt results/sweep_smoke results/campaign_smoke results/coalition_smoke results/scale_smoke

@@ -3,11 +3,12 @@
 The Nash-equilibrium proof of Section V-B enumerates the unilateral
 deviations available to a freerider (Lemmas 1-7): skip forwarding, skip
 relaying, skip the checks, lie in the shuffle, drop join requests, stop
-sending noise. :class:`HonestBehavior` answers every hook the way the
-protocol demands; the strategies in :mod:`repro.freeride.strategies`
-and :mod:`repro.freeride.adversary` override individual hooks, which
-lets the experiments measure exactly what each deviation costs its
-deviator.
+sending noise. Dropping join requests (Lemma 5) is modelled at system
+level (see :mod:`repro.freeride.strategies`), so it has no hook here.
+:class:`HonestBehavior` answers every hook the way the protocol
+demands; the strategies in :mod:`repro.freeride.strategies` and
+:mod:`repro.freeride.adversary` override individual hooks, which lets
+the experiments measure exactly what each deviation costs its deviator.
 
 The hooks receive the :class:`repro.core.node.RacNode` so strategies
 can inspect state, but well-behaved hooks must not mutate it.
@@ -42,10 +43,6 @@ class HonestBehavior:
     def blacklist_share(self, node) -> "tuple[int, ...]":
         """Lemma 4: contribute the true relay blacklist to the shuffle."""
         return node.relays_blacklist.members()
-
-    def should_help_join(self, node) -> bool:
-        """Lemma 5: sponsor and re-broadcast JOIN requests."""
-        return True
 
     def replay_copies(self, node) -> int:
         """How many copies to send per (successor, ring): honest = 1.

@@ -95,7 +95,6 @@ class RacNode:
         "_control_seen",
         "_opaque_group_peels",
         "_opaque_channel_peels",
-        "counters",
         "_ticks_since_gc",
     )
 
@@ -167,13 +166,10 @@ class RacNode:
         self._opaque_group_peels: Set[int] = set()
         self._opaque_channel_peels: Set[int] = set()
 
-        # Diagnostics.
-        self.counters: Dict[str, int] = {}
         self._ticks_since_gc = 0
 
     # -- plumbing -------------------------------------------------------------
     def _count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
         self.env.stats.add(name, amount)
 
     def _trace(self, kind: str, **detail) -> None:
@@ -642,7 +638,7 @@ class RacNode:
         self._trace("accusation", accused=accused, reason=reason, domain=domain)
         accusation = Accusation(self.node_id, accused, domain, reason, msg_id)
         self._ingest_accusation(accusation)
-        self._flood_control(domain, accusation, origin=True)
+        self._flood_control(domain, accusation)
 
     # -- control-plane flooding ------------------------------------------------------------
     def _control_id(self, accusation: Accusation) -> int:
@@ -651,7 +647,7 @@ class RacNode:
             accusation.accuser, accusation.accused, domain_token, accusation.reason
         )
 
-    def _flood_control(self, domain: DomainId, accusation: Accusation, origin: bool = False) -> None:
+    def _flood_control(self, domain: DomainId, accusation: Accusation) -> None:
         """Send one accusation to the domain successors (callers manage
         the duplicate-suppression set)."""
         self._control_seen.add(self._control_id(accusation))

@@ -100,7 +100,6 @@ class RacSystem:
             rto_min=self.config.transport_rto_min,
             rto_max=self.config.transport_rto_max,
             max_retries=self.config.transport_max_retries,
-            stats=self.stats,
             on_failure=self._on_transport_failure,
         )
         self.directory = GroupDirectory(
@@ -112,7 +111,6 @@ class RacSystem:
         self.pseudonym_keys: Dict[int, PublicKey] = {}
         self.evicted: Dict[int, Dict] = {}
         self.global_meter = ThroughputMeter()
-        self.node_meters: Dict[int, ThroughputMeter] = {}
         self.latency_meter = LatencyMeter()
         self._send_times: Dict[bytes, List[float]] = {}
         self._interval_override: "float | None" = self.config.send_interval
@@ -179,9 +177,6 @@ class RacSystem:
 
     def on_delivered(self, node_id: int, payload: bytes) -> None:
         self.global_meter.record(self.now, len(payload))
-        meter = self.node_meters.get(node_id)
-        if meter is not None:
-            meter.record(self.now, len(payload))
         queued = self._send_times.get(payload)
         if queued:
             self.latency_meter.record(self.now - queued.pop(0))
@@ -256,9 +251,17 @@ class RacSystem:
         self.faults.set_loss_rate(rate, node_id=node_id, direction=direction)
 
     def stats_report(self) -> "Dict[str, int]":
-        """Every protocol counter plus the network's delivery *and* drop
-        counters — loss must be visible, not silently absorbed."""
-        report = dict(self.stats.as_dict())
+        """Every protocol count plus each component's tallies, named by
+        component: the ARQ's ``transport_*``, the network's delivery
+        *and* drop ``net_*`` (loss must be visible, not silently
+        absorbed) and the engine's ``sim_*``."""
+        counts = dict(self.stats.counts)
+        transport = self.transport
+        for name in transport.TALLIES:
+            tally = getattr(transport, name)
+            if tally:  # absent while zero, like any count
+                counts["transport_" + name] = tally
+        report = dict(sorted(counts.items()))
         report["net_packets_delivered"] = self.network.packets_delivered
         report["net_bytes_delivered"] = self.network.bytes_delivered
         report["net_packets_dropped"] = self.network.packets_dropped
@@ -295,10 +298,10 @@ class RacSystem:
             created.append(node_id)
         self.rng = self._identities.fork()
         self._start_blacklist_rounds()
-        self._validate_timers(count)
+        self._validate_timers()
         return created
 
-    def _validate_timers(self, population: int) -> None:
+    def _validate_timers(self) -> None:
         """Reject configurations whose timers cannot work (see
         :func:`repro.core.config.timer_floors`), including the
         topology term when a WAN model is plugged in."""
@@ -381,7 +384,6 @@ class RacSystem:
             rng=random.Random(material.node_seed),
         )
         self.nodes[node_id] = node
-        self.node_meters[node_id] = ThroughputMeter()
         self.pseudonym_keys[node_id] = material.pseudonym_keypair.public
         self.directory.add_node(node_id, material.id_keypair.public)
         self.transport.attach(node_id, node.on_message)

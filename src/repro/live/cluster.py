@@ -31,6 +31,7 @@ from ..core.identity import NodeMaterial, PopulationFactory
 from ..core.messages import DomainId
 from ..groups.assignment import verify_puzzle
 from ..groups.manager import GroupDirectory
+from ..simnet.stats import aggregate_stats_reports
 from .directory import BootstrapDirectory, RosterEntry
 from .node import LiveNode
 
@@ -53,11 +54,7 @@ class LiveReport:
         return sum(len(payloads) for payloads in self.delivered.values())
 
     def counters(self) -> "Dict[str, int]":
-        totals: "Dict[str, int]" = {}
-        for counters in self.per_node.values():
-            for name, value in counters.items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
+        return aggregate_stats_reports(self.per_node.values())
 
     @property
     def accusations(self) -> int:
@@ -292,19 +289,20 @@ class LiveCluster:
         await self.directory.close()
         errors: "List[str]" = []
         delivered: "Dict[int, List[bytes]]" = {}
-        per_node: "Dict[int, Dict[str, int]]" = {}
+        incarnations: "Dict[int, List[Dict[str, int]]]" = {}
         for node in self._retired + self.nodes:
             if node.env is not None:
                 errors.extend(f"node {node.node_id:#x}: {e!r}" for e in node.env.errors)
             delivered.setdefault(node.node_id, []).extend(node.delivered())
-            merged = per_node.setdefault(node.node_id, {})
-            for name, value in node.counters().items():
-                merged[name] = merged.get(name, 0) + value
+            incarnations.setdefault(node.node_id, []).append(node.counters())
         return LiveReport(
             nodes=len(self.nodes),
             duration=duration,
             delivered=delivered,
-            per_node=per_node,
+            per_node={
+                node_id: aggregate_stats_reports(counts)
+                for node_id, counts in incarnations.items()
+            },
             evicted=list(self.evicted),
             errors=errors,
         )
@@ -322,9 +320,6 @@ class LiveCluster:
         for node in self.nodes:
             if node.env is not None:
                 node.env.apply_eviction(accused)
-            if node.node_id == accused and not node.killed:
-                if node.rac is not None:
-                    node.rac.stop()
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from ..core.wire import WireError, encode_message
 from ..groups.channels import ChannelDirectory
 from ..groups.manager import GroupDirectory
 from ..overlay.membership import MembershipView
-from ..simnet.stats import StatsRegistry, ThroughputMeter
+from ..simnet.stats import StatsRegistry
 from ..simnet.trace import Tracer
 from .directory import RosterEntry
 from .framing import MAX_FRAME, encode_hello, read_hello, write_frame
@@ -203,16 +203,14 @@ class LiveEnvironment:
         config: RacConfig,
         roster: "List[RosterEntry]",
         *,
-        stats: "Optional[StatsRegistry]" = None,
         on_delivered: "Optional[Callable[[int, bytes], None]]" = None,
         on_eviction: "Optional[Callable[[int, int, DomainId, str], None]]" = None,
         membership_log: "Optional[List[tuple]]" = None,
     ) -> None:
         self.node_id = node_id
         self.config = config
-        self.stats = stats if stats is not None else StatsRegistry()
+        self.stats = StatsRegistry()
         self.tracer = Tracer(False)
-        self.meter = ThroughputMeter()
         self._on_delivered = on_delivered
         self._on_eviction = on_eviction
         self._links: "Dict[int, PeerLink]" = {}
@@ -350,7 +348,6 @@ class LiveEnvironment:
 
     # -- upcalls ---------------------------------------------------------------
     def on_delivered(self, node_id: int, payload: bytes) -> None:
-        self.meter.record(self.now, len(payload))
         if self._on_delivered is not None:
             self._on_delivered(node_id, payload)
 
@@ -397,7 +394,10 @@ class LiveEnvironment:
         self._count_reconfigurations(events)
 
     def _remove_member(self, node_id: int):
-        """Shared removal mechanics for leaves and evictions."""
+        """Shared removal mechanics for leaves and evictions. A replica
+        that removes its own node stops it: the node's timers would
+        otherwise keep ticking against a directory that no longer
+        holds it."""
         del self.peers[node_id]
         self._joined_at.pop(node_id, None)
         link = self._links.pop(node_id, None)
@@ -405,8 +405,11 @@ class LiveEnvironment:
             link.close()
         events = self.directory.remove_node(node_id)
         self.channels.invalidate()
-        if self.node is not None and self.node.node_id != node_id:
-            self.node.on_evicted(node_id)
+        if self.node is not None:
+            if self.node.node_id == node_id:
+                self.node.stop()
+            else:
+                self.node.on_evicted(node_id)
         return events
 
     def _count_reconfigurations(self, events) -> None:

@@ -8,21 +8,14 @@
 * :mod:`repro.simnet.transport` — ARQ transport (per-segment ACKs,
   retransmission with backoff, Jacobson RTO) providing the TCP-like
   reliable FIFO per-pair delivery of paper footnote 6 on lossy links;
-* :mod:`repro.simnet.stats` — throughput meters and counters;
+* :mod:`repro.simnet.stats` — throughput meters and the count registry;
 * :mod:`repro.simnet.trace` — structured protocol event tracing.
 """
 
 from .engine import ScheduledEvent, SimulationError, Simulator
 from .faults import DIRECTIONS, FaultInjector, Outage, Partition
 from .network import DEFAULT_PROPAGATION_DELAY, GBPS, Link, Packet, StarNetwork
-from .stats import (
-    Counter,
-    LatencyMeter,
-    StatsRegistry,
-    ThroughputMeter,
-    aggregate_stats_reports,
-    summarize,
-)
+from .stats import LatencyMeter, StatsRegistry, ThroughputMeter, aggregate_stats_reports
 from .trace import TraceEvent, Tracer
 from .transport import Ack, ReliableTransport, Segment
 
@@ -40,11 +33,9 @@ __all__ = [
     "Packet",
     "StarNetwork",
     "Ack",
-    "Counter",
     "LatencyMeter",
     "StatsRegistry",
     "ThroughputMeter",
-    "summarize",
     "TraceEvent",
     "Tracer",
     "ReliableTransport",

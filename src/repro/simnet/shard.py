@@ -279,7 +279,7 @@ class ShardSystem(RacSystem):
             created.append(self._instantiate_node(material, behaviors.get(material.index - 1)))
         self._start_blacklist_rounds()
         if self.nodes:
-            self._validate_timers(len(self.nodes))
+            self._validate_timers()
         return created
 
     # -- the merge layer ------------------------------------------------------

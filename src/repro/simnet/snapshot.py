@@ -70,7 +70,10 @@ __all__ = [
 #: /8: a receipt is one ``(first_seen_at, *copy keys)`` tuple (no
 #: ``MessageRecord``), a ring's predecessor table holds shared copy keys
 #: and a node keeps one opaque-peel set per domain kind.
-SNAPSHOT_MAGIC = b"RACSNAP/8\n"
+#: /9: a registry is one ``counts`` dict of ints (no ``Counter``, no
+#: transport back-pointer), a node keeps no ``counters`` of its own and
+#: a system no per-node meters.
+SNAPSHOT_MAGIC = b"RACSNAP/9\n"
 _MAGIC_PREFIX = b"RACSNAP/"
 
 

@@ -2,25 +2,23 @@
 
 The paper's headline metric is *"the average throughput at which nodes
 receive anonymous messages"* (Section III). :class:`ThroughputMeter`
-measures exactly that; :class:`Counter` and :class:`StatsRegistry`
-collect the secondary counts (messages forwarded, noise sent,
-evictions, ...) that the tests and benches assert on.
+measures exactly that; :class:`StatsRegistry` collects the secondary
+counts (messages forwarded, noise sent, evictions, ...) that the tests
+and benches assert on, and is the only store of a protocol count on
+each substrate.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, Mapping
 
 __all__ = [
     "ThroughputMeter",
     "LatencyMeter",
-    "Counter",
     "StatsRegistry",
     "engine_counters",
     "aggregate_stats_reports",
-    "summarize",
 ]
 
 
@@ -40,7 +38,7 @@ def engine_counters(sim) -> "Dict[str, int]":
 
 
 def aggregate_stats_reports(reports: "Iterable[Mapping[str, float]]") -> "Dict[str, float]":
-    """Sum per-shard ``stats_report`` dicts into one deployment view.
+    """Sum per-shard (or per-node) count dicts into one deployment view.
 
     A sharded run (:mod:`repro.simnet.shard`) has one engine per shard;
     the coordinator's own simulator processes no protocol events, so a
@@ -49,7 +47,8 @@ def aggregate_stats_reports(reports: "Iterable[Mapping[str, float]]") -> "Dict[s
     ``sim_queue_compactions`` included — rather than echoing any single
     engine. Every key is summed; keys missing from some shards count as
     zero there (shards legitimately differ, e.g. only one hosts the
-    deviant's group).
+    deviant's group). A live cluster sums its nodes' registries, and a
+    restarted node's incarnations, the same way.
     """
     merged: "Dict[str, float]" = {}
     for report in reports:
@@ -66,29 +65,22 @@ class ThroughputMeter:
     transients (empty pipelines) would otherwise bias the average.
 
     Samples live in two parallel typed arrays, not a list of tuples:
-    every node of a large simulation carries one of these meters, and
-    at 1024+ nodes the per-tuple object overhead dominated the meter's
-    footprint.
+    a long run records one sample per delivery, and the per-tuple
+    object overhead would dominate the meter's footprint.
     """
 
-    __slots__ = ("_times", "_bytes", "total_bytes", "count")
+    __slots__ = ("_times", "_bytes", "count")
 
     def __init__(self) -> None:
         self._times = array("d")
         self._bytes = array("q")
-        self.total_bytes = 0
         self.count = 0
-
-    @property
-    def samples(self) -> "List[Tuple[float, int]]":
-        return list(zip(self._times, self._bytes))
 
     def record(self, now: float, nbytes: int) -> None:
         if nbytes < 0:
             raise ValueError("cannot record negative bytes")
         self._times.append(now)
         self._bytes.append(nbytes)
-        self.total_bytes += nbytes
         self.count += 1
 
     def throughput_bps(self, start: float = 0.0, end: "float | None" = None) -> float:
@@ -103,10 +95,6 @@ class ThroughputMeter:
             nbytes for t, nbytes in zip(self._times, self._bytes) if start <= t <= horizon
         )
         return in_window * 8 / window
-
-    def deliveries(self, start: float = 0.0, end: "float | None" = None) -> int:
-        horizon = end if end is not None else float("inf")
-        return sum(1 for t in self._times if start <= t <= horizon)
 
 
 class LatencyMeter:
@@ -138,71 +126,28 @@ class LatencyMeter:
         rank = max(1, int(round(q / 100 * len(ordered))))
         return ordered[min(rank, len(ordered)) - 1]
 
-    def summary(self) -> Dict[str, float]:
-        return {
-            "count": float(len(self.samples)),
-            "mean": self.mean(),
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "max": max(self.samples) if self.samples else 0.0,
-        }
 
-
-@dataclass(slots=True)
-class Counter:
-    """A named monotonic counter."""
-
-    name: str
-    value: int = 0
-
-    def add(self, amount: int = 1) -> None:
-        self.value += amount
-
-
-@dataclass
 class StatsRegistry:
-    """A bag of named counters shared across a simulation's nodes."""
+    """Named protocol counts, a dict of ints.
 
-    counters: Dict[str, Counter] = field(default_factory=dict)
-    #: The :class:`~repro.simnet.transport.ReliableTransport` counting
-    #: into this registry (it binds itself): its per-segment tallies are
-    #: plain ints there and are read here, not pushed per segment.
-    transport: Any = None
+    One registry per substrate instance: a simulated system's
+    (:class:`~repro.core.system.RacSystem`, shared by its nodes) or a
+    live node's (:class:`~repro.live.environment.LiveEnvironment`). A
+    component's own tallies (the ARQ's, the network's, the engine's)
+    stay on the component and are named in ``stats_report()``.
+    """
 
-    def counter(self, name: str) -> Counter:
-        c = self.counters.get(name)
-        if c is None:
-            c = self.counters[name] = Counter(name)
-        return c
+    __slots__ = ("counts",)
+
+    def __init__(self) -> None:
+        self.counts: Dict[str, int] = {}
 
     def add(self, name: str, amount: int = 1) -> None:
-        c = self.counters.get(name)
-        if c is None:
-            c = self.counters[name] = Counter(name)
-        c.value += amount
+        counts = self.counts
+        counts[name] = counts.get(name, 0) + amount
 
     def value(self, name: str) -> int:
-        counter = self.counters.get(name)
-        return counter.value if counter is not None else self.as_dict().get(name, 0)
+        return self.counts.get(name, 0)
 
     def as_dict(self) -> Dict[str, int]:
-        values = {name: c.value for name, c in self.counters.items()}
-        transport = self.transport
-        if transport is not None:
-            for name in ("segments_sent", "acks_sent", "rtt_samples", "rtt_us_total"):
-                tally = getattr(transport, name)
-                if tally:  # absent while zero, like any counter
-                    values["transport_" + name] = tally
-        return dict(sorted(values.items()))
-
-
-def summarize(values: "list[float]") -> Dict[str, float]:
-    """Minimal summary statistics (mean/min/max) without numpy."""
-    if not values:
-        return {"mean": 0.0, "min": 0.0, "max": 0.0, "count": 0}
-    return {
-        "mean": sum(values) / len(values),
-        "min": min(values),
-        "max": max(values),
-        "count": len(values),
-    }
+        return dict(sorted(self.counts.items()))

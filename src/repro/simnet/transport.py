@@ -42,7 +42,6 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from .engine import ScheduledEvent
 from .network import Packet, StarNetwork
-from .stats import StatsRegistry
 
 __all__ = ["Segment", "Ack", "ReliableTransport"]
 
@@ -128,16 +127,26 @@ class ReliableTransport:
     One instance serves a whole simulation: protocol nodes register a
     handler per node id, then call :meth:`send`. The transport adds a
     fixed per-message header size to model framing overhead; ACKs are
-    header-only packets.
+    header-only packets. Its :attr:`TALLIES` are plain ints kept here
+    and nowhere else; ``RacSystem.stats_report()`` names them
+    ``transport_*``.
     """
 
     HEADER_BYTES = 40  # IP + TCP headers, rounded
     ACK_BYTES = 40  # a bare ACK is all header
+    TALLIES = (
+        "segments_sent",
+        "retransmits",
+        "acks_sent",
+        "duplicates",
+        "delivery_failures",
+        "rtt_samples",
+        "rtt_us_total",
+    )
 
     __slots__ = (
         "sim",
         "network",
-        "stats",
         "rto_initial",
         "rto_min",
         "rto_max",
@@ -150,7 +159,6 @@ class ReliableTransport:
         "retransmits",
         "acks_sent",
         "duplicates",
-        "messages_delivered",
         "delivery_failures",
         "rtt_samples",
         "rtt_us_total",
@@ -164,7 +172,6 @@ class ReliableTransport:
         rto_min: float = 0.01,
         rto_max: float = 2.0,
         max_retries: int = 8,
-        stats: "Optional[StatsRegistry]" = None,
         on_failure: "Optional[Callable[[int, int, Any], None]]" = None,
     ) -> None:
         if not 0 < rto_min <= rto_initial <= rto_max:
@@ -177,12 +184,6 @@ class ReliableTransport:
         self.rto_min = rto_min
         self.rto_max = rto_max
         self.max_retries = max_retries
-        #: The per-segment tallies (``segments_sent``, ``acks_sent``,
-        #: ``rtt_samples``, ``rtt_us_total``) are kept once, below; the
-        #: registry reads them off the transport when it is read.
-        self.stats = stats
-        if stats is not None:
-            stats.transport = self
         #: Called as ``on_failure(src, dst, payload)`` when a segment
         #: exhausts its retry budget — the peer is unreachable.
         self.on_failure = on_failure
@@ -191,7 +192,6 @@ class ReliableTransport:
         self._senders: Dict[Pair, _SendState] = {}
         self._receivers: Dict[Pair, _RecvState] = {}
 
-        self.messages_delivered = 0
         self.segments_sent = 0
         self.retransmits = 0
         self.acks_sent = 0
@@ -199,11 +199,6 @@ class ReliableTransport:
         self.delivery_failures = 0
         self.rtt_samples = 0
         self.rtt_us_total = 0
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        # For the rare paths (retransmits, duplicates, failures).
-        if self.stats is not None:
-            self.stats.add(name, amount)
 
     # -- membership ----------------------------------------------------------
     def attach(self, node_id: int, handler: Callable[[int, Any], None]) -> None:
@@ -278,12 +273,10 @@ class ReliableTransport:
         if out.attempts > self.max_retries:
             del state.outstanding[seqno]
             self.delivery_failures += 1
-            self._count("transport_delivery_failures")
             if self.on_failure is not None:
                 self.on_failure(src, dst, out.payload)
             return
         self.retransmits += 1
-        self._count("transport_retransmits")
         self._transmit(pair, state, out)
 
     def _on_ack(self, pair: Pair, ack: Ack) -> None:
@@ -345,7 +338,6 @@ class ReliableTransport:
         holdback = state.holdback
         if seqno < expected or seqno in holdback:
             self.duplicates += 1
-            self._count("transport_duplicates")
             return
         holdback[seqno] = segment.payload
         handler = self._handlers.get(dst)
@@ -353,7 +345,6 @@ class ReliableTransport:
             payload = holdback.pop(expected)
             expected += 1
             state.expected = expected
-            self.messages_delivered += 1
             if handler is not None:
                 handler(src, payload)
 

@@ -30,6 +30,10 @@ SRC = ROOT / "src" / "repro"
 #: churn is a plan event, not a site.
 CONSTRUCTION_SITES = {"scenario.py", "simnet/shard.py"}
 
+#: Where a ``StatsRegistry`` may be built: the simulated system's one
+#: registry (its nodes share it) and each live node's environment.
+REGISTRY_SITES = {"core/system.py", "live/environment.py"}
+
 #: The only classes named ``*Outcome``. ``LiveReport`` stays the
 #: cluster's shutdown report (what a live ``Outcome`` is built from).
 OUTCOME_TYPES = {
@@ -59,6 +63,39 @@ def test_systems_and_clusters_are_built_only_on_the_allow_list():
     assert not stray, (
         f"{stray} construct a RacSystem/LiveCluster outside the allow-list: express the run as a "
         "repro.scenario.Scenario and go through prepare()/run_scenario() instead"
+    )
+
+
+def test_counts_have_one_store():
+    """A protocol count lives in its substrate's ``StatsRegistry`` and
+    nowhere else. A node once kept a ``counters`` dict beside the
+    registry it also wrote; a component's own tallies (the ARQ's, the
+    network's) stay on the component and ``stats_report()`` names
+    them."""
+    sites, shadows = set(), set()
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called_name(node) == "StatsRegistry":
+                sites.add(name)
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            if any(
+                isinstance(part, ast.Attribute) and part.attr == "counters"
+                for target in targets
+                for part in (target.elts if isinstance(target, ast.Tuple) else [target])
+            ):
+                shadows.add(name)
+    assert sites == REGISTRY_SITES, (
+        f"StatsRegistry is built in {sorted(sites)}: a count goes to env.stats, the one "
+        "registry of its system or live node"
+    )
+    assert not shadows, (
+        f"{sorted(shadows)} assign a `counters` attribute: count into env.stats (or keep a "
+        "component tally as a plain int named in stats_report()) instead of a second store"
     )
 
 

@@ -33,7 +33,6 @@ class TestHonestBehavior:
         assert behavior.should_relay_onion(node, None)
         assert behavior.should_send_noise(node)
         assert behavior.should_run_checks(node)
-        assert behavior.should_help_join(node)
         assert behavior.replay_copies(node) == 1
         assert behavior.blacklist_share(node) == (7, 9)
         assert behavior.on_tick(node) is None

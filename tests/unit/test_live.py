@@ -19,6 +19,7 @@ from repro.core.environment import NodeEnvironment
 from repro.core.identity import build_population
 from repro.core.system import RacSystem
 from repro.core.messages import Broadcast, group_domain
+from repro.core.node import RacNode
 from repro.core.wire import WireError, encode_message
 from repro.crypto.dh import GROUP_TEST, DHGroup
 from repro.crypto.keys import KeyPair, PublicKey
@@ -585,6 +586,15 @@ def test_live_environment_eviction_updates_replica():
     assert view is None or victim not in view
     # Idempotent: applying again is a no-op, not an error.
     env.apply_eviction(victim)
+    # The replica's own eviction stops the node it hosts: its timers
+    # must not keep ticking against a directory that no longer holds it.
+    me = build_population(RacConfig.small(), 4)[0]
+    env = LiveEnvironment(me.node_id, config, roster)
+    env.node = RacNode(me.node_id, config, env, me.id_keypair, me.pseudonym_keypair)
+    env.node.active = True
+    env.apply_eviction(me.node_id)
+    assert not env.node.active
+    env.node._tick()
 
 
 # ---------------------------------------------------------------------------

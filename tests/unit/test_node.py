@@ -156,7 +156,7 @@ class TestForwarding:
         stranger = next(m for m in env.view.members if m not in (node.node_id, pred))
         node.on_message(stranger, Broadcast(group_domain(1), msg_id, wire, ring))
         assert env.sent == []
-        assert node.counters.get("broadcast_from_non_predecessor") == 1
+        assert env.stats.value("broadcast_from_non_predecessor") == 1
 
 
 class TestDeliveryAndRelaying:
@@ -195,11 +195,11 @@ class TestDeliveryAndRelaying:
         from repro.core.onion import unwrap_wire
 
         deliver_broadcast(node, env, onion.first_wire, onion.layer_msg_ids[0], ring_index=0)
-        assert node.counters.get("relay_duties") == 1
+        assert env.stats.value("relay_duties") == 1
         # The duty fills the next origination slot instead of noise.
         node._originate_slot()
-        assert node.counters.get("relay_broadcasts") == 1
-        assert node.counters.get("noise_broadcasts") is None
+        assert env.stats.value("relay_broadcasts") == 1
+        assert "noise_broadcasts" not in env.stats.as_dict()
 
     def test_replay_accusation_on_duplicate_ring_copy(self):
         node, env = make_node()
@@ -221,7 +221,7 @@ class TestOwnSends:
         dest = KeyPair.generate("sim", seed=999)
         assert node.queue_message(dest.public, 1, b"msg")
         node._originate_slot()
-        assert node.counters.get("data_broadcasts") == 1
+        assert env.stats.value("data_broadcasts") == 1
         assert len(node.relay_monitor) == 1
 
     def test_send_defers_without_enough_relays(self):
@@ -229,7 +229,7 @@ class TestOwnSends:
         dest = KeyPair.generate("sim", seed=999)
         node.queue_message(dest.public, 1, b"msg")
         node._originate_slot()
-        assert node.counters.get("send_deferred_no_relays") == 1
+        assert env.stats.value("send_deferred_no_relays") == 1
         assert len(node.send_queue) == 1  # requeued for retry
 
     def test_blacklisted_relays_not_chosen(self):
@@ -331,7 +331,7 @@ class TestPredecessorCheck:
         env.now = 2.0
         env.fire_due()  # the timer finds its message settled
         assert self._check_timers(env) == []
-        assert not any(key.startswith("accusation") for key in node.counters)
+        assert not any(key.startswith("accusation") for key in env.stats.as_dict())
 
     def test_copy_still_owed_at_the_deadline_is_accused(self):
         node, env, monitor = self._past_grace()

@@ -163,5 +163,5 @@ def test_make_ci_runs_what_the_workflow_runs():
         for command in re.findall(r"^\s*run: *(.*)$", workflow, re.M)
         if not command.startswith("pip install")
     ]
-    assert len(steps) >= 10 and "make campaign-smoke" in steps
+    assert len(steps) >= 10 and "make campaign-smoke" in steps and "make examples" in steps
     assert collections.Counter(recipe) == collections.Counter(steps)

@@ -97,6 +97,28 @@ def _rac7_receipts() -> bytes:
         return pickle.dumps(Rac7State())
 
 
+def _rac8_registry() -> bytes:
+    """Pickles the way a ``RACSNAP/8`` stats registry did: one
+    ``Counter`` object per name and a back-pointer to the transport.
+    The class is gone, so the stand-in exists only while the body is
+    written."""
+    from dataclasses import make_dataclass
+
+    from repro.simnet import stats
+
+    counter = make_dataclass("Counter", [("name", str), ("value", int)], slots=True)
+    counter.__module__ = stats.__name__
+    registry = {"counters": {"evictions": counter("evictions", 1)}, "transport": None}
+
+    class Rac8Registry:
+        def __reduce_ex__(self, protocol):
+            return object.__new__, (stats.StatsRegistry,), (None, registry)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stats, "Counter", counter, raising=False)
+        return pickle.dumps(Rac8Registry())
+
+
 class TestSimulatorPickling:
     def test_sequence_counter_survives_pickling(self):
         sim = Simulator()
@@ -193,7 +215,7 @@ class TestSnapshotInvariants:
         blob = snapshot_system(system, verify=True)
         restored = restore_system(blob)
         assert restored.network.overtaking_free
-        assert restored.stats.transport is restored.transport
+        assert restored.stats_report() == system.stats_report()
         for name in ("edges", "quiet_from", "quiet_until", "_down", "_open", "outages"):
             assert getattr(restored.faults, name) == getattr(faults, name)
         for name in ("_deliver", "_enqueue_downlink", "_at_router", "_scale_links"):
@@ -377,8 +399,8 @@ class TestSnapshotErrors:
         # A RACSNAP/3 predecessor monitor (expected sets, a heap, the
         # ever-growing checked set) does not fit today's either, and a
         # RACSNAP/4 star would come back without ``overtaking_free``.
-        # A RACSNAP/7 receipt is a ``MessageRecord``, which no longer
-        # exists.
+        # A RACSNAP/7 receipt is a ``MessageRecord`` and a RACSNAP/8
+        # registry holds ``Counter`` objects; neither class exists now.
         body = pickle.dumps((_Rac2Event(), _Rac3Monitor()))
         for stale in (_Rac2Event(), _Rac3Monitor()):
             with pytest.raises(AttributeError):
@@ -386,11 +408,14 @@ class TestSnapshotErrors:
         rac7 = _rac7_receipts()
         with pytest.raises(AttributeError, match="MessageRecord"):
             pickle.loads(rac7)
+        rac8 = _rac8_registry()
+        with pytest.raises(AttributeError, match="Counter"):
+            pickle.loads(rac8)
         bodies = {version: body for version in ("1", "2", "3", "4", "5", "6")}
-        for version, stale_body in {**bodies, "7": rac7}.items():
+        for version, stale_body in {**bodies, "7": rac7, "8": rac8}.items():
             old = f"RACSNAP/{version}\n".encode() + stale_body
             with pytest.raises(
-                SnapshotError, match=f"version mismatch.*RACSNAP/{version}.*RACSNAP/8"
+                SnapshotError, match=f"version mismatch.*RACSNAP/{version}.*RACSNAP/9"
             ):
                 restore_system(old)
             path = tmp_path / "old.snap"

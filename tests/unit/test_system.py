@@ -32,12 +32,11 @@ class TestBootstrap:
         assert len(nodes) == len(set(nodes)) == 10
         assert set(system.directory.node_ids) == set(nodes)
 
-    def test_each_node_has_keys_and_meter(self):
+    def test_each_node_has_keys_and_is_attached(self):
         system = RacSystem(config(), seed=2)
         nodes = system.bootstrap(5)
         for node_id in nodes:
             assert node_id in system.pseudonym_keys
-            assert node_id in system.node_meters
             assert system.network.attached(node_id)
 
     def test_behaviors_assigned_by_index(self):

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.core.config import timer_regime
+from repro.core.system import RacSystem
 from repro.simnet.engine import Simulator
 from repro.simnet.faults import FaultInjector
 from repro.simnet.network import StarNetwork
-from repro.simnet.stats import StatsRegistry
 from repro.simnet.transport import Ack, ReliableTransport, Segment
 
 
@@ -53,12 +54,13 @@ class TestDelivery:
 
     def test_messages_delivered_counter(self):
         sim, _net, transport = make()
+        got = []
         transport.attach(1, lambda *a: None)
-        transport.attach(2, lambda *a: None)
+        transport.attach(2, lambda src, payload: got.append(payload))
         for _ in range(3):
             transport.send(1, 2, "x", 10)
         sim.run()
-        assert transport.messages_delivered == 3
+        assert got == ["x"] * 3
         assert transport.segments_sent == 3
         assert transport.acks_sent == 3
         assert transport.retransmits == 0
@@ -207,7 +209,6 @@ class TestRttEstimator:
         sim.run(until=0.04)
         net.faults.set_loss_rate(0.0, node_id=2, direction="down")
         sim.run()
-        assert transport.messages_delivered == 1
         assert transport.retransmits > 0
         srtt = transport.srtt(1, 2)
         assert srtt is not None
@@ -215,23 +216,21 @@ class TestRttEstimator:
         # would have reported ~50 ms (the whole retransmission saga).
         assert srtt < 0.02
 
-    def test_stats_registry_surfaces_transport_counters(self):
-        stats = StatsRegistry()
-        sim, net, transport = make(loss_rate=0.2, seed=3, max_retries=30, stats=stats)
-        transport.attach(1, lambda *a: None)
-        transport.attach(2, lambda *a: None)
-        # the per-segment tallies are read off the transport: absent while zero
-        assert stats.as_dict() == {} and stats.value("transport_segments_sent") == 0
-        for _ in range(20):
-            transport.send(1, 2, "x", 50)
-        sim.run()
-        report = stats.as_dict()
-        assert list(report) == sorted(report)
-        assert report["transport_segments_sent"] == stats.value("transport_segments_sent") == 20
-        assert report["transport_retransmits"] == transport.retransmits > 0
-        assert report["transport_acks_sent"] == transport.acks_sent
-        assert report["transport_rtt_samples"] == transport.rtt_samples > 0
-        assert report["transport_rtt_us_total"] == transport.rtt_us_total > 0
+    def test_stats_report_surfaces_transport_counters(self):
+        # The ARQ keeps its tallies as plain ints and nowhere else; the
+        # system's report names them ``transport_*``, absent while zero.
+        system = RacSystem(timer_regime("heal", link_loss_rate=0.05), seed=3)
+        nodes = system.bootstrap(6)
+        system.send(nodes[0], nodes[3], b"x")
+        system.run(1.5)
+        transport, report = system.transport, system.stats_report()
+        tallies = {name: getattr(transport, name) for name in transport.TALLIES}
+        assert all(type(tally) is int for tally in tallies.values())
+        assert transport.retransmits > 0 and transport.rtt_us_total > 0
+        assert {k: v for k, v in report.items() if k.startswith("transport_")} == {
+            "transport_" + name: tally for name, tally in tallies.items() if tally
+        }
+        assert not any(name.startswith("transport_") for name in system.stats.as_dict())
 
 
 class TestDetachStateCleared:
