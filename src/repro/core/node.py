@@ -93,8 +93,6 @@ class RacNode:
         "delivered",
         "delivered_at",
         "_control_seen",
-        "_opaque_group_peels",
-        "_opaque_channel_peels",
         "_ticks_since_gc",
     )
 
@@ -153,18 +151,6 @@ class RacNode:
 
         # Control-plane dedup.
         self._control_seen: Set[int] = set()
-
-        #: Sealed-blob hashes (msg ids) whose trial peel already came
-        #: back opaque. A node's keypairs never change, so re-peeling
-        #: the same blob with the same key context can only yield
-        #: opaque again — skip the crypto. One set per domain kind
-        #: because group peels try the ID key while channel peels do
-        #: not, and only *opaque* outcomes are cached (relay/deliver
-        #: outcomes consume rng re-padding the inner layer, so they must
-        #: never be skipped). Cleared alongside the broadcast-state GC
-        #: to stay bounded.
-        self._opaque_group_peels: Set[int] = set()
-        self._opaque_channel_peels: Set[int] = set()
 
         self._ticks_since_gc = 0
 
@@ -269,11 +255,6 @@ class RacNode:
             dropped += state.forget_before(horizon)
         if dropped:
             self._count("state_records_collected", dropped)
-        # The opaque-peel memo only dedups blobs still circulating; a
-        # blob old enough for its receipt records to be GC'd will not
-        # be seen again, so the memo resets with the same cadence.
-        self._opaque_group_peels.clear()
-        self._opaque_channel_peels.clear()
 
     def _originate_slot(self) -> None:
         """Fill this interval's slot: group relay duty > data > noise."""
@@ -357,7 +338,7 @@ class RacNode:
         # A node can be chosen as a relay for a message addressed to
         # itself (the sender only knows the destination's pseudonym
         # key), so originated re-broadcasts must be peeled too.
-        self._try_peel(domain, wire, msg_id)
+        self._try_peel(domain, wire)
 
     def _forward(
         self, domain: DomainId, wire: bytes, msg_id: int, view: "Optional[MembershipView]"
@@ -492,25 +473,17 @@ class RacNode:
             self._forward(domain, broadcast.wire, msg_id, view)
         else:
             self._count("forward_skipped")
-        self._try_peel(domain, broadcast.wire, msg_id)
+        self._try_peel(domain, broadcast.wire)
 
-    def _try_peel(self, domain: DomainId, wire: bytes, msg_id: int) -> None:
+    def _try_peel(self, domain: DomainId, wire: bytes) -> None:
         # Channels carry only innermost layers, so nodes try only their
-        # pseudonym key there (Section IV-C "Receiving a message").
-        is_group = domain[0] == "group"
-        opaque = self._opaque_group_peels if is_group else self._opaque_channel_peels
-        if msg_id in opaque:
-            # Same sealed blob, same key context, previously opaque:
-            # the outcome cannot have changed — skip the trial peel.
-            self._count("peel_skipped_duplicate")
-            return
-        id_kp = self.id_keypair if is_group else None
+        # pseudonym key there (Section IV-C "Receiving a message"). Both
+        # callers peel a message's first sight in its domain only, so a
+        # trial that comes back opaque has nothing worth remembering.
+        id_kp = self.id_keypair if domain[0] == "group" else None
         result = peel(
             wire, id_kp, self.pseudonym_keypair, self.config.message_size, rng=self.rng
         )
-        if result.kind == "opaque":
-            opaque.add(msg_id)
-            return
         if result.kind == "deliver":
             self.delivered.append(result.payload)
             self.delivered_at.append(self.env.now)

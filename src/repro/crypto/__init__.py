@@ -16,7 +16,6 @@ from .keys import AuthenticationError, KeyPair, PublicKey, seal, sealed_overhead
 from .shuffle import DishonestParticipant, ShuffleParticipant, ShuffleResult, run_shuffle
 from . import dh as _dh
 from . import keys as _keys
-from . import stream as _stream
 
 
 def clear_process_caches() -> None:
@@ -25,8 +24,8 @@ def clear_process_caches() -> None:
     The two shared-base stores of :mod:`repro.crypto.dh` (trial counts,
     combs of broadcast values, window tables of recipient keys), its
     cache of each key's comb column recoding, and the ``lru_cache``'d
-    derivations (:func:`repro.crypto.stream._split_key`,
-    :func:`repro.crypto.keys._sim_symmetric_key`,
+    derivations keyed by long-lived values
+    (:func:`repro.crypto.keys._sim_symmetric_key`,
     :func:`repro.crypto.hashes.ring_position`) are pure-function caches,
     so they never change results — but a sweep worker that executes many
     runs back to back would (a) grow them without bound across runs and
@@ -37,7 +36,6 @@ def clear_process_caches() -> None:
     broadcast table because a sibling run hosted a group.
     """
     _dh.clear_base_store()
-    _stream._split_key.cache_clear()
     _keys._sim_symmetric_key.cache_clear()
     ring_position.cache_clear()
 

@@ -10,7 +10,6 @@ exactly what the MAC check gives us.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import hmac
 import struct
@@ -73,12 +72,9 @@ def verify_mac(key: bytes, data: bytes, tag: bytes) -> bool:
     return hmac.compare_digest(mac(key, data), tag)
 
 
-@functools.lru_cache(maxsize=4096)
 def _split_key(key: bytes) -> "tuple[bytes, bytes]":
-    # Cached: every seal/open of a layer re-derives the same two
-    # subkeys, and a simulation touches the same node keys constantly.
-    # The derivation is a pure function of ``key``, so caching cannot
-    # change any output byte.
+    # Not cached: a DH key is a per-(broadcast, recipient) shared
+    # secret that occurs once, so a cache would only hold every trial.
     enc = hashlib.sha256(b"rac/enc" + key).digest()
     auth = hashlib.sha256(b"rac/auth" + key).digest()
     return enc, auth

@@ -91,7 +91,9 @@ def measure_rac_throughput(
 
     def refill() -> None:
         for src, dst in flows.items():
-            node = system.nodes[src]
+            node, peer = system.nodes.get(src), system.nodes.get(dst)
+            if node is None or peer is None or not (node.active and peer.active):
+                continue  # an evicted end, skipped as scenario._pump skips it
             while len(node.send_queue) < QUEUE_DEPTH:
                 if not system.send(src, dst, b"p" * (config.message_size // 4)):
                     break

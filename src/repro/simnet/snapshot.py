@@ -73,7 +73,8 @@ __all__ = [
 #: /9: a registry is one ``counts`` dict of ints (no ``Counter``, no
 #: transport back-pointer), a node keeps no ``counters`` of its own and
 #: a system no per-node meters.
-SNAPSHOT_MAGIC = b"RACSNAP/9\n"
+#: /10: a node keeps no opaque-peel sets.
+SNAPSHOT_MAGIC = b"RACSNAP/10\n"
 _MAGIC_PREFIX = b"RACSNAP/"
 
 
@@ -167,7 +168,7 @@ def restore_system(blob: bytes) -> Any:
     original stood, down to the pending event queue and RNG streams."""
     if not blob.startswith(SNAPSHOT_MAGIC):
         if blob.startswith(_MAGIC_PREFIX):
-            found = blob[: len(SNAPSHOT_MAGIC)].decode("ascii", "replace").strip()
+            found = blob[:32].split(b"\n", 1)[0].decode("ascii", "replace")
             raise SnapshotError(
                 f"snapshot format version mismatch: blob is {found}, this build reads "
                 f"{SNAPSHOT_MAGIC.decode().strip()}; it cannot be resumed — delete it "

@@ -95,3 +95,37 @@ class TestHarnessInputs:
     def test_out_of_range_is_a_value_error(self, call):
         with pytest.raises(ValueError):
             call()
+
+
+class TestThroughputUnderEviction:
+    def test_flow_to_an_evicted_destination_is_skipped(self, monkeypatch):
+        # The saturation loop tops up every flow each chunk; a flow whose
+        # destination is evicted inside the window must stop sending,
+        # not raise from the directory lookup of a node that is gone.
+        import repro.scenario as scenario
+        from repro.core.messages import group_domain
+        from repro.core.system import RacSystem
+
+        real_prepare, real_send = scenario.prepare, RacSystem.send
+        destinations = []
+
+        def send(self, src, dst, payload):
+            destinations.append(dst)
+            return real_send(self, src, dst, payload)
+
+        def evict_a_destination(system):
+            dst = destinations[-1]
+            reporter = next(node_id for node_id in system.nodes if node_id != dst)
+            gid = system.directory.group_of_node(dst).gid
+            system.report_eviction(reporter, dst, group_domain(gid), "planted")
+
+        def prepare(spec):
+            run = real_prepare(spec)
+            run.system.sim.schedule_at(0.75, evict_a_destination, run.system)
+            return run
+
+        monkeypatch.setattr(RacSystem, "send", send)
+        monkeypatch.setattr(scenario, "prepare", prepare)
+        measurement = measure_rac_throughput(4, warmup=0.5, duration=1.0)
+        assert measurement.evictions >= 1
+        assert measurement.deliveries > 0

@@ -1,10 +1,11 @@
 """Unit tests for repro.crypto.keys (two-backend sealed boxes)."""
 
 import hashlib
+import tracemalloc
 
 import pytest
 
-from repro.crypto import stream
+from repro.crypto import clear_process_caches, stream
 from repro.crypto.dh import GROUP_TEST, DHPrivateKey, DHPublicKey
 from repro.crypto.keys import AuthenticationError, KeyPair, PublicKey, seal, sealed_overhead
 
@@ -92,6 +93,49 @@ class TestDegenerateEphemeral:
         for seed in range(10):
             with pytest.raises(AuthenticationError):
                 KeyPair.generate("dh", seed=seed).unseal(blob)
+
+
+class TestTrialMissesRetainNothing:
+    """RAC's receive rule makes every group member trial-unseal every
+    first-seen broadcast, and all but one trial miss. A miss derives a
+    DH secret that occurs once: nothing it leaves behind is ever read
+    again, so once the bounded shared-base stores are warm the heap
+    must not grow with the number of misses."""
+
+    KEYS = 24
+    BROADCASTS = 100  # x 23 misses each: one batch is N = 2,300 trials
+
+    def _broadcasts(self, keys, first, count):
+        misses = 0
+        for index in range(first, first + count):
+            owner = index % len(keys)
+            blob = seal(keys[owner].public, b"layer", seed=index)
+            for position, keypair in enumerate(keys):
+                if position != owner:
+                    with pytest.raises(AuthenticationError):
+                        keypair.unseal(blob)
+                    misses += 1
+        return misses
+
+    def test_heap_is_flat_from_the_nth_to_the_2nth_miss(self):
+        clear_process_caches()
+        keys = [KeyPair.generate("dh", seed=seed) for seed in range(self.KEYS)]
+        # Warm: every key gets its recipient table and comb recoding,
+        # and the broadcast store fills with combs it then replaces.
+        self._broadcasts(keys, 0, self.KEYS)
+        tracemalloc.start()
+        try:
+            # Comb replacements free untraced warm-up tables during the
+            # first batch, so only the second one can read flat.
+            first = self._broadcasts(keys, self.KEYS, self.BROADCASTS)
+            held_at_n = tracemalloc.get_traced_memory()[0]
+            second = self._broadcasts(keys, self.KEYS + self.BROADCASTS, self.BROADCASTS)
+            held_at_2n = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            clear_process_caches()
+        assert first == second == self.BROADCASTS * (self.KEYS - 1)
+        assert held_at_2n - held_at_n < 16 * 1024
 
 
 class TestPublicKey:

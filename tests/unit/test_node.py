@@ -369,27 +369,12 @@ class TestEvictionCleanup:
         assert 3 not in node.rate_monitor.tracked()
 
 
-class TestPeelDeduplication:
-    def test_repeated_opaque_peel_is_skipped(self):
-        node, env = make_node()
-        from repro.core.onion import build_noise, unwrap_wire
-        from repro.crypto.hashes import message_id
-
-        wire = build_noise(2048, random.Random(1))
-        msg_id = message_id(unwrap_wire(wire))
-        domain = group_domain(1)
-        node._try_peel(domain, wire, msg_id)
-        assert env.stats.value("peel_skipped_duplicate") == 0
-        node._try_peel(domain, wire, msg_id)
-        node._try_peel(domain, wire, msg_id)
-        assert env.stats.value("peel_skipped_duplicate") == 2
-
-    def test_deliverable_peels_are_never_cached(self):
-        # Only *opaque* outcomes may be memoised: relay/deliver peels
-        # consume RNG (re-padding) and have side effects.
+class TestTrialPeel:
+    def test_repeated_deliverable_peel_delivers_again(self):
+        # A node keeps nothing from a trial peel: receipts make sure it
+        # peels each message once, so a repeat here is a fresh peel.
         node, env = make_node()
         from repro.core.onion import build_onion, unwrap_wire
-        from repro.crypto.hashes import message_id
 
         onion = build_onion(
             b"hello",
@@ -405,25 +390,7 @@ class TestPeelDeduplication:
         parsed = onion_mod._parse_relay_layer(
             relay_result, node.config.message_size, random.Random(6)
         )
-        wire = parsed.inner_wire
-        msg_id = parsed.inner_msg_id
         domain = group_domain(1)
-        node._try_peel(domain, wire, msg_id)
-        node._try_peel(domain, wire, msg_id)
-        assert len(node.delivered) == 2
-        assert env.stats.value("peel_skipped_duplicate") == 0
-
-    def test_opaque_cache_cleared_by_gc(self):
-        node, env = make_node()
-        from repro.core.onion import build_noise, unwrap_wire
-        from repro.crypto.hashes import message_id
-
-        wire = build_noise(2048, random.Random(1))
-        msg_id = message_id(unwrap_wire(wire))
-        node._try_peel(group_domain(1), wire, msg_id)
-        assert node._opaque_group_peels == {msg_id}
-        assert not node._opaque_channel_peels
-        env.now += 10_000.0
-        node._ticks_since_gc = node.config.state_gc_ticks - 1  # due next tick
-        node._maybe_collect_garbage()
-        assert not node._opaque_group_peels
+        node._try_peel(domain, parsed.inner_wire)
+        node._try_peel(domain, parsed.inner_wire)
+        assert node.delivered == [b"hello", b"hello"]

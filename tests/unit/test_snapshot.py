@@ -119,6 +119,17 @@ def _rac8_registry() -> bytes:
         return pickle.dumps(Rac8Registry())
 
 
+class _Rac9Node:
+    """Pickles the way a ``RACSNAP/9`` node did: with an opaque-peel
+    set per domain kind, slots a node no longer has."""
+
+    def __reduce_ex__(self, protocol):
+        from repro.core.node import RacNode
+
+        slots = {"_opaque_group_peels": {7}, "_opaque_channel_peels": set()}
+        return object.__new__, (RacNode,), (None, slots)
+
+
 class TestSimulatorPickling:
     def test_sequence_counter_survives_pickling(self):
         sim = Simulator()
@@ -401,10 +412,14 @@ class TestSnapshotErrors:
         # RACSNAP/4 star would come back without ``overtaking_free``.
         # A RACSNAP/7 receipt is a ``MessageRecord`` and a RACSNAP/8
         # registry holds ``Counter`` objects; neither class exists now.
+        # A RACSNAP/9 node carries opaque-peel sets it has no slot for.
         body = pickle.dumps((_Rac2Event(), _Rac3Monitor()))
         for stale in (_Rac2Event(), _Rac3Monitor()):
             with pytest.raises(AttributeError):
                 pickle.loads(pickle.dumps(stale))
+        rac9 = pickle.dumps(_Rac9Node())
+        with pytest.raises(AttributeError, match="_opaque_group_peels"):
+            pickle.loads(rac9)
         rac7 = _rac7_receipts()
         with pytest.raises(AttributeError, match="MessageRecord"):
             pickle.loads(rac7)
@@ -412,10 +427,10 @@ class TestSnapshotErrors:
         with pytest.raises(AttributeError, match="Counter"):
             pickle.loads(rac8)
         bodies = {version: body for version in ("1", "2", "3", "4", "5", "6")}
-        for version, stale_body in {**bodies, "7": rac7, "8": rac8}.items():
+        for version, stale_body in {**bodies, "7": rac7, "8": rac8, "9": rac9}.items():
             old = f"RACSNAP/{version}\n".encode() + stale_body
             with pytest.raises(
-                SnapshotError, match=f"version mismatch.*RACSNAP/{version}.*RACSNAP/9"
+                SnapshotError, match=f"version mismatch: blob is RACSNAP/{version},.*RACSNAP/10"
             ):
                 restore_system(old)
             path = tmp_path / "old.snap"
