@@ -66,7 +66,7 @@ scale-smoke:  # sharded N=64 on 2 workers == monolithic; pool and serial fingerp
 		--nodes 64 --shards 2 --seed 7 --horizon 2.0 --workers 2 --verify
 	PYTHONPATH=src $(PYTHON) -c "import json; \
 		from repro.orchestrator.sharded import load_sharded_manifest, run_sharded; \
-		spec, _ = load_sharded_manifest('results/scale_smoke/pool'); \
+		spec = load_sharded_manifest('results/scale_smoke/pool'); \
 		pool = [json.load(open('results/scale_smoke/pool/summary/shard%03d.json' % k))['fingerprint'] for k in range(spec.num_shards)]; \
 		serial = run_sharded(spec, 'results/scale_smoke/serial', serial=True).shard_fingerprints; \
 		assert pool == serial, (pool, serial); \

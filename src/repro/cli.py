@@ -31,7 +31,6 @@ anything runs or is written.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import sys
 import typing
@@ -236,9 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="repro", description="RAC (ICDCS 2013) reproduction - regenerate paper figures and tables"
     )
-    parser.add_argument("--profile", action="store_true",
-                        help="run the command under cProfile and print the top 25 functions by "
-                        "cumulative time to stderr (hot-path triage for the simulator)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for verb, row in _ROW_VERBS.items():
@@ -387,36 +383,15 @@ def main(argv: "Optional[List[str]]" = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help, or a flag argparse refused in one stderr line
         return exc.code
-    # `scale` profiles per shard inside the workers (one dump per shard
-    # id plus a merged report) rather than wrapping the coordinator: two
-    # enabled cProfile instances in one process is an error, and the
-    # coordinator does no simulation work.
-    with _profiled(args.profile and args.command != "scale"):
-        try:
-            run = args.build(args)
-        except (UnknownBehaviorError, UnknownWorkloadError, ValueError) as exc:
-            print(f"repro {args.command}: error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            return run() or 0
-        except BrokenPipeError:  # piping into `head` closes stdout early
-            return 0
-
-
-@contextlib.contextmanager
-def _profiled(enabled: bool):
-    """cProfile the block; stats go to stderr so stdout stays the
-    command's own text (an artefact table, for a row verb)."""
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
     try:
-        with profiler if enabled else contextlib.nullcontext():
-            yield
-    finally:
-        if enabled:
-            pstats.Stats(profiler, stream=sys.stderr).sort_stats("cumulative").print_stats(25)
+        run = args.build(args)
+    except (UnknownBehaviorError, UnknownWorkloadError, ValueError) as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return run() or 0
+    except BrokenPipeError:  # piping into `head` closes stdout early
+        return 0
 
 
 # -- builders: flags → spec → the run bound to it ------------------------------
@@ -621,11 +596,8 @@ def _scale(args: argparse.Namespace) -> Run:
 
     def run() -> int:
         run_dir = args.run_dir or tempfile.mkdtemp(prefix="rac_scale_verify_")
-        outcome = run_sharded(spec, run_dir, serial=args.serial, inject_crash=args.inject_crash,
-                              profile=args.profile, **pool)
+        outcome = run_sharded(spec, run_dir, serial=args.serial, inject_crash=args.inject_crash, **pool)
         print(outcome.render())
-        if args.profile:
-            print(outcome.profile_report)
         if not args.verify:
             return 0
         report = verify_sharded(outcome)

@@ -4,7 +4,7 @@
 * :mod:`repro.core.environment` — the NodeEnvironment substrate protocol;
 * :mod:`repro.core.identity` — deterministic node identity material;
 * :mod:`repro.core.onion` — layered encryption, padding, peeling;
-* :mod:`repro.core.messages` — wire message types and domain ids;
+* :mod:`repro.core.messages` — the two wire messages, the join record and domain ids;
 * :mod:`repro.core.monitor` — the three misbehaviour checks;
 * :mod:`repro.core.blacklist` — blacklists and eviction evidence;
 * :mod:`repro.core.behavior` — the honest behaviour hook set;
@@ -19,13 +19,9 @@ from .environment import NodeEnvironment
 from .identity import NodeMaterial, build_population, generate_node_material
 from .messages import (
     Accusation,
-    BlacklistShare,
     Broadcast,
     DomainId,
-    EvictionNotice,
-    JoinAnnounce,
     JoinRequest,
-    ReadyMessage,
     channel_domain,
     group_domain,
 )
@@ -46,13 +42,9 @@ __all__ = [
     "EvictionTracker",
     "RacConfig",
     "Accusation",
-    "BlacklistShare",
     "Broadcast",
     "DomainId",
-    "EvictionNotice",
-    "JoinAnnounce",
     "JoinRequest",
-    "ReadyMessage",
     "channel_domain",
     "group_domain",
     "PredecessorMonitor",

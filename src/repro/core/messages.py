@@ -1,12 +1,14 @@
 """Wire messages exchanged by RAC nodes.
 
-The data plane is a single message type — :class:`Broadcast`, a padded
-onion blob flooding the rings of one *domain* (a group or a channel).
-Everything else is control plane: join handshake, accusations,
-blacklist shares and eviction notices.
+Nodes send each other two messages: :class:`Broadcast`, a padded onion
+blob flooding the rings of one *domain* (a group or a channel), and
+:class:`Accusation`, a clear predecessor accusation. The join
+handshake, READY, eviction notices and the blacklist shuffle run
+in-process (DESIGN §1); :class:`JoinRequest` is the record the
+in-process join hands its verifiers, not a wire frame.
 
 Domains are identified by :class:`DomainId`: either ``("group", gid)``
-or ``("channel", (gid_a, gid_b))`` with the pair ordered.
+or ``("channel", (gid_a, gid_b))`` with ``gid_a < gid_b``.
 """
 
 from __future__ import annotations
@@ -20,11 +22,7 @@ __all__ = [
     "channel_domain",
     "Broadcast",
     "JoinRequest",
-    "JoinAnnounce",
-    "ReadyMessage",
     "Accusation",
-    "BlacklistShare",
-    "EvictionNotice",
 ]
 
 
@@ -72,21 +70,6 @@ class JoinRequest:
 
 
 @dataclass(frozen=True)
-class JoinAnnounce:
-    """The sponsor's anonymous broadcast of a JOIN to the target group."""
-
-    request: JoinRequest
-    sponsor: int
-
-
-@dataclass(frozen=True)
-class ReadyMessage:
-    """Sponsor → joiner: the group has been informed (after period T)."""
-
-    node_id: int
-
-
-@dataclass(frozen=True)
 class Accusation:
     """A clear-text predecessor accusation, broadcast in a domain.
 
@@ -100,23 +83,3 @@ class Accusation:
     domain: DomainId
     reason: str
     msg_id: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class BlacklistShare:
-    """One member's relay blacklist, output by the anonymous shuffle.
-
-    Carries no accuser identity — that is the whole point of shuffling.
-    """
-
-    group_gid: int
-    accused: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class EvictionNotice:
-    """Group → channels: 'this node was evicted' (f+1 copies needed)."""
-
-    evicted: int
-    from_gid: int
-    notifier: int

@@ -1,4 +1,4 @@
-"""Binary wire codecs for every RAC message type.
+"""Binary wire codecs for the two messages RAC nodes send each other.
 
 The simulator ships Python objects with declared sizes for speed, but a
 real deployment frames bytes; this module provides the byte-level
@@ -17,16 +17,7 @@ from typing import Union
 
 from ..crypto.dh import GROUP_2048, GROUP_TEST
 from ..crypto.keys import PublicKey
-from .messages import (
-    Accusation,
-    BlacklistShare,
-    Broadcast,
-    DomainId,
-    EvictionNotice,
-    JoinAnnounce,
-    JoinRequest,
-    ReadyMessage,
-)
+from .messages import Accusation, Broadcast, DomainId
 
 __all__ = [
     "encode_message",
@@ -46,15 +37,10 @@ class WireError(Exception):
     This is the *only* exception :func:`decode_message` may raise on
     untrusted bytes: the live runtime feeds frames straight off TCP
     sockets into the decoder, and anything else (``struct.error``,
-    ``IndexError``, ``RecursionError``, ...) escaping would crash a
-    node on a single mutated frame.
+    ``IndexError``, ...) escaping would crash a node on a single
+    mutated frame.
     """
 
-
-#: Maximum nesting of length-prefixed sub-frames (a JoinAnnounce wraps
-#: one JoinRequest; hostile input could wrap announces in announces
-#: until the recursion limit crashes the decoder).
-_MAX_DEPTH = 4
 
 #: The DH groups a decoded key may belong to.
 _DH_GROUPS = {(g.prime, g.generator, g.exponent_bits): g for g in (GROUP_TEST, GROUP_2048)}
@@ -62,11 +48,6 @@ _DH_GROUPS = {(g.prime, g.generator, g.exponent_bits): g for g in (GROUP_TEST, G
 
 _TAG_BROADCAST = 1
 _TAG_ACCUSATION = 2
-_TAG_JOIN_REQUEST = 3
-_TAG_JOIN_ANNOUNCE = 4
-_TAG_READY = 5
-_TAG_EVICTION = 6
-_TAG_BLACKLIST = 7
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
@@ -153,7 +134,12 @@ class _Reader:
         if kind == _DOMAIN_GROUP:
             return ("group", self.u64())
         if kind == _DOMAIN_CHANNEL:
-            return ("channel", (self.u64(), self.u64()))
+            gid_a, gid_b = self.u64(), self.u64()
+            # Only channel_domain()'s key: (g, g) is no channel, and
+            # (b, a) would name a second state for channel (a, b).
+            if not gid_a < gid_b:
+                raise WireError(f"channel key ({gid_a}, {gid_b}) is not in canonical order")
+            return ("channel", (gid_a, gid_b))
         raise WireError(f"unknown domain tag {kind}")
 
     def key(self) -> PublicKey:
@@ -181,13 +167,11 @@ class _Reader:
             raise WireError("trailing bytes in frame")
 
 
-WireMessage = Union[
-    Broadcast, Accusation, JoinRequest, JoinAnnounce, ReadyMessage, EvictionNotice, BlacklistShare
-]
+WireMessage = Union[Broadcast, Accusation]
 
 
 def encode_message(message: WireMessage) -> bytes:
-    """Serialize any RAC wire message to bytes."""
+    """Serialize a RAC wire message to bytes."""
     if type(message) is Broadcast and message.domain[0] == "group":
         try:
             return _GROUP_BROADCAST.pack(
@@ -215,32 +199,6 @@ def encode_message(message: WireMessage) -> bytes:
         if message.msg_id is None:
             return out + bytes([0])
         return out + bytes([1]) + _put_id(message.msg_id)
-    if isinstance(message, JoinRequest):
-        return (
-            bytes([_TAG_JOIN_REQUEST])
-            + _put_id(message.node_id)
-            + _put_id(message.key_id)
-            + _put_id(message.puzzle_vector)
-            + _put_key(message.id_public_key)
-        )
-    if isinstance(message, JoinAnnounce):
-        inner = encode_message(message.request)
-        return bytes([_TAG_JOIN_ANNOUNCE]) + _put_bytes(inner) + _put_id(message.sponsor)
-    if isinstance(message, ReadyMessage):
-        return bytes([_TAG_READY]) + _put_id(message.node_id)
-    if isinstance(message, EvictionNotice):
-        return (
-            bytes([_TAG_EVICTION])
-            + _put_id(message.evicted)
-            + _U64.pack(message.from_gid)
-            + _put_id(message.notifier)
-        )
-    if isinstance(message, BlacklistShare):
-        out = bytes([_TAG_BLACKLIST]) + _U64.pack(message.group_gid)
-        out += _U32.pack(len(message.accused))
-        for accused in message.accused:
-            out += _put_id(accused)
-        return out
     raise WireError(f"cannot encode {type(message).__name__}")
 
 
@@ -252,7 +210,7 @@ def decode_message(data: bytes) -> WireMessage:
     runtime, so every low-level parsing failure is normalized here.
     """
     try:
-        return _decode(data, depth=0)
+        return _decode(data)
     except WireError:
         raise
     except (ValueError, TypeError, KeyError, IndexError, OverflowError, struct.error) as exc:
@@ -262,11 +220,9 @@ def decode_message(data: bytes) -> WireMessage:
         raise WireError(f"malformed frame: {exc}") from None
 
 
-def _decode(data: bytes, depth: int) -> WireMessage:
+def _decode(data: bytes) -> WireMessage:
     if not data:
         raise WireError("empty frame")
-    if depth > _MAX_DEPTH:
-        raise WireError("frame nesting too deep")
     header = _GROUP_BROADCAST.size
     if len(data) >= header:
         tag, kind, gid, msg_id, ring_index, length = _GROUP_BROADCAST.unpack_from(data)
@@ -290,36 +246,6 @@ def _decode(data: bytes, depth: int) -> WireMessage:
         msg_id = reader.node_id() if has_msg else None
         reader.done()
         return Accusation(accuser, accused, domain, reason, msg_id)
-    if tag == _TAG_JOIN_REQUEST:
-        node_id = reader.node_id()
-        key_id = reader.node_id()
-        vector = reader.node_id()
-        key = reader.key()
-        reader.done()
-        return JoinRequest(node_id, key_id, vector, key)
-    if tag == _TAG_JOIN_ANNOUNCE:
-        inner = _decode(reader.blob(), depth + 1)
-        sponsor = reader.node_id()
-        reader.done()
-        if not isinstance(inner, JoinRequest):
-            raise WireError("join announce must wrap a join request")
-        return JoinAnnounce(inner, sponsor)
-    if tag == _TAG_READY:
-        node_id = reader.node_id()
-        reader.done()
-        return ReadyMessage(node_id)
-    if tag == _TAG_EVICTION:
-        evicted = reader.node_id()
-        from_gid = reader.u64()
-        notifier = reader.node_id()
-        reader.done()
-        return EvictionNotice(evicted, from_gid, notifier)
-    if tag == _TAG_BLACKLIST:
-        gid = reader.u64()
-        count = reader.u32()
-        accused = tuple(reader.node_id() for _ in range(count))
-        reader.done()
-        return BlacklistShare(gid, accused)
     raise WireError(f"unknown frame tag {tag}")
 
 

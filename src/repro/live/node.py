@@ -12,10 +12,12 @@ Inbound connections open with a hello frame naming the sender, which
 is answered with a hello-ack; every following frame is decoded with
 :func:`repro.core.wire.decode_message` and dispatched into the state
 machine from inside ``data_received`` — the bytes are parsed where they
-arrive, with no task or future per frame. Malformed records increment a
-counter and are skipped — framing keeps the stream in sync, so one
-corrupted record never poisons the connection; a malformed hello or a
-length prefix above ``MAX_FRAME`` aborts it (``live_inbound_rejected``).
+arrive, with no task or future per frame. Malformed records and
+broadcasts on a ring index past ``num_rings`` increment
+``live_frames_rejected`` and are skipped — framing keeps the stream in
+sync, so one corrupted record never poisons the connection; a malformed
+hello or a length prefix above ``MAX_FRAME`` aborts it
+(``live_inbound_rejected``).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Set
 
 from ..core.config import RacConfig
 from ..core.identity import NodeMaterial
-from ..core.messages import DomainId
+from ..core.messages import Broadcast, DomainId
 from ..core.node import RacNode
 from ..core.wire import WireError, decode_message
 from .directory import DirectoryClient, RosterEntry
@@ -212,6 +214,11 @@ class LiveNode:
         try:
             message = decode_message(frame)
         except WireError:
+            self.env.stats.add("live_frames_rejected")
+            return
+        if type(message) is Broadcast and message.ring_index >= self.config.num_rings:
+            # Well-formed bytes naming a ring no domain has: the node's
+            # ring lookup would raise on it.
             self.env.stats.add("live_frames_rejected")
             return
         self.env.stats.add("live_frames_received")

@@ -11,12 +11,11 @@ free.
 
 Run-directory layout::
 
-    <run_dir>/sharded.json                  spec + options manifest
+    <run_dir>/sharded.json                  spec manifest
     <run_dir>/shards/shard<k>.snap          per-shard snapshot (epoch boundary)
     <run_dir>/barriers/epoch<e>.json        merged imports for epoch e
     <run_dir>/exports/shard<k>.epoch<e>.json
     <run_dir>/summary/shard<k>.json         final per-shard summary
-    <run_dir>/profile/shard<k>[.epoch<e>].prof   (--profile runs)
     <run_dir>/results.jsonl + sweep outbox/checkpoints
 
 Crash safety: a shard's snapshot stores ``(system, meta)`` where meta
@@ -30,14 +29,11 @@ via the result store and barrier/export files are re-read from disk.
 
 from __future__ import annotations
 
-import cProfile
-import io
 import json
 import os
-import pstats
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
 from ..simnet.shard import (
     ScaleSpec,
@@ -67,7 +63,6 @@ __all__ = [
     "run_shard_epoch",
     "run_sharded",
     "verify_sharded",
-    "merged_profile_report",
 ]
 
 SHARDED_MANIFEST = "sharded.json"
@@ -92,15 +87,6 @@ def _summary_path(run_dir: str, shard: int) -> str:
     return os.path.join(run_dir, "summary", f"shard{shard:03d}.json")
 
 
-def _profile_epoch_path(run_dir: str, shard: int, epoch: int) -> str:
-    return os.path.join(run_dir, "profile", f"shard{shard:03d}.epoch{epoch:03d}.prof")
-
-
-def profile_shard_path(run_dir: str, shard: int) -> str:
-    """The merged per-shard cProfile dump ``repro --profile`` writes."""
-    return os.path.join(run_dir, "profile", f"shard{shard:03d}.prof")
-
-
 def _write_json(path: str, body: "Dict[str, Any]") -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
@@ -115,24 +101,24 @@ def _read_json(path: str) -> "Dict[str, Any]":
         return json.load(fh)
 
 
-def write_sharded_manifest(run_dir: str, spec: ScaleSpec, options: "Dict[str, Any]") -> str:
+def write_sharded_manifest(run_dir: str, spec: ScaleSpec) -> str:
     path = os.path.join(run_dir, SHARDED_MANIFEST)
     if os.path.exists(path):
-        existing_spec, _ = load_sharded_manifest(run_dir)
-        if existing_spec.to_dict() != spec.to_dict():
+        if load_sharded_manifest(run_dir).to_dict() != spec.to_dict():
             raise ValueError(
                 f"{run_dir} already holds a different sharded run; "
                 "use a fresh --run-dir or delete it"
             )
-    _write_json(path, {"schema": 1, "spec": spec.to_dict(), "options": dict(options)})
+    _write_json(path, {"schema": 1, "spec": spec.to_dict()})
     return path
 
 
-def load_sharded_manifest(run_dir: str) -> "Tuple[ScaleSpec, Dict[str, Any]]":
+def load_sharded_manifest(run_dir: str) -> ScaleSpec:
+    # Older manifests also carry an ``options`` dict; nothing reads it.
     body = _read_json(os.path.join(run_dir, SHARDED_MANIFEST))
     if body.get("schema") != 1:
         raise ValueError(f"unsupported sharded manifest schema {body.get('schema')!r}")
-    return ScaleSpec.from_dict(body["spec"]), body.get("options", {})
+    return ScaleSpec.from_dict(body["spec"])
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +142,7 @@ def run_shard_epoch(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> 
     run_dir = str(params["run_dir"])
     shard = int(params["shard"])
     epoch = int(params["epoch"])
-    spec, options = load_sharded_manifest(run_dir)
+    spec = load_sharded_manifest(run_dir)
     snap_path = _snapshot_path(run_dir, shard)
 
     if os.path.exists(snap_path):
@@ -175,15 +161,7 @@ def run_shard_epoch(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> 
         barrier = _read_json(_barrier_path(run_dir, epoch))
         imports = barrier.get("records", [])
         ctx.maybe_crash()
-        profiler = cProfile.Profile() if options.get("profile") else None
-        if profiler is not None:
-            profiler.enable()
         exports, fingerprint = epoch_step(system, spec, epoch, imports, meta["fingerprint"])
-        if profiler is not None:
-            profiler.disable()
-            prof_path = _profile_epoch_path(run_dir, shard, epoch)
-            os.makedirs(os.path.dirname(prof_path), exist_ok=True)
-            profiler.dump_stats(prof_path)
         meta = {"epoch_done": epoch, "fingerprint": fingerprint, "last_exports": exports}
         os.makedirs(os.path.dirname(snap_path), exist_ok=True)
         save_snapshot((system, meta), snap_path, verify=ctx.verify_snapshots)
@@ -233,7 +211,6 @@ class ShardedOutcome:
     wall_seconds: float
     stats: "Dict[str, float]" = field(default_factory=dict)
     per_shard: "List[Dict[str, Any]]" = field(default_factory=list)
-    profile_report: "Optional[str]" = None
 
     @property
     def events_per_second(self) -> float:
@@ -290,13 +267,12 @@ def run_sharded(
     workers: int = 2,
     serial: bool = False,
     inject_crash: int = 0,
-    profile: bool = False,
     verify_snapshots: bool = False,
 ) -> ShardedOutcome:
     """Run ``spec`` sharded under ``run_dir``; idempotent on resume."""
     run_dir = os.path.abspath(run_dir)
     os.makedirs(run_dir, exist_ok=True)
-    write_sharded_manifest(run_dir, spec, {"profile": bool(profile)})
+    write_sharded_manifest(run_dir, spec)
     store = ResultStore(os.path.join(run_dir, "results.jsonl"))
 
     started = time.perf_counter()
@@ -336,7 +312,7 @@ def run_sharded(
     fingerprints = [summary["fingerprint"] for summary in summaries]
     stats = aggregate_stats_reports([summary["stats"] for summary in summaries])
 
-    outcome = ShardedOutcome(
+    return ShardedOutcome(
         spec=spec,
         run_dir=run_dir,
         delivered=delivered,
@@ -348,40 +324,6 @@ def run_sharded(
         stats=stats,
         per_shard=summaries,
     )
-    if profile:
-        outcome.profile_report = merged_profile_report(run_dir, spec)
-    return outcome
-
-
-# ---------------------------------------------------------------------------
-# profiling (repro --profile scale run ...)
-# ---------------------------------------------------------------------------
-def merged_profile_report(run_dir: str, spec: ScaleSpec, top: int = 25) -> str:
-    """Merge per-epoch dumps into per-shard ``shard<k>.prof`` files and
-    render one top-``top`` cumulative report across every shard."""
-    all_paths: "List[str]" = []
-    for shard in range(spec.num_shards):
-        epoch_paths = [
-            _profile_epoch_path(run_dir, shard, epoch)
-            for epoch in range(spec.epoch_count)
-            if os.path.exists(_profile_epoch_path(run_dir, shard, epoch))
-        ]
-        if not epoch_paths:
-            continue
-        merged = pstats.Stats(epoch_paths[0])
-        for path in epoch_paths[1:]:
-            merged.add(path)
-        merged.dump_stats(profile_shard_path(run_dir, shard))
-        all_paths.append(profile_shard_path(run_dir, shard))
-    if not all_paths:
-        return "no profile dumps found (was the run started with --profile?)"
-    stream = io.StringIO()
-    combined = pstats.Stats(all_paths[0], stream=stream)
-    for path in all_paths[1:]:
-        combined.add(path)
-    combined.sort_stats("cumulative").print_stats(top)
-    header = f"merged profile over {len(all_paths)} shards ({', '.join(os.path.basename(p) for p in all_paths)})\n"
-    return header + stream.getvalue()
 
 
 # ---------------------------------------------------------------------------

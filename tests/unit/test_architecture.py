@@ -18,6 +18,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import typing
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro"
@@ -244,4 +245,24 @@ def test_only_the_registry_writes_under_results():
     assert offenders == {"src/repro/experiments/artefacts.py"}, (
         f"{sorted(offenders)} write files and name the results/ directory: a committed artefact "
         "is a row of repro.experiments.artefacts.ARTEFACTS, written by `repro results make`"
+    )
+
+
+def test_every_wire_type_has_a_sender():
+    """A frame type joins ``WireMessage`` with the code that first sends
+    it: a decoder branch for a frame no node sends is attack surface on
+    the live substrate with no protocol behind it."""
+    from repro.core import wire
+
+    members = {cls.__name__ for cls in typing.get_args(wire.WireMessage)}
+    built = {
+        _called_name(node)
+        for name, tree in _modules()
+        if name not in ("core/wire.py", "core/messages.py")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert members <= built, (
+        f"{sorted(members - built)} can be decoded off the wire but no module constructs one: "
+        "add a frame to core/wire.py with its first sender"
     )

@@ -401,23 +401,6 @@ class TestScale:
         assert "verdict:    EQUIVALENT" in out
         assert "merged fingerprint:" in out
 
-    def test_profile_writes_per_shard_dumps_and_merged_report(self, tmp_path, capsys):
-        run_dir = tmp_path / "run"
-        code = main(
-            [
-                "--profile", "scale", "run",
-                "--run-dir", str(run_dir),
-                "--nodes", "24", "--shards", "2", "--seed", "3",
-                "--horizon", "0.5", "--epoch", "0.5", "--serial",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "merged profile over 2 shards" in out
-        assert (run_dir / "profile" / "shard000.prof").exists()
-        assert (run_dir / "profile" / "shard001.prof").exists()
-        assert (run_dir / "profile" / "shard000.epoch000.prof").exists()
-
 
 class TestTopo:
     def test_parser_defaults(self):

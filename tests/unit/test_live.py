@@ -18,7 +18,7 @@ from repro.core.config import RacConfig, timer_regime
 from repro.core.environment import NodeEnvironment
 from repro.core.identity import build_population
 from repro.core.system import RacSystem
-from repro.core.messages import Broadcast, group_domain
+from repro.core.messages import Accusation, Broadcast, group_domain
 from repro.core.node import RacNode
 from repro.core.wire import WireError, encode_message
 from repro.crypto.dh import GROUP_TEST, DHGroup
@@ -27,6 +27,7 @@ from repro.live import environment as live_environment
 from repro.live.cluster import LiveCluster, LiveReport
 from repro.live.directory import BootstrapDirectory, DirectoryClient, DirectoryError, RosterEntry
 from repro.live.environment import LiveEnvironment, PeerLink
+from repro.live.node import LiveNode
 from repro.live.framing import (
     MAX_FRAME,
     decode_hello,
@@ -539,6 +540,34 @@ def test_node_counts_and_drops_a_connection_it_cannot_parse():
     assert answers == [b"", b"", b"", ack]
     assert per_node[node_id]["live_inbound_rejected"] == 4
     assert inbound <= 1 and not errors  # only the other node's link, if it has spoken yet
+
+
+def _hostile_frame(kind, gid, num_rings):
+    """One frame a hostile peer could send that no honest node does."""
+    if kind == "retired-tag":  # no frame has tag 5; the body is one node id
+        return bytes([5]) + (7).to_bytes(16, "big")
+    if kind == "ring-index":
+        return encode_message(Broadcast(group_domain(gid), 7, b"blob", num_rings))
+    # An accusation on a channel key channel_domain() never makes. Its
+    # encoder writes the pair as given; only the decoder judges it.
+    pair = (gid, gid) if kind == "channel-same-group" else (gid + 1, gid)
+    return encode_message(Accusation(1, 2, ("channel", pair), "replay", None))
+
+
+@pytest.mark.parametrize("kind", ["retired-tag", "channel-same-group", "channel-reversed", "ring-index"])
+def test_node_rejects_a_well_framed_record_no_node_sends(kind):
+    config = timer_regime("wall")
+    population = build_population(config, 4)
+    me, peer = population[0], population[1]
+    node = LiveNode(me, config, "127.0.0.1", 0)
+    node.env = LiveEnvironment(me.node_id, config, _entries(4))
+    node.rac = node.env.node = RacNode(me.node_id, config, node.env, me.id_keypair, me.pseudonym_keypair)
+    node.rac.active = True
+    node._dispatch(peer.node_id, _hostile_frame(kind, node.env.group_of(me.node_id), config.num_rings))
+    counters = node.counters()
+    assert counters.get("live_frames_rejected") == 1
+    assert not node.env.errors
+    assert counters.get("live_dispatch_errors", 0) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -403,3 +403,15 @@ class TestShardSnapshots:
         failed = [r for r in ResultStore(str(tmp_path / "run" / "results.jsonl")).records() if r.status == "failed"]
         assert len(failed) == 1 and "version mismatch" in failed[0].error
         assert failed[0].error.startswith(SnapshotError.__name__)
+
+    def test_a_manifest_with_an_options_dict_still_loads(self, tmp_path):
+        import json
+
+        from repro.orchestrator.sharded import SHARDED_MANIFEST, load_sharded_manifest, write_sharded_manifest
+
+        # Manifests once carried {"options": {"profile": ...}} beside the spec.
+        body = {"schema": 1, "spec": self.SPEC.to_dict(), "options": {"profile": True}}
+        (tmp_path / SHARDED_MANIFEST).write_text(json.dumps(body))
+        assert load_sharded_manifest(str(tmp_path)) == self.SPEC
+        write_sharded_manifest(str(tmp_path), self.SPEC)
+        assert json.loads((tmp_path / SHARDED_MANIFEST).read_text()) == {"schema": 1, "spec": self.SPEC.to_dict()}

@@ -2,19 +2,8 @@
 
 import pytest
 
-from repro.core.messages import (
-    Accusation,
-    BlacklistShare,
-    Broadcast,
-    EvictionNotice,
-    JoinAnnounce,
-    JoinRequest,
-    ReadyMessage,
-    channel_domain,
-    group_domain,
-)
+from repro.core.messages import Accusation, Broadcast, channel_domain, group_domain
 from repro.core.wire import WireError, decode_message, encode_message, encoded_size
-from repro.crypto.keys import KeyPair
 
 BIG = (1 << 127) + 12345
 
@@ -36,40 +25,6 @@ class TestRoundtrips:
         msg = Accusation(1, 2, channel_domain(3, 4), "rate-high", None)
         assert decode_message(encode_message(msg)) == msg
 
-    def test_join_request_sim_key(self):
-        key = KeyPair.generate("sim", seed=1).public
-        msg = JoinRequest(BIG, key.key_id, 777, key)
-        assert decode_message(encode_message(msg)) == msg
-
-    def test_join_request_dh_key(self):
-        key = KeyPair.generate("dh", seed=1).public
-        msg = JoinRequest(BIG, key.key_id, 777, key)
-        decoded = decode_message(encode_message(msg))
-        assert decoded.id_public_key.key_id == key.key_id
-        assert decoded.id_public_key.dh_value == key.dh_value
-        assert decoded.id_public_key.dh_group.prime == key.dh_group.prime
-
-    def test_join_announce(self):
-        key = KeyPair.generate("sim", seed=2).public
-        msg = JoinAnnounce(JoinRequest(1, key.key_id, 2, key), sponsor=BIG)
-        assert decode_message(encode_message(msg)) == msg
-
-    def test_ready(self):
-        msg = ReadyMessage(BIG)
-        assert decode_message(encode_message(msg)) == msg
-
-    def test_eviction_notice(self):
-        msg = EvictionNotice(BIG, 12, BIG - 5)
-        assert decode_message(encode_message(msg)) == msg
-
-    def test_blacklist_share(self):
-        msg = BlacklistShare(5, (1, 2, BIG))
-        assert decode_message(encode_message(msg)) == msg
-
-    def test_blacklist_share_empty(self):
-        msg = BlacklistShare(5, ())
-        assert decode_message(encode_message(msg)) == msg
-
 
 class TestSizes:
     def test_broadcast_size_dominated_by_wire(self):
@@ -80,6 +35,29 @@ class TestSizes:
     def test_accusation_is_compact(self):
         msg = Accusation(BIG, BIG, group_domain(1), "replay", None)
         assert encoded_size(msg) < 128
+
+    @pytest.mark.parametrize(
+        "msg, frame",
+        [
+            (Broadcast(group_domain(7), 5, b"ab", 3),
+             "01" "00" "0000000000000007" "00000000000000000000000000000005" "00000003" "00000002" "6162"),
+            (Broadcast(channel_domain(9, 2), 5, b"ab", 3),
+             "01" "01" "0000000000000002" "0000000000000009" "00000000000000000000000000000005"
+             "00000003" "00000002" "6162"),
+            (Accusation(1, 2, group_domain(7), "replay", None),
+             "02" "00000000000000000000000000000001" "00000000000000000000000000000002"
+             "00" "0000000000000007" "00000006" "7265706c6179" "00"),
+            (Accusation(1, 2, channel_domain(3, 4), "rate-high", 42),
+             "02" "00000000000000000000000000000001" "00000000000000000000000000000002"
+             "01" "0000000000000003" "0000000000000004" "00000009" "726174652d68696768"
+             "01" "0000000000000000000000000000002a"),
+        ],
+        ids=["broadcast-group", "broadcast-channel", "accusation", "accusation-msg-id"],
+    )
+    def test_frames_are_pinned_bytes(self, msg, frame):
+        # What the network is charged depends on these bytes.
+        assert encode_message(msg).hex() == frame
+        assert decode_message(bytes.fromhex(frame)) == msg
 
 
 class TestMalformedFrames:
@@ -92,21 +70,32 @@ class TestMalformedFrames:
             decode_message(bytes([99]))
 
     def test_truncated_frame(self):
-        frame = encode_message(ReadyMessage(BIG))
+        frame = encode_message(Accusation(BIG, 2, group_domain(1), "replay", None))
         with pytest.raises(WireError):
             decode_message(frame[:-3])
 
     def test_trailing_bytes_rejected(self):
-        frame = encode_message(ReadyMessage(BIG))
+        frame = encode_message(Accusation(BIG, 2, group_domain(1), "replay", None))
         with pytest.raises(WireError):
             decode_message(frame + b"\x00")
 
-    def test_announce_must_wrap_join(self):
-        inner = encode_message(ReadyMessage(1))
-        bad = bytes([4]) + len(inner).to_bytes(4, "big") + inner + (0).to_bytes(16, "big")
-        with pytest.raises(WireError):
-            decode_message(bad)
+    @pytest.mark.parametrize("tag", [3, 4, 5, 6, 7])
+    def test_tags_of_frames_no_node_sends_are_unknown(self, tag):
+        # Join, READY, notices and blacklist shares run in-process: a
+        # peer's frame claiming to be one is refused, not dispatched.
+        with pytest.raises(WireError, match=f"unknown frame tag {tag}"):
+            decode_message(bytes([tag]) + BIG.to_bytes(16, "big"))
+
+    @pytest.mark.parametrize("pair", [(4, 4), (9, 2)], ids=["same-group", "reversed"])
+    def test_channel_key_out_of_canonical_order_rejected(self, pair):
+        def frame(gid_a, gid_b):  # a channel Broadcast, field by field
+            key = gid_a.to_bytes(8, "big") + gid_b.to_bytes(8, "big")
+            return bytes([1, 1]) + key + BIG.to_bytes(16, "big") + bytes(4) + (1).to_bytes(4, "big") + b"x"
+
+        assert decode_message(frame(2, 9)) == Broadcast(channel_domain(2, 9), BIG, b"x", 0)
+        with pytest.raises(WireError, match="canonical order"):
+            decode_message(frame(*pair))
 
     def test_oversized_id_rejected_on_encode(self):
         with pytest.raises(WireError):
-            encode_message(ReadyMessage(1 << 129))
+            encode_message(Accusation(1 << 129, 2, group_domain(1), "replay", None))
