@@ -6,8 +6,8 @@
   bulk rounds (cost N·Bcast(N));
 * :mod:`repro.baselines.dissent_v2` — trusted-server tier (cost
   Bcast(N/S) + S·Bcast(S), optimal S ≈ √N);
-* :mod:`repro.baselines.onion_routing` — plain unicast onion routing
-  (efficient, freerider-prone).
+* :mod:`repro.baselines.dissent_v1_sim`, :mod:`repro.baselines.dissent_v2_sim`
+  — both Dissents over the packet simulator (``figure1_packet_level``).
 """
 
 from .dcnet import DCNet, DCNetMember, DCNetRound, pad_for
@@ -15,7 +15,6 @@ from .dissent_v1 import DissentV1Group, DissentV1Round
 from .dissent_v1_sim import DissentV1Sim, SimRoundResult
 from .dissent_v2 import DissentV2Round, DissentV2System
 from .dissent_v2_sim import DissentV2Sim, DissentV2SimResult
-from .onion_routing import OnionDelivery, OnionRoutingNetwork
 
 __all__ = [
     "DCNet",
@@ -30,6 +29,4 @@ __all__ = [
     "DissentV2System",
     "DissentV2Sim",
     "DissentV2SimResult",
-    "OnionDelivery",
-    "OnionRoutingNetwork",
 ]

@@ -5,8 +5,10 @@ long an anonymous message takes. Latency in RAC is dominated by the
 origination slots: the message occupies L+1 slots spread over distinct
 nodes' staggered schedules, so the expected end-to-end latency is
 roughly ``(L+1)/2 · interval`` queueing plus per-hop dissemination.
-This harness measures the distribution per relay count and checks the
-linear-in-L growth — the latency face of the anonymity tradeoff.
+This harness measures the distribution per relay count next to the
+:mod:`repro.analysis.queueing` prediction for the run's own config, and
+checks the linear-in-L growth — the latency face of the anonymity
+tradeoff.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import List
 
+from ..analysis.queueing import predicted_latency
 from .runner import Table
 
 __all__ = ["LatencyPoint", "measure_latency", "latency_vs_relays", "render_latency"]
@@ -25,10 +28,13 @@ class LatencyPoint:
     """Latency distribution for one configuration."""
 
     num_relays: int
+    nodes: int
     samples: int
     mean: float
     p50: float
     p95: float
+    #: :func:`repro.analysis.queueing.predicted_latency` for this run.
+    model: float
 
 
 def measure_latency(
@@ -62,12 +68,19 @@ def measure_latency(
     meter = system.latency_meter
     if len(meter) == 0:
         raise RuntimeError("no deliveries to measure")
+    slot = system.send_interval_for(nodes[0])
+    group_size = len(system.directory.group_of_node(nodes[0]))
+    config = system.config
     return LatencyPoint(
         num_relays=num_relays,
+        nodes=population,
         samples=len(meter),
         mean=meter.mean(),
         p50=meter.percentile(50),
         p95=meter.percentile(95),
+        model=predicted_latency(
+            num_relays, slot, group_size, config.message_size, config.link_bandwidth_bps
+        ),
     )
 
 
@@ -78,8 +91,8 @@ def latency_vs_relays(relay_counts=(1, 2, 3, 4), **kwargs) -> "List[LatencyPoint
 
 def render_latency(points: "List[LatencyPoint]") -> str:
     table = Table(
-        headers=["L (relays)", "samples", "mean", "p50", "p95"],
-        title="Delivery latency vs onion path length (12 nodes, 50 ms slots)",
+        headers=["L (relays)", "samples", "mean", "p50", "p95", "model"],
+        title=f"Delivery latency vs onion path length ({points[0].nodes} nodes, 50 ms slots)",
     )
     for p in points:
         table.add_row(
@@ -88,5 +101,6 @@ def render_latency(points: "List[LatencyPoint]") -> str:
             f"{p.mean * 1000:.0f} ms",
             f"{p.p50 * 1000:.0f} ms",
             f"{p.p95 * 1000:.0f} ms",
+            f"{p.model * 1000:.0f} ms",
         )
     return table.render()

@@ -60,11 +60,6 @@ def _log(p: LogProb) -> float:
     return p.value if not p.is_zero() else 0.0
 
 
-def _log10_value(p: LogProb) -> float:
-    """Compare huge-exponent probabilities by their exponent."""
-    return p.log10
-
-
 def all_claims() -> "List[Claim]":
     """The scoreboard of in-text numbers (Table I has its own module)."""
     N, G, L, R = 100_000, 1000, 5, 7

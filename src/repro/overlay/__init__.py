@@ -6,14 +6,14 @@
   derived topology);
 * :mod:`repro.overlay.broadcast` — receipt bookkeeping for duplicate
   suppression and predecessor accounting.
+
+Every node of one system reads the same in-process views (the
+shared-view simplification, DESIGN §1): no replica folds membership
+events of its own.
 """
 
 from .broadcast import BroadcastState, CopyKey
 from .membership import MembershipView
-from .replay import ReplayableView, ViewEvent, converged
 from .rings import RingTopology
 
-__all__ = ["BroadcastState", "CopyKey", "MembershipView",
-    "ReplayableView",
-    "ViewEvent",
-    "converged", "RingTopology"]
+__all__ = ["BroadcastState", "CopyKey", "MembershipView", "RingTopology"]

@@ -133,3 +133,14 @@ def test_chaos_scenarios_on_lossy_network(seed):
     # Injected deviants that saw traffic should mostly be gone; at
     # minimum, no honest live node ever was.
     scenario.check_invariants()
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP 1b: the membership plan evicts one honest node, on relay evidence at 38 s"
+))
+def test_membership_plan_evicts_no_honest_node():
+    from repro.scenario import Scenario, run_scenario
+
+    params = {"plan": "membership", "nodes": 6, "horizon": 40.0}
+    out = run_scenario(Scenario.from_params(params, 0, "chaos"))
+    assert out.honest_evictions == 0 and out.ok

@@ -266,3 +266,86 @@ def test_every_wire_type_has_a_sender():
         f"{sorted(members - built)} can be decoded off the wire but no module constructs one: "
         "add a frame to core/wire.py with its first sender"
     )
+
+
+#: The ways into the package: the CLI, ``python -m repro``, the live
+#: worker ``live/cluster.py`` spawns by name, and every example script.
+#: The registry's ``_slow("…")`` rows are read from ``artefacts.py``.
+ENTRY_POINTS = ("repro.cli", "repro.__main__", "repro.live.worker")
+
+
+def _module_file(module: str) -> "typing.Optional[pathlib.Path]":
+    base = SRC.parent.joinpath(*module.split("."))
+    for path in (base.with_suffix(".py"), base / "__init__.py"):
+        if path.exists():
+            return path
+    return None
+
+
+def _import_base(package: str, node: ast.ImportFrom) -> str:
+    """The absolute module a ``from … import`` in ``package`` names."""
+    if not node.level:
+        return node.module or ""
+    base = package.rsplit(".", node.level - 1)[0]
+    return f"{base}.{node.module}" if node.module else base
+
+
+def _defining_module(base: str, name: str) -> str:
+    """Where ``from base import name`` really comes from: a submodule,
+    the module a package ``__init__`` re-exports ``name`` from, or the
+    ``__init__`` itself when it defines ``name``."""
+    if _module_file(f"{base}.{name}"):
+        return f"{base}.{name}"
+    path = _module_file(base)
+    if path.name != "__init__.py":
+        return base
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if (alias.asname or alias.name) == name:
+                    return _defining_module(_import_base(base, node), alias.name)
+    return base
+
+
+def _imported_modules(path: pathlib.Path) -> "typing.Iterator[str]":
+    """The ``repro`` modules the file at ``path`` imports. A package
+    ``__init__``'s top-level imports are re-exports, not calls."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    package = ".".join(path.parent.relative_to(SRC.parent).parts) if SRC in path.parents else ""
+    reexports = set(map(id, tree.body)) if path.name == "__init__.py" else set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and id(node) not in reexports:
+            yield from (alias.name for alias in node.names if alias.name.split(".")[0] == "repro")
+        elif isinstance(node, ast.ImportFrom) and id(node) not in reexports:
+            base = _import_base(package, node)
+            if base.split(".")[0] == "repro":
+                yield from (_defining_module(base, alias.name) for alias in node.names)
+
+
+def test_every_module_has_a_caller():
+    """Every ``src/`` module is reached from an entry point, an example
+    or a results row, following imports (function-level ones too). A
+    module only tests import is a harness with no claim behind it."""
+    registry = ast.parse((SRC / "experiments" / "artefacts.py").read_text(encoding="utf-8"))
+    slow_rows = {
+        f"repro.experiments.{node.args[0].value}"
+        for node in ast.walk(registry)
+        if isinstance(node, ast.Call) and _called_name(node) == "_slow"
+    }
+    reached = {*ENTRY_POINTS, *slow_rows}
+    frontier = [*map(_module_file, reached), *sorted((ROOT / "examples").glob("*.py"))]
+    while frontier:
+        for module in _imported_modules(frontier.pop()):
+            if module not in reached and _module_file(module):
+                reached.add(module)
+                frontier.append(_module_file(module))
+    modules = {
+        "repro." + ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for path in SRC.rglob("*.py")
+        if path.name != "__init__.py"
+    }
+    unreached = sorted(modules - reached)
+    assert not unreached, (
+        f"{unreached} are reached from no entry point, example or results row: give each a "
+        "caller that evidences a claim (a row of experiments/artefacts.py) or delete it"
+    )

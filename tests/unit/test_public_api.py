@@ -19,9 +19,9 @@ MODULE_SURFACE = {
     "repro.core": ["RacNode", "RacConfig", "RacSystem", "build_onion", "peel", "HonestBehavior"],
     "repro.crypto": ["KeyPair", "seal", "run_shuffle", "oneway_f", "oneway_g"],
     "repro.simnet": ["Simulator", "StarNetwork", "ReliableTransport", "ThroughputMeter", "LatencyMeter", "Tracer"],
-    "repro.overlay": ["RingTopology", "MembershipView", "BroadcastState", "ReplayableView"],
+    "repro.overlay": ["RingTopology", "MembershipView", "BroadcastState"],
     "repro.groups": ["GroupDirectory", "ChannelDirectory", "solve_puzzle", "verify_puzzle"],
-    "repro.baselines": ["DCNet", "DissentV1Group", "DissentV2System", "OnionRoutingNetwork", "DissentV1Sim", "DissentV2Sim"],
+    "repro.baselines": ["DCNet", "DissentV1Group", "DissentV2System", "DissentV1Sim", "DissentV2Sim"],
     "repro.analysis": [
         "sender_break_grouped",
         "receiver_break_grouped",
