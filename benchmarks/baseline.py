@@ -218,7 +218,7 @@ def _flood_system(warmup: float = 0.6):
     nodes in one group, 3 rings, 2 kB noise every 50 ms, lossless 1 Gb/s
     star. Warmed past the first predecessor-check deadline (0.5 s), so
     the calendar is at its steady depth: ~166 entries, ~25 of them
-    cancelled RTO timers."""
+    cancelled RTO timers and 30 live ones."""
     from repro.core.config import RacConfig
     from repro.core.system import RacSystem
 
@@ -294,11 +294,24 @@ def measure_receipt_bytes_per_record() -> float:
     return held / receipts
 
 
+def measure_owned_entries_per_segment() -> float:
+    """Pending calendar entries that point back at their simulator, per
+    unacknowledged segment, on ``_flood_system()``. Only a handle that
+    can be cancelled needs the back-pointer, and the ARQ's retransmit
+    timer is the only one held, so this is exactly 1.0. A count: 4.7
+    (141 of 166 entries against 30 segments) while every entry was a
+    ``ScheduledEvent``."""
+    system = _flood_system()
+    sim = system.sim
+    owned = sum(1 for entry in sim._queue if entry[4] is not None)
+    return owned / sum(len(state.outstanding) for state in system.transport._senders.values())
+
+
 def measure_segment_path(window: float = 0.3) -> dict:
     """What one segment costs in counts, all deterministic: engine
     events fired and cancelled, ``schedule``/``schedule_at``/
-    ``schedule_from`` calls, and Python-level calls as cProfile counts
-    them (C builtins included)."""
+    ``schedule_from``/``timer`` calls, and Python-level calls as
+    cProfile counts them (C builtins included)."""
     import cProfile
     import pstats
 
@@ -314,7 +327,8 @@ def measure_segment_path(window: float = 0.3) -> dict:
     scheduled = sum(
         calls
         for (path, _line, name), (_cc, calls, *_rest) in stats.stats.items()
-        if name in ("schedule", "schedule_at", "schedule_from") and path.endswith("engine.py")
+        if name in ("schedule", "schedule_at", "schedule_from", "timer")
+        and path.endswith("engine.py")
     )
     return {
         "segments": segments,
@@ -528,6 +542,9 @@ GATES = (
     # dict or an object per record above 600
     Gate("receipt_bytes_per_record", measure_receipt_bytes_per_record, "count", bound=220),
     Gate("storm_events_per_packet", measure_storm_events_per_packet, "count", bound=2.2),
+    # only the ARQ timer is a ScheduledEvent; a hop or tick built as one
+    # again points back at the simulator and lifts this above 1
+    Gate("owned_entries_per_segment", measure_owned_entries_per_segment, "count", bound=1.0),
     # 181 calls with a task switch per frame written, 107 with the I/O in
     # the loop's own callbacks. No wall-clock row: an asyncio loop on a
     # shared host has no steady time per frame

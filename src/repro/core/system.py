@@ -437,19 +437,19 @@ class RacSystem:
         the oldest generation (a sharded run drops one system per
         shard-epoch cell).
 
-        A pending calendar entry points back at its simulator and,
-        through its callback, at a node; the system holds its nodes (in
-        ``nodes`` and as transport handlers) while each node points back
-        at it as its environment. Every pending entry is cancelled and
-        shed and every node detached, so only the simulator's own wiring
-        stays cyclic. The system cannot run afterwards.
+        A pending calendar entry reaches a node through its callback;
+        the system holds its nodes (in ``nodes`` and as transport
+        handlers) while each node points back at it as its environment.
+        Every node is detached (which cancels its ARQ timers, the only
+        entries that point back at the simulator) and the calendar is
+        emptied, so only the simulator's own wiring stays cyclic. The
+        system cannot run afterwards.
         """
-        sim = self.sim
-        for event in sim._queue:
-            event.cancel()
-        sim.peek_time()  # sheds the cancelled entries
         for node_id in self.nodes:
             self.transport.detach(node_id)
+        sim = self.sim
+        sim._queue.clear()
+        sim._cancelled_pending = 0
         self.nodes.clear()
         self.transport.on_failure = None
 

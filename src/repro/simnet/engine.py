@@ -8,24 +8,29 @@ with the same seed replay the same event order.
 Three hot-path properties matter at scale (a 64-node run pushes ~10M
 events through this queue):
 
-* an event *is* its calendar entry: :class:`ScheduledEvent` is a
-  list-backed record ``[time, seq, callback, args, owner]``, so
-  ``heappush`` / ``heappop`` order entries with C list comparison on
-  ``(time, seq)`` — ``seq`` is unique, the comparison never reaches the
-  callback — and scheduling allocates one object, not a record plus a
-  sort-key wrapper;
+* a calendar entry is an exact list ``[time, seq, callback, args,
+  owner]``, so ``heappush`` / ``heappop`` order entries with C list
+  comparison on ``(time, seq)`` — ``seq`` is unique, the comparison
+  never reaches the callback — scheduling allocates one list, and
+  CPython specialises :meth:`Simulator.step`'s index reads for exact
+  lists only. ``schedule`` and its siblings return just the instant
+  the entry fires at and leave ``owner`` ``None``: nobody holds the
+  entry, so nothing can cancel it. The one cancellable entry is
+  :meth:`Simulator.timer`'s :class:`ScheduledEvent`, the same record
+  as a list subclass whose ``owner`` points back at the simulator
+  while it is pending (the ARQ's retransmit timer is its user);
 * :meth:`Simulator.step` is the whole per-event cost: it sheds dead
   heads, stops at the horizon, pops and dispatches in one call, and
   :meth:`Simulator.run` is a loop over it;
-* cancelled events are counted and the queue is **compacted** when the
+* cancelled timers are counted and the queue is **compacted** when the
   dead entries outnumber half the heap, instead of waiting for each one
   to surface at the heap head (the ARQ transport cancels one retransmit
   timer per acknowledged segment, so dead timers otherwise dominate the
   calendar under load).
 
 All of it is order-preserving: events fire in exactly ``(time, seq)``
-order with ``seq`` drawn once per ``schedule`` call, so fixed-seed runs
-replay byte-identically.
+order with ``seq`` drawn once per ``schedule`` or ``timer`` call, so
+fixed-seed runs replay byte-identically.
 
 The event loop makes no reference cycles: a fired event's record, its
 packets and segments die by reference count (``test_engine.py`` pins
@@ -74,12 +79,15 @@ class SimulationError(Exception):
 
 
 class ScheduledEvent(list):
-    """An event in the calendar queue; fires in ``(time, seq)`` order.
+    """A cancellable calendar entry, built only by :meth:`Simulator.timer`.
 
-    The record is the list ``[time, seq, callback, args, owner]``.
-    ``callback`` is ``None`` once the event is cancelled; ``owner`` is
-    the simulator whose calendar holds the entry and ``None`` once the
-    event has left it by firing or by being cancelled.
+    The record is the list ``[time, seq, callback, args, owner]`` every
+    entry has. ``callback`` is ``None`` once the event is cancelled;
+    ``owner`` is the simulator whose calendar holds the entry and
+    ``None`` once the event has left it by firing or by being
+    cancelled. Entries from ``schedule`` and its siblings are plain
+    lists with ``owner`` always ``None``: only a held handle needs
+    ``cancel`` and the back-pointer it follows.
     """
 
     __slots__ = ()
@@ -132,7 +140,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._queue: "List[ScheduledEvent]" = []
+        self._queue: "List[list]" = []
         #: Next tie-break number; a plain integer so that a snapshot
         #: restores the ``(time, seq)`` replay order exactly.
         self._seq = 0
@@ -143,8 +151,22 @@ class Simulator:
         self.queue_compactions = 0
         self._cancelled_pending = 0
 
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> float:
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from
+        now; returns the instant it will run at. The entry cannot be
+        cancelled (see :meth:`timer`)."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule {delay}s into the past")
+        seq = self._seq
+        self._seq = seq + 1
+        time = self.now + delay
+        heappush(self._queue, [time, seq, callback, args, None])
+        return time
+
+    def timer(self, delay: float, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
+        """Schedule exactly as :meth:`schedule` does (same rounding, same
+        ``seq``) and return the entry itself: a :class:`ScheduledEvent`
+        whose ``cancel()`` keeps it from firing."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}s into the past")
         seq = self._seq
@@ -153,8 +175,9 @@ class Simulator:
         heappush(self._queue, event)
         return event
 
-    def schedule_at(self, when: float, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` at absolute time ``when``."""
+    def schedule_at(self, when: float, callback: Callable[..., Any], *args: Any) -> float:
+        """Schedule ``callback(*args)`` at absolute time ``when``;
+        returns the instant the engine rounded it to."""
         now = self.now
         delay = when - now
         if delay < 0:
@@ -163,13 +186,13 @@ class Simulator:
         self._seq = seq + 1
         # now + (when - now), not ``when``: the two differ in the last
         # bit, and pinned runs replay the rounded sum.
-        event = ScheduledEvent((now + delay, seq, callback, args, self))
-        heappush(self._queue, event)
-        return event
+        time = now + delay
+        heappush(self._queue, [time, seq, callback, args, None])
+        return time
 
     def schedule_from(
         self, origin: float, when: float, callback: Callable[..., Any], *args: Any
-    ) -> ScheduledEvent:
+    ) -> float:
         """Schedule ``callback(*args)`` at the instant ``schedule_at(when,
         ...)`` would pick if it were called at the future time
         ``origin``: the rounded sum ``origin + (when - origin)``."""
@@ -178,9 +201,9 @@ class Simulator:
             raise SimulationError(f"need now <= origin <= when, not {self.now}, {origin}, {when}")
         seq = self._seq
         self._seq = seq + 1
-        event = ScheduledEvent((origin + delay, seq, callback, args, self))
-        heappush(self._queue, event)
-        return event
+        time = origin + delay
+        heappush(self._queue, [time, seq, callback, args, None])
+        return time
 
     def reserve(self, delay: float) -> "Tuple[float, int]":
         """Take the ``(time, seq)`` place in line that
@@ -196,7 +219,7 @@ class Simulator:
 
     def schedule_reserved(
         self, key: "Tuple[float, int]", callback: Callable[..., Any], *args: Any
-    ) -> ScheduledEvent:
+    ) -> float:
         """Schedule ``callback(*args)`` at a key drawn by :meth:`reserve`.
 
         The event fires exactly where a ``schedule`` call made at
@@ -209,9 +232,8 @@ class Simulator:
             raise SimulationError(f"reserved key {key} lies {self.now - time}s in the past")
         if not 0 <= seq < self._seq:
             raise SimulationError(f"key {key} was never reserved")
-        event = ScheduledEvent((time, seq, callback, args, self))
-        heappush(self._queue, event)
-        return event
+        heappush(self._queue, [time, seq, callback, args, None])
+        return time
 
     def _compact(self) -> None:
         """Rebuild the calendar without its cancelled entries.

@@ -213,7 +213,7 @@ class FaultInjector:
             at + duration, edge, node_id, directions, 1.0 / factor, scaled, True
         )
         # the instants the engine rounded to, not the ones asked for
-        self._add_edges(opening.time, closing.time)
+        self._add_edges(opening, closing)
 
     def _scale_links(
         self, node_id: int, directions: Tuple[str, ...], factor: float, scaled: list, closing: bool

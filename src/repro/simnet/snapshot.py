@@ -74,7 +74,9 @@ __all__ = [
 #: transport back-pointer), a node keeps no ``counters`` of its own and
 #: a system no per-node meters.
 #: /10: a node keeps no opaque-peel sets.
-SNAPSHOT_MAGIC = b"RACSNAP/10\n"
+#: /11: a calendar entry nobody can cancel (a hop, a tick) pickles as a
+#: plain list; only a pending ARQ timer is a ``ScheduledEvent``.
+SNAPSHOT_MAGIC = b"RACSNAP/11\n"
 _MAGIC_PREFIX = b"RACSNAP/"
 
 

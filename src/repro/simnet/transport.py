@@ -258,7 +258,7 @@ class ReliableTransport:
         interval = state.rto * (2 ** out.attempts)
         if interval > self.rto_max:
             interval = self.rto_max
-        out.timer = self.sim.schedule(own_queue + interval, self._on_timeout, pair, out.seqno)
+        out.timer = self.sim.timer(own_queue + interval, self._on_timeout, pair, out.seqno)
 
     def _on_timeout(self, pair: Pair, seqno: int) -> None:
         state = self._senders.get(pair)
@@ -300,7 +300,12 @@ class ReliableTransport:
             srtt = 0.875 * srtt + 0.125 * rtt
         state.srtt = srtt
         state.rttvar = rttvar
-        state.rto = min(self.rto_max, max(self.rto_min, srtt + 4 * rttvar))
+        rto = srtt + 4 * rttvar
+        if rto < self.rto_min:
+            rto = self.rto_min
+        elif rto > self.rto_max:
+            rto = self.rto_max
+        state.rto = rto
         self.rtt_samples += 1
         self.rtt_us_total += int(rtt * 1e6)
 
@@ -335,13 +340,21 @@ class ReliableTransport:
         if state is None:
             state = self._receivers[pair] = _RecvState()
         expected = state.expected
-        holdback = state.holdback
-        if seqno < expected or seqno in holdback:
-            self.duplicates += 1
+        if seqno != expected:
+            holdback = state.holdback
+            if seqno < expected or seqno in holdback:
+                self.duplicates += 1
+            else:
+                holdback[seqno] = segment.payload
             return
-        holdback[seqno] = segment.payload
+        # In sequence: the handler gets it without a hold-back round trip.
+        expected += 1
+        state.expected = expected
         handler = self._handlers.get(dst)
-        while expected in holdback:
+        if handler is not None:
+            handler(src, segment.payload)
+        holdback = state.holdback
+        while holdback and expected in holdback:
             payload = holdback.pop(expected)
             expected += 1
             state.expected = expected

@@ -231,15 +231,17 @@ class _OrderRecordingSimulator(Simulator):
 
     def step(self, until=None):
         self.peek_time()  # shed dead heads: the head is now the next live event
+        # entries are read by index: a hop is a plain list, only an ARQ
+        # timer a ``ScheduledEvent``
         head = self._queue[0] if self._queue else None
-        name = head.callback.__qualname__ if head is not None else None
+        name = head[2].__qualname__ if head is not None else None
         fired = super().step(until)
         if fired and name not in self.order_skip:
-            self.order_hash.update(f"{head.time!r}|{head.seq}|{name}|".encode())
+            self.order_hash.update(f"{head[0]!r}|{head[1]}|{name}|".encode())
             if name not in self.times_skip:
                 for left_out, stream in zip(self.times_streams, self.times_hashes):
                     if name != left_out:
-                        stream.update(f"{head.time!r}|{name}|".encode())
+                        stream.update(f"{head[0]!r}|{name}|".encode())
         return fired
 
 

@@ -133,6 +133,7 @@ delays = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
 operations = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), delays),
+        st.tuples(st.just("timer"), delays),
         st.tuples(st.just("schedule_at"), delays),
         st.tuples(st.just("schedule_from"), delays, delays),
         st.tuples(st.just("spawner"), delays, delays),
@@ -158,6 +159,11 @@ operations = st.lists(
          ("redeem", 0), ("snapshot",), ("redeem", 0), ("schedule", 0.25), ("run_until", 5.0)]
 )
 @example(
+    # a timer cancelled across a snapshot, another fired before its cancel
+    ops=[("timer", 1.0), ("timer", 0.5), ("schedule", 0.5), ("snapshot",), ("cancel", 0),
+         ("run_until", 0.75), ("cancel", 1), ("timer", 0.0), ("run_until", 5.0)]
+)
+@example(
     # two bursts, two thirds of them cancelled: a compaction, then a drain
     ops=[("burst", 90), ("burst", 90), ("cancel_many", 0), ("snapshot",), ("cancel_many", 1),
          ("run_max", 7), ("cancel_many", 2), ("run_until", 5.0)]
@@ -166,36 +172,38 @@ def test_simulator_matches_sorted_list_reference(ops):
     sim = Simulator()
     sim.log = []
     model = ReferenceCalendar()
-    handles = []  # [engine event, model entry] pairs, in scheduling order
+    timers = []  # [engine timer, model entry] pairs, in scheduling order
     reserved = []  # keys drawn and not yet redeemed
 
-    def both_schedule(delay, label):
-        handles.append([sim.schedule(delay, _Fired(sim.log, label)), model.schedule(delay, label)])
+    def both_timer(delay, label):
+        event, entry = sim.timer(delay, _Fired(sim.log, label)), model.schedule(delay, label)
+        assert (event.time, event.seq) == (entry[0], entry[1])
+        timers.append([event, entry])
 
     for number, op in enumerate(ops, start=1):
         kind = op[0]
+        # every schedule* returns the instant the model files its entry under
         if kind == "schedule":
-            both_schedule(op[1], number)
+            assert sim.schedule(op[1], _Fired(sim.log, number)) == model.schedule(op[1], number)[0]
+        elif kind == "timer":
+            both_timer(op[1], number)
         elif kind == "schedule_at":
             when = sim.now + op[1]
-            handles.append(
-                [sim.schedule_at(when, _Fired(sim.log, number)), model.schedule_at(when, number)]
+            assert (
+                sim.schedule_at(when, _Fired(sim.log, number))
+                == model.schedule_at(when, number)[0]
             )
         elif kind == "schedule_from":
             origin = sim.now + op[1]
             when = origin + op[2]
-            handles.append(
-                [
-                    sim.schedule_from(origin, when, _Fired(sim.log, number)),
-                    model.schedule_from(origin, when, number),
-                ]
+            assert (
+                sim.schedule_from(origin, when, _Fired(sim.log, number))
+                == model.schedule_from(origin, when, number)[0]
             )
         elif kind == "spawner":
-            handles.append(
-                [
-                    sim.schedule(op[1], _Spawner(sim.log, number, sim, op[2])),
-                    model.schedule(op[1], number, child_delay=op[2]),
-                ]
+            assert (
+                sim.schedule(op[1], _Spawner(sim.log, number, sim, op[2]))
+                == model.schedule(op[1], number, child_delay=op[2])[0]
             )
         elif kind == "reserve":
             reserved.append(sim.reserve(op[1]))
@@ -206,25 +214,23 @@ def test_simulator_matches_sorted_list_reference(ops):
                 with pytest.raises(SimulationError):
                     sim.schedule_reserved(key, _Fired(sim.log, number))
             else:
-                handles.append(
-                    [
-                        sim.schedule_reserved(key, _Fired(sim.log, number)),
-                        model.schedule_reserved(key, number),
-                    ]
+                assert (
+                    sim.schedule_reserved(key, _Fired(sim.log, number))
+                    == model.schedule_reserved(key, number)[0]
                 )
-        elif kind == "cancel" and handles:
-            # any handle: pending, already cancelled, or already fired
-            event, entry = handles[op[1] % len(handles)]
+        elif kind == "cancel" and timers:
+            # any timer: pending, already cancelled, or already fired
+            event, entry = timers[op[1] % len(timers)]
             event.cancel()
             model.cancel(entry)
         elif kind == "cancel_many":
-            for event, entry in handles[op[1] % 3 :: 3]:
+            for event, entry in timers[op[1] % 3 :: 3]:
                 event.cancel()
                 model.cancel(entry)
         elif kind == "burst":
             # enough same-instant timers that cancelling them compacts
             for _ in range(op[1]):
-                both_schedule(4.0, number)
+                both_timer(4.0, number)
         elif kind == "run_until":
             sim.run(until=sim.now + op[1])
             model.run(until=model.now + op[1])
@@ -235,9 +241,9 @@ def test_simulator_matches_sorted_list_reference(ops):
             sim.run(until=sim.now + op[1], max_events=op[2])
             model.run(until=model.now + op[1], max_events=op[2])
         elif kind == "snapshot":
-            blob = snapshot_system((sim, [event for event, _ in handles], reserved), verify=True)
+            blob = snapshot_system((sim, [event for event, _ in timers], reserved), verify=True)
             sim, events, reserved = restore_system(blob)
-            for pair, event in zip(handles, events):
+            for pair, event in zip(timers, events):
                 pair[0] = event
         assert sim.log == model.fired
         assert sim.now == model.now

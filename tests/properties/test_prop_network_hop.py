@@ -163,7 +163,7 @@ class _World:
 
     def hop_in_flight(self):
         hop = self.net._enqueue_downlink
-        return any(event.callback == hop for event in self.sim._queue)
+        return any(event[2] == hop for event in self.sim._queue)
 
     def links(self, which):
         return {
@@ -484,7 +484,8 @@ def test_schedule_from_rejects_an_origin_in_the_past_and_a_when_before_it():
     fired = []
     first = sim.schedule_from(1.0, 1.0, fired.append, "at-now")
     second = sim.schedule_from(1.25, 1.75, fired.append, "later")
-    assert (first.time, second.time) == (1.0, 1.25 + (1.75 - 1.25))
-    assert second.seq == first.seq + 1
+    assert (first, second) == (1.0, 1.25 + (1.75 - 1.25))
+    seqs = {entry[3]: entry[1] for entry in sim._queue}
+    assert seqs[("later",)] == seqs[("at-now",)] + 1
     sim.run()
     assert fired == ["at-now", "later"]

@@ -4,7 +4,15 @@ import gc
 
 import pytest
 
-from repro.simnet.engine import _RUN_GC_THRESHOLD, SimulationError, Simulator
+from repro.simnet.engine import _RUN_GC_THRESHOLD, ScheduledEvent, SimulationError, Simulator
+
+
+def _key(sim, label):
+    """``(time, seq)`` of the pending entry whose args are ``(label,)``:
+    only a timer hands back a handle, so the rest are read off the
+    calendar."""
+    (key,) = [(entry[0], entry[1]) for entry in sim._queue if entry[3] == (label,)]
+    return key
 
 
 class TestScheduling:
@@ -64,18 +72,17 @@ class TestCancellation:
     def test_cancelled_events_do_not_fire(self):
         sim = Simulator()
         fired = []
-        event = sim.schedule(1.0, fired.append, "x")
+        event = sim.timer(1.0, fired.append, "x")
         event.cancel()
         sim.run()
         assert fired == []
 
     def test_cancelled_events_skipped_by_peek(self):
         sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        later = sim.schedule(2.0, lambda: None)
+        event = sim.timer(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
         event.cancel()
         assert sim.peek_time() == 2.0
-        del later
 
 
 class TestBoundedRuns:
@@ -148,7 +155,7 @@ class TestIntrospection:
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.run()
-        event = sim.schedule(0.5, print, "x", 2)
+        event = sim.timer(0.5, print, "x", 2)
         assert (event.time, event.seq, event.callback, event.args) == (1.5, 1, print, ("x", 2))
         assert not event.cancelled
         event.cancel()
@@ -158,7 +165,7 @@ class TestIntrospection:
 class TestCancellationAccounting:
     def test_cancel_counts_and_is_idempotent(self):
         sim = Simulator()
-        ev = sim.schedule(1.0, lambda: None)
+        ev = sim.timer(1.0, lambda: None)
         ev.cancel()
         ev.cancel()  # idempotent: must not double-count
         assert sim.events_cancelled == 1
@@ -167,7 +174,7 @@ class TestCancellationAccounting:
 
     def test_cancel_after_fire_is_a_noop(self):
         sim = Simulator()
-        events = [sim.schedule(float(i), lambda: None) for i in range(100)]
+        events = [sim.timer(float(i), lambda: None) for i in range(100)]
         sim.run()
         for ev in events:
             ev.cancel()
@@ -178,7 +185,7 @@ class TestCancellationAccounting:
         assert sim.queue_compactions == 0
         assert sim._cancelled_pending == 0
         # ... and the compaction trigger still sees only real dead entries.
-        later = [sim.schedule(10.0 + i, lambda: None) for i in range(200)]
+        later = [sim.timer(10.0 + i, lambda: None) for i in range(200)]
         for ev in later[:64]:
             ev.cancel()
         assert sim.queue_compactions == 0  # 64 dead: not above the floor
@@ -189,15 +196,15 @@ class TestCancellationAccounting:
     def test_cancelling_itself_while_firing_is_a_noop(self):
         sim = Simulator()
         box = []
-        box.append(sim.schedule(1.0, lambda: box[0].cancel()))
+        box.append(sim.timer(1.0, lambda: box[0].cancel()))
         sim.run()
         assert sim.events_processed == 1
         assert sim.events_cancelled == 0
 
     def test_compaction_evicts_dead_entries(self):
         sim = Simulator()
-        keep = [sim.schedule(100.0 + i, lambda: None) for i in range(10)]
-        dead = [sim.schedule(50.0 + i, lambda: None) for i in range(500)]
+        keep = [sim.timer(100.0 + i, lambda: None) for i in range(10)]
+        dead = [sim.timer(50.0 + i, lambda: None) for i in range(500)]
         for ev in dead:
             ev.cancel()
         # Cancelling a majority of a big-enough queue triggers compaction.
@@ -214,7 +221,7 @@ class TestCancellationAccounting:
         fired = []
         for i in range(200):
             sim.schedule(float(i), fired.append, i)
-        victims = [sim.schedule(1000.0, lambda: None) for _ in range(300)]
+        victims = [sim.timer(1000.0, lambda: None) for _ in range(300)]
         for ev in victims:
             ev.cancel()
         sim.run()
@@ -222,7 +229,7 @@ class TestCancellationAccounting:
 
     def test_small_queues_are_never_compacted(self):
         sim = Simulator()
-        evs = [sim.schedule(float(i), lambda: None) for i in range(10)]
+        evs = [sim.timer(float(i), lambda: None) for i in range(10)]
         for ev in evs:
             ev.cancel()
         assert sim.queue_compactions == 0
@@ -238,26 +245,22 @@ class TestReservations:
     def test_redeemed_reservations_fire_where_schedule_would_have(self):
         eager, lazy = Simulator(), Simulator()
         eager_log, lazy_log = [], []
-        events = [
+        for label, delay in enumerate(self.DELAYS):
             eager.schedule(delay, eager_log.append, label)
-            for label, delay in enumerate(self.DELAYS)
-        ]
         keys = {}
         for label, delay in enumerate(self.DELAYS):
             if label % 2:
                 keys[label] = lazy.reserve(delay)
             else:
                 lazy.schedule(delay, lazy_log.append, label)
-        assert [keys[label] for label in keys] == [
-            (events[label].time, events[label].seq) for label in keys
-        ]
+        assert [keys[label] for label in keys] == [_key(eager, label) for label in keys]
         # redeemed late and out of order: the key decides, not the moment
         for label in sorted(keys, reverse=True):
-            event = lazy.schedule_reserved(keys[label], lazy_log.append, label)
-            assert (event.time, event.seq) == keys[label]
-        later = [sim.schedule(0.25, log.append, "later") for sim, log in
-                 ((eager, eager_log), (lazy, lazy_log))]
-        assert later[0].seq == later[1].seq == len(self.DELAYS)
+            assert lazy.schedule_reserved(keys[label], lazy_log.append, label) == keys[label][0]
+            assert _key(lazy, label) == keys[label]
+        for sim, log in ((eager, eager_log), (lazy, lazy_log)):
+            sim.schedule(0.25, log.append, "later")
+            assert _key(sim, "later")[1] == len(self.DELAYS)
         eager.run()
         lazy.run()
         assert lazy_log == eager_log
@@ -267,8 +270,8 @@ class TestReservations:
         sim = Simulator()
         sim.reserve(1.0)
         assert sim.pending_events() == 0
-        event = sim.schedule(1.0, lambda: None)
-        assert event.seq == 1  # its place in line stays taken
+        sim.schedule(1.0, print, "x")
+        assert _key(sim, "x")[1] == 1  # its place in line stays taken
         sim.run()
         assert sim.events_processed == 1
 
@@ -315,7 +318,8 @@ class TestReservations:
         assert held_c == held and type(held_c[0]) is tuple
         for each, keys in ((sim, held), (clone, held_c)):
             each.schedule_reserved(keys[0], each.log.append, "b")
-            assert each.schedule(0.0, each.log.append, "e").seq == 4
+            each.schedule(0.0, each.log.append, "e")
+            assert _key(each, "e")[1] == 4
             each.run()
             assert each.log == ["c", "e", "a", "b", "d"]
         assert (clone.now, clone.events_processed) == (sim.now, sim.events_processed)
@@ -446,3 +450,53 @@ def test_the_event_loop_makes_no_cyclic_garbage(build, collector):
         "cycles, and Simulator.run's raised young-generation threshold would be hiding a "
         "per-event leak (break the cycle, or size _RUN_GC_THRESHOLD again)"
     )
+
+
+class TestCalendarContract:
+    """Only a timer is a handle. ``schedule`` and its siblings return
+    the instant, and no entry but a pending timer points back at its
+    simulator."""
+
+    def test_each_schedule_returns_the_instant_its_callback_sees(self):
+        sim = Simulator()
+        sim.schedule(0.1, lambda: None)
+        sim.run()
+        seen = {}
+
+        def note(name):
+            seen[name] = sim.now
+
+        # 0.1 + 0.2, 0.1 + (0.41 - 0.1) and 0.3 + (0.9 - 0.3) all round
+        # away from the decimal the caller wrote: the rounded one is returned
+        returned = {
+            "schedule": sim.schedule(0.2, note, "schedule"),
+            "schedule_at": sim.schedule_at(0.41, note, "schedule_at"),
+            "schedule_from": sim.schedule_from(0.3, 0.9, note, "schedule_from"),
+            "schedule_reserved": sim.schedule_reserved(sim.reserve(0.2), note, "schedule_reserved"),
+            "timer": sim.timer(0.2, note, "timer").time,
+        }
+        for name, written in (("schedule", 0.3), ("schedule_at", 0.41), ("schedule_from", 0.9)):
+            assert returned[name] != written
+        sim.run()
+        assert all(type(when) is float for when in returned.values())
+        assert {name: when.hex() for name, when in returned.items()} == {
+            name: when.hex() for name, when in seen.items()
+        }
+
+    def test_after_a_flood_window_only_live_arq_timers_hold_the_simulator(self):
+        system = _flood()
+        system.run(0.3)
+        sim = system.sim
+        timers = [
+            out.timer
+            for state in system.transport._senders.values()
+            for out in state.outstanding.values()
+        ]
+        holding = [entry for entry in sim._queue if entry[4] is sim]
+        assert timers and sorted(map(id, holding)) == sorted(map(id, timers))
+        assert all(type(entry) is ScheduledEvent for entry in holding)
+        for entry in sim._queue:
+            if entry[4] is None:
+                # a cancelled timer waiting to surface, or an entry nobody holds
+                dead = entry[2] is None
+                assert type(entry) is (ScheduledEvent if dead else list)

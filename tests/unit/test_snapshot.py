@@ -48,9 +48,9 @@ def _noop() -> None:
 def _pending(system, name):
     """``(time, seq)`` of every live calendar entry for the callback ``name``."""
     return sorted(
-        (event.time, event.seq)
+        (event[0], event[1])
         for event in system.sim._queue
-        if event.callback is not None and event.callback.__name__ == name
+        if event[2] is not None and event[2].__name__ == name
     )
 
 
@@ -130,6 +130,16 @@ class _Rac9Node:
         return object.__new__, (RacNode,), (None, slots)
 
 
+def _rac10_calendar() -> bytes:
+    """Pickles the way a ``RACSNAP/10`` calendar did: every pending
+    entry, a hop nobody holds included, a ``ScheduledEvent`` pointing
+    back at its simulator."""
+    sim = Simulator()
+    sim._seq = 1
+    sim._queue.append(ScheduledEvent((1.0, 0, _noop, (), sim)))
+    return pickle.dumps(sim)
+
+
 class TestSimulatorPickling:
     def test_sequence_counter_survives_pickling(self):
         sim = Simulator()
@@ -137,7 +147,7 @@ class TestSimulatorPickling:
         sim.schedule(2.0, _noop)
         clone = pickle.loads(pickle.dumps(sim))
         # The clone numbers its next event where the original stood.
-        assert clone.schedule(3.0, _noop).seq == 2
+        assert clone.timer(3.0, _noop).seq == 2
         clone.run(until=5.0)
         assert clone.events_processed == 3
         assert clone.now == 5.0
@@ -147,7 +157,7 @@ class TestSimulatorPickling:
         sim.schedule(1.0, _noop)
         pickle.dumps(sim)
         # Pickling must not disturb the live simulator's numbering.
-        assert sim.schedule(2.0, _noop).seq == 1
+        assert sim.timer(2.0, _noop).seq == 1
         sim.run(until=3.0)
         assert sim.events_processed == 2
 
@@ -231,6 +241,11 @@ class TestSnapshotInvariants:
             assert getattr(restored.faults, name) == getattr(faults, name)
         for name in ("_deliver", "_enqueue_downlink", "_at_router", "_scale_links"):
             assert _pending(restored, name) == _pending(system, name)
+        # a hop comes back a plain list nobody owns, only an ARQ timer
+        # a handle owned by the restored simulator
+        kinds = {(type(event), event[4] is restored.sim) for event in restored.sim._queue
+                 if event[2] is not None}
+        assert kinds == {(list, False), (ScheduledEvent, True)}
         for _ in range(4):
             system.run(0.25)
             restored.run(0.25)
@@ -248,9 +263,10 @@ class TestSnapshotInvariants:
 
     def test_pending_fired_and_cancelled_events_round_trip(self):
         sim = Simulator()
-        fired = sim.schedule(0.5, _noop)
-        pending = sim.schedule(2.0, _noop)
-        dead = sim.schedule(3.0, _noop)
+        fired = sim.timer(0.5, _noop)
+        pending = sim.timer(2.0, _noop)
+        dead = sim.timer(3.0, _noop)
+        sim.schedule(2.5, _noop)
         sim.run(until=1.0)
         dead.cancel()
         clone, (fired_c, pending_c, dead_c) = restore_system(
@@ -258,6 +274,9 @@ class TestSnapshotInvariants:
         )
         assert type(pending_c) is ScheduledEvent and pending_c in clone._queue
         assert (pending_c.time, pending_c.seq, pending_c.callback) == (2.0, 1, _noop)
+        assert pending_c[4] is clone and dead_c[4] is None
+        (hop,) = [event for event in clone._queue if event[0] == 2.5]
+        assert type(hop) is list and hop == [2.5, 3, _noop, (), None]
         assert dead_c.cancelled and not pending_c.cancelled
         for event in (fired_c, dead_c):
             event.cancel()  # neither is pending any more: no-ops
@@ -265,7 +284,7 @@ class TestSnapshotInvariants:
         pending_c.cancel()
         assert clone.events_cancelled == 2
         clone.run()
-        assert clone.events_processed == 1 and clone.pending_events() == 0
+        assert clone.events_processed == 2 and clone.pending_events() == 0
 
     def test_two_identically_seeded_runs_snapshot_identically(self):
         assert snapshot_system(_mid_run_system(seed=5)) == snapshot_system(
@@ -413,6 +432,8 @@ class TestSnapshotErrors:
         # A RACSNAP/7 receipt is a ``MessageRecord`` and a RACSNAP/8
         # registry holds ``Counter`` objects; neither class exists now.
         # A RACSNAP/9 node carries opaque-peel sets it has no slot for.
+        # A RACSNAP/10 hop would even unpickle, as a cancellable entry
+        # that holds its simulator: only the header can turn it away.
         body = pickle.dumps((_Rac2Event(), _Rac3Monitor()))
         for stale in (_Rac2Event(), _Rac3Monitor()):
             with pytest.raises(AttributeError):
@@ -426,11 +447,15 @@ class TestSnapshotErrors:
         rac8 = _rac8_registry()
         with pytest.raises(AttributeError, match="Counter"):
             pickle.loads(rac8)
+        rac10 = _rac10_calendar()
+        (hop,) = pickle.loads(rac10)._queue
+        assert type(hop) is ScheduledEvent and hop[4] is not None
         bodies = {version: body for version in ("1", "2", "3", "4", "5", "6")}
-        for version, stale_body in {**bodies, "7": rac7, "8": rac8, "9": rac9}.items():
+        stale = {**bodies, "7": rac7, "8": rac8, "9": rac9, "10": rac10}
+        for version, stale_body in stale.items():
             old = f"RACSNAP/{version}\n".encode() + stale_body
             with pytest.raises(
-                SnapshotError, match=f"version mismatch: blob is RACSNAP/{version},.*RACSNAP/10"
+                SnapshotError, match=f"version mismatch: blob is RACSNAP/{version},.*RACSNAP/11"
             ):
                 restore_system(old)
             path = tmp_path / "old.snap"
