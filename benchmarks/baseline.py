@@ -217,8 +217,8 @@ def _flood_system(warmup: float = 0.6):
     """The dissemination shape of ``rac_bench``'s ``sim-flood-40``: 40
     nodes in one group, 3 rings, 2 kB noise every 50 ms, lossless 1 Gb/s
     star. Warmed past the first predecessor-check deadline (0.5 s), so
-    the calendar is at its steady depth: ~166 entries, ~25 of them
-    cancelled RTO timers and 30 live ones."""
+    the calendar is at its steady depth: ~110 entries, one of them the
+    ARQ's watch, against ~30 unacknowledged segments."""
     from repro.core.config import RacConfig
     from repro.core.system import RacSystem
 
@@ -297,21 +297,73 @@ def measure_receipt_bytes_per_record() -> float:
 def measure_owned_entries_per_segment() -> float:
     """Pending calendar entries that point back at their simulator, per
     unacknowledged segment, on ``_flood_system()``. Only a handle that
-    can be cancelled needs the back-pointer, and the ARQ's retransmit
-    timer is the only one held, so this is exactly 1.0. A count: 4.7
-    (141 of 166 entries against 30 segments) while every entry was a
-    ``ScheduledEvent``."""
+    can be cancelled needs the back-pointer, and nothing in the
+    simulation holds one, so this reads 0.0. A count: 4.7 (141 of 166
+    entries against 30 segments) while every entry was a
+    ``ScheduledEvent``, 1.0 while each segment had a retransmit timer."""
     system = _flood_system()
     sim = system.sim
     owned = sum(1 for entry in sim._queue if entry[4] is not None)
     return owned / sum(len(state.outstanding) for state in system.transport._senders.values())
 
 
+def measure_arq_entries_per_segment(window: float = 0.3) -> float:
+    """ARQ calendar entries inserted per transmission (first sends and
+    retransmissions) over one ``window`` of simulated seconds on
+    ``_flood_system()``: the ``timer`` and ``schedule_reserved`` calls
+    whose callback is the transport's ``_on_timeout``. A count: 1.0
+    while every transmission armed its own timer, ~0.001 with one watch
+    entry per transport that only a real deadline re-arms."""
+    system = _flood_system()
+    sim, transport = system.sim, system.transport
+    inserted = 0
+
+    def counting(schedule):
+        def call(when, callback, *args):
+            nonlocal inserted
+            inserted += getattr(callback, "__name__", None) == "_on_timeout"
+            return schedule(when, callback, *args)
+
+        return call
+
+    for name in ("timer", "schedule_reserved"):
+        setattr(sim, name, counting(getattr(sim, name)))
+    before = transport.segments_sent + transport.retransmits
+    system.run(window)
+    return inserted / (transport.segments_sent + transport.retransmits - before)
+
+
+def measure_arq_ticket_visits_per_transmission(nodes: int = 16, horizon: float = 4.0) -> float:
+    """Retransmit tickets examined per transmission, counted as calls
+    to ``ReliableTransport._live``, on ``_storm_system``'s lossy storm
+    run. A count: ~1.6 when each
+    ticket is examined once after it is taken and again only while it
+    heads the survivors heap; a watch that rescans every pending
+    ticket per firing reads ~43."""
+    from unittest import mock
+
+    from repro.simnet.transport import ReliableTransport
+
+    visits = 0
+    live = ReliableTransport._live
+
+    def counted(transport, *record):
+        nonlocal visits
+        visits += 1
+        return live(transport, *record)
+
+    system = _storm_system(nodes, horizon)
+    with mock.patch.object(ReliableTransport, "_live", counted):
+        system.run(horizon)
+    transport = system.transport
+    return visits / (transport.segments_sent + transport.retransmits)
+
+
 def measure_segment_path(window: float = 0.3) -> dict:
     """What one segment costs in counts, all deterministic: engine
     events fired and cancelled, ``schedule``/``schedule_at``/
-    ``schedule_from``/``timer`` calls, and Python-level calls as
-    cProfile counts them (C builtins included)."""
+    ``schedule_from``/``schedule_reserved``/``timer`` calls, and
+    Python-level calls as cProfile counts them (C builtins included)."""
     import cProfile
     import pstats
 
@@ -327,7 +379,7 @@ def measure_segment_path(window: float = 0.3) -> dict:
     scheduled = sum(
         calls
         for (path, _line, name), (_cc, calls, *_rest) in stats.stats.items()
-        if name in ("schedule", "schedule_at", "schedule_from", "timer")
+        if name in ("schedule", "schedule_at", "schedule_from", "schedule_reserved", "timer")
         and path.endswith("engine.py")
     )
     return {
@@ -339,13 +391,10 @@ def measure_segment_path(window: float = 0.3) -> dict:
     }
 
 
-def measure_storm_events_per_packet(nodes: int = 16, horizon: float = 4.0) -> float:
-    """Calendar events fired per packet the router handled, on a
-    2 %-loss run under the canned storm plan (three crash-restart
-    outages, a loss window and two degradations). A count, so the host
-    does not enter and it repeats exactly: 2 per packet on the folded
-    hop, 3 on the general one (which only packets near a window edge
-    take), plus the timers of the protocol above."""
+def _storm_system(nodes: int, horizon: float):
+    """A 2 %-loss system under the canned storm plan (three crash-restart
+    outages, a loss window and two degradations), bootstrapped and not
+    yet run."""
     from repro.chaos.plan import storm_plan
     from repro.core.config import timer_regime
     from repro.core.system import RacSystem
@@ -353,6 +402,16 @@ def measure_storm_events_per_packet(nodes: int = 16, horizon: float = 4.0) -> fl
     system = RacSystem(timer_regime("detect", link_loss_rate=0.02), seed=16)
     population = system.bootstrap(nodes)
     storm_plan(nodes, horizon, seed=16).compile_sim(system, population)
+    return system
+
+
+def measure_storm_events_per_packet(nodes: int = 16, horizon: float = 4.0) -> float:
+    """Calendar events fired per packet the router handled, on
+    ``_storm_system``'s lossy storm run. A count, so the host does not
+    enter and it repeats exactly: 2 per packet on the folded hop, 3 on
+    the general one (which only packets near a window edge take), plus
+    the timers of the protocol above."""
+    system = _storm_system(nodes, horizon)
     system.run(horizon)
     network = system.network
     return system.sim.events_processed / (network.packets_delivered + network.packets_dropped)
@@ -542,9 +601,15 @@ GATES = (
     # dict or an object per record above 600
     Gate("receipt_bytes_per_record", measure_receipt_bytes_per_record, "count", bound=220),
     Gate("storm_events_per_packet", measure_storm_events_per_packet, "count", bound=2.2),
-    # only the ARQ timer is a ScheduledEvent; a hop or tick built as one
-    # again points back at the simulator and lifts this above 1
+    # no entry is a ScheduledEvent; a hop or tick built as one again
+    # points back at the simulator and lifts this above 1
     Gate("owned_entries_per_segment", measure_owned_entries_per_segment, "count", bound=1.0),
+    # one watch entry per transport: a timer (or an insertion) per
+    # transmission again reads 1.0
+    Gate("arq_entries_per_segment", measure_arq_entries_per_segment, "count", bound=0.05),
+    # each ticket examined about once: rescanning the pending tickets
+    # at every watch firing reads ~43
+    Gate("arq_ticket_visits_per_transmission", measure_arq_ticket_visits_per_transmission, "count", bound=3),
     # 181 calls with a task switch per frame written, 107 with the I/O in
     # the loop's own callbacks. No wall-clock row: an asyncio loop on a
     # shared host has no steady time per frame

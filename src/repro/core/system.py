@@ -440,10 +440,9 @@ class RacSystem:
         A pending calendar entry reaches a node through its callback;
         the system holds its nodes (in ``nodes`` and as transport
         handlers) while each node points back at it as its environment.
-        Every node is detached (which cancels its ARQ timers, the only
-        entries that point back at the simulator) and the calendar is
-        emptied, so only the simulator's own wiring stays cyclic. The
-        system cannot run afterwards.
+        Every node is detached (which drops its transport handler and
+        ARQ state) and the calendar is emptied, so only the simulator's
+        own wiring stays cyclic. The system cannot run afterwards.
         """
         for node_id in self.nodes:
             self.transport.detach(node_id)

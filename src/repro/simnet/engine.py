@@ -18,15 +18,16 @@ events through this queue):
   entry, so nothing can cancel it. The one cancellable entry is
   :meth:`Simulator.timer`'s :class:`ScheduledEvent`, the same record
   as a list subclass whose ``owner`` points back at the simulator
-  while it is pending (the ARQ's retransmit timer is its user);
+  while it is pending (nothing in a simulation holds one: the ARQ
+  keeps reserved keys instead, see below);
 * :meth:`Simulator.step` is the whole per-event cost: it sheds dead
   heads, stops at the horizon, pops and dispatches in one call, and
   :meth:`Simulator.run` is a loop over it;
 * cancelled timers are counted and the queue is **compacted** when the
   dead entries outnumber half the heap, instead of waiting for each one
-  to surface at the heap head (the ARQ transport cancels one retransmit
-  timer per acknowledged segment, so dead timers otherwise dominate the
-  calendar under load).
+  to surface at the heap head (a caller cancelling one timer per
+  message would otherwise fill the calendar with dead entries under
+  load).
 
 All of it is order-preserving: events fire in exactly ``(time, seq)``
 order with ``seq`` drawn once per ``schedule`` or ``timer`` call, so
@@ -47,9 +48,11 @@ line without the calendar entry: :meth:`Simulator.reserve` draws the
 ``(time, seq)`` key ``schedule`` would have used, and
 :meth:`Simulator.schedule_reserved` inserts an event under that key if
 it turns out to be needed. Every other event keeps its ``seq`` either
-way, so the two spellings replay identically (the predecessor check of
-:mod:`repro.core.node` is the user: one reservation per first-seen
-message, one calendar entry per node and domain).
+way, so the two spellings replay identically. The predecessor check of
+:mod:`repro.core.node` takes one reservation per first-seen message and
+keeps one calendar entry per node and domain; the ARQ transport
+(:mod:`repro.simnet.transport`) takes one per transmission and keeps
+one entry per transport.
 
 The engine knows nothing about networks; :mod:`repro.simnet.network`
 builds the star topology on top of it.
@@ -79,7 +82,8 @@ class SimulationError(Exception):
 
 
 class ScheduledEvent(list):
-    """A cancellable calendar entry, built only by :meth:`Simulator.timer`.
+    """A cancellable calendar entry, built only by :meth:`Simulator.timer`
+    (no simulation component holds one; reserved keys do that job).
 
     The record is the list ``[time, seq, callback, args, owner]`` every
     entry has. ``callback`` is ``None`` once the event is cancelled;

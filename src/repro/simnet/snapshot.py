@@ -76,7 +76,9 @@ __all__ = [
 #: /10: a node keeps no opaque-peel sets.
 #: /11: a calendar entry nobody can cancel (a hop, a tick) pickles as a
 #: plain list; only a pending ARQ timer is a ``ScheduledEvent``.
-SNAPSHOT_MAGIC = b"RACSNAP/11\n"
+#: /12: an unacknowledged segment holds a retransmit ticket, not a
+#: timer, and the ARQ's one watch entry is a plain list too.
+SNAPSHOT_MAGIC = b"RACSNAP/12\n"
 _MAGIC_PREFIX = b"RACSNAP/"
 
 

@@ -13,10 +13,15 @@ black-holes packets, so :class:`ReliableTransport` is a real ARQ:
 * every data segment carries a per-pair sequence number and is
   acknowledged individually by the receiver (ACKs ride the same lossy
   network);
-* unacknowledged segments are retransmitted on a timer with
+* unacknowledged segments are retransmitted after a timeout with
   exponential backoff, bounded by ``max_retries``; exhausting the
   budget fires the ``on_failure`` callback — the peer is *gone*, which
-  is the protocol layer's cue, never a silent wedge;
+  is the protocol layer's cue, never a silent wedge. A transmission
+  takes a *ticket* (:meth:`~repro.simnet.engine.Simulator.reserve`,
+  the ``(time, seq)`` a per-segment timer would have had) instead of a
+  calendar entry, and the transport keeps one armed entry, the
+  *watch*, at its earliest live ticket: an ACK never touches the
+  calendar, and a real timeout fires at exactly its ticket;
 * the retransmission timeout is Jacobson's estimator (smoothed RTT
   plus four mean deviations, clamped to ``[rto_min, rto_max]``) fed by
   timestamp echo (the TCP timestamps option): each transmission
@@ -38,14 +43,17 @@ substrate.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from .engine import ScheduledEvent
 from .network import Packet, StarNetwork
 
 __all__ = ["Segment", "Ack", "ReliableTransport"]
 
 Pair = Tuple[int, int]
+#: A reserved ``(time, seq)`` place in the calendar (see
+#: :meth:`repro.simnet.engine.Simulator.reserve`).
+Ticket = Tuple[float, int]
 
 
 class Segment:
@@ -84,14 +92,16 @@ class Ack:
 class _Outstanding:
     """Sender-side state of one unacknowledged segment."""
 
-    __slots__ = ("payload", "seqno", "size_bytes", "attempts", "timer")
+    __slots__ = ("payload", "seqno", "size_bytes", "attempts", "ticket")
 
     def __init__(self, payload: Any, seqno: int, size_bytes: int) -> None:
         self.payload = payload
         self.seqno = seqno
         self.size_bytes = size_bytes  # wire size including the transport header
         self.attempts = 0
-        self.timer: "Optional[ScheduledEvent]" = None
+        #: The latest transmission's ticket: its timeout is live while
+        #: this record is outstanding and holds that ticket.
+        self.ticket: "Optional[Ticket]" = None
 
 
 class _SendState:
@@ -155,6 +165,10 @@ class ReliableTransport:
         "_handlers",
         "_senders",
         "_receivers",
+        "_watch",
+        "_armed",
+        "_fresh",
+        "_survivors",
         "segments_sent",
         "retransmits",
         "acks_sent",
@@ -191,6 +205,19 @@ class ReliableTransport:
         self._handlers: Dict[int, Callable[[int, Any], None]] = {}
         self._senders: Dict[Pair, _SendState] = {}
         self._receivers: Dict[Pair, _RecvState] = {}
+        # Retransmit bookkeeping. A record is ``(ticket, pair, seqno)``;
+        # it is live while ``_live`` says so, and dies lazily otherwise.
+        #: Ticket of the watch, the entry that re-arms at the earliest
+        #: live ticket when it fires; ``None`` when nothing is live.
+        self._watch: "Optional[Ticket]" = None
+        #: Tickets with a calendar entry still to fire (the watch, and
+        #: any watch a smaller ticket since undercut).
+        self._armed: "Set[Ticket]" = set()
+        #: Records taken since the watch last fired, oldest first.
+        self._fresh: "List[Tuple[Ticket, Pair, int]]" = []
+        #: A heap of the records live when the watch last fired, pruned
+        #: at its head only.
+        self._survivors: "List[Tuple[Ticket, Pair, int]]" = []
 
         self.segments_sent = 0
         self.retransmits = 0
@@ -212,14 +239,15 @@ class ReliableTransport:
         Clearing both sender- and receiver-side state matters: a node
         that crashes and later re-attaches must start every pair at
         seqno 0 on both ends, or its fresh segments would be mistaken
-        for stale duplicates and wedge the peer's hold-back queue.
+        for stale duplicates and wedge the peer's hold-back queue. The
+        dropped segments' tickets die with their records: a ticket is
+        matched to its record, never to a ``(pair, seqno)`` the next
+        incarnation reuses.
         """
         self._handlers.pop(node_id, None)
         self.network.detach(node_id)
         for pair in [p for p in self._senders if node_id in p]:
-            for out in self._senders.pop(pair).outstanding.values():
-                if out.timer is not None:
-                    out.timer.cancel()
+            del self._senders[pair]
         for pair in [p for p in self._receivers if node_id in p]:
             del self._receivers[pair]
 
@@ -244,7 +272,7 @@ class ReliableTransport:
         # waits out the backlog ahead of it in the sender's *own*
         # uplink queue (knowable locally: it is the node's NIC queue) —
         # no ACK can possibly arrive before the packet has even left.
-        # Arming the timer from enqueue time without that term turns
+        # A deadline counted from enqueue time without that term turns
         # every local backlog into a spurious retransmission (which
         # then deepens the backlog).
         uplink = network.uplinks.get(src)
@@ -258,13 +286,44 @@ class ReliableTransport:
         interval = state.rto * (2 ** out.attempts)
         if interval > self.rto_max:
             interval = self.rto_max
-        out.timer = self.sim.timer(own_queue + interval, self._on_timeout, pair, out.seqno)
+        ticket = out.ticket = self.sim.reserve(own_queue + interval)
+        record = (ticket, pair, out.seqno)
+        self._fresh.append(record)
+        watch = self._watch
+        if watch is None or ticket < watch:
+            self._arm(*record)
 
-    def _on_timeout(self, pair: Pair, seqno: int) -> None:
+    def _arm(self, ticket: Ticket, pair: Pair, seqno: int) -> None:
+        """Make ``ticket`` the watch, inserting its entry unless it has one."""
+        self._watch = ticket
+        armed = self._armed
+        if ticket not in armed:
+            armed.add(ticket)
+            self.sim.schedule_reserved(ticket, self._on_timeout, ticket, pair, seqno)
+
+    def _live(self, ticket: Ticket, pair: Pair, seqno: int) -> bool:
+        """Whether ``ticket`` is the pending timeout of an outstanding
+        segment. The ticket decides: ``(pair, seqno)`` only finds the
+        candidate, which a crash-restart may have replaced by a fresh
+        segment under the same seqno and a later ticket."""
         state = self._senders.get(pair)
-        out = state.outstanding.get(seqno) if state is not None else None
-        if out is None:
-            return  # acknowledged (or pair detached) before the timer fired
+        if state is None:
+            return False
+        out = state.outstanding.get(seqno)
+        return out is not None and out.ticket == ticket
+
+    def _on_timeout(self, ticket: Ticket, pair: Pair, seqno: int) -> None:
+        """An armed ticket's instant: time the segment out if the ticket
+        is still live, then, if this entry is the watch, re-arm it."""
+        self._armed.discard(ticket)
+        if self._live(ticket, pair, seqno):
+            self._time_out(pair, seqno)
+        if ticket == self._watch:
+            self._rewatch()
+
+    def _time_out(self, pair: Pair, seqno: int) -> None:
+        state = self._senders[pair]
+        out = state.outstanding[seqno]
         src, dst = pair
         if not self.network.attached(src):
             del state.outstanding[seqno]
@@ -279,14 +338,34 @@ class ReliableTransport:
         self.retransmits += 1
         self._transmit(pair, state, out)
 
+    def _rewatch(self) -> None:
+        """Arm the watch at the earliest live ticket, or disarm it.
+
+        Each record taken since the last firing is examined once here;
+        only the live ones join the survivors heap, whose dead head
+        records are dropped as they surface.
+        """
+        survivors = self._survivors
+        live = self._live
+        fresh = self._fresh
+        for record in fresh:
+            if live(*record):
+                heappush(survivors, record)
+        fresh.clear()
+        while survivors:
+            record = survivors[0]
+            if live(*record):
+                self._arm(*record)
+                return
+            heappop(survivors)
+        self._watch = None
+
     def _on_ack(self, pair: Pair, ack: Ack) -> None:
         """Settle the segment ``ack`` names on the data pair ``pair``."""
         state = self._senders.get(pair)
         out = state.outstanding.pop(ack.seqno, None) if state is not None else None
         if out is None:
             return  # duplicate ACK for an already-settled segment
-        if out.timer is not None:
-            out.timer.cancel()
         # The echoed timestamp names the exact transmission being
         # acknowledged, so the sample is valid even for retransmits.
         # Jacobson & Karn: smoothed RTT plus four mean deviations.

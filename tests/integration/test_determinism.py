@@ -20,6 +20,7 @@ only when a change removes or adds events on purpose.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 
 from repro.core.config import RacConfig
@@ -31,14 +32,17 @@ from repro.simnet.engine import Simulator
 # the seed (pre-optimisation) implementation and never moved since.
 EXPECTED_SIM_OBSERVABLE = "d1e89f6293a36901f5b54abf55565251f59437b17a17736d505515d15ee6a099"
 EXPECTED_DH_OBSERVABLE = "152ea5a04ae842234cd5c8b731185b9cf5da9f252b2ff15cb7d4d92254cfe0cd"
-# The same plus the final clock and event count. Re-recorded twice, each
-# time for the event count alone: when predecessor checks that find
-# nothing stopped being events (the seed's values were e13a6c05... and
-# 28466e14...), and when the router -> downlink hop of an overtaking-free
-# star stopped being one (3a4a6280... and e17c928e... before). The
-# observable digests above were the same before and after both.
-EXPECTED_SIM = "253beb411e8522bebb4d938b9cd440cf6de87badcd49406708cc7e57a5bf243b"
-EXPECTED_DH = "f0c7afc555c9e56323d191babb36df91532024e836ea5d121344da4c10fa78c6"
+# The same plus the final clock and event count. Re-recorded three
+# times, each time for the event count alone: when predecessor checks
+# that find nothing stopped being events (the seed's values were
+# e13a6c05... and 28466e14...), when the router -> downlink hop of an
+# overtaking-free star stopped being one (3a4a6280... and e17c928e...
+# before), and when the ARQ's per-segment timers became tickets behind
+# one watch entry, whose firings on settled tickets are new events
+# (253beb41... and f0c7afc5... before). The observable digests above
+# were the same before and after all three.
+EXPECTED_SIM = "aad1b3997f0e803b575ec55e59d099908111c22076518db1eb8cbc51be986298"
+EXPECTED_DH = "c887bf69f838cc762e5b1ba39f45e6f0a206fd00459b89075e3453fc186c116b"
 
 
 class _RecordingSystem(RacSystem):
@@ -214,12 +218,27 @@ EXPECTED_ORDER_FREERIDER_TIMES = (
     "2842428fac176592d60c3241cdb2496693d19107f672d7c5d928412393331653",
 )
 EXPECTED_VERDICTS_FREERIDER = "4a009575d08ee23af59af29757374a069ba20c1f6e0e95b66aa211dfe7489b56"
+# Events each pinned run fired while every transmission armed its own
+# retransmit timer and every ACK cancelled it (recorded on the commit
+# before retransmit tickets). The order hashes leave out exactly the
+# ARQ firings that find their ticket settled, so a run's events less
+# those firings must equal its count here.
+TIMER_EVENTS = {"lossy": 222_592, "wan": 69_081, "freerider": 97_764, "storm": 204_547}
 
 
 class _OrderRecordingSimulator(Simulator):
     """Folds every dispatched event into ``order_hash`` from inside the
     real ``run`` loop (``RacSystem`` instances are re-classed onto it).
-    Callbacks named in ``order_skip`` fire but are left out of the hash."""
+    Callbacks named in ``order_skip`` fire but are left out of the hash.
+
+    An ARQ entry that finds its ticket settled (acknowledged, or
+    retransmitted under a later ticket) fires but is left out of every
+    hash: it changes no state, and the per-segment timer it replaces
+    was cancelled instead of firing. ``arq_firings`` counts the ARQ
+    entries by what they found: ``settled`` ones (left out),
+    ``superseded`` ones (a smaller ticket undercut them as the watch
+    before they fired) and ``watch_retransmits`` (the watch fired on a
+    live ticket and retransmitted)."""
 
     order_skip = ()
     #: ``times_hashes`` fold ``(time, callback)`` without ``seq`` and
@@ -231,11 +250,24 @@ class _OrderRecordingSimulator(Simulator):
 
     def step(self, until=None):
         self.peek_time()  # shed dead heads: the head is now the next live event
-        # entries are read by index: a hop is a plain list, only an ARQ
-        # timer a ``ScheduledEvent``
+        # entries are read by index: a hop is a plain list
         head = self._queue[0] if self._queue else None
         name = head[2].__qualname__ if head is not None else None
+        arq = name == "ReliableTransport._on_timeout"
+        if arq:
+            transport = head[2].__self__
+            watch = head[3][0] == transport._watch  # args: (ticket, pair, seqno)
+            live = transport._live(*head[3])
+            retransmits = transport.retransmits
         fired = super().step(until)
+        if fired and arq:
+            if not watch:
+                self.arq_firings["superseded"] += 1
+            if not live:
+                self.arq_firings["settled"] += 1
+                return fired
+            if watch and transport.retransmits > retransmits:
+                self.arq_firings["watch_retransmits"] += 1
         if fired and name not in self.order_skip:
             self.order_hash.update(f"{head[0]!r}|{head[1]}|{name}|".encode())
             if name not in self.times_skip:
@@ -244,12 +276,18 @@ class _OrderRecordingSimulator(Simulator):
                         stream.update(f"{head[0]!r}|{name}|".encode())
         return fired
 
+    def events_without_settled_arq(self) -> int:
+        """Events fired, less the settled ARQ firings the hashes leave out:
+        the count a per-segment timer that was cancelled on every ACK fired."""
+        return self.events_processed - self.arq_firings["settled"]
+
 
 def _order_recording_system(config: RacConfig, seed: int, topology=None) -> RacSystem:
     system = RacSystem(config, seed=seed, topology=topology)
     system.sim.__class__ = _OrderRecordingSimulator
     system.sim.order_hash = hashlib.sha256()
     system.sim.times_hashes = (hashlib.sha256(), hashlib.sha256())
+    system.sim.arq_firings = collections.Counter()
     return system
 
 
@@ -333,15 +371,22 @@ def test_lossy_crash_restart_event_order_is_pinned():
     # the run must actually walk the paths the pin is there to guard
     assert report["transport_retransmits"] > 0
     assert report["net_dropped_loss"] > 0 and report["net_dropped_outage"] > 0
-    assert report["sim_events_cancelled"] > 0 and report["sim_queue_compactions"] > 0
+    # ... and the ARQ's: retransmissions the watch fired, a watch that
+    # found its ticket settled, and an undercut arm (an entry no longer
+    # the watch when it fired: a smaller ticket was armed past it)
+    firings = system.sim.arq_firings
+    assert firings["watch_retransmits"] > 0 and firings["settled"] > 0
+    assert firings["superseded"] > 0
     assert not system.evicted
     assert system.sim.order_hash.hexdigest() == EXPECTED_ORDER_LOSSY
+    assert system.sim.events_without_settled_arq() == TIMER_EVENTS["lossy"]
 
 
 def test_wan_king_event_order_is_pinned():
     system = wan_event_order()
     assert any(key.startswith("net_pair_delayed_") for key in system.stats_report())
     assert system.sim.order_hash.hexdigest() == EXPECTED_ORDER_WAN
+    assert system.sim.events_without_settled_arq() == TIMER_EVENTS["wan"]
 
 
 def test_freerider_verdicts_and_event_order_are_pinned():
@@ -361,6 +406,7 @@ def test_freerider_verdicts_and_event_order_are_pinned():
     assert tuple(h.hexdigest() for h in system.sim.times_hashes) == EXPECTED_ORDER_FREERIDER_TIMES
     assert system.sim.order_hash.hexdigest() == EXPECTED_ORDER_FREERIDER
     assert verdicts == EXPECTED_VERDICTS_FREERIDER
+    assert system.sim.events_without_settled_arq() == TIMER_EVENTS["freerider"]
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +420,11 @@ EXPECTED_STORM_TIMES = (
 # The digest and the two ``(time, callback)`` streams were recorded on
 # the commit before fault-plan edges stopped switching the folded hop
 # off for the whole run, and did not move; the event count was 294,758
-# there (every packet on the three-event hop from t = 0).
-EXPECTED_STORM_EVENTS = 204_547
+# there (every packet on the three-event hop from t = 0). It was
+# re-recorded once more, 204,547 -> 204,713, when retransmit timers
+# became tickets: the 166 new events are watch firings on settled
+# tickets (see ``TIMER_EVENTS``).
+EXPECTED_STORM_EVENTS = 204_713
 
 
 def storm_event_order():
@@ -423,3 +472,4 @@ def test_storm_plan_run_is_pinned():
     assert observable == EXPECTED_STORM_OBSERVABLE
     assert tuple(h.hexdigest() for h in system.sim.times_hashes) == EXPECTED_STORM_TIMES
     assert system.sim.events_processed == EXPECTED_STORM_EVENTS
+    assert system.sim.events_without_settled_arq() == TIMER_EVENTS["storm"]

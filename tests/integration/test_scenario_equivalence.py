@@ -24,6 +24,17 @@ scheduled degradation from switching that fold off for the whole run:
 only packets near an edge of the fault plan still pay the hop. Its
 ``counters_observable`` twin was recorded on the commit before and did
 not move.
+And once more for all nine ``counters`` digests and the protocol
+workload's metrics digest, on the commit that turned the ARQ's
+per-transmission timers into tickets behind one watch entry: nothing is
+cancelled any more (``sim_events_cancelled`` and
+``sim_queue_compactions`` read 0), and the watch's firings on settled
+tickets are new events. ``counters`` before: campaign-false-accuser
+9f7c5b9d…, campaign-frame 2c5aeb86…, campaign-storm cf1911b4…,
+chaos-smoke 80158abe…, monolithic 5559194b…, parity b49e3c5b…,
+protocol aa5c53c5…, topo-churn 2cd6ed8b…, topo-deviant 90b6c52f…; the
+metrics digest 55a06817… (``events_processed`` 17,533 → 17,692). No
+other digest moved.
 
 Each digest is the first 16 hex digits of a SHA-256 over:
 
@@ -77,7 +88,7 @@ CELLS = {
         lambda: run_cell(
             Scenario.from_params({"plan": "smoke", "nodes": 6, "horizon": 12.0}, 3, "chaos")
         ),
-        dict(counters="80158abe7a7572a8", counters_observable="8b9015edeb7153a5",
+        dict(counters="c7b4268890cffb34", counters_observable="8b9015edeb7153a5",
              delivered="da31a4f1faecaf46", evictions="4f53cda18c2baa0c", report="53a1d4b9b6e8e985"),
         (),
     ),
@@ -90,7 +101,7 @@ CELLS = {
                 "topo",
             )
         ),
-        dict(counters="90b6c52fef7ff06a", delivered="8923b5f77c4de573",
+        dict(counters="f79e190d5979c5c8", delivered="8923b5f77c4de573",
              evictions="4f53cda18c2baa0c", report="37f201636e80fca5", metrics="eb223b54b84875ff"),
         TOPO_KEYS,
     ),
@@ -101,7 +112,7 @@ CELLS = {
                 {"topology": "planet-diurnal", "nodes": 9, "horizon": 12.0, "churn": 1}, 1, "topo"
             )
         ),
-        dict(counters="2cd6ed8b7cef6f53", delivered="843b9b8d90f04c41",
+        dict(counters="32abe0ab6386ccc2", delivered="843b9b8d90f04c41",
              evictions="4f53cda18c2baa0c", report="87f034b5081c8283", metrics="c39834532700e944"),
         TOPO_KEYS,
     ),
@@ -110,7 +121,7 @@ CELLS = {
         lambda: campaign_cell(
             {"strategy": "silent-relay", "plan": "storm", "nodes": 10, "horizon": 12.0}, 0
         ),
-        dict(counters="cf1911b455cceeb1", counters_observable="56caec1e5117c5c6",
+        dict(counters="27f2de2be7fb5646", counters_observable="56caec1e5117c5c6",
              delivered="8aaddb1c194dca14", evictions="0646cb8e8c5ac2f5",
              report="5e515fde426221e1", metrics="a7c34eb3655a4b86"),
         CAMPAIGN_KEYS,
@@ -129,7 +140,7 @@ CELLS = {
             },
             0,
         ),
-        dict(counters="2c5aeb8678fbc0cd", counters_observable="e5a2f8db627b06cf",
+        dict(counters="0c625006f55ea6bf", counters_observable="e5a2f8db627b06cf",
              delivered="95e268b0279005e9", evictions="2a5b18661819f676",
              report="ba7da1ba77e63f6f", metrics="1b8fa5a86e22f3d9"),
         CAMPAIGN_KEYS,
@@ -139,7 +150,7 @@ CELLS = {
             {"strategy": "false-accuser", "plan": "none", "loss": 0.0, "nodes": 10, "horizon": 12.0},
             0,
         ),
-        dict(counters="9f7c5b9df0126753", counters_observable="3c17de684eb52136",
+        dict(counters="10fa397b89fed83f", counters_observable="3c17de684eb52136",
              delivered="729f1341e5e5c605", evictions="4f53cda18c2baa0c",
              report="ba9345b86e439db4", metrics="e2046808a1851027"),
         CAMPAIGN_KEYS,
@@ -147,7 +158,7 @@ CELLS = {
     # run_monolithic(ScaleSpec(nodes=32, num_shards=2, horizon=2.0))
     "monolithic": (
         lambda: run_cell(ScaleSpec(nodes=32, num_shards=2, horizon=2.0).scenario()),
-        dict(counters="5559194b59c04b8f", counters_observable="a4ffdb67191a7397",
+        dict(counters="8bced9c1e3cd892e", counters_observable="a4ffdb67191a7397",
              delivered="ce573696f0f3b6a7", evictions="4f53cda18c2baa0c"),
         (),
     ),
@@ -156,14 +167,14 @@ CELLS = {
         lambda: run_cell(
             Scenario(nodes=6, horizon=4.0, regime="wall", traffic="ring", messages=2, tag="live")
         ),
-        dict(counters="b49e3c5b23b23ee8", counters_observable="844ca0c1d372dd66",
+        dict(counters="d115ec6a74b9286d", counters_observable="844ca0c1d372dd66",
              delivered="bc7697545303f6cd", evictions="4f53cda18c2baa0c"),
         (),
     ),
     # protocol_run(PROTOCOL_PARAMS, 5, WorkerContext())
     "protocol": (
         lambda: run_cell(Scenario.from_params(PROTOCOL_PARAMS, 5, "protocol")),
-        dict(counters="aa5c53c545daeeea", counters_observable="4f0c0c4eea3c5e02",
+        dict(counters="81121a1eaba2157b", counters_observable="4f0c0c4eea3c5e02",
              delivered="1efbae31a95149d8", evictions="4f53cda18c2baa0c"),
         (),
     ),
@@ -199,4 +210,4 @@ def test_the_one_runner_reproduces_the_parent(name):
 
 def test_protocol_workload_metrics_match_the_parent():
     metrics = protocol_run(PROTOCOL_PARAMS, 5, WorkerContext())
-    assert metrics_digest(metrics, PROTOCOL_KEYS) == "55a068170adb90c1"
+    assert metrics_digest(metrics, PROTOCOL_KEYS) == "c7e7af4ce5eaedbe"

@@ -6,7 +6,11 @@ the footnote-6 contract protocol code relies on:
 * every sent message is delivered **exactly once**;
 * deliveries between a given (src, dst) pair happen **in send order**;
 * two runs with the same seed produce **identical delivery traces**
-  (the replay guarantee every debugging session depends on).
+  (the replay guarantee every debugging session depends on);
+* retransmit tickets behind one watch entry time out exactly what a
+  cancellable timer per transmission would: the same retransmissions
+  and the same give-ups, at the same instants, under loss, outages and
+  crash-restarts.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -14,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.simnet.engine import Simulator
 from repro.simnet.faults import FaultInjector
 from repro.simnet.network import StarNetwork
-from repro.simnet.transport import ReliableTransport
+from repro.simnet.transport import ReliableTransport, Segment
 
 NODES = (1, 2, 3)
 
@@ -82,3 +86,122 @@ def test_lossless_run_has_no_retransmissions(plan, seed):
     assert transport.retransmits == 0
     assert transport.duplicates == 0
     assert sorted(delivered) == list(range(len(plan)))
+
+
+class _TimerPerSegment(ReliableTransport):
+    """Reference ARQ: every transmission arms its own cancellable timer
+    (``Simulator.timer``, which draws the ``seq`` a ticket draws), and
+    every ACK and every detach cancels the timers it settles."""
+
+    __slots__ = ("timers",)
+
+    def __init__(self, network, **kwargs):
+        super().__init__(network, **kwargs)
+        self.timers = {}
+
+    def _transmit(self, pair, state, out):
+        src, dst = pair
+        now = self.sim.now
+        uplink = self.network.uplinks.get(src)
+        own_queue = max(uplink.busy_until - now, 0.0) if uplink is not None else 0.0
+        self.network.send(src, dst, Segment(out.seqno, out.payload, now), out.size_bytes)
+        interval = min(state.rto * 2**out.attempts, self.rto_max)
+        self.timers[out] = self.sim.timer(own_queue + interval, self._on_timer, pair, out)
+
+    def _on_timer(self, pair, out):
+        del self.timers[out]
+        self._time_out(pair, out.seqno)
+
+    def _on_ack(self, pair, ack):
+        state = self._senders.get(pair)
+        out = state.outstanding.get(ack.seqno) if state is not None else None
+        if out is not None:
+            self.timers.pop(out).cancel()
+        super()._on_ack(pair, ack)
+
+    def detach(self, node_id):
+        for pair, state in self._senders.items():
+            if node_id in pair:
+                for out in state.outstanding.values():
+                    self.timers.pop(out).cancel()
+        super().detach(node_id)
+
+
+def _logging(base):
+    """``base`` that logs ``(time, pair, seqno)`` of every retransmission."""
+
+    class Logging(base):
+        __slots__ = ("log",)
+
+        def _transmit(self, pair, state, out):
+            if out.attempts:
+                self.log.append((self.sim.now, pair, out.seqno))
+            super()._transmit(pair, state, out)
+
+    return Logging
+
+
+#: (kind, node, other node, at, length): a send from node to other at
+#: ``at``, a crash-restart of node down for ``length``, or an outage of
+#: node's links for ``length``.
+fault_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("send", "send", "crash", "outage")),
+        st.sampled_from(NODES),
+        st.sampled_from(NODES),
+        st.floats(0.0, 1.0),
+        st.floats(0.005, 0.5),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def arq_log(cls, ops, seed, loss):
+    """Retransmissions and give-ups, in order, of ``cls`` on ``ops``."""
+    sim = Simulator()
+    faults = FaultInjector(sim, seed=seed, loss_rate=loss)
+    net = StarNetwork(sim, bandwidth_bps=1_000_000, faults=faults)
+    log = []
+    transport = _logging(cls)(
+        net,
+        rto_initial=0.02,
+        rto_max=0.2,
+        max_retries=3,
+        on_failure=lambda src, dst, payload: log.append((sim.now, (src, dst), "failed", payload)),
+    )
+    transport.log = log
+
+    def handler(src, payload):
+        pass
+
+    def send(src, dst, index):
+        if net.attached(src):
+            transport.send(src, dst, index, 20 + (index % 7) * 300)
+
+    def crash(node, downtime):
+        if net.attached(node):
+            transport.detach(node)
+            sim.schedule(downtime, restart, node)
+
+    def restart(node):
+        if not net.attached(node):
+            transport.attach(node, handler)
+
+    for node in NODES:
+        transport.attach(node, handler)
+    for index, (kind, node, other, at, length) in enumerate(ops):
+        if kind == "send" and node != other:
+            sim.schedule(at, send, node, other, index)
+        elif kind == "crash":
+            sim.schedule(at, crash, node, length)
+        elif kind == "outage":
+            faults.schedule_outage(node, at, length)
+    sim.run()
+    return log
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=fault_ops, seed=st.integers(0, 2**32 - 1), loss=st.floats(0.0, 0.3))
+def test_tickets_time_out_what_a_timer_per_segment_would(ops, seed, loss):
+    assert arq_log(ReliableTransport, ops, seed, loss) == arq_log(_TimerPerSegment, ops, seed, loss)

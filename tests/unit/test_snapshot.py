@@ -130,6 +130,22 @@ class _Rac9Node:
         return object.__new__, (RacNode,), (None, slots)
 
 
+def _rac11_outstanding() -> bytes:
+    """Pickles the way a ``RACSNAP/11`` unacknowledged segment did: with
+    its own retransmit timer in a ``timer`` slot it no longer has."""
+    from repro.simnet.transport import _Outstanding
+
+    sim = Simulator()
+    timer = sim.timer(0.5, _noop)
+    slots = {"payload": b"x", "seqno": 0, "size_bytes": 50, "attempts": 0, "timer": timer}
+
+    class Rac11Outstanding:
+        def __reduce_ex__(self, protocol):
+            return object.__new__, (_Outstanding,), (None, slots)
+
+    return pickle.dumps(Rac11Outstanding())
+
+
 def _rac10_calendar() -> bytes:
     """Pickles the way a ``RACSNAP/10`` calendar did: every pending
     entry, a hop nobody holds included, a ``ScheduledEvent`` pointing
@@ -241,11 +257,10 @@ class TestSnapshotInvariants:
             assert getattr(restored.faults, name) == getattr(faults, name)
         for name in ("_deliver", "_enqueue_downlink", "_at_router", "_scale_links"):
             assert _pending(restored, name) == _pending(system, name)
-        # a hop comes back a plain list nobody owns, only an ARQ timer
-        # a handle owned by the restored simulator
-        kinds = {(type(event), event[4] is restored.sim) for event in restored.sim._queue
-                 if event[2] is not None}
-        assert kinds == {(list, False), (ScheduledEvent, True)}
+        # every entry comes back an exact list nobody owns, the ARQ's
+        # watch included
+        assert {(type(event), event[4]) for event in restored.sim._queue} == {(list, None)}
+        assert _pending(restored, "_on_timeout") == _pending(system, "_on_timeout") != []
         for _ in range(4):
             system.run(0.25)
             restored.run(0.25)
@@ -434,6 +449,7 @@ class TestSnapshotErrors:
         # A RACSNAP/9 node carries opaque-peel sets it has no slot for.
         # A RACSNAP/10 hop would even unpickle, as a cancellable entry
         # that holds its simulator: only the header can turn it away.
+        # A RACSNAP/11 unacknowledged segment holds a timer, not a ticket.
         body = pickle.dumps((_Rac2Event(), _Rac3Monitor()))
         for stale in (_Rac2Event(), _Rac3Monitor()):
             with pytest.raises(AttributeError):
@@ -450,12 +466,15 @@ class TestSnapshotErrors:
         rac10 = _rac10_calendar()
         (hop,) = pickle.loads(rac10)._queue
         assert type(hop) is ScheduledEvent and hop[4] is not None
+        rac11 = _rac11_outstanding()
+        with pytest.raises(AttributeError, match="timer"):
+            pickle.loads(rac11)
         bodies = {version: body for version in ("1", "2", "3", "4", "5", "6")}
-        stale = {**bodies, "7": rac7, "8": rac8, "9": rac9, "10": rac10}
+        stale = {**bodies, "7": rac7, "8": rac8, "9": rac9, "10": rac10, "11": rac11}
         for version, stale_body in stale.items():
             old = f"RACSNAP/{version}\n".encode() + stale_body
             with pytest.raises(
-                SnapshotError, match=f"version mismatch: blob is RACSNAP/{version},.*RACSNAP/11"
+                SnapshotError, match=f"version mismatch: blob is RACSNAP/{version},.*RACSNAP/12"
             ):
                 restore_system(old)
             path = tmp_path / "old.snap"

@@ -289,6 +289,43 @@ class TestDetachStateCleared:
         assert transport.in_flight(1, 2) == 0
 
 
+class TestRetransmitTickets:
+    """A transmission takes a ticket, and one watch entry per transport
+    stands at the earliest live one."""
+
+    def test_acks_leave_one_arq_entry_in_the_calendar(self):
+        sim, _net, transport = make()
+        for node in (1, 2, 3):
+            transport.attach(node, lambda *a: None)
+        for i in range(20):
+            transport.send(1 + i % 3, 1 + (i + 1) % 3, i, 100)
+        arq = [entry for entry in sim._queue if entry[2] == transport._on_timeout]
+        assert len(arq) == 1 and arq[0][3][0] == transport._watch
+        sim.run()
+        assert transport.retransmits == 0 and transport._watch is None
+
+    def test_a_stale_watch_never_times_out_the_next_incarnation(self):
+        # The old incarnation's watch entry fires while the re-attached
+        # pair has a segment out under the same seqno: the ticket, not
+        # (pair, seqno), decides, so nothing retransmits before the new
+        # segment's own ticket.
+        sim, _net, transport = make(rto_initial=0.5)
+        transport.attach(1, lambda *a: None)
+        transport.send(1, 2, "old", 10)  # 2 is not attached: lost at the router
+        stale = transport._watch
+        sim.run(until=0.1)
+        transport.detach(1)  # crash...
+        transport.attach(1, lambda *a: None)  # ...and restart
+        sim.run(until=0.2)
+        transport.send(1, 2, "new", 10)  # seqno 0 again
+        fresh = transport._senders[(1, 2)].outstanding[0].ticket
+        assert transport._watch == stale and stale[0] < fresh[0] - 1e-3
+        sim.run(until=fresh[0] - 1e-3)  # the stale entry has fired
+        assert transport.retransmits == 0 and transport._watch == fresh
+        sim.run(until=fresh[0])
+        assert transport.retransmits == 1
+
+
 class TestWireTypes:
     def test_segment_fields(self):
         segment = Segment(3, "payload", ts=1.25)
