@@ -391,6 +391,47 @@ def measure_segment_path(window: float = 0.3) -> dict:
     }
 
 
+def measure_python_calls_per_segment() -> float:
+    """``measure_segment_path``'s Python calls per segment (cProfile, C
+    builtins included), deterministic on the flood shape. 89.4 while a
+    broadcast copy built a frozen dataclass, raised and caught an
+    ``AuthenticationError`` per trial key, re-read its receipt through
+    ``copies_from`` and asked a faultless injector for a verdict; 88.0
+    without."""
+    return measure_segment_path()["python_calls_per_segment"]
+
+
+def measure_peel_miss_raises_per_trial(window: float = 0.3) -> float:
+    """``AuthenticationError`` instances created per trial open (one key
+    tried on one broadcast, counted as ``KeyPair.open`` calls) over one
+    ``window`` of simulated seconds on ``_flood_system()``, where ~99.7%
+    of trials miss. A count: 1.0 while a miss raised and caught the
+    error, 0.0 since ``peel`` asks ``open``, which answers None."""
+    from unittest import mock
+
+    from repro.crypto.keys import AuthenticationError, KeyPair
+
+    raised = trials = 0
+    init, open_box = AuthenticationError.__init__, KeyPair.open
+
+    def counted_init(error, *args):
+        nonlocal raised
+        raised += 1
+        init(error, *args)
+
+    def counted_open(pair, blob):
+        nonlocal trials
+        trials += 1
+        return open_box(pair, blob)
+
+    system = _flood_system()
+    with mock.patch.object(AuthenticationError, "__init__", counted_init), mock.patch.object(
+        KeyPair, "open", counted_open
+    ):
+        system.run(window)
+    return raised / trials
+
+
 def _storm_system(nodes: int, horizon: float):
     """A 2 %-loss system under the canned storm plan (three crash-restart
     outages, a loss window and two degradations), bootstrapped and not
@@ -610,6 +651,11 @@ GATES = (
     # each ticket examined about once: rescanning the pending tickets
     # at every watch firing reads ~43
     Gate("arq_ticket_visits_per_transmission", measure_arq_ticket_visits_per_transmission, "count", bound=3),
+    # the per-copy path: 89.4 with a frozen-dataclass copy, a raised miss
+    # per trial key, a second receipt read and a faultless fault check
+    Gate("python_calls_per_segment", measure_python_calls_per_segment, "count", bound=88.5),
+    # a trial peel that misses raises nothing: 1.0 while each miss raised
+    Gate("peel_miss_raises_per_trial", measure_peel_miss_raises_per_trial, "count", bound=0.05),
     # 181 calls with a task switch per frame written, 107 with the I/O in
     # the loop's own callbacks. No wall-clock row: an asyncio loop on a
     # shared host has no steady time per frame

@@ -14,7 +14,7 @@ or ``("channel", (gid_a, gid_b))`` with ``gid_a < gid_b``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 __all__ = [
     "DomainId",
@@ -42,13 +42,15 @@ def channel_domain(gid_a: int, gid_b: int) -> DomainId:
     return ("channel", pair)
 
 
-@dataclass(frozen=True, slots=True)
-class Broadcast:
+class Broadcast(NamedTuple):
     """One padded onion blob in flight on the rings of ``domain``.
 
     ``msg_id`` is the hash of the (unpadded) sealed blob, so the sender
     of an onion can predict the ids of every layer's broadcast and run
     the relay check of Section IV-C.
+
+    A node builds one per ring copy, so it is a named tuple: immutable,
+    hashed and compared by value, and cheap to build.
     """
 
     domain: DomainId

@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from ..crypto.hashes import message_id, sha256_int
 from ..crypto.keys import KeyPair, PublicKey
-from ..overlay.broadcast import BroadcastState, CopyKey
+from ..overlay.broadcast import FIRST_COPY, REPLAYED_COPY, BroadcastState, CopyKey
 from .behavior import HonestBehavior
 from .blacklist import Blacklist, EvictionTracker
 from .config import RacConfig
@@ -446,9 +446,9 @@ class RacNode:
         state = self._states.get(domain)
         if state is None:
             state = self.state_for(domain)
-        is_new = state.on_receive(msg_id, from_key, now)
+        receipt = state.on_receive(msg_id, from_key, now)
 
-        if is_new and domain[0] == "group" and self.behavior.should_run_checks(self):
+        if receipt == FIRST_COPY and domain[0] == "group" and self.behavior.should_run_checks(self):
             # Check 3 counts *first copies*: an originator's direct copy
             # always reaches its successors before any two-hop path, so
             # first-copy counts are the one stream statistic that
@@ -456,13 +456,12 @@ class RacNode:
             # are uniform across predecessors — everyone forwards
             # everything). See DESIGN.md "reproduction findings".
             self.rate_monitor.record(src, now)
-
-        if state.copies_from(msg_id, from_key) > 1:
+        elif receipt == REPLAYED_COPY:
             self._accuse(src, domain, "replay", msg_id)
 
         self.relay_monitor.observe(msg_id)
 
-        if not is_new:
+        if receipt != FIRST_COPY:
             monitor = self._pred_monitors.get(domain)
             if monitor is not None:
                 monitor.on_copy(msg_id, from_key)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..crypto.hashes import message_id
-from ..crypto.keys import AuthenticationError, KeyPair, PublicKey, seal, sealed_overhead
+from ..crypto.keys import KeyPair, PublicKey, seal, sealed_overhead
 
 __all__ = ["BuiltOnion", "PeelResult", "build_onion", "build_noise", "peel", "wrap_wire", "unwrap_wire", "onion_capacity"]
 
@@ -163,7 +163,7 @@ def build_noise(padded_size: int, rng: random.Random) -> bytes:
 # Peeling
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class PeelResult:
     """Outcome of one node's attempt to decipher a broadcast.
 
@@ -184,6 +184,11 @@ class PeelResult:
     payload: Optional[bytes] = None
 
 
+#: Every miss answers with this one result; it is frozen, so sharing it
+#: is safe.
+_OPAQUE = PeelResult(kind="opaque")
+
+
 def peel(
     wire: bytes,
     id_keypair: Optional[KeyPair],
@@ -195,35 +200,31 @@ def peel(
 
     Mirrors Section IV-C's receive procedure: try the ID key first (am
     I a relay?), then the pseudonym key (am I the destination?), else
-    the message is opaque.
+    the message is opaque. Nearly every trial misses, so each is a
+    :meth:`KeyPair.open <repro.crypto.keys.KeyPair.open>`, which answers
+    None instead of raising.
     """
     try:
         blob = unwrap_wire(wire)
     except ValueError:
-        return PeelResult(kind="opaque")
+        return _OPAQUE
 
     if id_keypair is not None:
-        try:
-            content = id_keypair.unseal(blob)
-        except AuthenticationError:
-            content = None
+        content = id_keypair.open(blob)
         if content is not None:
             return _parse_relay_layer(content, padded_size, rng)
 
     if pseudonym_keypair is not None:
-        try:
-            content = pseudonym_keypair.unseal(blob)
-        except AuthenticationError:
-            content = None
+        content = pseudonym_keypair.open(blob)
         if content is not None:
             return _parse_deliver_layer(content)
 
-    return PeelResult(kind="opaque")
+    return _OPAQUE
 
 
 def _parse_relay_layer(content: bytes, padded_size: int, rng) -> PeelResult:
     if not content or content[0] != FLAG_RELAY:
-        return PeelResult(kind="opaque")  # decipher fluke; not a layer
+        return _OPAQUE  # decipher fluke; not a layer
     offset = 1
     marker = int.from_bytes(content[offset : offset + _MARKER_LEN], "big")
     offset += _MARKER_LEN
@@ -231,7 +232,7 @@ def _parse_relay_layer(content: bytes, padded_size: int, rng) -> PeelResult:
     offset += _LEN_PREFIX.size
     inner_blob = content[offset : offset + inner_len]
     if len(inner_blob) != inner_len:
-        return PeelResult(kind="opaque")
+        return _OPAQUE
     return PeelResult(
         kind="relay",
         inner_wire=wrap_wire(inner_blob, padded_size, rng=rng),
@@ -242,9 +243,9 @@ def _parse_relay_layer(content: bytes, padded_size: int, rng) -> PeelResult:
 
 def _parse_deliver_layer(content: bytes) -> PeelResult:
     if not content or content[0] != FLAG_DELIVER:
-        return PeelResult(kind="opaque")
+        return _OPAQUE
     (payload_len,) = _LEN_PREFIX.unpack_from(content, 1)
     payload = content[1 + _LEN_PREFIX.size : 1 + _LEN_PREFIX.size + payload_len]
     if len(payload) != payload_len:
-        return PeelResult(kind="opaque")
+        return _OPAQUE
     return PeelResult(kind="deliver", payload=payload)

@@ -26,7 +26,9 @@ Two interchangeable backends provide the asymmetric primitive:
     substitution is recorded in DESIGN.md section 2.
 
 Protocol code never branches on the backend: it calls
-:func:`KeyPair.generate`, :func:`seal` and :meth:`KeyPair.unseal` only.
+:func:`KeyPair.generate`, :func:`seal` and :meth:`KeyPair.unseal` only,
+or :meth:`KeyPair.open` where a box that does not open is the common
+answer (a trial peel).
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class PublicKey:
 class KeyPair:
     """A private/public key pair under one of the two backends."""
 
-    __slots__ = ("backend", "public", "_private")
+    __slots__ = ("backend", "public", "_private", "_header")
 
     def __init__(self, backend: str, public: PublicKey, _private) -> None:
         self.backend = backend
@@ -78,6 +80,11 @@ class KeyPair:
         self._private = _private
         if backend == "dh" and not isinstance(_private, _dh.DHPrivateKey):
             raise TypeError("dh backend requires a DHPrivateKey")
+        #: What every box sealed to this key starts with: the backend's
+        #: tag and, on the sim backend, the key id.
+        self._header = (
+            _TAG_DH if backend == "dh" else _TAG_SIM + public.key_id.to_bytes(_SIM_KEYID_LEN, "big")
+        )
 
     @classmethod
     def generate(
@@ -115,48 +122,48 @@ class KeyPair:
         """Open a sealed box. Raises :class:`AuthenticationError` if the
         box was not sealed to this key (this is the paper's per-layer
         deciphering "flag": a failed unseal means *not for me*)."""
-        if not blob:
-            raise AuthenticationError("empty sealed box")
-        # The miss path of a trial peel (2*G runs per onion layer): header
-        # fields are read at their offsets and the body reaches the MAC
-        # as one view, never as a copy.
-        tag = blob[:1]
-        if tag == _TAG_SIM:
-            return self._unseal_sim(blob)
-        if tag == _TAG_DH:
-            return self._unseal_dh(blob)
-        raise AuthenticationError("unknown sealed-box format")
+        plaintext = self.open(blob)
+        if plaintext is None:
+            raise AuthenticationError("sealed box does not open under this key")
+        return plaintext
 
-    def _unseal_sim(self, blob: bytes) -> bytes:
-        if self.backend != "sim":
-            raise AuthenticationError("sealed box uses the sim backend")
-        nonce_at = 1 + _SIM_KEYID_LEN
-        body_at = nonce_at + _SIM_NONCE_LEN
-        if len(blob) < body_at:
-            raise AuthenticationError("sealed box too short")
-        key_id = int.from_bytes(blob[1:nonce_at], "big")
-        if key_id != self.public.key_id:
-            raise AuthenticationError("sealed box addressed to a different key")
-        sym = _sim_symmetric_key(key_id)
-        return _stream.decrypt(sym, blob[nonce_at:body_at], memoryview(blob)[body_at:])
+    def open(self, blob: bytes) -> "Optional[bytes]":
+        """Open a sealed box; None where :meth:`unseal` raises.
 
-    def _unseal_dh(self, blob: bytes) -> bytes:
-        if self.backend != "dh":
-            raise AuthenticationError("sealed box uses the dh backend")
-        group = self._private.group
-        body_at = 1 + (group.prime.bit_length() + 7) // 8
-        if len(blob) < body_at:
-            raise AuthenticationError("sealed box too short")
-        eph_bytes = blob[1:body_at]
-        eph = int.from_bytes(eph_bytes, "big")
-        # 0, 1 and p+1 give every exponent the same "secret", p-1 every
-        # odd one: a box built on one of them would open under every
-        # key and the per-layer flag would stop meaning "for me".
-        if not 2 <= eph <= group.prime - 2:
-            raise AuthenticationError("degenerate ephemeral key")
-        shared = self._private.shared_secret(_dh.DHPublicKey(group, eph))
-        nonce = hashlib.sha256(b"rac/seal-nonce" + eph_bytes).digest()[:16]
-        return _stream.decrypt(shared, nonce, memoryview(blob)[body_at:])
+        The trial primitive: a node tries every broadcast it first sees
+        with its keys and almost every trial misses. A box sealed to
+        another sim key, or under the other backend, fails the header
+        check without raising or allocating; the body reaches the MAC
+        as one view, never as a copy."""
+        if not blob.startswith(self._header):
+            return None
+        if self.backend == "sim":
+            nonce_at = 1 + _SIM_KEYID_LEN
+            body_at = nonce_at + _SIM_NONCE_LEN
+            if len(blob) < body_at:
+                return None
+            sym = _sim_symmetric_key(self.public.key_id)
+            nonce = blob[nonce_at:body_at]
+        else:
+            group = self._private.group
+            body_at = 1 + (group.prime.bit_length() + 7) // 8
+            if len(blob) < body_at:
+                return None
+            eph_bytes = blob[1:body_at]
+            eph = int.from_bytes(eph_bytes, "big")
+            # 0, 1 and p+1 give every exponent the same "secret", p-1
+            # every odd one: a box built on one of them would open under
+            # every key and the per-layer flag would stop meaning "for me".
+            if not 2 <= eph <= group.prime - 2:
+                return None
+            sym = self._private.shared_secret(_dh.DHPublicKey(group, eph))
+            nonce = hashlib.sha256(b"rac/seal-nonce" + eph_bytes).digest()[:16]
+        # A DH miss is only found here, by the MAC, after an
+        # exponentiation that costs hundreds of times the exception.
+        try:
+            return _stream.decrypt(sym, nonce, memoryview(blob)[body_at:])
+        except AuthenticationError:
+            return None
 
 
 @functools.lru_cache(maxsize=8192)

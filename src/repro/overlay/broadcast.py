@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
-__all__ = ["CopyKey", "BroadcastState"]
+__all__ = ["CopyKey", "BroadcastState", "FIRST_COPY", "LATER_COPY", "REPLAYED_COPY"]
 
 
 #: A copy's provenance: (predecessor node id, ring index). The paper's
@@ -22,6 +22,11 @@ __all__ = ["CopyKey", "BroadcastState"]
 #: <repro.overlay.rings.RingTopology.predecessor_key>`, so every copy
 #: over one ring edge carries the same tuple.
 CopyKey = Tuple[int, int]
+
+#: What :meth:`BroadcastState.on_receive` answers for one copy.
+LATER_COPY = 0
+FIRST_COPY = 1
+REPLAYED_COPY = 2
 
 
 class BroadcastState:
@@ -47,8 +52,11 @@ class BroadcastState:
     def __contains__(self, msg_id: int) -> bool:
         return msg_id in self._records
 
-    def on_receive(self, msg_id: int, from_key: "Optional[CopyKey]", now: float) -> bool:
-        """Record one received copy; True iff this is the first copy.
+    def on_receive(self, msg_id: int, from_key: "Optional[CopyKey]", now: float) -> int:
+        """Record one received copy and say which it was: the message's
+        :data:`FIRST_COPY` (truthy), a :data:`LATER_COPY` (falsy) or a
+        :data:`REPLAYED_COPY` — a later copy over a ring edge that had
+        already delivered one (check 2's replay).
 
         ``from_key`` is ``None`` for self-originated messages (a node
         "receives" its own broadcast when it initiates it).
@@ -57,10 +65,11 @@ class BroadcastState:
         record = records.get(msg_id)
         if record is None:
             records[msg_id] = (now,) if from_key is None else (now, from_key)
-            return True
-        if from_key is not None:
-            records[msg_id] = record + (from_key,)
-        return False
+            return FIRST_COPY
+        if from_key is None:
+            return LATER_COPY
+        records[msg_id] = record + (from_key,)
+        return REPLAYED_COPY if from_key in record else LATER_COPY
 
     def copies_from(self, msg_id: int, from_key: CopyKey) -> int:
         record = self._records.get(msg_id)

@@ -26,10 +26,11 @@ edges, so the injector keeps the state of the present stretch — links
 down, partitions open, the edge behind and the edge ahead — and
 re-derives it when the clock crosses the next edge or a window is
 scheduled. :class:`repro.simnet.network.StarNetwork` consults
-:meth:`FaultInjector.drop_reason` once per packet at the router and
-counts the verdicts (``packets_dropped`` / ``bytes_dropped``), then
-reads ``quiet_from`` / ``quiet_until`` to tell whether the packet's
-flight to its downlink is clear of edges.
+:meth:`FaultInjector.drop_reason` once per packet at the router unless
+the injector is :attr:`~FaultInjector.faultless`, counts the verdicts
+(``packets_dropped`` / ``bytes_dropped``), then reads ``quiet_from`` /
+``quiet_until`` to tell whether the packet's flight to its downlink is
+clear of edges.
 """
 
 from __future__ import annotations
@@ -117,14 +118,19 @@ class FaultInjector:
         self._down: Set[Tuple[int, str]] = set()
         self._open: List[Partition] = []
         self._network = None
-        #: True while no loss is configured and no window was ever
-        #: scheduled — the common (paper-faithful) case, in which the
-        #: per-packet verdict short-circuits without touching the RNG
-        #: (it would not draw anyway: the Bernoulli draw is skipped at
-        #: p == 0).
+        #: See :attr:`faultless`.
         self._faultless = True
         if loss_rate:
             self.set_loss_rate(loss_rate)
+
+    @property
+    def faultless(self) -> bool:
+        """True while no loss is configured and no window was ever
+        scheduled — the common (paper-faithful) case, in which every
+        verdict is None and the router does not ask for one. Nothing
+        touches the RNG either way: the Bernoulli draw is skipped at
+        p == 0."""
+        return self._faultless
 
     def bind(self, network) -> None:
         """Attach to the network whose links degradations will scale."""

@@ -307,7 +307,7 @@ class StarNetwork:
             self._drop(packet, "detached")
             return
         faults = self.faults
-        if faults is not None:
+        if faults is not None and not faults.faultless:
             reason = faults.drop_reason(src, dst)
             if reason is not None:
                 self._drop(packet, reason)

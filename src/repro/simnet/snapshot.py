@@ -78,7 +78,9 @@ __all__ = [
 #: plain list; only a pending ARQ timer is a ``ScheduledEvent``.
 #: /12: an unacknowledged segment holds a retransmit ticket, not a
 #: timer, and the ARQ's one watch entry is a plain list too.
-SNAPSHOT_MAGIC = b"RACSNAP/12\n"
+#: /13: a ``Broadcast`` in flight is a named tuple and a key pair holds
+#: its sealed-box header.
+SNAPSHOT_MAGIC = b"RACSNAP/13\n"
 _MAGIC_PREFIX = b"RACSNAP/"
 
 

@@ -16,7 +16,7 @@ non-monotone first-seen times too.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.overlay.broadcast import BroadcastState
+from repro.overlay.broadcast import FIRST_COPY, LATER_COPY, REPLAYED_COPY, BroadcastState
 
 MSG_IDS = [11, 12, 13, 14]
 KEYS = [None, (1, 0), (4, 0), (2, 1), (1, 2)]
@@ -47,9 +47,12 @@ class ReferenceState:
         is_new = record is None
         if record is None:
             record = self.records[msg_id] = ReferenceRecord(now)
+        copies = 0
         if from_key is not None:
-            record.copies_from[from_key] = record.copies_from.get(from_key, 0) + 1
-        return is_new
+            copies = record.copies_from[from_key] = record.copies_from.get(from_key, 0) + 1
+        if is_new:
+            return FIRST_COPY
+        return REPLAYED_COPY if copies > 1 else LATER_COPY
 
     def copies_from(self, msg_id, from_key):
         record = self.records.get(msg_id)

@@ -14,10 +14,26 @@ from hypothesis import given, settings, strategies as st
 from repro.core.onion import build_onion, peel, unwrap_wire, wrap_wire
 from repro.core.wire import WireError, decode_message, encode_message
 from repro.core.messages import Broadcast, group_domain
-from repro.crypto.keys import AuthenticationError, KeyPair
+from repro.crypto.keys import AuthenticationError, KeyPair, seal
 
 _ID_KEY = KeyPair.generate("sim", seed=1)
 _PSEUD_KEY = KeyPair.generate("sim", seed=2)
+_DH_KEY = KeyPair.generate("dh", seed=3)
+_PAYLOAD = b"genuine payload"
+_BOXES = [(key, seal(key.public, _PAYLOAD, seed=4)) for key in (_ID_KEY, _DH_KEY)]
+
+
+def _open_matches_unseal(blob, owner=None):
+    """Under a key of either backend, ``unseal`` fails only with
+    ``AuthenticationError`` and the trial primitive ``open`` answers its
+    bytes, or None exactly where it raises; only ``owner`` opens ``blob``."""
+    for key in (_ID_KEY, _DH_KEY):
+        try:
+            expected = key.unseal(blob)
+        except AuthenticationError:
+            expected = None
+        assert key.open(blob) == expected
+        assert expected == (_PAYLOAD if key is owner else None)
 
 
 class TestDecoderFuzz:
@@ -67,6 +83,12 @@ class TestPeelFuzz:
             assert result.inner_msg_id == onion.layer_msg_ids[1]
         else:
             assert result.kind == "opaque"
+        for owner, box in _BOXES:
+            _open_matches_unseal(box, owner)
+            flipped = bytearray(box)
+            flipped[position % len(box)] ^= 1 << bit
+            _open_matches_unseal(bytes(flipped))
+            _open_matches_unseal(box[: position % len(box)])
 
     @settings(max_examples=100)
     @given(st.binary(min_size=0, max_size=100))
@@ -82,7 +104,4 @@ class TestUnsealFuzz:
     @settings(max_examples=200)
     @given(st.binary(min_size=0, max_size=256))
     def test_arbitrary_blobs_raise_authentication_error(self, blob):
-        try:
-            _ID_KEY.unseal(blob)
-        except AuthenticationError:
-            pass
+        _open_matches_unseal(blob)

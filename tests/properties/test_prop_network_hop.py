@@ -167,6 +167,11 @@ class _EdgeBlind:
 
     def __init__(self, faults):
         self.drop_reason = faults.drop_reason
+        self._faults = faults
+
+    @property
+    def faultless(self):
+        return self._faults.faultless
 
 
 class _ForgetfulStar(_FoldedStar):

@@ -91,8 +91,10 @@ class TestDegenerateEphemeral:
         nonce = hashlib.sha256(b"rac/seal-nonce" + eph_bytes).digest()[:16]
         blob = b"D" + eph_bytes + stream.encrypt(shared, nonce, b"relay this for me")
         for seed in range(10):
+            pair = KeyPair.generate("dh", seed=seed)
             with pytest.raises(AuthenticationError):
-                KeyPair.generate("dh", seed=seed).unseal(blob)
+                pair.unseal(blob)
+            assert pair.open(blob) is None
 
 
 class TestTrialMissesRetainNothing:

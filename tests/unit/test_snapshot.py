@@ -146,6 +146,21 @@ def _rac11_outstanding() -> bytes:
     return pickle.dumps(Rac11Outstanding())
 
 
+def _rac12_keypair() -> bytes:
+    """Pickles the way a ``RACSNAP/12`` key pair did: without the
+    sealed-box header a trial open now starts from."""
+    from repro.crypto.keys import KeyPair
+
+    pair = KeyPair.generate("sim", seed=12)
+    slots = {"backend": pair.backend, "public": pair.public, "_private": pair._private}
+
+    class Rac12KeyPair:
+        def __reduce_ex__(self, protocol):
+            return object.__new__, (KeyPair,), (None, slots)
+
+    return pickle.dumps(Rac12KeyPair())
+
+
 def _rac10_calendar() -> bytes:
     """Pickles the way a ``RACSNAP/10`` calendar did: every pending
     entry, a hop nobody holds included, a ``ScheduledEvent`` pointing
@@ -450,6 +465,7 @@ class TestSnapshotErrors:
         # A RACSNAP/10 hop would even unpickle, as a cancellable entry
         # that holds its simulator: only the header can turn it away.
         # A RACSNAP/11 unacknowledged segment holds a timer, not a ticket.
+        # A RACSNAP/12 key pair unpickles without its sealed-box header.
         body = pickle.dumps((_Rac2Event(), _Rac3Monitor()))
         for stale in (_Rac2Event(), _Rac3Monitor()):
             with pytest.raises(AttributeError):
@@ -469,12 +485,15 @@ class TestSnapshotErrors:
         rac11 = _rac11_outstanding()
         with pytest.raises(AttributeError, match="timer"):
             pickle.loads(rac11)
+        rac12 = _rac12_keypair()
+        with pytest.raises(AttributeError, match="_header"):
+            pickle.loads(rac12).open(b"S")
         bodies = {version: body for version in ("1", "2", "3", "4", "5", "6")}
-        stale = {**bodies, "7": rac7, "8": rac8, "9": rac9, "10": rac10, "11": rac11}
+        stale = {**bodies, "7": rac7, "8": rac8, "9": rac9, "10": rac10, "11": rac11, "12": rac12}
         for version, stale_body in stale.items():
             old = f"RACSNAP/{version}\n".encode() + stale_body
             with pytest.raises(
-                SnapshotError, match=f"version mismatch: blob is RACSNAP/{version},.*RACSNAP/12"
+                SnapshotError, match=f"version mismatch: blob is RACSNAP/{version},.*RACSNAP/13"
             ):
                 restore_system(old)
             path = tmp_path / "old.snap"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.messages import Accusation, Broadcast, channel_domain, group_domain
 from repro.core.wire import WireError, decode_message, encode_message, encoded_size
+from repro.simnet.snapshot import restore_system, snapshot_system
 
 BIG = (1 << 127) + 12345
 
@@ -16,6 +17,17 @@ class TestRoundtrips:
     def test_broadcast_channel(self):
         msg = Broadcast(channel_domain(9, 2), BIG, b"x", 0)
         assert decode_message(encode_message(msg)) == msg
+
+    def test_broadcast_is_an_immutable_value_record(self):
+        msg = Broadcast(group_domain(7), BIG, b"wire", 3)
+        twin = Broadcast(("group", 7), BIG, b"wire", 3)
+        assert msg == twin and hash(msg) == hash(twin)
+        assert msg != Broadcast(group_domain(7), BIG, b"wire", 2)
+        assert repr(msg) == f"Broadcast(domain=('group', 7), msg_id={BIG}, wire=b'wire', ring_index=3)"
+        with pytest.raises(AttributeError):
+            msg.ring_index = 0
+        restored = restore_system(snapshot_system({"in flight": msg}, verify=True))["in flight"]
+        assert type(restored) is Broadcast and restored == msg
 
     def test_accusation_with_msg_id(self):
         msg = Accusation(BIG, BIG - 1, group_domain(1), "missing-copy", 42)
