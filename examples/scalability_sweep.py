@@ -19,7 +19,7 @@ def main() -> None:
     print()
     print(render_claims())
     print()
-    print("packet-level validation point (small N; see DESIGN.md #3):")
+    print("packet-level validation point (small N; see DESIGN.md §2):")
     measurement = measure_rac_throughput(10, warmup=0.5, duration=2.0, seed=3)
     print(
         f"  N={measurement.nodes}: measured {measurement.measured_bps_per_node:,.0f} b/s "

@@ -12,7 +12,7 @@ Formula provenance (each function quotes its paper location):
   The in-text value 5.7e-25 for (N=1e5, G=1000, f=5 %, L=5) matches the
   same expression with ``X+1`` factors in the second product; Table I's
   7.3e-22 at f=10 % matches the formula as written. Both variants are
-  implemented (``variant="as_written" | "quoted"``); see DESIGN.md.
+  implemented (``variant="as_written" | "quoted"``); see DESIGN.md §2.
 * RAC sender anonymity (no groups): the opponent's fN nodes are all in
   the single group, so the probability a random L+1-relay path (the L
   relays plus, in the paper's counting, the exposed first hop) is

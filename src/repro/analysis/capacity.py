@@ -2,7 +2,7 @@
 
 RAC's costs make capacity planning unusually clean, because the
 protocol's defining property — every group member transmits every
-slot, message or cover — fixes the arithmetic (DESIGN.md §4):
+slot, message or cover — fixes the arithmetic (DESIGN.md §2):
 
 * one origination slot floods one padded message of ``M`` bytes over
   ``R`` rings: per-member work ``R·g·M·8`` bits per slot in a group of

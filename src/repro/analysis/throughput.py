@@ -10,7 +10,7 @@ On that ideal network the unique bottleneck is a node's own link. If
 delivering one anonymous message requires the bottleneck participant to
 transmit ``k`` message-copies, and ``m`` concurrent senders share that
 participant, the sustainable per-flow goodput is ``C / (k · m)``.
-DESIGN.md §4 derives ``k·m`` per protocol:
+DESIGN.md §2 derives ``k·m`` per protocol:
 
 ================  =======================  ==========================
 protocol          bottleneck               per-flow goodput

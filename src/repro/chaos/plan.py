@@ -519,7 +519,7 @@ def membership_plan(population: int, horizon: float, seed: int = 0) -> FaultPlan
 
     Churn starts at half the horizon because an onion in flight across
     a split blames its honest first relay one ``relay_timeout`` later
-    (DESIGN.md §15): the plan is clean on runs shorter than twice that
+    (DESIGN.md §5): the plan is clean on runs shorter than twice that
     timeout, which the chaos harness's regimes give."""
     if population < 4:
         raise ValueError("the membership plan needs at least 4 nodes")

@@ -194,7 +194,7 @@ class RacConfig:
         interval is R * G * M bytes, and the uplink is full when the
         interval equals that work's serialization time. (The (L+1)
         broadcasts per *anonymous message* then divide the delivered
-        goodput down to the paper's C / ((L+1) R G) — DESIGN.md §4.)
+        goodput down to the paper's C / ((L+1) R G) — DESIGN.md §2.)
         """
         work_bits = self.num_rings * group_size * self.message_size * 8
         return work_bits / self.link_bandwidth_bps

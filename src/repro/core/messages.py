@@ -4,7 +4,7 @@ Nodes send each other two messages: :class:`Broadcast`, a padded onion
 blob flooding the rings of one *domain* (a group or a channel), and
 :class:`Accusation`, a clear predecessor accusation. The join
 handshake, READY, eviction notices and the blacklist shuffle run
-in-process (DESIGN §1); :class:`JoinRequest` is the record the
+in-process (DESIGN.md §1); :class:`JoinRequest` is the record the
 in-process join hands its verifiers, not a wire frame.
 
 Domains are identified by :class:`DomainId`: either ``("group", gid)``

@@ -26,7 +26,7 @@ retransmission recovery budget (enforced at bootstrap by
 ``RacSystem._validate_timers``). An outage longer than
 ``predecessor_timeout`` remains indistinguishable from freeriding: that
 is the protocol's documented accountability/availability trade-off, not
-a bug (see DESIGN.md "Fault model").
+a bug (see DESIGN.md §3).
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ class PredecessorMonitor:
     meanwhile is pruned via :meth:`forget_node`.
 
     The caller applies two topology-race excusals around that frozen
-    set (DESIGN.md §8): a freshly-established ring edge gets one
+    set (DESIGN.md §3): a freshly-established ring edge gets one
     timeout of grace before it is ever *added* to an owed set (messages
     can be in flight across the re-stitch, in which case the new
     predecessor forwarded them to its old successor), and a missing

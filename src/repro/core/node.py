@@ -454,7 +454,7 @@ class RacNode:
             # first-copy counts are the one stream statistic that
             # attributes origination rates (ordinary per-stream counts
             # are uniform across predecessors — everyone forwards
-            # everything). See DESIGN.md "reproduction findings".
+            # everything). See DESIGN.md §3.
             self.rate_monitor.record(src, now)
         elif receipt == REPLAYED_COPY:
             self._accuse(src, domain, "replay", msg_id)

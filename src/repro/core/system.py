@@ -10,7 +10,7 @@ directory, the channel directory and the population of
 * the ``env`` interface nodes talk to (clock, unicast, views, eviction
   reporting).
 
-Simulation-level simplifications, recorded here and in DESIGN.md:
+Simulation-level simplifications, recorded here and in DESIGN.md §1:
 
 * All correct nodes share the membership views held by the directory
   instead of replaying join/eviction broadcasts against private copies.

@@ -23,7 +23,7 @@ Two interchangeable backends provide the asymmetric primitive:
     used), but the payload is only obfuscated, not protected. Orders of
     magnitude faster; used for large-population simulations where the
     experiment measures message flow, not confidentiality. This
-    substitution is recorded in DESIGN.md section 2.
+    substitution is recorded in DESIGN.md §2.
 
 Protocol code never branches on the backend: it calls
 :func:`KeyPair.generate`, :func:`seal` and :meth:`KeyPair.unseal` only,

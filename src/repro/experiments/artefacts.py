@@ -114,7 +114,7 @@ def _figure3() -> Built:
 
 def _figure3_empirical_point() -> Built:
     # Small N: a 100k-node packet simulation in pure Python is exactly
-    # the intractability DESIGN.md substitution 3 documents.
+    # the intractability DESIGN.md §2 (substitution 3) documents.
     m = measure_rac_throughput(10, warmup=0.5, duration=2.0, seed=3)
     text = (
         f"packet-level RAC @ N={m.nodes}: measured {m.measured_bps_per_node:.0f} b/s per node, "

@@ -24,7 +24,7 @@ __all__ = ["RacMeasurement", "measure_rac_throughput"]
 #: ``RacConfig.small`` at saturation. Event count scales with C
 #: (saturation interval ~ 1/C), and both the measurement and the model
 #: scale linearly in C, so a slower link keeps pure-Python packet
-#: simulation tractable without touching the comparison (DESIGN.md
+#: simulation tractable without touching the comparison (DESIGN.md §2,
 #: substitution 3). No shuffles during the measurement.
 SATURATION = dict(
     send_interval=None,

@@ -4,7 +4,7 @@ results/coalition_frontier.txt.
 Three cells on 8 shards whose planted members span several group
 bundles: a no-coalition control that must evict nobody, a shield
 coalition whose eviction set must be exactly its member set (the
-cross-shard consistency contract, DESIGN.md §17), and shield under a
+cross-shard consistency contract, DESIGN.md §4), and shield under a
 full-density storm, which is reported but deliberately *not* gated.
 There the relay monitor blames the first silent relay of onions cut
 down by partitions and crash windows, and because relay blacklists

@@ -27,7 +27,7 @@ lets a coalition span shard bundles: each shard process builds its own
 coordinator from the same :class:`~repro.simnet.shard.ScaleSpec`
 planning data, and all replicas agree on every decision without any
 cross-shard channel — the same property that keeps the sharded run
-equivalent to the monolithic one (DESIGN.md §14, §17).
+equivalent to the monolithic one (DESIGN.md §4).
 """
 
 from __future__ import annotations

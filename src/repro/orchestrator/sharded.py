@@ -361,7 +361,7 @@ def verify_sharded(
     Equivalence is defined on the protocol's outcomes — the delivered
     payload multiset and the eviction set (ids + groups + evidence
     kind) — not on event schedules, which legitimately interleave
-    differently across engines (DESIGN.md §14).
+    differently across engines (DESIGN.md §4).
 
     ``evictions_only`` relaxes the comparison to the eviction set — the
     right oracle under a fault plan, where Bernoulli loss windows draw

@@ -8,7 +8,7 @@
   suppression and predecessor accounting.
 
 Every node of one system reads the same in-process views (the
-shared-view simplification, DESIGN §1): no replica folds membership
+shared-view simplification, DESIGN.md §1): no replica folds membership
 events of its own.
 """
 

@@ -18,7 +18,7 @@ broadcasts. The sharded simulator exploits exactly that:
   giving the run a stable, fingerprintable cross-shard schedule.
 
 What is and is not bit-identical to the monolithic engine is documented
-in DESIGN.md §14; the load-bearing equivalence (same delivered-payload
+in DESIGN.md §4; the load-bearing equivalence (same delivered-payload
 multiset, same eviction set at N=64) is asserted by
 ``tests/integration/test_sharded_equivalence.py`` and ``make
 scale-smoke``.

@@ -25,8 +25,8 @@ class ChaosScenario:
         timers = dict(relay_timeout=1.2, predecessor_timeout=0.7, rate_window=1.5)
         if loss_rate:
             # Loss delays deliveries by up to a few RTOs; the checks
-            # must leave the ARQ that recovery budget (DESIGN.md
-            # "Fault model") or loss reads as freeriding.
+            # must leave the ARQ that recovery budget (DESIGN.md §3)
+            # or loss reads as freeriding.
             timers = dict(relay_timeout=2.0, predecessor_timeout=1.2, rate_window=2.0)
         self.config = RacConfig.small(
             group_min=3,

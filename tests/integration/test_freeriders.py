@@ -98,7 +98,7 @@ class TestSilentRelay:
 
 class TestNoNoise:
     def test_forwarding_no_noise_freerider_evades_detection(self):
-        """Reproduction finding (documented in DESIGN.md): a freerider
+        """Reproduction finding (DESIGN.md §3): a freerider
         that skips noise but keeps forwarding cannot be attributed by
         stream statistics — everyone forwards everything, so its
         stream differs from an honest one by a single first-copy per

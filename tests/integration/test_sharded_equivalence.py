@@ -1,6 +1,6 @@
 """Sharded-vs-monolithic equivalence and merge-layer guarantees.
 
-The sharded simulator's contract (DESIGN.md §14): same spec, same
+The sharded simulator's contract (DESIGN.md §4): same spec, same
 seed — the delivered-payload multiset and the eviction set match the
 monolithic run exactly; the cross-shard schedule (barrier contents and
 per-shard fingerprints) is byte-identical across repeat runs; and an
@@ -69,7 +69,7 @@ class TestCoalitionEquivalence:
     # A shield coalition spanning shard bundles: the coordinator is
     # rebuilt per process from the ScaleSpec planning data, so the
     # sharded eviction set must match the monolithic one exactly
-    # (DESIGN.md §17). Deliveries are compared too — no plan, so the
+    # (DESIGN.md §4). Deliveries are compared too — no plan, so the
     # full multiset contract applies.
     COALITION_SPEC = ScaleSpec(
         nodes=64,

@@ -15,16 +15,16 @@ Both worlds are compared modulo one thing: the order in which
 ``_deliver`` entries due at one bit-identical instant fire. The fold
 draws a folded ``_deliver``'s ``seq`` at router time, the hop at
 downlink time, so when one of two such deliveries is folded and the
-other takes the hop, they fire in opposite orders (DESIGN's documented
-difference). Nothing at that instant depends on the order: each hands a
-packet to a different node. But a node answering from inside
-``_deliver`` sends in that order, and the router's loss draws then go to
-the answers in that order, so with loss on, the two worlds drop
-different answers. Equal loss draws across such a tie would require the
-reference's tie order, which is exactly what the fold gives up and what
-no network could observe: two events at one instant are simultaneous,
-and ``tests/integration/test_tie_order.py`` holds whole runs to the same
-standard.
+other takes the hop, they fire in opposite orders (the documented
+difference of DESIGN.md §3). Nothing at that instant depends on the
+order: each hands a packet to a different node. But a node answering
+from inside ``_deliver`` sends in that order, and the router's loss
+draws then go to the answers in that order, so with loss on, the two
+worlds drop different answers. Equal loss draws across such a tie would
+require the reference's tie order, which is exactly what the fold gives
+up and what no network could observe: two events at one instant are
+simultaneous, and ``tests/integration/test_tie_order.py`` holds whole
+runs to the same standard.
 So both worlds run on :class:`_DeliveryOrderSimulator`, which fires the
 tied deliveries of an instant in order of destination in both, and the
 comparison stays bit for bit on every instant, tally, drop and draw.
@@ -305,7 +305,7 @@ gaps = st.one_of(
 )
 directions = st.sampled_from(["up", "down", "both"])
 # A window that opens less than one propagation delay after the call that
-# schedules it finds packets already folded at the old rate (DESIGN §9,
+# schedules it finds packets already folded at the old rate (DESIGN.md §3,
 # the documented difference); from one delay on the fold is exact.
 degrade_offsets = st.one_of(
     st.floats(min_value=50e-6, max_value=3e-4, allow_nan=False),

@@ -89,13 +89,21 @@ def test_module_surface(module_name):
         assert name in module.__all__, f"{name} missing from {module_name}.__all__"
 
 
-def _design_section(number: int) -> str:
-    design = (pathlib.Path(__file__).resolve().parents[2] / "DESIGN.md").read_text(encoding="utf-8")
-    return design.split(f"\n## {number}. ")[1].split("\n## ")[0]
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+
+def _design() -> str:
+    return (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+
+
+def _design_section(title: str) -> str:
+    """The body of DESIGN.md's ``## N. <title>`` section, found by its
+    title so that renumbering the document cannot move a test."""
+    return re.split(rf"\n## \d+\. {re.escape(title)}\n", _design())[1].split("\n## ")[0]
 
 
 def test_every_module_design_md_inventories_imports():
-    modules = set(re.findall(r"`(repro(?:\.[a-z_0-9]+)+)`", _design_section(1)))
+    modules = set(re.findall(r"`(repro(?:\.[a-z_0-9]+)+)`", _design_section("Architecture")))
     assert len(modules) > 40
     for name in sorted(modules):
         importlib.import_module(name)
@@ -106,21 +114,87 @@ def test_design_md_package_layout_lists_every_package():
 
     root = pathlib.Path(repro.__file__).parent
     packages = {path.parent.name for path in root.glob("*/__init__.py")}
-    listed = set(re.findall(r"^  ([a-z_]+)/ ", _design_section(5), re.M))
+    listed = set(re.findall(r"^  ([a-z_]+)/ ", _design_section("Package layout"), re.M))
     assert packages <= listed, sorted(packages - listed)
 
 
+#: Where prose, comments and docstrings cite DESIGN.md sections.
+CITING = ("src", "tests", "examples", "README.md", "EXPERIMENTS.md", "PROTOCOL.md")
+
+
+def _files(names, suffixes):
+    """Every file named, and every file with one of ``suffixes`` under
+    each directory named."""
+    for name in names:
+        path = ROOT / name
+        if path.is_dir():
+            yield from sorted(f for f in path.rglob("*") if f.suffix in suffixes)
+        else:
+            yield path
+
+
+def test_every_design_md_section_reference_names_a_heading():
+    """``DESIGN.md §N`` (or ``DESIGN §N``, a list such as ``§14, §17``
+    included) outside the document, and a bare ``§N`` inside it, names
+    an existing ``## N.`` heading. Paper sections (``§IV-C``) are roman
+    and not read."""
+    design = _design()
+    headings = set(re.findall(r"^## (\d+)\. ", design, re.M))
+    cited = [("DESIGN.md", number) for number in re.findall(r"§(\d+)", design)]
+    for path in _files(CITING, (".py", ".md")):
+        text = path.read_text(encoding="utf-8")
+        for match in re.finditer(r"DESIGN(?:\.md)?\s+(§\d+(?:(?:,\s*|\s+and\s+)§\d+)*)", text):
+            cited += [(path.relative_to(ROOT), number) for number in re.findall(r"\d+", match[1])]
+    assert len(cited) >= 50
+    dangling = sorted({f"{path}: §{number}" for path, number in cited if number not in headings})
+    assert not dangling, dangling
+
+
+#: Where a name DESIGN.md spells in backticks must occur.
+CODE = ("src", "tests", "benchmarks", "examples", "Makefile", "BENCH_protocol.json")
+
+
+def _is_code_name(part: str) -> bool:
+    return "_" in part or re.fullmatch(r"[A-Z]+[a-z0-9]+(?:[A-Z]+[a-z0-9]*)+", part) is not None
+
+
+def test_every_code_name_design_md_spells_exists():
+    """A backticked dotted name whose last part has an underscore or is
+    CamelCase is a code name; each such part occurs as a whole word in
+    the code, so the document cannot name what was renamed or deleted,
+    and a fragment of a longer name cannot stand for it."""
+    words = set()
+    for path in _files(CODE, (".py", ".json")):
+        words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    named, missing = set(), set()
+    for span in re.findall(r"`([^`\n]+)`", _design()):
+        for token in re.findall(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*", span):
+            if _is_code_name(token.split(".")[-1]):
+                parts = [part for part in token.split(".") if _is_code_name(part)]
+                named.update(parts)
+                missing.update(part for part in parts if part not in words)
+    assert len(named) >= 150
+    assert not missing, sorted(missing)
+
+
+def test_design_md_stays_short():
+    """A ratchet: lower these bounds when the document shrinks, never
+    raise them."""
+    text = _design()
+    assert text.count("\n") <= 500
+    assert len(text.encode("utf-8")) <= 36_000
+
+
 #: Where `repro` command lines are documented or scripted.
-DOCUMENTED = ("Makefile", "README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
+DOCUMENTED = ("Makefile", "README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md")
 
 
 def documented_commands():
     """(file, argv) of every `repro` command line in :data:`DOCUMENTED`:
     backslash continuations joined, ``#`` comments stripped, Makefile
     variables expanded, ``$D``-style arguments taken literally."""
-    root = pathlib.Path(__file__).resolve().parents[2]
     for name in DOCUMENTED:
-        text = (root / name).read_text(encoding="utf-8").replace("\\\n", " ")
+        text = (ROOT / name).read_text(encoding="utf-8").replace("\\\n", " ")
         variables = dict(re.findall(r"^([A-Z_]+) *= *(.*)$", text, re.M)) if name == "Makefile" else {}
         for line in text.splitlines():
             line = re.sub(r"(^|\s)#.*", "", line)
