@@ -213,16 +213,21 @@ def with_host_kernel(measure, rounds: int = 1, rate: bool = False) -> "tuple[flo
     return best[1], best[2]
 
 
-def _flood_system(warmup: float = 0.6):
+def _flood_system(warmup: float = 0.6, arq: bool = False):
     """The dissemination shape of ``rac_bench``'s ``sim-flood-40``: 40
     nodes in one group, 3 rings, 2 kB noise every 50 ms, lossless 1 Gb/s
-    star. Warmed past the first predecessor-check deadline (0.5 s), so
-    the calendar is at its steady depth: ~110 entries, one of them the
-    ARQ's watch, against ~30 unacknowledged segments."""
+    star, so the transport goes direct. Warmed past the first
+    predecessor-check deadline (0.5 s), so the calendar is at its
+    steady depth: ~105 entries. ``arq=True`` sets a loss rate on a link
+    no node has: every packet and draw stays, but the transport runs
+    the ARQ (then ~110 entries, one of them its watch, against ~30
+    unacknowledged segments)."""
     from repro.core.config import RacConfig
     from repro.core.system import RacSystem
 
     system = RacSystem(RacConfig.small(join_settle_time=0.05), seed=16)
+    if arq:
+        system.set_loss_rate(0.5, node_id=-1)
     system.bootstrap(40)
     system.run(warmup)
     return system
@@ -230,9 +235,10 @@ def _flood_system(warmup: float = 0.6):
 
 def measure_segment_us(repeats: int = 3, window: float = 0.3) -> float:
     """Host microseconds per reliable segment — one ring copy sent,
-    routed, delivered, acknowledged and handed to the next node — on
-    the flood shape; best of ``repeats`` windows of ``window`` simulated
-    seconds (28,800 segments each)."""
+    routed, delivered (its ACK's bytes charged to the receiver's
+    uplink) and handed to the next node — on the flood shape; best of
+    ``repeats`` windows of ``window`` simulated seconds (28,800
+    segments each)."""
     system = _flood_system()
     best = float("inf")
     for _ in range(repeats):
@@ -294,29 +300,52 @@ def measure_receipt_bytes_per_record() -> float:
     return held / receipts
 
 
-def measure_owned_entries_per_segment() -> float:
-    """Pending calendar entries that point back at their simulator, per
-    unacknowledged segment, on ``_flood_system()``. Only a handle that
-    can be cancelled needs the back-pointer, and nothing in the
-    simulation holds one, so this reads 0.0. A count: 4.7 (141 of 166
-    entries against 30 segments) while every entry was a
-    ``ScheduledEvent``, 1.0 while each segment had a retransmit timer."""
+def measure_events_per_segment(window: float = 0.3) -> float:
+    """Calendar events fired per segment sent over one ``window`` of
+    simulated seconds on ``_flood_system()``. A count: 4.01 while every
+    segment and its ACK each took an uplink hop and a delivery, 2.01
+    since a lossless star's segment goes direct and its ACK is a charge
+    on the receiver's uplink, not a packet (the rest are ticks)."""
     system = _flood_system()
-    sim = system.sim
-    owned = sum(1 for entry in sim._queue if entry[4] is not None)
+    sim, transport = system.sim, system.transport
+    events, segments = sim.events_processed, transport.segments_sent
+    system.run(window)
+    return (sim.events_processed - events) / (transport.segments_sent - segments)
+
+
+def measure_owned_entries_per_segment(nodes: int = 16, horizon: float = 4.0) -> float:
+    """Pending calendar entries that point back at their simulator, per
+    unacknowledged segment, halfway through ``_storm_system``'s lossy
+    storm run (~85 segments out). Only a handle that can be cancelled
+    needs the back-pointer, and nothing in the simulation holds one, so
+    this reads 0.0. A count: 4.7 on the flood shape (141 of 166 entries
+    against 30 segments) while every entry was a ``ScheduledEvent``, 1.0
+    while each segment had a retransmit timer."""
+    system = _storm_system(nodes, horizon)
+    system.run(horizon / 2)
+    owned = sum(1 for entry in system.sim._queue if entry[4] is not None)
     return owned / sum(len(state.outstanding) for state in system.transport._senders.values())
 
 
-def measure_arq_entries_per_segment(window: float = 0.3) -> float:
+def measure_arq_entries_per_segment(nodes: int = 16, horizon: float = 4.0) -> float:
     """ARQ calendar entries inserted per transmission (first sends and
-    retransmissions) over one ``window`` of simulated seconds on
-    ``_flood_system()``: the ``timer`` and ``schedule_reserved`` calls
-    whose callback is the transport's ``_on_timeout``. A count: 1.0
-    while every transmission armed its own timer, ~0.001 with one watch
-    entry per transport that only a real deadline re-arms."""
-    system = _flood_system()
+    retransmissions), beyond the one each real timeout re-arms, over
+    ``_storm_system``'s lossy storm run: the ``timer`` and
+    ``schedule_reserved`` calls whose callback is the transport's
+    ``_on_timeout``, less the live timeouts (``_time_out`` calls). On a
+    lossy run each real deadline must re-arm the watch, so the raw count
+    reads the retransmit ratio (~0.16 here); what is left counts the
+    entries settled tickets cost. A count: 1.0 while every transmission
+    armed its own timer, ~0.001 with one watch entry per transport that
+    only a real deadline re-arms."""
+    from unittest import mock
+
+    from repro.simnet.transport import ReliableTransport
+
+    system = _storm_system(nodes, horizon)
     sim, transport = system.sim, system.transport
-    inserted = 0
+    inserted = timeouts = 0
+    time_out = ReliableTransport._time_out
 
     def counting(schedule):
         def call(when, callback, *args):
@@ -326,11 +355,16 @@ def measure_arq_entries_per_segment(window: float = 0.3) -> float:
 
         return call
 
+    def counted_time_out(arq, *args):
+        nonlocal timeouts
+        timeouts += 1
+        time_out(arq, *args)
+
     for name in ("timer", "schedule_reserved"):
         setattr(sim, name, counting(getattr(sim, name)))
-    before = transport.segments_sent + transport.retransmits
-    system.run(window)
-    return inserted / (transport.segments_sent + transport.retransmits - before)
+    with mock.patch.object(ReliableTransport, "_time_out", counted_time_out):
+        system.run(horizon)
+    return (inserted - timeouts) / (transport.segments_sent + transport.retransmits)
 
 
 def measure_arq_ticket_visits_per_transmission(nodes: int = 16, horizon: float = 4.0) -> float:
@@ -397,7 +431,7 @@ def measure_python_calls_per_segment() -> float:
     broadcast copy built a frozen dataclass, raised and caught an
     ``AuthenticationError`` per trial key, re-read its receipt through
     ``copies_from`` and asked a faultless injector for a verdict; 88.0
-    without."""
+    without; 57.9 since a lossless star's segment goes direct."""
     return measure_segment_path()["python_calls_per_segment"]
 
 
@@ -642,6 +676,9 @@ GATES = (
     # dict or an object per record above 600
     Gate("receipt_bytes_per_record", measure_receipt_bytes_per_record, "count", bound=220),
     Gate("storm_events_per_packet", measure_storm_events_per_packet, "count", bound=2.2),
+    # a lossless star's segment goes direct: an ACK packet (or any other
+    # event) per segment again reads 4.01
+    Gate("events_per_segment", measure_events_per_segment, "count", bound=2.1),
     # no entry is a ScheduledEvent; a hop or tick built as one again
     # points back at the simulator and lifts this above 1
     Gate("owned_entries_per_segment", measure_owned_entries_per_segment, "count", bound=1.0),

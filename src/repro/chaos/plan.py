@@ -313,11 +313,13 @@ class FaultPlan:
     def compile_sim(self, system, node_ids: "List[int]") -> "List[str]":
         """Arm the plan on a :class:`repro.core.system.RacSystem`.
 
-        Must be called *before* ``system.run`` crosses the first event
-        time. ``node_ids`` names the whole population, joiners included
-        (the identities the system will mint, in join order). Returns
-        the compile notes — events with no sim analogue, each recorded
-        rather than silently dropped.
+        Must be called *before* ``system.run``: the transport chooses
+        its path at the first segment, from the plan armed by then (a
+        fault added after a lossless choice raises). ``node_ids`` names
+        the whole population, joiners included (the identities the
+        system will mint, in join order). Returns the compile notes —
+        events with no sim analogue, each recorded rather than silently
+        dropped.
         """
         joiner = len(node_ids) - self.joins
         self.validate(joiner)
@@ -358,6 +360,7 @@ class FaultPlan:
                 )
             elif event.kind == "loss":
                 target = None if event.node is None else node_ids[event.node]
+                system.faults.plan_loss()
                 system.sim.schedule_at(event.at, system.set_loss_rate, event.rate, target)
                 system.sim.schedule_at(event.end, system.set_loss_rate, restore_rate, target)
             elif event.kind == "degrade":

@@ -246,7 +246,10 @@ class RacSystem:
         """Change the Bernoulli packet-loss rate at runtime.
 
         ``node_id=None`` sets the default for every link; otherwise
-        only that node's ``direction`` ("up", "down" or both).
+        only that node's ``direction`` ("up", "down" or both). A
+        positive rate on a system whose transport went direct at its
+        first segment raises :class:`~repro.simnet.engine.SimulationError`
+        (see :mod:`repro.simnet.transport`): set it before the run.
         """
         self.faults.set_loss_rate(rate, node_id=node_id, direction=direction)
 

@@ -5,9 +5,10 @@
   up/downlinks and an ideal router (the paper's Section VI-A setting);
 * :mod:`repro.simnet.faults` — seeded packet loss, outages, partitions
   and bandwidth degradation layered onto the star network;
-* :mod:`repro.simnet.transport` — ARQ transport (per-segment ACKs,
-  retransmission with backoff, Jacobson RTO) providing the TCP-like
-  reliable FIFO per-pair delivery of paper footnote 6 on lossy links;
+* :mod:`repro.simnet.transport` — the TCP-like reliable FIFO per-pair
+  delivery of paper footnote 6: direct on a star that can never lose or
+  reorder a packet, an ARQ (per-segment ACKs, retransmission with
+  backoff, Jacobson RTO) on every other;
 * :mod:`repro.simnet.stats` — throughput meters and the count registry;
 * :mod:`repro.simnet.trace` — structured protocol event tracing.
 """

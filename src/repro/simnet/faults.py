@@ -41,6 +41,8 @@ from dataclasses import dataclass
 from math import inf
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from .engine import SimulationError
+
 __all__ = ["FaultInjector", "Outage", "Partition", "DIRECTIONS"]
 
 #: Valid link directions: "up" is node → router, "down" is router → node.
@@ -120,17 +122,32 @@ class FaultInjector:
         self._network = None
         #: See :attr:`faultless`.
         self._faultless = True
+        #: See :meth:`plan_loss`.
+        self._loss_planned = False
+        #: Set by a transport that chose its direct path, which keeps no
+        #: copy of a segment in flight (:mod:`repro.simnet.transport`):
+        #: a fault added now would lose packets silently, so a positive
+        #: loss rate and every window raise
+        #: :class:`~repro.simnet.engine.SimulationError` from then on.
+        self.sealed = False
         if loss_rate:
             self.set_loss_rate(loss_rate)
 
     @property
     def faultless(self) -> bool:
-        """True while no loss is configured and no window was ever
-        scheduled — the common (paper-faithful) case, in which every
-        verdict is None and the router does not ask for one. Nothing
-        touches the RNG either way: the Bernoulli draw is skipped at
-        p == 0."""
+        """True while no loss is configured and no window (loss
+        included) was ever scheduled — the common (paper-faithful)
+        case, in which every verdict is None and the router does not
+        ask for one. Nothing touches the RNG either way: the Bernoulli
+        draw is skipped at p == 0."""
         return self._faultless
+
+    def _refuse_if_sealed(self, what: str) -> None:
+        if self.sealed:
+            raise SimulationError(
+                f"{what} on a sealed fault injector: the transport chose its lossless "
+                "path at the first send, so faults must be planned before the run starts"
+            )
 
     def bind(self, network) -> None:
         """Attach to the network whose links degradations will scale."""
@@ -148,6 +165,8 @@ class FaultInjector:
         """
         if not 0.0 <= rate < 1.0:
             raise ValueError("loss rate must be in [0, 1)")
+        if rate:
+            self._refuse_if_sealed("a loss rate")
         if node_id is None:
             self.default_loss_rate = rate
         else:
@@ -163,13 +182,26 @@ class FaultInjector:
             self.default_loss_rate == 0.0
             and not any(self._link_loss.values())
             and not self.edges
+            and not self._loss_planned
         )
+
+    def plan_loss(self) -> None:
+        """Declare a loss window its caller will open later with
+        :meth:`set_loss_rate`. The injector is not :attr:`faultless`
+        from now on, though nothing is lost before the window opens: a
+        transport choosing its path in between must choose the ARQ. No
+        edge joins the timeline: loss is a per-packet draw, not a state
+        a packet in flight must see change."""
+        self._refuse_if_sealed("a loss window")
+        self._loss_planned = True
+        self._faultless = False
 
     # -- scheduled faults -----------------------------------------------------
     def schedule_outage(
         self, node_id: int, at: float, duration: float, direction: str = "both"
     ) -> None:
         """Black-hole ``node_id``'s link(s) during ``[at, at+duration)``."""
+        self._refuse_if_sealed("an outage")
         if duration <= 0:
             raise ValueError("outage duration must be positive")
         end = at + duration
@@ -180,6 +212,7 @@ class FaultInjector:
         self, side_a: "Iterable[int]", side_b: "Iterable[int]", at: float, duration: float
     ) -> None:
         """Split the network into two halves during ``[at, at+duration)``."""
+        self._refuse_if_sealed("a partition")
         if duration <= 0:
             raise ValueError("partition duration must be positive")
         a, b = frozenset(side_a), frozenset(side_b)
@@ -201,6 +234,7 @@ class FaultInjector:
         already past the router when this call puts an edge into its
         flight keeps the rate it was folded at.
         """
+        self._refuse_if_sealed("a degradation")
         if not 0.0 < factor <= 1.0:
             raise ValueError("degradation factor must be in (0, 1]")
         if duration <= 0:

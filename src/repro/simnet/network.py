@@ -136,13 +136,20 @@ class Link:
         (not a closure) so that snapshots of a mid-transfer simulation
         stay picklable (see :mod:`repro.simnet.snapshot`).
         """
+        departure = self.occupy(size_bytes)
+        self.sim.schedule_at(departure, deliver, *args)
+        return departure
+
+    def occupy(self, size_bytes: int) -> float:
+        """Serialize ``size_bytes`` behind the backlog with no delivery
+        event, and return the departure time: the direct transport's
+        ACK, whose arrival nobody waits for."""
         start = max(self.sim.now, self.busy_until)
         departure = start + self.transmission_time(size_bytes)
         self.busy_until = departure
         self.bytes_carried += size_bytes
         self.packets_carried += 1
         self.busy_seconds += departure - start
-        self.sim.schedule_at(departure, deliver, *args)
         return departure
 
     def queue_delay(self) -> float:

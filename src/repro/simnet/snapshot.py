@@ -80,7 +80,10 @@ __all__ = [
 #: timer, and the ARQ's one watch entry is a plain list too.
 #: /13: a ``Broadcast`` in flight is a named tuple and a key pair holds
 #: its sealed-box header.
-SNAPSHOT_MAGIC = b"RACSNAP/13\n"
+#: /14: the transport holds its ``direct`` choice (a packet on the
+#: direct path carries the bare payload) and the injector its ``sealed``
+#: promise and whether a loss window is planned.
+SNAPSHOT_MAGIC = b"RACSNAP/14\n"
 _MAGIC_PREFIX = b"RACSNAP/"
 
 

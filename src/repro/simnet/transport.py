@@ -5,40 +5,59 @@ implementation uses TCP, which ensures reliable delivery between pairs
 of nodes."* RAC's misbehaviour detection leans on that: a missing
 message from a predecessor is evidence of freeriding, not of loss.
 
-On the original lossless :class:`~repro.simnet.network.StarNetwork`
-the transport only had to reorder packets. With the fault-injection
-layer (:mod:`repro.simnet.faults`) the network drops, delays and
-black-holes packets, so :class:`ReliableTransport` is a real ARQ:
+:class:`ReliableTransport` takes one of two paths, chosen once, at its
+first :meth:`~ReliableTransport.send`, from what the network it was
+given can do:
 
-* every data segment carries a per-pair sequence number and is
-  acknowledged individually by the receiver (ACKs ride the same lossy
-  network);
-* unacknowledged segments are retransmitted after a timeout with
-  exponential backoff, bounded by ``max_retries``; exhausting the
-  budget fires the ``on_failure`` callback — the peer is *gone*, which
-  is the protocol layer's cue, never a silent wedge. A transmission
-  takes a *ticket* (:meth:`~repro.simnet.engine.Simulator.reserve`,
-  the ``(time, seq)`` a per-segment timer would have had) instead of a
-  calendar entry, and the transport keeps one armed entry, the
-  *watch*, at its earliest live ticket: an ACK never touches the
-  calendar, and a real timeout fires at exactly its ticket;
-* the retransmission timeout is Jacobson's estimator (smoothed RTT
-  plus four mean deviations, clamped to ``[rto_min, rto_max]``) fed by
-  timestamp echo (the TCP timestamps option): each transmission
-  carries its send time and the ACK echoes it back, so *every* ACK —
-  including one for a retransmission — yields an unambiguous RTT
-  sample. Plain Karn-style sampling starves the estimator exactly when
-  it matters: under queueing-induced timeouts most ACKs are for
-  retransmitted segments, the RTO never learns the real RTT, and the
-  spurious retransmissions feed the very congestion that caused them;
-* the receiver suppresses duplicates (a lost ACK makes the sender
-  retransmit an already-delivered segment) and re-ACKs them, and a
-  hold-back queue releases segments strictly in per-pair send order.
+* **Direct**, when the network can never lose or reorder a packet: the
+  star is :attr:`~repro.simnet.network.StarNetwork.overtaking_free` and
+  its injector :attr:`~repro.simnet.faults.FaultInjector.faultless`.
+  Footnote 6 then holds trivially, so a segment is the payload itself,
+  handed up on arrival: no seqno, no retransmit ticket, no ACK packet
+  and no hold-back queue. The ACK the receiver's TCP would send is
+  still paid for: its 40 bytes occupy the receiver's uplink exactly as
+  the ARQ's ACK would, with no event. (The reverse downlink is not
+  charged: the ACK would reach it only once that uplink's backlog
+  drains, and a :class:`~repro.simnet.network.Link` has one horizon,
+  not a schedule with gaps.) The choice is final: the injector is
+  sealed, and a loss rate or fault window added later raises
+  :class:`~repro.simnet.engine.SimulationError` — a segment in flight
+  has no copy to resend.
+* **ARQ** otherwise (loss, any fault window, jitter, a WAN topology's
+  pair delay). With the fault-injection layer
+  (:mod:`repro.simnet.faults`) the network drops, delays and
+  black-holes packets, so this is a real ARQ:
 
-The resulting contract is the one protocol code always assumed: every
+  * every data segment carries a per-pair sequence number and is
+    acknowledged individually by the receiver (ACKs ride the same lossy
+    network);
+  * unacknowledged segments are retransmitted after a timeout with
+    exponential backoff, bounded by ``max_retries``; exhausting the
+    budget fires the ``on_failure`` callback — the peer is *gone*,
+    which is the protocol layer's cue, never a silent wedge. A
+    transmission takes a *ticket*
+    (:meth:`~repro.simnet.engine.Simulator.reserve`, the ``(time,
+    seq)`` a per-segment timer would have had) instead of a calendar
+    entry, and the transport keeps one armed entry, the *watch*, at its
+    earliest live ticket: an ACK never touches the calendar, and a real
+    timeout fires at exactly its ticket;
+  * the retransmission timeout is Jacobson's estimator (smoothed RTT
+    plus four mean deviations, clamped to ``[rto_min, rto_max]``) fed
+    by timestamp echo (the TCP timestamps option): each transmission
+    carries its send time and the ACK echoes it back, so *every* ACK —
+    including one for a retransmission — yields an unambiguous RTT
+    sample. Plain Karn-style sampling starves the estimator exactly
+    when it matters: under queueing-induced timeouts most ACKs are for
+    retransmitted segments, the RTO never learns the real RTT, and the
+    spurious retransmissions feed the very congestion that caused them;
+  * the receiver suppresses duplicates (a lost ACK makes the sender
+    retransmit an already-delivered segment) and re-ACKs them, and a
+    hold-back queue releases segments strictly in per-pair send order.
+
+Either way the contract is the one protocol code always assumed: every
 ``send`` between live, connected nodes is delivered exactly once, in
-per-pair order — now *earned* rather than inherited from a lossless
-substrate.
+per-pair order — on a lossy network *earned* by the ARQ rather than
+inherited from the substrate.
 """
 
 from __future__ import annotations
@@ -137,7 +156,8 @@ class ReliableTransport:
     One instance serves a whole simulation: protocol nodes register a
     handler per node id, then call :meth:`send`. The transport adds a
     fixed per-message header size to model framing overhead; ACKs are
-    header-only packets. Its :attr:`TALLIES` are plain ints kept here
+    header-only packets (on the direct path, header-only charges; see
+    the module docstring). Its :attr:`TALLIES` are plain ints kept here
     and nowhere else; ``RacSystem.stats_report()`` names them
     ``transport_*``.
     """
@@ -162,6 +182,7 @@ class ReliableTransport:
         "rto_max",
         "max_retries",
         "on_failure",
+        "direct",
         "_handlers",
         "_senders",
         "_receivers",
@@ -201,6 +222,9 @@ class ReliableTransport:
         #: Called as ``on_failure(src, dst, payload)`` when a segment
         #: exhausts its retry budget — the peer is unreachable.
         self.on_failure = on_failure
+        #: The path, decided at the first :meth:`send` (see the module
+        #: docstring): None until then, True for direct, False for ARQ.
+        self.direct: "Optional[bool]" = None
 
         self._handlers: Dict[int, Callable[[int, Any], None]] = {}
         self._senders: Dict[Pair, _SendState] = {}
@@ -254,6 +278,13 @@ class ReliableTransport:
     # -- sender side ---------------------------------------------------------
     def send(self, src: int, dst: int, payload: Any, size_bytes: int) -> None:
         """Send ``payload`` reliably from ``src`` to ``dst``."""
+        direct = self.direct
+        if direct is None:
+            direct = self._choose_path()
+        if direct:
+            self.segments_sent += 1
+            self.network.send(src, dst, payload, size_bytes + self.HEADER_BYTES)
+            return
         pair = (src, dst)
         state = self._senders.get(pair)
         if state is None:
@@ -263,6 +294,17 @@ class ReliableTransport:
         out = state.outstanding[seqno] = _Outstanding(payload, seqno, size_bytes + self.HEADER_BYTES)
         self.segments_sent += 1
         self._transmit(pair, state, out)
+
+    def _choose_path(self) -> bool:
+        """Take the direct path if the network can never lose or reorder
+        a packet, and seal its injector so that it never will."""
+        network = self.network
+        faults = network.faults
+        direct = network.overtaking_free and (faults is None or faults.faultless)
+        if direct and faults is not None:
+            faults.sealed = True
+        self.direct = direct
+        return direct
 
     def _transmit(self, pair: Pair, state: _SendState, out: _Outstanding) -> None:
         src, dst = pair
@@ -403,6 +445,14 @@ class ReliableTransport:
         segment = packet.payload
         src = packet.src
         dst = packet.dst
+        if self.direct:
+            # The ACK's bytes, and nothing else of it (module docstring).
+            self.acks_sent += 1
+            self.network.uplinks[dst].occupy(self.ACK_BYTES)
+            handler = self._handlers.get(dst)
+            if handler is not None:
+                handler(src, segment)
+            return
         if type(segment) is Ack:
             # The ACK travels dst -> src, so the data pair is the reverse.
             self._on_ack((dst, src), segment)

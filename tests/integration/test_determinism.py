@@ -32,17 +32,19 @@ from repro.simnet.engine import Simulator
 # the seed (pre-optimisation) implementation and never moved since.
 EXPECTED_SIM_OBSERVABLE = "d1e89f6293a36901f5b54abf55565251f59437b17a17736d505515d15ee6a099"
 EXPECTED_DH_OBSERVABLE = "152ea5a04ae842234cd5c8b731185b9cf5da9f252b2ff15cb7d4d92254cfe0cd"
-# The same plus the final clock and event count. Re-recorded three
+# The same plus the final clock and event count. Re-recorded four
 # times, each time for the event count alone: when predecessor checks
 # that find nothing stopped being events (the seed's values were
 # e13a6c05... and 28466e14...), when the router -> downlink hop of an
 # overtaking-free star stopped being one (3a4a6280... and e17c928e...
-# before), and when the ARQ's per-segment timers became tickets behind
+# before), when the ARQ's per-segment timers became tickets behind
 # one watch entry, whose firings on settled tickets are new events
-# (253beb41... and f0c7afc5... before). The observable digests above
-# were the same before and after all three.
-EXPECTED_SIM = "aad1b3997f0e803b575ec55e59d099908111c22076518db1eb8cbc51be986298"
-EXPECTED_DH = "c887bf69f838cc762e5b1ba39f45e6f0a206fd00459b89075e3453fc186c116b"
+# (253beb41... and f0c7afc5... before), and when a lossless star's
+# transport went direct, with no ACK packet and no ARQ timer
+# (aad1b399... and c887bf69... before). The observable digests above
+# were the same before and after all four.
+EXPECTED_SIM = "409221bcb646f5782ef64dd2957cb356a0e383350586a8d7a4cf8602f2cfc615"
+EXPECTED_DH = "832dc27dd4ec3c6129a553321a952f51ac8877c6bc9c58fb6d6bcc7aa2ea85e0"
 
 
 class _RecordingSystem(RacSystem):
@@ -212,18 +214,27 @@ EXPECTED_ORDER_WAN = "ab79437ee3b92e50fc15d688e56bd3520820f3ae31780848e7e2dce30a
 # bit are the only events the earlier ``seq`` can swap (4,648 such pairs
 # among this run's 97,663 events), and they touch disjoint state — the
 # verdict hash and every observable digest in this file are the proof.
-EXPECTED_ORDER_FREERIDER = "8ee1724c1854bf0d8cce50ba1ec1657da11fe27138c6994dba1e0ee10c89367f"
+# All three were re-recorded once since, when a lossless star's
+# transport went direct (8ee1724c..., 7b8c942c... / 2842428f... and
+# 4a009575... before): no ACK holds a downlink any more, so receive
+# instants move by microseconds. The same two verdicts (accused, reason,
+# message) came in the same order, each 16 us earlier; the same node
+# was evicted by the same accuser, at 0.612505 s instead of 0.612146 s;
+# every node delivered the same payloads.
+EXPECTED_ORDER_FREERIDER = "e5f762bca097c2f03f296c3a01b397c9b7a1b3aca25b1ed60729249d0bcb6fcf"
 EXPECTED_ORDER_FREERIDER_TIMES = (
-    "7b8c942ccb69e38cb235b25e42ad644ffea692310cc89aea4a2765a138a1ae92",
-    "2842428fac176592d60c3241cdb2496693d19107f672d7c5d928412393331653",
+    "d4363e3baaab8ccc9628d15711968bafc37ba18741936651b4eac96030b33904",
+    "eb37ef538d025e27ae6612047a4d9752a3144da33cf269ebc099d7b4ec20203f",
 )
-EXPECTED_VERDICTS_FREERIDER = "4a009575d08ee23af59af29757374a069ba20c1f6e0e95b66aa211dfe7489b56"
+EXPECTED_VERDICTS_FREERIDER = "bea4ba73c7f241b07c205f3c2af05f4bde83b31030a66960faed7f66dd6a0ad7"
 # Events each pinned run fired while every transmission armed its own
 # retransmit timer and every ACK cancelled it (recorded on the commit
 # before retransmit tickets). The order hashes leave out exactly the
 # ARQ firings that find their ticket settled, so a run's events less
-# those firings must equal its count here.
-TIMER_EVENTS = {"lossy": 222_592, "wan": 69_081, "freerider": 97_764, "storm": 204_547}
+# those firings must equal its count here. The freerider run is on a
+# lossless star, so it has no ARQ since its transport went direct: its
+# count is its events (97,764 less settled firings before).
+TIMER_EVENTS = {"lossy": 222_592, "wan": 69_081, "freerider": 49_346, "storm": 204_547}
 
 
 class _OrderRecordingSimulator(Simulator):
@@ -392,6 +403,7 @@ def test_wan_king_event_order_is_pinned():
 def test_freerider_verdicts_and_event_order_are_pinned():
     system, nodes, verdicts = freerider_event_order()
     report = system.stats_report()
+    assert system.transport.direct and system.sim.arq_firings == {}
     # the run must actually walk the verdict path and both excusals
     assert report["accusation_missing-copy"] == 2
     assert report["missing_copy_excused_topology"] == 5

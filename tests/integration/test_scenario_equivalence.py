@@ -35,6 +35,20 @@ chaos-smoke 80158abe…, monolithic 5559194b…, parity b49e3c5b…,
 protocol aa5c53c5…, topo-churn 2cd6ed8b…, topo-deviant 90b6c52f…; the
 metrics digest 55a06817… (``events_processed`` 17,533 → 17,692). No
 other digest moved.
+And once more for the five cells on a lossless, faultless star, on the
+commit that sent their segments direct, with no ACK packet, ticket or
+hold-back queue: ``counters`` and ``counters_observable`` of
+campaign-false-accuser (10fa397b… / 3c17de68… before; 294,206 → 147,992
+events), campaign-frame (0c625006… / e5a2f8db…; 122,841 → 61,761),
+monolithic (8bced9c1… / a4ffdb67…; 34,048 → 17,121), parity
+(d115ec6a… / 844ca0c1…; 17,695 → 8,896) and protocol (81121a1e… /
+4f0c0c4e…; 17,692 → 8,893), and the protocol workload's metrics digest
+(c7e7af4c…; ``events_processed`` 17,692 → 8,893, ``net_packets_delivered``
+8,640 → 4,320). The keys that moved are the engine tallies,
+``net_packets_delivered`` and ``net_bytes_delivered`` (an ACK is no
+packet) and ``transport_rtt_*`` (no ACK, no sample): no protocol
+counter, delivered multiset, eviction, instant, report or campaign
+metric moved, and the four cells that keep the ARQ moved nothing.
 
 Each digest is the first 16 hex digits of a SHA-256 over:
 
@@ -140,7 +154,7 @@ CELLS = {
             },
             0,
         ),
-        dict(counters="0c625006f55ea6bf", counters_observable="e5a2f8db627b06cf",
+        dict(counters="f9b65be255582dbc", counters_observable="254ab342f0c556bb",
              delivered="95e268b0279005e9", evictions="2a5b18661819f676",
              report="ba7da1ba77e63f6f", metrics="1b8fa5a86e22f3d9"),
         CAMPAIGN_KEYS,
@@ -150,7 +164,7 @@ CELLS = {
             {"strategy": "false-accuser", "plan": "none", "loss": 0.0, "nodes": 10, "horizon": 12.0},
             0,
         ),
-        dict(counters="10fa397b89fed83f", counters_observable="3c17de684eb52136",
+        dict(counters="f4c1566d775392a7", counters_observable="83ff84ab383a7cc7",
              delivered="729f1341e5e5c605", evictions="4f53cda18c2baa0c",
              report="ba9345b86e439db4", metrics="e2046808a1851027"),
         CAMPAIGN_KEYS,
@@ -158,7 +172,7 @@ CELLS = {
     # run_monolithic(ScaleSpec(nodes=32, num_shards=2, horizon=2.0))
     "monolithic": (
         lambda: run_cell(ScaleSpec(nodes=32, num_shards=2, horizon=2.0).scenario()),
-        dict(counters="8bced9c1e3cd892e", counters_observable="a4ffdb67191a7397",
+        dict(counters="4146f7609f3482cb", counters_observable="bdbc0f4f94fdd6a3",
              delivered="ce573696f0f3b6a7", evictions="4f53cda18c2baa0c"),
         (),
     ),
@@ -167,14 +181,14 @@ CELLS = {
         lambda: run_cell(
             Scenario(nodes=6, horizon=4.0, regime="wall", traffic="ring", messages=2, tag="live")
         ),
-        dict(counters="d115ec6a74b9286d", counters_observable="844ca0c1d372dd66",
+        dict(counters="d62d23f3686fef58", counters_observable="a6a6df04b3b0f5df",
              delivered="bc7697545303f6cd", evictions="4f53cda18c2baa0c"),
         (),
     ),
     # protocol_run(PROTOCOL_PARAMS, 5, WorkerContext())
     "protocol": (
         lambda: run_cell(Scenario.from_params(PROTOCOL_PARAMS, 5, "protocol")),
-        dict(counters="81121a1eaba2157b", counters_observable="4f0c0c4eea3c5e02",
+        dict(counters="23691a0b6eea7bf9", counters_observable="f2b9f4b186de6832",
              delivered="1efbae31a95149d8", evictions="4f53cda18c2baa0c"),
         (),
     ),
@@ -210,4 +224,4 @@ def test_the_one_runner_reproduces_the_parent(name):
 
 def test_protocol_workload_metrics_match_the_parent():
     metrics = protocol_run(PROTOCOL_PARAMS, 5, WorkerContext())
-    assert metrics_digest(metrics, PROTOCOL_KEYS) == "c7e7af4ce5eaedbe"
+    assert metrics_digest(metrics, PROTOCOL_KEYS) == "8624a03b519ae4c8"

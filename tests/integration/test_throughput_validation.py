@@ -50,6 +50,23 @@ class TestRacModelValidation:
             assert m.deliveries > 50
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP 1b and 8(a): grouped saturation at N=32 evicts honest nodes (the first at 6.59 s; "
+    "6 over the full 8 s run)"
+))
+def test_grouped_saturation_evicts_no_honest_node():
+    # SATURATION with groups of 4-8, nothing planted. The window stops
+    # 0.16 s past the first honest eviction; the warm-up keeps the full
+    # run's refill instants, so the run up to there is the full run's.
+    from unittest import mock
+
+    from repro.experiments import empirical
+
+    with mock.patch.dict(empirical.SATURATION, group_min=4, group_max=8):
+        m = measure_rac_throughput(32, warmup=2.0, duration=4.75, seed=1)
+    assert m.evictions == 0
+
+
 class TestBaselineModelValidation:
     def test_dissent_v1_counted_cost_matches_model_shape(self):
         # Empirical per-node goodput from counted wire copies must scale

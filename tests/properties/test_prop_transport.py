@@ -10,7 +10,10 @@ the footnote-6 contract protocol code relies on:
 * retransmit tickets behind one watch entry time out exactly what a
   cancellable timer per transmission would: the same retransmissions
   and the same give-ups, at the same instants, under loss, outages and
-  crash-restarts.
+  crash-restarts;
+* on a star that can never lose or reorder a packet, the direct path
+  delivers what the ARQ delivers: the same per-pair sequences, each
+  receive within the time the ARQ's ACKs held the links.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,9 @@ from repro.simnet.network import StarNetwork
 from repro.simnet.transport import ReliableTransport, Segment
 
 NODES = (1, 2, 3)
+#: A node no test attaches: a loss rate on its links draws nothing, but
+#: leaves the injector not faultless, so the transport runs the ARQ.
+UNUSED = 99
 
 #: A traffic plan: (src index, dst index) per message; payloads are the
 #: message's position in the plan, so order checks are trivial.
@@ -75,6 +81,7 @@ def test_same_seed_replays_identical_trace(plan, seed, loss):
 def test_lossless_run_has_no_retransmissions(plan, seed):
     sim = Simulator()
     faults = FaultInjector(sim, seed=seed)
+    faults.set_loss_rate(0.5, node_id=UNUSED)
     net = StarNetwork(sim, bandwidth_bps=1_000_000, faults=faults)
     transport = ReliableTransport(net)
     delivered = []
@@ -205,3 +212,60 @@ def arq_log(cls, ops, seed, loss):
 @given(ops=fault_ops, seed=st.integers(0, 2**32 - 1), loss=st.floats(0.0, 0.3))
 def test_tickets_time_out_what_a_timer_per_segment_would(ops, seed, loss):
     assert arq_log(ReliableTransport, ops, seed, loss) == arq_log(_TimerPerSegment, ops, seed, loss)
+
+
+#: (src index, dst index, send instant, payload bytes) per message.
+timed_plans = st.lists(
+    st.tuples(
+        st.integers(0, len(NODES) - 1),
+        st.integers(0, len(NODES) - 1),
+        st.floats(0.0, 0.05),
+        st.integers(1, 3000),
+    ),
+    min_size=1,
+    max_size=40,
+).map(lambda sends: [(NODES[s], NODES[d], at, size) for s, d, at, size in sends if s != d])
+
+
+def lossless_deliveries(plan, arq):
+    """``(instant, src, dst, payload)`` of every receive on a lossless,
+    faultless 1 Mb/s star, with the transport on the ARQ or direct."""
+    sim = Simulator()
+    faults = FaultInjector(sim)
+    if arq:
+        faults.set_loss_rate(0.5, node_id=UNUSED)
+    net = StarNetwork(sim, bandwidth_bps=1_000_000, faults=faults)
+    # A timeout above any backlog the plan can build (~1 s): no
+    # spurious retransmission puts a second copy on the links.
+    transport = ReliableTransport(net, rto_initial=2.0, rto_min=2.0, rto_max=2.0)
+    trace = []
+    for node in NODES:
+        transport.attach(
+            node, lambda src, payload, node=node: trace.append((sim.now, src, node, payload))
+        )
+    for index, (src, dst, at, size) in enumerate(plan):
+        sim.schedule(at, transport.send, src, dst, index, size)
+    sim.run()
+    assert transport.direct is (not arq if plan else None)
+    assert transport.retransmits == 0 and transport.acks_sent == len(plan)
+    return trace
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan=timed_plans)
+def test_direct_path_delivers_what_the_arq_delivers(plan):
+    arq = lossless_deliveries(plan, arq=True)
+    direct = lossless_deliveries(plan, arq=False)
+    order = sorted(range(len(plan)), key=lambda i: plan[i][2])  # stable: ties in plan order
+    for src, dst in {(src, dst) for src, dst, _at, _size in plan}:
+        sent = [i for i in order if plan[i][:2] == (src, dst)]
+        for trace in (arq, direct):
+            assert [p for _t, s, d, p in trace if (s, d) == (src, dst)] == sent
+    # The runs differ only in where the ACKs sit: both hold the uplink
+    # an ACK leaves, only the ARQ's ACK also holds the downlink it
+    # reaches, for one serialization time. Every instant is a max of
+    # sums of such times, so no receive moves by more than all of them.
+    bound = len(plan) * ReliableTransport.ACK_BYTES * 8 / 1_000_000
+    arrived = {payload: at for at, _s, _d, payload in arq}
+    for at, _src, _dst, payload in direct:
+        assert abs(at - arrived[payload]) <= bound + 1e-12

@@ -160,6 +160,25 @@ class TestCompileSim:
         assert any("link outage" in note for note in notes)
         assert any("live substrate only" in note for note in notes)
 
+    def test_a_loss_plan_keeps_the_arq_and_a_leave_plan_goes_direct(self):
+        # The transport chooses at its first segment, from the plan
+        # compiled by then: a loss window that opens later must already
+        # rule out the direct path, a departure need not.
+        from repro.core.config import timer_regime
+        from repro.core.system import RacSystem
+
+        def run_with(plan):
+            system = RacSystem(timer_regime("heal"), seed=0)
+            plan.compile_sim(system, system.bootstrap(6))
+            system.run(0.5)
+            return system
+
+        lossy = run_with(FaultPlan(horizon=20.0).loss(0.05, at=5.0, duration=1.0))
+        assert lossy.transport.direct is False and not lossy.faults.sealed
+        assert "net_dropped_loss" not in lossy.stats_report()  # the window has not opened
+        leaving = run_with(FaultPlan(horizon=20.0).leave(1, at=5.0))
+        assert leaving.transport.direct is True and leaving.faults.sealed
+
 
 def _shim(plan: FaultPlan) -> "tuple[ChaosProxy, StatsRegistry]":
     """An unstarted proxy (clock pinned at t=0) plus node 0's stats."""

@@ -405,10 +405,10 @@ class TestCollectorStaysTheCallers:
         assert seen == [larger] and gc.get_threshold() == larger
 
 
-def _flood():
+def _flood(arq: bool = False):
     from benchmarks.baseline import _flood_system
 
-    return _flood_system()
+    return _flood_system(arq=arq)
 
 
 def _lossy():
@@ -484,9 +484,10 @@ class TestCalendarContract:
         }
 
     def test_after_a_flood_window_no_entry_holds_its_simulator(self):
-        system = _flood()
+        system = _flood(arq=True)
         system.run(0.3)
         sim, transport = system.sim, system.transport
+        assert transport.direct is False
         assert sim._queue and all(type(entry) is list and entry[4] is None for entry in sim._queue)
         # the ARQ's retransmit deadlines are tickets behind one watch entry
         outstanding = sum(len(state.outstanding) for state in transport._senders.values())

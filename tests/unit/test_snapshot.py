@@ -20,7 +20,7 @@ import repro
 
 from repro.core.config import RacConfig, timer_regime
 from repro.core.system import RacSystem
-from repro.simnet.engine import ScheduledEvent, Simulator
+from repro.simnet.engine import ScheduledEvent, SimulationError, Simulator
 from repro.simnet.snapshot import (
     SNAPSHOT_MAGIC,
     SnapshotError,
@@ -30,6 +30,7 @@ from repro.simnet.snapshot import (
     snapshot_system,
     verify_roundtrip,
 )
+from repro.simnet.transport import Segment
 
 
 def _mid_run_system(seed: int = 11, nodes: int = 6) -> RacSystem:
@@ -161,6 +162,22 @@ def _rac12_keypair() -> bytes:
     return pickle.dumps(Rac12KeyPair())
 
 
+def _rac13_transport() -> bytes:
+    """Pickles the way a ``RACSNAP/13`` transport did: without the
+    ``direct`` choice every send now reads first."""
+    from repro.simnet.network import StarNetwork
+    from repro.simnet.transport import ReliableTransport
+
+    transport = ReliableTransport(StarNetwork(Simulator()))
+    slots = {name: getattr(transport, name) for name in ReliableTransport.__slots__ if name != "direct"}
+
+    class Rac13Transport:
+        def __reduce_ex__(self, protocol):
+            return object.__new__, (ReliableTransport,), (None, slots)
+
+    return pickle.dumps(Rac13Transport())
+
+
 def _rac10_calendar() -> bytes:
     """Pickles the way a ``RACSNAP/10`` calendar did: every pending
     entry, a hop nobody holds included, a ``ScheduledEvent`` pointing
@@ -214,8 +231,10 @@ class TestSnapshotInvariants:
         # monitors mid-debt: owed sets, deadlines carrying the reserved
         # key to fire at, and one armed check timer per monitor.
         system = RacSystem(RacConfig.small(link_bandwidth_bps=20e6), seed=11)
+        system.set_loss_rate(0.5, node_id=-1)  # a link nobody has: the ARQ, no draw
         system.bootstrap(8)
         system.run(1.0)
+        assert system.transport.direct is False
 
         def monitors(of):
             return [m for node in of.nodes.values() for m in node._pred_monitors.values()]
@@ -236,6 +255,29 @@ class TestSnapshotInvariants:
         assert restored.sim.events_processed == system.sim.events_processed
         assert restored.stats_report() == system.stats_report()
 
+    def test_mid_flood_on_the_direct_path_round_trips(self):
+        # A lossless star: segments in flight are bare payloads, the
+        # transport holds no per-pair state and the injector is sealed;
+        # the restored copy keeps all three and runs in lock-step.
+        system = RacSystem(RacConfig.small(link_bandwidth_bps=20e6), seed=11)
+        system.bootstrap(8)
+        system.run(1.0)
+        in_flight = [entry[3][0] for entry in system.sim._queue if entry[2].__name__ == "_deliver"]
+        assert in_flight and not any(type(p.payload) is Segment for p in in_flight)
+        blob = snapshot_system(system, verify=True)
+        restored = restore_system(blob)
+        for of in (system, restored):
+            assert of.transport.direct is True and of.faults.sealed
+            assert not of.transport._senders and not of.transport._receivers
+            assert not _pending(of, "_on_timeout")
+        assert _pending(restored, "_deliver") == _pending(system, "_deliver")
+        system.run(1.0)
+        restored.run(1.0)
+        assert restored.sim.events_processed == system.sim.events_processed
+        assert restored.stats_report() == system.stats_report()
+        with pytest.raises(SimulationError, match="sealed"):
+            restored.set_loss_rate(0.01)
+
     @pytest.mark.parametrize("degraded", [False, True])
     def test_mid_flood_folded_deliveries_and_the_hop_property_round_trip(self, degraded):
         # The paper's ideal network: _at_router schedules _deliver itself,
@@ -245,8 +287,12 @@ class TestSnapshotInvariants:
         # the restored copy must cross the closing edges in lock-step.
         # (Timers above the windows: nobody is convicted for the outage.)
         system = RacSystem(timer_regime("detect", link_bandwidth_bps=20e6), seed=11)
+        # A loss rate on a link nobody has draws nothing and keeps the
+        # ARQ, whose watch entry, and the windows below, need it.
+        system.set_loss_rate(0.5, node_id=-1)
         nodes = system.bootstrap(8)
         system.run(0.5)
+        assert system.transport.direct is False
         if degraded:
             system.faults.schedule_degradation(nodes[2], 0.5, 0.7, 0.5)
             system.faults.schedule_outage(nodes[3], 0.5, 0.8)
@@ -466,6 +512,7 @@ class TestSnapshotErrors:
         # that holds its simulator: only the header can turn it away.
         # A RACSNAP/11 unacknowledged segment holds a timer, not a ticket.
         # A RACSNAP/12 key pair unpickles without its sealed-box header.
+        # A RACSNAP/13 transport unpickles without its path choice.
         body = pickle.dumps((_Rac2Event(), _Rac3Monitor()))
         for stale in (_Rac2Event(), _Rac3Monitor()):
             with pytest.raises(AttributeError):
@@ -488,12 +535,16 @@ class TestSnapshotErrors:
         rac12 = _rac12_keypair()
         with pytest.raises(AttributeError, match="_header"):
             pickle.loads(rac12).open(b"S")
+        rac13 = _rac13_transport()
+        with pytest.raises(AttributeError, match="direct"):
+            pickle.loads(rac13).send(1, 2, b"x", 10)
         bodies = {version: body for version in ("1", "2", "3", "4", "5", "6")}
         stale = {**bodies, "7": rac7, "8": rac8, "9": rac9, "10": rac10, "11": rac11, "12": rac12}
+        stale["13"] = rac13
         for version, stale_body in stale.items():
             old = f"RACSNAP/{version}\n".encode() + stale_body
             with pytest.raises(
-                SnapshotError, match=f"version mismatch: blob is RACSNAP/{version},.*RACSNAP/13"
+                SnapshotError, match=f"version mismatch: blob is RACSNAP/{version},.*RACSNAP/14"
             ):
                 restore_system(old)
             path = tmp_path / "old.snap"

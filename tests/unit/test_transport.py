@@ -1,21 +1,36 @@
-"""Unit tests for the ARQ transport (reliable FIFO over lossy links)."""
+"""Unit tests for the transport: the ARQ (reliable FIFO over lossy
+links) and the direct path a lossless star takes."""
 
 import pytest
 
-from repro.core.config import timer_regime
+from repro.core.config import RacConfig, timer_regime
 from repro.core.system import RacSystem
-from repro.simnet.engine import Simulator
+from repro.simnet.engine import SimulationError, Simulator
 from repro.simnet.faults import FaultInjector
 from repro.simnet.network import StarNetwork
 from repro.simnet.transport import Ack, ReliableTransport, Segment
 
+#: A node no test attaches: a loss rate on its links draws nothing for
+#: any packet, but leaves the injector not faultless, so the transport
+#: runs the ARQ.
+UNUSED = 99
+
 
 def make(loss_rate=0.0, seed=0, **transport_kwargs):
+    """A 1 Mb/s star whose transport runs the ARQ, lossless or not."""
     sim = Simulator()
     faults = FaultInjector(sim, seed=seed, loss_rate=loss_rate)
+    faults.set_loss_rate(0.5, node_id=UNUSED)
     net = StarNetwork(sim, bandwidth_bps=1_000_000, faults=faults)
     transport = ReliableTransport(net, **transport_kwargs)
     return sim, net, transport
+
+
+def make_direct(**network_kwargs):
+    """A 1 Mb/s lossless, faultless star: the transport goes direct."""
+    sim = Simulator()
+    net = StarNetwork(sim, bandwidth_bps=1_000_000, faults=FaultInjector(sim), **network_kwargs)
+    return sim, net, ReliableTransport(net)
 
 
 class TestDelivery:
@@ -324,6 +339,127 @@ class TestRetransmitTickets:
         assert transport.retransmits == 0 and transport._watch == fresh
         sim.run(until=fresh[0])
         assert transport.retransmits == 1
+
+
+class TestDirectPath:
+    """A star that can never lose or reorder a packet: each segment is
+    the bare payload, sent once, with its ACK's bytes charged to the
+    receiver's uplink and nothing else."""
+
+    def test_per_pair_fifo_without_a_holdback_queue(self):
+        sim, net, transport = make_direct()
+        got = []
+        transport.attach(1, lambda src, payload: got.append((sim.now, src, payload)))
+        transport.attach(2, lambda *a: None)
+        transport.attach(3, lambda *a: None)
+        transport.send(2, 1, "big-then", 5000)
+        transport.send(2, 1, "small", 10)
+        transport.send(3, 1, "other", 10)
+        sim.run()
+        assert transport.direct is True
+        assert [payload for _t, src, payload in got if src == 2] == ["big-then", "small"]
+        assert sorted(payload for _t, _src, payload in got) == ["big-then", "other", "small"]
+        assert not transport._senders and not transport._receivers
+        assert transport._watch is None and transport.in_flight(2, 1) == 0
+        assert (transport.segments_sent, transport.acks_sent) == (3, 3)
+        assert (transport.retransmits, transport.rtt_samples, transport.duplicates) == (0, 0, 0)
+
+    def test_data_and_header_cross_the_network_and_the_ack_only_the_uplink(self):
+        sim, net, transport = make_direct()
+        arrived = []
+        transport.attach(1, lambda *a: None)
+        transport.attach(2, lambda src, payload: arrived.append(sim.now))
+        transport.send(1, 2, "x", 100)
+        sim.run()
+        data = 100 + ReliableTransport.HEADER_BYTES
+        assert (net.packets_delivered, net.bytes_delivered) == (1, data)
+        uplink = net.uplinks[2]  # the receiver's: its ACK leaves here
+        ack_time = ReliableTransport.ACK_BYTES * 8 / 1_000_000
+        assert (uplink.bytes_carried, uplink.packets_carried) == (ReliableTransport.ACK_BYTES, 1)
+        assert uplink.busy_until == arrived[0] + ack_time
+        assert uplink.busy_seconds == pytest.approx(ack_time)
+        # the sender's downlink never sees the ACK
+        assert net.downlinks[1].bytes_carried == 0 and net.downlinks[1].busy_until == 0.0
+        assert sim.events_processed == 2  # the uplink hop and the downlink delivery
+
+    def test_the_ack_charge_queues_behind_the_receivers_own_backlog(self):
+        sim, net, transport = make_direct()
+        transport.attach(1, lambda *a: None)
+        transport.attach(2, lambda src, payload: transport.send(2, 1, "reply", 1000))
+        transport.send(1, 2, "x", 100)
+        sim.run()
+        # the ACK went first (charged before the handler ran), the reply behind it
+        uplink = net.uplinks[2]
+        assert uplink.bytes_carried == ReliableTransport.ACK_BYTES + 1000 + ReliableTransport.HEADER_BYTES
+        assert uplink.packets_carried == 2 and transport.acks_sent == 2
+
+    def test_a_segment_to_a_detached_node_is_dropped_once(self):
+        failures = []
+        sim, net, transport = make_direct()
+        transport.on_failure = lambda *a: failures.append(a)
+        got = []
+        transport.attach(1, lambda src, payload: got.append(payload))
+        transport.attach(2, lambda *a: None)
+        transport.send(2, 1, "x", 10)
+        transport.detach(1)
+        sim.run()
+        assert got == [] and failures == []
+        assert net.drops_by_reason == {"detached": 1} and net.packets_dropped == 1
+        assert (transport.retransmits, transport.delivery_failures, transport.acks_sent) == (0, 0, 0)
+        assert sim.events_processed == 1  # one hop, no retransmission
+
+    def test_the_choice_is_final(self):
+        sim, net, transport = make_direct()
+        transport.attach(1, lambda *a: None)
+        transport.attach(2, lambda *a: None)
+        faults = net.faults
+        transport.send(1, 2, "x", 10)
+        assert transport.direct is True and faults.sealed
+        for add_fault in (
+            lambda: faults.set_loss_rate(0.1),
+            lambda: faults.set_loss_rate(0.1, node_id=UNUSED),
+            faults.plan_loss,
+            lambda: faults.schedule_outage(1, 1.0, 1.0),
+            lambda: faults.schedule_partition([1], [2], 1.0, 1.0),
+            lambda: faults.schedule_degradation(1, 1.0, 1.0, 0.5),
+        ):
+            with pytest.raises(SimulationError, match="sealed"):
+                add_fault()
+        faults.set_loss_rate(0.0)  # a zero rate adds no fault
+        assert faults.faultless and not faults.edges
+        sim.run()
+        assert net.packets_delivered == 1 and transport.direct is True
+
+    def test_a_fault_planned_before_the_first_send_chooses_the_arq(self):
+        for plan in (
+            lambda faults: faults.set_loss_rate(0.1, node_id=UNUSED),
+            lambda faults: faults.plan_loss(),
+            lambda faults: faults.schedule_outage(UNUSED, 5.0, 1.0),
+        ):
+            sim, net, transport = make_direct()
+            plan(net.faults)
+            transport.attach(1, lambda *a: None)
+            transport.attach(2, lambda *a: None)
+            transport.send(1, 2, "x", 10)
+            sim.run()
+            assert transport.direct is False and not net.faults.sealed
+            assert transport.acks_sent == 1 and net.packets_delivered == 2  # data and ACK
+
+    def test_a_star_that_can_reorder_chooses_the_arq(self):
+        sim, net, transport = make_direct(propagation_jitter=1e-3)
+        assert not net.overtaking_free
+        transport.attach(1, lambda *a: None)
+        transport.attach(2, lambda *a: None)
+        transport.send(1, 2, "x", 10)
+        assert transport.direct is False and not net.faults.sealed
+
+    def test_a_system_loss_rate_after_the_first_segment_raises(self):
+        system = RacSystem(RacConfig.small(), seed=3)
+        system.bootstrap(6)
+        system.run(0.2)
+        assert system.transport.direct is True
+        with pytest.raises(SimulationError, match="sealed"):
+            system.set_loss_rate(0.01)
 
 
 class TestWireTypes:
