@@ -38,7 +38,7 @@ sweep-smoke:  # 2x2 sweep on 2 workers with one injected crash; must recover, an
 	$(REPRO) sweep aggregate --run-dir results/sweep_smoke \
 		--metric events_processed --by nodes
 
-live-smoke:  # 8 live nodes over real TCP for ~10s, then 4 worker processes for ~4s; each: >=1 delivery, 0 evictions, 0 rejected/oversize frames, 0 dispatch errors
+live-smoke:  # 8 live nodes over real TCP for ~10s, then 4 worker processes for ~4s, both judged by run_scenario; each: >=1 delivery, 0 evictions, 0 rejected/oversize frames, 0 dispatch errors
 	$(REPRO) live demo --nodes 8 --duration 10 --check
 	$(REPRO) live demo --subprocess --nodes 4 --duration 4 --check
 

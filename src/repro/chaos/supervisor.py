@@ -10,10 +10,10 @@ timeline event and, as the wall clock crosses each one:
 * **crash-restart** — after the planned downtime, rebuilds the node
   *with the same* :class:`repro.core.identity.NodeMaterial` identity
   and the same TCP port, re-registers it through the directory
-  (retrying while a directory outage overlaps), rehydrates its
-  membership replica from the roster minus everyone evicted while it
-  was down, and resumes relaying — peers' links reconnect on their own
-  jittered backoff;
+  (retrying while a directory outage overlaps), copies an incumbent's
+  membership replica (its bootstrap roster and ordered join, leave and
+  eviction log, as a joiner does), and resumes relaying — peers' links
+  reconnect on their own jittered backoff;
 * **directory outage** — closes the rendezvous server and restarts it
   on the same port after the window (registrations survive in memory,
   as a directory restored from its log would);
@@ -129,7 +129,6 @@ class ChaosSupervisor:
                 self._note(f"node#{event.node} ({node_id:#x}) left")
         if self.checker is not None:
             now = self.proxy.now
-            self.checker.check_directory(now, self.cluster.group_directory)
             for node in self.cluster.live_nodes():
                 self.checker.check_directory(now, node.env.directory)
 
@@ -159,8 +158,8 @@ class ChaosSupervisor:
         Returns True on success. The node re-binds its previous port
         (so peers' queued frames flush over their existing reconnect
         loops), re-registers with the directory — retrying while the
-        directory is down — and activates against the current roster
-        minus every node evicted in the meantime.
+        directory is down — and activates on a copy of an incumbent's
+        replica, so evictions that landed while it was down are in it.
         """
         material = self.cluster.materials[index]
         node = self.cluster.build_node(index, port=port)
@@ -179,15 +178,8 @@ class ChaosSupervisor:
                     node.kill()
                     return False
                 await asyncio.sleep(0.2)
-        roster = [
-            entry
-            for entry in self.cluster.directory.roster()
-            if entry.node_id not in self.cluster.evicted
-        ]
-        await node.activate(len(roster), roster=roster)
-        # Evictions that landed while this replica was down are already
-        # excluded from the roster; future ones arrive via the cluster
-        # coordinator like everyone else's.
+        sponsor = self.cluster.sponsor().env
+        await node.activate(0, roster=sponsor.roster, membership_log=list(sponsor.log))
         self.cluster.adopt_replacement(index, node)
         self._install(node)
         self.restarts += 1

@@ -301,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     demo.add_argument("--subprocess", action="store_true",
                       help="one worker process per node instead of asyncio tasks")
-    demo.set_defaults(build=_live_demo,
-                      passed=lambda o: _live_ok(o.deliveries, o.evictions, o.errors, o.counters),
+    demo.set_defaults(passed=lambda o: _live_ok(o.deliveries, o.evictions, o.errors, o.counters),
                       expect="expected >=1 delivery, 0 evictions, 0 errors, 0 of " + " ".join(_UNCLEAN))
 
     chaos = _group(sub, "chaos", "scripted fault plans with invariant-checked runs on sim or live")
@@ -443,7 +442,7 @@ def _scenarios(args: argparse.Namespace):
     built = []
     for substrate in ("sim", "live") if chosen == "both" else (chosen,):
         scenario = Scenario.from_params({**params, "substrate": substrate}, args.seed, args.harness)
-        scenario.check_substrate(substrate)
+        scenario.check_substrate(substrate, getattr(args, "subprocess", False))
         built.append((substrate, scenario))
     return built
 
@@ -461,27 +460,11 @@ def _scenario(args: argparse.Namespace) -> Run:
     def run() -> int:
         failed = False
         for substrate, scenario in scenarios:
-            outcome = run_scenario(scenario, substrate, port_base=args.port_base)
+            outcome = run_scenario(scenario, substrate, port_base=args.port_base,
+                                   processes=getattr(args, "subprocess", False))
             print(outcome.render())
             failed = failed or not args.passed(outcome)
         return _verdict(args, failed)
-
-    return run
-
-
-def _live_demo(args: argparse.Namespace) -> Run:
-    if not args.subprocess:
-        return _scenario(args)
-    from .live.cluster import run_subprocess_demo
-
-    [(_, s)] = _scenarios(args)
-
-    def run() -> int:
-        report = run_subprocess_demo(s.nodes, s.horizon, seed=s.seed, messages=s.messages,
-                                     port_base=args.port_base)
-        print(report.render())
-        ok = _live_ok(report.deliveries, report.evicted, report.errors, report.counters())
-        return _verdict(args, not ok)
 
     return run
 

@@ -4,7 +4,7 @@
 * :mod:`repro.core.environment` — the NodeEnvironment substrate protocol;
 * :mod:`repro.core.identity` — deterministic node identity material;
 * :mod:`repro.core.onion` — layered encryption, padding, peeling;
-* :mod:`repro.core.messages` — the two wire messages, the join record and domain ids;
+* :mod:`repro.core.messages` — the three wire messages, the join record and domain ids;
 * :mod:`repro.core.monitor` — the three misbehaviour checks;
 * :mod:`repro.core.blacklist` — blacklists and eviction evidence;
 * :mod:`repro.core.behavior` — the honest behaviour hook set;
@@ -21,6 +21,7 @@ from .messages import (
     Accusation,
     Broadcast,
     DomainId,
+    EvictionNotice,
     JoinRequest,
     channel_domain,
     group_domain,
@@ -44,6 +45,7 @@ __all__ = [
     "Accusation",
     "Broadcast",
     "DomainId",
+    "EvictionNotice",
     "JoinRequest",
     "channel_domain",
     "group_domain",

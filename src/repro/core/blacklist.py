@@ -13,10 +13,11 @@ A node is removed from the views once evidence accumulates:
   number of opponent followers; or
 * (f·G + 1) distinct members of its group blacklist it as a relay.
 
-:class:`EvictionTracker` tallies both kinds of evidence and emits
-eviction verdicts. It is pure bookkeeping — validation of "is the
-accuser really a follower?" is delegated to a callable so the class
-stays testable in isolation.
+A node outside the evidence removes it once ⌊f·G⌋ + 1 distinct members
+of its group sent eviction notices. :class:`EvictionTracker` tallies
+all three and emits eviction verdicts. It is pure bookkeeping —
+validation of "is the accuser really a follower?" is delegated to a
+callable so the class stays testable in isolation.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ class EvictionTracker:
         "_rate_high_accusers",
         "_rate_high_filers",
         "_relay_votes",
+        "_notifiers",
         "evicted",
     )
 
@@ -103,6 +105,8 @@ class EvictionTracker:
         #: accused -> group gid -> count of anonymous blacklists naming it
         #: in the latest shuffle round
         self._relay_votes: Dict[int, Dict[int, int]] = {}
+        #: accused -> members that sent an eviction notice about it
+        self._notifiers: Dict[int, Set[int]] = {}
         self.evicted: Set[int] = set()
 
     # -- predecessor evidence ------------------------------------------------
@@ -199,8 +203,18 @@ class EvictionTracker:
     def relay_vote_count(self, accused: int, group_gid: int) -> int:
         return self._relay_votes.get(accused, {}).get(group_gid, 0)
 
+    def record_notice(self, notifier: int, accused: int) -> "Optional[int]":
+        """Tally one eviction notice: how many distinct members have now
+        notified about ``accused``, or ``None`` for a repeat notifier."""
+        notifiers = self._notifiers.setdefault(accused, set())
+        if notifier in notifiers:
+            return None
+        notifiers.add(notifier)
+        return len(notifiers)
+
     # -- lifecycle ----------------------------------------------------------------
     def forget(self, node_id: int) -> None:
         """Drop all evidence about a node (it left or was evicted)."""
         self._predecessor_accusers.pop(node_id, None)
         self._relay_votes.pop(node_id, None)
+        self._notifiers.pop(node_id, None)

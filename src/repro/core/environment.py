@@ -22,6 +22,11 @@ timer per node and domain). On the simulator both spellings fire at
 the same ``(time, seq)``, which is what lets the node drop the timers
 it does not need without moving any event that remains.
 
+Membership comes from a *replica* of the group and channel directories
+(:class:`Replica`): the simulator keeps one for every node, a live node
+keeps its own. ``evict`` is the one way a verdict changes it, called by
+the node's replica rule (:mod:`repro.core.node`).
+
 The protocol is ``runtime_checkable`` so tests can assert both
 implementations actually satisfy it; unit tests stub it with a few
 lines, exactly as before the extraction.
@@ -29,14 +34,16 @@ lines, exactly as before the extraction.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Tuple, runtime_checkable
+from typing import Dict, Optional, Protocol, Tuple, runtime_checkable
 
+from ..groups.channels import ChannelDirectory
+from ..groups.manager import GroupDirectory
 from ..overlay.membership import MembershipView
 from ..simnet.stats import StatsRegistry
 from ..simnet.trace import Tracer
-from .messages import DomainId
+from .messages import DomainId, channel_domain
 
-__all__ = ["NodeEnvironment"]
+__all__ = ["NodeEnvironment", "Replica"]
 
 
 @runtime_checkable
@@ -90,8 +97,12 @@ class NodeEnvironment(Protocol):
         """Send one protocol message to a peer, charged ``size_bytes``."""
         ...
 
+    def holds(self, node_id: int) -> bool:
+        """Whether the node's replica has ``node_id`` in a group."""
+        ...
+
     def group_of(self, node_id: int) -> int:
-        """Group id of a node (groups can split; never cache it)."""
+        """Group id of a held node (groups can split; never cache it)."""
         ...
 
     def domain_view(self, domain: DomainId) -> "Optional[MembershipView]":
@@ -114,6 +125,54 @@ class NodeEnvironment(Protocol):
         """A node delivered an anonymous payload (metering hook)."""
         ...
 
-    def report_eviction(self, reporter: int, accused: int, domain: DomainId, kind: str) -> None:
-        """A node collected complete eviction evidence."""
+    def evict(
+        self, accused: int, by: int, domain: DomainId, kind: str
+    ) -> "Optional[Dict[DomainId, MembershipView]]":
+        """Remove ``accused`` from the node's replica, recording the
+        verdict of ``by`` on ``kind`` evidence in ``domain``. Returns the
+        channels of its group as they stood (what its notice floods), or
+        None when the replica did not hold it."""
         ...
+
+
+class Replica:
+    """The membership half of :class:`NodeEnvironment` over a group
+    ``directory`` and its ``channels``; ``evict`` records each verdict in
+    ``evicted`` and leaves the removal to the substrate's ``_remove``."""
+
+    directory: GroupDirectory
+    channels: ChannelDirectory
+    evicted: "Dict[int, Dict]"
+
+    def holds(self, node_id: int) -> bool:
+        return node_id in self.directory
+
+    def group_of(self, node_id: int) -> int:
+        return self.directory.group_of_node(node_id).gid
+
+    def domain_view(self, domain: DomainId) -> "Optional[MembershipView]":
+        kind, key = domain
+        if kind == "group":
+            group = self.directory.groups.get(key)
+            return group.view if group is not None else None
+        if kind == "channel":
+            gid_a, gid_b = key
+            if gid_a not in self.directory.groups or gid_b not in self.directory.groups:
+                return None
+            return self.channels.channel_view(gid_a, gid_b)
+        raise ValueError(f"unknown domain kind {kind!r}")
+
+    def evict(
+        self, accused: int, by: int, domain: DomainId, kind: str
+    ) -> "Optional[Dict[DomainId, MembershipView]]":
+        if not self.holds(accused):
+            return None
+        gid = self.group_of(accused)
+        channels = {
+            channel_domain(gid, other): self.channels.channel_view(gid, other)
+            for other in sorted(self.directory.groups)
+            if other != gid
+        }
+        self.evicted[accused] = {"by": by, "domain": domain, "kind": kind, "at": self.now, "gid": gid}
+        self._remove(accused)
+        return channels

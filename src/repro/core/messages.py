@@ -1,11 +1,11 @@
 """Wire messages exchanged by RAC nodes.
 
-Nodes send each other two messages: :class:`Broadcast`, a padded onion
-blob flooding the rings of one *domain* (a group or a channel), and
-:class:`Accusation`, a clear predecessor accusation. The join
-handshake, READY, eviction notices and the blacklist shuffle run
-in-process (DESIGN.md §1); :class:`JoinRequest` is the record the
-in-process join hands its verifiers, not a wire frame.
+Nodes send each other three messages: :class:`Broadcast`, a padded onion
+blob flooding the rings of one *domain* (a group or a channel),
+:class:`Accusation`, a clear predecessor accusation, and
+:class:`EvictionNotice`. The join handshake, READY and the blacklist
+shuffle run in-process (DESIGN.md §1); :class:`JoinRequest` is the
+record the in-process join hands its verifiers, not a wire frame.
 
 Domains are identified by :class:`DomainId`: either ``("group", gid)``
 or ``("channel", (gid_a, gid_b))`` with ``gid_a < gid_b``.
@@ -23,6 +23,7 @@ __all__ = [
     "Broadcast",
     "JoinRequest",
     "Accusation",
+    "EvictionNotice",
 ]
 
 
@@ -85,3 +86,16 @@ class Accusation:
     domain: DomainId
     reason: str
     msg_id: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class EvictionNotice:
+    """``accuser`` removed ``accused`` on its own ``kind`` of evidence
+    (``"predecessor"``, ``"rate-high"`` or ``"relay"``); flooded over the
+    channel ``domain`` of the accused's group (§IV-C: the group "notifies
+    every channel it belonged to")."""
+
+    accuser: int
+    accused: int
+    domain: DomainId
+    kind: str

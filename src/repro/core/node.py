@@ -13,13 +13,16 @@ A node participates in one *group* and, transiently, in *channels*
 * the three **misbehaviour checks** (relay, predecessor, rate), whose
   verdicts go to local blacklists and clear accusations;
 * periodic participation in the anonymous **blacklist shuffle** (driven
-  by :class:`repro.core.system.RacSystem`).
+  by :class:`repro.core.system.RacSystem`);
+* the **replica rule** (§IV-C): X leaves the node's replica when (i) its
+  own evidence against X completes — it then notifies every channel of
+  X's group — or (ii) ⌊f·|D|⌋ + 1 members of X's group D notified it.
 
 The node is glued to its execution substrate through the narrow
 ``env`` interface — the :class:`repro.core.environment.NodeEnvironment`
-protocol — providing the clock, transport, membership views and
-eviction reporting. The discrete-event simulator
-(:class:`repro.core.system.RacSystem`) and the asyncio/TCP live runtime
+protocol — providing the clock, transport and a membership replica.
+The discrete-event simulator (:class:`repro.core.system.RacSystem`) and
+the asyncio/TCP live runtime
 (:class:`repro.live.environment.LiveEnvironment`) both implement it;
 unit tests stub it with a few lines.
 """
@@ -41,7 +44,7 @@ from ..overlay.broadcast import FIRST_COPY, REPLAYED_COPY, BroadcastState, CopyK
 from .behavior import HonestBehavior
 from .blacklist import Blacklist, EvictionTracker
 from .config import RacConfig
-from .messages import Accusation, Broadcast, DomainId, channel_domain, group_domain
+from .messages import Accusation, Broadcast, DomainId, EvictionNotice, channel_domain, group_domain
 from .monitor import PredecessorMonitor, RateMonitor, RelayMonitor
 from .onion import build_noise, build_onion, peel, unwrap_wire
 from .wire import encoded_size
@@ -422,8 +425,8 @@ class RacNode:
             return
         if isinstance(payload, Broadcast):
             self._handle_broadcast(src, payload)
-        elif isinstance(payload, Accusation):
-            self._handle_accusation_flood(src, payload)
+        elif isinstance(payload, (Accusation, EvictionNotice)):
+            self._handle_control_flood(payload)
         else:
             self._count("unknown_message")
 
@@ -610,34 +613,36 @@ class RacNode:
         self._trace("accusation", accused=accused, reason=reason, domain=domain)
         accusation = Accusation(self.node_id, accused, domain, reason, msg_id)
         self._ingest_accusation(accusation)
-        self._flood_control(domain, accusation)
+        self._flood_control(accusation, self.env.domain_view(domain))
 
     # -- control-plane flooding ------------------------------------------------------------
-    def _control_id(self, accusation: Accusation) -> int:
-        domain_token = sha256_int(repr(accusation.domain))
-        return sha256_int(
-            accusation.accuser, accusation.accused, domain_token, accusation.reason
-        )
+    def _control_id(self, message: "Accusation | EvictionNotice") -> int:
+        domain_token = sha256_int(repr(message.domain))
+        if type(message) is Accusation:
+            return sha256_int(message.accuser, message.accused, domain_token, message.reason)
+        return sha256_int("notice", message.accuser, message.accused, domain_token, message.kind)
 
-    def _flood_control(self, domain: DomainId, accusation: Accusation) -> None:
-        """Send one accusation to the domain successors (callers manage
-        the duplicate-suppression set)."""
-        self._control_seen.add(self._control_id(accusation))
-        view = self.env.domain_view(domain)
+    def _flood_control(self, message, view: "Optional[MembershipView]") -> None:
+        """Send one control message to its domain successors in ``view``
+        (callers manage the duplicate-suppression set)."""
+        self._control_seen.add(self._control_id(message))
         if view is None or self.node_id not in view:
             return
-        size = encoded_size(accusation)
+        size = encoded_size(message)
         for ring_index in range(view.num_rings):
             successor = view.topology.successor(self.node_id, ring_index)
             if successor is not None:
-                self.env.unicast(self.node_id, successor, accusation, size)
+                self.env.unicast(self.node_id, successor, message, size)
         self._count("control_forwards")
 
-    def _handle_accusation_flood(self, src: int, accusation: Accusation) -> None:
-        if self._control_id(accusation) in self._control_seen:
+    def _handle_control_flood(self, message: "Accusation | EvictionNotice") -> None:
+        if self._control_id(message) in self._control_seen:
             return
-        self._flood_control(accusation.domain, accusation)
-        self._ingest_accusation(accusation)
+        self._flood_control(message, self.env.domain_view(message.domain))
+        if type(message) is Accusation:
+            self._ingest_accusation(message)
+        else:
+            self._ingest_notice(message)
 
     def _ingest_accusation(self, accusation: Accusation) -> None:
         view = self.env.domain_view(accusation.domain)
@@ -665,8 +670,7 @@ class RacNode:
             accusation.accuser, accusation.accused, accusation.domain, is_follower
         )
         if verdict is not None:
-            self._count("eviction_evidence_complete")
-            self.env.report_eviction(self.node_id, verdict, accusation.domain, "predecessor")
+            self._convict(verdict, accusation.domain, "predecessor")
 
     def _finalize_rate_high_eviction(self, accused: int, domain: DomainId) -> None:
         if not self.active:
@@ -675,8 +679,7 @@ class RacNode:
             self._count("rate_high_excused")
             return
         if self.eviction_tracker.confirm_eviction(accused):
-            self._count("eviction_evidence_complete")
-            self.env.report_eviction(self.node_id, accused, domain, "rate-high")
+            self._convict(accused, domain, "rate-high")
 
     # -- shuffle participation ------------------------------------------------------------
     def shuffle_contribution(self) -> "Tuple[int, ...]":
@@ -686,8 +689,38 @@ class RacNode:
     def ingest_shuffle_round(self, group_gid: int, group_size: int, lists: "List[Tuple[int, ...]]") -> None:
         """Tally one anonymous blacklist round (Section IV-C eviction)."""
         for evicted in self.eviction_tracker.record_relay_round(group_gid, group_size, lists):
-            self._count("eviction_evidence_complete")
-            self.env.report_eviction(self.node_id, evicted, group_domain(group_gid), "relay")
+            self._convict(evicted, group_domain(group_gid), "relay")
+
+    # -- the replica rule ------------------------------------------------------------------
+    def _convict(self, accused: int, domain: DomainId, kind: str) -> None:
+        """Rule (i): own evidence is complete. If that takes the accused
+        out of the replica, notify every channel of its group as the
+        replica held them, so a removal that dissolves the group still
+        notifies. No in-group flood: every correct member holds the same
+        accusations or shuffle output and convicts on its own."""
+        self._count("eviction_evidence_complete")
+        channels = self.env.evict(accused, self.node_id, domain, kind)
+        for channel, view in (channels or {}).items():
+            self._flood_control(EvictionNotice(self.node_id, accused, channel, kind), view)
+
+    def _ingest_notice(self, notice: EvictionNotice) -> None:
+        """Rule (ii): remove the accused once ⌊f·|D|⌋ + 1 distinct
+        members of its group D, as this replica holds D, notified."""
+        env, accused = self.env, notice.accused
+        if not env.holds(accused):
+            self._count("eviction_notice_stale")
+            return
+        gid = env.group_of(accused)
+        view = env.domain_view(group_domain(gid))
+        if notice.accuser not in view:
+            self._count("eviction_notice_outsider")
+            return
+        notifiers = self.eviction_tracker.record_notice(notice.accuser, accused)
+        if notifiers is None:
+            self._count("eviction_notice_repeated")
+            return
+        if notifiers >= self.config.relay_accusation_threshold(len(view)):
+            env.evict(accused, notice.accuser, group_domain(gid), notice.kind)
 
     # -- membership events ------------------------------------------------------------
     def on_evicted(self, node_id: int) -> None:

@@ -7,16 +7,19 @@ directory, the channel directory and the population of
 
 * the **public API** of the library (``bootstrap``, ``join``, ``send``,
   ``run``, ``delivered_messages``, ...), and
-* the ``env`` interface nodes talk to (clock, unicast, views, eviction
-  reporting).
+* the ``env`` interface nodes talk to (clock, unicast, views, the
+  directory replica).
 
 Simulation-level simplifications, recorded here and in DESIGN.md §1:
 
-* All correct nodes share the membership views held by the directory
-  instead of replaying join/eviction broadcasts against private copies.
-  View *divergence* is out of the paper's scope (its Fireflies and
-  group machinery exists to keep views consistent); the message costs
-  of joins and evictions are still accounted.
+* Every node shares one replica: the directory. A node runs the same
+  replica rule as on the live substrate (:mod:`repro.core.node`), so the
+  first complete conviction removes the accused for everyone and its
+  eviction notices are real segments on the channel rings; a notice
+  then finds the accused gone and is counted, not applied. View
+  *divergence* is out of the paper's scope (its Fireflies and group
+  machinery exists to keep views consistent); the message costs of
+  joins are accounted, not sent.
 * The anonymous blacklist shuffle runs as a synchronous sub-protocol
   every ``blacklist_period``. Small groups execute the full
   cryptographic shuffle of :mod:`repro.crypto.shuffle`; large groups
@@ -42,6 +45,7 @@ from ..simnet.trace import Tracer
 from ..simnet.transport import ReliableTransport
 from ..crypto.shuffle import ShuffleParticipant, run_shuffle
 from .config import RacConfig, check_timers
+from .environment import Replica
 from .identity import PopulationFactory
 from .messages import DomainId, JoinRequest
 from .node import RacNode
@@ -50,7 +54,7 @@ from .wire import verify_unicast_payload
 __all__ = ["RacSystem"]
 
 
-class RacSystem:
+class RacSystem(Replica):
     """One simulated RAC deployment.
 
     This class is the simnet-backed implementation of the
@@ -142,21 +146,6 @@ class RacSystem:
             self.stats.add("wire_checks")
         self.transport.send(src, dst, payload, size_bytes)
 
-    def group_of(self, node_id: int) -> int:
-        return self.directory.group_of_node(node_id).gid
-
-    def domain_view(self, domain: DomainId) -> "Optional[MembershipView]":
-        kind, key = domain
-        if kind == "group":
-            group = self.directory.groups.get(key)
-            return group.view if group is not None else None
-        if kind == "channel":
-            gid_a, gid_b = key
-            if gid_a not in self.directory.groups or gid_b not in self.directory.groups:
-                return None
-            return self.channels.channel_view(gid_a, gid_b)
-        raise ValueError(f"unknown domain kind {kind!r}")
-
     def send_interval_for(self, node_id: int) -> float:
         if self._interval_override is not None:
             return self._interval_override
@@ -183,48 +172,27 @@ class RacSystem:
             if not queued:
                 del self._send_times[payload]
 
-    def report_eviction(self, reporter: int, accused: int, domain: DomainId, kind: str) -> None:
-        """A correct node collected complete eviction evidence.
+    def evict(
+        self, accused: int, by: int, domain: DomainId, kind: str
+    ) -> "Optional[Dict[DomainId, MembershipView]]":
+        if accused not in self.nodes:
+            return None  # a crafted join put it in the directory, no node runs it
+        channels = super().evict(accused, by, domain, kind)
+        if channels is not None:
+            self.stats.add("evictions")
+            self.tracer.record(self.now, "evicted", node=accused, by=by, evidence=kind)
+        return channels
 
-        Applied once, globally (shared-view simplification). The group
-        of the evicted node then notifies every channel it belonged to;
-        we account those messages without flooding them.
-        """
-        if accused in self.evicted or accused not in self.nodes:
-            return
-        node = self.nodes[accused]
-        group = self.directory.group_of_node(accused)
-        self.evicted[accused] = {
-            "by": reporter,
-            "domain": domain,
-            "kind": kind,
-            "at": self.now,
-            "gid": group.gid,
-        }
-        node.stop()
-        self.transport.detach(accused)
-        self.directory.remove_node(accused)
+    def _remove(self, node_id: int) -> None:
+        """Take a node out of the one replica: it stops and detaches, and
+        every other node purges its monitoring state."""
+        self.nodes[node_id].stop()
+        self.transport.detach(node_id)
+        self.directory.remove_node(node_id)
         self.channels.invalidate()
         for other in self.nodes.values():
             if other.active:
-                other.on_evicted(accused)
-        # Eviction notices to the channels (f+1 needed per channel): in
-        # the shared-view simulation they are pure cost accounting.
-        notices = (self._notice_group_count() - 1) * (
-            self.config.relay_accusation_threshold(len(group)) if len(group) else 1
-        )
-        self.stats.add("eviction_notices", max(0, notices))
-        self.stats.add("evictions")
-        self.tracer.record(self.now, "evicted", node=accused, by=reporter, evidence=kind)
-
-    def _notice_group_count(self) -> int:
-        """How many groups receive an eviction notice.
-
-        The monolithic system sees every group; a shard only hosts its
-        bundle, so it overrides this with the deployment-wide group
-        count to keep the cost accounting identical to an unsharded run.
-        """
-        return len(self.directory.groups)
+                other.on_evicted(node_id)
 
     def _on_transport_failure(self, src: int, dst: int, payload) -> None:
         """The ARQ gave up on a segment: the peer is unreachable.
@@ -397,20 +365,13 @@ class RacSystem:
     def leave(self, node_id: int) -> None:
         """Voluntary departure: announced, so no accusations follow.
 
-        The node stops, detaches and is removed from the views in one
-        step; every remaining node purges its monitoring state exactly
-        as for an eviction (the paper folds both into view updates).
+        Removed exactly as an eviction is (the paper folds both into
+        view updates), without a verdict.
         """
         node = self.nodes.get(node_id)
         if node is None or not node.active:
             raise ValueError(f"node {node_id} is not an active member")
-        node.stop()
-        self.transport.detach(node_id)
-        self.directory.remove_node(node_id)
-        self.channels.invalidate()
-        for other in self.nodes.values():
-            if other.active:
-                other.on_evicted(node_id)
+        self._remove(node_id)
         self.stats.add("voluntary_leaves")
         self.tracer.record(self.now, "left", node=node_id)
 

@@ -1,4 +1,4 @@
-"""Binary wire codecs for the two messages RAC nodes send each other.
+"""Binary wire codecs for the three messages RAC nodes send each other.
 
 The simulator ships Python objects with declared sizes for speed, but a
 real deployment frames bytes; this module provides the byte-level
@@ -17,7 +17,7 @@ from typing import Union
 
 from ..crypto.dh import GROUP_2048, GROUP_TEST
 from ..crypto.keys import PublicKey
-from .messages import Accusation, Broadcast, DomainId
+from .messages import Accusation, Broadcast, DomainId, EvictionNotice
 
 __all__ = [
     "encode_message",
@@ -48,6 +48,7 @@ _DH_GROUPS = {(g.prime, g.generator, g.exponent_bits): g for g in (GROUP_TEST, G
 
 _TAG_BROADCAST = 1
 _TAG_ACCUSATION = 2
+_TAG_EVICTION_NOTICE = 8  # 3-7 tagged in-process records an older codec carried
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
@@ -167,7 +168,7 @@ class _Reader:
             raise WireError("trailing bytes in frame")
 
 
-WireMessage = Union[Broadcast, Accusation]
+WireMessage = Union[Broadcast, Accusation, EvictionNotice]
 
 
 def encode_message(message: WireMessage) -> bytes:
@@ -199,6 +200,14 @@ def encode_message(message: WireMessage) -> bytes:
         if message.msg_id is None:
             return out + bytes([0])
         return out + bytes([1]) + _put_id(message.msg_id)
+    if isinstance(message, EvictionNotice):
+        return (
+            bytes([_TAG_EVICTION_NOTICE])
+            + _put_id(message.accuser)
+            + _put_id(message.accused)
+            + _put_domain(message.domain)
+            + _put_str(message.kind)
+        )
     raise WireError(f"cannot encode {type(message).__name__}")
 
 
@@ -246,6 +255,13 @@ def _decode(data: bytes) -> WireMessage:
         msg_id = reader.node_id() if has_msg else None
         reader.done()
         return Accusation(accuser, accused, domain, reason, msg_id)
+    if tag == _TAG_EVICTION_NOTICE:
+        accuser = reader.node_id()
+        accused = reader.node_id()
+        domain = reader.domain()
+        kind = reader.text()
+        reader.done()
+        return EvictionNotice(accuser, accused, domain, kind)
     raise WireError(f"unknown frame tag {tag}")
 
 

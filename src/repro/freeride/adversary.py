@@ -79,7 +79,7 @@ class FalseAccuser(HonestBehavior):
         domain = node.group_domain_id()
         accusation = Accusation(node.node_id, self.victim, domain, self.reason, None)
         node._ingest_accusation(accusation)
-        node._flood_control(domain, accusation)
+        node._flood_control(accusation, node.env.domain_view(domain))
         self.accusations_sent += 1
 
 

@@ -103,6 +103,9 @@ class GroupDirectory:
             raise KeyError(f"node {node_id} is not in any group")
         return self.groups[gid]
 
+    def __contains__(self, node_id: int) -> bool:
+        return node_id in self._node_group
+
     @property
     def node_ids(self) -> "List[int]":
         return list(self._node_group)

@@ -6,7 +6,8 @@ of that split:
 
 * :func:`snapshot_groups` — freeze a fully-bootstrapped
   :class:`~repro.groups.manager.GroupDirectory` into serializable
-  :class:`GroupSpec` records (gid, interval, member ids);
+  :class:`GroupSpec` records (gid, interval, member ids), and hash it
+  (:func:`directory_digest`, how live replicas compare);
 * :func:`plan_bundles` — deterministically balance those groups over
   ``num_shards`` bundles (largest-first greedy, ties broken by gid);
 * :class:`BundleDirectory` — a :class:`GroupDirectory` restricted to
@@ -20,6 +21,7 @@ everything else — rings, relays, monitors, transport — is group-local.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -30,6 +32,7 @@ __all__ = [
     "GroupSpec",
     "ShardPartitionError",
     "snapshot_groups",
+    "directory_digest",
     "plan_bundles",
     "BundleDirectory",
 ]
@@ -76,6 +79,12 @@ def snapshot_groups(directory: GroupDirectory) -> "List[GroupSpec]":
             GroupSpec(gid=gid, lo=group.lo, hi=group.hi, members=tuple(sorted(group.members)))
         )
     return specs
+
+
+def directory_digest(directory: GroupDirectory) -> str:
+    """SHA-256 of :func:`snapshot_groups`: equal digests, equal gids,
+    intervals and members."""
+    return hashlib.sha256(repr(snapshot_groups(directory)).encode()).hexdigest()
 
 
 def plan_bundles(specs: "Sequence[GroupSpec]", num_shards: int) -> "List[List[GroupSpec]]":

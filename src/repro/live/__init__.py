@@ -17,13 +17,14 @@ frames:
 * :mod:`repro.live.node` — one node: TCP server, inbound dispatch,
   lifecycle;
 * :mod:`repro.live.cluster` — spawn N nodes in one process (asyncio
-  tasks) or across subprocesses, run, shut down, report.
+  tasks) or one worker process each (:mod:`repro.live.worker`), run,
+  shut down, report.
 
-:func:`repro.scenario.run_scenario` (``substrate="live"``) is the judged
-entry point: one ``Scenario`` under the ``wall`` timer regime must
+:func:`repro.scenario.run_scenario` (``substrate="live"``, with
+``processes=True`` for worker processes) is the judged entry point: one ``Scenario`` under the ``wall`` timer regime must
 deliver the same payload multiset on both substrates, accusation-free.
 """
 
-from .cluster import LiveCluster, LiveReport, run_subprocess_demo
+from .cluster import LiveCluster, LiveReport, run_workers
 
-__all__ = ["LiveCluster", "LiveReport", "run_subprocess_demo"]
+__all__ = ["LiveCluster", "LiveReport", "run_workers"]

@@ -1,20 +1,18 @@
 """LiveCluster: spawn, run and tear down a fleet of live RAC nodes.
 
-Two execution modes share the node code path:
+Two execution modes run the same node code, and
+:func:`repro.scenario.run_scenario` (``substrate="live"``) judges both:
 
-* **tasks** (default) — N nodes as concurrent asyncio tasks in one
-  process, all traffic over real localhost TCP sockets. This is the
-  mode :func:`repro.scenario.run_scenario` (``substrate="live"``) and
-  the fault tests use: one process to debug, real bytes on the wire.
-* **subprocess** — N worker processes (``python -m repro.live.worker``),
-  each hosting one node, rendezvousing through the parent's bootstrap
-  directory. Same protocol, real process isolation; evictions apply
-  per-replica only (no cross-process coordinator).
+* **tasks** — a :class:`LiveCluster`: N nodes as asyncio tasks in one
+  process over real localhost TCP; the fault shim and the crash-restart
+  supervisor (:mod:`repro.chaos`) plug into it. It applies joins and
+  leaves to every replica (the in-process join of DESIGN.md §1).
+* **processes** — :func:`run_workers`: one ``python -m
+  repro.live.worker`` process per node, rendezvousing through a
+  bootstrap directory.
 
-In tasks mode the cluster is also the eviction coordinator: the first
-complete evidence report wins and is applied to every replica in the
-same loop iteration — the shared-view simplification the simulator
-makes (DESIGN.md §1), kept identical so sim and live runs agree.
+Either way every node evicts from its own replica by the replica rule
+of :mod:`repro.core.node`: nobody applies a verdict for anyone else.
 """
 
 from __future__ import annotations
@@ -24,18 +22,16 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Tuple
 
 from ..core.config import RacConfig, check_timers, timer_regime
 from ..core.identity import NodeMaterial, PopulationFactory
-from ..core.messages import DomainId
 from ..groups.assignment import verify_puzzle
-from ..groups.manager import GroupDirectory
 from ..simnet.stats import aggregate_stats_reports
-from .directory import BootstrapDirectory, RosterEntry
+from .directory import BootstrapDirectory
 from .node import LiveNode
 
-__all__ = ["LiveCluster", "LiveReport", "run_subprocess_demo"]
+__all__ = ["LiveCluster", "LiveReport", "run_workers"]
 
 
 @dataclass
@@ -46,6 +42,7 @@ class LiveReport:
     duration: float
     delivered: "Dict[int, List[bytes]]"
     per_node: "Dict[int, Dict[str, int]]"
+    #: Every node some replica evicted, earliest first.
     evicted: "List[int]"
     errors: "List[str]" = field(default_factory=list)
 
@@ -97,7 +94,6 @@ class LiveCluster:
         host: str = "127.0.0.1",
         port_base: "Optional[int]" = None,
         on_delivered=None,
-        eviction_observer=None,
     ) -> None:
         if count < 2:
             raise ValueError("a live cluster needs at least two nodes")
@@ -112,26 +108,12 @@ class LiveCluster:
         self.materials: "List[NodeMaterial]" = self._factory.take(count)
         self.directory = BootstrapDirectory(host=host)
         self.nodes: "List[LiveNode]" = []
-        #: Dead incarnations of restarted nodes; their deliveries and
-        #: counters are merged into the report alongside the survivors.
+        #: Dead incarnations of restarted nodes; their deliveries,
+        #: counters and evictions are merged into the report alongside
+        #: the survivors.
         self._retired: "List[LiveNode]" = []
         self._incarnations: "Dict[int, int]" = {}
-        self.evicted: "List[int]" = []
-        #: Canonical post-bootstrap membership history: ordered
-        #: ("join", RosterEntry) / ("remove", node_id) records. A late
-        #: joiner's replica replays it over the bootstrap roster —
-        #: directory state is insertion-order dependent (splits cut at
-        #: the median of whoever is present), so order, not just the
-        #: final member set, must be shared.
-        self._membership_log: "List[tuple]" = []
-        self._initial_roster: "Optional[List[RosterEntry]]" = None
-        #: The cluster's own (coordinator-side) directory replica: it
-        #: outlives any individual node, and its ``event_counts`` deltas
-        #: since bootstrap are the deployment-level split/dissolve tally.
-        self.group_directory: "Optional[GroupDirectory]" = None
-        self._baseline_counts: "Dict[str, int]" = {}
         self._on_delivered = on_delivered
-        self._eviction_observer = eviction_observer
         self._started = False
 
     # -- lifecycle -------------------------------------------------------------
@@ -154,7 +136,6 @@ class LiveCluster:
             port=port,
             incarnation=incarnation,
             on_delivered=self._on_delivered,
-            on_eviction=self._on_eviction,
         )
 
     async def start(self) -> None:
@@ -164,13 +145,6 @@ class LiveCluster:
             self.nodes.append(self.build_node(index))
         await asyncio.gather(*(node.start() for node in self.nodes))
         roster = self.directory.roster()
-        self._initial_roster = list(roster)
-        self.group_directory = GroupDirectory(
-            self.config.num_rings, smin=self.config.group_min, smax=self.config.group_max
-        )
-        for entry in sorted(roster, key=lambda e: e.node_id):
-            self.group_directory.add_node(entry.node_id, entry.id_key)
-        self._baseline_counts = dict(self.group_directory.event_counts)
         for node in self.nodes:
             await node.activate(len(self.nodes), roster=roster)
         self._started = True
@@ -178,13 +152,7 @@ class LiveCluster:
     def queue_message(self, src_index: int, dst_index: int, payload: bytes) -> bool:
         """Queue an anonymous message between two cluster nodes (the
         application-level send of ``RacSystem.send``, by index)."""
-        src = self.nodes[src_index]
-        dst_material = self.materials[dst_index]
-        assert src.rac is not None and src.env is not None
-        dst_gid = src.env.group_of(dst_material.node_id)
-        return src.rac.queue_message(
-            dst_material.pseudonym_keypair.public, dst_gid, payload
-        )
+        return self.nodes[src_index].send(self.materials[dst_index], payload)
 
     async def run_for(self, duration: float) -> None:
         await asyncio.sleep(duration)
@@ -196,18 +164,23 @@ class LiveCluster:
         return node.node_id
 
     # -- dynamic membership (tasks mode) ---------------------------------------
+    def sponsor(self) -> LiveNode:
+        """An incumbent whose replica a joiner or a restarted node copies."""
+        live = self.live_nodes()
+        if not self._started or not live:
+            raise RuntimeError("start() the cluster before joining nodes")
+        return live[0]
+
     async def join_node(self, material: "Optional[NodeMaterial]" = None) -> LiveNode:
         """Admit one node after start: the paper's §IV-C join, live.
 
         The joiner presents its hash-puzzle solution; every running
         replica re-verifies it (forged IDs are rejected before any
-        state changes), then the joiner is activated with the canonical
-        membership log — so its directory replica converges with the
-        incumbents' — and its JOIN is applied everywhere, splitting the
-        covering group if it outgrows ``smax``. Returns the new node.
+        state changes), then its JOIN is applied everywhere, splitting
+        the covering group if it outgrows ``smax``, and the joiner
+        copies the sponsor's replica. Returns the new node.
         """
-        if not self._started or self._initial_roster is None:
-            raise RuntimeError("start() the cluster before joining nodes")
+        sponsor = self.sponsor()
         if material is None:
             material = self._factory.next_material()
         key_id = material.id_keypair.public.key_id
@@ -231,17 +204,10 @@ class LiveCluster:
         # its own guard (cover traffic, tolerated by design).
         for node in self.live_nodes():
             node.env.apply_join(entry)
-        assert self.group_directory is not None
-        self.group_directory.add_node(entry.node_id, entry.id_key)
-        self._membership_log.append(("join", entry))
-        # The joiner replays history *including its own join*, so it
-        # ends up inside its own replica exactly as the incumbents see
-        # it — same insertion order, same splits, same rings.
-        await joiner.activate(
-            0,
-            roster=self._initial_roster,
-            membership_log=list(self._membership_log),
-        )
+        # The sponsor's log holds the joiner's own join, so the joiner
+        # ends up inside its replica exactly as the sponsor sees it —
+        # same insertion order, same splits, same rings.
+        await joiner.activate(0, roster=sponsor.env.roster, membership_log=list(sponsor.env.log))
         self.nodes.append(joiner)
         return joiner
 
@@ -256,29 +222,19 @@ class LiveCluster:
             node.killed = True  # cluster shutdown must not re-stop it
         for other in self.live_nodes():
             other.env.apply_leave(node_id)
-        if self.group_directory is not None:
-            self.group_directory.remove_node(node_id)
-        self._membership_log.append(("remove", node_id))
         return node_id
-
-    def reconfigurations(self) -> "Dict[str, int]":
-        """Post-bootstrap directory events by kind (deployment-level:
-        one split is one split, however many replicas applied it)."""
-        if self.group_directory is None:
-            return {}
-        return {
-            kind: count - self._baseline_counts.get(kind, 0)
-            for kind, count in self.group_directory.event_counts.items()
-            if count - self._baseline_counts.get(kind, 0) > 0
-        }
 
     def live_nodes(self) -> "List[LiveNode]":
         return [n for n in self.nodes if not n.killed and n.env is not None]
 
+    def incarnations(self) -> "List[LiveNode]":
+        """Every node this cluster ran, dead incarnations first."""
+        return self._retired + self.nodes
+
     def adopt_replacement(self, index: int, node: LiveNode) -> None:
         """Swap a restarted node into slot ``index``. The dead
-        incarnation is retired, not discarded — what it delivered and
-        counted before the crash still belongs in the report."""
+        incarnation is retired, not discarded — what it delivered,
+        counted and evicted before the crash still belongs in the report."""
         self._retired.append(self.nodes[index])
         self.nodes[index] = node
 
@@ -290,9 +246,13 @@ class LiveCluster:
         errors: "List[str]" = []
         delivered: "Dict[int, List[bytes]]" = {}
         incarnations: "Dict[int, List[Dict[str, int]]]" = {}
-        for node in self._retired + self.nodes:
+        evicted: "Dict[int, float]" = {}
+        for node in self.incarnations():
             if node.env is not None:
                 errors.extend(f"node {node.node_id:#x}: {e!r}" for e in node.env.errors)
+                for accused, record in node.env.evicted.items():
+                    at = node.env.epoch + record["at"]
+                    evicted[accused] = min(at, evicted.get(accused, at))
             delivered.setdefault(node.node_id, []).extend(node.delivered())
             incarnations.setdefault(node.node_id, []).append(node.counters())
         return LiveReport(
@@ -303,27 +263,13 @@ class LiveCluster:
                 node_id: aggregate_stats_reports(counts)
                 for node_id, counts in incarnations.items()
             },
-            evicted=list(self.evicted),
+            evicted=sorted(evicted, key=evicted.get),
             errors=errors,
         )
 
-    # -- eviction coordination (tasks mode) ------------------------------------
-    def _on_eviction(self, reporter: int, accused: int, domain: DomainId, kind: str) -> None:
-        if accused in self.evicted:
-            return
-        if self._eviction_observer is not None:
-            self._eviction_observer(reporter, accused, domain, kind)
-        self.evicted.append(accused)
-        self._membership_log.append(("remove", accused))
-        if self.group_directory is not None and accused in self.group_directory.node_ids:
-            self.group_directory.remove_node(accused)
-        for node in self.nodes:
-            if node.env is not None:
-                node.env.apply_eviction(accused)
-
 
 # ---------------------------------------------------------------------------
-# subprocess mode
+# processes mode
 # ---------------------------------------------------------------------------
 
 
@@ -336,50 +282,26 @@ def _worker_env() -> "Dict[str, str]":
     return env
 
 
-async def _run_subprocess_cluster(
-    count: int,
-    duration: float,
-    *,
-    seed: int,
-    messages: int,
-    port_base: "Optional[int]",
-    config_overrides: "Optional[Dict[str, object]]",
-) -> LiveReport:
+async def run_workers(
+    scenario_json: str, count: int, port_base: "Optional[int]" = None
+) -> "Tuple[List[Dict], List[str]]":
+    """Run one worker process per node of a scenario (its
+    :meth:`~repro.scenario.Scenario.to_dict` as JSON) and collect what
+    each printed: the reports of the workers that exited cleanly, and
+    an error line for each one that did not."""
     directory = BootstrapDirectory()
     await directory.start()
-    overrides_json = json.dumps(config_overrides or {})
     procs = []
     try:
         for index in range(count):
-            argv = [
-                sys.executable,
-                "-m",
-                "repro.live.worker",
-                "--directory",
-                f"{directory.host}:{directory.port}",
-                "--index",
-                str(index),
-                "--count",
-                str(count),
-                "--seed",
-                str(seed),
-                "--duration",
-                str(duration),
-                "--messages",
-                str(messages),
-                "--config",
-                overrides_json,
-            ]
+            argv = [sys.executable, "-m", "repro.live.worker", "--index", str(index),
+                    "--directory", f"{directory.host}:{directory.port}", "--scenario", scenario_json]
             if port_base is not None:
                 argv += ["--port", str(port_base + index)]
-            procs.append(
-                await asyncio.create_subprocess_exec(
-                    *argv,
-                    stdout=asyncio.subprocess.PIPE,
-                    stderr=asyncio.subprocess.PIPE,
-                    env=_worker_env(),
-                )
-            )
+            pipe = asyncio.subprocess.PIPE
+            procs.append(await asyncio.create_subprocess_exec(
+                *argv, stdout=pipe, stderr=pipe, env=_worker_env()
+            ))
         outputs = await asyncio.gather(*(p.communicate() for p in procs))
     finally:
         for p in procs:
@@ -387,9 +309,7 @@ async def _run_subprocess_cluster(
                 p.kill()
         await directory.close()
 
-    delivered: "Dict[int, List[bytes]]" = {}
-    per_node: "Dict[int, Dict[str, int]]" = {}
-    evicted: "Set[int]" = set()
+    reports: "List[Dict]" = []
     errors: "List[str]" = []
     for index, (proc, (stdout, stderr)) in enumerate(zip(procs, outputs)):
         if proc.returncode != 0:
@@ -397,39 +317,5 @@ async def _run_subprocess_cluster(
                 f"worker {index} exited {proc.returncode}: {stderr.decode(errors='replace')[-500:]}"
             )
             continue
-        summary = json.loads(stdout.decode().strip().splitlines()[-1])
-        node_id = int(summary["node_id"])
-        delivered[node_id] = [bytes.fromhex(h) for h in summary["delivered_hex"]]
-        per_node[node_id] = {k: int(v) for k, v in summary["counters"].items()}
-        evicted.update(summary["evicted"])
-        errors.extend(summary.get("errors", []))
-    return LiveReport(
-        nodes=count,
-        duration=duration,
-        delivered=delivered,
-        per_node=per_node,
-        evicted=sorted(evicted),
-        errors=errors,
-    )
-
-
-def run_subprocess_demo(
-    nodes: int = 8,
-    duration: float = 10.0,
-    *,
-    seed: int = 0,
-    messages: int = 2,
-    port_base: "Optional[int]" = None,
-    config_overrides: "Optional[Dict[str, object]]" = None,
-) -> LiveReport:
-    """Blocking entry point: every node in its own worker process."""
-    return asyncio.run(
-        _run_subprocess_cluster(
-            nodes,
-            duration,
-            seed=seed,
-            messages=messages,
-            port_base=port_base,
-            config_overrides=config_overrides,
-        )
-    )
+        reports.append(json.loads(stdout.decode().strip().splitlines()[-1]))
+    return reports, errors

@@ -11,16 +11,16 @@ clock, a simulated star network and ground-truth membership views, a
   a per-peer :class:`PeerLink`, which writes them to its TCP connection
   then and there; its background task only connects, reconnects with
   exponential backoff and waits out a full transport buffer;
-* ``domain_view`` / ``group_of`` — a local *replica* of the group and
-  channel directories, built from the bootstrap roster. Ring positions
-  are pure functions of the view, so replicas that apply the same
-  membership events in the same (ascending node-id) order agree on
-  every topology without further coordination.
+* ``domain_view`` / ``group_of`` — this node's own *replica* of the
+  group and channel directories: the bootstrap roster folded in
+  ascending node-id order, then an ordered ``log`` of joins, leaves and
+  evictions. Replicas that apply the same events in the same order
+  agree on every ring.
 
-Evictions are routed through an ``on_eviction`` hook so the cluster can
-apply them to every replica in the same loop iteration (the shared-view
-simplification of DESIGN.md §1, kept identical across substrates);
-without a hook the environment applies them locally only.
+Only the node's replica rule (:mod:`repro.core.node`) evicts from its
+replica; joins and leaves stay in-process, applied to every replica by
+the cluster. A joiner or a restarted node copies an incumbent's
+``roster`` and ``log``, as the paper's sponsor hands a joiner its view.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..core.config import RacConfig
+from ..core.environment import Replica
 from ..core.messages import DomainId
 from ..core.wire import WireError, encode_message
 from ..groups.channels import ChannelDirectory
@@ -194,7 +195,7 @@ class PeerLink:
             self._task = None
 
 
-class LiveEnvironment:
+class LiveEnvironment(Replica):
     """NodeEnvironment over asyncio timers, TCP links and a roster replica."""
 
     def __init__(
@@ -204,7 +205,6 @@ class LiveEnvironment:
         roster: "List[RosterEntry]",
         *,
         on_delivered: "Optional[Callable[[int, bytes], None]]" = None,
-        on_eviction: "Optional[Callable[[int, int, DomainId, str], None]]" = None,
         membership_log: "Optional[List[tuple]]" = None,
     ) -> None:
         self.node_id = node_id
@@ -212,11 +212,11 @@ class LiveEnvironment:
         self.stats = StatsRegistry()
         self.tracer = Tracer(False)
         self._on_delivered = on_delivered
-        self._on_eviction = on_eviction
         self._links: "Dict[int, PeerLink]" = {}
         self._timers: "Set[asyncio.TimerHandle]" = set()
         self._loop: "Optional[asyncio.AbstractEventLoop]" = None
-        self._epoch: "Optional[float]" = None
+        #: Loop time of activation, where ``now`` is 0.
+        self.epoch: "Optional[float]" = None
         self.errors: "List[BaseException]" = []
         #: Set by LiveNode so evictions can purge the node's monitors.
         self.node = None
@@ -226,32 +226,29 @@ class LiveEnvironment:
         #: of a pair, because every sender holds the shim.
         self.fault_shim = None
 
-        # Local membership replica: every node applies the roster in
-        # ascending node-id order, so all replicas agree on the rings.
-        # Directory state is insertion-order dependent (splits cut at
-        # the median of whoever is present), so post-bootstrap changes
-        # cannot be folded into the sorted roster: they arrive as an
-        # ordered ``membership_log`` of ("join", RosterEntry) /
-        # ("remove", node_id) records, replayed verbatim. A replica
-        # that replays the same log reaches the same groups, rings and
-        # channels as the replicas that lived through the events.
+        # Splits cut at the median of whoever is present, so changes after
+        # the bootstrap are an ordered ``log`` of ("join", RosterEntry) /
+        # ("remove", node_id) records, not folded into the sorted roster.
+        self.roster = sorted(roster, key=lambda e: e.node_id)
+        self.log: "List[tuple]" = []
         self.directory = GroupDirectory(
             config.num_rings, smin=config.group_min, smax=config.group_max
         )
         self.channels = ChannelDirectory(self.directory)
         self.peers: "Dict[int, RosterEntry]" = {}
+        self.evicted: "Dict[int, Dict]" = {}
         #: node id → env-clock time its join settled here. Bootstrap
         #: and replayed members are rated as having joined at the epoch
         #: (env clocks are rebased per replica, so an absolute join time
         #: cannot travel in the log; a late joiner therefore sees the
         #: incumbents as quarantine-cleared, which they are).
         self._joined_at: "Dict[int, float]" = {}
-        for entry in sorted(roster, key=lambda e: e.node_id):
+        for entry in self.roster:
             self.directory.add_node(entry.node_id, entry.id_key)
             self.peers[entry.node_id] = entry
             self._joined_at[entry.node_id] = 0.0
-        for record in membership_log or ():
-            kind, value = record
+        self._bootstrapped = dict(self.directory.event_counts)
+        for kind, value in membership_log or ():
             if kind == "join":
                 self.apply_join(value)
                 self._joined_at[value.node_id] = 0.0
@@ -264,13 +261,13 @@ class LiveEnvironment:
     def start_clock(self) -> None:
         """Rebase ``now`` to 0 on the running loop; call at activation."""
         self._loop = asyncio.get_running_loop()
-        self._epoch = self._loop.time()
+        self.epoch = self._loop.time()
 
     @property
     def now(self) -> float:
-        if self._loop is None or self._epoch is None:
+        if self._loop is None or self.epoch is None:
             return 0.0
-        return self._loop.time() - self._epoch
+        return self._loop.time() - self.epoch
 
     def schedule(self, delay: float, callback, *args) -> None:
         if self._loop is None:
@@ -317,20 +314,9 @@ class LiveEnvironment:
         return queued * 8 / self.config.link_bandwidth_bps
 
     # -- membership ------------------------------------------------------------
-    def group_of(self, node_id: int) -> int:
-        return self.directory.group_of_node(node_id).gid
-
-    def domain_view(self, domain: DomainId) -> "Optional[MembershipView]":
-        kind, key = domain
-        if kind == "group":
-            group = self.directory.groups.get(key)
-            return group.view if group is not None else None
-        if kind == "channel":
-            gid_a, gid_b = key
-            if gid_a not in self.directory.groups or gid_b not in self.directory.groups:
-                return None
-            return self.channels.channel_view(gid_a, gid_b)
-        raise ValueError(f"unknown domain kind {kind!r}")
+    #: Inherited, and bound here too: a per-layer profile wraps the live
+    #: substrate's own lookups by class.
+    domain_view = Replica.domain_view
 
     def send_interval_for(self, node_id: int) -> float:
         group = self.directory.group_of_node(node_id)
@@ -351,73 +337,64 @@ class LiveEnvironment:
         if self._on_delivered is not None:
             self._on_delivered(node_id, payload)
 
-    def report_eviction(self, reporter: int, accused: int, domain: DomainId, kind: str) -> None:
-        self.stats.add("eviction_reports")
-        if self._on_eviction is not None:
-            self._on_eviction(reporter, accused, domain, kind)
-        else:
-            self.apply_eviction(accused)
+    def evict(
+        self, accused: int, by: int, domain: DomainId, kind: str
+    ) -> "Optional[Dict[DomainId, MembershipView]]":
+        channels = super().evict(accused, by, domain, kind)
+        if channels is not None:
+            self.stats.add("evictions_applied")
+        return channels
 
     def apply_join(self, entry: "RosterEntry") -> None:
         """Admit a dynamic joiner into this replica (idempotent).
 
-        Splits the directory may emit are counted; the channel cache is
-        dropped so super-group topology re-derives against the new
-        views. The joiner starts its own 2T quarantine now.
+        The channel cache is dropped so super-group topology re-derives
+        against the new views (a split may have moved members). The
+        joiner starts its own 2T quarantine now.
         """
         if entry.node_id in self.peers:
             return
-        events = self.directory.add_node(entry.node_id, entry.id_key)
+        self.log.append(("join", entry))
+        self.directory.add_node(entry.node_id, entry.id_key)
         self.peers[entry.node_id] = entry
         self._joined_at[entry.node_id] = self.now
         self.channels.invalidate()
         self.stats.add("live_joins_applied")
-        self._count_reconfigurations(events)
 
     def apply_leave(self, node_id: int) -> None:
         """Remove a gracefully departing node from this replica
         (idempotent). Same mechanics as an eviction minus the verdict:
-        dissolves are counted and the departed node's monitor state is
-        forgotten so its silence never reads as misbehaviour."""
+        the departed node's monitor state is forgotten so its silence
+        never reads as misbehaviour."""
         if node_id not in self.peers:
             return
-        events = self._remove_member(node_id)
+        self._remove(node_id)
         self.stats.add("live_leaves_applied")
-        self._count_reconfigurations(events)
 
-    def apply_eviction(self, accused: int) -> None:
-        """Remove a node from this replica (idempotent)."""
-        if accused not in self.peers:
-            return
-        events = self._remove_member(accused)
-        self.stats.add("evictions_applied")
-        self._count_reconfigurations(events)
-
-    def _remove_member(self, node_id: int):
+    def _remove(self, node_id: int) -> None:
         """Shared removal mechanics for leaves and evictions. A replica
         that removes its own node stops it: the node's timers would
         otherwise keep ticking against a directory that no longer
         holds it."""
+        self.log.append(("remove", node_id))
         del self.peers[node_id]
         self._joined_at.pop(node_id, None)
         link = self._links.pop(node_id, None)
         if link is not None:
             link.close()
-        events = self.directory.remove_node(node_id)
+        self.directory.remove_node(node_id)
         self.channels.invalidate()
         if self.node is not None:
             if self.node.node_id == node_id:
                 self.node.stop()
             else:
                 self.node.on_evicted(node_id)
-        return events
 
-    def _count_reconfigurations(self, events) -> None:
-        for event in events:
-            if event.kind == "split":
-                self.stats.add("live_group_splits")
-            elif event.kind == "dissolve":
-                self.stats.add("live_group_dissolves")
+    def reconfigurations(self) -> "Dict[str, int]":
+        """Directory events by kind since the bootstrap roster, replayed
+        log included: the history this replica has been through."""
+        counts, base = self.directory.event_counts, self._bootstrapped
+        return {kind: n - base.get(kind, 0) for kind, n in counts.items() if n > base.get(kind, 0)}
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:

@@ -2,8 +2,8 @@
 
 A :class:`LiveNode` owns
 
-* a listening TCP socket (inbound broadcasts and accusations from ring
-  predecessors),
+* a listening TCP socket (inbound broadcasts, accusations and eviction
+  notices from ring predecessors),
 * the :class:`repro.core.node.RacNode` state machine — the *same class*
   the simulator runs, unchanged,
 * its :class:`repro.live.environment.LiveEnvironment`.
@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Set
 
 from ..core.config import RacConfig
 from ..core.identity import NodeMaterial
-from ..core.messages import Broadcast, DomainId
+from ..core.messages import Broadcast
 from ..core.node import RacNode
 from ..core.wire import WireError, decode_message
 from .directory import DirectoryClient, RosterEntry
@@ -91,7 +91,6 @@ class LiveNode:
         port: int = 0,
         incarnation: int = 0,
         on_delivered: "Optional[Callable[[int, bytes], None]]" = None,
-        on_eviction: "Optional[Callable[[int, int, DomainId, str], None]]" = None,
     ) -> None:
         self.material = material
         self.config = config
@@ -105,7 +104,6 @@ class LiveNode:
         self.incarnation = incarnation
         self._client = DirectoryClient(directory_host, directory_port)
         self._on_delivered = on_delivered
-        self._on_eviction = on_eviction
 
         self._server: "Optional[asyncio.AbstractServer]" = None
         self._inbound: "Set[asyncio.BaseTransport]" = set()
@@ -146,9 +144,10 @@ class LiveNode:
     ) -> None:
         """Wait for the full roster, build the environment, start the
         origination loop. ``roster`` short-circuits the directory wait
-        when the caller (an in-process cluster) already holds it;
-        ``membership_log`` replays post-bootstrap joins/leaves so a
-        late joiner's replica converges with the incumbents'."""
+        when the caller (an in-process cluster) already holds it; a
+        joiner or a restarted node passes an incumbent's bootstrap
+        roster and ``membership_log`` so its replica copies the
+        incumbent's."""
         if roster is None:
             roster = await self._client.wait_roster(count)
         self.env = LiveEnvironment(
@@ -156,7 +155,6 @@ class LiveNode:
             self.config,
             roster,
             on_delivered=self._on_delivered,
-            on_eviction=self._on_eviction,
             membership_log=membership_log,
         )
         self.rac = RacNode(
@@ -228,6 +226,14 @@ class LiveNode:
         except Exception as exc:  # a node bug must not kill the reader
             self.env.errors.append(exc)
             self.env.stats.add("live_dispatch_errors")
+
+    def send(self, destination: NodeMaterial, payload: bytes) -> bool:
+        """Queue an anonymous message to ``destination``; False while this
+        node is not running or its replica does not hold the destination."""
+        if self.rac is None or not self.rac.active or not self.env.holds(destination.node_id):
+            return False
+        gid = self.env.group_of(destination.node_id)
+        return self.rac.queue_message(destination.pseudonym_keypair.public, gid, payload)
 
     # -- reporting -------------------------------------------------------------
     def counters(self) -> "Dict[str, int]":

@@ -1,17 +1,20 @@
-"""Subprocess entry point: host exactly one live RAC node.
+"""Subprocess entry point: host exactly one live RAC node of a scenario.
 
-``python -m repro.live.worker --directory HOST:PORT --index I --count N
---seed S --duration D [--messages M] [--port P] [--config JSON]``
+``python -m repro.live.worker --directory HOST:PORT --index I
+--scenario JSON [--port P]``
 
-The worker needs no secret distribution channel: the whole population's
-key material is a deterministic function of ``(config, count, seed)``
-(see :func:`repro.core.identity.build_population`), so each worker
-rebuilds it locally and picks its own index. The directory supplies
-only what determinism cannot — which TCP port each peer actually bound.
+``JSON`` is a :meth:`repro.scenario.Scenario.to_dict`. The worker needs
+no secret distribution channel: the whole population's key material is
+a deterministic function of the scenario's config and seed (see
+:func:`repro.core.identity.build_population`), so each worker rebuilds
+it locally and picks its own index. The directory supplies only what
+determinism cannot — which TCP port each peer actually bound.
 
-On exit the worker prints one JSON line summarising what its node
-delivered, counted and evicted from its replica; the parent cluster
-aggregates these into a :class:`repro.live.cluster.LiveReport`.
+The worker offers its own share of the scenario's traffic and runs to
+the horizon. On exit it prints one JSON line, its
+:func:`repro.scenario.replica_report` plus how many sends its node
+accepted; :func:`repro.scenario.run_scenario` judges these lines with
+the same code as a tasks-mode cluster's reports.
 """
 
 from __future__ import annotations
@@ -20,11 +23,9 @@ import argparse
 import asyncio
 import json
 import sys
-from typing import List
 
-from ..core.config import RacConfig, timer_regime
 from ..core.identity import build_population
-from ..scenario import ring_sends
+from ..scenario import Scenario, play_traffic, replica_report, traffic_sends
 from .node import LiveNode
 
 
@@ -32,69 +33,41 @@ def _parse_args(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(prog="repro.live.worker")
     parser.add_argument("--directory", required=True, help="HOST:PORT of the bootstrap directory")
     parser.add_argument("--index", type=int, required=True)
-    parser.add_argument("--count", type=int, required=True)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--duration", type=float, default=10.0)
-    parser.add_argument("--messages", type=int, default=2)
+    parser.add_argument("--scenario", required=True, help="the scenario as JSON")
     parser.add_argument("--port", type=int, default=0)
-    parser.add_argument("--config", default="{}", help="JSON dict of RacConfig overrides")
     return parser.parse_args(argv)
 
 
-def _build_config(overrides_json: str) -> RacConfig:
-    overrides = json.loads(overrides_json)
-    if not isinstance(overrides, dict):
-        raise SystemExit("--config must be a JSON object")
-    return timer_regime("wall", **overrides)
-
-
 async def _amain(args: argparse.Namespace) -> dict:
-    config = _build_config(args.config)
-    population = build_population(config, args.count, args.seed)
-    material = population[args.index]
+    scenario = Scenario.from_dict(json.loads(args.scenario))
+    config = scenario.configuration()
+    population = build_population(config, scenario.nodes, scenario.seed)
     host, port_text = args.directory.rsplit(":", 1)
-
-    evicted: "List[int]" = []
-
-    def on_eviction(reporter: int, accused: int, domain, kind: str) -> None:
-        if accused not in evicted:
-            evicted.append(accused)
-        node.env.apply_eviction(accused)
-
-    node = LiveNode(
-        material, config, host, int(port_text), port=args.port, on_eviction=on_eviction
-    )
+    node = LiveNode(population[args.index], config, host, int(port_text), port=args.port)
     await node.start()
-    await node.activate(args.count)
+    await node.activate(scenario.nodes)
+    sent = 0
 
-    # The live harness's ring, restricted to this worker's own index so
-    # the union across workers matches tasks mode.
-    assert node.rac is not None and node.env is not None
-    for src, dst_index, payload in ring_sends(args.count, args.messages, "live", args.seed):
-        if src == args.index:
-            dst = population[dst_index]
-            node.rac.queue_message(
-                dst.pseudonym_keypair.public, node.env.group_of(dst.node_id), payload
-            )
+    def send(_src: int, dst: int, payload: bytes) -> None:
+        nonlocal sent
+        sent += node.send(population[dst], payload)
 
-    await asyncio.sleep(args.duration)
-    delivered = node.delivered()
-    counters = node.counters()
-    errors = [repr(e) for e in (node.env.errors if node.env is not None else [])]
+    node_ids = [material.node_id for material in population]
+    own = [s for s in traffic_sends(scenario, node_ids, node.env.directory) if s[1] == args.index]
+    traffic = asyncio.get_running_loop().create_task(play_traffic(own, lambda: node.env.now, send))
+    await asyncio.sleep(scenario.horizon)
+    traffic.cancel()
+    [played] = await asyncio.gather(traffic, return_exceptions=True)
+    report = {**replica_report(node), "sent": sent}
+    if isinstance(played, Exception):  # the traffic stopped there: say so
+        report["errors"].append(f"traffic: {played!r}")
     await node.shutdown()
-    return {
-        "node_id": material.node_id,
-        "delivered_hex": [payload.hex() for payload in delivered],
-        "counters": counters,
-        "evicted": evicted,
-        "errors": errors,
-    }
+    return report
 
 
 def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
-    summary = asyncio.run(_amain(args))
-    print(json.dumps(summary))
+    print(json.dumps(asyncio.run(_amain(args))))
     return 0
 
 

@@ -12,8 +12,9 @@ This module is that pipeline, once. A frozen, serialisable
 :class:`Scenario` says *what* runs; :func:`prepare` lowers it onto a
 :class:`~repro.core.system.RacSystem` (a :class:`SimRun`: advance it in
 chunks, snapshot it between them, tap it before it starts);
-:func:`run_scenario` plays it on the simulator or over real TCP; either
-way the result is one :class:`Outcome`. Workloads, CLI and experiment
+:func:`run_scenario` plays it on the simulator or over real TCP (asyncio
+tasks in one process, or one worker process per node); either way the
+result is one :class:`Outcome`. Workloads, CLI and experiment
 scripts are adapters over :meth:`Scenario.from_params`.
 """
 
@@ -40,6 +41,8 @@ from .core.identity import build_population
 from .core.system import RacSystem
 from .freeride.coalition import COALITION_CLASSES, build_coalition
 from .freeride.registry import BEHAVIORS, UnknownBehaviorError
+from .groups.partition import directory_digest
+from .simnet.stats import aggregate_stats_reports
 from .topo.model import TopologyModel, preset
 from .topo.traces import diurnal_churn_plan, publish_times
 
@@ -55,6 +58,8 @@ __all__ = [
     "plant_behaviors",
     "ring_sends",
     "traffic_sends",
+    "play_traffic",
+    "replica_report",
     "prepare",
     "run_scenario",
     "run_params",
@@ -273,9 +278,11 @@ class Scenario:
             planted.update({index: name for index in self.coalition["members"]})
         return planted
 
-    def check_substrate(self, substrate: str) -> None:
+    def check_substrate(self, substrate: str, processes: bool = False) -> None:
         """Raise :class:`UnsupportedOnSubstrate` for a field the
-        substrate would otherwise silently drop."""
+        substrate would otherwise silently drop. ``processes`` asks for
+        the live substrate with one worker process per node, which has
+        no fault shim or supervisor to play a plan or shape frames."""
         if substrate not in ("sim", "live"):
             raise ValueError(f"unknown substrate {substrate!r}; known: sim, live")
         if substrate == "live" and self.planted():
@@ -284,6 +291,12 @@ class Scenario:
                 "live",
                 "a LiveCluster cannot plant behaviours",
             )
+        if processes and substrate != "live":
+            raise ValueError("worker processes host the live substrate only")
+        if processes and (self.fault_plan().events or self.shaping() is not None):
+            field_name = "plan" if self.fault_plan().events else "topology"
+            why = "the fault shim and the supervisor run in-process, not in worker processes"
+            raise UnsupportedOnSubstrate(field_name, "live", why)
 
     # -- serialisation ---------------------------------------------------------
     def to_dict(self) -> "Dict[str, Any]":
@@ -526,8 +539,9 @@ class Outcome:
 
     ``deliveries`` are ``(at, node id, payload)``; ``sent`` is the true
     sender of every accepted send, in order (an attribution attack's
-    ground truth). Latency and throughput are measured on the simulator
-    only: loopback TCP jitter would drown any comparison. ``scores`` is
+    ground truth). On live, ``evictions`` hold the earliest record any
+    replica kept per accused. Latency and throughput are measured on the
+    simulator only: loopback TCP jitter would drown any comparison. ``scores`` is
     what a harness measured on top, merged into :meth:`metrics`.
     """
 
@@ -548,6 +562,8 @@ class Outcome:
     log: "List[str]" = field(default_factory=list)
     errors: "List[str]" = field(default_factory=list)
     scores: "Dict[str, float]" = field(default_factory=dict)
+    #: Live: each running node's :func:`~repro.groups.partition.directory_digest`.
+    directory_digests: "Dict[int, str]" = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -687,7 +703,7 @@ def _checker(scenario: Scenario, node_ids: "Sequence[int]", plan: FaultPlan) -> 
 
 def _judged(
     scenario: Scenario, substrate: str, node_ids, checker: InvariantChecker, deliveries,
-    evictions, survivors, end: float, **measured
+    evictions, blacklists, end: float, **measured
 ) -> Outcome:
     """Feed what the run recorded to the checker; the verdict and the
     record together are the outcome."""
@@ -703,7 +719,7 @@ def _judged(
         deviant_ids=tuple(node_ids[i] for i in sorted(scenario.planted())),
         deliveries=deliveries,
         evictions=evictions,
-        report=checker.check(final_blacklists(survivors)),
+        report=checker.check(blacklists),
         end=end,
         **measured,
     )
@@ -750,7 +766,7 @@ class SimRun:
                 Eviction(info["at"], info["by"], accused, info["kind"], info["gid"])
                 for accused, info in system.evicted.items()
             ],
-            survivors=[node for node in nodes.values() if node.active],
+            blacklists=final_blacklists(node for node in nodes.values() if node.active),
             end=system.now,
             counters={
                 **system.stats_report(),
@@ -800,55 +816,101 @@ def _joiner_ids(scenario: Scenario, config: RacConfig) -> "List[int]":
     return [material.node_id for material in joiners]
 
 
-def _churn_counters(deltas: "Mapping[str, int]") -> "Dict[str, int]":
+def _churn_counters(*histories: "Mapping[str, int]") -> "Dict[str, int]":
     """Group splits and dissolves since bootstrap, as counters (absent
-    when there were none)."""
-    return {f"group_{kind}s": deltas[kind] for kind in ("split", "dissolve") if deltas.get(kind)}
+    when there were none). Across live replicas, the longest history."""
+    counts = {kind: max((h.get(kind, 0) for h in histories), default=0) for kind in ("split", "dissolve")}
+    return {f"group_{kind}s": n for kind, n in counts.items() if n}
 
 
 # ---------------------------------------------------------------------------
 # the live runner
 # ---------------------------------------------------------------------------
+async def play_traffic(sends, now, send) -> None:
+    """Offer each ``(at, src, dst, payload)`` of :func:`traffic_sends` to
+    ``send(src, dst, payload)`` once the ``now`` clock reaches ``at``
+    (None: at once)."""
+    for at, src, dst, payload in sends:
+        if at is not None:
+            await asyncio.sleep(max(0.0, at - now()))
+        send(src, dst, payload)
+
+
+def replica_report(node) -> "Dict[str, Any]":
+    """What a live node and its directory replica hold, as JSON data:
+    deliveries on its clock (``epoch`` is the loop time that clock
+    started at), counters, blacklist, eviction records, reconfigurations,
+    directory digest and invariant check, errors. Taken before shutdown."""
+    env, rac = node.env, node.rac
+    try:
+        env.directory.check_invariants()
+        broken = None
+    except AssertionError as exc:
+        broken = str(exc)
+    return {
+        "node_id": node.node_id,
+        "epoch": env.epoch,
+        "running": not node.killed,
+        "active": rac.active,
+        "delivered": [[at, payload.hex()] for at, payload in zip(rac.delivered_at, rac.delivered)],
+        "counters": node.counters(),
+        "blacklist": sorted(final_blacklists([rac])[node.node_id]),
+        "evicted": [[accused, record] for accused, record in env.evicted.items()],
+        "reconfigurations": env.reconfigurations(),
+        "digest": directory_digest(env.directory),
+        "directory_error": broken,
+        "errors": [f"node {node.node_id:#x}: {e!r}" for e in env.errors],
+    }
+
+
+def _judged_live(
+    scenario: Scenario, node_ids, checker: InvariantChecker, reports, started: float,
+    end: float, errors: "List[str]", **measured
+) -> Outcome:
+    """Judge a live run from every incarnation's :func:`replica_report`;
+    ``started`` is the loop time of the run's t=0. A verdict counts from
+    the first replica that reached it; the blacklists, directories and
+    digests are the still-running replicas'."""
+    running = [r for r in reports if r["running"]]
+    for r in running:
+        checker.record_directory_check(end, r["directory_error"])
+    first: "Dict[int, Eviction]" = {}
+    for r in reports:
+        for accused, record in r["evicted"]:
+            at = record["at"] + r["epoch"] - started
+            if accused not in first or at < first[accused].at:
+                first[accused] = Eviction(at, record["by"], accused, record["kind"], record["gid"])
+    deliveries = sorted(
+        (at + r["epoch"] - started, r["node_id"], bytes.fromhex(payload))
+        for r in reports
+        for at, payload in r["delivered"]
+    )
+    counters = aggregate_stats_reports(r["counters"] for r in reports)
+    counters.update(_churn_counters(*(r["reconfigurations"] for r in reports)))
+    return _judged(
+        scenario, "live", node_ids, checker, deliveries, sorted(first.values()),
+        {r["node_id"]: set(r["blacklist"]) for r in running}, end, counters=counters,
+        errors=errors + [e for r in reports for e in r["errors"]],
+        directory_digests={r["node_id"]: r["digest"] for r in running if r["active"]},
+        **measured,
+    )
+
+
 async def _run_live(scenario: Scenario, port_base: "Optional[int]") -> Outcome:
-    """The scenario over real TCP. The fault shim and the crash-restart
-    supervisor are installed only when there is a plan to play or a
-    topology to shape frames with."""
+    """The scenario over real TCP, every node an asyncio task. The fault
+    shim and the crash-restart supervisor are installed only when there
+    is a plan to play or a topology to shape frames with."""
     from .chaos.supervisor import ChaosSupervisor
     from .live.cluster import LiveCluster
 
-    config = scenario.configuration()
-    model = scenario.shaping()
-    plan = scenario.fault_plan()
-    if scenario.enforce_contract:
-        check_timers(
-            config, config.derived_send_interval(scenario.nodes), topology=model, plan=plan
-        )
-
+    config, model, plan = scenario.configuration(), scenario.shaping(), scenario.fault_plan()
     loop = asyncio.get_running_loop()
-    deliveries: "List[Tuple[float, int, bytes]]" = []
-    evictions: "List[Eviction]" = []
-
-    def on_eviction(reporter: int, accused: int, domain, kind: str) -> None:
-        groups = cluster.group_directory  # the verdict lands before the removal
-        gid = groups.group_of_node(accused).gid if accused in groups.node_ids else None
-        evictions.append(Eviction(now(), reporter, accused, kind, gid))
-
-    cluster = LiveCluster(
-        scenario.nodes,
-        config=config,
-        seed=scenario.seed,
-        port_base=port_base,
-        on_delivered=lambda node_id, payload: deliveries.append((now(), node_id, payload)),
-        eviction_observer=on_eviction,
-    )
+    cluster = LiveCluster(scenario.nodes, config=config, seed=scenario.seed, port_base=port_base)
     node_ids = [m.node_id for m in cluster.materials] + _joiner_ids(scenario, config)
     checker = _checker(scenario, node_ids, plan)
 
     await cluster.start()
-    started = loop.time()  # plan t=0 is cluster activation; nothing is delivered before it
-
-    def now() -> float:
-        return loop.time() - started
+    started = loop.time()  # plan t=0 is cluster activation
 
     supervisor = None
     if plan.events or model is not None:
@@ -858,18 +920,16 @@ async def _run_live(scenario: Scenario, port_base: "Optional[int]") -> Outcome:
     sent: "List[int]" = []
 
     def in_run(index: int) -> bool:
-        """Joined, and not crashed, departed or evicted."""
+        """Joined, and not crashed, departed or out of its own replica."""
         node = cluster.nodes[index] if index < len(cluster.nodes) else None
-        return node is not None and not node.killed and node.node_id not in cluster.evicted
+        return node is not None and not node.killed and node.rac.active
 
-    async def pump() -> None:
-        for at, src, dst, payload in traffic_sends(scenario, node_ids, cluster.group_directory):
-            if at is not None:
-                await asyncio.sleep(max(0.0, at - now()))
-            if in_run(src) and in_run(dst) and cluster.queue_message(src, dst, payload):
-                sent.append(node_ids[src])
+    def send(src: int, dst: int, payload: bytes) -> None:
+        if in_run(src) and in_run(dst) and cluster.queue_message(src, dst, payload):
+            sent.append(node_ids[src])
 
-    pump_task = loop.create_task(pump())
+    sends = traffic_sends(scenario, node_ids, cluster.nodes[0].env.directory)
+    pump_task = loop.create_task(play_traffic(sends, lambda: loop.time() - started, send))
     try:
         await cluster.run_for(scenario.horizon)
     finally:
@@ -877,38 +937,51 @@ async def _run_live(scenario: Scenario, port_base: "Optional[int]") -> Outcome:
         [pumped] = await asyncio.gather(pump_task, return_exceptions=True)
         if supervisor is not None:
             await supervisor.stop()
-    end = now()
-    checker.check_directory(end, cluster.group_directory)
-    for node in cluster.live_nodes():
-        checker.check_directory(end, node.env.directory)
-    survivors = [node.rac for node in cluster.nodes if node.rac is not None and not node.killed]
-    live_report = await cluster.shutdown(scenario.horizon)
-    if isinstance(pumped, Exception):  # the traffic stopped there: say so
-        live_report.errors.append(f"traffic: {pumped!r}")
-    return _judged(
-        scenario,
-        "live",
-        node_ids,
-        checker,
-        deliveries,
-        evictions,
-        survivors,
-        end,
-        counters={**live_report.counters(), **_churn_counters(cluster.reconfigurations())},
-        sent=sent,
-        log=list(supervisor.log) if supervisor is not None else [],
-        errors=live_report.errors,
+    end = loop.time() - started
+    reports = [replica_report(node) for node in cluster.incarnations() if node.env is not None]
+    await cluster.shutdown(scenario.horizon)
+    errors = [f"traffic: {pumped!r}"] if isinstance(pumped, Exception) else []
+    return _judged_live(
+        scenario, node_ids, checker, reports, started, end, errors,
+        sent=sent, log=list(supervisor.log) if supervisor is not None else [],
+    )
+
+
+async def _run_processes(scenario: Scenario, port_base: "Optional[int]") -> Outcome:
+    """The scenario over real TCP, every node in its own worker process
+    (:mod:`repro.live.worker`); t=0 is the first worker's activation."""
+    from .live.cluster import run_workers
+
+    config = scenario.configuration()
+    node_ids = [m.node_id for m in build_population(config, scenario.nodes, scenario.seed)]
+    checker = _checker(scenario, node_ids, scenario.fault_plan())
+    reports, errors = await run_workers(json.dumps(scenario.to_dict()), scenario.nodes, port_base)
+    started = min((r["epoch"] for r in reports), default=0.0)
+    return _judged_live(
+        scenario, node_ids, checker, reports, started, scenario.horizon, errors,
+        sent=[r["node_id"] for r in reports for _ in range(r["sent"])],
     )
 
 
 def run_scenario(
-    scenario: Scenario, substrate: str = "sim", *, port_base: "Optional[int]" = None
+    scenario: Scenario,
+    substrate: str = "sim",
+    *,
+    port_base: "Optional[int]" = None,
+    processes: bool = False,
 ) -> Outcome:
-    """Play ``scenario`` to its horizon on ``substrate`` and judge it;
-    ``port_base`` (live only) binds node *i* to port ``port_base + i``."""
-    scenario.check_substrate(substrate)
+    """Play ``scenario`` to its horizon on ``substrate`` and judge it.
+    Live only: ``port_base`` binds node *i* to port ``port_base + i``;
+    ``processes`` hosts every node in its own worker process (no fault
+    plan or topology: :meth:`Scenario.check_substrate`)."""
+    scenario.check_substrate(substrate, processes)
     if substrate == "live":
-        return asyncio.run(_run_live(scenario, port_base))
+        if scenario.enforce_contract:
+            config, plan = scenario.configuration(), scenario.fault_plan()
+            interval = config.derived_send_interval(scenario.nodes)
+            check_timers(config, interval, topology=scenario.shaping(), plan=plan)
+        runner = _run_processes if processes else _run_live
+        return asyncio.run(runner(scenario, port_base))
     run = prepare(scenario)
     run.run_to(scenario.horizon)
     return run.outcome()

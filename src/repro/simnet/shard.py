@@ -234,8 +234,8 @@ class ShardSystem(RacSystem):
       the draw schedule does not depend on co-located groups;
     * locally-decided evictions are queued as *export* records for the
       next epoch barrier, and foreign evictions arrive as *imports*;
-    * eviction-notice cost accounting uses the deployment-wide group
-      count, not the bundle's.
+    * eviction notices reach co-hosted groups only (a foreign node has
+      no uplink here).
     """
 
     def __init__(
@@ -244,11 +244,9 @@ class ShardSystem(RacSystem):
         seed: int,
         shard_index: int,
         bundle: "Sequence[GroupSpec]",
-        total_groups: int,
     ) -> None:
         super().__init__(config, seed=seed)
         self.shard_index = shard_index
-        self.total_groups = total_groups
         self.directory = BundleDirectory(
             config.num_rings, bundle, smin=config.group_min, smax=config.group_max
         )
@@ -266,9 +264,6 @@ class ShardSystem(RacSystem):
             rng = self._group_shuffle_rngs[gid] = group_shuffle_rng(self._shuffle_seed, gid)
         return rng
 
-    def _notice_group_count(self) -> int:
-        return self.total_groups
-
     # -- population -----------------------------------------------------------
     def populate(self, materials: "Sequence[NodeMaterial]", behaviors=None) -> "List[int]":
         """Instantiate this bundle's members from pre-drawn identities;
@@ -283,29 +278,29 @@ class ShardSystem(RacSystem):
         return created
 
     # -- the merge layer ------------------------------------------------------
-    def report_eviction(self, reporter: int, accused: int, domain, kind: str) -> None:
-        fresh = accused not in self.evicted
-        super().report_eviction(reporter, accused, domain, kind)
-        if fresh and accused in self.evicted:
+    def evict(self, accused: int, by: int, domain, kind: str):
+        channels = super().evict(accused, by, domain, kind)
+        if channels is not None:
             record = self.evicted[accused]
             self._pending_exports.append(
                 {
                     "kind": "eviction",
                     "node": accused,
                     "gid": record["gid"],
-                    "by": reporter,
+                    "by": by,
                     "evidence": kind,
                     "at": record["at"],
                     "shard": self.shard_index,
                 }
             )
+        return channels
 
     def apply_foreign_eviction(self, record: "Dict") -> bool:
         """Apply one imported eviction at an epoch barrier.
 
         Foreign nodes are not hosted here, so the only effect is the
         membership purge every local node performs — exactly what the
-        monolithic ``report_eviction`` did to out-of-group nodes, one
+        monolithic ``evict`` did to out-of-group nodes, one
         epoch earlier at the latest.
         """
         node_id = int(record["node"])
@@ -333,7 +328,7 @@ def build_shard_system(spec: ScaleSpec, shard_index: int) -> ShardSystem:
         raise ValueError(f"shard index {shard_index} outside 0..{len(bundles) - 1}")
     bundle = bundles[shard_index]
     local_ids = {m for s in bundle for m in s.members}
-    system = ShardSystem(config, spec.seed, shard_index, bundle, total_groups=len(specs))
+    system = ShardSystem(config, spec.seed, shard_index, bundle)
     local_materials = [m for m in materials if m.node_id in local_ids]
     scenario = spec.scenario()
     behaviors = plant_behaviors(scenario, config, materials)

@@ -2,7 +2,7 @@
 
 The paper evaluates RAC on an ideal LAN — every node on a 1 Gb/s link
 to one non-blocking router, propagation essentially free (Section
-VI-A). ROADMAP item 4 asks what happens to the accountability story
+VI-A). The question here is what happens to the accountability story
 when that assumption goes away: per-pair wide-area latency, access
 links of different (and asymmetric) speeds, and day/night population
 rhythms are exactly the conditions under which misbehaviour timers can

@@ -9,6 +9,8 @@ evicts an honest live node.
 import pytest
 
 from repro.core.config import RacConfig
+from repro.core.messages import EvictionNotice
+from repro.core.node import RacNode
 from repro.core.system import RacSystem
 
 
@@ -80,6 +82,41 @@ class TestCrash:
         system.run(8.0)
         assert nodes[1] in system.evicted and nodes[7] in system.evicted
         assert set(system.evicted) == {nodes[1], nodes[7]}
+
+
+    def test_crashes_in_two_groups_notify_every_other_group(self, monkeypatch):
+        """Three groups; a crash in one, then in another. Each eviction's
+        notice reaches every member of every other group, and the
+        evictions are the ones (and at the instants) the run had when
+        the verdict was applied globally and the notices only counted."""
+        notified = {}
+        real_on_message = RacNode.on_message
+
+        def on_message(node, src, payload):
+            if isinstance(payload, EvictionNotice):
+                notified.setdefault(payload.accused, set()).add(node.node_id)
+            real_on_message(node, src, payload)
+
+        monkeypatch.setattr(RacNode, "on_message", on_message)
+        system = RacSystem(config(group_min=3, group_max=8), seed=60)
+        nodes = system.bootstrap(16)
+        members = {gid: set(group.members) for gid, group in system.directory.groups.items()}
+        assert len(members) == 3
+        system.run(2.0)
+        system.nodes[nodes[2]].stop()
+        system.run(1.5)
+        system.nodes[nodes[0]].stop()
+        system.run(5.0)
+        assert {n: (e["at"], e["by"]) for n, e in system.evicted.items()} == {
+            nodes[2]: (2.510598480841205, nodes[3]),
+            nodes[0]: (4.003688060383521, nodes[10]),
+        }
+        for accused, info in system.evicted.items():
+            others = set().union(*(m for gid, m in members.items() if gid != info["gid"]))
+            assert others - {nodes[0], nodes[2]} <= notified[accused]
+        # The one shared replica already dropped the accused: every
+        # notice is flooded on and counted, never applied twice.
+        assert system.stats.value("eviction_notice_stale") >= sum(map(len, notified.values()))
 
 
 class TestJoinChurn:

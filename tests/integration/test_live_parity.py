@@ -93,7 +93,7 @@ class TestLiveFaults:
         # victim's own traffic still mostly arrive.
         survivor_deliveries = sum(len(report.delivered[nid]) for nid in survivors)
         assert survivor_deliveries >= 1
-        # Nobody was evicted by the cluster's coordinator, and no node
+        # No replica evicted anybody, and no node
         # accused a *live* peer (accusations naming the victim are fine
         # but suppressed here by the long timers).
         assert report.evicted == []

@@ -49,6 +49,13 @@ monolithic (8bced9c1… / a4ffdb67…; 34,048 → 17,121), parity
 packet) and ``transport_rtt_*`` (no ACK, no sample): no protocol
 counter, delivered multiset, eviction, instant, report or campaign
 metric moved, and the four cells that keep the ARQ moved nothing.
+And once more for the two cells with an eviction, on the commit that
+made an eviction notice a message: ``counters`` and
+``counters_observable`` of campaign-storm (27f2de2b… / 56caec1e…
+before) and campaign-frame (f9b65be2… / 254ab342…). Both evict inside
+one group, so no notice is sent; the only change is the zero
+``eviction_notices`` key, gone with the cost counter (re-adding it
+reproduces the old digests).
 
 Each digest is the first 16 hex digits of a SHA-256 over:
 
@@ -135,7 +142,7 @@ CELLS = {
         lambda: campaign_cell(
             {"strategy": "silent-relay", "plan": "storm", "nodes": 10, "horizon": 12.0}, 0
         ),
-        dict(counters="27f2de2be7fb5646", counters_observable="56caec1e5117c5c6",
+        dict(counters="1fd4ee88b3ad5e29", counters_observable="4400f3c0bb06d0c7",
              delivered="8aaddb1c194dca14", evictions="0646cb8e8c5ac2f5",
              report="5e515fde426221e1", metrics="a7c34eb3655a4b86"),
         CAMPAIGN_KEYS,
@@ -154,7 +161,7 @@ CELLS = {
             },
             0,
         ),
-        dict(counters="f9b65be255582dbc", counters_observable="254ab342f0c556bb",
+        dict(counters="a2b0f0bf338378e5", counters_observable="ee27280242269986",
              delivered="95e268b0279005e9", evictions="2a5b18661819f676",
              report="ba7da1ba77e63f6f", metrics="1b8fa5a86e22f3d9"),
         CAMPAIGN_KEYS,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import wire
-from repro.core.messages import Accusation, Broadcast, channel_domain, group_domain
+from repro.core.messages import Accusation, Broadcast, EvictionNotice, channel_domain, group_domain
 from repro.core.wire import WireError, decode_message, decode_public_key, encode_message, encode_public_key
 from repro.crypto.dh import GROUP_2048, GROUP_TEST, DHGroup
 from repro.crypto.keys import KeyPair, PublicKey
@@ -37,7 +37,15 @@ accusations = st.builds(
     msg_id=st.one_of(st.none(), ids),
 )
 
-messages = st.one_of(broadcasts, accusations)
+notices = st.builds(
+    EvictionNotice,
+    accuser=ids,
+    accused=ids,
+    domain=domains,
+    kind=st.sampled_from(["predecessor", "rate-high", "relay", "weird kind π"]),
+)
+
+messages = st.one_of(broadcasts, accusations, notices)
 
 
 @settings(max_examples=200)
@@ -123,7 +131,7 @@ def mutated_frames(draw):
     st.one_of(
         st.binary(max_size=200),
         # a valid tag and domain kind up front, so the body gets parsed
-        st.tuples(st.sampled_from([b"\x01\x01", b"\x02"]), st.binary(max_size=120)).map(b"".join),
+        st.tuples(st.sampled_from([b"\x01\x01", b"\x02", b"\x08"]), st.binary(max_size=120)).map(b"".join),
         mutated_frames(),
     )
 )
@@ -134,7 +142,7 @@ def test_arbitrary_and_mutated_frames_decode_to_a_handled_message_or_raise(data)
     decoded = _decode_total(data)
     if decoded is None:
         return
-    assert type(decoded) in (Broadcast, Accusation)
+    assert type(decoded) in (Broadcast, Accusation, EvictionNotice)
     kind, key = decoded.domain
     if kind == "channel":
         assert key[0] < key[1]

@@ -362,11 +362,11 @@ class TestLive:
         assert "FAILED" not in capsys.readouterr().out
 
     def test_demo_check_fails_on_a_counter_a_clean_run_leaves_at_zero(self, capsys, monkeypatch):
-        from repro.live.cluster import LiveReport
+        from repro.live.node import LiveNode
 
-        counted = LiveReport.counters
+        counted = LiveNode.counters
         monkeypatch.setattr(
-            LiveReport, "counters", lambda self: {**counted(self), "live_inbound_rejected": 1}
+            LiveNode, "counters", lambda self: {**counted(self), "live_inbound_rejected": 1}
         )
         argv = ["live", "demo", "--nodes", "3", "--duration", "2", "--messages", "1"]
         assert main(argv) == 0

@@ -117,7 +117,7 @@ class TestThroughputUnderEviction:
             dst = destinations[-1]
             reporter = next(node_id for node_id in system.nodes if node_id != dst)
             gid = system.directory.group_of_node(dst).gid
-            system.report_eviction(reporter, dst, group_domain(gid), "planted")
+            system.evict(dst, reporter, group_domain(gid), "planted")
 
         def prepare(spec):
             run = real_prepare(spec)

@@ -607,21 +607,26 @@ def test_live_environment_eviction_updates_replica():
     config = timer_regime("wall")
     roster = _entries(4)
     env = LiveEnvironment(roster[0].node_id, config, roster)
-    victim = roster[2].node_id
-    env.apply_eviction(victim)
-    assert victim not in env.peers
-    gid = env.group_of(roster[0].node_id)
-    view = env.domain_view(("group", gid))
+    victim, by = roster[2].node_id, roster[1].node_id
+    gid = env.group_of(victim)
+    assert env.evict(victim, by, ("group", gid), "relay") == {}  # one group: no channel
+    assert victim not in env.peers and not env.holds(victim)
+    view = env.domain_view(("group", env.group_of(roster[0].node_id)))
     assert view is None or victim not in view
-    # Idempotent: applying again is a no-op, not an error.
-    env.apply_eviction(victim)
+    assert env.evicted[victim] == {"by": by, "domain": ("group", gid), "kind": "relay", "at": 0.0, "gid": gid}
+    assert env.log == [("remove", victim)]
+    # Idempotent: evicting again is a no-op, not an error.
+    assert env.evict(victim, roster[3].node_id, ("group", gid), "relay") is None
+    # A copy of the replica (a joiner's, a restarted node's) agrees.
+    copy = LiveEnvironment(roster[3].node_id, config, env.roster, membership_log=env.log)
+    assert not copy.holds(victim) and copy.log == env.log
     # The replica's own eviction stops the node it hosts: its timers
     # must not keep ticking against a directory that no longer holds it.
     me = build_population(RacConfig.small(), 4)[0]
     env = LiveEnvironment(me.node_id, config, roster)
     env.node = RacNode(me.node_id, config, env, me.id_keypair, me.pseudonym_keypair)
     env.node.active = True
-    env.apply_eviction(me.node_id)
+    env.evict(me.node_id, by, ("group", env.group_of(me.node_id)), "relay")
     assert not env.node.active
     env.node._tick()
 

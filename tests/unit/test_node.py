@@ -9,10 +9,13 @@ import random
 import pytest
 
 from repro.core.config import RacConfig
-from repro.core.messages import Accusation, Broadcast, group_domain
+from repro.core.environment import Replica
+from repro.core.messages import Accusation, Broadcast, EvictionNotice, channel_domain, group_domain
 from repro.core.node import RacNode
 from repro.core.onion import build_onion
 from repro.crypto.keys import KeyPair
+from repro.groups.channels import ChannelDirectory
+from repro.groups.manager import GroupDirectory
 from repro.overlay.membership import MembershipView
 from repro.simnet.stats import StatsRegistry
 from repro.simnet.trace import Tracer
@@ -67,8 +70,12 @@ class StubEnv:
     def on_delivered(self, node_id, payload):
         self.delivered.append((node_id, payload))
 
-    def report_eviction(self, reporter, accused, domain, kind):
-        self.evictions.append((reporter, accused, kind))
+    def holds(self, node_id):
+        return node_id in self.view
+
+    def evict(self, accused, by, domain, kind):
+        self.evictions.append((by, accused, kind))
+        return {}
 
     # helpers ------------------------------------------------------------
     def fire_due(self):
@@ -287,6 +294,120 @@ class TestAccusationHandling:
                 accuser, Accusation(accuser, victim, group_domain(1), "missing-copy", None)
             )
         assert env.evictions == []
+
+
+class ReplicaEnv(Replica):
+    """A scripted environment over a real directory replica: groups,
+    channels and eviction records, no clock or network."""
+
+    def __init__(self, config, member_ids):
+        self.now = 0.0
+        self.stats = StatsRegistry()
+        self.tracer = Tracer(enabled=False)
+        self.sent = []  # (dst, payload)
+        self.evicted = {}
+        self.directory = GroupDirectory(
+            config.num_rings, smin=config.group_min, smax=config.group_max
+        )
+        self.channels = ChannelDirectory(self.directory)
+        self.keys = {m: KeyPair.generate("sim", seed=m) for m in member_ids}
+        for member in member_ids:
+            self.directory.add_node(member, self.keys[member].public)
+
+    def schedule(self, delay, fn, *args):
+        pass
+
+    def reserve(self, delay):
+        return (self.now + delay, 0)
+
+    def schedule_reserved(self, ticket, fn, *args):
+        pass
+
+    def unicast(self, src, dst, payload, size):
+        self.sent.append((dst, payload))
+
+    def send_interval_for(self, node_id):
+        return 0.1
+
+    def uplink_backlog_seconds(self, node_id):
+        return 0.0
+
+    def usable_as_relay(self, node_id):
+        return True
+
+    def on_delivered(self, node_id, payload):
+        pass
+
+    def _remove(self, node_id):
+        self.directory.remove_node(node_id)
+        self.channels.invalidate()
+
+
+def replica_node(node_id):
+    """Node ``node_id`` of members 1..9 with smin 3, smax 6: the seventh
+    join splits at 4, so group A is {1, 2, 3} (at smin) and group B is
+    {4, ..., 9}; f = 0.34 makes B's notice threshold ⌊0.34·6⌋ + 1 = 3."""
+    config = RacConfig(
+        num_relays=2, num_rings=3, group_min=3, group_max=6, message_size=2048,
+        send_interval=0.1, puzzle_bits=2, assumed_opponent_fraction=0.34,
+    )
+    env = ReplicaEnv(config, range(1, 10))
+    node = RacNode(node_id, config, env, env.keys[node_id], KeyPair.generate("sim", seed=99))
+    node.active = True
+    group_a, group_b = env.group_of(1), env.group_of(9)
+    assert sorted(env.directory.groups[group_a].members) == [1, 2, 3]
+    return node, env, channel_domain(group_a, group_b)
+
+
+class TestReplicaRule:
+    def test_the_notice_after_the_threshold_removes_and_not_before(self):
+        node, env, channel = replica_node(1)
+        threshold = node.config.relay_accusation_threshold(6)
+        for notifier in (4, 6, 7)[: threshold - 1]:
+            node.on_message(notifier, EvictionNotice(notifier, 5, channel, "relay"))
+        assert env.holds(5) and not env.evicted
+        node.on_message(8, EvictionNotice(8, 5, channel, "relay"))
+        assert not env.holds(5)
+        gid = env.group_of(9)
+        assert env.evicted[5] == {"by": 8, "domain": ("group", gid), "kind": "relay", "at": 0.0, "gid": gid}
+        # Every notice is flooded on over the channel, applied or not.
+        assert sum(isinstance(p, EvictionNotice) for _dst, p in env.sent) == 3 * threshold
+
+    def test_a_repeat_an_outsider_and_a_stale_notice_are_ignored_and_counted(self):
+        node, env, channel = replica_node(1)
+        node.on_message(4, EvictionNotice(4, 5, channel, "relay"))
+        node.on_message(4, EvictionNotice(4, 5, channel, "predecessor"))  # same notifier
+        node.on_message(2, EvictionNotice(2, 5, channel, "relay"))  # group A is not 5's group
+        node.on_message(6, EvictionNotice(6, 999, channel, "relay"))  # never a member
+        counts = env.stats.counts
+        assert counts["eviction_notice_repeated"] == 1
+        assert counts["eviction_notice_outsider"] == 1
+        assert counts["eviction_notice_stale"] == 1
+        for notifier in (6, 7):
+            node.on_message(notifier, EvictionNotice(notifier, 5, channel, "relay"))
+        assert not env.holds(5)
+        node.on_message(8, EvictionNotice(8, 5, channel, "relay"))  # already removed
+        assert counts["eviction_notice_stale"] == 2
+        assert set(env.evicted) == {5}
+
+    def test_a_conviction_that_dissolves_the_group_still_notifies_its_channels(self):
+        node, env, channel = replica_node(1)
+        before = env.domain_view(channel)
+        successors = {before.topology.successor(1, ring) for ring in range(3)}
+        group_a = env.group_of(2)
+        node.ingest_shuffle_round(group_a, 3, [(2,), (2,), (2,)])
+        assert env.evicted[2]["by"] == 1
+        assert group_a not in env.directory.groups and env.domain_view(channel) is None
+        notices = [(dst, p) for dst, p in env.sent if isinstance(p, EvictionNotice)]
+        assert {dst for dst, _p in notices} == successors
+        assert {p for _dst, p in notices} == {EvictionNotice(1, 2, channel, "relay")}
+
+    def test_a_second_conviction_of_a_removed_node_notifies_nobody(self):
+        node, env, _channel = replica_node(4)
+        env.evict(5, 6, group_domain(env.group_of(5)), "relay")
+        node.ingest_shuffle_round(env.group_of(9), 6, [(5,)] * 6)
+        assert env.evicted[5]["by"] == 6
+        assert not [p for _dst, p in env.sent if isinstance(p, EvictionNotice)]
 
 
 def _noise(seed):

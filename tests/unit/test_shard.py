@@ -295,11 +295,6 @@ class TestShardSystem:
         assert not set(ids[0]) & set(ids[1])
         assert len(ids[0]) + len(ids[1]) == 24
 
-    def test_notice_group_count_is_global(self):
-        spec = ScaleSpec(nodes=24, num_shards=2, seed=3, horizon=1.0)
-        system = build_shard_system(spec, 0)
-        assert system._notice_group_count() >= len(system.directory.groups)
-
     def test_epoch_step_emits_chained_fingerprints(self):
         spec = ScaleSpec(nodes=24, num_shards=2, seed=3, horizon=1.0, epoch=0.5)
         system = build_shard_system(spec, 0)

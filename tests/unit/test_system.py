@@ -140,8 +140,8 @@ class TestEvictionPlumbing:
         system = RacSystem(config(), seed=12)
         nodes = system.bootstrap(6)
         system.run(0.5)
-        system.report_eviction(nodes[1], nodes[0], group_domain(1), "predecessor")
-        system.report_eviction(nodes[2], nodes[0], group_domain(1), "relay")
+        assert system.evict(nodes[0], nodes[1], group_domain(1), "predecessor") == {}
+        assert system.evict(nodes[0], nodes[2], group_domain(1), "relay") is None
         assert list(system.evicted) == [nodes[0]]
         assert system.stats.value("evictions") == 1
 
@@ -149,7 +149,7 @@ class TestEvictionPlumbing:
         system = RacSystem(config(), seed=13)
         nodes = system.bootstrap(6)
         system.run(0.5)
-        system.report_eviction(nodes[1], nodes[0], group_domain(1), "predecessor")
+        system.evict(nodes[0], nodes[1], group_domain(1), "predecessor")
         assert not system.nodes[nodes[0]].active
         assert not system.network.attached(nodes[0])
         assert nodes[0] not in system.directory.node_ids
@@ -158,7 +158,7 @@ class TestEvictionPlumbing:
         system = RacSystem(config(), seed=14)
         nodes = system.bootstrap(6)
         system.run(0.5)
-        system.report_eviction(nodes[1], nodes[0], group_domain(1), "predecessor")
+        system.evict(nodes[0], nodes[1], group_domain(1), "predecessor")
         system.unicast(nodes[2], nodes[0], "anything", 64)  # must not raise
         system.run(0.5)
 
@@ -166,7 +166,7 @@ class TestEvictionPlumbing:
         system = RacSystem(config(), seed=15)
         nodes = system.bootstrap(6)
         system.run(0.5)
-        system.report_eviction(nodes[1], nodes[0], group_domain(1), "predecessor")
+        system.evict(nodes[0], nodes[1], group_domain(1), "predecessor")
         assert nodes[0] not in system.active_node_ids()
         assert len(system.active_node_ids()) == 5
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.messages import Accusation, Broadcast, channel_domain, group_domain
+from repro.core.messages import Accusation, Broadcast, EvictionNotice, channel_domain, group_domain
 from repro.core.wire import WireError, decode_message, encode_message, encoded_size
 from repro.simnet.snapshot import restore_system, snapshot_system
 
@@ -37,6 +37,10 @@ class TestRoundtrips:
         msg = Accusation(1, 2, channel_domain(3, 4), "rate-high", None)
         assert decode_message(encode_message(msg)) == msg
 
+    def test_eviction_notice(self):
+        msg = EvictionNotice(BIG, BIG - 1, channel_domain(3, 4), "relay")
+        assert decode_message(encode_message(msg)) == msg
+
 
 class TestSizes:
     def test_broadcast_size_dominated_by_wire(self):
@@ -63,8 +67,11 @@ class TestSizes:
              "02" "00000000000000000000000000000001" "00000000000000000000000000000002"
              "01" "0000000000000003" "0000000000000004" "00000009" "726174652d68696768"
              "01" "0000000000000000000000000000002a"),
+            (EvictionNotice(1, 2, channel_domain(3, 4), "relay"),
+             "08" "00000000000000000000000000000001" "00000000000000000000000000000002"
+             "01" "0000000000000003" "0000000000000004" "00000005" "72656c6179"),
         ],
-        ids=["broadcast-group", "broadcast-channel", "accusation", "accusation-msg-id"],
+        ids=["broadcast-group", "broadcast-channel", "accusation", "accusation-msg-id", "eviction-notice"],
     )
     def test_frames_are_pinned_bytes(self, msg, frame):
         # What the network is charged depends on these bytes.
@@ -93,8 +100,9 @@ class TestMalformedFrames:
 
     @pytest.mark.parametrize("tag", [3, 4, 5, 6, 7])
     def test_tags_of_frames_no_node_sends_are_unknown(self, tag):
-        # Join, READY, notices and blacklist shares run in-process: a
-        # peer's frame claiming to be one is refused, not dispatched.
+        # Join, READY and blacklist shares run in-process (3-7 were their
+        # tags, and an older notice layout's): a peer's frame claiming to
+        # be one is refused, not dispatched.
         with pytest.raises(WireError, match=f"unknown frame tag {tag}"):
             decode_message(bytes([tag]) + BIG.to_bytes(16, "big"))
 
