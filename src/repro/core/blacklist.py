@@ -27,7 +27,11 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .messages import DomainId
 
-__all__ = ["BlacklistEntry", "Blacklist", "EvictionTracker"]
+__all__ = ["BLACKLIST_SLOTS", "BlacklistEntry", "Blacklist", "EvictionTracker"]
+
+#: Lemma 4: every relay blacklist in a round has the same fixed length,
+#: so a member contributes at most this many ids.
+BLACKLIST_SLOTS = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,8 +78,9 @@ class EvictionTracker:
     """Accumulates accusations until an eviction threshold is crossed.
 
     One instance per (simulated) node; in a real deployment every node
-    runs the same tally over the same broadcast accusations and reaches
-    the same verdicts deterministically.
+    runs the same tally over the same broadcast accusations and shuffle
+    output and reaches the same verdicts deterministically. A relay
+    round counts each list as a set, so their order changes no verdict.
     """
 
     __slots__ = (
@@ -84,7 +89,6 @@ class EvictionTracker:
         "_predecessor_accusers",
         "_rate_high_accusers",
         "_rate_high_filers",
-        "_relay_votes",
         "_notifiers",
         "evicted",
     )
@@ -102,9 +106,6 @@ class EvictionTracker:
         self._rate_high_accusers: Dict[int, Dict[DomainId, Set[int]]] = {}
         #: domain -> nodes that themselves filed a rate-high accusation
         self._rate_high_filers: Dict[DomainId, Set[int]] = {}
-        #: accused -> group gid -> count of anonymous blacklists naming it
-        #: in the latest shuffle round
-        self._relay_votes: Dict[int, Dict[int, int]] = {}
         #: accused -> members that sent an eviction notice about it
         self._notifiers: Dict[int, Set[int]] = {}
         self.evicted: Set[int] = set()
@@ -177,9 +178,7 @@ class EvictionTracker:
         return True
 
     # -- relay evidence ------------------------------------------------------
-    def record_relay_round(
-        self, group_gid: int, group_size: int, shuffled_blacklists: "List[Tuple[int, ...]]"
-    ) -> "List[int]":
+    def record_relay_round(self, group_size: int, shuffled_blacklists: "List[Tuple[int, ...]]") -> "List[int]":
         """Tally one anonymous shuffle round of relay blacklists.
 
         Each member contributed exactly one (anonymous) blacklist, so
@@ -193,15 +192,10 @@ class EvictionTracker:
         newly_evicted: List[int] = []
         threshold = self._relay_threshold(group_size)
         for accused, count in votes.items():
-            rounds = self._relay_votes.setdefault(accused, {})
-            rounds[group_gid] = max(rounds.get(group_gid, 0), count)
             if count >= threshold and accused not in self.evicted:
                 self.evicted.add(accused)
                 newly_evicted.append(accused)
         return newly_evicted
-
-    def relay_vote_count(self, accused: int, group_gid: int) -> int:
-        return self._relay_votes.get(accused, {}).get(group_gid, 0)
 
     def record_notice(self, notifier: int, accused: int) -> "Optional[int]":
         """Tally one eviction notice: how many distinct members have now
@@ -216,5 +210,4 @@ class EvictionTracker:
     def forget(self, node_id: int) -> None:
         """Drop all evidence about a node (it left or was evicted)."""
         self._predecessor_accusers.pop(node_id, None)
-        self._relay_votes.pop(node_id, None)
         self._notifiers.pop(node_id, None)

@@ -89,9 +89,10 @@ class RacConfig:
     #: The paper's T: maximum time for a broadcast to reach the whole
     #: group. Joiners become usable as relays after 2T (Section IV-C).
     join_settle_time: float = 0.5
-    #: Groups up to this size run the real cryptographic shuffle for
-    #: blacklist dissemination; larger groups use the logical
-    #: (permute-only) equivalent to keep simulations tractable.
+    #: Read by nothing: a blacklist round is the same tally at every
+    #: group size. Declared only because the benchmark's
+    #: ``rac_config()`` passes every field by name; ROADMAP 4(b-i)
+    #: drops it there, then here.
     full_shuffle_max: int = 48
 
     # -- eviction thresholds ----------------------------------------------------

@@ -91,13 +91,6 @@ class PopulationFactory:
     def take(self, count: int) -> "List[NodeMaterial]":
         return [self.next_material() for _ in range(count)]
 
-    def fork(self) -> random.Random:
-        """An RNG that continues from the cursor's current state; what
-        it draws never moves the identity stream."""
-        rng = random.Random()
-        rng.setstate(self._rng.getstate())
-        return rng
-
 
 def build_population(config: RacConfig, count: int, seed: int = 0) -> "List[NodeMaterial]":
     """The first ``count`` nodes a ``RacSystem(config, seed)`` would create.

@@ -42,7 +42,7 @@ from ..crypto.hashes import message_id, sha256_int
 from ..crypto.keys import KeyPair, PublicKey
 from ..overlay.broadcast import FIRST_COPY, REPLAYED_COPY, BroadcastState, CopyKey
 from .behavior import HonestBehavior
-from .blacklist import Blacklist, EvictionTracker
+from .blacklist import BLACKLIST_SLOTS, Blacklist, EvictionTracker
 from .config import RacConfig
 from .messages import Accusation, Broadcast, DomainId, EvictionNotice, channel_domain, group_domain
 from .monitor import PredecessorMonitor, RateMonitor, RelayMonitor
@@ -683,12 +683,13 @@ class RacNode:
 
     # -- shuffle participation ------------------------------------------------------------
     def shuffle_contribution(self) -> "Tuple[int, ...]":
-        """This node's (possibly dishonest) relay blacklist for the round."""
-        return tuple(self.behavior.blacklist_share(self))
+        """This node's (possibly dishonest) relay blacklist for the round,
+        cut to the round's fixed :data:`BLACKLIST_SLOTS` (Lemma 4)."""
+        return tuple(self.behavior.blacklist_share(self))[:BLACKLIST_SLOTS]
 
     def ingest_shuffle_round(self, group_gid: int, group_size: int, lists: "List[Tuple[int, ...]]") -> None:
         """Tally one anonymous blacklist round (Section IV-C eviction)."""
-        for evicted in self.eviction_tracker.record_relay_round(group_gid, group_size, lists):
+        for evicted in self.eviction_tracker.record_relay_round(group_size, lists):
             self._convict(evicted, group_domain(group_gid), "relay")
 
     # -- the replica rule ------------------------------------------------------------------

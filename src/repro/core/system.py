@@ -20,11 +20,12 @@ Simulation-level simplifications, recorded here and in DESIGN.md §1:
   *divergence* is out of the paper's scope (its Fireflies and group
   machinery exists to keep views consistent); the message costs of
   joins are accounted, not sent.
-* The anonymous blacklist shuffle runs as a synchronous sub-protocol
-  every ``blacklist_period``. Small groups execute the full
-  cryptographic shuffle of :mod:`repro.crypto.shuffle`; large groups
-  use a logical permutation with identical outputs and message counts
-  (``config.full_shuffle_max`` is the switch).
+* The anonymous blacklist round runs every ``blacklist_period`` as a
+  tally: every active member of a group receives the sorted multiset
+  of the members' 16-slot relay blacklists, an order that names no
+  sender, and the round is charged Dissent v1's n² + 2n messages. The
+  shuffle's cryptography runs in its own tests and in the Dissent
+  baselines (:mod:`repro.baselines`).
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from ..simnet.network import StarNetwork
 from ..simnet.stats import LatencyMeter, StatsRegistry, ThroughputMeter, engine_counters
 from ..simnet.trace import Tracer
 from ..simnet.transport import ReliableTransport
-from ..crypto.shuffle import ShuffleParticipant, run_shuffle
 from .config import RacConfig, check_timers
 from .environment import Replica
 from .identity import PopulationFactory
@@ -80,9 +80,6 @@ class RacSystem(Replica):
         self.config = config if config is not None else RacConfig()
         #: Every identity this system mints, bootstrap and joiners alike.
         self._identities = PopulationFactory(self.config, seed)
-        #: The blacklist shuffle's stream: forked from the identity
-        #: stream when bootstrap ends, so a shuffle never moves a joiner.
-        self.rng = random.Random(seed)
         self.sim = Simulator()
         self.stats = StatsRegistry()
         self.topology = topology
@@ -267,7 +264,6 @@ class RacSystem(Replica):
         for index in range(count):
             node_id = self._create_node(behaviors.get(index))
             created.append(node_id)
-        self.rng = self._identities.fork()
         self._start_blacklist_rounds()
         self._validate_timers()
         return created
@@ -444,69 +440,16 @@ class RacSystem(Replica):
         members = [m for m in members if m.active]
         if len(members) < 2:
             return
-        contributions = [m.shuffle_contribution() for m in members]
+        contributions = sorted(m.shuffle_contribution() for m in members)
         if not any(contributions):
             # Every blacklist is empty; the round would disseminate
             # nothing. (A real deployment still runs it — Lemma 4 — but
-            # simulating an all-empty shuffle changes no state.)
-            shuffled = []
-        elif len(members) <= self.config.full_shuffle_max:
-            shuffled = self._cryptographic_shuffle(gid, contributions)
-        else:
-            shuffled = self._logical_shuffle(gid, contributions, len(members))
-        if shuffled:
-            for member in members:
-                member.ingest_shuffle_round(gid, len(members), shuffled)
-            self.stats.add("blacklist_rounds")
-
-    def _shuffle_rng(self, gid: int) -> random.Random:
-        """RNG feeding group ``gid``'s blacklist shuffle.
-
-        The monolithic system draws every group's permutation from the
-        single system RNG in gid order (pinned by the determinism
-        fingerprints). A shard (:mod:`repro.simnet.shard`) overrides
-        this with a per-group derived RNG so the draw sequence does not
-        depend on which other groups share the process. Either way the
-        *outcome* is permutation-independent: eviction tallies count
-        blacklist contents as sets.
-        """
-        return self.rng
-
-    def _cryptographic_shuffle(self, gid: int, contributions: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
-        width = 16
-        rng = self._shuffle_rng(gid)
-        encoded = [_encode_blacklist(c, width) for c in contributions]
-        participants = [
-            ShuffleParticipant(i, backend="sim", rng=random.Random(rng.getrandbits(62)))
-            for i in range(len(encoded))
-        ]
-        result = run_shuffle(participants, encoded)
-        self.stats.add("shuffle_messages", result.messages_sent)
-        if not result.success:
-            self.stats.add("shuffle_failures")
-            return []
-        return [_decode_blacklist(m) for m in result.messages]
-
-    def _logical_shuffle(self, gid: int, contributions: List[Tuple[int, ...]], n: int) -> List[Tuple[int, ...]]:
-        shuffled = list(contributions)
-        self._shuffle_rng(gid).shuffle(shuffled)
-        # Same message complexity as the real shuffle: n submissions +
-        # n sequential batches of n items + n key reveals.
+            # simulating an all-empty round changes no state.)
+            return
+        n = len(members)
+        # Dissent v1's cost: n submissions, n sequential batches of n
+        # items, n key reveals.
         self.stats.add("shuffle_messages", n * n + 2 * n)
-        return shuffled
-
-
-def _encode_blacklist(entries: Tuple[int, ...], width: int) -> bytes:
-    """Fixed-length encoding (Lemma 4: fixed-size shuffle messages)."""
-    capped = list(entries[:width])
-    raw = b"".join(e.to_bytes(16, "big") for e in capped)
-    return raw + bytes(16 * (width - len(capped)))
-
-
-def _decode_blacklist(blob: bytes) -> Tuple[int, ...]:
-    entries = []
-    for offset in range(0, len(blob), 16):
-        value = int.from_bytes(blob[offset : offset + 16], "big")
-        if value:
-            entries.append(value)
-    return tuple(entries)
+        for member in members:
+            member.ingest_shuffle_round(gid, n, contributions)
+        self.stats.add("blacklist_rounds")

@@ -15,7 +15,11 @@ broadcasts. The sharded simulator exploits exactly that:
   nodes over a :class:`~repro.groups.partition.BundleDirectory`;
 * shards advance in lock-step **epochs**; at each epoch barrier they
   export locally-decided evictions and import every other shard's,
-  giving the run a stable, fingerprintable cross-shard schedule.
+  giving the run a stable, fingerprintable cross-shard schedule;
+* a blacklist round is the monolithic tally
+  (:meth:`~repro.core.system.RacSystem._run_group_shuffle`), which
+  draws from no stream, so a group's rounds do not depend on which
+  groups share its shard.
 
 What is and is not bit-identical to the monolithic engine is documented
 in DESIGN.md §4; the load-bearing equivalence (same delivered-payload
@@ -29,7 +33,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -48,7 +51,6 @@ __all__ = [
     "ZERO_FINGERPRINT",
     "canonical_blob",
     "chain_fingerprint",
-    "group_shuffle_rng",
     "plan_population",
     "filter_plan_events",
     "build_shard_system",
@@ -213,12 +215,6 @@ def filter_plan_events(plan, local_indices: "set"):
     return filtered
 
 
-def group_shuffle_rng(seed: int, gid: int) -> random.Random:
-    """Per-group blacklist-shuffle RNG, independent of bundle layout."""
-    digest = hashlib.sha256(f"rac-shard-shuffle/{seed}/{gid}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
 # ---------------------------------------------------------------------------
 # the shard
 # ---------------------------------------------------------------------------
@@ -229,9 +225,6 @@ class ShardSystem(RacSystem):
 
     * the directory is a :class:`BundleDirectory` over the coordinator's
       frozen group specs (same gids, same intervals, same members);
-    * blacklist-shuffle randomness comes from per-group derived RNGs
-      (:func:`group_shuffle_rng`) instead of the shared system RNG, so
-      the draw schedule does not depend on co-located groups;
     * locally-decided evictions are queued as *export* records for the
       next epoch barrier, and foreign evictions arrive as *imports*;
     * eviction notices reach co-hosted groups only (a foreign node has
@@ -253,16 +246,7 @@ class ShardSystem(RacSystem):
         self.channels = ChannelDirectory(self.directory)
         self.bundle_gids: Tuple[int, ...] = tuple(s.gid for s in bundle)
         self.foreign_evicted: "Dict[int, Dict]" = {}
-        self._group_shuffle_rngs: "Dict[int, random.Random]" = {}
-        self._shuffle_seed = seed
         self._pending_exports: "List[Dict]" = []
-
-    # -- monolithic-behaviour overrides -------------------------------------
-    def _shuffle_rng(self, gid: int) -> random.Random:
-        rng = self._group_shuffle_rngs.get(gid)
-        if rng is None:
-            rng = self._group_shuffle_rngs[gid] = group_shuffle_rng(self._shuffle_seed, gid)
-        return rng
 
     # -- population -----------------------------------------------------------
     def populate(self, materials: "Sequence[NodeMaterial]", behaviors=None) -> "List[int]":

@@ -103,7 +103,7 @@ class TestEvictionTrackerProperties:
             predecessor_threshold=lambda d: 10**9,
             relay_threshold=lambda s: threshold,
         )
-        evicted = tracker.record_relay_round(1, len(lists_), lists_)
+        evicted = tracker.record_relay_round(len(lists_), lists_)
         votes = {}
         for blacklist in lists_:
             for accused in set(blacklist):

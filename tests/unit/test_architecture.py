@@ -54,6 +54,34 @@ def _called_name(node: ast.Call) -> str:
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
 
 
+#: ``RacConfig`` fields that nothing in ``src/`` reads, each with the
+#: reason it is still declared.
+UNREAD_CONFIG_FIELDS = {"full_shuffle_max": "4(b-i): rac_bench's rac_config() still names it"}
+
+
+def test_every_config_field_is_read():
+    """A ``RacConfig`` field is a knob only if some code reads it: an
+    attribute of that name loaded somewhere in ``src/``. The allow-list
+    names the exceptions, and an entry that gains a reader or loses its
+    field fails too, so the list can only shrink."""
+    tree = ast.parse((SRC / "core" / "config.py").read_text(encoding="utf-8"))
+    (config,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "RacConfig"]
+    fields = {n.target.id for n in config.body if isinstance(n, ast.AnnAssign)}
+    read = {
+        node.attr
+        for _, module in _modules()
+        for node in ast.walk(module)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = fields - read
+    assert unread <= set(UNREAD_CONFIG_FIELDS), (
+        f"{sorted(unread - set(UNREAD_CONFIG_FIELDS))}: a RacConfig field nothing reads; "
+        "delete it, or wire it to the code it claims to tune"
+    )
+    stale = set(UNREAD_CONFIG_FIELDS) - unread
+    assert not stale, f"{sorted(stale)}: read now, or no longer a field; drop it from UNREAD_CONFIG_FIELDS"
+
+
 def test_systems_and_clusters_are_built_only_on_the_allow_list():
     sites = {}
     for name, tree in _modules():

@@ -83,20 +83,19 @@ class TestRelayEvidence:
     def test_round_counting(self):
         tracker = make_tracker(relay_threshold=3)
         lists = [(99,), (99,), (), (5,)]
-        assert tracker.record_relay_round(1, 4, lists) == []
-        assert tracker.relay_vote_count(99, 1) == 2
+        assert tracker.record_relay_round(4, lists) == []
 
     def test_threshold_crossing_evicts(self):
         tracker = make_tracker(relay_threshold=3)
         lists = [(99,), (99,), (99, 5), ()]
-        assert tracker.record_relay_round(1, 4, lists) == [99]
+        assert tracker.record_relay_round(4, lists) == [99]
         assert 99 in tracker.evicted
 
     def test_duplicates_within_one_list_count_once(self):
         tracker = make_tracker(relay_threshold=2)
         lists = [(99, 99, 99), ()]
-        tracker.record_relay_round(1, 2, lists)
-        assert tracker.relay_vote_count(99, 1) == 1
+        assert tracker.record_relay_round(2, lists) == []
+        assert 99 not in tracker.evicted
 
     def test_votes_do_not_accumulate_across_rounds(self):
         # The paper requires f*G+1 *distinct* accusers; counting the
@@ -104,7 +103,7 @@ class TestRelayEvidence:
         # evict anyone eventually.
         tracker = make_tracker(relay_threshold=2)
         for _ in range(5):
-            tracker.record_relay_round(1, 3, [(99,), (), ()])
+            tracker.record_relay_round(3, [(99,), (), ()])
         assert 99 not in tracker.evicted
 
     def test_exact_quorum_boundary(self):
@@ -120,10 +119,10 @@ class TestRelayEvidence:
             relay_threshold=config.relay_accusation_threshold,
         )
         at_bound = [(99,)] * (threshold - 1) + [()] * 9
-        assert tracker.record_relay_round(1, 12, at_bound) == []
+        assert tracker.record_relay_round(12, at_bound) == []
         assert 99 not in tracker.evicted
         over_bound = [(99,)] * threshold + [()] * 8
-        assert tracker.record_relay_round(1, 12, over_bound) == [99]
+        assert tracker.record_relay_round(12, over_bound) == [99]
 
     def test_identical_lists_from_distinct_contributors_each_count(self):
         # Lists are anonymous: the tracker cannot tell two members with
@@ -133,20 +132,17 @@ class TestRelayEvidence:
         # contribution per active member), which is what makes
         # list-count == distinct-accuser-count.
         tracker = make_tracker(relay_threshold=2)
-        assert tracker.record_relay_round(1, 3, [(99,), (99,), ()]) == [99]
+        assert tracker.record_relay_round(3, [(99,), (99,), ()]) == [99]
 
     def test_eviction_stable_across_repeated_identical_rounds(self):
         # Replaying the same winning round must neither re-evict nor
-        # flip any state: `evicted` is monotone and the per-round vote
-        # tally keeps the maximum seen.
+        # flip any state: `evicted` is monotone.
         tracker = make_tracker(relay_threshold=2)
         lists = [(99,), (99, 5), ()]
-        assert tracker.record_relay_round(1, 3, lists) == [99]
+        assert tracker.record_relay_round(3, lists) == [99]
         for _ in range(3):
-            assert tracker.record_relay_round(1, 3, lists) == []
+            assert tracker.record_relay_round(3, lists) == []
         assert tracker.evicted == {99}
-        assert tracker.relay_vote_count(99, 1) == 2
-        assert tracker.relay_vote_count(5, 1) == 1
 
     def test_forget_clears_evidence(self):
         tracker = make_tracker(pred_threshold=3)

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from repro.core.behavior import HonestBehavior
 from repro.core.config import RacConfig
 from repro.core.environment import Replica
 from repro.core.messages import Accusation, Broadcast, EvictionNotice, channel_domain, group_domain
@@ -480,6 +481,20 @@ class TestPredecessorCheck:
         for debtor in debtors:
             node.on_evicted(debtor)
         assert (len(monitor), monitor.unsettled()) == (0, 0)
+
+
+class TestShuffleContribution:
+    def test_a_contribution_keeps_the_fixed_slot_count_in_any_group(self):
+        # Lemma 4: every list in a round has the same fixed length, so
+        # the node cuts an overlong share itself, whatever the size of
+        # its group (49 members here).
+        class OverlongShare(HonestBehavior):
+            def blacklist_share(self, node):
+                return tuple(range(100, 117))
+
+        node, env = make_node(member_ids=range(1, 50), behavior=OverlongShare())
+        assert len(env.view) > 48
+        assert node.shuffle_contribution() == tuple(range(100, 116))
 
 
 class TestEvictionCleanup:

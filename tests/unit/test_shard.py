@@ -6,13 +6,11 @@ cross-shard hooks, and the cache-hygiene contract at shard-worker
 boundaries.
 """
 
-import random
 import weakref
 
 import pytest
 
 from repro.core.config import RacConfig, check_timers
-from repro.core.system import RacSystem
 from repro.crypto import clear_process_caches
 from repro.crypto import dh
 from repro.groups import (
@@ -30,7 +28,6 @@ from repro.simnet.shard import (
     chain_fingerprint,
     epoch_step,
     filter_plan_events,
-    group_shuffle_rng,
     plan_population,
     sort_barrier_records,
 )
@@ -247,20 +244,6 @@ class TestFilterPlanEvents:
         filtered = filter_plan_events(self._plan(), {9, 10})
         crash = [e for e in filtered.schedule() if e.kind == "crash"]
         assert [e.node for e in crash] == [9]
-
-
-class TestShuffleRng:
-    def test_per_group_streams_are_stable_and_distinct(self):
-        a1 = group_shuffle_rng(7, 1).random()
-        a2 = group_shuffle_rng(7, 1).random()
-        b = group_shuffle_rng(7, 2).random()
-        assert a1 == a2
-        assert a1 != b
-
-    def test_monolithic_default_hook_uses_system_rng(self):
-        system = RacSystem(RacConfig.small())
-        assert system._shuffle_rng(1) is system.rng
-        assert isinstance(system._shuffle_rng(99), random.Random)
 
 
 class TestBarrierCanonicalisation:

@@ -74,10 +74,9 @@ class TestDeterminism:
         assert a.bootstrap(8) != b.bootstrap(8)
 
     def test_a_joiner_is_the_next_identity_after_a_shuffle_drew(self):
-        """The blacklist shuffle draws its permutations after bootstrap;
-        a later join must still mint the identity a live cluster's
-        factory hands out next, or the two substrates admit different
-        nodes under one plan."""
+        """Blacklist rounds run after bootstrap; a later join must still
+        mint the identity a live cluster's factory hands out next, or
+        the two substrates admit different nodes under one plan."""
         from repro.core.identity import build_population
         from repro.scenario import Scenario, prepare
 
@@ -87,7 +86,7 @@ class TestDeterminism:
         )
         run = prepare(scenario)
         run.run_to(scenario.horizon)
-        assert run.system.stats.value("blacklist_rounds")  # a shuffle has drawn
+        assert run.system.stats.value("blacklist_rounds")  # a round draws from no stream
         expected = build_population(scenario.configuration(), 11, seed=0)[10].node_id
         assert run.system.join() == expected
 
