@@ -535,7 +535,7 @@ async def _live_life(window: float, count_calls: bool) -> "tuple[int, int, float
         frames = frames_sent() - before
     finally:
         report = await cluster.shutdown()
-    assert frames and not report.errors and not report.evicted, report.render()
+    assert frames and not report.errors and not report.evicted, (frames, report.errors, report.evicted)
     return frames, calls, cpu
 
 

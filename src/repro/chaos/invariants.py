@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-__all__ = ["Violation", "InvariantReport", "InvariantChecker", "final_blacklists"]
+__all__ = ["Violation", "InvariantReport", "InvariantChecker"]
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ class InvariantChecker:
     # -- the verdict -----------------------------------------------------------
     def check(self, blacklists: "Optional[Dict[int, Iterable[int]]]" = None) -> InvariantReport:
         """Judge everything recorded so far. ``blacklists`` maps each
-        surviving node to its final local blacklist members."""
+        surviving node to its final :meth:`~repro.core.node.RacNode.blacklisted`."""
         violations: "List[Violation]" = []
         checks = {
             "evictions": 0,
@@ -297,14 +297,3 @@ class InvariantChecker:
                 )
         return InvariantReport(violations=violations, checks=checks)
 
-
-def final_blacklists(rac_nodes) -> "Dict[int, set]":
-    """Each surviving node's union of relay + predecessor blacklists —
-    the ``blacklists`` argument of :meth:`InvariantChecker.check`."""
-    blacklists: "Dict[int, set]" = {}
-    for node in rac_nodes:
-        members = set(node.relays_blacklist.members())
-        for blacklist in node.pred_blacklists.values():
-            members.update(blacklist.members())
-        blacklists[node.node_id] = members
-    return blacklists

@@ -187,6 +187,13 @@ class RacNode:
             self.pred_blacklists[domain] = Blacklist()
         return self.pred_blacklists[domain]
 
+    def blacklisted(self) -> Set[int]:
+        """Everyone this node blacklisted: relays and predecessors alike."""
+        members = set(self.relays_blacklist.members())
+        for blacklist in self.pred_blacklists.values():
+            members.update(blacklist.members())
+        return members
+
     # -- lifecycle --------------------------------------------------------------
     def start(self) -> None:
         """Begin the origination loop at a staggered offset."""

@@ -6,12 +6,11 @@ bundles: a no-coalition control that must evict nobody, a shield
 coalition whose eviction set must be exactly its member set (the
 cross-shard consistency contract, DESIGN.md §4), and shield under a
 full-density storm, which is reported but deliberately *not* gated.
-There the relay monitor blames the first silent relay of onions cut
-down by partitions and crash windows, and because relay blacklists
-persist across shuffle rounds the spurious blame accumulates until it
-completes a quorum whatever the f-headroom: a measured limit of the
-paper's accountability design at scale (ROADMAP item 2), not a harness
-bug.
+There honest nodes are convicted on predecessor evidence (all 59
+honest evictions of the committed line are ``predecessor`` verdicts,
+from 7.3 s on) whatever the f-headroom: a measured limit of the
+paper's accountability design at scale (ROADMAP items 1 and 2), not a
+harness bug.
 """
 
 from __future__ import annotations

@@ -12,7 +12,10 @@ Two execution modes run the same node code, and
   bootstrap directory.
 
 Either way every node evicts from its own replica by the replica rule
-of :mod:`repro.core.node`: nobody applies a verdict for anyone else.
+of :mod:`repro.core.node`: nobody applies a verdict for anyone else,
+and the run's record is a :class:`LiveReport` over each node's own
+:meth:`~repro.live.node.LiveNode.report` (taken when a cluster's
+shutdown begins, printed by each worker). It is all the judge reads.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import RacConfig, check_timers, timer_regime
 from ..core.identity import NodeMaterial, PopulationFactory
@@ -36,22 +39,37 @@ __all__ = ["LiveCluster", "LiveReport", "run_workers"]
 
 @dataclass
 class LiveReport:
-    """What one cluster run produced, across all nodes."""
+    """A live run's record: one :meth:`LiveNode.report` per incarnation
+    (dead ones too), all taken at one instant, plus what went wrong
+    outside any node. Everything else is derived from the reports, so
+    clocks and verdicts are merged by one rule."""
 
-    nodes: int
-    duration: float
-    delivered: "Dict[int, List[bytes]]"
-    per_node: "Dict[int, Dict[str, int]]"
-    #: Every node some replica evicted, earliest first.
-    evicted: "List[int]"
-    errors: "List[str]" = field(default_factory=list)
+    reports: "List[Dict[str, Any]]"
+    #: Run-level failures: a worker that died, traffic that stopped.
+    run_errors: "List[str]" = field(default_factory=list)
 
     @property
-    def deliveries(self) -> int:
-        return sum(len(payloads) for payloads in self.delivered.values())
+    def errors(self) -> "List[str]":
+        return self.run_errors + [e for r in self.reports for e in r["errors"]]
+
+    @property
+    def delivered(self) -> "Dict[int, List[bytes]]":
+        delivered: "Dict[int, List[bytes]]" = {}
+        for r in self.reports:
+            delivered.setdefault(r["node_id"], []).extend(
+                bytes.fromhex(payload) for _at, payload in r["delivered"]
+            )
+        return delivered
+
+    @property
+    def per_node(self) -> "Dict[int, Dict[str, int]]":
+        incarnations: "Dict[int, List[Dict[str, int]]]" = {}
+        for r in self.reports:
+            incarnations.setdefault(r["node_id"], []).append(r["counters"])
+        return {node_id: aggregate_stats_reports(c) for node_id, c in incarnations.items()}
 
     def counters(self) -> "Dict[str, int]":
-        return aggregate_stats_reports(self.per_node.values())
+        return aggregate_stats_reports(r["counters"] for r in self.reports)
 
     @property
     def accusations(self) -> int:
@@ -59,27 +77,34 @@ class LiveReport:
             value for name, value in self.counters().items() if name.startswith("accusation_")
         )
 
-    def render(self) -> str:
-        totals = self.counters()
-        lines = [
-            f"live cluster: {self.nodes} nodes, {self.duration:.1f}s wall clock",
-            f"  anonymous deliveries : {self.deliveries}",
-            f"  accusations          : {self.accusations}",
-            f"  evictions            : {len(self.evicted)}",
-            f"  tcp frames sent      : {totals.get('live_frames_sent', 0)}",
-            f"  tcp bytes sent       : {totals.get('live_bytes_sent', 0)}",
-            f"  frames rejected      : {totals.get('live_frames_rejected', 0)}",
-            f"  inbound rejected     : {totals.get('live_inbound_rejected', 0)}",
-            f"  link resets          : {totals.get('live_link_resets', 0)}",
-            f"  connect retries      : {totals.get('live_connect_retries', 0)}",
-            f"  reconnect failures   : {totals.get('live_reconnect_failures', 0)}",
-            f"  backlog drops        : {totals.get('live_frames_dropped_backlog', 0)}",
-            f"  oversize drops       : {totals.get('live_frames_dropped_oversize', 0)}",
-        ]
-        if self.errors:
-            lines.append(f"  callback errors      : {len(self.errors)}")
-            lines.extend(f"    {err}" for err in self.errors[:5])
-        return "\n".join(lines)
+    def deliveries(self, since: float) -> "List[Tuple[float, int, bytes]]":
+        """Every ``(at, node id, payload)``, ``at`` counted from loop
+        time ``since``, in time order."""
+        return sorted(
+            (r["epoch"] + at - since, r["node_id"], bytes.fromhex(payload))
+            for r in self.reports
+            for at, payload in r["delivered"]
+        )
+
+    def evictions(self, since: float = 0.0) -> "List[Tuple[float, int, int, str, Optional[int]]]":
+        """The earliest record any replica kept per accused, as ``(at,
+        by, accused, kind, gid)`` with ``at`` counted from loop time
+        ``since``, in time order."""
+        first: "Dict[int, Tuple[float, Dict[str, Any]]]" = {}
+        for r in self.reports:
+            for accused, record in r["evicted"]:
+                at = r["epoch"] + record["at"]
+                if accused not in first or at < first[accused][0]:
+                    first[accused] = (at, record)
+        return sorted(
+            (at - since, record["by"], accused, record["kind"], record["gid"])
+            for accused, (at, record) in first.items()
+        )
+
+    @property
+    def evicted(self) -> "List[int]":
+        """Every node some replica evicted, earliest first."""
+        return [accused for _at, _by, accused, _kind, _gid in self.evictions()]
 
 
 class LiveCluster:
@@ -227,10 +252,6 @@ class LiveCluster:
     def live_nodes(self) -> "List[LiveNode]":
         return [n for n in self.nodes if not n.killed and n.env is not None]
 
-    def incarnations(self) -> "List[LiveNode]":
-        """Every node this cluster ran, dead incarnations first."""
-        return self._retired + self.nodes
-
     def adopt_replacement(self, index: int, node: LiveNode) -> None:
         """Swap a restarted node into slot ``index``. The dead
         incarnation is retired, not discarded — what it delivered,
@@ -239,33 +260,16 @@ class LiveCluster:
         self.nodes[index] = node
 
     async def shutdown(self, duration: float = 0.0) -> LiveReport:
+        """Report every incarnation, dead ones first, then stop the
+        fleet: the record is read before any node stops, so teardown
+        never reaches it. Each report carries its own clock, so
+        ``duration`` is not needed."""
+        report = LiveReport([n.report() for n in self._retired + self.nodes if n.env is not None])
         for node in self.nodes:
             if not node.killed:
                 await node.shutdown()
         await self.directory.close()
-        errors: "List[str]" = []
-        delivered: "Dict[int, List[bytes]]" = {}
-        incarnations: "Dict[int, List[Dict[str, int]]]" = {}
-        evicted: "Dict[int, float]" = {}
-        for node in self.incarnations():
-            if node.env is not None:
-                errors.extend(f"node {node.node_id:#x}: {e!r}" for e in node.env.errors)
-                for accused, record in node.env.evicted.items():
-                    at = node.env.epoch + record["at"]
-                    evicted[accused] = min(at, evicted.get(accused, at))
-            delivered.setdefault(node.node_id, []).extend(node.delivered())
-            incarnations.setdefault(node.node_id, []).append(node.counters())
-        return LiveReport(
-            nodes=len(self.nodes),
-            duration=duration,
-            delivered=delivered,
-            per_node={
-                node_id: aggregate_stats_reports(counts)
-                for node_id, counts in incarnations.items()
-            },
-            evicted=sorted(evicted, key=evicted.get),
-            errors=errors,
-        )
+        return report
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +288,7 @@ def _worker_env() -> "Dict[str, str]":
 
 async def run_workers(
     scenario_json: str, count: int, port_base: "Optional[int]" = None
-) -> "Tuple[List[Dict], List[str]]":
+) -> LiveReport:
     """Run one worker process per node of a scenario (its
     :meth:`~repro.scenario.Scenario.to_dict` as JSON) and collect what
     each printed: the reports of the workers that exited cleanly, and
@@ -309,13 +313,12 @@ async def run_workers(
                 p.kill()
         await directory.close()
 
-    reports: "List[Dict]" = []
-    errors: "List[str]" = []
+    report = LiveReport([])
     for index, (proc, (stdout, stderr)) in enumerate(zip(procs, outputs)):
         if proc.returncode != 0:
-            errors.append(
+            report.run_errors.append(
                 f"worker {index} exited {proc.returncode}: {stderr.decode(errors='replace')[-500:]}"
             )
             continue
-        reports.append(json.loads(stdout.decode().strip().splitlines()[-1]))
-    return reports, errors
+        report.reports.append(json.loads(stdout.decode().strip().splitlines()[-1]))
+    return report

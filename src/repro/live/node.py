@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..core.config import RacConfig
 from ..core.identity import NodeMaterial
 from ..core.messages import Broadcast
 from ..core.node import RacNode
 from ..core.wire import WireError, decode_message
+from ..groups.partition import directory_digest
 from .directory import DirectoryClient, RosterEntry
 from .environment import LiveEnvironment
 from .framing import decode_hello, encode_hello, split_frames, write_frame
@@ -241,3 +242,30 @@ class LiveNode:
 
     def delivered(self) -> "List[bytes]":
         return list(self.rac.delivered) if self.rac is not None else []
+
+    def report(self) -> "Dict[str, Any]":
+        """This incarnation's record, as JSON data: deliveries on its
+        clock (``epoch`` is the loop time that clock started at),
+        counters, blacklist, eviction records, reconfigurations,
+        directory digest and invariant check, errors. Take it before
+        :meth:`shutdown`: a stopped node is no longer ``active``."""
+        env, rac = self.env, self.rac
+        try:
+            env.directory.check_invariants()
+            broken = None
+        except AssertionError as exc:
+            broken = str(exc)
+        return {
+            "node_id": self.node_id,
+            "epoch": env.epoch,
+            "running": not self.killed,
+            "active": rac.active,
+            "delivered": [[at, payload.hex()] for at, payload in zip(rac.delivered_at, rac.delivered)],
+            "counters": self.counters(),
+            "blacklist": sorted(rac.blacklisted()),
+            "evicted": [[accused, record] for accused, record in env.evicted.items()],
+            "reconfigurations": env.reconfigurations(),
+            "digest": directory_digest(env.directory),
+            "directory_error": broken,
+            "errors": [f"node {self.node_id:#x}: {e!r}" for e in env.errors],
+        }

@@ -11,10 +11,11 @@ it locally and picks its own index. The directory supplies only what
 determinism cannot — which TCP port each peer actually bound.
 
 The worker offers its own share of the scenario's traffic and runs to
-the horizon. On exit it prints one JSON line, its
-:func:`repro.scenario.replica_report` plus how many sends its node
-accepted; :func:`repro.scenario.run_scenario` judges these lines with
-the same code as a tasks-mode cluster's reports.
+the horizon. On exit it prints one JSON line, its node's
+:meth:`~repro.live.node.LiveNode.report` plus how many sends the node
+accepted; :func:`~repro.live.cluster.run_workers` collects these lines
+into the same :class:`~repro.live.cluster.LiveReport` a tasks-mode
+cluster returns, and :func:`repro.scenario.run_scenario` judges it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import json
 import sys
 
 from ..core.identity import build_population
-from ..scenario import Scenario, play_traffic, replica_report, traffic_sends
+from ..scenario import Scenario, play_traffic, traffic_sends
 from .node import LiveNode
 
 
@@ -58,7 +59,7 @@ async def _amain(args: argparse.Namespace) -> dict:
     await asyncio.sleep(scenario.horizon)
     traffic.cancel()
     [played] = await asyncio.gather(traffic, return_exceptions=True)
-    report = {**replica_report(node), "sent": sent}
+    report = {**node.report(), "sent": sent}
     if isinstance(played, Exception):  # the traffic stopped there: say so
         report["errors"].append(f"traffic: {played!r}")
     await node.shutdown()

@@ -14,8 +14,10 @@ This module is that pipeline, once. A frozen, serialisable
 chunks, snapshot it between them, tap it before it starts);
 :func:`run_scenario` plays it on the simulator or over real TCP (asyncio
 tasks in one process, or one worker process per node); either way the
-result is one :class:`Outcome`. Workloads, CLI and experiment
-scripts are adapters over :meth:`Scenario.from_params`.
+result is one :class:`Outcome`. Both live modes hand the judge one
+:class:`~repro.live.cluster.LiveReport`, built from the nodes' own
+reports; they differ only in how they obtain it. Workloads, CLI and
+experiment scripts are adapters over :meth:`Scenario.from_params`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .chaos.invariants import InvariantChecker, InvariantReport, final_blacklists
+from .chaos.invariants import InvariantChecker, InvariantReport
 from .chaos.plan import CANNED_GEOMETRY, CANNED_PLANS, FaultPlan, canned_plan
 from .core.config import (
     MISBEHAVIOUR_TIMERS,
@@ -41,8 +43,6 @@ from .core.identity import build_population
 from .core.system import RacSystem
 from .freeride.coalition import COALITION_CLASSES, build_coalition
 from .freeride.registry import BEHAVIORS, UnknownBehaviorError
-from .groups.partition import directory_digest
-from .simnet.stats import aggregate_stats_reports
 from .topo.model import TopologyModel, preset
 from .topo.traces import diurnal_churn_plan, publish_times
 
@@ -59,7 +59,6 @@ __all__ = [
     "ring_sends",
     "traffic_sends",
     "play_traffic",
-    "replica_report",
     "prepare",
     "run_scenario",
     "run_params",
@@ -766,7 +765,7 @@ class SimRun:
                 Eviction(info["at"], info["by"], accused, info["kind"], info["gid"])
                 for accused, info in system.evicted.items()
             ],
-            blacklists=final_blacklists(node for node in nodes.values() if node.active),
+            blacklists={node.node_id: node.blacklisted() for node in nodes.values() if node.active},
             end=system.now,
             counters={
                 **system.stats_report(),
@@ -836,61 +835,24 @@ async def play_traffic(sends, now, send) -> None:
         send(src, dst, payload)
 
 
-def replica_report(node) -> "Dict[str, Any]":
-    """What a live node and its directory replica hold, as JSON data:
-    deliveries on its clock (``epoch`` is the loop time that clock
-    started at), counters, blacklist, eviction records, reconfigurations,
-    directory digest and invariant check, errors. Taken before shutdown."""
-    env, rac = node.env, node.rac
-    try:
-        env.directory.check_invariants()
-        broken = None
-    except AssertionError as exc:
-        broken = str(exc)
-    return {
-        "node_id": node.node_id,
-        "epoch": env.epoch,
-        "running": not node.killed,
-        "active": rac.active,
-        "delivered": [[at, payload.hex()] for at, payload in zip(rac.delivered_at, rac.delivered)],
-        "counters": node.counters(),
-        "blacklist": sorted(final_blacklists([rac])[node.node_id]),
-        "evicted": [[accused, record] for accused, record in env.evicted.items()],
-        "reconfigurations": env.reconfigurations(),
-        "digest": directory_digest(env.directory),
-        "directory_error": broken,
-        "errors": [f"node {node.node_id:#x}: {e!r}" for e in env.errors],
-    }
-
-
 def _judged_live(
-    scenario: Scenario, node_ids, checker: InvariantChecker, reports, started: float,
-    end: float, errors: "List[str]", **measured
+    scenario: Scenario, node_ids, checker: InvariantChecker, report, started: float,
+    end: float, **measured
 ) -> Outcome:
-    """Judge a live run from every incarnation's :func:`replica_report`;
+    """Judge a live run from its :class:`~repro.live.cluster.LiveReport`;
     ``started`` is the loop time of the run's t=0. A verdict counts from
     the first replica that reached it; the blacklists, directories and
     digests are the still-running replicas'."""
-    running = [r for r in reports if r["running"]]
+    running = [r for r in report.reports if r["running"]]
     for r in running:
         checker.record_directory_check(end, r["directory_error"])
-    first: "Dict[int, Eviction]" = {}
-    for r in reports:
-        for accused, record in r["evicted"]:
-            at = record["at"] + r["epoch"] - started
-            if accused not in first or at < first[accused].at:
-                first[accused] = Eviction(at, record["by"], accused, record["kind"], record["gid"])
-    deliveries = sorted(
-        (at + r["epoch"] - started, r["node_id"], bytes.fromhex(payload))
-        for r in reports
-        for at, payload in r["delivered"]
-    )
-    counters = aggregate_stats_reports(r["counters"] for r in reports)
-    counters.update(_churn_counters(*(r["reconfigurations"] for r in reports)))
+    counters = report.counters()
+    counters.update(_churn_counters(*(r["reconfigurations"] for r in report.reports)))
     return _judged(
-        scenario, "live", node_ids, checker, deliveries, sorted(first.values()),
+        scenario, "live", node_ids, checker, report.deliveries(started),
+        [Eviction(*e) for e in report.evictions(started)],
         {r["node_id"]: set(r["blacklist"]) for r in running}, end, counters=counters,
-        errors=errors + [e for r in reports for e in r["errors"]],
+        errors=report.errors,
         directory_digests={r["node_id"]: r["digest"] for r in running if r["active"]},
         **measured,
     )
@@ -938,11 +900,11 @@ async def _run_live(scenario: Scenario, port_base: "Optional[int]") -> Outcome:
         if supervisor is not None:
             await supervisor.stop()
     end = loop.time() - started
-    reports = [replica_report(node) for node in cluster.incarnations() if node.env is not None]
-    await cluster.shutdown(scenario.horizon)
-    errors = [f"traffic: {pumped!r}"] if isinstance(pumped, Exception) else []
+    report = await cluster.shutdown(end)
+    if isinstance(pumped, Exception):
+        report.run_errors.append(f"traffic: {pumped!r}")
     return _judged_live(
-        scenario, node_ids, checker, reports, started, end, errors,
+        scenario, node_ids, checker, report, started, end,
         sent=sent, log=list(supervisor.log) if supervisor is not None else [],
     )
 
@@ -955,11 +917,11 @@ async def _run_processes(scenario: Scenario, port_base: "Optional[int]") -> Outc
     config = scenario.configuration()
     node_ids = [m.node_id for m in build_population(config, scenario.nodes, scenario.seed)]
     checker = _checker(scenario, node_ids, scenario.fault_plan())
-    reports, errors = await run_workers(json.dumps(scenario.to_dict()), scenario.nodes, port_base)
-    started = min((r["epoch"] for r in reports), default=0.0)
+    report = await run_workers(json.dumps(scenario.to_dict()), scenario.nodes, port_base)
+    started = min((r["epoch"] for r in report.reports), default=0.0)
     return _judged_live(
-        scenario, node_ids, checker, reports, started, scenario.horizon, errors,
-        sent=[r["node_id"] for r in reports for _ in range(r["sent"])],
+        scenario, node_ids, checker, report, started, scenario.horizon,
+        sent=[r["node_id"] for r in report.reports for _ in range(r["sent"])],
     )
 
 

@@ -144,3 +144,21 @@ def test_membership_plan_evicts_no_honest_node():
     params = {"plan": "membership", "nodes": 6, "horizon": 40.0}
     out = run_scenario(Scenario.from_params(params, 0, "chaos"))
     assert out.honest_evictions == 0 and out.ok
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP 1b and 8(a): the [limit] storm at N=256 evicts honest nodes (unsharded, the "
+    "first at 7.33 s on predecessor evidence; 59 over the sharded 14 s run)"
+))
+def test_storm_at_256_evicts_no_honest_node():
+    # The third sharded_evidence cell, run unsharded (its ScaleSpec's own
+    # Scenario) with the 14 s plan intact, stopped 0.07 s past the first
+    # honest eviction (~11 s CPU against ~47 s for the sharded cell).
+    from repro.experiments.sharded_evidence import CELLS
+    from repro.scenario import prepare
+    from repro.simnet.shard import ScaleSpec
+
+    _label, fields = CELLS[2]
+    run = prepare(ScaleSpec(nodes=256, num_shards=8, seed=3, **fields).scenario())
+    run.run_to(7.4)
+    assert run.outcome().honest_evictions == 0

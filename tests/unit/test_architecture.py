@@ -35,8 +35,9 @@ CONSTRUCTION_SITES = {"scenario.py", "simnet/shard.py"}
 #: registry (its nodes share it) and each live node's environment.
 REGISTRY_SITES = {"core/system.py", "live/environment.py"}
 
-#: The only classes named ``*Outcome``. ``LiveReport`` stays the
-#: cluster's shutdown report (what a live ``Outcome`` is built from).
+#: The only classes named ``*Outcome``. ``LiveReport`` is a live run's
+#: record, the node reports both live modes hand the judge: a live
+#: ``Outcome`` is built from it, not beside it.
 OUTCOME_TYPES = {
     "scenario.py": {"Outcome"},
     "orchestrator/sharded.py": {"ShardedOutcome"},

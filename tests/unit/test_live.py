@@ -36,6 +36,7 @@ from repro.live.framing import (
     read_hello,
     write_frame,
 )
+from repro.scenario import Scenario, _checker, _judged_live
 
 
 def run(coro):
@@ -641,20 +642,57 @@ def test_cluster_requires_two_nodes():
         LiveCluster(1)
 
 
-def test_live_report_aggregation():
+def _node_report(node_id, epoch, *, delivered=(), counters=None, evicted=(), running=True):
+    """A :meth:`LiveNode.report` as a worker prints it: times on the
+    node's own clock, which started at loop time ``epoch``."""
+    return {
+        "node_id": node_id,
+        "epoch": epoch,
+        "running": running,
+        "active": running,
+        "delivered": [[at, payload.hex()] for at, payload in delivered],
+        "counters": counters or {},
+        "blacklist": [accused for accused, _at in evicted],
+        "evicted": [
+            [accused, {"by": node_id, "domain": ["group", 0], "kind": "relay", "at": at, "gid": 0}]
+            for accused, at in evicted
+        ],
+        "reconfigurations": {},
+        "digest": "d",
+        "directory_error": None,
+        "errors": [],
+    }
+
+
+def test_live_report_merges_incarnations_and_keeps_the_earliest_eviction():
+    scenario = Scenario.from_params({"substrate": "live", "nodes": 4, "horizon": 4.0}, 0, "live")
+    a, b, c, d = [m.node_id for m in build_population(scenario.configuration(), 4, 0)]
     report = LiveReport(
-        nodes=2,
-        duration=1.0,
-        delivered={1: [b"a", b"b"], 2: [b"c"]},
-        per_node={
-            1: {"accusation_replay": 1, "live_frames_sent": 10},
-            2: {"accusation_rate-low": 2, "live_frames_sent": 5},
-        },
-        evicted=[7],
+        [
+            # b before and after a crash-restart: its second clock started 3 s later.
+            _node_report(b, 100.0, delivered=[(0.5, b"b1")], counters={"accusation_replay": 1},
+                         running=False),
+            _node_report(b, 103.0, delivered=[(0.25, b"b2")],
+                         counters={"accusation_replay": 2, "live_frames_sent": 4}),
+            # a and c both evict d; c's clock started later but its record is earlier.
+            _node_report(a, 100.0, delivered=[(1.0, b"a1")], evicted=[(d, 2.0), (c, 1.75)],
+                         counters={"live_frames_sent": 10}),
+            _node_report(c, 100.5, evicted=[(d, 1.0)]),
+        ],
+        ["traffic: stopped"],
     )
-    assert report.deliveries == 3
+    assert report.delivered == {b: [b"b1", b"b2"], a: [b"a1"], c: []}
+    assert report.per_node[b] == {"accusation_replay": 3, "live_frames_sent": 4}
+    assert report.counters()["live_frames_sent"] == 14
     assert report.accusations == 3
-    assert report.counters()["live_frames_sent"] == 15
-    text = report.render()
-    assert "anonymous deliveries : 3" in text
-    assert "evictions            : 1" in text
+    assert report.errors == ["traffic: stopped"]
+    # d fell at loop time 101.5 by c's clock, not at a's 102.0; then c at 101.75.
+    assert report.evictions(100.0) == [(1.5, c, d, "relay", 0), (1.75, a, c, "relay", 0)]
+    assert report.evicted == [d, c]
+
+    checker = _checker(scenario, [a, b, c, d], scenario.fault_plan())
+    outcome = _judged_live(scenario, [a, b, c, d], checker, report, 100.0, 4.0)
+    assert [e.accused for e in outcome.evictions] == report.evicted
+    assert [e.by for e in outcome.evictions] == [c, a]
+    assert outcome.deliveries == [(0.5, b, b"b1"), (1.0, a, b"a1"), (3.25, b, b"b2")]
+    assert outcome.errors == ["traffic: stopped"]
