@@ -29,14 +29,22 @@ ci-bench-smoke:  # re-measure every GATES row; fail one past its bound against B
 
 SWEEP_SMOKE = $(REPRO) sweep run --run-dir results/sweep_smoke \
 	--experiment protocol --axis nodes=4,6 --seeds 0,1 --base duration=1.0 --base messages=1
-sweep-smoke:  # 2x2 sweep on 2 workers with one injected crash; must recover, and re-entering it serially must run nothing
-	rm -rf results/sweep_smoke
+CHAOS_SWEEP = results/sweep_smoke_chaos
+sweep-smoke:  # 2x2 sweep on 2 workers with one injected crash; must recover, and re-entering it serially must run nothing; then one chaos cell crashed after its first checkpoint, resumed from it on attempt 2
+	rm -rf results/sweep_smoke $(CHAOS_SWEEP)
 	$(SWEEP_SMOKE) --workers 2 --checkpoint-interval 0.5 --inject-crash 1
 	$(SWEEP_SMOKE) --serial | grep "4/4 cells ok"
 	test `wc -l < results/sweep_smoke/results.jsonl` -eq 4
 	$(REPRO) sweep status --run-dir results/sweep_smoke
 	$(REPRO) sweep aggregate --run-dir results/sweep_smoke \
 		--metric events_processed --by nodes
+	$(REPRO) sweep run --run-dir $(CHAOS_SWEEP) --experiment chaos --axis plan=smoke \
+		--base nodes=6 --base horizon=6 --workers 2 --checkpoint-interval 1.0 --inject-crash 1 | grep "1/1 cells ok"
+	PYTHONPATH=src $(PYTHON) -c "from repro.orchestrator import open_run, run_cell_inline; \
+		run = open_run('$(CHAOS_SWEEP)'); [cell] = run.grid.cells(); record = run.store.latest()[cell.cell_id]; \
+		assert (record.status, record.attempts) == ('ok', 2), record; \
+		assert record.metrics == run_cell_inline(cell).metrics, 'the resumed chaos cell moved its metrics'; \
+		print('chaos cell ok on attempt 2, with the uninterrupted run\'s metrics')"
 
 live-smoke:  # 8 live nodes over real TCP for ~10s, then 4 worker processes for ~4s, both judged by run_scenario; each: >=1 delivery, 0 evictions, 0 rejected/oversize frames, 0 dispatch errors
 	$(REPRO) live demo --nodes 8 --duration 10 --check
@@ -104,5 +112,5 @@ examples:  # every examples/*.py through the public API (system.evicted, stats_r
 	for ex in examples/*.py; do echo "=== $$ex ==="; PYTHONPATH=src $(PYTHON) $$ex || exit 1; done
 
 clean:
-	rm -rf .pytest_cache .hypothesis test_output.txt results/sweep_smoke results/campaign_smoke results/coalition_smoke results/scale_smoke
+	rm -rf .pytest_cache .hypothesis test_output.txt results/sweep_smoke results/sweep_smoke_chaos results/campaign_smoke results/coalition_smoke results/scale_smoke
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -91,18 +91,21 @@ class GlobalObserver:
         if self._attached:
             raise RuntimeError("observer already attached")
         self._attached = True
-        original_unicast = self.system.unicast
+        self.system.unicast = self.tap
 
-        def tapped(src: int, dst: int, payload, size_bytes: int):
-            msg_id = getattr(payload, "msg_id", None)
-            if msg_id is not None:
-                entry = PacketLogEntry(self.system.now, src, dst, size_bytes, msg_id)
-                self.log.append(entry)
-                self.transmitters[msg_id].add(src)
-                self.first_transmitter.setdefault(msg_id, src)
-            return original_unicast(src, dst, payload, size_bytes)
+    def tap(self, src: int, dst: int, payload, size_bytes: int):
+        """The interposed unicast: log what the wire shows, then send.
 
-        self.system.unicast = tapped
+        A method, not a closure, so a tapped system still snapshots
+        (:mod:`repro.simnet.snapshot`); it calls the class's unicast,
+        because a stored bound method would restore as this very tap.
+        """
+        msg_id = getattr(payload, "msg_id", None)
+        if msg_id is not None:
+            self.log.append(PacketLogEntry(self.system.now, src, dst, size_bytes, msg_id))
+            self.transmitters[msg_id].add(src)
+            self.first_transmitter.setdefault(msg_id, src)
+        return type(self.system).unicast(self.system, src, dst, payload, size_bytes)
 
     # -- observations ------------------------------------------------------------
     def observed_message_ids(self) -> "List[int]":

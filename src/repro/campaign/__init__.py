@@ -4,7 +4,7 @@ This package turns the repo's three adversity layers — planted
 misbehaviour (:mod:`repro.freeride`), injected faults
 (:mod:`repro.chaos`) and lossy networks — into one declarative
 cross-product (:class:`CampaignSpec`), runs every cell through the
-orchestrator pool as a ``campaign_point`` workload, scores each cell
+orchestrator pool as a cell of the ``campaign`` workload, scores each cell
 with the fault-aware invariant checker plus the passive-opponent
 analyses, and folds the result store into an **accountability
 frontier**: every record lands in one :class:`Point` per cell, and the

@@ -1,8 +1,9 @@
 """One campaign cell: plant a deviant, play a fault plan, judge it all.
 
-``run_campaign_cell`` is the engine behind the ``campaign_point``
-workload. Each cell is a seeded, deterministic simulation that layers
-every adversary dimension the repo has:
+``run_campaign_cell`` runs one cell of the ``campaign`` harness; the
+``campaign`` sweep workload advances the same :class:`CampaignRun` in
+checkpoint-interval chunks. Each cell is a seeded, deterministic
+simulation that layers every adversary dimension the repo has:
 
 * the **strategy** axis plants one misbehaving node — or, with
   ``coalition_fraction``, a coordinated set — by registry name
@@ -39,13 +40,14 @@ through one flat ``Outcome.metrics()`` dict.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
 from ..analysis.intersection import rounds_to_deanonymize
 from ..analysis.observer import GlobalObserver
-from ..scenario import Outcome, Scenario, prepare
+from ..scenario import Outcome, Scenario, SimRun, prepare
 
-__all__ = ["run_campaign_cell"]
+__all__ = ["CampaignRun", "prepare_campaign_cell", "run_campaign_cell"]
 
 #: How many (msg_id, true sender) samples feed the attribution attack.
 ATTRIBUTION_SAMPLES = 24
@@ -73,46 +75,69 @@ def _sample_attribution(
     return accuracy, chance, entropy
 
 
+@dataclass
+class CampaignRun(SimRun):
+    """A campaign cell's prepared run with the passive opponent tapped
+    in before traffic starts; it snapshots whole, observer included, and
+    its :meth:`outcome` carries the last two judges in ``scores``."""
+
+    #: The cell's ``coalition_fraction`` parameter, recorded as a score.
+    coalition_fraction: float = 0.0
+    observer: GlobalObserver = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.observer = GlobalObserver(self.system, rng_seed=self.scenario.seed + 1)
+        self.observer.attach()
+
+    def outcome(self) -> Outcome:
+        """Judge the run so far and score it."""
+        outcome = super().outcome()
+        scenario, config = self.scenario, self.system.config
+        surviving_group = scenario.nodes - len(outcome.evictions)
+        accuracy, chance, entropy = _sample_attribution(self.observer, outcome.sent, surviving_group)
+        resistance = rounds_to_deanonymize(
+            max(2, surviving_group), config.num_rings, config.assumed_opponent_fraction
+        )
+        rounds = resistance.expected_attack_rounds
+        if math.isinf(rounds):
+            deanon_log10 = 300.0  # "never": beyond any astronomic budget
+        elif rounds <= 1.0:
+            deanon_log10 = 0.0
+        else:
+            deanon_log10 = min(300.0, math.log10(rounds))
+
+        coalition = scenario.coalition
+        outcome.scores = {
+            "attribution_accuracy": accuracy,
+            "chance_level": chance,
+            "anonymity_entropy_bits": entropy,
+            "deanon_rounds_log10": deanon_log10,
+            "net_packets_dropped": float(outcome.counters.get("net_packets_dropped", 0)),
+            "transport_retransmits": float(outcome.counters.get("transport_retransmits", 0)),
+            "coalition_size": float(len(coalition["members"]) if coalition else 0),
+            "coalition_fraction": self.coalition_fraction,
+            # ``detected`` requires the whole coalition out; this counts how
+            # many members actually fell.
+            "coalition_evicted": float(outcome.deviants_evicted),
+            # floor(f·G)+1 at this cell's config — the quorum the shuffle
+            # tally needs, recorded so the frontier can compare the measured
+            # onset against the analytic bound.
+            "relay_threshold": float(config.relay_accusation_threshold(scenario.nodes)),
+            "shuffle_rounds": float(outcome.counters.get("blacklist_rounds", 0)),
+        }
+        return outcome
+
+
+def prepare_campaign_cell(scenario: Scenario, params: "Dict[str, Any]") -> CampaignRun:
+    """``scenario`` (a ``campaign`` cell of ``params``) at t=0, tapped."""
+    return CampaignRun(
+        **vars(prepare(scenario)),
+        coalition_fraction=float(params.get("coalition_fraction", 0.0)),
+    )
+
+
 def run_campaign_cell(params: "Dict[str, Any]", seed: int) -> Outcome:
     """Run and score one strategies × faults × networks cell."""
-    scenario = Scenario.from_params(params, seed, "campaign")
-    run = prepare(scenario)
-    observer = GlobalObserver(run.system, rng_seed=seed + 1)
-    observer.attach()
-    run.run_to(scenario.horizon)
-    outcome = run.outcome()
-
-    config = run.system.config
-    surviving_group = scenario.nodes - len(outcome.evictions)
-    accuracy, chance, entropy = _sample_attribution(observer, outcome.sent, surviving_group)
-    resistance = rounds_to_deanonymize(
-        max(2, surviving_group), config.num_rings, config.assumed_opponent_fraction
-    )
-    rounds = resistance.expected_attack_rounds
-    if math.isinf(rounds):
-        deanon_log10 = 300.0  # "never": beyond any astronomic budget
-    elif rounds <= 1.0:
-        deanon_log10 = 0.0
-    else:
-        deanon_log10 = min(300.0, math.log10(rounds))
-
-    coalition = scenario.coalition
-    outcome.scores = {
-        "attribution_accuracy": accuracy,
-        "chance_level": chance,
-        "anonymity_entropy_bits": entropy,
-        "deanon_rounds_log10": deanon_log10,
-        "net_packets_dropped": float(outcome.counters.get("net_packets_dropped", 0)),
-        "transport_retransmits": float(outcome.counters.get("transport_retransmits", 0)),
-        "coalition_size": float(len(coalition["members"]) if coalition else 0),
-        "coalition_fraction": float(params.get("coalition_fraction", 0.0)),
-        # ``detected`` requires the whole coalition out; this counts how
-        # many members actually fell.
-        "coalition_evicted": float(outcome.deviants_evicted),
-        # floor(f·G)+1 at this cell's config — the quorum the shuffle
-        # tally needs, recorded so the frontier can compare the measured
-        # onset against the analytic bound.
-        "relay_threshold": float(config.relay_accusation_threshold(scenario.nodes)),
-        "shuffle_rounds": float(outcome.counters.get("blacklist_rounds", 0)),
-    }
-    return outcome
+    run = prepare_campaign_cell(Scenario.from_params(params, seed, "campaign"), params)
+    run.run_to(run.scenario.horizon)
+    return run.outcome()

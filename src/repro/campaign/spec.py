@@ -5,10 +5,10 @@ misbehaviour the repo can plant (:mod:`repro.freeride.registry`) ×
 every canned fault timeline (:mod:`repro.chaos.plan`) × link-loss
 points × group sizes × seeds — expanded into the same content-addressed
 :class:`~repro.orchestrator.grid.SweepGrid` machinery the figure sweeps
-use. One campaign cell = one ``campaign_point`` workload run = one
-seeded :class:`~repro.scenario.Scenario` with the strategy planted and
-the fault plan compiled onto the network, scored by
-:mod:`repro.campaign.scoring`.
+use. One campaign cell = one cell of the ``campaign`` workload = one
+seeded :class:`~repro.scenario.Scenario` of the ``campaign`` harness
+with the strategy planted and the fault plan compiled onto the network,
+scored by :mod:`repro.campaign.scoring`.
 
 Because the expansion is an ordinary grid, everything the orchestrator
 already guarantees — exactly-once resume, crashed-worker retry, the
@@ -27,9 +27,9 @@ from ..scenario import Scenario
 
 __all__ = ["CAMPAIGN_EXPERIMENT", "CANNED_CAMPAIGNS", "CampaignSpec", "describe_grid"]
 
-#: The registered workload every campaign cell runs through; a run
-#: directory whose grid names it is a campaign directory.
-CAMPAIGN_EXPERIMENT = "campaign_point"
+#: The registered workload (and harness) every campaign cell runs
+#: through; a run directory whose grid names it is a campaign directory.
+CAMPAIGN_EXPERIMENT = "campaign"
 
 
 def describe_grid(grid: SweepGrid) -> str:

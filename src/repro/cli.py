@@ -3,22 +3,25 @@
 ::
 
     python -m repro fig1              # Figure 1 table
+    python -m repro trace             # Figure 2 walkthrough
     python -m repro fig3              # Figure 3 table
+    python -m repro measure           # Figure 3's packet-level point (N=10)
     python -m repro table1            # Table I
     python -m repro claims            # in-text numeric claims scoreboard
     python -m repro nash              # Section V-B deviation analysis
     python -m repro ablation          # L / R / G tradeoff sweeps
-    python -m repro trace             # Figure 2 walkthrough
-    python -m repro measure --nodes 10  # packet-level throughput point
     python -m repro live demo --nodes 8 --duration 10  # real-TCP cluster
     python -m repro chaos run --substrate both  # fault plan + invariant check
+    python -m repro sweep run --experiment chaos --axis plan=smoke,storm --run-dir /tmp/s
     python -m repro campaign run --spec smoke --run-dir /tmp/c  # adversarial matrix
     python -m repro scale verify --nodes 64 --shards 2  # sharded == monolithic
     python -m repro results list | make NAME... | check [NAME...]
 
 ``results`` is the one door to the committed ``results/*.txt`` files
-(:mod:`repro.experiments.artefacts`); ``fig1``, ``claims``, ``nash``,
-``ablation`` and ``report`` print the text of their row.
+(:mod:`repro.experiments.artefacts`); ``fig1``, ``trace``, ``fig3``,
+``measure``, ``table1``, ``claims``, ``nash``, ``ablation`` and
+``report`` print the text of their row. A sweep's ``--experiment`` names
+a :data:`~repro.scenario.HARNESSES` row.
 
 Every verb takes one path: registry entry → spec → run → render/check.
 Each flag group is declared once, by the registry it fronts (HARNESSES
@@ -40,11 +43,7 @@ from .campaign import campaign_report
 from .campaign.spec import CAMPAIGN_EXPERIMENT, CANNED_CAMPAIGNS, CampaignSpec, describe_grid
 from .chaos.plan import CANNED_PLANS, canned_plan
 from .experiments import artefacts
-from .experiments.empirical import measure_rac_throughput
-from .experiments.fig2_trace import trace_dissemination
-from .experiments.fig3 import figure3
 from .experiments.runner import Table
-from .experiments.table1 import table1
 from .freeride.registry import BEHAVIORS, UnknownBehaviorError
 from .orchestrator import SweepGrid, open_run, start_run
 from .orchestrator.workloads import UnknownWorkloadError, resolve_workload
@@ -193,8 +192,9 @@ def _pool(args: argparse.Namespace) -> "Dict[str, Any]":
 
 # -- the parser ----------------------------------------------------------------
 #: Verbs that print one results row's text (exit 1 if its gate fails).
-_ROW_VERBS = {"fig1": "figure1", "claims": "text_claims", "nash": "nash_analysis",
-              "ablation": "ablation", "report": "full_report"}
+_ROW_VERBS = {"fig1": "figure1", "trace": "figure2", "fig3": "figure3",
+              "measure": "figure3_empirical_point", "table1": "table1", "claims": "text_claims",
+              "nash": "nash_analysis", "ablation": "ablation", "report": "full_report"}
 
 #: What a clean live run leaves at zero: malformed connections or
 #: records, frames no link can carry, node bugs caught at dispatch.
@@ -247,31 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
     results.add_argument("names", nargs="*", metavar="NAME", help="registry rows")
     results.set_defaults(build=_results)
 
-    fig3 = sub.add_parser("fig3", help="Figure 3: RAC vs baselines throughput vs N")
-    fig3.add_argument("--group-size", type=int, default=1000, help="G (default 1000)")
-    fig3.add_argument("--relays", type=int, default=5, help="L (default 5)")
-    fig3.add_argument("--rings", type=int, default=7, help="R (default 7)")
-    fig3.set_defaults(build=lambda a: _show(
-        figure3(group_size=a.group_size, num_relays=a.relays, num_rings=a.rings).render()))
-    t1 = sub.add_parser("table1", help="Table I: anonymity guarantees")
-    t1.add_argument("--nodes", type=int, default=100_000, help="N (default 100000)")
-    t1.add_argument("--group-size", type=int, default=1000, help="G (default 1000)")
-    t1.set_defaults(build=lambda a: _show(table1(N=a.nodes, G=a.group_size).render()))
-    trace = sub.add_parser("trace", help="Figure 2: one onion's dissemination, traced")
-    trace.add_argument("--population", type=int, default=10)
-    trace.add_argument("--seed", type=int, default=7)
-    trace.set_defaults(build=lambda a: _show(
-        trace_dissemination(population=a.population, seed=a.seed).narrative()))
-    measure = sub.add_parser("measure", help="packet-level RAC throughput measurement")
-    measure.add_argument("--nodes", type=int, default=10)
-    measure.add_argument("--duration", type=float, default=2.0)
-    measure.add_argument("--seed", type=int, default=3)
-    measure.set_defaults(build=_measure)
-
     sweep = _group(sub, "sweep", "parallel (config x seed) sweep campaigns with checkpoint/resume")
     run = sweep.add_parser("run", help="launch a new sweep campaign")
     run.add_argument("--run-dir", required=True, help="campaign directory (manifest, store, checkpoints)")
-    run.add_argument("--experiment", required=True, help="registered workload name (e.g. protocol)")
+    run.add_argument("--experiment", required=True,
+                     help="registered workload: a harness (" + ", ".join(HARNESSES) + ")")
     run.add_argument("--axis", action="append", required=True, metavar="NAME=V1,V2,...",
                      type=_pair(str, lambda raw: list(_csv(_scalar)(raw)), "NAME=V1,V2,..."),
                      help="swept parameter axis; repeatable")
@@ -423,15 +403,6 @@ def _results(args: argparse.Namespace) -> Run:
         return 1 if failures else 0
 
     return run
-
-
-def _measure(args: argparse.Namespace) -> Run:
-    m = measure_rac_throughput(args.nodes, warmup=0.5, duration=args.duration, seed=args.seed)
-    return _show(
-        f"N={m.nodes}: measured {m.measured_bps_per_node:,.0f} b/s per node, "
-        f"model {m.model_bps_per_node:,.0f} b/s, efficiency {m.efficiency:.2f}, "
-        f"{m.deliveries} deliveries, {m.evictions} evictions"
-    )
 
 
 def _scenarios(args: argparse.Namespace):

@@ -10,8 +10,9 @@ parallel sweeps:
 * :mod:`repro.orchestrator.store` — an append-only JSONL result store
   with a versioned record schema;
 * :mod:`repro.orchestrator.workloads` — the registry of sweepable
-  experiments, including the checkpointable packet-level protocol run
-  built on :mod:`repro.simnet.snapshot`;
+  experiments: one workload per :data:`repro.scenario.HARNESSES` row,
+  each simulated cell checkpointable through :mod:`repro.simnet.snapshot`,
+  plus ``shard_epoch``;
 * :mod:`repro.orchestrator.pool` — the one driver of a run directory
   (``start_run`` / ``open_run``) and its multiprocessing worker pool:
   fan-out across cores, bounded-backoff retry of crashed or hung

@@ -253,7 +253,6 @@ class SweepOrchestrator:
         checkpoint_interval: "Optional[float]" = None,
         max_retries: int = 2,
         timeout: "Optional[float]" = None,
-        verify_snapshots: bool = False,
     ) -> None:
         if workers < 1:
             raise ValueError("the pool needs at least one worker")
@@ -267,7 +266,6 @@ class SweepOrchestrator:
         self.max_retries = max_retries
         #: Wall-seconds before a worker counts as hung.
         self.timeout = timeout
-        self.verify_snapshots = verify_snapshots
         self.retries_seen = 0
 
     # -- paths ---------------------------------------------------------------
@@ -283,7 +281,6 @@ class SweepOrchestrator:
             checkpoint_interval=self.checkpoint_interval,
             attempt=attempt,
             inject_crash=inject_crash,
-            verify_snapshots=self.verify_snapshots,
         )
 
     # -- lifecycle -----------------------------------------------------------

@@ -164,7 +164,7 @@ def run_shard_epoch(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> 
         exports, fingerprint = epoch_step(system, spec, epoch, imports, meta["fingerprint"])
         meta = {"epoch_done": epoch, "fingerprint": fingerprint, "last_exports": exports}
         os.makedirs(os.path.dirname(snap_path), exist_ok=True)
-        save_snapshot((system, meta), snap_path, verify=ctx.verify_snapshots)
+        save_snapshot((system, meta), snap_path)
     else:
         exports = list(meta["last_exports"])
 
@@ -267,7 +267,6 @@ def run_sharded(
     workers: int = 2,
     serial: bool = False,
     inject_crash: int = 0,
-    verify_snapshots: bool = False,
 ) -> ShardedOutcome:
     """Run ``spec`` sharded under ``run_dir``; idempotent on resume."""
     run_dir = os.path.abspath(run_dir)
@@ -289,7 +288,6 @@ def run_sharded(
             store,
             run_dir,
             workers=max(1, min(workers, spec.num_shards)),
-            verify_snapshots=verify_snapshots,
         ).run(serial=serial, inject_crash=inject_crash if epoch == 0 else 0)
         if status.failed:
             raise RuntimeError(

@@ -6,30 +6,34 @@ that provides checkpointing and (test-only) fault injection. Metrics
 must be a flat ``name -> number`` dict; the reserved key
 ``"sim_time_s"`` is lifted into the result record's own field.
 
-Workload functions run inside pool worker *processes*; they must be
-importable module-level callables (the pool ships them by name, never
-by pickling closures) and deterministic in ``(params, seed)``: a
-crashed worker is retried and a checkpointed run is resumed, and both
-recovery paths assume re-execution converges on the same numbers.
+Workload functions run inside pool worker *processes*, looked up there
+by name (the pool ships a workload's name, never a pickled function);
+they must be deterministic in ``(params, seed)``: a crashed worker is
+retried and a checkpointed run is resumed, and both recovery paths
+assume re-execution converges on the same numbers.
 
-The ``protocol`` workload is the flagship: a packet-level
-:func:`repro.scenario.prepare`-d run that snapshots itself every
-``ctx.checkpoint_interval`` sim-seconds via
+Every row of :data:`repro.scenario.HARNESSES` is a workload of the same
+name, run by :func:`run_harness_cell`: a simulated cell snapshots itself
+every ``ctx.checkpoint_interval`` sim-seconds via
 :mod:`repro.simnet.snapshot`, so a SIGKILLed worker resumes mid-run
-instead of starting over.
+instead of starting over. ``shard_epoch`` is one step of a sharded run.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from ..scenario import HARNESSES, Scenario, prepare, run_scenario
 from ..simnet.snapshot import load_snapshot, save_snapshot
 
 __all__ = [
+    "CELL_COUNTERS",
     "WORKLOADS",
     "UnknownWorkloadError",
+    "run_harness_cell",
     "WorkerContext",
     "resolve_workload",
     "workload",
@@ -107,8 +111,6 @@ class WorkerContext:
     #: Test-only chaos: the workload's ``maybe_crash()`` hard-exits the
     #: worker process once, exercising the retry/resume machinery.
     inject_crash: bool = False
-    #: Run the byte-equality round-trip check on every checkpoint.
-    verify_snapshots: bool = False
     checkpoints_written: int = field(default=0, init=False)
 
     def checkpoint(self, system: Any, progress: "Dict[str, Any]") -> None:
@@ -116,7 +118,7 @@ class WorkerContext:
         two checkpoints costs at most one interval of re-simulation."""
         if self.checkpoint_path is None:
             return
-        save_snapshot((system, progress), self.checkpoint_path, verify=self.verify_snapshots)
+        save_snapshot((system, progress), self.checkpoint_path)
         self.checkpoints_written += 1
 
     def load_checkpoint(self) -> "Optional[Tuple[Any, Dict[str, Any]]]":
@@ -137,90 +139,85 @@ class WorkerContext:
 
 
 # ---------------------------------------------------------------------------
-# scenario runs: one adapter per row of repro.scenario.HARNESSES, which
-# holds each workload's defaults; Scenario.from_params documents the
+# scenario cells: one runner for every row of repro.scenario.HARNESSES,
+# which holds each harness's defaults; Scenario.from_params documents the
 # cell parameters they all read (any RacConfig field is an override)
 # ---------------------------------------------------------------------------
 
+#: Counters every cell records, whatever its harness or substrate; a
+#: counter the run never touched records 0.
+CELL_COUNTERS = (
+    "net_packets_delivered",
+    "net_packets_dropped",
+    "transport_retransmits",
+    "live_frames_sent",
+    "live_bytes_sent",
+    "live_link_resets",
+    "chaos_frames_dropped",
+    "chaos_frames_blackholed",
+    "group_splits",
+    "group_dissolves",
+)
 
-def _counters(outcome, *names: str) -> "Dict[str, float]":
-    return {name: float(outcome.counters.get(name, 0)) for name in names}
+
+def _prepared(harness: str, scenario: Scenario, params: "Dict[str, Any]"):
+    """A simulated cell at t=0: a :class:`~repro.scenario.SimRun`; a
+    campaign cell's carries its passive opponent, tapped in."""
+    if harness == "campaign":
+        from ..campaign.scoring import prepare_campaign_cell
+
+        return prepare_campaign_cell(scenario, params)
+    return prepare(scenario)
 
 
-@workload("protocol")
-def protocol_run(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Dict[str, float]":
-    """End-to-end RAC run: ``nodes``, ``duration`` sim-seconds, each node
-    queueing ``messages`` anonymous messages to its ring successor.
+def run_harness_cell(
+    harness: str, params: "Dict[str, Any]", seed: int, ctx: WorkerContext
+) -> "Dict[str, float]":
+    """One sweep cell of ``harness``: ``Scenario.from_params`` played on
+    the cell's own ``substrate`` and judged, as a flat metrics dict.
 
-    The run advances in checkpoint-interval chunks; each chunk boundary
-    snapshots the prepared run (which carries its own clock), so an
-    interrupted attempt resumes exactly where the last snapshot stood —
-    the chunk schedule is deterministic, which makes the resumed run
-    replay the uninterrupted one byte for byte.
+    On the simulator the run advances in checkpoint-interval chunks;
+    each chunk boundary snapshots the prepared run (which carries its
+    own clock), so an interrupted attempt resumes exactly where the
+    last snapshot stood — the chunk schedule is deterministic, which
+    makes the resumed run replay the uninterrupted one byte for byte.
+    A live cell is not checkpointable (a TCP cluster cannot be
+    snapshotted mid-flight); a crashed attempt reruns from scratch,
+    which the deterministic population makes safe.
     """
-    from ..scenario import Scenario, prepare
-
-    resumed = ctx.load_checkpoint()
-    run = resumed[0] if resumed else prepare(Scenario.from_params(params, seed, "protocol"))
-    duration = run.scenario.horizon
-
-    first_chunk = True
-    step = float(ctx.checkpoint_interval) if ctx.checkpoint_interval else duration
-    while run.system.now < duration - 1e-12:
-        run.run_to(min(duration, run.system.now + step))
-        if run.system.now < duration - 1e-12:
-            ctx.checkpoint(run, {"t_done": run.system.now})
-        if first_chunk:
-            first_chunk = False
-            ctx.maybe_crash()
-
-    outcome = run.outcome()
+    scenario = Scenario.from_params(params, seed, harness)
+    substrate = str({**HARNESSES[harness], **params}.get("substrate", "sim"))
+    if substrate == "live":
+        outcome = run_scenario(scenario, substrate)
+        ctx.maybe_crash()
+    else:
+        scenario.check_substrate(substrate)
+        resumed = ctx.load_checkpoint()
+        run = resumed[0] if resumed else _prepared(harness, scenario, params)
+        horizon = scenario.horizon
+        step = float(ctx.checkpoint_interval) if ctx.checkpoint_interval else horizon
+        first_chunk = True
+        while run.system.now < horizon - 1e-12:
+            run.run_to(min(horizon, run.system.now + step))
+            if run.system.now < horizon - 1e-12:
+                ctx.checkpoint(run, {"t_done": run.system.now})
+            if first_chunk:
+                first_chunk = False
+                ctx.maybe_crash()
+        outcome = run.outcome()
+    counters = outcome.counters
     return {
         **outcome.metrics(),
         "delivered_bytes": float(sum(len(payload) for _at, _node, payload in outcome.deliveries)),
-        "events_processed": float(outcome.counters["sim_events_processed"]),
-        **_counters(
-            outcome, "net_packets_delivered", "net_packets_dropped", "transport_retransmits"
-        ),
+        "events_processed": float(counters.get("sim_events_processed", 0)),
+        "heal_windows_checked": float(outcome.report.checks.get("heal_windows", 0)),
+        "errors": float(len(outcome.errors)),
+        **{name: float(counters.get(name, 0)) for name in CELL_COUNTERS},
     }
 
 
-def _judged_point(harness: str, params, seed: int, ctx: WorkerContext, *counters: str):
-    """One ``run_params`` cell: its metrics plus the named counters."""
-    from ..scenario import run_params
-
-    outcome = run_params(params, seed, harness)
-    ctx.maybe_crash()
-    return outcome, {**outcome.metrics(), **_counters(outcome, *counters)}
-
-
-@workload("live_point")
-def live_point(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Dict[str, float]":
-    """One live-cluster run: ``nodes`` asyncio-hosted nodes over
-    localhost TCP for ``duration`` *wall* seconds. Not checkpointable (a
-    TCP cluster cannot be snapshotted mid-flight); a crashed attempt
-    reruns from scratch, which the deterministic population makes safe.
-    """
-    outcome, metrics = _judged_point(
-        "live", params, seed, ctx, "live_frames_sent", "live_bytes_sent", "live_link_resets"
-    )
-    return {**metrics, "live_callback_errors": float(len(outcome.errors))}
-
-
-@workload("chaos_point")
-def chaos_point(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Dict[str, float]":
-    """One invariant-checked chaos run on ``substrate`` (``sim`` default,
-    or ``live``), sweepable over ``plan``, ``nodes``, ``horizon`` and
-    seeds — ``plan=membership`` with ``group_min``/``group_max`` axes is
-    the membership-churn sweep. The violation count is a metric, not an
-    exception: a soak campaign aggregates it to zero.
-    """
-    outcome, metrics = _judged_point(
-        "chaos", params, seed, ctx, "chaos_frames_dropped", "chaos_frames_blackholed",
-        "group_splits", "group_dissolves",
-    )
-    checked = float(outcome.report.checks.get("heal_windows", 0))
-    return {**metrics, "heal_windows_checked": checked}
+for _harness in HARNESSES:
+    workload(_harness)(functools.partial(run_harness_cell, _harness))
 
 
 @workload("shard_epoch")
@@ -236,30 +233,3 @@ def shard_epoch(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Dic
     from .sharded import run_shard_epoch
 
     return run_shard_epoch(params, seed, ctx)
-
-
-@workload("topo_point")
-def topo_point(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Dict[str, float]":
-    """One topology run (``substrate`` sim by default), sweepable per
-    ``topology`` preset (``topology_seed`` stays 0 by default so one sweep compares
-    one fingerprinted matrix); ``enforce_contract=0`` with a
-    ``timer_scale`` is the false-positive-onset probe. Deterministic in
-    ``(params, seed)``; not checkpointable (cells are short), so a
-    crashed attempt simply reruns.
-    """
-    return _judged_point("topo", params, seed, ctx)[1]
-
-
-@workload("campaign_point")
-def campaign_point(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Dict[str, float]":
-    """One adversarial-campaign cell: ``strategy`` × fault ``plan`` ×
-    ``loss`` point (the fault-intensity axis), scored by
-    :mod:`repro.campaign.scoring`. Deterministic in ``(params, seed)``
-    like every workload; not checkpointable (cells are short), so a
-    crashed attempt simply reruns.
-    """
-    from ..campaign.scoring import run_campaign_cell
-
-    outcome = run_campaign_cell(params, seed)
-    ctx.maybe_crash()
-    return outcome.metrics()

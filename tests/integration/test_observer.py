@@ -7,8 +7,11 @@ traffic logs, and attribution at chance level.
 import pytest
 
 from repro.analysis.observer import GlobalObserver
+from repro.campaign.scoring import prepare_campaign_cell, run_campaign_cell
 from repro.core.config import RacConfig
 from repro.core.system import RacSystem
+from repro.scenario import Scenario
+from repro.simnet.snapshot import load_snapshot, save_snapshot
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +95,26 @@ class TestAttribution:
         system, observer, _nodes, _flows = observed_run
         with pytest.raises(RuntimeError):
             observer.attach()
+
+
+class TestSnapshot:
+    """The tap is a method of the observer, so a tapped run snapshots:
+    a campaign cell checkpoints mid-run like any other sweep cell."""
+
+    def test_a_tapped_system_round_trips(self, observed_run, tmp_path):
+        system, observer, _nodes, _flows = observed_run
+        path = str(tmp_path / "tapped.snap")
+        save_snapshot((system, observer), path, verify=True)
+        restored, copy = load_snapshot(path)
+        assert copy.system is restored and restored.unicast == copy.tap
+        assert copy.log == observer.log
+
+    def test_a_campaign_cell_resumed_from_a_snapshot_scores_like_the_whole_run(self, tmp_path):
+        params = {"strategy": "forward-dropper", "plan": "smoke", "nodes": 8, "horizon": 10.0}
+        run = prepare_campaign_cell(Scenario.from_params(params, 0, "campaign"), params)
+        run.run_to(6.0)
+        path = str(tmp_path / "cell.snap")
+        save_snapshot(run, path, verify=True)
+        resumed = load_snapshot(path)
+        resumed.run_to(params["horizon"])
+        assert resumed.outcome().metrics() == run_campaign_cell(params, 0).metrics()

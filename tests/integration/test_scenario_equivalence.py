@@ -76,7 +76,7 @@ import hashlib
 
 import pytest
 
-from repro.orchestrator.workloads import WorkerContext, protocol_run
+from repro.orchestrator.workloads import WORKLOADS, WorkerContext
 from repro.scenario import Scenario
 from repro.simnet.shard import ScaleSpec
 from tests.scenario_cells import campaign_cell, run_cell
@@ -230,5 +230,5 @@ def test_the_one_runner_reproduces_the_parent(name):
 
 
 def test_protocol_workload_metrics_match_the_parent():
-    metrics = protocol_run(PROTOCOL_PARAMS, 5, WorkerContext())
+    metrics = WORKLOADS["protocol"](PROTOCOL_PARAMS, 5, WorkerContext())
     assert metrics_digest(metrics, PROTOCOL_KEYS) == "8624a03b519ae4c8"

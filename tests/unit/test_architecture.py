@@ -156,6 +156,16 @@ def test_outcome_types_stay_three():
     )
 
 
+def test_a_sweep_experiment_is_a_harness():
+    """One runner serves every ``HARNESSES`` row under the row's own
+    name; ``shard_epoch`` is the one other workload. A per-harness
+    adapter with its own name and its own counter list does not return."""
+    from repro.orchestrator.workloads import WORKLOADS
+    from repro.scenario import HARNESSES
+
+    assert set(WORKLOADS) == set(HARNESSES) | {"shard_epoch"}
+
+
 def test_a_run_directory_has_one_driver():
     """Manifest, store path and orchestrator construction live in
     ``orchestrator/pool.py`` (four front doors each re-implemented

@@ -31,9 +31,18 @@ from repro.orchestrator import (
 )
 from repro.orchestrator import pool
 from repro.orchestrator.pool import STORE_NAME, load_manifest, write_manifest
-from repro.orchestrator.workloads import protocol_run
+from repro.orchestrator.workloads import WORKLOADS
 
 _FAST = {"nodes": 4, "duration": 2.0, "messages": 1}
+
+#: One short cell per simulated harness (chaos: the smoke plan's crash
+#: and partition both fall inside the horizon).
+_RESUMABLE = {
+    "protocol": _FAST,
+    "chaos": {"plan": "smoke", "nodes": 6, "horizon": 6.0},
+    "topo": {"nodes": 6, "horizon": 3.0},
+    "campaign": {"strategy": "forward-dropper", "plan": "smoke", "nodes": 8, "horizon": 4.0},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +59,7 @@ class TestGrid:
         base = SweepCell.make("protocol", {"nodes": 4}, 0)
         assert base.cell_id != SweepCell.make("protocol", {"nodes": 5}, 0).cell_id
         assert base.cell_id != SweepCell.make("protocol", {"nodes": 4}, 1).cell_id
-        assert base.cell_id != SweepCell.make("chaos_point", {"nodes": 4}, 0).cell_id
+        assert base.cell_id != SweepCell.make("chaos", {"nodes": 4}, 0).cell_id
 
     def test_grid_enumeration_is_deterministic(self):
         grid = SweepGrid("protocol", {"b": [1, 2], "a": [3]}, seeds=(0, 1))
@@ -185,23 +194,26 @@ class TestInline:
         assert open_run(str(tmp_path)).run(serial=True).done
         assert len(ResultStore(str(tmp_path / STORE_NAME))) == 2
 
-    def test_resume_from_checkpoint_matches_uninterrupted(self, tmp_path):
+    @pytest.mark.parametrize("harness", list(_RESUMABLE))
+    def test_resume_from_checkpoint_matches_uninterrupted(self, tmp_path, harness):
         """A run resumed from its mid-run snapshot reproduces the full
-        run's metrics exactly (the crash-recovery correctness core)."""
-        params = {"nodes": 4, "duration": 2.0, "messages": 1}
-        uninterrupted = protocol_run(dict(params), 7, WorkerContext())
+        run's metrics exactly (the crash-recovery correctness core),
+        whatever the harness."""
+        cell, params = WORKLOADS[harness], _RESUMABLE[harness]
+        uninterrupted = cell(dict(params), 7, WorkerContext())
 
         path = str(tmp_path / "cell.snap")
         first = WorkerContext(checkpoint_path=path, checkpoint_interval=1.0)
-        full = protocol_run(dict(params), 7, first)
+        full = cell(dict(params), 7, first)
         assert full == uninterrupted
-        # The t=1.0 checkpoint is still on disk (the pool clears it only
+        # The last checkpoint is still on disk (the pool clears it only
         # after the record is safely outboxed); a fresh attempt must
         # resume from it rather than restart.
-        assert first.checkpoints_written == 1
+        assert first.checkpoints_written >= 1
         assert os.path.exists(path)
         second = WorkerContext(checkpoint_path=path, checkpoint_interval=1.0, attempt=1)
-        resumed = protocol_run(dict(params), 7, second)
+        resumed = cell(dict(params), 7, second)
+        assert second.checkpoints_written == 0  # it began at the last checkpoint
         assert resumed == uninterrupted
 
     def test_unknown_workload_fails_with_typed_listing_error(self):
@@ -211,7 +223,7 @@ class TestInline:
             run_cell_inline(SweepCell.make("no_such_experiment", {}, 0))
         message = str(err.value)
         assert "no_such_experiment" in message
-        for registered in ("protocol", "campaign_point", "chaos_point"):
+        for registered in ("protocol", "campaign", "chaos"):
             assert registered in message
         assert isinstance(err.value, KeyError)  # old except-clauses still catch
 

@@ -42,7 +42,7 @@ class TestCannedPlans:
             Scenario(nodes=8, horizon=12.0, plan="tsunami")
         with pytest.raises(ValueError, match="tsunami"):
             ScaleSpec(nodes=16, num_shards=1, plan="tsunami")
-        for workload in ("chaos_point", "campaign_point"):
+        for workload in ("chaos", "campaign"):
             with pytest.raises(ValueError, match="tsunami"):
                 resolve_workload(workload)({"plan": "tsunami"}, 0, WorkerContext())
         for command in ("run", "plan"):
@@ -53,7 +53,7 @@ class TestCannedPlans:
         # `--base plan=none` used to soak under a storm, recorded as "none".
         scenario = Scenario.from_params({"plan": "none", "nodes": 6, "horizon": 2.0}, 0, "chaos")
         assert scenario.fault_plan().fault_windows() == []
-        metrics = resolve_workload("chaos_point")(
+        metrics = resolve_workload("chaos")(
             {"plan": "none", "nodes": 6, "horizon": 2.0}, 0, WorkerContext()
         )
         assert metrics["heal_windows_checked"] == 0.0
@@ -79,8 +79,8 @@ class TestMembershipPlan:
         assert outcome.node_ids[6] == joiner
         assert any(node == joiner for _at, node, _payload in outcome.deliveries)
 
-    def test_a_churn_sweep_cell_is_a_chaos_point(self):
-        metrics = resolve_workload("chaos_point")(self.PARAMS, 0, WorkerContext())
+    def test_a_churn_sweep_cell_is_a_chaos_cell(self):
+        metrics = resolve_workload("chaos")(self.PARAMS, 0, WorkerContext())
         assert metrics["group_splits"] >= 1 and metrics["group_dissolves"] >= 1
         assert metrics["evictions"] == 0.0 and metrics["violations"] == 0.0
 

@@ -349,21 +349,6 @@ class TestShardSnapshots:
 
     SPEC = ScaleSpec(nodes=8, num_shards=1, seed=5, horizon=0.5, epoch=0.5)
 
-    @pytest.mark.parametrize("flag, expected", [({}, False), ({"verify_snapshots": True}, True)])
-    def test_serial_run_forwards_verify_snapshots(self, tmp_path, monkeypatch, flag, expected):
-        from repro.orchestrator import sharded
-        from repro.simnet.snapshot import save_snapshot
-
-        seen = []
-
-        def recording_save(payload, path, verify=False):
-            seen.append(verify)
-            return save_snapshot(payload, path, verify=verify)
-
-        monkeypatch.setattr(sharded, "save_snapshot", recording_save)
-        sharded.run_sharded(self.SPEC, str(tmp_path / "run"), serial=True, **flag)
-        assert seen == [expected] * self.SPEC.epoch_count
-
     def test_old_format_shard_snapshot_refuses_to_resume(self, tmp_path):
         import pickle
 
