@@ -90,7 +90,7 @@ report:
 	$(REPRO) results make full_report
 
 ci:  # what .github/workflows/ci.yml runs
-	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+	PYTHONPATH=src $(PYTHON) -m pytest -x -q --durations=20  # the 20 slowest tests, to show where tier-1 time goes
 	$(REPRO) results check  # every pinned+fast results/*.txt rebuilt in memory, diffed against the committed file, gated
 	$(MAKE) sweep-smoke
 	$(MAKE) live-smoke

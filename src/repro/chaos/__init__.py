@@ -20,9 +20,10 @@ The modules, in dependency order:
 :func:`repro.scenario.run_scenario` plays a plan end to end on either
 substrate. Chaos scenarios stretch the misbehaviour timers well past
 the fault windows: the point is to prove that *failure heals faster
-than accountability convicts*. Shrinking them below the windows
-(``enforce_contract=False``) is how the tests make the checker
-demonstrate a violation on purpose.
+than accountability convicts*. Shrinking them below the windows,
+with the scenario's contract check off (``enforce_contract=False``, on
+any substrate), is how the tests make the checker demonstrate a
+violation on purpose.
 """
 
 from .invariants import InvariantChecker, InvariantReport, Violation

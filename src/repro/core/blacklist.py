@@ -95,7 +95,7 @@ class EvictionTracker:
 
     def __init__(
         self,
-        predecessor_threshold: Callable[[DomainId], int],
+        predecessor_threshold: int,
         relay_threshold: Callable[[int], int],
     ) -> None:
         self._predecessor_threshold = predecessor_threshold
@@ -130,7 +130,7 @@ class EvictionTracker:
         domains = self._predecessor_accusers.setdefault(accused, {})
         accusers = domains.setdefault(domain, set())
         accusers.add(accuser)
-        if len(accusers) >= self._predecessor_threshold(domain):
+        if len(accusers) >= self._predecessor_threshold:
             self.evicted.add(accused)
             return accused
         return None
@@ -161,7 +161,7 @@ class EvictionTracker:
         domains = self._rate_high_accusers.setdefault(accused, {})
         accusers = domains.setdefault(domain, set())
         accusers.add(accuser)
-        if len(accusers) >= self._predecessor_threshold(domain):
+        if len(accusers) >= self._predecessor_threshold:
             return accused
         return None
 

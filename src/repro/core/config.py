@@ -206,7 +206,7 @@ class RacConfig:
             return self.send_interval
         return self.saturation_interval(max(2, group_size)) * self.saturation_margin
 
-    def predecessor_accusation_threshold(self, domain_size: int) -> int:
+    def predecessor_accusation_threshold(self) -> int:
         """Accusations needed to evict via follower reports: t + 1.
 
         t is the maximum number of opponent followers a node can have,
@@ -431,9 +431,9 @@ def timer_floors(config: RacConfig, interval: float, topology=None, plan=None) -
 
 def check_timers(config: RacConfig, interval: float, topology=None, plan=None) -> None:
     """Reject timers below any of :func:`timer_floors` — before the run,
-    which beats debugging mass evictions after it. ``RacSystem``,
-    ``LiveCluster`` and ``run_scenario`` share it: the same arithmetic
-    on different clocks. A topology-term breach raises
+    which beats debugging mass evictions after it. Its one caller is
+    :meth:`repro.scenario.Scenario.check_contract`, the same arithmetic
+    on every substrate. A topology-term breach raises
     :class:`TopologyTimerError`, the others plain ``ValueError``."""
     for floor in timer_floors(config, interval, topology=topology, plan=plan):
         if not floor.met:

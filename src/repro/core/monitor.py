@@ -22,8 +22,8 @@ unit-testable without a network.
 (:mod:`repro.simnet.faults`) the ARQ transport masks loss by
 retransmitting, which *delays* deliveries by up to a few RTOs — the
 timeouts handed to these monitors must therefore exceed the transport's
-retransmission recovery budget (enforced at bootstrap by
-``RacSystem._validate_timers``). An outage longer than
+retransmission recovery budget (enforced before every run by
+``Scenario.check_contract``). An outage longer than
 ``predecessor_timeout`` remains indistinguishable from freeriding: that
 is the protocol's documented accountability/availability trade-off, not
 a bug (see DESIGN.md §3).

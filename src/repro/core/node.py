@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from functools import partial
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,11 +49,6 @@ from .onion import build_noise, build_onion, peel, unwrap_wire
 from .wire import encoded_size
 
 __all__ = ["RacNode", "PendingSend"]
-
-
-def _predecessor_threshold(env: "NodeEnvironment", config: RacConfig, domain: DomainId) -> int:
-    """Followers that must accuse before a check-2/3 eviction in ``domain``."""
-    return config.predecessor_accusation_threshold(len(env.domain_view(domain)))
 
 
 class PendingSend:
@@ -133,10 +127,8 @@ class RacNode:
         self.rate_monitor = RateMonitor(config.rate_window, config.rate_max_per_window)
         self.relays_blacklist = Blacklist()
         self.pred_blacklists: Dict[DomainId, Blacklist] = {}
-        # Not a bound method: a tracker that pointed back at its node
-        # would make every node a reference cycle.
         self.eviction_tracker = EvictionTracker(
-            predecessor_threshold=partial(_predecessor_threshold, env, config),
+            predecessor_threshold=config.predecessor_accusation_threshold(),
             relay_threshold=config.relay_accusation_threshold,
         )
 

@@ -44,7 +44,7 @@ from ..simnet.network import StarNetwork
 from ..simnet.stats import LatencyMeter, StatsRegistry, ThroughputMeter, engine_counters
 from ..simnet.trace import Tracer
 from ..simnet.transport import ReliableTransport
-from .config import RacConfig, check_timers
+from .config import RacConfig
 from .environment import Replica
 from .identity import PopulationFactory
 from .messages import DomainId, JoinRequest
@@ -68,22 +68,20 @@ class RacSystem(Replica):
         config: "RacConfig | None" = None,
         seed: int = 0,
         topology=None,
-        enforce_contract: bool = True,
     ) -> None:
         """``topology`` is an optional :class:`repro.topo.model.TopologyModel`
         shaping the star network (per-node access bandwidth, per-pair
         delay); None — or the byte-identical ``lan`` preset — keeps the
-        paper's ideal star. ``enforce_contract=False`` skips the
-        topology term of the timer contract (:func:`repro.core.config
-        .timer_floors`) so experiments can *measure* the false-eviction
-        region the contract exists to forbid."""
+        paper's ideal star. The system runs whatever timers ``config``
+        holds: only the scenario sees the fault plan, so the timer
+        contract is its to check (:meth:`repro.scenario.Scenario
+        .check_contract`)."""
         self.config = config if config is not None else RacConfig()
         #: Every identity this system mints, bootstrap and joiners alike.
         self._identities = PopulationFactory(self.config, seed)
         self.sim = Simulator()
         self.stats = StatsRegistry()
         self.topology = topology
-        self._enforce_contract = enforce_contract
         self.faults = FaultInjector(
             self.sim, seed=seed ^ 0x5EED, loss_rate=self.config.link_loss_rate
         )
@@ -265,17 +263,7 @@ class RacSystem(Replica):
             node_id = self._create_node(behaviors.get(index))
             created.append(node_id)
         self._start_blacklist_rounds()
-        self._validate_timers()
         return created
-
-    def _validate_timers(self) -> None:
-        """Reject configurations whose timers cannot work (see
-        :func:`repro.core.config.timer_floors`), including the
-        topology term when a WAN model is plugged in."""
-        interval = self.send_interval_for(next(iter(self.nodes)))
-        check_timers(
-            self.config, interval, topology=self.topology if self._enforce_contract else None
-        )
 
     def join(self, behavior=None) -> int:
         """One node joins a running system via the Section IV-C handshake.

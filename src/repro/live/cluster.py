@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.config import RacConfig, check_timers, timer_regime
+from ..core.config import RacConfig, timer_regime
 from ..core.identity import NodeMaterial, PopulationFactory
 from ..groups.assignment import verify_puzzle
 from ..simnet.stats import aggregate_stats_reports
@@ -123,7 +123,6 @@ class LiveCluster:
         if count < 2:
             raise ValueError("a live cluster needs at least two nodes")
         self.config = config if config is not None else timer_regime("wall")
-        check_timers(self.config, self.config.derived_send_interval(count))
         self.host = host
         self.port_base = port_base
         #: Identity stream shared with the sim: ``take(count)`` is the

@@ -158,9 +158,10 @@ class Scenario:
       resumes") that also keeps relay paths and ring forwarding fed.
 
     ``detection_bound`` defaults to the horizon.
-    ``enforce_contract=False`` runs timers *below* the topology and
-    fault-window floors of :func:`repro.core.config.timer_floors` — how
-    an experiment measures where honest evictions actually begin.
+    ``enforce_contract=False`` turns :meth:`check_contract` off on every
+    substrate, so the run keeps timers below any floor of
+    :func:`repro.core.config.timer_floors` — how an experiment measures
+    where honest evictions actually begin.
     """
 
     nodes: int
@@ -236,6 +237,15 @@ class Scenario:
                 f"{what} index {index} outside population 0..{self.nodes - 1} "
                 "(0-based creation order)"
             )
+
+    def check_contract(self, interval: float) -> None:
+        """Refuse the run if a timer is below its lan, topology or window
+        floor (:func:`repro.core.config.check_timers`) at send interval
+        ``interval`` — or check nothing when ``enforce_contract`` is off.
+        Every run entry calls it once, before the first event."""
+        if self.enforce_contract:
+            config, plan = self.configuration(), self.fault_plan()
+            check_timers(config, interval, topology=self.shaping(), plan=plan)
 
     # -- lowering --------------------------------------------------------------
     def configuration(self) -> RacConfig:
@@ -786,13 +796,10 @@ def prepare(scenario: Scenario) -> SimRun:
     config = scenario.configuration()
     model = scenario.shaping()
     plan = scenario.fault_plan()
-    system = RacSystem(
-        config, seed=scenario.seed, topology=model, enforce_contract=scenario.enforce_contract
-    )
+    system = RacSystem(config, seed=scenario.seed, topology=model)
     node_ids = system.bootstrap(scenario.nodes, behaviors=plant_behaviors(scenario, config))
     bootstrapped = dict(system.directory.event_counts)
-    if scenario.enforce_contract:
-        check_timers(config, system.send_interval_for(node_ids[0]), topology=model, plan=plan)
+    scenario.check_contract(system.send_interval_for(node_ids[0]))
     node_ids += _joiner_ids(scenario, config)
     notes = plan.compile_sim(system, node_ids)
 
@@ -938,10 +945,7 @@ def run_scenario(
     plan or topology: :meth:`Scenario.check_substrate`)."""
     scenario.check_substrate(substrate, processes)
     if substrate == "live":
-        if scenario.enforce_contract:
-            config, plan = scenario.configuration(), scenario.fault_plan()
-            interval = config.derived_send_interval(scenario.nodes)
-            check_timers(config, interval, topology=scenario.shaping(), plan=plan)
+        scenario.check_contract(scenario.configuration().derived_send_interval(scenario.nodes))
         runner = _run_processes if processes else _run_live
         return asyncio.run(runner(scenario, port_base))
     run = prepare(scenario)

@@ -36,7 +36,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.config import RacConfig, check_timers
+from ..core.config import RacConfig
 from ..core.identity import NodeMaterial, build_population
 from ..core.system import RacSystem
 from ..groups.channels import ChannelDirectory
@@ -257,8 +257,6 @@ class ShardSystem(RacSystem):
         for material in sorted(materials, key=lambda m: m.index):
             created.append(self._instantiate_node(material, behaviors.get(material.index - 1)))
         self._start_blacklist_rounds()
-        if self.nodes:
-            self._validate_timers()
         return created
 
     # -- the merge layer ------------------------------------------------------
@@ -318,15 +316,15 @@ def build_shard_system(spec: ScaleSpec, shard_index: int) -> ShardSystem:
     behaviors = plant_behaviors(scenario, config, materials)
     local_behaviors = {i: b for i, b in behaviors.items() if materials[i].node_id in local_ids}
     system.populate(local_materials, local_behaviors)
+    # Rejected here, at plan time, rather than surfacing as mysterious
+    # honest evictions at N=256.
+    scenario.check_contract(system.send_interval_for(local_materials[0].node_id))
     node_ids = [m.node_id for m in materials]
     for _at, src, dst, payload in traffic_sends(scenario, node_ids, directory):
         if node_ids[src] in local_ids:
             system.send(node_ids[src], node_ids[dst], payload)
     plan = scenario.fault_plan()
     if plan.events:
-        # Rejected here, at plan time, rather than surfacing as
-        # mysterious honest evictions at N=256.
-        check_timers(config, system.send_interval_for(local_materials[0].node_id), plan=plan)
         local_indices = {m.index - 1 for m in local_materials}
         local_plan = filter_plan_events(plan, local_indices)
         local_plan.compile_sim(system, node_ids)

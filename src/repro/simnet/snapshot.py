@@ -83,7 +83,9 @@ __all__ = [
 #: /14: the transport holds its ``direct`` choice (a packet on the
 #: direct path carries the bare payload) and the injector its ``sealed``
 #: promise and whether a loss window is planned.
-SNAPSHOT_MAGIC = b"RACSNAP/14\n"
+#: /15: a system holds no contract switch and an eviction tracker its
+#: predecessor threshold as an int (no partial over the node's env).
+SNAPSHOT_MAGIC = b"RACSNAP/15\n"
 _MAGIC_PREFIX = b"RACSNAP/"
 
 

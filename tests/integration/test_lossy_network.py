@@ -14,32 +14,33 @@ from repro.chaos.plan import FaultPlan
 from repro.core.config import RacConfig
 from repro.core.system import RacSystem
 from repro.experiments import fault_sweep
-from repro.scenario import prepare
+from repro.scenario import Scenario, prepare
+
+
+#: The freerider-test configuration plus loss, with the detection
+#: timers opened up to leave the ARQ its retransmission budget.
+LOSSY = dict(
+    num_relays=2,
+    num_rings=3,
+    group_min=2,
+    group_max=10**9,
+    message_size=2048,
+    send_interval=0.05,
+    relay_timeout=2.0,
+    predecessor_timeout=1.2,
+    rate_window=2.0,
+    blacklist_period=1.5,
+    puzzle_bits=2,
+    link_loss_rate=0.1,
+    # Cap the backoff: after an outage heals, the next probe must
+    # come within one rto_max, not wherever the doubling ran off to
+    # — the misbehaviour deadlines do not wait for it.
+    transport_rto_max=0.25,
+)
 
 
 def lossy_config(**overrides):
-    """The freerider-test configuration plus loss, with the detection
-    timers opened up to leave the ARQ its retransmission budget."""
-    base = dict(
-        num_relays=2,
-        num_rings=3,
-        group_min=2,
-        group_max=10**9,
-        message_size=2048,
-        send_interval=0.05,
-        relay_timeout=2.0,
-        predecessor_timeout=1.2,
-        rate_window=2.0,
-        blacklist_period=1.5,
-        puzzle_bits=2,
-        link_loss_rate=0.1,
-        # Cap the backoff: after an outage heals, the next probe must
-        # come within one rto_max, not wherever the doubling ran off to
-        # — the misbehaviour deadlines do not wait for it.
-        transport_rto_max=0.25,
-    )
-    base.update(overrides)
-    return RacConfig(**base)
+    return RacConfig(**{**LOSSY, **overrides})
 
 
 def drive_traffic(system, honest, until, stop_when=None):
@@ -130,17 +131,13 @@ class TestSeededReplay:
 
 
 class TestTimerValidation:
+    """The scenario holds a lossy run to the ARQ's retransmission budget."""
+
     def test_lossy_config_with_starved_timers_rejected(self):
-        config = lossy_config(
-            predecessor_timeout=0.15, transport_rto_initial=0.05, send_interval=0.05
-        )
-        system = RacSystem(config, seed=0)
+        config = {**LOSSY, "predecessor_timeout": 0.15, "transport_rto_initial": 0.05}
         with pytest.raises(ValueError, match="retransmission budget"):
-            system.bootstrap(4)
+            prepare(Scenario(nodes=4, horizon=1.0, config=config))
 
     def test_lossless_config_skips_the_arq_budget_check(self):
-        config = lossy_config(
-            link_loss_rate=0.0, predecessor_timeout=0.15, send_interval=0.05
-        )
-        system = RacSystem(config, seed=0)
-        system.bootstrap(4)  # must not raise
+        config = {**LOSSY, "link_loss_rate": 0.0, "predecessor_timeout": 0.15}
+        prepare(Scenario(nodes=4, horizon=1.0, config=config))  # must not raise

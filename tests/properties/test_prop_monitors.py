@@ -77,7 +77,7 @@ class TestEvictionTrackerProperties:
     )
     def test_eviction_iff_enough_distinct_followers(self, accusers, threshold):
         tracker = EvictionTracker(
-            predecessor_threshold=lambda d: threshold,
+            predecessor_threshold=threshold,
             relay_threshold=lambda s: 10**9,
         )
         accused = 5000
@@ -100,7 +100,7 @@ class TestEvictionTrackerProperties:
     )
     def test_relay_round_eviction_matches_vote_count(self, lists_, threshold):
         tracker = EvictionTracker(
-            predecessor_threshold=lambda d: 10**9,
+            predecessor_threshold=10**9,
             relay_threshold=lambda s: threshold,
         )
         evicted = tracker.record_relay_round(len(lists_), lists_)

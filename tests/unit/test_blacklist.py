@@ -35,7 +35,7 @@ class TestBlacklist:
 
 def make_tracker(pred_threshold=2, relay_threshold=3):
     return EvictionTracker(
-        predecessor_threshold=lambda domain: pred_threshold,
+        predecessor_threshold=pred_threshold,
         relay_threshold=lambda size: relay_threshold,
     )
 
@@ -115,7 +115,7 @@ class TestRelayEvidence:
         threshold = config.relay_accusation_threshold(12)
         assert threshold == 4
         tracker = EvictionTracker(
-            predecessor_threshold=lambda domain: 99,
+            predecessor_threshold=99,
             relay_threshold=config.relay_accusation_threshold,
         )
         at_bound = [(99,)] * (threshold - 1) + [()] * 9

@@ -70,12 +70,12 @@ class TestThresholds:
     def test_predecessor_threshold_is_t_plus_one(self):
         config = small(num_rings=7, assumed_opponent_fraction=0.1)
         # t = ceil(0.1 * 7) = 1, threshold = 2
-        assert config.predecessor_accusation_threshold(100) == 2
+        assert config.predecessor_accusation_threshold() == 2
 
     def test_predecessor_threshold_capped_by_rings(self):
         config = small(num_rings=3, assumed_opponent_fraction=0.4)
         # t = min(R-1, ceil(0.4*3)=2) = 2, threshold 3
-        assert config.predecessor_accusation_threshold(100) == 3
+        assert config.predecessor_accusation_threshold() == 3
 
     def test_relay_threshold_is_fg_plus_one(self):
         config = small(assumed_opponent_fraction=0.1)
@@ -85,7 +85,7 @@ class TestThresholds:
     def test_zero_opponents_means_single_accuser(self):
         config = small(assumed_opponent_fraction=0.0)
         assert config.relay_accusation_threshold(1000) == 1
-        assert config.predecessor_accusation_threshold(1000) == 1
+        assert config.predecessor_accusation_threshold() == 1
 
 
 class TestTimerContract:

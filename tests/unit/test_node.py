@@ -276,7 +276,7 @@ class TestAccusationHandling:
         node, env = make_node()
         victim = 3
         followers = env.view.successor_set(victim)
-        threshold = node.config.predecessor_accusation_threshold(len(env.view))
+        threshold = node.config.predecessor_accusation_threshold()
         accusers = list(followers)[:threshold]
         for accuser in accusers:
             node.on_message(

@@ -204,18 +204,31 @@ def documented_commands():
                 yield name, shlex.split(match[1])
 
 
+def refuses(parser, argv) -> bool:
+    """Whether ``repro argv`` would exit before running: argparse
+    rejects it, or its ``--experiment`` names no registered workload."""
+    from repro.orchestrator.workloads import WORKLOADS
+
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit:
+        return True
+    return getattr(args, "experiment", None) not in (None, *WORKLOADS)
+
+
 def test_every_documented_command_parses():
     from repro.cli import build_parser
 
     commands = list(documented_commands())
     assert len(commands) >= 50 and {name for name, _ in commands} == set(DOCUMENTED)
-    parser, refused = build_parser(), []
-    for name, argv in commands:
-        try:
-            parser.parse_args(argv)
-        except SystemExit:
-            refused.append(f"{name}: repro {' '.join(argv)}")
+    parser = build_parser()
+    refused = [f"{name}: repro {' '.join(argv)}" for name, argv in commands if refuses(parser, argv)]
     assert not refused, refused
+    assert any("--experiment" in argv for _, argv in commands)
+    # A stale workload name parses; the check still turns it away.
+    stale = ["sweep", "run", "--run-dir", "$D", "--experiment", "chaos_point", "--axis", "plan=smoke"]
+    assert parser.parse_args(stale).experiment == "chaos_point"
+    assert refuses(parser, stale)
 
 
 def test_make_ci_runs_what_the_workflow_runs():

@@ -15,6 +15,7 @@ from repro.orchestrator.workloads import WorkerContext, resolve_workload
 from repro.scenario import (
     HARNESSES,
     Scenario,
+    SimRun,
     UnsupportedOnSubstrate,
     plan_coalition_indices,
     plant_behaviors,
@@ -23,7 +24,8 @@ from repro.scenario import (
     run_scenario,
     traffic_sends,
 )
-from repro.simnet.shard import ScaleSpec
+from repro.live.cluster import LiveCluster
+from repro.simnet.shard import ScaleSpec, build_shard_system
 from repro.simnet.snapshot import restore_system, snapshot_system
 
 
@@ -289,6 +291,28 @@ class TestTwoPhaseRun:
             prepare(scenario)
         prepare(dataclasses.replace(scenario, enforce_contract=False))
         assert timer_regime("tight").relay_timeout == 1.0
+
+    def test_the_hatch_means_the_same_on_every_substrate(self, monkeypatch):
+        # Far below the lan floor of (L + 2) origination slots.
+        starved = Scenario(nodes=4, horizon=1.0, config={"relay_timeout": 0.001})
+
+        def opened(main):
+            main.close()
+            raise AssertionError("a live run started before its contract was checked")
+
+        monkeypatch.setattr("repro.scenario.asyncio.run", opened)
+        refused = r"relay_timeout=0\.001s is below its lan floor"
+        with pytest.raises(ValueError, match=refused):
+            prepare(starved)
+        with pytest.raises(ValueError, match=refused):
+            build_shard_system(ScaleSpec(nodes=16, num_shards=1, config=dict(starved.config)), 0)
+        for processes in (False, True):
+            with pytest.raises(ValueError, match=refused):
+                run_scenario(starved, "live", processes=processes)
+
+        unchecked = dataclasses.replace(starved, enforce_contract=False)
+        assert isinstance(prepare(unchecked), SimRun)
+        assert len(LiveCluster(4, config=unchecked.configuration()).materials) == 4
 
     def test_outcome_renders_and_reports(self):
         outcome = run_scenario(

@@ -178,6 +178,27 @@ def _rac13_transport() -> bytes:
     return pickle.dumps(Rac13Transport())
 
 
+def _rac14_tracker() -> bytes:
+    """Pickles the way a ``RACSNAP/14`` eviction tracker did: its
+    predecessor threshold a partial over a node function, not an int."""
+    import functools
+
+    from repro.core import node
+    from repro.core.blacklist import EvictionTracker
+
+    def _predecessor_threshold(env, config, domain):
+        return 2
+
+    _predecessor_threshold.__module__ = node.__name__
+    _predecessor_threshold.__qualname__ = _predecessor_threshold.__name__
+    tracker = EvictionTracker(functools.partial(_predecessor_threshold, None, None), len)
+    node._predecessor_threshold = _predecessor_threshold
+    try:
+        return pickle.dumps(tracker)
+    finally:
+        del node._predecessor_threshold
+
+
 def _rac10_calendar() -> bytes:
     """Pickles the way a ``RACSNAP/10`` calendar did: every pending
     entry, a hop nobody holds included, a ``ScheduledEvent`` pointing
@@ -513,6 +534,7 @@ class TestSnapshotErrors:
         # A RACSNAP/11 unacknowledged segment holds a timer, not a ticket.
         # A RACSNAP/12 key pair unpickles without its sealed-box header.
         # A RACSNAP/13 transport unpickles without its path choice.
+        # A RACSNAP/14 tracker names a node function that is gone.
         body = pickle.dumps((_Rac2Event(), _Rac3Monitor()))
         for stale in (_Rac2Event(), _Rac3Monitor()):
             with pytest.raises(AttributeError):
@@ -538,13 +560,16 @@ class TestSnapshotErrors:
         rac13 = _rac13_transport()
         with pytest.raises(AttributeError, match="direct"):
             pickle.loads(rac13).send(1, 2, b"x", 10)
+        rac14 = _rac14_tracker()
+        with pytest.raises(AttributeError, match="_predecessor_threshold"):
+            pickle.loads(rac14)
         bodies = {version: body for version in ("1", "2", "3", "4", "5", "6")}
         stale = {**bodies, "7": rac7, "8": rac8, "9": rac9, "10": rac10, "11": rac11, "12": rac12}
-        stale["13"] = rac13
+        stale["13"], stale["14"] = rac13, rac14
         for version, stale_body in stale.items():
             old = f"RACSNAP/{version}\n".encode() + stale_body
             with pytest.raises(
-                SnapshotError, match=f"version mismatch: blob is RACSNAP/{version},.*RACSNAP/14"
+                SnapshotError, match=f"version mismatch: blob is RACSNAP/{version},.*RACSNAP/15"
             ):
                 restore_system(old)
             path = tmp_path / "old.snap"

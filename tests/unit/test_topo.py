@@ -30,7 +30,6 @@ from repro.core.config import (
     scale_timers,
     timer_regime,
 )
-from repro.core.system import RacSystem
 from repro.simnet.engine import Simulator
 from repro.simnet.network import DEFAULT_PROPAGATION_DELAY, StarNetwork
 from repro.topo.model import (
@@ -264,16 +263,19 @@ class TestTimerContract:
         for name in PRESET_NAMES:
             check_timers(config, 0.05, topology=preset(name, 10))
 
-    def test_system_enforces_at_bootstrap(self):
-        config = timer_regime("detect", **WAN_ARQ, relay_timeout=0.2)
-        system = RacSystem(config, seed=0, topology=wan_king(10))
+    #: LAN-scale relay timer on a WAN: the topology term refuses it.
+    PROBE = Scenario(
+        nodes=10, horizon=1.0, regime="detect", config={**WAN_ARQ, "relay_timeout": 0.2},
+        topology=wan_king(10),
+    )
+
+    def test_scenario_enforces_before_the_run(self):
         with pytest.raises(TopologyTimerError):
-            system.bootstrap(10)
+            prepare(self.PROBE)
 
     def test_enforcement_is_bypassable_for_probes(self):
-        config = timer_regime("detect", **WAN_ARQ, relay_timeout=0.2)
-        system = RacSystem(config, seed=0, topology=wan_king(10), enforce_contract=False)
-        assert len(system.bootstrap(10)) == 10
+        run = prepare(dataclasses.replace(self.PROBE, enforce_contract=False))
+        assert len(run.node_ids) == 10
 
     def test_contract_floor_is_read_off_the_floors_not_bisected(self):
         # The floor(analytic) column of results/topology_sweep.txt, which
