@@ -10,14 +10,14 @@ which onion.
 A node is removed from the views once evidence accumulates:
 
 * (t + 1) of its followers in one domain accuse it, with t the maximum
-  number of opponent followers; or
+  number of opponent followers, on the rings the replica holds now; or
 * (f·G + 1) distinct members of its group blacklist it as a relay.
 
 A node outside the evidence removes it once ⌊f·G⌋ + 1 distinct members
 of its group sent eviction notices. :class:`EvictionTracker` tallies
-all three and emits eviction verdicts. It is pure bookkeeping —
-validation of "is the accuser really a follower?" is delegated to a
-callable so the class stays testable in isolation.
+all three and emits eviction verdicts. It is pure bookkeeping — "is
+the accuser a follower?" is a predicate over the replica's rings that
+the caller passes, so the class stays testable in isolation.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ __all__ = ["BLACKLIST_SLOTS", "BlacklistEntry", "Blacklist", "EvictionTracker"]
 #: Lemma 4: every relay blacklist in a round has the same fixed length,
 #: so a member contributes at most this many ids.
 BLACKLIST_SLOTS = 16
+
+Follows = Callable[[int, int], bool]
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,33 +63,26 @@ class Blacklist:
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._entries
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def members(self) -> "Tuple[int, ...]":
         return tuple(sorted(self._entries))
 
     def entry(self, node_id: int) -> "Optional[BlacklistEntry]":
         return self._entries.get(node_id)
 
-    def discard(self, node_id: int) -> None:
-        self._entries.pop(node_id, None)
-
 
 class EvictionTracker:
     """Accumulates accusations until an eviction threshold is crossed.
 
-    One instance per (simulated) node; in a real deployment every node
-    runs the same tally over the same broadcast accusations and shuffle
-    output and reaches the same verdicts deterministically. A relay
-    round counts each list as a set, so their order changes no verdict.
+    One instance per node. It holds every accusation, counts those whose
+    accuser ``follows`` the accused on the present rings and counts again
+    after each removal (:meth:`rejudge`), so no verdict depends on arrival
+    order. A relay round counts each list as a set, for the same reason.
     """
 
     __slots__ = (
         "_predecessor_threshold",
         "_relay_threshold",
-        "_predecessor_accusers",
-        "_rate_high_accusers",
+        "_accusers",
         "_rate_high_filers",
         "_notifiers",
         "evicted",
@@ -100,10 +95,8 @@ class EvictionTracker:
     ) -> None:
         self._predecessor_threshold = predecessor_threshold
         self._relay_threshold = relay_threshold
-        #: accused -> domain -> accuser set
-        self._predecessor_accusers: Dict[int, Dict[DomainId, Set[int]]] = {}
-        #: rate-high accusations, tallied apart (see below)
-        self._rate_high_accusers: Dict[int, Dict[DomainId, Set[int]]] = {}
+        #: accused -> (domain, rate-high?) -> every accuser held
+        self._accusers: Dict[int, Dict[Tuple[DomainId, bool], Set[int]]] = {}
         #: domain -> nodes that themselves filed a rate-high accusation
         self._rate_high_filers: Dict[DomainId, Set[int]] = {}
         #: accused -> members that sent an eviction notice about it
@@ -116,27 +109,33 @@ class EvictionTracker:
         accuser: int,
         accused: int,
         domain: DomainId,
-        accuser_is_follower: bool,
+        follows: Follows,
     ) -> "Optional[int]":
         """Tally one clear accusation; returns the accused id if the
         (t+1)-followers threshold is now crossed, else ``None``.
 
-        Accusations from non-followers are ignored — only a node's
-        direct successors can observe the misbehaviours of checks 2/3,
-        so anyone else accusing is lying.
+        Accusations from non-followers are held but not counted — only
+        a node's direct successors can observe the misbehaviours of
+        checks 2/3, so anyone else accusing is lying.
         """
-        if not accuser_is_follower or accused in self.evicted or accuser == accused:
-            return None
-        domains = self._predecessor_accusers.setdefault(accused, {})
-        accusers = domains.setdefault(domain, set())
-        accusers.add(accuser)
-        if len(accusers) >= self._predecessor_threshold:
-            self.evicted.add(accused)
-            return accused
-        return None
+        return self._hold(accuser, accused, (domain, False), follows)
 
-    def predecessor_accuser_count(self, accused: int, domain: DomainId) -> int:
-        return len(self._predecessor_accusers.get(accused, {}).get(domain, set()))
+    def _hold(self, accuser: int, accused: int, tally: Tuple[DomainId, bool], follows: Follows) -> Optional[int]:
+        if accuser == accused:
+            return None
+        accusers = self._accusers.setdefault(accused, {}).setdefault(tally, set())
+        accusers.add(accuser)
+        counts = follows(accuser, accused) and self._verdict(accused, tally[1], accusers, follows)
+        return accused if counts else None
+
+    def _verdict(self, accused: int, rate_high: bool, accusers: Set[int], follows: Follows) -> bool:
+        """(t+1) accusers count: a predecessor verdict (evicted) or a rate-high candidate."""
+        counted = sum(follows(accuser, accused) for accuser in accusers)
+        if accused in self.evicted or counted < self._predecessor_threshold:
+            return False
+        if not rate_high:
+            self.evicted.add(accused)
+        return True
 
     # -- rate-high evidence (flood attribution) --------------------------------
     #
@@ -149,21 +148,14 @@ class EvictionTracker:
     # rate-high accusation in the same domain. The node applies a grace
     # delay before finalizing so excuses have time to arrive.
     def record_rate_high_accusation(
-        self, accuser: int, accused: int, domain: DomainId, accuser_is_follower: bool
+        self, accuser: int, accused: int, domain: DomainId, follows: Follows
     ) -> "Optional[int]":
         """Tally a rate-high accusation; returns the accused id when the
         follower threshold is crossed (an eviction *candidate* — the
         caller must check :meth:`is_excused_rate_high` after a grace
         period and then :meth:`confirm_eviction`)."""
         self._rate_high_filers.setdefault(domain, set()).add(accuser)
-        if not accuser_is_follower or accused in self.evicted or accuser == accused:
-            return None
-        domains = self._rate_high_accusers.setdefault(accused, {})
-        accusers = domains.setdefault(domain, set())
-        accusers.add(accuser)
-        if len(accusers) >= self._predecessor_threshold:
-            return accused
-        return None
+        return self._hold(accuser, accused, (domain, True), follows)
 
     def is_excused_rate_high(self, accused: int, domain: DomainId) -> bool:
         """True when the accused blamed an upstream itself (flood tree
@@ -176,6 +168,18 @@ class EvictionTracker:
             return False
         self.evicted.add(accused)
         return True
+
+    def rejudge(self, follows_in: Callable[[DomainId], Optional[Follows]]) -> List[Tuple[int, DomainId, bool]]:
+        """Count every held tally again, judged by ``follows_in(domain)`` (None: gone);
+        ``(accused, domain, rate-high?)`` per verdict, bar excused candidates."""
+        found = []
+        for accused, tallies in self._accusers.items():
+            for (domain, rate_high), accusers in tallies.items():
+                follows = follows_in(domain)
+                if follows is not None and self._verdict(accused, rate_high, accusers, follows):
+                    if not rate_high or not self.is_excused_rate_high(accused, domain):
+                        found.append((accused, domain, rate_high))
+        return found
 
     # -- relay evidence ------------------------------------------------------
     def record_relay_round(self, group_size: int, shuffled_blacklists: "List[Tuple[int, ...]]") -> "List[int]":
@@ -209,5 +213,5 @@ class EvictionTracker:
     # -- lifecycle ----------------------------------------------------------------
     def forget(self, node_id: int) -> None:
         """Drop all evidence about a node (it left or was evicted)."""
-        self._predecessor_accusers.pop(node_id, None)
+        self._accusers.pop(node_id, None)
         self._notifiers.pop(node_id, None)

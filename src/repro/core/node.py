@@ -41,7 +41,7 @@ from ..crypto.hashes import message_id, sha256_int
 from ..crypto.keys import KeyPair, PublicKey
 from ..overlay.broadcast import FIRST_COPY, REPLAYED_COPY, BroadcastState, CopyKey
 from .behavior import HonestBehavior
-from .blacklist import BLACKLIST_SLOTS, Blacklist, EvictionTracker
+from .blacklist import BLACKLIST_SLOTS, Blacklist, EvictionTracker, Follows
 from .config import RacConfig
 from .messages import Accusation, Broadcast, DomainId, EvictionNotice, channel_domain, group_domain
 from .monitor import PredecessorMonitor, RateMonitor, RelayMonitor
@@ -602,7 +602,7 @@ class RacNode:
             self.env.schedule_reserved(fire_at, self._check_predecessors, domain)
 
     def _accuse(self, accused: int, domain: DomainId, reason: str, msg_id: "Optional[int]") -> None:
-        """Blacklist locally and flood a clear accusation in the domain."""
+        """Blacklist locally and flood a clear accusation: it leaves before it is judged."""
         if accused == self.node_id or not self.behavior.should_run_checks(self):
             return
         blacklist = self.pred_blacklist_for(domain)
@@ -610,9 +610,7 @@ class RacNode:
             return  # already accused in this domain; one accusation each
         self._count(f"accusation_{reason}")
         self._trace("accusation", accused=accused, reason=reason, domain=domain)
-        accusation = Accusation(self.node_id, accused, domain, reason, msg_id)
-        self._ingest_accusation(accusation)
-        self._flood_control(accusation, self.env.domain_view(domain))
+        self._handle_control_flood(Accusation(self.node_id, accused, domain, reason, msg_id))
 
     # -- control-plane flooding ------------------------------------------------------------
     def _control_id(self, message: "Accusation | EvictionNotice") -> int:
@@ -644,32 +642,17 @@ class RacNode:
             self._ingest_notice(message)
 
     def _ingest_accusation(self, accusation: Accusation) -> None:
-        view = self.env.domain_view(accusation.domain)
-        if view is None:
-            return
-        is_follower = (
-            accusation.accused in view
-            and accusation.accuser in view.successor_set(accusation.accused)
-        )
-        if accusation.reason == "rate-high":
-            candidate = self.eviction_tracker.record_rate_high_accusation(
-                accusation.accuser, accusation.accused, accusation.domain, is_follower
-            )
-            if candidate is not None:
-                # Grace period: a flood's propagation tree blames every
-                # upstream hop; only the unexcused root gets evicted.
-                self.env.schedule(
-                    self.config.rate_window / 2,
-                    self._finalize_rate_high_eviction,
-                    candidate,
-                    accusation.domain,
-                )
-            return
-        verdict = self.eviction_tracker.record_predecessor_accusation(
-            accusation.accuser, accusation.accused, accusation.domain, is_follower
-        )
-        if verdict is not None:
-            self._convict(verdict, accusation.domain, "predecessor")
+        domain, rate_high = accusation.domain, accusation.reason == "rate-high"
+        follows, tracker = self._follows_in(domain), self.eviction_tracker
+        record = tracker.record_rate_high_accusation if rate_high else tracker.record_predecessor_accusation
+        if follows is not None and record(accusation.accuser, accusation.accused, domain, follows) is not None:
+            self._judged(accusation.accused, domain, rate_high)
+
+    def _judged(self, accused: int, domain: DomainId, rate_high: bool) -> None:
+        """A tally reached its threshold; a rate-high one first waits a grace period for its excuse."""
+        if not rate_high:
+            return self._convict(accused, domain, "predecessor")
+        self.env.schedule(self.config.rate_window / 2, self._finalize_rate_high_eviction, accused, domain)
 
     def _finalize_rate_high_eviction(self, accused: int, domain: DomainId) -> None:
         if not self.active:
@@ -696,8 +679,8 @@ class RacNode:
         """Rule (i): own evidence is complete. If that takes the accused
         out of the replica, notify every channel of its group as the
         replica held them, so a removal that dissolves the group still
-        notifies. No in-group flood: every correct member holds the same
-        accusations or shuffle output and convicts on its own."""
+        notifies. No in-group flood: floods bring every member the same
+        accusations, and each convicts on its own whatever their order."""
         self._count("eviction_evidence_complete")
         channels = self.env.evict(accused, self.node_id, domain, kind)
         for channel, view in (channels or {}).items():
@@ -724,8 +707,15 @@ class RacNode:
 
     # -- membership events ------------------------------------------------------------
     def on_evicted(self, node_id: int) -> None:
-        """Another node was evicted: purge all monitoring state."""
+        """Another node left the replica: purge its monitoring state and judge held accusations again."""
         self.rate_monitor.untrack(node_id)
         for monitor in self._pred_monitors.values():
             monitor.forget_node(node_id)
         self.eviction_tracker.forget(node_id)
+        if self.active:
+            for accused, domain, rate_high in self.eviction_tracker.rejudge(self._follows_in):
+                self._judged(accused, domain, rate_high)
+
+    def _follows_in(self, domain: DomainId) -> "Optional[Follows]":
+        view = self.env.domain_view(domain)
+        return view.topology.follows if view is not None else None

@@ -6,7 +6,7 @@ bundles: a no-coalition control that must evict nobody, a shield
 coalition whose eviction set must be exactly its member set (the
 cross-shard consistency contract, DESIGN.md §4), and shield under a
 full-density storm, which is reported but deliberately *not* gated.
-There honest nodes are convicted on predecessor evidence (all 59
+There honest nodes are convicted on predecessor evidence (all 60
 honest evictions of the committed line are ``predecessor`` verdicts,
 from 7.3 s on) whatever the f-headroom: a measured limit of the
 paper's accountability design at scale (ROADMAP items 1 and 2), not a

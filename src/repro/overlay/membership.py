@@ -70,9 +70,3 @@ class MembershipView:
 
     def predecessors(self, node_id: int) -> "List[int]":
         return self.topology.predecessors(node_id)
-
-    def successor_set(self, node_id: int) -> Set[int]:
-        return self.topology.successor_set(node_id)
-
-    def predecessor_set(self, node_id: int) -> Set[int]:
-        return self.topology.predecessor_set(node_id)

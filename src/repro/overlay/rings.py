@@ -138,7 +138,7 @@ class RingTopology:
 
         A broadcast forwards one copy per ring, so the multiplicity
         matters for cost accounting; use :meth:`successor_set` for the
-        distinct-node view used in the eviction threshold.
+        distinct-node view, and :meth:`follows` to judge an accuser.
         """
         found = []
         for ring_index in range(self.num_rings):
@@ -160,8 +160,17 @@ class RingTopology:
         opponent-majority probability drives the choice of R."""
         return set(self.successors(node_id))
 
-    def predecessor_set(self, node_id: int) -> Set[int]:
-        return set(self.predecessors(node_id))
+    def follows(self, accuser: int, accused: int) -> bool:
+        """Whether no member lies between ``accused`` and ``accuser`` on some ring, clockwise;
+        ``accuser`` may be off the rings, so removals only turn it True. O(R log n)."""
+        if accused not in self._members:
+            return False
+        for index, ring in enumerate(self._rings):
+            start, end = (ring_position(accused, index), accused), (ring_position(accuser, index), accuser)
+            after, before = bisect.bisect_right(ring, start), bisect.bisect_left(ring, end)
+            if not (before - after if start < end else len(ring) - after + before):
+                return True
+        return False
 
     def ring_order(self, ring_index: int) -> "List[int]":
         """Members of one ring in clockwise position order."""

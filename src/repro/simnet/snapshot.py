@@ -85,7 +85,8 @@ __all__ = [
 #: promise and whether a loss window is planned.
 #: /15: a system holds no contract switch and an eviction tracker its
 #: predecessor threshold as an int (no partial over the node's env).
-SNAPSHOT_MAGIC = b"RACSNAP/15\n"
+#: /16: an eviction tracker holds every accusation in one ``_accusers`` store.
+SNAPSHOT_MAGIC = b"RACSNAP/16\n"
 _MAGIC_PREFIX = b"RACSNAP/"
 
 

@@ -76,7 +76,7 @@ class TestFalseAccuser:
             view = system.domain_view(("group", system.evicted[victim]["gid"]))
             # can't check post-eviction topology; instead assert the
             # accusers were followers at bootstrap time
-            followers = probe.domain_view(("group", probe.group_of(victim))).successor_set(victim)
+            followers = probe.domain_view(("group", probe.group_of(victim))).topology.successor_set(victim)
             assert {nodes[4], nodes[7]} <= followers
         # Either way, no honest cascade.
         assert all(n == victim for n in system.evicted)

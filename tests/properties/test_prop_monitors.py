@@ -84,7 +84,7 @@ class TestEvictionTrackerProperties:
         domain = group_domain(1)
         evicted = None
         for accuser in accusers:
-            result = tracker.record_predecessor_accusation(accuser, accused, domain, True)
+            result = tracker.record_predecessor_accusation(accuser, accused, domain, lambda a, x: True)
             if result is not None:
                 evicted = result
         distinct = len(set(accusers) - {accused})

@@ -26,12 +26,6 @@ class TestBlacklist:
         blacklist.add(3, "x", 0.0)
         assert blacklist.members() == (3, 9)
 
-    def test_discard(self):
-        blacklist = Blacklist()
-        blacklist.add(7, "x", 0.0)
-        blacklist.discard(7)
-        assert 7 not in blacklist and len(blacklist) == 0
-
 
 def make_tracker(pred_threshold=2, relay_threshold=3):
     return EvictionTracker(
@@ -43,40 +37,74 @@ def make_tracker(pred_threshold=2, relay_threshold=3):
 DOMAIN = group_domain(1)
 
 
+def anyone(accuser, accused):
+    """A ``follows`` predicate under which every accuser counts."""
+    return True
+
+
+def nobody(accuser, accused):
+    return False
+
+
 class TestPredecessorEvidence:
     def test_threshold_crossing_evicts(self):
         tracker = make_tracker(pred_threshold=2)
-        assert tracker.record_predecessor_accusation(10, 99, DOMAIN, True) is None
-        assert tracker.record_predecessor_accusation(11, 99, DOMAIN, True) == 99
+        assert tracker.record_predecessor_accusation(10, 99, DOMAIN, anyone) is None
+        assert tracker.record_predecessor_accusation(11, 99, DOMAIN, anyone) == 99
         assert 99 in tracker.evicted
 
     def test_non_followers_ignored(self):
         tracker = make_tracker(pred_threshold=1)
-        assert tracker.record_predecessor_accusation(10, 99, DOMAIN, False) is None
+        assert tracker.record_predecessor_accusation(10, 99, DOMAIN, nobody) is None
         assert 99 not in tracker.evicted
 
     def test_duplicate_accusers_count_once(self):
         tracker = make_tracker(pred_threshold=2)
-        tracker.record_predecessor_accusation(10, 99, DOMAIN, True)
-        assert tracker.record_predecessor_accusation(10, 99, DOMAIN, True) is None
-        assert tracker.predecessor_accuser_count(99, DOMAIN) == 1
+        tracker.record_predecessor_accusation(10, 99, DOMAIN, anyone)
+        assert tracker.record_predecessor_accusation(10, 99, DOMAIN, anyone) is None
+        assert 99 not in tracker.evicted
+        assert tracker.record_predecessor_accusation(11, 99, DOMAIN, anyone) == 99
 
     def test_self_accusation_ignored(self):
         tracker = make_tracker(pred_threshold=1)
-        assert tracker.record_predecessor_accusation(99, 99, DOMAIN, True) is None
+        assert tracker.record_predecessor_accusation(99, 99, DOMAIN, anyone) is None
 
     def test_domains_tally_separately(self):
         tracker = make_tracker(pred_threshold=2)
         other = group_domain(2)
-        tracker.record_predecessor_accusation(10, 99, DOMAIN, True)
-        assert tracker.record_predecessor_accusation(11, 99, other, True) is None
-        assert tracker.predecessor_accuser_count(99, DOMAIN) == 1
-        assert tracker.predecessor_accuser_count(99, other) == 1
+        tracker.record_predecessor_accusation(10, 99, DOMAIN, anyone)
+        assert tracker.record_predecessor_accusation(11, 99, other, anyone) is None
+        assert 99 not in tracker.evicted
+        assert tracker.record_predecessor_accusation(12, 99, other, anyone) == 99
 
     def test_already_evicted_ignored(self):
         tracker = make_tracker(pred_threshold=1)
-        tracker.record_predecessor_accusation(10, 99, DOMAIN, True)
-        assert tracker.record_predecessor_accusation(11, 99, DOMAIN, True) is None
+        tracker.record_predecessor_accusation(10, 99, DOMAIN, anyone)
+        assert tracker.record_predecessor_accusation(11, 99, DOMAIN, anyone) is None
+
+    def test_a_held_accusation_counts_once_its_accuser_follows(self):
+        # Removing a node between the two can only make an accuser a
+        # follower; judged again, the held accusation completes the
+        # verdict whichever order the accusations and the removal took.
+        tracker = make_tracker(pred_threshold=2)
+        standing = {10}
+        follows = lambda accuser, accused: accuser in standing
+        assert tracker.record_predecessor_accusation(10, 99, DOMAIN, follows) is None
+        assert tracker.record_predecessor_accusation(11, 99, DOMAIN, follows) is None
+        assert tracker.rejudge(lambda domain: follows) == []
+        standing.add(11)
+        assert tracker.rejudge(lambda domain: follows) == [(99, DOMAIN, False)]
+        assert 99 in tracker.evicted
+        assert tracker.rejudge(lambda domain: follows) == []
+
+    def test_rejudge_skips_a_gone_domain_and_an_excused_candidate(self):
+        tracker = make_tracker(pred_threshold=1)
+        tracker.record_predecessor_accusation(10, 99, DOMAIN, nobody)
+        tracker.record_rate_high_accusation(10, 98, DOMAIN, nobody)
+        tracker.record_rate_high_accusation(98, 97, DOMAIN, nobody)  # 98 accused upstream
+        assert tracker.rejudge(lambda domain: None) == []
+        assert tracker.rejudge(lambda domain: anyone) == [(99, DOMAIN, False), (97, DOMAIN, True)]
+        assert 97 not in tracker.evicted  # a candidate waits for its grace timer
 
 
 class TestRelayEvidence:
@@ -145,7 +173,8 @@ class TestRelayEvidence:
         assert tracker.evicted == {99}
 
     def test_forget_clears_evidence(self):
-        tracker = make_tracker(pred_threshold=3)
-        tracker.record_predecessor_accusation(10, 99, DOMAIN, True)
+        tracker = make_tracker(pred_threshold=2)
+        tracker.record_predecessor_accusation(10, 99, DOMAIN, anyone)
         tracker.forget(99)
-        assert tracker.predecessor_accuser_count(99, DOMAIN) == 0
+        assert tracker.record_predecessor_accusation(11, 99, DOMAIN, anyone) is None
+        assert 99 not in tracker.evicted

@@ -45,7 +45,6 @@ class TestMembershipView:
     def test_neighbour_shortcuts_match_topology(self):
         view = MembershipView(num_rings=3, members=range(8))
         assert view.successors(0) == view.topology.successors(0)
-        assert view.predecessor_set(0) == view.topology.predecessor_set(0)
 
 
 class TestBroadcastState:

@@ -275,7 +275,7 @@ class TestAccusationHandling:
     def test_threshold_reports_eviction(self):
         node, env = make_node()
         victim = 3
-        followers = env.view.successor_set(victim)
+        followers = env.view.topology.successor_set(victim)
         threshold = node.config.predecessor_accusation_threshold()
         accusers = list(followers)[:threshold]
         for accuser in accusers:
@@ -287,7 +287,7 @@ class TestAccusationHandling:
     def test_non_follower_accusations_ignored(self):
         node, env = make_node()
         victim = 3
-        non_followers = [m for m in env.view.members if m not in env.view.successor_set(victim)]
+        non_followers = [m for m in env.view.members if m not in env.view.topology.successor_set(victim)]
         for accuser in non_followers:
             if accuser == victim:
                 continue
@@ -402,6 +402,33 @@ class TestReplicaRule:
         notices = [(dst, p) for dst, p in env.sent if isinstance(p, EvictionNotice)]
         assert {dst for dst, _p in notices} == successors
         assert {p for _dst, p in notices} == {EvictionNotice(1, 2, channel, "relay")}
+
+    def test_an_accusation_that_convicts_still_reaches_the_accused(self):
+        # The accuser's own accusation completes the conviction: it must
+        # leave over the view it was made in, the accused on it, before
+        # the judging takes the accused out of the replica.
+        config = RacConfig(
+            num_relays=2, num_rings=3, group_min=2, group_max=10**9, message_size=2048,
+            send_interval=0.1, puzzle_bits=2, assumed_opponent_fraction=0.25,
+        )
+        assert config.predecessor_accusation_threshold() == 2
+        env = ReplicaEnv(config, range(1, 9))
+        topology = env.domain_view(group_domain(env.group_of(1))).topology
+        accuser, accused, other = next(
+            (a, x, o)
+            for x in range(1, 9)
+            for a in sorted(topology.successor_set(x))
+            if x in topology.successor_set(a)
+            for o in sorted(topology.successor_set(x) - {a})
+        )
+        node = RacNode(accuser, config, env, env.keys[accuser], KeyPair.generate("sim", seed=99))
+        node.active = True
+        domain = group_domain(env.group_of(accused))
+        node.on_message(other, Accusation(other, accused, domain, "missing-copy", None))
+        assert env.holds(accused)
+        node._accuse(accused, domain, "missing-copy", None)
+        assert not env.holds(accused) and env.evicted[accused]["by"] == accuser
+        assert (accused, Accusation(accuser, accused, domain, "missing-copy", None)) in env.sent
 
     def test_a_second_conviction_of_a_removed_node_notifies_nobody(self):
         node, env, _channel = replica_node(4)

@@ -87,6 +87,26 @@ class TestNeighbourSets:
         topo = RingTopology(range(10), num_rings=5)
         assert len(topo.successors(3)) == 5
 
+    def test_follows_is_a_successor_and_outlives_its_removal(self):
+        members = list(range(12))
+        topo = RingTopology(members, 3)
+        for accused in members:
+            for accuser in members:
+                if accuser != accused:
+                    assert topo.follows(accuser, accused) == (accuser in topo.successor_set(accused))
+        # Removing members only makes more accusers follow, the accuser
+        # itself included; a node off the rings has no followers.
+        before = {(a, x) for a in members for x in members if a != x and topo.follows(a, x)}
+        for gone in (3, 7, 8):
+            topo.remove_node(gone)
+        after = {(a, x) for a in members for x in members if a != x and topo.follows(a, x)}
+        assert {(a, x) for a, x in before if x not in (3, 7, 8)} <= after
+        assert not {x for _a, x in after} & {3, 7, 8}
+        survivors = RingTopology([m for m in members if m not in (3, 7, 8)], 3)
+        assert {(a, x) for a, x in after if a not in (3, 7, 8)} == {
+            (a, x) for a in survivors.members for x in survivors.members if a != x and a in survivors.successor_set(x)
+        }
+
     def test_successor_set_deduplicates(self):
         topo = RingTopology([1, 2], num_rings=4)
         assert topo.successors(1) == [2, 2, 2, 2]
