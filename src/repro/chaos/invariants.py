@@ -220,7 +220,7 @@ class InvariantChecker:
             "directory_checks": 0,
         }
 
-        for at, error in sorted(self.directory_checks):
+        for at, error in sorted(self.directory_checks, key=lambda check: check[0]):
             checks["directory_checks"] += 1
             if error is not None:
                 violations.append(

@@ -13,8 +13,8 @@ A node is removed from the views once evidence accumulates:
   number of opponent followers, on the rings the replica holds now; or
 * (f·G + 1) distinct members of its group blacklist it as a relay.
 
-A node outside the evidence removes it once ⌊f·G⌋ + 1 distinct members
-of its group sent eviction notices. :class:`EvictionTracker` tallies
+A node outside the evidence removes it once ⌊f·G⌋ + 1 distinct ids in
+its group's interval sent eviction notices. :class:`EvictionTracker` tallies
 all three and emits eviction verdicts. It is pure bookkeeping — "is
 the accuser a follower?" is a predicate over the replica's rings that
 the caller passes, so the class stays testable in isolation.
@@ -23,7 +23,7 @@ the caller passes, so the class stays testable in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from .messages import DomainId
 
@@ -73,10 +73,10 @@ class Blacklist:
 class EvictionTracker:
     """Accumulates accusations until an eviction threshold is crossed.
 
-    One instance per node. It holds every accusation, counts those whose
-    accuser ``follows`` the accused on the present rings and counts again
-    after each removal (:meth:`rejudge`), so no verdict depends on arrival
-    order. A relay round counts each list as a set, for the same reason.
+    One instance per node. It holds every accusation and notice, counts those whose accuser
+    ``follows`` the accused on the present rings (a notifier: lies in its group's interval)
+    and counts again after each removal (:meth:`rejudge`, :meth:`notice_verdicts`), so no
+    verdict depends on arrival order. A relay round counts each list as a set, for the same reason.
     """
 
     __slots__ = (
@@ -84,7 +84,7 @@ class EvictionTracker:
         "_relay_threshold",
         "_accusers",
         "_rate_high_filers",
-        "_notifiers",
+        "_notices",
         "evicted",
     )
 
@@ -99,8 +99,8 @@ class EvictionTracker:
         self._accusers: Dict[int, Dict[Tuple[DomainId, bool], Set[int]]] = {}
         #: domain -> nodes that themselves filed a rate-high accusation
         self._rate_high_filers: Dict[DomainId, Set[int]] = {}
-        #: accused -> members that sent an eviction notice about it
-        self._notifiers: Dict[int, Set[int]] = {}
+        #: accused -> every (notifier, kind) eviction notice held about it
+        self._notices: Dict[int, Set[Tuple[int, str]]] = {}
         self.evicted: Set[int] = set()
 
     # -- predecessor evidence ------------------------------------------------
@@ -201,17 +201,21 @@ class EvictionTracker:
                 newly_evicted.append(accused)
         return newly_evicted
 
-    def record_notice(self, notifier: int, accused: int) -> "Optional[int]":
-        """Tally one eviction notice: how many distinct members have now
-        notified about ``accused``, or ``None`` for a repeat notifier."""
-        notifiers = self._notifiers.setdefault(accused, set())
-        if notifier in notifiers:
-            return None
-        notifiers.add(notifier)
-        return len(notifiers)
+    def record_notice(self, notifier: int, accused: int, kind: str) -> None:
+        """Hold one eviction notice; a repeat is a no-op."""
+        self._notices.setdefault(accused, set()).add((notifier, kind))
+
+    def notice_verdicts(self, group_holding: Callable[[int], Any]) -> Iterator[Tuple[int, int, int, str]]:
+        """``(accused, gid, notifier, kind)`` once ⌊f·|D|⌋ + 1 distinct ids D covers sent
+        notices, D the accused's ``group_holding`` when reached: the lowest counted notice."""
+        for accused, notices in sorted(self._notices.items()):
+            group = group_holding(accused)
+            counted = sorted(notice for notice in notices if group is not None and group.covers(notice[0]))
+            if counted and len({notifier for notifier, _kind in counted}) >= self._relay_threshold(len(group)):
+                yield (accused, group.gid, *counted[0])
 
     # -- lifecycle ----------------------------------------------------------------
     def forget(self, node_id: int) -> None:
         """Drop all evidence about a node (it left or was evicted)."""
         self._accusers.pop(node_id, None)
-        self._notifiers.pop(node_id, None)
+        self._notices.pop(node_id, None)

@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Protocol, Tuple, runtime_checkable
 
 from ..groups.channels import ChannelDirectory
-from ..groups.manager import GroupDirectory
+from ..groups.manager import Group, GroupDirectory
 from ..overlay.membership import MembershipView
 from ..simnet.stats import StatsRegistry
 from ..simnet.trace import Tracer
@@ -97,12 +97,8 @@ class NodeEnvironment(Protocol):
         """Send one protocol message to a peer, charged ``size_bytes``."""
         ...
 
-    def holds(self, node_id: int) -> bool:
-        """Whether the node's replica has ``node_id`` in a group."""
-        ...
-
-    def group_of(self, node_id: int) -> int:
-        """Group id of a held node (groups can split; never cache it)."""
+    def group_holding(self, node_id: int) -> "Optional[Group]":
+        """The group (id interval, members) holding ``node_id``, or None; groups split, never cache it."""
         ...
 
     def domain_view(self, domain: DomainId) -> "Optional[MembershipView]":
@@ -144,11 +140,11 @@ class Replica:
     channels: ChannelDirectory
     evicted: "Dict[int, Dict]"
 
-    def holds(self, node_id: int) -> bool:
-        return node_id in self.directory
-
     def group_of(self, node_id: int) -> int:
         return self.directory.group_of_node(node_id).gid
+
+    def group_holding(self, node_id: int) -> "Optional[Group]":
+        return self.directory.group_of_node(node_id) if node_id in self.directory else None
 
     def domain_view(self, domain: DomainId) -> "Optional[MembershipView]":
         kind, key = domain
@@ -165,9 +161,10 @@ class Replica:
     def evict(
         self, accused: int, by: int, domain: DomainId, kind: str
     ) -> "Optional[Dict[DomainId, MembershipView]]":
-        if not self.holds(accused):
+        group = self.group_holding(accused)
+        if group is None:
             return None
-        gid = self.group_of(accused)
+        gid = group.gid
         channels = {
             channel_domain(gid, other): self.channels.channel_view(gid, other)
             for other in sorted(self.directory.groups)

@@ -159,7 +159,7 @@ class RacNode:
     @property
     def gid(self) -> int:
         """Current group id (groups can split, so never cache it)."""
-        return self.env.group_of(self.node_id)
+        return self.env.group_holding(self.node_id).gid
 
     def group_domain_id(self) -> DomainId:
         return group_domain(self.gid)
@@ -687,27 +687,21 @@ class RacNode:
             self._flood_control(EvictionNotice(self.node_id, accused, channel, kind), view)
 
     def _ingest_notice(self, notice: EvictionNotice) -> None:
-        """Rule (ii): remove the accused once ⌊f·|D|⌋ + 1 distinct
-        members of its group D, as this replica holds D, notified."""
-        env, accused = self.env, notice.accused
-        if not env.holds(accused):
-            self._count("eviction_notice_stale")
-            return
-        gid = env.group_of(accused)
-        view = env.domain_view(group_domain(gid))
-        if notice.accuser not in view:
-            self._count("eviction_notice_outsider")
-            return
-        notifiers = self.eviction_tracker.record_notice(notice.accuser, accused)
-        if notifiers is None:
-            self._count("eviction_notice_repeated")
-            return
-        if notifiers >= self.config.relay_accusation_threshold(len(view)):
-            env.evict(accused, notice.accuser, group_domain(gid), notice.kind)
+        """Rule (ii): hold a notice about a node this replica still holds, then judge."""
+        if self.env.group_holding(notice.accused) is None:
+            return self._count("eviction_notice_stale")
+        self.eviction_tracker.record_notice(notice.accuser, notice.accused, notice.kind)
+        self._judge_notices()
+
+    def _judge_notices(self) -> None:
+        """Remove X once ids in the interval of its group D, as held now, sent ⌊f·|D|⌋ + 1
+        notices: a removed notifier still counts (the id fixes the group), an outsider never."""
+        for accused, gid, by, kind in self.eviction_tracker.notice_verdicts(self.env.group_holding):
+            self.env.evict(accused, by, group_domain(gid), kind)
 
     # -- membership events ------------------------------------------------------------
     def on_evicted(self, node_id: int) -> None:
-        """Another node left the replica: purge its monitoring state and judge held accusations again."""
+        """Another node left the replica: purge its monitoring state and judge held evidence again."""
         self.rate_monitor.untrack(node_id)
         for monitor in self._pred_monitors.values():
             monitor.forget_node(node_id)
@@ -715,6 +709,7 @@ class RacNode:
         if self.active:
             for accused, domain, rate_high in self.eviction_tracker.rejudge(self._follows_in):
                 self._judged(accused, domain, rate_high)
+            self._judge_notices()
 
     def _follows_in(self, domain: DomainId) -> "Optional[Follows]":
         view = self.env.domain_view(domain)

@@ -231,7 +231,7 @@ class LiveNode:
     def send(self, destination: NodeMaterial, payload: bytes) -> bool:
         """Queue an anonymous message to ``destination``; False while this
         node is not running or its replica does not hold the destination."""
-        if self.rac is None or not self.rac.active or not self.env.holds(destination.node_id):
+        if self.rac is None or not self.rac.active or self.env.group_holding(destination.node_id) is None:
             return False
         gid = self.env.group_of(destination.node_id)
         return self.rac.queue_message(destination.pseudonym_keypair.public, gid, payload)

@@ -849,10 +849,13 @@ def _judged_live(
     """Judge a live run from its :class:`~repro.live.cluster.LiveReport`;
     ``started`` is the loop time of the run's t=0. A verdict counts from
     the first replica that reached it; the blacklists, directories and
-    digests are the still-running replicas'."""
+    digests are the still-running replicas', and active ones must agree."""
     running = [r for r in report.reports if r["running"]]
     for r in running:
         checker.record_directory_check(end, r["directory_error"])
+    digests = {r["node_id"]: r["digest"] for r in running if r["active"]}
+    if len(set(digests.values())) > 1:
+        checker.record_directory_check(end, f"replicas hold {len(set(digests.values()))} directories: {digests}")
     counters = report.counters()
     counters.update(_churn_counters(*(r["reconfigurations"] for r in report.reports)))
     return _judged(
@@ -860,7 +863,7 @@ def _judged_live(
         [Eviction(*e) for e in report.evictions(started)],
         {r["node_id"]: set(r["blacklist"]) for r in running}, end, counters=counters,
         errors=report.errors,
-        directory_digests={r["node_id"]: r["digest"] for r in running if r["active"]},
+        directory_digests=digests,
         **measured,
     )
 

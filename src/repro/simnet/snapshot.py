@@ -86,7 +86,8 @@ __all__ = [
 #: /15: a system holds no contract switch and an eviction tracker its
 #: predecessor threshold as an int (no partial over the node's env).
 #: /16: an eviction tracker holds every accusation in one ``_accusers`` store.
-SNAPSHOT_MAGIC = b"RACSNAP/16\n"
+#: /17: an eviction tracker holds every ``(notifier, kind)`` notice in ``_notices``.
+SNAPSHOT_MAGIC = b"RACSNAP/17\n"
 _MAGIC_PREFIX = b"RACSNAP/"
 
 

@@ -12,7 +12,7 @@ heard about last.
 import dataclasses
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.config import RacConfig
 from repro.core.environment import Replica
@@ -114,12 +114,6 @@ def test_observers_of_one_group_end_on_one_digest(data):
     assert len(digests(CONFIG, members, orders)) == 1
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP 19: a notice is judged against the replica's current view on arrival "
-    "(core/node.py::RacNode._ingest_notice), so its threshold over len(view) shrinks "
-    "with each removal and a tally that fell short earlier is never counted again",
-)
 def test_observers_of_two_groups_agree_on_channel_notices():
     # Seven is the most a group holds: the eighth join splits the ids at
     # their median into {0, 1, 2, 3} and {4, b1, b2, b3}. Notices about
@@ -138,6 +132,36 @@ def test_observers_of_two_groups_agree_on_channel_notices():
     # Heard first, b1's notice about b2 falls short of two; heard after
     # 4 left, it meets the threshold of one.
     assert len(digests(config, members, [[first, *against_4], [*against_4, first]])) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_observers_of_two_groups_agree_on_accusations_and_notices(data):
+    # Notices about a group's members cross the channel from ids in and
+    # out of its interval, mixed with the accusations inside each group.
+    # Each group loses at most |G| - group_min members, so none dissolves.
+    config = dataclasses.replace(CONFIG, group_max=7)
+    members = data.draw(st.lists(ids, min_size=8, max_size=12, unique=True))
+    directory = ObserverEnv(config, members).directory
+    assume(len(directory.groups) == 2)
+    channel = channel_domain(*sorted(directory.groups))
+    messages = set()
+    for gid, group in sorted(directory.groups.items()):
+        topology, in_group = group.view.topology, sorted(group.members)
+        doomed = data.draw(st.lists(st.sampled_from(in_group), max_size=len(in_group) - config.group_min, unique=True))
+        if not doomed:
+            continue
+        followers = [(a, x) for x in doomed for a in sorted(topology.successor_set(x))]
+        pairs = data.draw(st.lists(st.sampled_from(followers), max_size=2 * len(doomed)))
+        pairs += data.draw(st.lists(st.tuples(st.sampled_from(in_group), st.sampled_from(doomed)), max_size=2))
+        messages.update(Accusation(a, x, group_domain(gid), "missing-copy", None) for a, x in pairs if a != x)
+        notices = data.draw(st.lists(st.tuples(st.sampled_from(sorted(members)), st.sampled_from(doomed)), max_size=3 * len(doomed)))
+        kinds = st.sampled_from(["predecessor", "relay"])
+        messages.update(EvictionNotice(n, x, channel, data.draw(kinds)) for n, x in notices)
+    messages = sorted(messages, key=repr)
+    k = data.draw(st.integers(min_value=2, max_value=4))
+    orders = [data.draw(st.permutations(messages)) for _ in range(k)]
+    assert len(digests(config, members, orders)) == 1
 
 
 @pytest.mark.xfail(

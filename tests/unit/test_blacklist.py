@@ -5,6 +5,7 @@ import pytest
 from repro.core.blacklist import Blacklist, EvictionTracker
 from repro.core.config import RacConfig
 from repro.core.messages import group_domain
+from repro.groups.manager import Group
 
 
 class TestBlacklist:
@@ -178,3 +179,30 @@ class TestRelayEvidence:
         tracker.forget(99)
         assert tracker.record_predecessor_accusation(11, 99, DOMAIN, anyone) is None
         assert 99 not in tracker.evicted
+
+
+class TestNoticeEvidence:
+    """Notices are held; a verdict counts the notifiers in the accused's
+    group's id interval against ⌊f·|D|⌋ + 1 over the group as given now."""
+
+    def group(self, lo, hi, size):
+        group = Group(7, lo, hi, num_rings=3)
+        for member in range(lo, lo + size):
+            group.view.add(member)
+        return group
+
+    def test_only_notifiers_in_the_interval_count_and_a_repeat_is_a_no_op(self):
+        tracker = make_tracker(relay_threshold=2)
+        group = self.group(10, 20, 5)
+        for notifier, kind in [(12, "relay"), (12, "relay"), (12, "predecessor"), (30, "relay")]:
+            tracker.record_notice(notifier, 11, kind)
+        assert list(tracker.notice_verdicts(lambda accused: group)) == []
+        tracker.record_notice(19, 11, "relay")  # in the interval, not among the members
+        assert list(tracker.notice_verdicts(lambda accused: group)) == [(11, 7, 12, "predecessor")]
+
+    def test_a_gone_accused_and_a_forgotten_one_have_no_verdict(self):
+        tracker = make_tracker(relay_threshold=1)
+        tracker.record_notice(12, 11, "relay")
+        assert list(tracker.notice_verdicts(lambda accused: None)) == []
+        tracker.forget(11)
+        assert list(tracker.notice_verdicts(lambda accused: self.group(10, 20, 5))) == []

@@ -611,7 +611,7 @@ def test_live_environment_eviction_updates_replica():
     victim, by = roster[2].node_id, roster[1].node_id
     gid = env.group_of(victim)
     assert env.evict(victim, by, ("group", gid), "relay") == {}  # one group: no channel
-    assert victim not in env.peers and not env.holds(victim)
+    assert victim not in env.peers and victim not in env.directory
     view = env.domain_view(("group", env.group_of(roster[0].node_id)))
     assert view is None or victim not in view
     assert env.evicted[victim] == {"by": by, "domain": ("group", gid), "kind": "relay", "at": 0.0, "gid": gid}
@@ -620,7 +620,7 @@ def test_live_environment_eviction_updates_replica():
     assert env.evict(victim, roster[3].node_id, ("group", gid), "relay") is None
     # A copy of the replica (a joiner's, a restarted node's) agrees.
     copy = LiveEnvironment(roster[3].node_id, config, env.roster, membership_log=env.log)
-    assert not copy.holds(victim) and copy.log == env.log
+    assert victim not in copy.directory and copy.log == env.log
     # The replica's own eviction stops the node it hosts: its timers
     # must not keep ticking against a directory that no longer holds it.
     me = build_population(RacConfig.small(), 4)[0]
@@ -642,7 +642,7 @@ def test_cluster_requires_two_nodes():
         LiveCluster(1)
 
 
-def _node_report(node_id, epoch, *, delivered=(), counters=None, evicted=(), running=True):
+def _node_report(node_id, epoch, *, delivered=(), counters=None, evicted=(), running=True, digest="d"):
     """A :meth:`LiveNode.report` as a worker prints it: times on the
     node's own clock, which started at loop time ``epoch``."""
     return {
@@ -658,7 +658,7 @@ def _node_report(node_id, epoch, *, delivered=(), counters=None, evicted=(), run
             for accused, at in evicted
         ],
         "reconfigurations": {},
-        "digest": "d",
+        "digest": digest,
         "directory_error": None,
         "errors": [],
     }
@@ -696,3 +696,18 @@ def test_live_report_merges_incarnations_and_keeps_the_earliest_eviction():
     assert [e.by for e in outcome.evictions] == [c, a]
     assert outcome.deliveries == [(0.5, b, b"b1"), (1.0, a, b"a1"), (3.25, b, b"b2")]
     assert outcome.errors == ["traffic: stopped"]
+
+
+def test_the_judge_fails_a_live_run_whose_replicas_disagree():
+    scenario = Scenario.from_params({"substrate": "live", "nodes": 4, "horizon": 4.0}, 0, "live")
+    node_ids = [m.node_id for m in build_population(scenario.configuration(), 4, 0)]
+
+    def judged(*digests):
+        report = LiveReport([_node_report(n, 100.0, digest=d) for n, d in zip(node_ids, digests)], [])
+        checker = _checker(scenario, node_ids, scenario.fault_plan())
+        return _judged_live(scenario, node_ids, checker, report, 100.0, 4.0)
+
+    assert judged("d", "d", "d", "d").ok
+    split = judged("d", "d", "e", "d")
+    assert [v.invariant for v in split.report.violations] == ["safety-directory"]
+    assert "replicas hold 2 directories" in split.render()

@@ -16,8 +16,7 @@ from repro.core.node import RacNode
 from repro.core.onion import build_onion
 from repro.crypto.keys import KeyPair
 from repro.groups.channels import ChannelDirectory
-from repro.groups.manager import GroupDirectory
-from repro.overlay.membership import MembershipView
+from repro.groups.manager import Group, GroupDirectory
 from repro.simnet.stats import StatsRegistry
 from repro.simnet.trace import Tracer
 
@@ -35,7 +34,8 @@ class StubEnv:
         self.reserved = 0  # tickets drawn
         self.evictions = []
         self.delivered = []
-        self.view = MembershipView(config.num_rings)
+        self.group = Group(1, 0, 1 << 128, config.num_rings)  # one group covers every id
+        self.view = self.group.view
         self.keys = {}
         for member in member_ids:
             keypair = KeyPair.generate("sim", seed=member)
@@ -56,9 +56,6 @@ class StubEnv:
     def unicast(self, src, dst, payload, size):
         self.sent.append((src, dst, payload, size))
 
-    def group_of(self, node_id):
-        return 1
-
     def domain_view(self, domain):
         return self.view if domain == group_domain(1) else None
 
@@ -71,8 +68,8 @@ class StubEnv:
     def on_delivered(self, node_id, payload):
         self.delivered.append((node_id, payload))
 
-    def holds(self, node_id):
-        return node_id in self.view
+    def group_holding(self, node_id):
+        return self.group if node_id in self.view else None
 
     def evict(self, accused, by, domain, kind):
         self.evictions.append((by, accused, kind))
@@ -366,11 +363,12 @@ class TestReplicaRule:
         threshold = node.config.relay_accusation_threshold(6)
         for notifier in (4, 6, 7)[: threshold - 1]:
             node.on_message(notifier, EvictionNotice(notifier, 5, channel, "relay"))
-        assert env.holds(5) and not env.evicted
+        assert 5 in env.directory and not env.evicted
         node.on_message(8, EvictionNotice(8, 5, channel, "relay"))
-        assert not env.holds(5)
+        assert 5 not in env.directory
         gid = env.group_of(9)
-        assert env.evicted[5] == {"by": 8, "domain": ("group", gid), "kind": "relay", "at": 0.0, "gid": gid}
+        # The record names the lowest counted notice, not the last to arrive.
+        assert env.evicted[5] == {"by": 4, "domain": ("group", gid), "kind": "relay", "at": 0.0, "gid": gid}
         # Every notice is flooded on over the channel, applied or not.
         assert sum(isinstance(p, EvictionNotice) for _dst, p in env.sent) == 3 * threshold
 
@@ -381,15 +379,38 @@ class TestReplicaRule:
         node.on_message(2, EvictionNotice(2, 5, channel, "relay"))  # group A is not 5's group
         node.on_message(6, EvictionNotice(6, 999, channel, "relay"))  # never a member
         counts = env.stats.counts
-        assert counts["eviction_notice_repeated"] == 1
-        assert counts["eviction_notice_outsider"] == 1
         assert counts["eviction_notice_stale"] == 1
-        for notifier in (6, 7):
-            node.on_message(notifier, EvictionNotice(notifier, 5, channel, "relay"))
-        assert not env.holds(5)
+        # Three notices are held about 5, but only 4 counts: one short of
+        # the threshold of 3 after 6's, met at 7's.
+        node.on_message(6, EvictionNotice(6, 5, channel, "relay"))
+        assert 5 in env.directory
+        node.on_message(7, EvictionNotice(7, 5, channel, "relay"))
+        assert 5 not in env.directory
+        assert (env.evicted[5]["by"], env.evicted[5]["kind"]) == (4, "predecessor")
         node.on_message(8, EvictionNotice(8, 5, channel, "relay"))  # already removed
         assert counts["eviction_notice_stale"] == 2
         assert set(env.evicted) == {5}
+
+    def test_a_notice_from_a_notifier_already_removed_still_counts(self):
+        # Its id still lies in the group's interval. With 9 gone the
+        # threshold is ⌊0.34·5⌋ + 1 = 2: notices from 9 and 4 remove 5.
+        node, env, channel = replica_node(1)
+        env.evict(9, 8, group_domain(env.group_of(9)), "relay")
+        node.on_message(9, EvictionNotice(9, 5, channel, "relay"))
+        assert 5 in env.directory
+        node.on_message(4, EvictionNotice(4, 5, channel, "relay"))
+        assert 5 not in env.directory and env.evicted[5]["by"] == 4
+
+    def test_a_held_tally_is_judged_again_after_a_removal(self):
+        # Two notices fall short of 3 while group B holds six; once 9
+        # leaves, the same two meet the threshold of 2.
+        node, env, channel = replica_node(1)
+        for notifier in (4, 6):
+            node.on_message(notifier, EvictionNotice(notifier, 5, channel, "relay"))
+        assert 5 in env.directory
+        env.evict(9, 8, group_domain(env.group_of(9)), "relay")
+        node.on_evicted(9)
+        assert 5 not in env.directory and env.evicted[5]["by"] == 4
 
     def test_a_conviction_that_dissolves_the_group_still_notifies_its_channels(self):
         node, env, channel = replica_node(1)
@@ -425,9 +446,9 @@ class TestReplicaRule:
         node.active = True
         domain = group_domain(env.group_of(accused))
         node.on_message(other, Accusation(other, accused, domain, "missing-copy", None))
-        assert env.holds(accused)
+        assert accused in env.directory
         node._accuse(accused, domain, "missing-copy", None)
-        assert not env.holds(accused) and env.evicted[accused]["by"] == accuser
+        assert accused not in env.directory and env.evicted[accused]["by"] == accuser
         assert (accused, Accusation(accuser, accused, domain, "missing-copy", None)) in env.sent
 
     def test_a_second_conviction_of_a_removed_node_notifies_nobody(self):

@@ -223,6 +223,30 @@ def _rac15_tracker() -> bytes:
         blacklist.EvictionTracker = real
 
 
+def _rac16_tracker() -> bytes:
+    """Pickles the way a ``RACSNAP/16`` eviction tracker did: its notices
+    as notifier sets in ``_notifiers``, without their kinds."""
+    from repro.core import blacklist
+
+    class EvictionTracker:
+        __slots__ = (
+            "_predecessor_threshold", "_relay_threshold", "_accusers",
+            "_rate_high_filers", "_notifiers", "evicted",
+        )
+
+    EvictionTracker.__module__ = blacklist.__name__
+    EvictionTracker.__qualname__ = "EvictionTracker"
+    tracker = EvictionTracker()
+    for name in EvictionTracker.__slots__:
+        setattr(tracker, name, {})
+    tracker._predecessor_threshold, tracker._relay_threshold = 2, len
+    real, blacklist.EvictionTracker = blacklist.EvictionTracker, EvictionTracker
+    try:
+        return pickle.dumps(tracker)
+    finally:
+        blacklist.EvictionTracker = real
+
+
 def _rac10_calendar() -> bytes:
     """Pickles the way a ``RACSNAP/10`` calendar did: every pending
     entry, a hop nobody holds included, a ``ScheduledEvent`` pointing
@@ -560,6 +584,7 @@ class TestSnapshotErrors:
         # A RACSNAP/13 transport unpickles without its path choice.
         # A RACSNAP/14 tracker names a node function that is gone.
         # A RACSNAP/15 tracker holds two accuser tallies it has no slot for.
+        # A RACSNAP/16 tracker holds kindless notifier sets it has no slot for.
         body = pickle.dumps((_Rac2Event(), _Rac3Monitor()))
         for stale in (_Rac2Event(), _Rac3Monitor()):
             with pytest.raises(AttributeError):
@@ -591,13 +616,16 @@ class TestSnapshotErrors:
         rac15 = _rac15_tracker()
         with pytest.raises(AttributeError, match="_predecessor_accusers"):
             pickle.loads(rac15)
+        rac16 = _rac16_tracker()
+        with pytest.raises(AttributeError, match="_notifiers"):
+            pickle.loads(rac16)
         bodies = {version: body for version in ("1", "2", "3", "4", "5", "6")}
         stale = {**bodies, "7": rac7, "8": rac8, "9": rac9, "10": rac10, "11": rac11, "12": rac12}
-        stale["13"], stale["14"], stale["15"] = rac13, rac14, rac15
+        stale["13"], stale["14"], stale["15"], stale["16"] = rac13, rac14, rac15, rac16
         for version, stale_body in stale.items():
             old = f"RACSNAP/{version}\n".encode() + stale_body
             with pytest.raises(
-                SnapshotError, match=f"version mismatch: blob is RACSNAP/{version},.*RACSNAP/16"
+                SnapshotError, match=f"version mismatch: blob is RACSNAP/{version},.*RACSNAP/17"
             ):
                 restore_system(old)
             path = tmp_path / "old.snap"
