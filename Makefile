@@ -105,7 +105,7 @@ ci:  # what .github/workflows/ci.yml runs
 	$(PYTHON) benchmarks/rac_bench/run.py --workload sim-flood-40 --seconds 2 --trace 0  # one real workload; non-zero exit = failed operations or checks
 	$(PYTHON) benchmarks/rac_bench/run.py --workload sim-storm-16 --seconds 2 --trace 0  # the loss path: retransmits, crash-restart outages, a silent relay convicted
 	$(PYTHON) benchmarks/rac_bench/run.py --workload sim-onion-dh-12 --seconds 2 --trace 0  # DH onions: the only run of a trial peel that misses on the DH backend
-	$(PYTHON) benchmarks/rac_bench/run.py --workload sharded-serial-256 --seconds 2 --trace 0  # jittered shards: the only run of the ARQ and snapshots without faults
+	$(PYTHON) benchmarks/rac_bench/run.py --workload sharded-serial-256 --seconds 2 --trace 0  # jittered shards: the only run of snapshots and of the sequenced direct path
 	$(PYTHON) benchmarks/rac_bench/run.py --workload live-loopback-8 --seconds 2 --trace 0  # live loopback: the only run of LiveCluster.shutdown -> LiveReport as the benchmark reads it
 
 examples:  # every examples/*.py through the public API (system.evicted, stats_report(), ...)

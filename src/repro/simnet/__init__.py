@@ -6,9 +6,9 @@
 * :mod:`repro.simnet.faults` — seeded packet loss, outages, partitions
   and bandwidth degradation layered onto the star network;
 * :mod:`repro.simnet.transport` — the TCP-like reliable FIFO per-pair
-  delivery of paper footnote 6: direct on a star that can never lose or
-  reorder a packet, an ARQ (per-segment ACKs, retransmission with
-  backoff, Jacobson RTO) on every other;
+  delivery of paper footnote 6: direct on a star that can never lose a
+  packet (sequenced where it can reorder one), an ARQ (per-segment
+  ACKs, retransmission with backoff, Jacobson RTO) on every other;
 * :mod:`repro.simnet.stats` — throughput meters and the count registry;
 * :mod:`repro.simnet.trace` — structured protocol event tracing.
 """

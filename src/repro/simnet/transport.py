@@ -9,23 +9,26 @@ message from a predecessor is evidence of freeriding, not of loss.
 first :meth:`~ReliableTransport.send`, from what the network it was
 given can do:
 
-* **Direct**, when the network can never lose or reorder a packet: the
-  star is :attr:`~repro.simnet.network.StarNetwork.overtaking_free` and
-  its injector :attr:`~repro.simnet.faults.FaultInjector.faultless`.
-  Footnote 6 then holds trivially, so a segment is the payload itself,
-  handed up on arrival: no seqno, no retransmit ticket, no ACK packet
-  and no hold-back queue. The ACK the receiver's TCP would send is
-  still paid for: its 40 bytes occupy the receiver's uplink exactly as
-  the ARQ's ACK would, with no event. (The reverse downlink is not
-  charged: the ACK would reach it only once that uplink's backlog
-  drains, and a :class:`~repro.simnet.network.Link` has one horizon,
-  not a schedule with gaps.) The choice is final: the injector is
-  sealed, and a loss rate or fault window added later raises
+* **Direct**, when the network can never lose a packet: its injector
+  is :attr:`~repro.simnet.faults.FaultInjector.faultless`, or it has
+  none. Footnote 6 then holds by construction, so a segment is sent
+  once: no retransmit ticket, no watch, no RTT sample and no ACK
+  packet. The ACK the receiver's TCP would send is still paid for: its
+  40 bytes occupy the receiver's uplink exactly as the ARQ's ACK would,
+  with no event. (The reverse downlink is not charged: the ACK would
+  reach it only once that uplink's backlog drains, and a
+  :class:`~repro.simnet.network.Link` has one horizon, not a schedule
+  with gaps.) Whether the star can *reorder* decides one thing only: on
+  an :attr:`~repro.simnet.network.StarNetwork.overtaking_free` star a
+  segment is the bare payload, handed up on arrival; on one with
+  jitter or a WAN topology's pair delay (:data:`SEQUENCED`) it is
+  ``(seqno, payload)``, released in per-pair send order by the ARQ's
+  own hold-back queue. The choice is final: the injector is sealed,
+  and a loss rate or fault window added later raises
   :class:`~repro.simnet.engine.SimulationError` — a segment in flight
   has no copy to resend.
-* **ARQ** otherwise (loss, any fault window, jitter, a WAN topology's
-  pair delay). With the fault-injection layer
-  (:mod:`repro.simnet.faults`) the network drops, delays and
+* **ARQ** otherwise (loss, any fault window). With the fault-injection
+  layer (:mod:`repro.simnet.faults`) the network drops, delays and
   black-holes packets, so this is a real ARQ:
 
   * every data segment carries a per-pair sequence number and is
@@ -51,7 +54,7 @@ given can do:
     retransmitted segments, the RTO never learns the real RTT, and the
     spurious retransmissions feed the very congestion that caused them;
   * the receiver suppresses duplicates (a lost ACK makes the sender
-    retransmit an already-delivered segment) and re-ACKs them, and a
+    retransmit an already-delivered segment) and re-ACKs them, and the
     hold-back queue releases segments strictly in per-pair send order.
 
 Either way the contract is the one protocol code always assumed: every
@@ -63,16 +66,20 @@ inherited from the substrate.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from .network import Packet, StarNetwork
 
-__all__ = ["Segment", "Ack", "ReliableTransport"]
+__all__ = ["Segment", "Ack", "ReliableTransport", "SEQUENCED"]
 
 Pair = Tuple[int, int]
 #: A reserved ``(time, seq)`` place in the calendar (see
 #: :meth:`repro.simnet.engine.Simulator.reserve`).
 Ticket = Tuple[float, int]
+
+#: :attr:`ReliableTransport.direct` on a lossless star that can reorder:
+#: the direct path, with a per-pair seqno and the hold-back queue.
+SEQUENCED = "sequenced"
 
 
 class Segment:
@@ -127,7 +134,7 @@ class _SendState:
     """Sender-side state of one ordered pair: the next sequence number,
     the unacknowledged segments and the Jacobson estimator (``rto`` is
     the clamped timeout ``srtt`` and ``rttvar`` imply, refreshed with
-    every sample)."""
+    every sample). The sequenced direct path uses the seqno alone."""
 
     __slots__ = ("next_seq", "outstanding", "srtt", "rttvar", "rto")
 
@@ -154,12 +161,14 @@ class ReliableTransport:
     """Exactly-once, per-pair FIFO message delivery over a lossy network.
 
     One instance serves a whole simulation: protocol nodes register a
-    handler per node id, then call :meth:`send`. The transport adds a
-    fixed per-message header size to model framing overhead; ACKs are
-    header-only packets (on the direct path, header-only charges; see
-    the module docstring). Its :attr:`TALLIES` are plain ints kept here
-    and nowhere else; ``RacSystem.stats_report()`` names them
-    ``transport_*``.
+    handler per node id, then call :meth:`send`. A network that can
+    lose a packet gets the ARQ; one that cannot gets the direct path,
+    and of that, one that can reorder gets the seqno and the hold-back
+    (the module docstring). The transport adds a fixed per-message
+    header size to model framing overhead; ACKs are header-only packets
+    (on the direct path, header-only charges). Its :attr:`TALLIES` are
+    plain ints kept here and nowhere else; ``RacSystem.stats_report()``
+    names them ``transport_*``.
     """
 
     HEADER_BYTES = 40  # IP + TCP headers, rounded
@@ -223,8 +232,10 @@ class ReliableTransport:
         #: exhausts its retry budget — the peer is unreachable.
         self.on_failure = on_failure
         #: The path, decided at the first :meth:`send` (see the module
-        #: docstring): None until then, True for direct, False for ARQ.
-        self.direct: "Optional[bool]" = None
+        #: docstring): None until then, False for the ARQ, and for the
+        #: direct path True on an overtaking-free star, :data:`SEQUENCED`
+        #: on one that can reorder.
+        self.direct: "Union[None, bool, str]" = None
 
         self._handlers: Dict[int, Callable[[int, Any], None]] = {}
         self._senders: Dict[Pair, _SendState] = {}
@@ -281,8 +292,8 @@ class ReliableTransport:
         direct = self.direct
         if direct is None:
             direct = self._choose_path()
-        if direct:
-            self.segments_sent += 1
+        self.segments_sent += 1
+        if direct is True:
             self.network.send(src, dst, payload, size_bytes + self.HEADER_BYTES)
             return
         pair = (src, dst)
@@ -291,18 +302,23 @@ class ReliableTransport:
             state = self._senders[pair] = _SendState(self.rto_initial)
         seqno = state.next_seq
         state.next_seq = seqno + 1
+        if direct:
+            self.network.send(src, dst, (seqno, payload), size_bytes + self.HEADER_BYTES)
+            return
         out = state.outstanding[seqno] = _Outstanding(payload, seqno, size_bytes + self.HEADER_BYTES)
-        self.segments_sent += 1
         self._transmit(pair, state, out)
 
-    def _choose_path(self) -> bool:
-        """Take the direct path if the network can never lose or reorder
-        a packet, and seal its injector so that it never will."""
+    def _choose_path(self) -> "Union[bool, str]":
+        """Take the direct path if the network can never lose a packet,
+        and seal its injector so that it never will; sequence it if the
+        star can reorder."""
         network = self.network
         faults = network.faults
-        direct = network.overtaking_free and (faults is None or faults.faultless)
-        if direct and faults is not None:
-            faults.sealed = True
+        direct: "Union[bool, str]" = False
+        if faults is None or faults.faultless:
+            if faults is not None:
+                faults.sealed = True
+            direct = True if network.overtaking_free else SEQUENCED
         self.direct = direct
         return direct
 
@@ -445,13 +461,18 @@ class ReliableTransport:
         segment = packet.payload
         src = packet.src
         dst = packet.dst
-        if self.direct:
+        direct = self.direct
+        if direct:
             # The ACK's bytes, and nothing else of it (module docstring).
             self.acks_sent += 1
             self.network.uplinks[dst].occupy(self.ACK_BYTES)
-            handler = self._handlers.get(dst)
-            if handler is not None:
-                handler(src, segment)
+            if direct is True:
+                handler = self._handlers.get(dst)
+                if handler is not None:
+                    handler(src, segment)
+                return
+            seqno, payload = segment
+            self._release(src, dst, seqno, payload)
             return
         if type(segment) is Ack:
             # The ACK travels dst -> src, so the data pair is the reverse.
@@ -459,12 +480,18 @@ class ReliableTransport:
             return
         if type(segment) is not Segment:
             raise TypeError("ReliableTransport received a raw packet")
-        pair = (src, dst)
         seqno = segment.seqno
         # Every received segment is ACKed — including duplicates, whose
         # original ACK may be the very packet the network ate.
         self.acks_sent += 1
         self.network.send(dst, src, Ack(seqno, segment.ts), self.ACK_BYTES)
+        self._release(src, dst, seqno, segment.payload)
+
+    def _release(self, src: int, dst: int, seqno: int, payload: Any) -> None:
+        """Hand ``payload`` up in per-pair send order: at once, with the
+        held-back segments it unblocks, if it is the next one; held back
+        if it is early; counted and dropped if it is a duplicate."""
+        pair = (src, dst)
         state = self._receivers.get(pair)
         if state is None:
             state = self._receivers[pair] = _RecvState()
@@ -474,14 +501,14 @@ class ReliableTransport:
             if seqno < expected or seqno in holdback:
                 self.duplicates += 1
             else:
-                holdback[seqno] = segment.payload
+                holdback[seqno] = payload
             return
         # In sequence: the handler gets it without a hold-back round trip.
         expected += 1
         state.expected = expected
         handler = self._handlers.get(dst)
         if handler is not None:
-            handler(src, segment.payload)
+            handler(src, payload)
         holdback = state.holdback
         while holdback and expected in holdback:
             payload = holdback.pop(expected)

@@ -27,6 +27,7 @@ from repro.core.config import RacConfig
 from repro.core.messages import Broadcast
 from repro.core.system import RacSystem
 from repro.simnet.engine import Simulator
+from repro.simnet.transport import SEQUENCED
 
 # Everything observable (wire bytes, trace, deliveries): recorded from
 # the seed (pre-optimisation) implementation and never moved since.
@@ -196,8 +197,13 @@ def test_snapshot_restore_replays_byte_identically():
 # drops, re-times or re-numbers a single event fails here even when the
 # totals still agree. Recorded on the commit before the list-backed
 # event record replaced the dataclass + wrapper tuple.
+# The WAN pin was re-recorded once (ab79437e... before), when a
+# faultless star that can reorder took the direct path with seqnos and
+# the hold-back: no ACK packet, ticket or watch, so 77,164 events fell
+# to 34,676 (its 76 spurious retransmissions went too). Every node
+# delivered the same payloads and nobody was evicted, before or after.
 EXPECTED_ORDER_LOSSY = "3f7b2528b8523e2676ef81cccb32575e6a6623b219f1e35ca739bd584220308c"
-EXPECTED_ORDER_WAN = "ab79437ee3b92e50fc15d688e56bd3520820f3ae31780848e7e2dce30a251af2"
+EXPECTED_ORDER_WAN = "f226e21fd263e0aa6ca856b2bc5dffcbef3580748ae6535b88bb0949978c555f"
 # The freerider scenario fires predecessor checks *with verdicts* (the
 # two pins above never dispatch one that finds anything). Recorded on
 # the commit before the owed-set monitor: the dispatch hash leaves out
@@ -233,8 +239,10 @@ EXPECTED_VERDICTS_FREERIDER = "bea4ba73c7f241b07c205f3c2af05f4bde83b31030a66960f
 # ARQ firings that find their ticket settled, so a run's events less
 # those firings must equal its count here. The freerider run is on a
 # lossless star, so it has no ARQ since its transport went direct: its
-# count is its events (97,764 less settled firings before).
-TIMER_EVENTS = {"lossy": 222_592, "wan": 69_081, "freerider": 49_346, "storm": 204_547}
+# count is its events (97,764 less settled firings before). The WAN run
+# has none either since a faultless star that can reorder went direct
+# too (69,081 before).
+TIMER_EVENTS = {"lossy": 222_592, "wan": 34_676, "freerider": 49_346, "storm": 204_547}
 
 
 class _OrderRecordingSimulator(Simulator):
@@ -396,6 +404,7 @@ def test_lossy_crash_restart_event_order_is_pinned():
 def test_wan_king_event_order_is_pinned():
     system = wan_event_order()
     assert any(key.startswith("net_pair_delayed_") for key in system.stats_report())
+    assert system.transport.direct == SEQUENCED and system.sim.arq_firings == {}
     assert system.sim.order_hash.hexdigest() == EXPECTED_ORDER_WAN
     assert system.sim.events_without_settled_arq() == TIMER_EVENTS["wan"]
 

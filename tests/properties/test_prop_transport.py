@@ -11,12 +11,14 @@ the footnote-6 contract protocol code relies on:
   cancellable timer per transmission would: the same retransmissions
   and the same give-ups, at the same instants, under loss, outages and
   crash-restarts;
-* on a star that can never lose or reorder a packet, the direct path
-  delivers what the ARQ delivers: the same per-pair sequences, each
-  receive within the time the ARQ's ACKs held the links.
+* on a star that can never lose a packet, the direct path delivers
+  what the ARQ delivers: the same per-pair sequences, each payload
+  once, also where jitter reorders the star; and where nothing can
+  reorder it, each receive within the time the ARQ's ACKs held the
+  links.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.simnet.engine import Simulator
 from repro.simnet.faults import FaultInjector
@@ -227,14 +229,17 @@ timed_plans = st.lists(
 ).map(lambda sends: [(NODES[s], NODES[d], at, size) for s, d, at, size in sends if s != d])
 
 
-def lossless_deliveries(plan, arq):
+def lossless_deliveries(plan, arq, jitter, seed):
     """``(instant, src, dst, payload)`` of every receive on a lossless,
-    faultless 1 Mb/s star, with the transport on the ARQ or direct."""
+    faultless 1 Mb/s star with ``jitter`` seconds of propagation jitter
+    (drawn from ``seed``), with the transport on the ARQ or direct."""
     sim = Simulator()
     faults = FaultInjector(sim)
     if arq:
         faults.set_loss_rate(0.5, node_id=UNUSED)
-    net = StarNetwork(sim, bandwidth_bps=1_000_000, faults=faults)
+    net = StarNetwork(
+        sim, bandwidth_bps=1_000_000, faults=faults, propagation_jitter=jitter, jitter_seed=seed
+    )
     # A timeout above any backlog the plan can build (~1 s): no
     # spurious retransmission puts a second copy on the links.
     transport = ReliableTransport(net, rto_initial=2.0, rto_min=2.0, rto_max=2.0)
@@ -246,21 +251,33 @@ def lossless_deliveries(plan, arq):
     for index, (src, dst, at, size) in enumerate(plan):
         sim.schedule(at, transport.send, src, dst, index, size)
     sim.run()
-    assert transport.direct is (not arq if plan else None)
+    if plan:
+        assert bool(transport.direct) is not arq  # faultlessness alone decides
+    else:
+        assert transport.direct is None
     assert transport.retransmits == 0 and transport.acks_sent == len(plan)
     return trace
 
 
 @settings(max_examples=60, deadline=None)
-@given(plan=timed_plans)
-def test_direct_path_delivers_what_the_arq_delivers(plan):
-    arq = lossless_deliveries(plan, arq=True)
-    direct = lossless_deliveries(plan, arq=False)
+@example(plan=[(1, 2, 0.0, 1)] * 3, jitter=1e-3, seed=0)  # the 3rd overtakes the 2nd
+@given(
+    plan=timed_plans,
+    jitter=st.one_of(st.just(0.0), st.floats(1e-6, 1e-3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_direct_path_delivers_what_the_arq_delivers(plan, jitter, seed):
+    arq = lossless_deliveries(plan, arq=True, jitter=jitter, seed=seed)
+    direct = lossless_deliveries(plan, arq=False, jitter=jitter, seed=seed)
     order = sorted(range(len(plan)), key=lambda i: plan[i][2])  # stable: ties in plan order
+    for trace in (arq, direct):
+        assert sorted(p for _t, _s, _d, p in trace) == list(range(len(plan)))  # each once
     for src, dst in {(src, dst) for src, dst, _at, _size in plan}:
         sent = [i for i in order if plan[i][:2] == (src, dst)]
         for trace in (arq, direct):
             assert [p for _t, s, d, p in trace if (s, d) == (src, dst)] == sent
+    if jitter:
+        return  # the ARQ's ACKs draw jitter too: the two runs' draws part
     # The runs differ only in where the ACKs sit: both hold the uplink
     # an ACK leaves, only the ARQ's ACK also holds the downlink it
     # reaches, for one serialization time. Every instant is a max of

@@ -1,5 +1,6 @@
 """Unit tests for the transport: the ARQ (reliable FIFO over lossy
-links) and the direct path a lossless star takes."""
+links) and the direct path a lossless star takes, sequenced where the
+star can reorder."""
 
 import pytest
 
@@ -8,7 +9,7 @@ from repro.core.system import RacSystem
 from repro.simnet.engine import SimulationError, Simulator
 from repro.simnet.faults import FaultInjector
 from repro.simnet.network import StarNetwork
-from repro.simnet.transport import Ack, ReliableTransport, Segment
+from repro.simnet.transport import SEQUENCED, Ack, ReliableTransport, Segment
 
 #: A node no test attaches: a loss rate on its links draws nothing for
 #: any packet, but leaves the injector not faultless, so the transport
@@ -342,9 +343,9 @@ class TestRetransmitTickets:
 
 
 class TestDirectPath:
-    """A star that can never lose or reorder a packet: each segment is
-    the bare payload, sent once, with its ACK's bytes charged to the
-    receiver's uplink and nothing else."""
+    """A star that can never lose a packet: each segment is sent once,
+    with its ACK's bytes charged to the receiver's uplink and nothing
+    else; the bare payload unless the star can reorder."""
 
     def test_per_pair_fifo_without_a_holdback_queue(self):
         sim, net, transport = make_direct()
@@ -394,19 +395,21 @@ class TestDirectPath:
         assert uplink.packets_carried == 2 and transport.acks_sent == 2
 
     def test_a_segment_to_a_detached_node_is_dropped_once(self):
-        failures = []
-        sim, net, transport = make_direct()
-        transport.on_failure = lambda *a: failures.append(a)
-        got = []
-        transport.attach(1, lambda src, payload: got.append(payload))
-        transport.attach(2, lambda *a: None)
-        transport.send(2, 1, "x", 10)
-        transport.detach(1)
-        sim.run()
-        assert got == [] and failures == []
-        assert net.drops_by_reason == {"detached": 1} and net.packets_dropped == 1
-        assert (transport.retransmits, transport.delivery_failures, transport.acks_sent) == (0, 0, 0)
-        assert sim.events_processed == 1  # one hop, no retransmission
+        for jitter in (0.0, 10e-3):  # bare, then sequenced
+            failures = []
+            sim, net, transport = make_direct(propagation_jitter=jitter)
+            transport.on_failure = lambda *a: failures.append(a)
+            got = []
+            transport.attach(1, lambda src, payload: got.append(payload))
+            transport.attach(2, lambda *a: None)
+            transport.send(2, 1, "x", 10)
+            transport.detach(1)
+            sim.run()
+            assert transport.direct
+            assert got == [] and failures == []
+            assert net.drops_by_reason == {"detached": 1} and net.packets_dropped == 1
+            assert (transport.retransmits, transport.delivery_failures, transport.acks_sent) == (0, 0, 0)
+            assert sim.events_processed == 1  # one hop, no retransmission
 
     def test_the_choice_is_final(self):
         sim, net, transport = make_direct()
@@ -445,13 +448,32 @@ class TestDirectPath:
             assert transport.direct is False and not net.faults.sealed
             assert transport.acks_sent == 1 and net.packets_delivered == 2  # data and ACK
 
-    def test_a_star_that_can_reorder_chooses_the_arq(self):
-        sim, net, transport = make_direct(propagation_jitter=1e-3)
+    def test_a_star_that_can_reorder_sequences_the_direct_path(self):
+        # 10 ms of jitter on 0.4 ms segments: the second draw (seed 0)
+        # is 0.86 ms shorter than the first, so the pair swaps in flight.
+        sim, net, transport = make_direct(propagation_jitter=10e-3)
         assert not net.overtaking_free
-        transport.attach(1, lambda *a: None)
+        got = []
+        transport.attach(1, lambda src, payload: got.append(payload))
         transport.attach(2, lambda *a: None)
-        transport.send(1, 2, "x", 10)
-        assert transport.direct is False and not net.faults.sealed
+        arrivals = []
+        on_packet = net._handlers[1]
+        net._handlers[1] = lambda packet: (arrivals.append(packet.payload[0]), on_packet(packet))
+        transport.send(2, 1, "first", 10)
+        transport.send(2, 1, "second", 10)
+        assert transport.direct == SEQUENCED and net.faults.sealed
+        sim.run()
+        assert arrivals == [1, 0]  # the network swapped them ...
+        assert got == ["first", "second"]  # ... the hold-back put them back
+        # each ACK's bytes on the receiver's uplink, none on the sender's downlink
+        uplink = net.uplinks[1]
+        assert (uplink.bytes_carried, uplink.packets_carried) == (2 * ReliableTransport.ACK_BYTES, 2)
+        assert net.downlinks[2].bytes_carried == 0 and net.downlinks[2].busy_until == 0.0
+        assert net.packets_delivered == 2
+        assert sim.events_processed == 6  # uplink, router and downlink hops per packet
+        assert transport._watch is None and not transport._armed and transport.in_flight(2, 1) == 0
+        assert (transport.segments_sent, transport.acks_sent) == (2, 2)
+        assert (transport.retransmits, transport.rtt_samples, transport.duplicates) == (0, 0, 0)
 
     def test_a_system_loss_rate_after_the_first_segment_raises(self):
         system = RacSystem(RacConfig.small(), seed=3)
