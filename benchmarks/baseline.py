@@ -276,6 +276,31 @@ def measure_flood_gc_collections(window: float = 0.3) -> int:
     return len(passes)
 
 
+def measure_cyclic_garbage_per_dropped_node() -> float:
+    """Objects only the cycle collector can free, per node, once a
+    flood-shape system that took one snapshot is closed and dropped:
+    ``gc.collect()`` with the collector off from before the build. A
+    count: 535 while ``snapshot_system`` left its canonical copy
+    unclosed (as much as dropping the system itself unclosed), 0.35
+    while a closed system kept its injector <-> network edge, 0 since
+    ``close()`` cuts every back-edge."""
+    import gc
+
+    from repro.simnet.snapshot import snapshot_system
+
+    gc.collect()
+    gc.disable()
+    try:
+        system = _flood_system()
+        nodes = len(system.nodes)
+        snapshot_system(system)
+        system.close()
+        del system
+        return gc.collect() / nodes
+    finally:
+        gc.enable()
+
+
 def measure_receipt_bytes_per_record() -> float:
     """Heap bytes per receipt record on the flood shape: what
     tracemalloc sees allocated and still held when ``_flood_system()``'s
@@ -675,6 +700,10 @@ GATES = (
     Gate("sharded_events_per_sec", measure_sharded_events_per_sec, "rate"),
     Gate("segment_us", partial(measure_segment_us, repeats=2), "time"),
     Gate("flood_gc_collections", measure_flood_gc_collections, "count", bound=60),
+    # close() cuts every back-edge and a snapshot closes its canonical
+    # copy: a copy (or a system) dropped unclosed reads ~535, a closed
+    # system that keeps its injector <-> network edge 0.35
+    Gate("cyclic_garbage_per_dropped_node", measure_cyclic_garbage_per_dropped_node, "count", bound=1.0),
     # one tuple per receipt over shared (predecessor, ring) keys and no
     # per-message memo beside it; such a memo puts it back near 250, a
     # dict or an object per record above 600

@@ -139,5 +139,8 @@ def prepare_campaign_cell(scenario: Scenario, params: "Dict[str, Any]") -> Campa
 def run_campaign_cell(params: "Dict[str, Any]", seed: int) -> Outcome:
     """Run and score one strategies × faults × networks cell."""
     run = prepare_campaign_cell(Scenario.from_params(params, seed, "campaign"), params)
-    run.run_to(run.scenario.horizon)
-    return run.outcome()
+    try:
+        run.run_to(run.scenario.horizon)
+        return run.outcome()
+    finally:
+        run.close()

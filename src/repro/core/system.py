@@ -380,17 +380,18 @@ class RacSystem(Replica):
         self.sim.run(until=self.sim.now + duration)
 
     def close(self) -> None:
-        """Take a finished system apart so that dropping it frees it by
+        """End a finished system's life, so that dropping it frees it by
         reference counting, not whenever the cycle collector next walks
-        the oldest generation (a sharded run drops one system per
-        shard-epoch cell).
+        the oldest generation. Every owner that drops a system closes
+        it: a shard-epoch cell, a judged :class:`~repro.scenario.SimRun`
+        and the canonical copy a snapshot makes.
 
-        A pending calendar entry reaches a node through its callback;
-        the system holds its nodes (in ``nodes`` and as transport
-        handlers) while each node points back at it as its environment.
-        Every node is detached (which drops its transport handler and
-        ARQ state) and the calendar is emptied, so only the simulator's
-        own wiring stays cyclic. The system cannot run afterwards.
+        Every back-edge is cut: each node is detached (which drops its
+        transport handler, network handler and ARQ state), the calendar
+        is emptied (its entries hold the nodes' and the system's bound
+        methods), the ARQ's failure callback, the network's injector
+        and an interposed ``unicast`` tap go. Idempotent; the system
+        cannot run afterwards.
         """
         for node_id in self.nodes:
             self.transport.detach(node_id)
@@ -399,6 +400,8 @@ class RacSystem(Replica):
         sim._cancelled_pending = 0
         self.nodes.clear()
         self.transport.on_failure = None
+        self.network.faults = None
+        vars(self).pop("unicast", None)
 
     def delivered_messages(self, node_id: int) -> List[bytes]:
         return list(self.nodes[node_id].delivered)

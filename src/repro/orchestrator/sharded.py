@@ -151,47 +151,48 @@ def run_shard_epoch(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> 
         system = build_shard_system(spec, shard)
         meta = {"epoch_done": -1, "fingerprint": ZERO_FINGERPRINT, "last_exports": []}
 
-    if meta["epoch_done"] + 1 < epoch:
-        raise RuntimeError(
-            f"shard {shard} asked to run epoch {epoch} but has only finished "
-            f"epoch {meta['epoch_done']}; barriers must run in order"
+    # The next cell restores its own copy; this one closes on every path.
+    try:
+        if meta["epoch_done"] + 1 < epoch:
+            raise RuntimeError(
+                f"shard {shard} asked to run epoch {epoch} but has only finished "
+                f"epoch {meta['epoch_done']}; barriers must run in order"
+            )
+
+        if meta["epoch_done"] < epoch:
+            barrier = _read_json(_barrier_path(run_dir, epoch))
+            imports = barrier.get("records", [])
+            ctx.maybe_crash()
+            exports, fingerprint = epoch_step(system, spec, epoch, imports, meta["fingerprint"])
+            meta = {"epoch_done": epoch, "fingerprint": fingerprint, "last_exports": exports}
+            os.makedirs(os.path.dirname(snap_path), exist_ok=True)
+            save_snapshot((system, meta), snap_path)
+        else:
+            exports = list(meta["last_exports"])
+
+        _write_json(
+            _export_path(run_dir, shard, epoch),
+            {
+                "shard": shard,
+                "epoch": epoch,
+                "exports": exports,
+                "fingerprint": meta["fingerprint"],
+            },
         )
+        if epoch == spec.epoch_count - 1:
+            _write_json(_summary_path(run_dir, shard), shard_summary(system, meta["fingerprint"]))
 
-    if meta["epoch_done"] < epoch:
-        barrier = _read_json(_barrier_path(run_dir, epoch))
-        imports = barrier.get("records", [])
-        ctx.maybe_crash()
-        exports, fingerprint = epoch_step(system, spec, epoch, imports, meta["fingerprint"])
-        meta = {"epoch_done": epoch, "fingerprint": fingerprint, "last_exports": exports}
-        os.makedirs(os.path.dirname(snap_path), exist_ok=True)
-        save_snapshot((system, meta), snap_path)
-    else:
-        exports = list(meta["last_exports"])
-
-    _write_json(
-        _export_path(run_dir, shard, epoch),
-        {
-            "shard": shard,
-            "epoch": epoch,
-            "exports": exports,
-            "fingerprint": meta["fingerprint"],
-        },
-    )
-    if epoch == spec.epoch_count - 1:
-        _write_json(_summary_path(run_dir, shard), shard_summary(system, meta["fingerprint"]))
-
-    deliveries = sum(len(node.delivered) for node in system.nodes.values())
-    metrics = {
-        "sim_time_s": system.now,
-        "events_processed": float(system.sim.events_processed),
-        "deliveries": float(deliveries),
-        "exports": float(len(exports)),
-        "evictions": float(len(system.evicted)),
-        "foreign_evictions": float(len(system.foreign_evicted)),
-    }
-    # The next cell restores its own copy from the snapshot.
-    system.close()
-    return metrics
+        deliveries = sum(len(node.delivered) for node in system.nodes.values())
+        return {
+            "sim_time_s": system.now,
+            "events_processed": float(system.sim.events_processed),
+            "deliveries": float(deliveries),
+            "exports": float(len(exports)),
+            "evictions": float(len(system.evicted)),
+            "foreign_evictions": float(len(system.foreign_evicted)),
+        }
+    finally:
+        system.close()
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,7 @@ def run_harness_cell(
                 first_chunk = False
                 ctx.maybe_crash()
         outcome = run.outcome()
+        run.close()
     counters = outcome.counters
     return {
         **outcome.metrics(),

@@ -754,6 +754,10 @@ class SimRun:
         """Advance the simulation to absolute time ``t``."""
         self.system.sim.run(until=t)
 
+    def close(self) -> None:
+        """End the run's life once it is judged (:meth:`RacSystem.close`)."""
+        self.system.close()
+
     def outcome(self) -> Outcome:
         """Judge everything the run has recorded so far."""
         system, nodes = self.system, self.system.nodes
@@ -952,8 +956,11 @@ def run_scenario(
         runner = _run_processes if processes else _run_live
         return asyncio.run(runner(scenario, port_base))
     run = prepare(scenario)
-    run.run_to(scenario.horizon)
-    return run.outcome()
+    try:
+        run.run_to(scenario.horizon)
+        return run.outcome()
+    finally:
+        run.close()
 
 
 def run_params(params: "Mapping[str, Any]", seed: int, harness: str) -> Outcome:

@@ -147,8 +147,8 @@ def test_membership_plan_evicts_no_honest_node():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP 1b and 8(a): the [limit] storm at N=256 evicts honest nodes (unsharded, the "
-    "first at 7.33 s on predecessor evidence; 60 over the sharded 14 s run)"
+    "ROADMAP 20 (chained faults): the [limit] storm at N=256 evicts honest nodes (unsharded, "
+    "the first at 7.33 s on predecessor evidence; 60 over the sharded 14 s run)"
 ))
 def test_storm_at_256_evicts_no_honest_node():
     # The third sharded_evidence cell, run unsharded (its ScaleSpec's own

@@ -51,7 +51,7 @@ class TestRacModelValidation:
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP 1b and 8(a): grouped saturation at N=32 evicts honest nodes (the first at 6.59 s; "
+    "ROADMAP 8(a): grouped saturation at N=32 evicts honest nodes (the first at 6.59 s; "
     "6 over the full 8 s run)"
 ))
 def test_grouped_saturation_evicts_no_honest_node():

@@ -6,6 +6,7 @@ cross-shard hooks, and the cache-hygiene contract at shard-worker
 boundaries.
 """
 
+import gc
 import weakref
 
 import pytest
@@ -19,7 +20,7 @@ from repro.groups import (
     ShardPartitionError,
     plan_bundles,
 )
-from repro.scenario import plant_behaviors, prepare
+from repro.scenario import Scenario, plant_behaviors, prepare, run_scenario
 from repro.simnet.shard import (
     ScaleSpec,
     ZERO_FINGERPRINT,
@@ -31,6 +32,7 @@ from repro.simnet.shard import (
     plan_population,
     sort_barrier_records,
 )
+from repro.simnet.snapshot import restore_system, snapshot_system
 
 
 def _specs(weights):
@@ -286,20 +288,62 @@ class TestShardSystem:
         assert fp1 != ZERO_FINGERPRINT
         assert fp2 != fp1
 
-    def test_a_closed_system_is_freed_by_reference_counting(self):
-        # A finished shard-epoch cell closes its system; dropping it must
-        # then free the system and its nodes at once, not whenever the
-        # cycle collector next walks the oldest generation. (The
-        # simulator's own wiring stays cyclic, with an empty calendar.)
+    def test_a_closed_system_is_freed_by_reference_counting(self, tmp_path):
+        # Every owner that drops a system closes it first; dropping it
+        # must then free the system and its nodes at once, not whenever
+        # the cycle collector next walks the oldest generation. With the
+        # collector off, nothing is left for it: not by a shard-epoch
+        # cell's system, built, restored or raising, not by a judged
+        # run, and not by the canonical copy a snapshot makes.
+        from repro.orchestrator.sharded import run_shard_epoch, write_sharded_manifest
+        from repro.orchestrator.workloads import WorkerContext
+
         spec = ScaleSpec(nodes=24, num_shards=2, seed=3, horizon=1.0, epoch=0.5)
-        system = build_shard_system(spec, 0)
-        epoch_step(system, spec, 0, [], ZERO_FINGERPRINT)
-        assert system.sim.pending_events()
-        alive = [weakref.ref(system)] + [weakref.ref(node.rng) for node in system.nodes.values()]
-        system.close()
-        assert not system.nodes and not system.sim.pending_events()
-        del system
-        assert [ref for ref in alive if ref() is not None] == []
+        write_sharded_manifest(str(tmp_path), spec)
+
+        def built():
+            system = build_shard_system(spec, 0)
+            epoch_step(system, spec, 0, [], ZERO_FINGERPRINT)
+            return system
+
+        def closed_built():
+            system = built()
+            assert system.sim.pending_events()
+            alive = [weakref.ref(system)] + [weakref.ref(node.rng) for node in system.nodes.values()]
+            system.close()
+            system.close()  # idempotent
+            assert not system.nodes and not system.sim.pending_events()
+            del system
+            assert [ref for ref in alive if ref() is not None] == []
+
+        def closed_restored():
+            system = built()
+            restored = restore_system(snapshot_system(system))
+            system.close()
+            restored.close()
+
+        def judged_run():
+            run_scenario(Scenario.from_params({"nodes": 6, "duration": 0.5}, 0, "protocol"))
+
+        def snapshotted():
+            system = built()
+            snapshot_system((system, {"epoch_done": 0}), verify=True)
+            system.close()
+
+        def raising_epoch():
+            with pytest.raises(FileNotFoundError):  # no barrier file for epoch 0
+                run_shard_epoch({"run_dir": str(tmp_path), "shard": 0, "epoch": 0}, 0, WorkerContext())
+
+        for drop in (closed_built, closed_restored, judged_run, snapshotted, raising_epoch):
+            drop()  # a first call's lazy imports leave garbage of their own
+            gc.collect()
+            gc.disable()
+            try:
+                drop()
+                found = gc.collect()
+            finally:
+                gc.enable()
+            assert found == 0, f"{drop.__name__}: {found} objects left for the cycle collector"
 
 
 class TestShardCacheHygiene:

@@ -451,6 +451,19 @@ class TestSnapshotInvariants:
         assert untouched.sim.events_processed == snapshotted.sim.events_processed
         assert untouched.stats_report() == snapshotted.stats_report()
 
+    @pytest.mark.parametrize("wrap", [lambda s: s, lambda s: (s, {"epoch_done": 0})], ids=["bare", "pair"])
+    def test_closing_the_canonical_copy_never_touches_the_original(self, wrap):
+        # snapshot_system closes the copy it canonicalises through (and
+        # the restore it verifies); the system snapshotted, continued and
+        # closed reports exactly what one never snapshotted does.
+        untouched, snapshotted = _mid_run_system(), _mid_run_system()
+        snapshot_system(wrap(snapshotted), verify=True)
+        assert snapshotted.nodes and snapshotted.sim.pending_events()
+        for system in (untouched, snapshotted):
+            system.run(2.0)
+            system.close()
+        assert snapshotted.stats_report() == untouched.stats_report()
+
     def test_restored_system_continues_like_the_original(self):
         original = _mid_run_system()
         restored = restore_system(snapshot_system(original))
