@@ -213,10 +213,10 @@ def with_host_kernel(measure, rounds: int = 1, rate: bool = False) -> "tuple[flo
     return best[1], best[2]
 
 
-def _flood_system(warmup: float = 0.6, arq: bool = False, jitter: float = 0.0):
+def _flood_system(warmup: float = 0.6, arq: bool = False, jitter: float = 0.0, nodes: int = 40):
     """The dissemination shape of ``rac_bench``'s ``sim-flood-40``: 40
-    nodes in one group, 3 rings, 2 kB noise every 50 ms, lossless 1 Gb/s
-    star, so the transport goes direct. Warmed past the first
+    nodes (``nodes``) in one group, 3 rings, 2 kB noise every 50 ms,
+    lossless 1 Gb/s star, so the transport goes direct. Warmed past the first
     predecessor-check deadline (0.5 s), so the calendar is at its
     steady depth: ~105 entries. ``arq=True`` sets a loss rate on a link
     no node has: every packet and draw stays, but the transport runs
@@ -229,7 +229,7 @@ def _flood_system(warmup: float = 0.6, arq: bool = False, jitter: float = 0.0):
     system = RacSystem(RacConfig.small(join_settle_time=0.05, propagation_jitter=jitter), seed=16)
     if arq:
         system.set_loss_rate(0.5, node_id=-1)
-    system.bootstrap(40)
+    system.bootstrap(nodes)
     system.run(warmup)
     return system
 
@@ -301,16 +301,12 @@ def measure_cyclic_garbage_per_dropped_node() -> float:
         gc.enable()
 
 
-def measure_receipt_bytes_per_record() -> float:
-    """Heap bytes per receipt record on the flood shape: what
-    tracemalloc sees allocated and still held when ``_flood_system()``'s
-    window ends, divided by the (node, message) records the nodes'
-    broadcast states hold then (~19k). Receipts are most of that heap,
-    so the quotient is one receipt plus a small share of the fixed
-    cost. A count, exact up to hash-seed table layout: ~680 while a
-    receipt was a dataclass with a dict of copies and a fresh key tuple
-    per copy, ~250 as one tuple over shared keys next to a per-node memo
-    of opaque trial peels, ~182 without the memo."""
+def measure_receipts(nodes: int = 40, churn: int = 0) -> "tuple[float, int]":
+    """Heap bytes held when ``_flood_system(nodes=nodes)``'s window ends,
+    as tracemalloc sees them, and the (node, message) records the nodes'
+    broadcast states hold then. ``churn`` rounds follow the window: in
+    each the oldest member leaves, a new node joins and the group runs
+    0.1 s, so every ring edge a node has seen keeps its receipt bit."""
     import tracemalloc
 
     import repro.core.config  # noqa: F401 - imported before tracing starts
@@ -318,12 +314,30 @@ def measure_receipt_bytes_per_record() -> float:
 
     tracemalloc.start()
     try:
-        system = _flood_system()
+        system = _flood_system(nodes=nodes)
+        for _ in range(churn):
+            system.leave(min(node_id for node_id, node in system.nodes.items() if node.active))
+            system.join()
+            system.run(0.1)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    receipts = sum(len(state) for node in system.nodes.values() for state in node._states.values())
-    return held / receipts
+    records = sum(len(state) for node in system.nodes.values() for state in node._states.values())
+    system.close()
+    return held, records
+
+
+def measure_receipt_bytes_per_record(nodes: int = 40) -> float:
+    """Heap bytes per receipt record on the flood shape: what
+    :func:`measure_receipts` sees held, divided by the records (~19k at
+    40 nodes). Receipts are most of that heap, so the quotient is one
+    receipt plus a small share of the fixed cost. A count, exact up to
+    hash-seed table layout: ~680 while a receipt was a dataclass with a
+    dict of copies and a fresh key tuple per copy, ~250 as one tuple
+    over shared keys next to a per-node memo of opaque trial peels,
+    ~174 without the memo, ~87 as an int bitmask over interned keys."""
+    held, records = measure_receipts(nodes)
+    return held / records
 
 
 def measure_events_per_segment(window: float = 0.3, jitter: float = 0.0) -> float:
@@ -704,10 +718,10 @@ GATES = (
     # copy: a copy (or a system) dropped unclosed reads ~535, a closed
     # system that keeps its injector <-> network edge 0.35
     Gate("cyclic_garbage_per_dropped_node", measure_cyclic_garbage_per_dropped_node, "count", bound=1.0),
-    # one tuple per receipt over shared (predecessor, ring) keys and no
-    # per-message memo beside it; such a memo puts it back near 250, a
-    # dict or an object per record above 600
-    Gate("receipt_bytes_per_record", measure_receipt_bytes_per_record, "count", bound=220),
+    # one int bitmask per receipt over interned (predecessor, ring)
+    # keys; a tuple of keys per receipt reads ~174, a per-message memo
+    # beside it ~250, a dict or an object per record above 600
+    Gate("receipt_bytes_per_record", measure_receipt_bytes_per_record, "count", bound=110),
     Gate("storm_events_per_packet", measure_storm_events_per_packet, "count", bound=2.2),
     # a lossless star's segment goes direct: an ACK packet (or any other
     # event) per segment again reads 4.01
@@ -769,7 +783,35 @@ def main(argv=None) -> int:
         help="print Python calls and CPU us per frame of an 8-node loopback "
         "cluster and write nothing",
     )
+    parser.add_argument(
+        "--receipts",
+        type=int,
+        metavar="N",
+        help="print heap bytes per receipt record and MiB held by an N-node "
+        "flood-shape group after 0.6 s, and write nothing",
+    )
+    parser.add_argument(
+        "--churn",
+        type=int,
+        default=0,
+        metavar="ROUNDS",
+        help="with --receipts: after the window, ROUNDS times the oldest member "
+        "leaves, a new node joins and the group runs 0.1 s",
+    )
     args = parser.parse_args(argv)
+    if args.churn and args.receipts is None:
+        parser.error("--churn needs --receipts")
+    if args.receipts is not None:
+        held, records = measure_receipts(args.receipts, args.churn)
+        summary = {
+            "nodes": args.receipts,
+            "churn": args.churn,
+            "records": records,
+            "bytes_per_record": round(held / records, 1),
+            "held_mib": round(held / 2**20, 1),
+        }
+        print(json.dumps(summary, indent=2))
+        return 0
     if args.live_frame:
         print(json.dumps(measure_live_frame(), indent=2))
         return 0

@@ -449,8 +449,17 @@ class RacNode:
         if state is None:
             state = self.state_for(domain)
         receipt = state.on_receive(msg_id, from_key, now)
+        if receipt != FIRST_COPY:
+            # A later copy only strikes its edge from the owed set; the
+            # relay monitor saw the message with its first copy.
+            if receipt == REPLAYED_COPY:
+                self._accuse(src, domain, "replay", msg_id)
+            monitor = self._pred_monitors.get(domain)
+            if monitor is not None:
+                monitor.on_copy(msg_id, from_key)
+            return
 
-        if receipt == FIRST_COPY and domain[0] == "group" and self.behavior.should_run_checks(self):
+        if domain[0] == "group" and self.behavior.should_run_checks(self):
             # Check 3 counts *first copies*: an originator's direct copy
             # always reaches its successors before any two-hop path, so
             # first-copy counts are the one stream statistic that
@@ -458,17 +467,7 @@ class RacNode:
             # are uniform across predecessors — everyone forwards
             # everything). See DESIGN.md §3.
             self.rate_monitor.record(src, now)
-        elif receipt == REPLAYED_COPY:
-            self._accuse(src, domain, "replay", msg_id)
-
         self.relay_monitor.observe(msg_id)
-
-        if receipt != FIRST_COPY:
-            monitor = self._pred_monitors.get(domain)
-            if monitor is not None:
-                monitor.on_copy(msg_id, from_key)
-            return
-
         self._arm_predecessor_check(domain, msg_id, view, from_key)
         if self.behavior.should_forward_broadcast(self, domain, msg_id, ring_index):
             self._forward(domain, broadcast.wire, msg_id, view)

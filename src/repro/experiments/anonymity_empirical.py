@@ -54,34 +54,37 @@ def measure_anonymity(
         config=dict(blacklist_period=0.0),
         traffic="ring", messages=0,
     ))
-    system, nodes = run.system, run.node_ids
-    observer = GlobalObserver(system, rng_seed=seed + 1)
-    observer.attach()
-    system.run(1.2)
+    try:
+        system, nodes = run.system, run.node_ids
+        observer = GlobalObserver(system, rng_seed=seed + 1)
+        observer.attach()
+        system.run(1.2)
 
-    rng = random.Random(seed + 2)
-    flow_pairs = []
-    for i in range(flows):
-        src = rng.choice(nodes)
-        dst = rng.choice([n for n in nodes if n != src])
-        if system.send(src, dst, b"observed-%02d" % i):
-            flow_pairs.append((src, dst))
-    system.run(observe_seconds)
+        rng = random.Random(seed + 2)
+        flow_pairs = []
+        for i in range(flows):
+            src = rng.choice(nodes)
+            dst = rng.choice([n for n in nodes if n != src])
+            if system.send(src, dst, b"observed-%02d" % i):
+                flow_pairs.append((src, dst))
+        system.run(observe_seconds)
 
-    msg_ids = observer.observed_message_ids()
-    samples = [(msg_ids[i], src) for i, (src, _dst) in enumerate(flow_pairs)]
-    accuracy = observer.sender_attribution_accuracy(samples)
-    result = observer.attribute_sender(msg_ids[0], flow_pairs[0][0])
-    n_candidates = max(1, result.anonymity_set_size)
-    degree = degree_of_anonymity([1.0 / n_candidates] * n_candidates)
-    return AnonymityMeasurement(
-        population=population,
-        flows=len(flow_pairs),
-        attribution_accuracy=accuracy,
-        chance_level=1.0 / population,
-        anonymity_degree=degree,
-        rate_uniformity=observer.rate_uniformity(),
-    )
+        msg_ids = observer.observed_message_ids()
+        samples = [(msg_ids[i], src) for i, (src, _dst) in enumerate(flow_pairs)]
+        accuracy = observer.sender_attribution_accuracy(samples)
+        result = observer.attribute_sender(msg_ids[0], flow_pairs[0][0])
+        n_candidates = max(1, result.anonymity_set_size)
+        degree = degree_of_anonymity([1.0 / n_candidates] * n_candidates)
+        return AnonymityMeasurement(
+            population=population,
+            flows=len(flow_pairs),
+            attribution_accuracy=accuracy,
+            chance_level=1.0 / population,
+            anonymity_degree=degree,
+            rate_uniformity=observer.rate_uniformity(),
+        )
+    finally:
+        run.close()
 
 
 def anonymity_vs_population(populations=(8, 12, 16), **kwargs) -> "List[AnonymityMeasurement]":

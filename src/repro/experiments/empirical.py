@@ -81,50 +81,53 @@ def measure_rac_throughput(
         config=SATURATION,
         traffic="ring", messages=0,
     ))
-    system, nodes, config = run.system, run.node_ids, run.system.config
+    try:
+        system, nodes, config = run.system, run.node_ids, run.system.config
 
-    # Every node sends to one fixed random destination; queues are
-    # topped up in chunks so senders never starve (the paper's "at the
-    # highest possible throughput it can sustain").
-    rng = random.Random(seed + 1)
-    flows = {src: rng.choice([x for x in nodes if x != src]) for src in nodes}
+        # Every node sends to one fixed random destination; queues are
+        # topped up in chunks so senders never starve (the paper's "at the
+        # highest possible throughput it can sustain").
+        rng = random.Random(seed + 1)
+        flows = {src: rng.choice([x for x in nodes if x != src]) for src in nodes}
 
-    def refill() -> None:
-        for src, dst in flows.items():
-            node, peer = system.nodes.get(src), system.nodes.get(dst)
-            if node is None or peer is None or not (node.active and peer.active):
-                continue  # an evicted end, skipped as scenario._pump skips it
-            while len(node.send_queue) < QUEUE_DEPTH:
-                if not system.send(src, dst, b"p" * (config.message_size // 4)):
-                    break
+        def refill() -> None:
+            for src, dst in flows.items():
+                node, peer = system.nodes.get(src), system.nodes.get(dst)
+                if node is None or peer is None or not (node.active and peer.active):
+                    continue  # an evicted end, skipped as scenario._pump skips it
+                while len(node.send_queue) < QUEUE_DEPTH:
+                    if not system.send(src, dst, b"p" * (config.message_size // 4)):
+                        break
 
-    def run_refilled(span: float, chunk: float = 0.25) -> None:
-        remaining = span
-        while remaining > 1e-12:
-            refill()
-            step = min(chunk, remaining)
-            system.run(step)
-            remaining -= step
+        def run_refilled(span: float, chunk: float = 0.25) -> None:
+            remaining = span
+            while remaining > 1e-12:
+                refill()
+                step = min(chunk, remaining)
+                system.run(step)
+                remaining -= step
 
-    run_refilled(warmup)
-    start = system.now
-    delivered_before = system.global_meter.count
-    run_refilled(duration)
-    window = system.now - start
-    delivered = system.global_meter.count - delivered_before
-    # The paper counts anonymous *messages* of the padded size; we
-    # credit the padded message size per delivery to match its metric.
-    delivered_bits = delivered * config.message_size * 8
+        run_refilled(warmup)
+        start = system.now
+        delivered_before = system.global_meter.count
+        run_refilled(duration)
+        window = system.now - start
+        delivered = system.global_meter.count - delivered_before
+        # The paper counts anonymous *messages* of the padded size; we
+        # credit the padded message size per delivery to match its metric.
+        delivered_bits = delivered * config.message_size * 8
 
-    group_size = min(n, config.group_max)
-    model = config.link_bandwidth_bps / (
-        (config.num_relays + 1) * config.num_rings * group_size
-    )
-    return RacMeasurement(
-        nodes=n,
-        measured_bps_per_node=delivered_bits / window / n,
-        model_bps_per_node=model,
-        deliveries=delivered,
-        evictions=len(run.outcome().evictions),
-        duration=window,
-    )
+        group_size = min(n, config.group_max)
+        model = config.link_bandwidth_bps / (
+            (config.num_relays + 1) * config.num_rings * group_size
+        )
+        return RacMeasurement(
+            nodes=n,
+            measured_bps_per_node=delivered_bits / window / n,
+            model_bps_per_node=model,
+            deliveries=delivered,
+            evictions=len(run.outcome().evictions),
+            duration=window,
+        )
+    finally:
+        run.close()

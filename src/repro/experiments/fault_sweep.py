@@ -59,41 +59,44 @@ def run_once(loss_rate: float) -> "Dict[str, float]":
     from ..scenario import prepare
 
     run = prepare(scenario(loss_rate))
-    system = run.system
-    freeriders = {run.node_ids[3], run.node_ids[9]}
-    honest = [n for n in run.node_ids if n not in freeriders]
-    system.run(1.0)
+    try:
+        system = run.system
+        freeriders = {run.node_ids[3], run.node_ids[9]}
+        honest = [n for n in run.node_ids if n not in freeriders]
+        system.run(1.0)
 
-    sent = 0
-    delivered_before = sum(len(system.delivered_messages(n)) for n in honest)
-    payload = b"x" * 64
-    start = system.now
-    while system.now < start + DURATION:
-        live = [n for n in honest if system.nodes[n].active]
-        for i, src in enumerate(live):
-            if system.send(src, live[(i + 1) % len(live)], payload):
-                sent += 1
-        system.run(0.6)
-    system.run(4.0)  # drain in-flight traffic and pending verdicts
+        sent = 0
+        delivered_before = sum(len(system.delivered_messages(n)) for n in honest)
+        payload = b"x" * 64
+        start = system.now
+        while system.now < start + DURATION:
+            live = [n for n in honest if system.nodes[n].active]
+            for i, src in enumerate(live):
+                if system.send(src, live[(i + 1) % len(live)], payload):
+                    sent += 1
+            system.run(0.6)
+        system.run(4.0)  # drain in-flight traffic and pending verdicts
 
-    delivered = sum(len(system.delivered_messages(n)) for n in honest) - delivered_before
-    report = system.stats_report()
-    outcome = run.outcome()
-    # Every evicted honest node counts, the outage victim included: the
-    # judge would excuse an eviction while the victim's links are down.
-    false_evicted = [e for e in outcome.evictions if e.accused not in freeriders]
-    return {
-        "loss_rate": loss_rate,
-        "sent": sent,
-        "delivered": delivered,
-        "goodput_bps": delivered * len(payload) * 8 / (system.now - start),
-        "delivery_ratio": delivered / sent if sent else 0.0,
-        "freeriders_evicted": outcome.deviants_evicted,
-        "false_evictions": len(false_evicted),
-        "false_eviction_rate": len(false_evicted) / len(honest),
-        "retransmits": report["transport_retransmits"],
-        "packets_dropped": report["net_packets_dropped"],
-    }
+        delivered = sum(len(system.delivered_messages(n)) for n in honest) - delivered_before
+        report = system.stats_report()
+        outcome = run.outcome()
+        # Every evicted honest node counts, the outage victim included: the
+        # judge would excuse an eviction while the victim's links are down.
+        false_evicted = [e for e in outcome.evictions if e.accused not in freeriders]
+        return {
+            "loss_rate": loss_rate,
+            "sent": sent,
+            "delivered": delivered,
+            "goodput_bps": delivered * len(payload) * 8 / (system.now - start),
+            "delivery_ratio": delivered / sent if sent else 0.0,
+            "freeriders_evicted": outcome.deviants_evicted,
+            "false_evictions": len(false_evicted),
+            "false_eviction_rate": len(false_evicted) / len(honest),
+            "retransmits": report["transport_retransmits"],
+            "packets_dropped": report["net_packets_dropped"],
+        }
+    finally:
+        run.close()
 
 
 def artefact() -> "Tuple[List[str], List[str]]":

@@ -74,30 +74,33 @@ def trace_dissemination(population: int = 10, seed: int = 7) -> Figure2Trace:
         ),
         traffic="ring", messages=0,
     ))
-    system, nodes = run.system, run.node_ids
-    system.run(1.0)
-    sender, destination = nodes[0], nodes[-1]
-    payload = b"the message of figure 2"
-    if not system.send(sender, destination, payload):
-        raise RuntimeError("the send queue refused the message")
-    system.run(4.0)
+    try:
+        system, nodes = run.system, run.node_ids
+        system.run(1.0)
+        sender, destination = nodes[0], nodes[-1]
+        payload = b"the message of figure 2"
+        if not system.send(sender, destination, payload):
+            raise RuntimeError("the send queue refused the message")
+        system.run(4.0)
 
-    sent_events = [e for e in system.tracer.of_kind("onion-sent") if e.node == sender]
-    if not sent_events:
-        raise RuntimeError("the onion was never launched")
-    relays = tuple(sent_events[0].detail["relays"])
-    relevant = [
-        e
-        for e in system.tracer
-        if e.kind in ("onion-sent", "relay-accepted", "delivered")
-        and (e.node in (sender, destination) or e.node in relays)
-    ]
-    delivered = system.delivered_messages(destination)
-    return Figure2Trace(
-        sender=sender,
-        destination=destination,
-        relays=relays,
-        delivered_payload=delivered[0] if delivered else None,
-        events=relevant,
-        broadcasts_caused=len(relays) + 1,
-    )
+        sent_events = [e for e in system.tracer.of_kind("onion-sent") if e.node == sender]
+        if not sent_events:
+            raise RuntimeError("the onion was never launched")
+        relays = tuple(sent_events[0].detail["relays"])
+        relevant = [
+            e
+            for e in system.tracer
+            if e.kind in ("onion-sent", "relay-accepted", "delivered")
+            and (e.node in (sender, destination) or e.node in relays)
+        ]
+        delivered = system.delivered_messages(destination)
+        return Figure2Trace(
+            sender=sender,
+            destination=destination,
+            relays=relays,
+            delivered_payload=delivered[0] if delivered else None,
+            events=relevant,
+            broadcasts_caused=len(relays) + 1,
+        )
+    finally:
+        run.close()

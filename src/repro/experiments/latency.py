@@ -56,32 +56,35 @@ def measure_latency(
         ),
         traffic="ring", messages=0,
     ))
-    system, nodes = run.system, run.node_ids
-    system.run(1.2)
-    rng = random.Random(seed)
-    for i in range(messages):
-        src = rng.choice(nodes)
-        dst = rng.choice([n for n in nodes if n != src])
-        system.send(src, dst, b"latency-%04d" % i)
-        system.run(0.3)
-    system.run(4.0)
-    meter = system.latency_meter
-    if len(meter) == 0:
-        raise RuntimeError("no deliveries to measure")
-    slot = system.send_interval_for(nodes[0])
-    group_size = len(system.directory.group_of_node(nodes[0]))
-    config = system.config
-    return LatencyPoint(
-        num_relays=num_relays,
-        nodes=population,
-        samples=len(meter),
-        mean=meter.mean(),
-        p50=meter.percentile(50),
-        p95=meter.percentile(95),
-        model=predicted_latency(
-            num_relays, slot, group_size, config.message_size, config.link_bandwidth_bps
-        ),
-    )
+    try:
+        system, nodes = run.system, run.node_ids
+        system.run(1.2)
+        rng = random.Random(seed)
+        for i in range(messages):
+            src = rng.choice(nodes)
+            dst = rng.choice([n for n in nodes if n != src])
+            system.send(src, dst, b"latency-%04d" % i)
+            system.run(0.3)
+        system.run(4.0)
+        meter = system.latency_meter
+        if len(meter) == 0:
+            raise RuntimeError("no deliveries to measure")
+        slot = system.send_interval_for(nodes[0])
+        group_size = len(system.directory.group_of_node(nodes[0]))
+        config = system.config
+        return LatencyPoint(
+            num_relays=num_relays,
+            nodes=population,
+            samples=len(meter),
+            mean=meter.mean(),
+            p50=meter.percentile(50),
+            p95=meter.percentile(95),
+            model=predicted_latency(
+                num_relays, slot, group_size, config.message_size, config.link_bandwidth_bps
+            ),
+        )
+    finally:
+        run.close()
 
 
 def latency_vs_relays(relay_counts=(1, 2, 3, 4), **kwargs) -> "List[LatencyPoint]":

@@ -89,20 +89,23 @@ def simulate_deviation(
         deviants={0: DEVIATIONS[strategy_name]},
         traffic="ring", messages=0,
     ))
-    system = run.system
-    deviant, honest = run.node_ids[0], run.node_ids[1:]
-    system.run(1.2)
-    step = 0
-    while system.now < max_time and system.nodes[deviant].active:
-        for i, src in enumerate(honest):
-            system.send(src, honest[(i + 1) % len(honest)], b"flow-%d" % step)
-        system.run(0.6)
-        step += 1
-    outcome = run.outcome()
-    return SimulatedDeviation(
-        strategy=strategy_name,
-        evicted=outcome.detected,
-        eviction_time=outcome.detection_time_s,
-        false_evictions=outcome.honest_evictions,
-        population=population,
-    )
+    try:
+        system = run.system
+        deviant, honest = run.node_ids[0], run.node_ids[1:]
+        system.run(1.2)
+        step = 0
+        while system.now < max_time and system.nodes[deviant].active:
+            for i, src in enumerate(honest):
+                system.send(src, honest[(i + 1) % len(honest)], b"flow-%d" % step)
+            system.run(0.6)
+            step += 1
+        outcome = run.outcome()
+        return SimulatedDeviation(
+            strategy=strategy_name,
+            evicted=outcome.detected,
+            eviction_time=outcome.detection_time_s,
+            false_evictions=outcome.honest_evictions,
+            population=population,
+        )
+    finally:
+        run.close()

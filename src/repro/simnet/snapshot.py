@@ -89,7 +89,9 @@ __all__ = [
 #: predecessor threshold as an int (no partial over the node's env).
 #: /16: an eviction tracker holds every accusation in one ``_accusers`` store.
 #: /17: an eviction tracker holds every ``(notifier, kind)`` notice in ``_notices``.
-SNAPSHOT_MAGIC = b"RACSNAP/17\n"
+#: /18: a receipt is an int bitmask over interned copy keys, with the
+#: first-seen times in one ``array('d')`` and replays listed beside it.
+SNAPSHOT_MAGIC = b"RACSNAP/18\n"
 _MAGIC_PREFIX = b"RACSNAP/"
 
 

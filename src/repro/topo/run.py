@@ -32,16 +32,19 @@ def run_digest(
         nodes=nodes, horizon=horizon, seed=seed, topology=topology,
         traffic="ring", messages=1, tag="topo-gate",
     ))
-    run.run_to(horizon)
-    system = run.system
-    hasher = hashlib.sha256()
-    hasher.update(repr(sorted(system.stats_report().items())).encode())
-    for node_id in sorted(system.nodes):
-        for payload in system.nodes[node_id].delivered:
-            hasher.update(f"d|{node_id}|".encode())
-            hasher.update(payload)
-    hasher.update(f"end|{system.now!r}|{system.sim.events_processed}".encode())
-    return hasher.hexdigest()
+    try:
+        run.run_to(horizon)
+        system = run.system
+        hasher = hashlib.sha256()
+        hasher.update(repr(sorted(system.stats_report().items())).encode())
+        for node_id in sorted(system.nodes):
+            for payload in system.nodes[node_id].delivered:
+                hasher.update(f"d|{node_id}|".encode())
+                hasher.update(payload)
+        hasher.update(f"end|{system.now!r}|{system.sim.events_processed}".encode())
+        return hasher.hexdigest()
+    finally:
+        run.close()
 
 
 def lan_equivalence(*, nodes: int = 8, horizon: float = 4.0, seed: int = 4242):

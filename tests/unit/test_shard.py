@@ -33,6 +33,7 @@ from repro.simnet.shard import (
     sort_barrier_records,
 )
 from repro.simnet.snapshot import restore_system, snapshot_system
+from repro.topo.run import run_digest
 
 
 def _specs(weights):
@@ -294,7 +295,8 @@ class TestShardSystem:
         # the cycle collector next walks the oldest generation. With the
         # collector off, nothing is left for it: not by a shard-epoch
         # cell's system, built, restored or raising, not by a judged
-        # run, and not by the canonical copy a snapshot makes.
+        # run or a digested one, and not by the canonical copy a
+        # snapshot makes.
         from repro.orchestrator.sharded import run_shard_epoch, write_sharded_manifest
         from repro.orchestrator.workloads import WorkerContext
 
@@ -325,6 +327,9 @@ class TestShardSystem:
         def judged_run():
             run_scenario(Scenario.from_params({"nodes": 6, "duration": 0.5}, 0, "protocol"))
 
+        def digested_run():
+            run_digest(nodes=8, horizon=1.0)
+
         def snapshotted():
             system = built()
             snapshot_system((system, {"epoch_done": 0}), verify=True)
@@ -334,7 +339,7 @@ class TestShardSystem:
             with pytest.raises(FileNotFoundError):  # no barrier file for epoch 0
                 run_shard_epoch({"run_dir": str(tmp_path), "shard": 0, "epoch": 0}, 0, WorkerContext())
 
-        for drop in (closed_built, closed_restored, judged_run, snapshotted, raising_epoch):
+        for drop in (closed_built, closed_restored, judged_run, digested_run, snapshotted, raising_epoch):
             drop()  # a first call's lazy imports leave garbage of their own
             gc.collect()
             gc.disable()

@@ -20,6 +20,7 @@ import repro
 
 from repro.core.config import RacConfig, timer_regime
 from repro.core.system import RacSystem
+from repro.overlay.broadcast import LATER_COPY, REPLAYED_COPY, BroadcastState
 from repro.simnet.engine import ScheduledEvent, SimulationError, Simulator
 from repro.simnet.snapshot import (
     SNAPSHOT_MAGIC,
@@ -247,6 +248,21 @@ def _rac16_tracker() -> bytes:
         blacklist.EvictionTracker = real
 
 
+def _rac17_receipts() -> bytes:
+    """Pickles the way a ``RACSNAP/17`` receipt table did: one
+    ``(first_seen_at, *copy keys)`` tuple per message id in a lone
+    ``_records`` slot, without the interned bits a mask is read by."""
+    from repro.overlay.broadcast import BroadcastState
+
+    slots = {"_records": {7: (1.0, (3, 0), (4, 1), (4, 1))}}
+
+    class Rac17State:
+        def __reduce_ex__(self, protocol):
+            return object.__new__, (BroadcastState,), (None, slots)
+
+    return pickle.dumps(Rac17State())
+
+
 def _rac10_calendar() -> bytes:
     """Pickles the way a ``RACSNAP/10`` calendar did: every pending
     entry, a hop nobody holds included, a ``ScheduledEvent`` pointing
@@ -294,6 +310,36 @@ class TestSnapshotInvariants:
         assert system.sim.pending_events() > 0  # events in flight
         blob = snapshot_system(system)
         assert snapshot_system(restore_system(blob)) == blob
+
+    def test_receipts_mid_sequence_round_trip(self):
+        # Masks past the small-int cache (a dozen ring edges), a replay
+        # and a forgotten prefix: the restored receipts answer every
+        # query as the original, and keep doing so as both go on.
+        state = BroadcastState()
+        keys = [(node, node % 3) for node in range(12)]
+        for step, key in enumerate(keys):
+            state.on_receive(100 + step % 4, key, step * 0.25)
+        assert state.on_receive(102, keys[6], 4.0) == REPLAYED_COPY
+        state.on_receive(200, None, 4.5)
+        assert state.forget_before(0.5) == 2
+        blob = snapshot_system(state, verify=True)
+        restored = restore_system(blob)
+
+        def answers(receipts):
+            return (
+                len(receipts),
+                [msg_id in receipts for msg_id in (100, 101, 102, 103, 200)],
+                [receipts.copies_from(msg_id, key) for msg_id in (100, 101, 102, 103) for key in keys],
+                [sorted(receipts.missing_predecessors(msg_id, set(keys))) for msg_id in (101, 200)],
+            )
+
+        assert answers(restored) == answers(state)
+        assert restored.copies_from(102, keys[6]) == 2
+        for receipts in (state, restored):
+            assert receipts.on_receive(102, keys[2], 5.0) == REPLAYED_COPY
+            assert receipts.on_receive(103, (20, 0), 5.0) == LATER_COPY
+            assert receipts.forget_before(4.0) == 2
+        assert answers(restored) == answers(state)
 
     def test_mid_flood_deadlines_and_reserved_keys_round_trip(self):
         # 20 Mb/s links keep copies in flight, so the snapshot catches
@@ -598,6 +644,7 @@ class TestSnapshotErrors:
         # A RACSNAP/14 tracker names a node function that is gone.
         # A RACSNAP/15 tracker holds two accuser tallies it has no slot for.
         # A RACSNAP/16 tracker holds kindless notifier sets it has no slot for.
+        # A RACSNAP/17 receipt is a key tuple with no interned bits to read it.
         body = pickle.dumps((_Rac2Event(), _Rac3Monitor()))
         for stale in (_Rac2Event(), _Rac3Monitor()):
             with pytest.raises(AttributeError):
@@ -632,13 +679,17 @@ class TestSnapshotErrors:
         rac16 = _rac16_tracker()
         with pytest.raises(AttributeError, match="_notifiers"):
             pickle.loads(rac16)
+        rac17 = _rac17_receipts()
+        with pytest.raises(AttributeError, match="_bits"):
+            pickle.loads(rac17).copies_from(7, (4, 1))
         bodies = {version: body for version in ("1", "2", "3", "4", "5", "6")}
         stale = {**bodies, "7": rac7, "8": rac8, "9": rac9, "10": rac10, "11": rac11, "12": rac12}
         stale["13"], stale["14"], stale["15"], stale["16"] = rac13, rac14, rac15, rac16
+        stale["17"] = rac17
         for version, stale_body in stale.items():
             old = f"RACSNAP/{version}\n".encode() + stale_body
             with pytest.raises(
-                SnapshotError, match=f"version mismatch: blob is RACSNAP/{version},.*RACSNAP/17"
+                SnapshotError, match=f"version mismatch: blob is RACSNAP/{version},.*RACSNAP/18"
             ):
                 restore_system(old)
             path = tmp_path / "old.snap"
