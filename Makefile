@@ -68,7 +68,7 @@ coalition-smoke:  # 2 coordinated strategies x {none, storm}, 2-member sub-f*G c
 		--spec coalition-smoke --workers 2 --inject-crash 1
 	$(REPRO) campaign report --run-dir results/coalition_smoke --check
 
-scale-smoke:  # sharded N=64 on 2 workers == monolithic; pool and serial fingerprints identical
+scale-smoke:  # sharded N=64 on 2 workers == monolithic; pool and serial fingerprints identical; pool workers build their shards from the inputs the coordinator wrote, so this checks the parallel path
 	rm -rf results/scale_smoke
 	$(REPRO) scale run --run-dir results/scale_smoke/pool \
 		--nodes 64 --shards 2 --seed 7 --horizon 2.0 --workers 2 --verify

@@ -16,6 +16,7 @@ A row names a gate, the ``measure_*`` call that reads it and its kind:
     PYTHONPATH=src python benchmarks/baseline.py                 # record every row (make bench)
     PYTHONPATH=src python benchmarks/baseline.py --segment       # life of one segment
     PYTHONPATH=src python benchmarks/baseline.py --live-frame    # cost of one live TCP frame
+    PYTHONPATH=src python benchmarks/baseline.py --plan-cost 4096 64   # planning CPU of one sharded run
 
 ``benchmarks/test_bench_smoke.py`` checks every row (``make
 ci-bench-smoke``). A new gate is one row, plus a ``measure_*`` function
@@ -617,10 +618,11 @@ def measure_snapshot_save_ms(repeats: int = 5) -> float:
     (shard 0 of the N=64 / 2-shard scaling point, at t = 1 s)."""
     import statistics
 
-    from repro.simnet.shard import ScaleSpec, build_shard_system
+    from repro.simnet.shard import ScaleSpec, build_shard_system, plan_shard_inputs
     from repro.simnet.snapshot import snapshot_system
 
-    system = build_shard_system(ScaleSpec(nodes=64, num_shards=2, seed=7, horizon=2.0), 0)
+    spec = ScaleSpec(nodes=64, num_shards=2, seed=7, horizon=2.0)
+    system = build_shard_system(plan_shard_inputs(spec)[0])
     system.run(1.0)
     samples = []
     for _ in range(repeats):
@@ -639,6 +641,109 @@ def measure_sharded_events_per_sec(
     from repro.experiments.scale_curve import measure_point
 
     return measure_point(nodes, shards, horizon=horizon, seed=seed)["events_per_sec"]
+
+
+def _sharded_spec(nodes: int, shards: int, horizon: float):
+    """``rac_bench``'s ``sharded-serial-256`` spec (seed 16) over ``nodes``
+    nodes, ``shards`` shards and one epoch of ``horizon`` simulated
+    seconds."""
+    import random
+
+    from repro.simnet.shard import ScaleSpec
+
+    return ScaleSpec(
+        nodes=nodes,
+        num_shards=shards,
+        seed=16,
+        horizon=horizon,
+        epoch=horizon,
+        config={
+            "join_settle_time": 0.05,
+            "relay_timeout": 2.0,
+            "propagation_jitter": 1e-6 * (1.0 + random.Random(16).random()),
+        },
+    )
+
+
+def measure_population_draws_per_node(nodes: int = 256, shards: int = 8) -> float:
+    """Identities drawn (``generate_node_material`` calls) per node in one
+    serial sharded run of the ``sharded-serial-256`` shape, one 0.5 s
+    epoch in a temporary run directory; draws do not depend on the
+    horizon. A count: 8.0 (one per node per shard) while every shard
+    planned the whole population before its first epoch, 1.0 since the
+    coordinator plans once and each shard builds from its inputs."""
+    import tempfile
+    from unittest import mock
+
+    from repro.core import identity
+    from repro.orchestrator.sharded import run_sharded
+
+    draws = 0
+    draw = identity.generate_node_material
+
+    def counted(*args):
+        nonlocal draws
+        draws += 1
+        return draw(*args)
+
+    with tempfile.TemporaryDirectory(prefix="rac_draws_") as run_dir:
+        with mock.patch.object(identity, "generate_node_material", counted):
+            run_sharded(_sharded_spec(nodes, shards, 0.5), run_dir, serial=True)
+    return draws / nodes
+
+
+def measure_plan_cost(nodes: int, shards: int) -> dict:
+    """Process CPU one serial sharded run (one 0.05 s epoch) spends
+    planning — the coordinator's plan and the inputs it writes, and
+    every shard's read of its inputs — against one bare
+    ``plan_population`` of the same spec. ``plans_per_run`` counts
+    ``plan_population`` calls in the run: one, where every shard once
+    planned for itself (``shards`` plans)."""
+    import contextlib
+    import tempfile
+    from unittest import mock
+
+    from repro.orchestrator import sharded
+    from repro.simnet import shard
+
+    spec = _sharded_spec(nodes, shards, 0.05)
+    plan = shard.plan_population
+    started = time.process_time()
+    plan(spec)
+    one = time.process_time() - started
+    spent = {"cpu": 0.0, "plans": 0}
+
+    def counted(spec):
+        spent["plans"] += 1
+        return plan(spec)
+
+    def timed(step):
+        def call(*args):
+            started = time.process_time()
+            try:
+                return step(*args)
+            finally:
+                spent["cpu"] += time.process_time() - started
+
+        return call
+
+    patches = (
+        mock.patch.object(shard, "plan_population", counted),
+        mock.patch.object(sharded, "_write_shard_inputs", timed(sharded._write_shard_inputs)),
+        mock.patch.object(sharded, "_read_shard_inputs", timed(sharded._read_shard_inputs)),
+    )
+    with tempfile.TemporaryDirectory(prefix="rac_plan_cost_") as run_dir, contextlib.ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
+        sharded.run_sharded(spec, run_dir, serial=True)
+    return {
+        "nodes": nodes,
+        "shards": shards,
+        "plans_per_run": spent["plans"],
+        "one_plan_cpu_s": round(one, 3),
+        "planning_cpu_s_per_run": round(spent["cpu"], 3),
+        "runs_planning_over_one_plan": round(spent["cpu"] / one, 2),
+    }
 
 
 KINDS = ("time", "rate", "count", "relative")
@@ -712,6 +817,9 @@ GATES = (
     Gate("snapshot_save_ms", measure_snapshot_save_ms, "time"),
     Gate("engine_events_per_sec", measure_engine_events_per_sec, "rate", rounds=3),
     Gate("sharded_events_per_sec", measure_sharded_events_per_sec, "rate"),
+    # the coordinator plans once: a shard that plans the population for
+    # itself again reads 8.0 (one draw per node per shard)
+    Gate("population_draws_per_node", measure_population_draws_per_node, "count", bound=1.0),
     Gate("segment_us", partial(measure_segment_us, repeats=2), "time"),
     Gate("flood_gc_collections", measure_flood_gc_collections, "count", bound=60),
     # close() cuts every back-edge and a snapshot closes its canonical
@@ -798,9 +906,20 @@ def main(argv=None) -> int:
         help="with --receipts: after the window, ROUNDS times the oldest member "
         "leaves, a new node joins and the group runs 0.1 s",
     )
+    parser.add_argument(
+        "--plan-cost",
+        type=int,
+        nargs=2,
+        metavar=("N", "S"),
+        help="print the CPU one serial N-node, S-shard run spends planning "
+        "against one plan_population, and write nothing",
+    )
     args = parser.parse_args(argv)
     if args.churn and args.receipts is None:
         parser.error("--churn needs --receipts")
+    if args.plan_cost is not None:
+        print(json.dumps(measure_plan_cost(*args.plan_cost), indent=2))
+        return 0
     if args.receipts is not None:
         held, records = measure_receipts(args.receipts, args.churn)
         summary = {

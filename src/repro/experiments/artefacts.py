@@ -262,7 +262,7 @@ def _full_report() -> Built:
     )
     sections.append(
         "Known paper-internal inconsistencies and reproduction findings: "
-        "see EXPERIMENTS.md and DESIGN.md §6."
+        "see EXPERIMENTS.md and DESIGN.md §2 and §3."
     )
     return [_REPORT_HEADER + "\n" + "\n\n".join(sections)], failures
 

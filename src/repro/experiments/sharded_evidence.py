@@ -18,9 +18,8 @@ from __future__ import annotations
 import tempfile
 from typing import List, Tuple
 
-from ..groups import plan_bundles, snapshot_groups
 from ..orchestrator.sharded import run_sharded
-from ..simnet.shard import ScaleSpec, plan_population
+from ..simnet.shard import ScaleSpec, plan_shard_inputs
 
 __all__ = ["sharded_evidence"]
 
@@ -51,11 +50,9 @@ def sharded_evidence() -> "Tuple[str, List[str]]":
     failed = []
     for label, fields in CELLS:
         spec = ScaleSpec(nodes=256, num_shards=8, seed=3, **fields)
-        _config, materials, directory = plan_population(spec)
-        members = {materials[i - 1].node_id for i in MEMBERS}
-        bundles = plan_bundles(snapshot_groups(directory), spec.num_shards)
-        bundle_of = {g.gid: k for k, bundle in enumerate(bundles) for g in bundle}
-        spanned = len({bundle_of[directory.group_for_id(n).gid] for n in members})
+        shards = plan_shard_inputs(spec)
+        members = {shards[0].node_ids[i - 1] for i in MEMBERS}
+        spanned = sum(1 for inputs in shards if members & {m.node_id for m in inputs.materials})
 
         with tempfile.TemporaryDirectory(prefix="coalition-shard-") as run_dir:
             outcome = run_sharded(spec, run_dir, serial=True)

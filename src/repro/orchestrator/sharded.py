@@ -9,9 +9,17 @@ sweep cell of the ``shard_epoch`` workload, executed in this process
 inheriting its outbox handoff, crash retry and exactly-once resume for
 free.
 
+The coordinator plans the population once, before epoch 0's barrier,
+and writes each shard's build inputs (:class:`repro.simnet.shard.ShardInputs`:
+its bundle, its members' identities and behaviours, the creation-order
+id list and its traffic) to the run directory; an epoch-0 cell builds
+its shard from that file alone, so a run plans N identities, not N per
+shard.
+
 Run-directory layout::
 
     <run_dir>/sharded.json                  spec manifest
+    <run_dir>/inputs/shard<k>.pickle        per-shard build inputs (written once)
     <run_dir>/shards/shard<k>.snap          per-shard snapshot (epoch boundary)
     <run_dir>/barriers/epoch<e>.json        merged imports for epoch e
     <run_dir>/exports/shard<k>.epoch<e>.json
@@ -24,25 +32,30 @@ carries ``epoch_done``, the epoch's exports and the running fingerprint
 idempotently (the retry replays nothing, it re-emits the recorded
 exports). A killed *coordinator* is resumed by re-running
 :func:`run_sharded` on the same directory: completed cells are skipped
-via the result store and barrier/export files are re-read from disk.
+via the result store, barrier/export files are re-read from disk, and
+the inputs are planned again only if one is missing (every file is
+written tmp + rename, and a re-plan writes the same bytes).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
 from ..simnet.shard import (
     ScaleSpec,
+    ShardInputs,
     ZERO_FINGERPRINT,
     build_shard_system,
     canonical_blob,
     chain_fingerprint,
     epoch_step,
     merge_fingerprint,
+    plan_shard_inputs,
     shard_summary,
     sort_barrier_records,
 )
@@ -71,6 +84,10 @@ SHARDED_MANIFEST = "sharded.json"
 # ---------------------------------------------------------------------------
 # paths + manifest
 # ---------------------------------------------------------------------------
+def _inputs_path(run_dir: str, shard: int) -> str:
+    return os.path.join(run_dir, "inputs", f"shard{shard:03d}.pickle")
+
+
 def _snapshot_path(run_dir: str, shard: int) -> str:
     return os.path.join(run_dir, "shards", f"shard{shard:03d}.snap")
 
@@ -101,6 +118,27 @@ def _read_json(path: str) -> "Dict[str, Any]":
         return json.load(fh)
 
 
+def _write_shard_inputs(run_dir: str) -> None:
+    """Plan the manifest's run once and write every shard's inputs, each
+    atomically. The plan is drawn from the spec the manifest returns,
+    the one cells read: a config string from JSON is another object
+    than the literal the key code uses, and a snapshot pickles a shared
+    string once, so a plan from another spec object can move a shard's
+    snapshot bytes."""
+    os.makedirs(os.path.join(run_dir, "inputs"), exist_ok=True)
+    for inputs in plan_shard_inputs(load_sharded_manifest(run_dir)):
+        path = _inputs_path(run_dir, inputs.shard_index)
+        tmp = f"{path}.tmp.{os.getpid()}"
+        with open(tmp, "wb") as fh:
+            pickle.dump(inputs, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        os.replace(tmp, path)
+
+
+def _read_shard_inputs(run_dir: str, shard: int) -> ShardInputs:
+    with open(_inputs_path(run_dir, shard), "rb") as fh:
+        return pickle.load(fh)
+
+
 def write_sharded_manifest(run_dir: str, spec: ScaleSpec) -> str:
     path = os.path.join(run_dir, SHARDED_MANIFEST)
     if os.path.exists(path):
@@ -128,7 +166,8 @@ def run_shard_epoch(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> 
     """Advance one shard across one epoch (the ``shard_epoch`` workload).
 
     Deterministic and idempotent in ``(params, seed)``: state is loaded
-    from (or bootstrapped into) the shard's snapshot; an epoch already
+    from the shard's snapshot, or built from the shard's inputs before
+    its first epoch; an epoch already
     recorded as done in the snapshot's meta is *not* re-run, its stored
     exports are simply re-emitted — that is what makes crash retries
     after a completed snapshot converge instead of double-advancing.
@@ -148,7 +187,7 @@ def run_shard_epoch(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> 
     if os.path.exists(snap_path):
         system, meta = load_snapshot(snap_path)
     else:
-        system = build_shard_system(spec, shard)
+        system = build_shard_system(_read_shard_inputs(run_dir, shard))
         meta = {"epoch_done": -1, "fingerprint": ZERO_FINGERPRINT, "last_exports": []}
 
     # The next cell restores its own copy; this one closes on every path.
@@ -276,6 +315,8 @@ def run_sharded(
     store = ResultStore(os.path.join(run_dir, "results.jsonl"))
 
     started = time.perf_counter()
+    if not all(os.path.exists(_inputs_path(run_dir, k)) for k in range(spec.num_shards)):
+        _write_shard_inputs(run_dir)
     barrier_digests: "List[str]" = []
     carried: "List[Dict]" = []
     for epoch in range(spec.epoch_count):

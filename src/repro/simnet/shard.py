@@ -6,13 +6,16 @@ transport never cross a group boundary, and with intra-group traffic
 the only cross-group flows are blacklist dissemination and eviction
 broadcasts. The sharded simulator exploits exactly that:
 
-* the **coordinator** replays the monolithic bootstrap
+* the **coordinator** replays the monolithic bootstrap once
   (:func:`repro.core.identity.build_population` + a directory replay)
-  to obtain the same population and the same final groups, then
-  partitions the groups into bundles (:mod:`repro.groups.partition`);
+  to obtain the same population and the same final groups, partitions
+  the groups into bundles (:mod:`repro.groups.partition`) and cuts the
+  plan into one :class:`ShardInputs` per bundle
+  (:func:`plan_shard_inputs`);
 * each **shard** is a :class:`ShardSystem` — a full
   :class:`~repro.core.system.RacSystem` hosting only its bundle's
-  nodes over a :class:`~repro.groups.partition.BundleDirectory`;
+  nodes over a :class:`~repro.groups.partition.BundleDirectory`, built
+  from its inputs alone;
 * shards advance in lock-step **epochs**; at each epoch barrier they
   export locally-decided evictions and import every other shard's,
   giving the run a stable, fingerprintable cross-shard schedule;
@@ -52,6 +55,8 @@ __all__ = [
     "canonical_blob",
     "chain_fingerprint",
     "plan_population",
+    "ShardInputs",
+    "plan_shard_inputs",
     "filter_plan_events",
     "build_shard_system",
     "epoch_step",
@@ -167,14 +172,16 @@ class ScaleSpec:
 
 
 # ---------------------------------------------------------------------------
-# deterministic planning (identical in coordinator and every worker)
+# deterministic planning (once per run, by the coordinator)
 # ---------------------------------------------------------------------------
 def plan_population(spec: ScaleSpec) -> "Tuple[RacConfig, List[NodeMaterial], GroupDirectory]":
     """The population and final groups a monolithic run would build.
 
     Replays :meth:`RacSystem.bootstrap`'s identity draws and directory
-    mutations (including splits) without instantiating nodes, so every
-    shard worker derives the same groups from the spec alone.
+    mutations (including splits) without instantiating nodes. Identities
+    come off one sequential stream whose puzzle draws vary in count, so
+    node k's material depends on every draw before it: the population is
+    planned whole, once, and each shard is handed its members.
     """
     config = spec.build_config()
     materials = build_population(config, spec.nodes, spec.seed)
@@ -184,6 +191,60 @@ def plan_population(spec: ScaleSpec) -> "Tuple[RacConfig, List[NodeMaterial], Gr
     for material in materials:
         directory.add_node(material.node_id, material.id_keypair.public)
     return config, materials, directory
+
+
+@dataclass(frozen=True)
+class ShardInputs:
+    """Everything one shard's build reads from the population plan.
+
+    ``config`` is the plan's own, the one the identities were drawn
+    under: an object both share (the key backend's name) stays one
+    object in the shard's snapshot. ``materials`` are the bundle's
+    members in creation order and ``behaviors`` the misbehaviours
+    planted on them, keyed by 0-based creation index. ``node_ids`` is
+    the whole population in creation order, because the fault plan
+    names global indices. ``sends`` are the members' queued traffic as
+    ``(src id, dst id, payload)``, in the order the scenario lists them.
+    """
+
+    spec: ScaleSpec
+    config: RacConfig
+    shard_index: int
+    bundle: "List[GroupSpec]"
+    materials: "List[NodeMaterial]"
+    behaviors: "Dict[int, Any]"
+    node_ids: "List[int]"
+    sends: "List[Tuple[int, int, bytes]]"
+
+
+def plan_shard_inputs(spec: ScaleSpec) -> "List[ShardInputs]":
+    """Plan ``spec``'s population once and cut it into every shard's inputs."""
+    config, materials, directory = plan_population(spec)
+    bundles = plan_bundles(snapshot_groups(directory), spec.num_shards)
+    scenario = spec.scenario()
+    behaviors = plant_behaviors(scenario, config, materials)
+    node_ids = [m.node_id for m in materials]
+    sends = traffic_sends(scenario, node_ids, directory)
+    inputs = []
+    for shard_index, bundle in enumerate(bundles):
+        local_ids = {m for s in bundle for m in s.members}
+        inputs.append(
+            ShardInputs(
+                spec=spec,
+                config=config,
+                shard_index=shard_index,
+                bundle=bundle,
+                materials=[m for m in materials if m.node_id in local_ids],
+                behaviors={i: b for i, b in behaviors.items() if node_ids[i] in local_ids},
+                node_ids=node_ids,
+                sends=[
+                    (node_ids[src], node_ids[dst], payload)
+                    for _at, src, dst, payload in sends
+                    if node_ids[src] in local_ids
+                ],
+            )
+        )
+    return inputs
 
 
 def filter_plan_events(plan, local_indices: "set"):
@@ -301,33 +362,21 @@ class ShardSystem(RacSystem):
         return out
 
 
-def build_shard_system(spec: ScaleSpec, shard_index: int) -> ShardSystem:
-    """Construct shard ``shard_index`` of ``spec`` at t=0, traffic queued."""
-    config, materials, directory = plan_population(spec)
-    specs = snapshot_groups(directory)
-    bundles = plan_bundles(specs, spec.num_shards)
-    if not 0 <= shard_index < len(bundles):
-        raise ValueError(f"shard index {shard_index} outside 0..{len(bundles) - 1}")
-    bundle = bundles[shard_index]
-    local_ids = {m for s in bundle for m in s.members}
-    system = ShardSystem(config, spec.seed, shard_index, bundle)
-    local_materials = [m for m in materials if m.node_id in local_ids]
+def build_shard_system(inputs: ShardInputs) -> ShardSystem:
+    """Construct one shard at t=0 from its inputs, traffic queued."""
+    spec = inputs.spec
+    system = ShardSystem(inputs.config, spec.seed, inputs.shard_index, inputs.bundle)
+    system.populate(inputs.materials, inputs.behaviors)
+    # Rejected here, before the first epoch, rather than surfacing as
+    # mysterious honest evictions at N=256.
     scenario = spec.scenario()
-    behaviors = plant_behaviors(scenario, config, materials)
-    local_behaviors = {i: b for i, b in behaviors.items() if materials[i].node_id in local_ids}
-    system.populate(local_materials, local_behaviors)
-    # Rejected here, at plan time, rather than surfacing as mysterious
-    # honest evictions at N=256.
-    scenario.check_contract(system.send_interval_for(local_materials[0].node_id))
-    node_ids = [m.node_id for m in materials]
-    for _at, src, dst, payload in traffic_sends(scenario, node_ids, directory):
-        if node_ids[src] in local_ids:
-            system.send(node_ids[src], node_ids[dst], payload)
+    scenario.check_contract(system.send_interval_for(inputs.materials[0].node_id))
+    for src, dst, payload in inputs.sends:
+        system.send(src, dst, payload)
     plan = scenario.fault_plan()
     if plan.events:
-        local_indices = {m.index - 1 for m in local_materials}
-        local_plan = filter_plan_events(plan, local_indices)
-        local_plan.compile_sim(system, node_ids)
+        local_indices = {m.index - 1 for m in inputs.materials}
+        filter_plan_events(plan, local_indices).compile_sim(system, inputs.node_ids)
     return system
 
 

@@ -10,14 +10,31 @@ one epoch of the barrier that carried it.
 
 import json
 import os
+import random
 import re
 
 import pytest
 
+from repro.core import identity
 from repro.experiments.artefacts import RESULTS
 from repro.groups import plan_bundles, snapshot_groups
-from repro.orchestrator.sharded import run_sharded, verify_sharded
-from repro.simnet.shard import ScaleSpec, plan_population
+from repro.orchestrator.sharded import (
+    _read_shard_inputs,
+    _write_shard_inputs,
+    load_sharded_manifest,
+    run_sharded,
+    verify_sharded,
+    write_sharded_manifest,
+)
+from repro.scenario import plant_behaviors, traffic_sends
+from repro.simnet.shard import (
+    ScaleSpec,
+    ShardSystem,
+    build_shard_system,
+    filter_plan_events,
+    plan_population,
+)
+from repro.simnet.snapshot import snapshot_system
 
 
 SPEC = ScaleSpec(nodes=24, num_shards=2, seed=3, horizon=3.0)
@@ -165,3 +182,97 @@ class TestBlacklistDissemination:
             for summary in outcome.per_shard
         )
         assert applied == EVICT_SPEC.num_shards - 1
+
+
+# The N=64 point of results/scaling_curve.txt (and of `make scale-smoke`).
+N64 = ScaleSpec(nodes=64, num_shards=2, seed=7, horizon=2.0)
+N64_SHARD_PREFIXES = ["fc30bf7ed51ef340", "311eee9ed419b912"]
+# rac_bench's sharded-serial-256 spec at its default scale and seed 16.
+BENCH_256 = ScaleSpec(
+    nodes=256,
+    num_shards=8,
+    seed=16,
+    horizon=3.0,
+    epoch=1.5,
+    config={
+        "join_settle_time": 0.05,
+        "relay_timeout": 2.0,
+        "propagation_jitter": 1e-6 * (1.0 + random.Random(16).random()),
+    },
+)
+
+
+def replanned_shard(spec, shard_index):
+    """Shard ``shard_index`` built the way each cell once built it: the
+    whole population planned again, then cut down to its bundle."""
+    config, materials, directory = plan_population(spec)
+    bundle = plan_bundles(snapshot_groups(directory), spec.num_shards)[shard_index]
+    local_ids = {m for group in bundle for m in group.members}
+    system = ShardSystem(config, spec.seed, shard_index, bundle)
+    local_materials = [m for m in materials if m.node_id in local_ids]
+    scenario = spec.scenario()
+    behaviors = plant_behaviors(scenario, config, materials)
+    system.populate(
+        local_materials, {i: b for i, b in behaviors.items() if materials[i].node_id in local_ids}
+    )
+    node_ids = [m.node_id for m in materials]
+    for _at, src, dst, payload in traffic_sends(scenario, node_ids, directory):
+        if node_ids[src] in local_ids:
+            system.send(node_ids[src], node_ids[dst], payload)
+    plan = scenario.fault_plan()
+    if plan.events:
+        local_indices = {m.index - 1 for m in local_materials}
+        filter_plan_events(plan, local_indices).compile_sim(system, node_ids)
+    return system
+
+
+@pytest.fixture
+def draws(monkeypatch, tmp_path):
+    """Identities drawn from now on, by this process and by the pool
+    workers it forks: each draw appends one byte to a tally file."""
+    tally = tmp_path / "draws"
+    tally.touch()
+    draw = identity.generate_node_material
+
+    def counted(*args):
+        with open(tally, "ab") as fh:
+            fh.write(b".")
+        return draw(*args)
+
+    monkeypatch.setattr(identity, "generate_node_material", counted)
+    return lambda: tally.stat().st_size
+
+
+class TestPlanOnce:
+    """The coordinator plans the population; each shard builds from its inputs."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [N64, BENCH_256, ScaleSpec(nodes=24, num_shards=2, seed=3, config={"key_backend": "dh"})],
+        ids=["n64", "bench256", "dh24"],
+    )
+    def test_a_shard_built_from_its_inputs_is_byte_identical(self, spec, tmp_path):
+        write_sharded_manifest(str(tmp_path), spec)
+        _write_shard_inputs(str(tmp_path))
+        # A cell reads the spec from the manifest, as the replanned
+        # reference does: string identities from JSON reach the pickle.
+        manifest = load_sharded_manifest(str(tmp_path))
+        for shard in range(spec.num_shards):
+            built = build_shard_system(_read_shard_inputs(str(tmp_path), shard))
+            reference = replanned_shard(manifest, shard)
+            try:
+                assert snapshot_system(built) == snapshot_system(reference), f"shard {shard}"
+            finally:
+                built.close()
+                reference.close()
+
+    def test_a_crashed_and_resumed_run_draws_each_identity_once(self, tmp_path, draws):
+        run_dir = str(tmp_path / "run")
+        # A pool worker dies in epoch 0 and its cell is retried; then a
+        # coordinator re-enters the finished directory.
+        crashed = run_sharded(N64, run_dir, workers=2, inject_crash=1)
+        resumed = run_sharded(N64, run_dir, serial=True)
+        for outcome in (crashed, resumed):
+            assert [f[:16] for f in outcome.shard_fingerprints] == N64_SHARD_PREFIXES
+            assert outcome.merged_fingerprint == committed_n64_merged_fingerprint()
+        assert draws() == N64.nodes

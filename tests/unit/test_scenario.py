@@ -25,7 +25,7 @@ from repro.scenario import (
     traffic_sends,
 )
 from repro.live.cluster import LiveCluster
-from repro.simnet.shard import ScaleSpec, build_shard_system
+from repro.simnet.shard import ScaleSpec, build_shard_system, plan_shard_inputs
 from repro.simnet.snapshot import restore_system, snapshot_system
 
 
@@ -305,7 +305,7 @@ class TestTwoPhaseRun:
         with pytest.raises(ValueError, match=refused):
             prepare(starved)
         with pytest.raises(ValueError, match=refused):
-            build_shard_system(ScaleSpec(nodes=16, num_shards=1, config=dict(starved.config)), 0)
+            build_shard_system(plan_shard_inputs(ScaleSpec(nodes=16, num_shards=1, config=dict(starved.config)))[0])
         for processes in (False, True):
             with pytest.raises(ValueError, match=refused):
                 run_scenario(starved, "live", processes=processes)

@@ -30,6 +30,7 @@ from repro.simnet.shard import (
     epoch_step,
     filter_plan_events,
     plan_population,
+    plan_shard_inputs,
     sort_barrier_records,
 )
 from repro.simnet.snapshot import restore_system, snapshot_system
@@ -191,7 +192,7 @@ class TestBuildFaultPlan:
         # oracle alike, with an actionable message.
         spec = ScaleSpec(nodes=16, num_shards=1, plan="storm")
         with pytest.raises(ValueError, match="misbehaviour timers"):
-            build_shard_system(spec, 0)
+            build_shard_system(plan_shard_inputs(spec)[0])
         with pytest.raises(ValueError, match="misbehaviour timers"):
             prepare(spec.scenario())
 
@@ -276,14 +277,14 @@ class TestBarrierCanonicalisation:
 class TestShardSystem:
     def test_shards_partition_the_population(self):
         spec = ScaleSpec(nodes=24, num_shards=2, seed=3, horizon=1.0)
-        systems = [build_shard_system(spec, k) for k in range(2)]
+        systems = [build_shard_system(inputs) for inputs in plan_shard_inputs(spec)]
         ids = [sorted(s.nodes) for s in systems]
         assert not set(ids[0]) & set(ids[1])
         assert len(ids[0]) + len(ids[1]) == 24
 
     def test_epoch_step_emits_chained_fingerprints(self):
         spec = ScaleSpec(nodes=24, num_shards=2, seed=3, horizon=1.0, epoch=0.5)
-        system = build_shard_system(spec, 0)
+        system = build_shard_system(plan_shard_inputs(spec)[0])
         _, fp1 = epoch_step(system, spec, 0, [], ZERO_FINGERPRINT)
         _, fp2 = epoch_step(system, spec, 1, [], fp1)
         assert fp1 != ZERO_FINGERPRINT
@@ -297,14 +298,20 @@ class TestShardSystem:
         # cell's system, built, restored or raising, not by a judged
         # run or a digested one, and not by the canonical copy a
         # snapshot makes.
-        from repro.orchestrator.sharded import run_shard_epoch, write_sharded_manifest
+        from repro.orchestrator.sharded import (
+            _write_shard_inputs,
+            run_shard_epoch,
+            write_sharded_manifest,
+        )
         from repro.orchestrator.workloads import WorkerContext
 
         spec = ScaleSpec(nodes=24, num_shards=2, seed=3, horizon=1.0, epoch=0.5)
         write_sharded_manifest(str(tmp_path), spec)
+        _write_shard_inputs(str(tmp_path))
+        inputs = plan_shard_inputs(spec)[0]
 
         def built():
-            system = build_shard_system(spec, 0)
+            system = build_shard_system(inputs)
             epoch_step(system, spec, 0, [], ZERO_FINGERPRINT)
             return system
 

@@ -591,9 +591,10 @@ class TestCanonicalSets:
         follow it. (A shard's own sets hold ints, hence the labels.)"""
         script = (
             "import hashlib\n"
-            "from repro.simnet.shard import ScaleSpec, build_shard_system\n"
+            "from repro.simnet.shard import ScaleSpec, build_shard_system, plan_shard_inputs\n"
             "from repro.simnet.snapshot import snapshot_system\n"
-            "system = build_shard_system(ScaleSpec(nodes=64, num_shards=2, seed=7, horizon=2.0), 0)\n"
+            "spec = ScaleSpec(nodes=64, num_shards=2, seed=7, horizon=2.0)\n"
+            "system = build_shard_system(plan_shard_inputs(spec)[0])\n"
             "system.run(0.8)\n"
             "labels = {f'node-{node_id}' for node_id in system.nodes}\n"
             "print(hashlib.sha256(snapshot_system((system, labels))).hexdigest())\n"
