@@ -73,10 +73,11 @@ scale-smoke:  # sharded N=64 on 2 workers == monolithic; pool and serial fingerp
 	$(REPRO) scale run --run-dir results/scale_smoke/pool \
 		--nodes 64 --shards 2 --seed 7 --horizon 2.0 --workers 2 --verify
 	PYTHONPATH=src $(PYTHON) -c "import json; \
-		from repro.orchestrator.sharded import load_sharded_manifest, run_sharded; \
-		spec = load_sharded_manifest('results/scale_smoke/pool'); \
-		pool = [json.load(open('results/scale_smoke/pool/summary/shard%03d.json' % k))['fingerprint'] for k in range(spec.num_shards)]; \
-		serial = run_sharded(spec, 'results/scale_smoke/serial', serial=True).shard_fingerprints; \
+		from repro.orchestrator.sharded import load_sharded_manifest; \
+		from repro.scenario import run_scenario; \
+		scenario, shards, epoch = load_sharded_manifest('results/scale_smoke/pool'); \
+		pool = [json.load(open('results/scale_smoke/pool/summary/shard%03d.json' % k))['fingerprint'] for k in range(shards)]; \
+		serial = run_scenario(scenario, 'sharded', shards=shards, epoch=epoch, run_dir='results/scale_smoke/serial', serial=True).fingerprints[:-1]; \
 		assert pool == serial, (pool, serial); \
 		print('pool/serial shard fingerprints identical:', ' '.join(f[:16] for f in pool))"
 	rm -rf results/scale_smoke
@@ -106,6 +107,7 @@ ci:  # what .github/workflows/ci.yml runs
 	$(PYTHON) benchmarks/rac_bench/run.py --workload sim-storm-16 --seconds 2 --trace 0  # the loss path: retransmits, crash-restart outages, a silent relay convicted
 	$(PYTHON) benchmarks/rac_bench/run.py --workload sim-onion-dh-12 --seconds 2 --trace 0  # DH onions: the only run of a trial peel that misses on the DH backend
 	$(PYTHON) benchmarks/rac_bench/run.py --workload sharded-serial-256 --seconds 2 --trace 0  # jittered shards: the only run of snapshots and of the sequenced direct path
+	$(PYTHON) benchmarks/rac_bench/run.py --workload sharded-serial-256 --seconds 2 --trace 1  # traced shards: rebinds every layers.TARGETS name the sharded path keeps for the benchmark
 	$(PYTHON) benchmarks/rac_bench/run.py --workload live-loopback-8 --seconds 2 --trace 0  # live loopback: the only run of LiveCluster.shutdown -> LiveReport as the benchmark reads it
 
 examples:  # every examples/*.py through the public API (system.evicted, stats_report(), ...)

@@ -618,11 +618,12 @@ def measure_snapshot_save_ms(repeats: int = 5) -> float:
     (shard 0 of the N=64 / 2-shard scaling point, at t = 1 s)."""
     import statistics
 
-    from repro.simnet.shard import ScaleSpec, build_shard_system, plan_shard_inputs
+    from repro.scenario import Scenario
+    from repro.simnet.shard import build_shard_system, plan_shard_inputs
     from repro.simnet.snapshot import snapshot_system
 
-    spec = ScaleSpec(nodes=64, num_shards=2, seed=7, horizon=2.0)
-    system = build_shard_system(plan_shard_inputs(spec)[0])
+    scenario = Scenario.from_params({"nodes": 64, "horizon": 2.0}, 7, "scale")
+    system = build_shard_system(plan_shard_inputs(scenario, 2)[0])
     system.run(1.0)
     samples = []
     for _ in range(repeats):
@@ -643,26 +644,28 @@ def measure_sharded_events_per_sec(
     return measure_point(nodes, shards, horizon=horizon, seed=seed)["events_per_sec"]
 
 
-def _sharded_spec(nodes: int, shards: int, horizon: float):
-    """``rac_bench``'s ``sharded-serial-256`` spec (seed 16) over ``nodes``
-    nodes, ``shards`` shards and one epoch of ``horizon`` simulated
-    seconds."""
+def _sharded_scenario(nodes: int, horizon: float):
+    """``rac_bench``'s ``sharded-serial-256`` scenario (seed 16) over
+    ``nodes`` nodes and ``horizon`` simulated seconds."""
     import random
 
-    from repro.simnet.shard import ScaleSpec
+    from repro.scenario import Scenario
 
-    return ScaleSpec(
-        nodes=nodes,
-        num_shards=shards,
-        seed=16,
-        horizon=horizon,
-        epoch=horizon,
-        config={
-            "join_settle_time": 0.05,
-            "relay_timeout": 2.0,
-            "propagation_jitter": 1e-6 * (1.0 + random.Random(16).random()),
-        },
-    )
+    params = {
+        "nodes": nodes,
+        "horizon": horizon,
+        "join_settle_time": 0.05,
+        "relay_timeout": 2.0,
+        "propagation_jitter": 1e-6 * (1.0 + random.Random(16).random()),
+    }
+    return Scenario.from_params(params, 16, "scale")
+
+
+def _run_one_epoch(scenario, shards: int, run_dir: str) -> None:
+    """One serial sharded run of ``scenario``, a single epoch long."""
+    from repro.scenario import run_scenario
+
+    run_scenario(scenario, "sharded", shards=shards, epoch=scenario.horizon, run_dir=run_dir, serial=True)
 
 
 def measure_population_draws_per_node(nodes: int = 256, shards: int = 8) -> float:
@@ -676,7 +679,6 @@ def measure_population_draws_per_node(nodes: int = 256, shards: int = 8) -> floa
     from unittest import mock
 
     from repro.core import identity
-    from repro.orchestrator.sharded import run_sharded
 
     draws = 0
     draw = identity.generate_node_material
@@ -688,7 +690,7 @@ def measure_population_draws_per_node(nodes: int = 256, shards: int = 8) -> floa
 
     with tempfile.TemporaryDirectory(prefix="rac_draws_") as run_dir:
         with mock.patch.object(identity, "generate_node_material", counted):
-            run_sharded(_sharded_spec(nodes, shards, 0.5), run_dir, serial=True)
+            _run_one_epoch(_sharded_scenario(nodes, 0.5), shards, run_dir)
     return draws / nodes
 
 
@@ -706,16 +708,16 @@ def measure_plan_cost(nodes: int, shards: int) -> dict:
     from repro.orchestrator import sharded
     from repro.simnet import shard
 
-    spec = _sharded_spec(nodes, shards, 0.05)
+    scenario = _sharded_scenario(nodes, 0.05)
     plan = shard.plan_population
     started = time.process_time()
-    plan(spec)
+    plan(scenario)
     one = time.process_time() - started
     spent = {"cpu": 0.0, "plans": 0}
 
-    def counted(spec):
+    def counted(scenario):
         spent["plans"] += 1
-        return plan(spec)
+        return plan(scenario)
 
     def timed(step):
         def call(*args):
@@ -735,7 +737,7 @@ def measure_plan_cost(nodes: int, shards: int) -> dict:
     with tempfile.TemporaryDirectory(prefix="rac_plan_cost_") as run_dir, contextlib.ExitStack() as stack:
         for patch in patches:
             stack.enter_context(patch)
-        sharded.run_sharded(spec, run_dir, serial=True)
+        _run_one_epoch(scenario, shards, run_dir)
     return {
         "nodes": nodes,
         "shards": shards,

@@ -25,7 +25,7 @@ a :data:`~repro.scenario.HARNESSES` row.
 
 Every verb takes one path: registry entry → spec → run → render/check.
 Each flag group is declared once, by the registry it fronts (HARNESSES
-rows, CampaignSpec and ScaleSpec fields, the pool). A verb's builder
+rows, CampaignSpec fields, a sharded run's options, the pool). A verb's builder
 makes the spec and binds the run to it; it is the one place input is
 judged: a rejected argument is one stderr line and exit 2, before
 anything runs or is written.
@@ -47,8 +47,7 @@ from .experiments.runner import Table
 from .freeride.registry import BEHAVIORS, UnknownBehaviorError
 from .orchestrator import SweepGrid, open_run, start_run
 from .orchestrator.workloads import UnknownWorkloadError, resolve_workload
-from .scenario import HARNESSES, Scenario, run_scenario
-from .simnet.shard import ScaleSpec
+from .scenario import HARNESSES, Scenario, compare_outcomes, run_scenario
 from .topo.model import PRESET_NAMES, PRESETS, preset
 
 __all__ = ["main", "build_parser"]
@@ -119,6 +118,17 @@ _SCENARIO_FLAGS: "Dict[str, Dict[str, Any]]" = {
     "enforce_contract": dict(flag="--no-contract", dest="enforce_contract", action="store_false",
                              help="bypass the topology timer contract (the false-positive probe)"),
     "churn": dict(action="store_true", help="compile the model's diurnal churn trace onto the run"),
+    "group_max": dict(type=int, help="largest group before it splits"),
+}
+
+#: A sharded run's options beside its scenario, as ``run_scenario(scenario,
+#: "sharded", ...)`` takes them.
+_SHARD_FLAGS: "Dict[str, Dict[str, Any]]" = {
+    "shards": dict(type=int, default=2, help="sub-simulators"),
+    "epoch": dict(type=float, default=1.0, help="simulated seconds between barriers"),
+    "deviant": dict(action="append", default=[], metavar="INDEX=BEHAVIOR",
+                     type=_pair(int, str, "INDEX=BEHAVIOR"),
+                     help="plant a freeride behaviour at a 0-based creation index; repeatable"),
 }
 
 #: The worker-pool flags; each pool verb takes the ones it honours.
@@ -149,11 +159,10 @@ def _add(p: argparse.ArgumentParser, table, names, defaults=None) -> "Tuple[str,
     return tuple(dests)
 
 
-def _spec_flags(p: argparse.ArgumentParser, spec, spellings, skip=(), keep_defaults=True) -> None:
-    """One flag per field of the dataclass ``spec``: a tuple field takes
-    ``V1,V2,...``, a dict field repeated ``KEY=VALUE``. An unset flag
-    keeps the field's default or, ``keep_defaults=False``, leaves the
-    field to whatever the spec is built from."""
+def _spec_flags(p: argparse.ArgumentParser, spec, spellings, skip=()) -> None:
+    """One flag per field of the dataclass ``spec``, a tuple field taking
+    ``V1,V2,...``; an unset flag leaves the field to whatever the spec
+    is built from."""
     hints, fields = typing.get_type_hints(spec), {}
     for f in dataclasses.fields(spec):
         if f.name in skip:
@@ -161,17 +170,10 @@ def _spec_flags(p: argparse.ArgumentParser, spec, spellings, skip=(), keep_defau
         kw = {"help": f"{spec.__name__}.{f.name}", **spellings.get(f.name, {})}
         flag = kw.pop("flag", "--" + f.name.replace("_", "-"))
         origin, args = typing.get_origin(hints[f.name]), typing.get_args(hints[f.name])
-        if origin is dict:
-            metavar = kw.setdefault("metavar", "KEY=VALUE")
-            kw.update(action="append", default=[], type=_pair(*args, metavar))
-            kw["help"] += "; repeatable"
+        if origin is tuple:
+            kw.update(type=_csv(args[0]), metavar="V1,V2,...")
         else:
-            kw["default"] = f.default if keep_defaults else None
-            kw["help"] += " (default %(default)s)" if keep_defaults else ""
-            if origin is tuple:
-                kw.update(type=_csv(args[0]), metavar="V1,V2,...")
-            else:
-                kw["type"] = args[0] if origin is typing.Union else hints[f.name]
+            kw["type"] = args[0] if origin is typing.Union else hints[f.name]
         fields[f.name] = p.add_argument(flag, **kw).dest
     p.set_defaults(spec_fields=fields)
 
@@ -179,7 +181,7 @@ def _spec_flags(p: argparse.ArgumentParser, spec, spellings, skip=(), keep_defau
 def _spec_values(args: argparse.Namespace) -> "Dict[str, Any]":
     """The fields :func:`_spec_flags` declared, as given (unset ones left out)."""
     values = {name: getattr(args, dest) for name, dest in args.spec_fields.items()}
-    return {k: dict(v) if isinstance(v, list) else v for k, v in values.items() if v is not None}
+    return {k: v for k, v in values.items() if v is not None}
 
 
 def _pool(args: argparse.Namespace) -> "Dict[str, Any]":
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     spellings = {"loss_points": "--loss", "group_sizes": "--nodes",
                  "coalition_fractions": "--coalition-fraction"}
     _spec_flags(crun, CampaignSpec, {name: dict(flag=flag) for name, flag in spellings.items()},
-                skip=("base",), keep_defaults=False)
+                skip=("base",))
     crun.add_argument("--coalition-size", type=_csv(int), metavar="V1,V2,...",
                       help="coalition member counts; converted to fractions against the single "
                       "--nodes value (mutually exclusive with --coalition-fraction)")
@@ -335,18 +337,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     scale = _group(sub, "scale", "group-sharded parallel simulation: one deterministic "
                    "sub-simulator per group bundle, merged at epoch barriers")
-    spellings = {
-        "num_shards": dict(flag="--shards", help="sub-simulators"),
-        "deviants": dict(flag="--deviant", metavar="INDEX=BEHAVIOR",
-                         help="plant a freeride behaviour at a 1-based creation index"),
-    }
     srun = scale.add_parser("run", help="run a sharded simulation on the worker pool")
     srun.add_argument("--run-dir", required=True, help="run directory (barriers, snapshots, store)")
     sverify = scale.add_parser("verify", help="serial sharded run + monolithic run, compared for "
                                "equivalence")
-    sverify.add_argument("--run-dir", help="run directory (default: a fresh temp dir)")
+    sverify.add_argument("--run-dir", help="run directory (default: a temporary one, removed afterwards)")
     for p in (srun, sverify):
-        _spec_flags(p, ScaleSpec, spellings, skip=("config", "coalition", "plan"))
+        _add(p, _SCENARIO_FLAGS, ("nodes", "horizon", "messages", "group_max"), HARNESSES["scale"])
+        p.add_argument("--seed", type=int, default=7, help="population and traffic seed (default 7)")
+        _add(p, _SHARD_FLAGS, _SHARD_FLAGS)
     _add(srun, _POOL_FLAGS, ("workers", "serial", "inject_crash"))
     srun.add_argument("--verify", action="store_true",
                       help="also run the monolithic simulation and assert outcome equivalence")
@@ -542,21 +541,22 @@ def _topo_verify() -> int:
 def _scale(args: argparse.Namespace) -> Run:
     """``scale run``, or ``scale verify``: the same run, serial, always
     compared with the monolithic simulation."""
-    import tempfile
+    from .orchestrator.sharded import check_sharded
 
-    from .orchestrator.sharded import run_sharded, verify_sharded
-
-    spec, pool = ScaleSpec(**_spec_values(args)), _pool(args)
+    params = {name: getattr(args, name) for name in ("nodes", "horizon", "messages", "group_max")}
+    scenario = dataclasses.replace(Scenario.from_params(params, args.seed, "scale"), deviants=dict(args.deviant))
+    check_sharded(scenario, args.shards, args.epoch)
+    options = dict(shards=args.shards, epoch=args.epoch, run_dir=args.run_dir, serial=args.serial,
+                   inject_crash=args.inject_crash, **_pool(args))
 
     def run() -> int:
-        run_dir = args.run_dir or tempfile.mkdtemp(prefix="rac_scale_verify_")
-        outcome = run_sharded(spec, run_dir, serial=args.serial, inject_crash=args.inject_crash, **pool)
+        outcome = run_scenario(scenario, "sharded", **options)
         print(outcome.render())
         if not args.verify:
             return 0
-        report = verify_sharded(outcome)
-        print(report.render())
-        return 0 if report.equivalent else 1
+        equivalent, comparison = compare_outcomes(outcome, run_scenario(scenario))
+        print(comparison)
+        return 0 if equivalent else 1
 
     return run
 

@@ -16,11 +16,11 @@ never disagree on what was measured.
 
 from __future__ import annotations
 
+import json
+import os
 import tempfile
+import time
 from typing import Dict, List, Tuple
-
-from ..orchestrator.sharded import run_sharded, verify_sharded
-from ..simnet.shard import ScaleSpec
 
 __all__ = ["SCALE_POINTS", "measure_point", "artefact"]
 
@@ -33,27 +33,45 @@ SCALE_POINTS: "Tuple[Tuple[int, int], ...]" = ((64, 2), (256, 8), (1024, 16))
 HORIZON = 2.0
 
 
+def _scenario(nodes: int, horizon: float, seed: int):
+    from ..scenario import Scenario
+
+    return Scenario.from_params({"nodes": nodes, "horizon": horizon}, seed, "scale")
+
+
 def measure_point(
     nodes: int, shards: int, horizon: float = HORIZON, seed: int = 7
 ) -> "Dict[str, object]":
-    """Run one sharded scale point serially and report its metrics."""
-    spec = ScaleSpec(nodes=nodes, num_shards=shards, seed=seed, horizon=horizon)
+    """Run one sharded scale point serially (1 s epochs) and report its metrics."""
+    from ..scenario import run_scenario
+    from ..simnet.shard import epoch_ends
+
     with tempfile.TemporaryDirectory(prefix=f"rac_scale_{nodes}_") as run_dir:
-        outcome = run_sharded(spec, run_dir, serial=True)
+        started = time.perf_counter()
+        outcome = run_scenario(
+            _scenario(nodes, horizon, seed), "sharded", shards=shards, run_dir=run_dir, serial=True
+        )
+        wall = time.perf_counter() - started
+        shard_nodes = []
+        for shard in range(shards):
+            with open(os.path.join(run_dir, "summary", f"shard{shard:03d}.json"), encoding="utf-8") as fh:
+                shard_nodes.append(json.load(fh)["nodes"])
+    events = int(outcome.counters["sim_events_processed"])
+    *shard_fingerprints, merged = outcome.fingerprints
     return {
         "nodes": nodes,
         "shards": shards,
         "horizon": horizon,
         "seed": seed,
-        "epochs": spec.epoch_count,
-        "wall_seconds": round(outcome.wall_seconds, 2),
-        "events_processed": outcome.events_processed,
-        "events_per_sec": round(outcome.events_per_second),
-        "delivered": len(outcome.delivered),
-        "evicted": len(outcome.evicted),
-        "shard_fingerprints": list(outcome.shard_fingerprints),
-        "merged_fingerprint": outcome.merged_fingerprint,
-        "shard_nodes": [s["nodes"] for s in outcome.per_shard],
+        "epochs": len(epoch_ends(horizon, 1.0)),
+        "wall_seconds": round(wall, 2),
+        "events_processed": events,
+        "events_per_sec": round(events / wall),
+        "delivered": len(outcome.deliveries),
+        "evicted": len(outcome.evictions),
+        "shard_fingerprints": shard_fingerprints,
+        "merged_fingerprint": merged,
+        "shard_nodes": shard_nodes,
     }
 
 
@@ -88,10 +106,12 @@ def render_curve(points: "List[Dict[str, object]]", equivalence: str) -> str:
 def artefact() -> "Tuple[List[str], List[str]]":
     """Measure every point; equivalence-check the smallest against the
     monolithic simulator."""
+    from ..scenario import compare_outcomes, run_scenario
+
     points = [measure_point(nodes, shards) for nodes, shards in SCALE_POINTS]
     nodes, shards = SCALE_POINTS[0]
-    spec = ScaleSpec(nodes=nodes, num_shards=shards, seed=points[0]["seed"], horizon=HORIZON)
-    with tempfile.TemporaryDirectory(prefix="rac_scale_verify_") as run_dir:
-        report = verify_sharded(run_sharded(spec, run_dir, serial=True))
-    failures = [] if report.equivalent else [f"N={nodes} sharded and monolithic runs differ"]
-    return [render_curve(points, report.render())], failures
+    scenario = _scenario(nodes, HORIZON, points[0]["seed"])
+    sharded = run_scenario(scenario, "sharded", shards=shards, serial=True)
+    equivalent, comparison = compare_outcomes(sharded, run_scenario(scenario))
+    failures = [] if equivalent else [f"N={nodes} sharded and monolithic runs differ"]
+    return [render_curve(points, comparison)], failures

@@ -15,16 +15,16 @@ harness bug.
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
-from typing import List, Tuple
+from typing import Any, Dict, List, Tuple
 
-from ..orchestrator.sharded import run_sharded
-from ..simnet.shard import ScaleSpec, plan_shard_inputs
+__all__ = ["cell_scenario", "sharded_evidence"]
 
-__all__ = ["sharded_evidence"]
-
-MEMBERS = [8, 72, 136, 200]
+#: 0-based creation indices.
+MEMBERS = [7, 71, 135, 199]
 SHIELD = {"mode": "shield", "members": MEMBERS}
+SHARDS = 8
 # The scale preset keeps relay_timeout at the theoretical minimum (L+2
 # origination slots); at N=256 one honest relay's re-broadcast can land
 # late, so these cells double it — the control proves that evicts nobody.
@@ -44,43 +44,56 @@ CELLS = (
 )
 
 
+def cell_scenario(fields: "Dict[str, Any]"):
+    """One cell of :data:`CELLS` as a ``scale`` scenario of 256 nodes."""
+    from ..scenario import Scenario
+
+    params = {**fields["config"], "nodes": 256, "horizon": fields["horizon"], "plan": fields.get("plan")}
+    return dataclasses.replace(
+        Scenario.from_params(params, 3, "scale"), coalition=fields.get("coalition")
+    )
+
+
 def sharded_evidence() -> "Tuple[str, List[str]]":
     """(report text, the gated cells that failed)."""
-    lines = ["sharded coalition evidence (N=256, 8 shards, serial)"]
+    from ..scenario import run_scenario
+    from ..simnet.shard import plan_shard_inputs
+
+    lines = [f"sharded coalition evidence (N=256, {SHARDS} shards, serial)"]
     failed = []
     for label, fields in CELLS:
-        spec = ScaleSpec(nodes=256, num_shards=8, seed=3, **fields)
-        shards = plan_shard_inputs(spec)
-        members = {shards[0].node_ids[i - 1] for i in MEMBERS}
-        spanned = sum(1 for inputs in shards if members & {m.node_id for m in inputs.materials})
-
+        scenario = cell_scenario(fields)
         with tempfile.TemporaryDirectory(prefix="coalition-shard-") as run_dir:
-            outcome = run_sharded(spec, run_dir, serial=True)
-        evicted = {int(k) for k in outcome.evicted}
+            outcome = run_scenario(scenario, "sharded", shards=SHARDS, run_dir=run_dir, serial=True)
+        members = {outcome.node_ids[i] for i in MEMBERS}
+        spanned = sum(
+            1 for inputs in plan_shard_inputs(scenario, SHARDS) if members & {m.node_id for m in inputs.materials}
+        )
+        evicted = {e.accused for e in outcome.evictions}
         convicted, honest = len(evicted & members), len(evicted - members)
 
-        if spec.plan == "storm":
+        if scenario.plan == "storm":
             ok = True
             verdict = (
                 f"{convicted}/{len(members)} members convicted, "
                 f"{honest} honest evictions from storm-accumulated blame"
             )
-        elif spec.coalition is None:
+        elif scenario.coalition is None:
             ok = not evicted
             verdict = "clean" if ok else f"{len(evicted)} spurious evictions"
         elif evicted == members:
             ok, verdict = True, f"eviction set == member set ({convicted}/{len(members)})"
         else:
             ok, verdict = False, f"{convicted}/{len(members)} convicted, {honest} honest"
-        if spec.coalition is not None and spanned < 2:
+        if scenario.coalition is not None and spanned < 2:
             ok = False
             verdict += "; members do not span >= 2 bundles"
         if not ok:
             failed.append(f"sharded cell failed: {label}: {verdict}")
-        tag = "limit" if spec.plan == "storm" and ok else "ok" if ok else "FAIL"
+        tag = "limit" if scenario.plan == "storm" and ok else "ok" if ok else "FAIL"
         lines.append(
             f"  [{tag}] {label}: {verdict}; members span {spanned} bundles; "
-            f"{len(outcome.delivered)} deliveries"
+            f"{len(outcome.deliveries)} deliveries"
         )
     lines += [
         "  (sharded-vs-monolithic eviction equivalence at N=64 is pinned by",

@@ -24,7 +24,7 @@ through a :class:`CoalitionCoordinator` and deviate *together*:
 construction* and every decision is a pure function of
 ``(member roster, victims, rotation period, sim time)``. That is what
 lets a coalition span shard bundles: each shard process builds its own
-coordinator from the same :class:`~repro.simnet.shard.ScaleSpec`
+coordinator from the same :class:`~repro.scenario.Scenario`
 planning data, and all replicas agree on every decision without any
 cross-shard channel — the same property that keeps the sharded run
 equivalent to the monolithic one (DESIGN.md §4).

@@ -34,13 +34,7 @@ from .pool import (
     run_cell_inline,
     start_run,
 )
-from .sharded import (
-    EquivalenceReport,
-    ShardedOutcome,
-    load_sharded_manifest,
-    run_sharded,
-    verify_sharded,
-)
+from .sharded import load_sharded_manifest
 from .workloads import (
     WORKLOADS,
     UnknownWorkloadError,
@@ -61,11 +55,7 @@ __all__ = [
     "CRASH_EXIT_CODE",
     "SweepOrchestrator",
     "SweepStatus",
-    "EquivalenceReport",
-    "ShardedOutcome",
     "load_sharded_manifest",
-    "run_sharded",
-    "verify_sharded",
     "RunDirError",
     "open_run",
     "run_cell_inline",

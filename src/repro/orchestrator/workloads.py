@@ -225,9 +225,9 @@ for _harness in HARNESSES:
 def shard_epoch(params: "Dict[str, Any]", seed: int, ctx: WorkerContext) -> "Dict[str, float]":
     """One (shard, epoch) step of a group-sharded run.
 
-    Parameters: ``run_dir`` (holds the ``sharded.json`` manifest with
-    the full :class:`~repro.simnet.shard.ScaleSpec`), ``shard``,
-    ``epoch``. State lives in the shard's snapshot under the run dir;
+    Parameters: ``run_dir`` (holds the ``sharded.json`` manifest: the
+    :class:`~repro.scenario.Scenario`, the shard count and the epoch),
+    ``shard``, ``epoch``. State lives in the shard's snapshot under the run dir;
     see :func:`repro.orchestrator.sharded.run_shard_epoch` for the
     idempotency contract that makes crash retries exactly-once.
     """

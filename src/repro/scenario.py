@@ -2,9 +2,8 @@
 
 The paper makes one accountability claim (§IV-C/§V-B: no honest node is
 evicted, every detectable deviant is evicted within a bound). Chaos
-soaks, topology runs, campaign cells, the sim/live parity pair, the
-sharded simulator's monolithic oracle and the ``protocol`` workload all
-judge it with the same pipeline:
+soaks, topology runs, campaign cells, the sim/live parity pair, sharded
+runs and the ``protocol`` workload all judge it with the same pipeline:
 
     population → planted behaviours → fault plan → traffic → run → judge
 
@@ -12,9 +11,10 @@ This module is that pipeline, once. A frozen, serialisable
 :class:`Scenario` says *what* runs; :func:`prepare` lowers it onto a
 :class:`~repro.core.system.RacSystem` (a :class:`SimRun`: advance it in
 chunks, snapshot it between them, tap it before it starts);
-:func:`run_scenario` plays it on the simulator or over real TCP (asyncio
-tasks in one process, or one worker process per node); either way the
-result is one :class:`Outcome`. Both live modes hand the judge one
+:func:`run_scenario` plays it on the simulator, over real TCP (asyncio
+tasks in one process, or one worker process per node) or group-sharded
+(one sub-simulator per group bundle); every way the result is one
+:class:`Outcome`. Both live modes hand the judge one
 :class:`~repro.live.cluster.LiveReport`, built from the nodes' own
 reports; they differ only in how they obtain it. Workloads, CLI and
 experiment scripts are adapters over :meth:`Scenario.from_params`.
@@ -23,14 +23,16 @@ experiment scripts are adapters over :meth:`Scenario.from_params`.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import dataclasses
 import hashlib
 import json
+import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .chaos.invariants import InvariantChecker, InvariantReport
-from .chaos.plan import CANNED_GEOMETRY, CANNED_PLANS, FaultPlan, canned_plan
+from .chaos.plan import CANNED_GEOMETRY, CANNED_PLANS, MEMBERSHIP, FaultPlan, canned_plan
 from .core.config import (
     MISBEHAVIOUR_TIMERS,
     WAN_ARQ,
@@ -43,6 +45,7 @@ from .core.identity import build_population
 from .core.system import RacSystem
 from .freeride.coalition import COALITION_CLASSES, build_coalition
 from .freeride.registry import BEHAVIORS, UnknownBehaviorError
+from .simnet.stats import aggregate_stats_reports
 from .topo.model import TopologyModel, preset
 from .topo.traces import diurnal_churn_plan, publish_times
 
@@ -53,6 +56,7 @@ __all__ = [
     "Scenario",
     "Eviction",
     "Outcome",
+    "compare_outcomes",
     "SimRun",
     "plan_coalition_indices",
     "plant_behaviors",
@@ -93,6 +97,11 @@ HARNESSES: "Dict[str, Dict[str, Any]]" = {
         **WAN_ARQ,
     ),
     "campaign": dict(nodes=10, horizon=16.0, regime="detect", tag="campaign"),
+    # The group-sharded simulator's shape: small groups, 0.25 s slots, 1 kB messages.
+    "scale": dict(
+        nodes=64, horizon=4.0, regime="tight", traffic="intra-group", messages=1, tag="scale",
+        group_min=2, group_max=16, send_interval=0.25, message_size=1024, blacklist_period=2.0,
+    ),
 }
 
 #: Spellings the sweep grids and Make targets already use.
@@ -291,9 +300,20 @@ class Scenario:
         """Raise :class:`UnsupportedOnSubstrate` for a field the
         substrate would otherwise silently drop. ``processes`` asks for
         the live substrate with one worker process per node, which has
-        no fault shim or supervisor to play a plan or shape frames."""
-        if substrate not in ("sim", "live"):
-            raise ValueError(f"unknown substrate {substrate!r}; known: sim, live")
+        no fault shim or supervisor to play a plan or shape frames. A
+        shard hosts a fixed bundle of groups on a bare star and meets
+        the other shards only at epoch barriers."""
+        if substrate not in ("sim", "live", "sharded"):
+            raise ValueError(f"unknown substrate {substrate!r}; known: sim, live, sharded")
+        if substrate == "sharded":
+            if any(event.kind in MEMBERSHIP for event in self.fault_plan().events):
+                why = "a join or leave would reconfigure the groups of one shard only"
+                raise UnsupportedOnSubstrate("plan", substrate, why)
+            if self.topology is not None:
+                raise UnsupportedOnSubstrate("topology", substrate, "a shard builds a bare star")
+            if self.traffic != "intra-group":
+                why = "cross-group payloads would couple shards mid-epoch"
+                raise UnsupportedOnSubstrate("traffic", substrate, why)
         if substrate == "live" and self.planted():
             raise UnsupportedOnSubstrate(
                 "coalition" if self.coalition else "deviants",
@@ -573,6 +593,9 @@ class Outcome:
     scores: "Dict[str, float]" = field(default_factory=dict)
     #: Live: each running node's :func:`~repro.groups.partition.directory_digest`.
     directory_digests: "Dict[int, str]" = field(default_factory=dict)
+    #: Sharded: each shard's fingerprint chain, in shard order, then the
+    #: merged one (:func:`~repro.simnet.shard.merge_fingerprint`).
+    fingerprints: "List[str]" = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -680,6 +703,10 @@ class Outcome:
         ):
             if self.counters.get(name):
                 lines.append(f"  {name:<27}: {self.counters[name]}")
+        if self.fingerprints:
+            *shards, merged = self.fingerprints
+            lines.extend(f"  shard {k:<6}: {fingerprint[:16]}" for k, fingerprint in enumerate(shards))
+            lines.append(f"  merged fingerprint: {merged}")
         sections = {
             f"callback errors ({len(self.errors)})": self.errors[:5],
             "supervisor": self.log,
@@ -691,6 +718,31 @@ class Outcome:
                 lines.extend(f"    {entry}" for entry in entries)
         lines.append("  " + self.report.render().replace("\n", "\n  "))
         return "\n".join(lines)
+
+
+def compare_outcomes(sharded: Outcome, monolithic: Outcome) -> "Tuple[bool, str]":
+    """The sharded-vs-monolithic oracle: (equivalent, the comparison as
+    text). Equivalence is defined on the protocol's outcomes — the
+    delivered-payload multiset and the ``(accused, gid, kind)`` eviction
+    set — not on event schedules, which legitimately interleave
+    differently across engines (DESIGN.md §4)."""
+    mismatches = []
+    if sharded.delivered_multiset() != monolithic.delivered_multiset():
+        mismatches.append("delivered-payload multisets differ")
+    shard_evicted, mono_evicted = (
+        sorted((e.accused, e.gid, e.kind) for e in outcome.evictions) for outcome in (sharded, monolithic)
+    )
+    if shard_evicted != mono_evicted:
+        mismatches.append(f"eviction sets differ (monolithic {mono_evicted} vs sharded {shard_evicted})")
+    lines = [
+        f"sharded:    {len(sharded.deliveries)} delivered, {len(sharded.evictions)} evicted, "
+        f"{sharded.counters['sim_events_processed']} events over {len(sharded.fingerprints) - 1} shards",
+        f"monolithic: {len(monolithic.deliveries)} delivered, {len(monolithic.evictions)} evicted, "
+        f"{monolithic.counters['sim_events_processed']} events",
+        f"verdict:    {'DIVERGED' if mismatches else 'EQUIVALENT'}",
+    ]
+    lines.extend(f"  mismatch: {m}" for m in mismatches)
+    return not mismatches, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -833,6 +885,25 @@ def _churn_counters(*histories: "Mapping[str, int]") -> "Dict[str, int]":
     return {f"group_{kind}s": n for kind, n in counts.items() if n}
 
 
+def _judged_shards(scenario: Scenario, node_ids, summaries, fingerprints) -> Outcome:
+    """Judge a sharded run as one run, from its shards' final summaries
+    (:func:`~repro.simnet.shard.shard_summary`): every delivery, the
+    evictions each shard decided, every active node's blacklist and each
+    bundle directory's invariants."""
+    checker = _checker(scenario, node_ids, scenario.fault_plan())
+    end = max(summary["now"] for summary in summaries)
+    for summary in summaries:
+        checker.record_directory_check(end, summary["directory_error"])
+    return _judged(
+        scenario, "sharded", node_ids, checker,
+        [(at, node, bytes.fromhex(payload)) for s in summaries for at, node, payload in s["deliveries"]],
+        [Eviction(r["at"], r["by"], int(node), r["kind"], r["gid"]) for s in summaries for node, r in s["evicted"].items()],
+        {int(node): set(members) for s in summaries for node, members in s["blacklists"].items()}, end,
+        counters=aggregate_stats_reports([summary["stats"] for summary in summaries]),
+        fingerprints=fingerprints,
+    )
+
+
 # ---------------------------------------------------------------------------
 # the live runner
 # ---------------------------------------------------------------------------
@@ -945,12 +1016,31 @@ def run_scenario(
     *,
     port_base: "Optional[int]" = None,
     processes: bool = False,
+    shards: int = 2,
+    epoch: float = 1.0,
+    run_dir: "Optional[str]" = None,
+    workers: int = 2,
+    serial: bool = False,
+    inject_crash: int = 0,
 ) -> Outcome:
     """Play ``scenario`` to its horizon on ``substrate`` and judge it.
     Live only: ``port_base`` binds node *i* to port ``port_base + i``;
     ``processes`` hosts every node in its own worker process (no fault
-    plan or topology: :meth:`Scenario.check_substrate`)."""
+    plan or topology: :meth:`Scenario.check_substrate`). Sharded only:
+    ``shards`` sub-simulators meet at a barrier every ``epoch``
+    simulated seconds, each (shard, epoch) a cell of the worker pool
+    (``workers``, ``serial``, ``inject_crash``) under ``run_dir``
+    (default: a temporary directory, removed afterwards); see
+    :func:`repro.orchestrator.sharded.run_shards`."""
     scenario.check_substrate(substrate, processes)
+    if substrate == "sharded":
+        from .orchestrator.sharded import run_shards
+
+        where = contextlib.nullcontext(run_dir) if run_dir else tempfile.TemporaryDirectory(prefix="rac_sharded_")
+        with where as run_dir:
+            pool = dict(workers=workers, serial=serial, inject_crash=inject_crash)
+            record = run_shards(scenario, run_dir, shards=shards, epoch=epoch, **pool)
+        return _judged_shards(scenario, *record)
     if substrate == "live":
         scenario.check_contract(scenario.configuration().derived_send_interval(scenario.nodes))
         runner = _run_processes if processes else _run_live

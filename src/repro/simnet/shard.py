@@ -33,7 +33,6 @@ scale-smoke``.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -45,11 +44,9 @@ from ..core.system import RacSystem
 from ..groups.channels import ChannelDirectory
 from ..groups.manager import GroupDirectory
 from ..groups.partition import BundleDirectory, GroupSpec, plan_bundles, snapshot_groups
-from ..chaos.plan import MEMBERSHIP
-from ..scenario import Scenario, UnsupportedOnSubstrate, plant_behaviors, traffic_sends
+from ..scenario import Scenario, plant_behaviors, traffic_sends
 
 __all__ = [
-    "ScaleSpec",
     "ShardSystem",
     "ZERO_FINGERPRINT",
     "canonical_blob",
@@ -59,6 +56,7 @@ __all__ = [
     "plan_shard_inputs",
     "filter_plan_events",
     "build_shard_system",
+    "epoch_ends",
     "epoch_step",
     "delivered_payloads",
     "shard_summary",
@@ -70,111 +68,9 @@ ZERO_FINGERPRINT = "0" * 64
 
 
 # ---------------------------------------------------------------------------
-# the run specification (JSON manifest round-trip)
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class ScaleSpec:
-    """Everything that determines one sharded run, JSON-serializable.
-
-    ``config`` carries RacConfig overrides applied on top of the scale
-    preset (``RacConfig.small`` with 0.25 s origination slots, 1 kB
-    messages and ``group_max``-bounded groups). ``deviants``,
-    ``coalition`` (``members`` / ``victims``) and ``plan`` mean what
-    they mean on a :class:`~repro.scenario.Scenario`, except that
-    indices here are 1-based (``NodeMaterial.index``); shards apply the
-    plan events touching their own nodes.
-
-    :meth:`scenario` is the same run as a ``Scenario``: what validates
-    the spec, what every shard lowers behaviours, plan and traffic
-    through, and what ``verify_sharded`` runs unsharded as the
-    equivalence oracle.
-    """
-
-    nodes: int = 64
-    num_shards: int = 2
-    seed: int = 7
-    horizon: float = 4.0
-    epoch: float = 1.0
-    messages: int = 1
-    group_max: int = 16
-    config: "Dict[str, Any]" = field(default_factory=dict)
-    deviants: "Dict[int, str]" = field(default_factory=dict)
-    coalition: "Optional[Dict[str, Any]]" = None
-    plan: "Optional[str]" = None
-
-    def __post_init__(self) -> None:
-        if self.nodes < 4:
-            raise ValueError("a sharded run needs at least 4 nodes")
-        if self.num_shards < 1:
-            raise ValueError("need at least one shard")
-        if self.epoch <= 0 or self.horizon <= 0:
-            raise ValueError("horizon and epoch must be positive")
-        if self.group_max < 4:
-            raise ValueError("group_max below 4 cannot honour group_min=2 splits")
-        # The scenario checks plan name, behaviour names, coalition shape, config keys.
-        plan = self.scenario().fault_plan()
-        if any(event.kind in MEMBERSHIP for event in plan.events):
-            raise UnsupportedOnSubstrate(
-                "plan", "sharded", "a join or leave would reconfigure the groups of one shard only"
-            )
-
-    @property
-    def epoch_count(self) -> int:
-        count = int(self.horizon / self.epoch)
-        if count * self.epoch < self.horizon - 1e-12:
-            count += 1
-        return count
-
-    def epoch_end(self, epoch_index: int) -> float:
-        return min(self.horizon, (epoch_index + 1) * self.epoch)
-
-    def scenario(self) -> Scenario:
-        coalition = None
-        if self.coalition is not None:
-            coalition = dict(self.coalition)
-            for key in ("members", "victims"):
-                coalition[key] = [int(i) - 1 for i in coalition.get(key, ())]
-        return Scenario(
-            nodes=self.nodes,
-            horizon=self.horizon,
-            seed=self.seed,
-            config={
-                "group_min": 2,
-                "group_max": self.group_max,
-                "send_interval": 0.25,
-                "message_size": 1024,
-                "blacklist_period": 2.0,
-                **self.config,
-            },
-            plan=self.plan,
-            deviants={int(index) - 1: name for index, name in self.deviants.items()},
-            coalition=coalition,
-            traffic="intra-group",
-            messages=self.messages,
-            tag="scale",
-        )
-
-    def build_config(self) -> RacConfig:
-        return self.scenario().configuration()
-
-    def to_dict(self) -> "Dict[str, Any]":
-        body = dataclasses.asdict(self)
-        body["deviants"] = {str(index): name for index, name in self.deviants.items()}
-        # ``coalition`` and ``plan`` are serialized only when used:
-        # pre-coalition manifests (and their fingerprint material) stay
-        # byte-identical.
-        return {key: value for key, value in body.items() if value is not None}
-
-    @staticmethod
-    def from_dict(body: "Dict[str, Any]") -> "ScaleSpec":
-        deviants = {int(index): name for index, name in body.get("deviants", {}).items()}
-        return ScaleSpec(**{**body, "deviants": deviants})
-
-
-# ---------------------------------------------------------------------------
 # deterministic planning (once per run, by the coordinator)
 # ---------------------------------------------------------------------------
-def plan_population(spec: ScaleSpec) -> "Tuple[RacConfig, List[NodeMaterial], GroupDirectory]":
+def plan_population(scenario: Scenario) -> "Tuple[RacConfig, List[NodeMaterial], GroupDirectory]":
     """The population and final groups a monolithic run would build.
 
     Replays :meth:`RacSystem.bootstrap`'s identity draws and directory
@@ -183,8 +79,8 @@ def plan_population(spec: ScaleSpec) -> "Tuple[RacConfig, List[NodeMaterial], Gr
     node k's material depends on every draw before it: the population is
     planned whole, once, and each shard is handed its members.
     """
-    config = spec.build_config()
-    materials = build_population(config, spec.nodes, spec.seed)
+    config = scenario.configuration()
+    materials = build_population(config, scenario.nodes, scenario.seed)
     directory = GroupDirectory(
         config.num_rings, smin=config.group_min, smax=config.group_max
     )
@@ -200,28 +96,27 @@ class ShardInputs:
     ``config`` is the plan's own, the one the identities were drawn
     under: an object both share (the key backend's name) stays one
     object in the shard's snapshot. ``materials`` are the bundle's
-    members in creation order and ``behaviors`` the misbehaviours
-    planted on them, keyed by 0-based creation index. ``node_ids`` is
-    the whole population in creation order, because the fault plan
-    names global indices. ``sends`` are the members' queued traffic as
-    ``(src id, dst id, payload)``, in the order the scenario lists them.
+    members in creation order (each knows its creation index, all the
+    fault plan needs) and ``behaviors`` the misbehaviours planted on
+    them, keyed by 0-based creation index. ``sends`` are the members'
+    queued traffic as ``(src id, dst id, payload)``, in the order the
+    scenario lists them.
     """
 
-    spec: ScaleSpec
+    scenario: Scenario
     config: RacConfig
     shard_index: int
     bundle: "List[GroupSpec]"
     materials: "List[NodeMaterial]"
     behaviors: "Dict[int, Any]"
-    node_ids: "List[int]"
     sends: "List[Tuple[int, int, bytes]]"
 
 
-def plan_shard_inputs(spec: ScaleSpec) -> "List[ShardInputs]":
-    """Plan ``spec``'s population once and cut it into every shard's inputs."""
-    config, materials, directory = plan_population(spec)
-    bundles = plan_bundles(snapshot_groups(directory), spec.num_shards)
-    scenario = spec.scenario()
+def plan_shard_inputs(scenario: Scenario, shards: int) -> "List[ShardInputs]":
+    """Plan ``scenario``'s population once and cut it into ``shards``
+    shards' inputs."""
+    config, materials, directory = plan_population(scenario)
+    bundles = plan_bundles(snapshot_groups(directory), shards)
     behaviors = plant_behaviors(scenario, config, materials)
     node_ids = [m.node_id for m in materials]
     sends = traffic_sends(scenario, node_ids, directory)
@@ -230,13 +125,12 @@ def plan_shard_inputs(spec: ScaleSpec) -> "List[ShardInputs]":
         local_ids = {m for s in bundle for m in s.members}
         inputs.append(
             ShardInputs(
-                spec=spec,
+                scenario=scenario,
                 config=config,
                 shard_index=shard_index,
                 bundle=bundle,
                 materials=[m for m in materials if m.node_id in local_ids],
                 behaviors={i: b for i, b in behaviors.items() if node_ids[i] in local_ids},
-                node_ids=node_ids,
                 sends=[
                     (node_ids[src], node_ids[dst], payload)
                     for _at, src, dst, payload in sends
@@ -255,7 +149,8 @@ def filter_plan_events(plan, local_indices: "set"):
     must stay non-empty — a cut entirely between bundles is a no-op,
     since no traffic crosses shards mid-epoch); global loss windows
     apply everywhere. Event indices stay in the *global* creation
-    order, so the filtered plan compiles against the full node-id list.
+    order: the filtered plan compiles against ids looked up by global
+    index, of which a shard needs only its members'.
     """
     from ..chaos.plan import FaultPlan
 
@@ -364,19 +259,21 @@ class ShardSystem(RacSystem):
 
 def build_shard_system(inputs: ShardInputs) -> ShardSystem:
     """Construct one shard at t=0 from its inputs, traffic queued."""
-    spec = inputs.spec
-    system = ShardSystem(inputs.config, spec.seed, inputs.shard_index, inputs.bundle)
+    scenario = inputs.scenario
+    system = ShardSystem(inputs.config, scenario.seed, inputs.shard_index, inputs.bundle)
     system.populate(inputs.materials, inputs.behaviors)
     # Rejected here, before the first epoch, rather than surfacing as
     # mysterious honest evictions at N=256.
-    scenario = spec.scenario()
     scenario.check_contract(system.send_interval_for(inputs.materials[0].node_id))
     for src, dst, payload in inputs.sends:
         system.send(src, dst, payload)
     plan = scenario.fault_plan()
     if plan.events:
-        local_indices = {m.index - 1 for m in inputs.materials}
-        filter_plan_events(plan, local_indices).compile_sim(system, inputs.node_ids)
+        # The filtered plan names only members, by global creation
+        # index; a sharded plan has no joins for the list to mint.
+        local = {m.index - 1: m.node_id for m in inputs.materials}
+        node_ids = [local.get(index) for index in range(max(local) + 1)]
+        filter_plan_events(plan, set(local)).compile_sim(system, node_ids)
     return system
 
 
@@ -406,14 +303,24 @@ def delivered_payloads(system: RacSystem) -> "List[str]":
     return out
 
 
+def epoch_ends(horizon: float, epoch: float) -> "List[float]":
+    """Every epoch barrier's instant: one per ``epoch`` simulated
+    seconds, the last clamped to the horizon."""
+    count = int(horizon / epoch)
+    if count * epoch < horizon - 1e-12:
+        count += 1
+    return [min(horizon, (index + 1) * epoch) for index in range(count)]
+
+
 def epoch_step(
     system: ShardSystem,
-    spec: ScaleSpec,
+    end: float,
     epoch_index: int,
     imports: "List[Dict]",
     fingerprint: str,
 ) -> "Tuple[List[Dict], str]":
-    """Advance one shard across one epoch; returns (exports, fingerprint).
+    """Advance one shard across one epoch, to simulated time ``end``;
+    returns (exports, fingerprint).
 
     ``imports`` is the canonical barrier record list from the previous
     epoch (all shards' exports); records from this shard are skipped.
@@ -427,7 +334,7 @@ def epoch_step(
         if int(record.get("shard", -1)) != system.shard_index
         and system.apply_foreign_eviction(record)
     ]
-    system.sim.run(until=spec.epoch_end(epoch_index))
+    system.sim.run(until=end)
     exports = system.drain_exports()
     blob = canonical_blob(
         {
@@ -443,8 +350,9 @@ def epoch_step(
 
 
 def shard_summary(system: ShardSystem, fingerprint: str) -> "Dict[str, Any]":
-    """One shard's final, mergeable record of the run."""
-    delivered = delivered_payloads(system)
+    """One shard's final, mergeable record of the run: its fingerprint,
+    and what the judge reads (every delivery, the evictions it decided,
+    every active node's blacklist, its directory's invariants)."""
     evicted = {
         str(node_id): {
             "gid": rec["gid"],
@@ -455,15 +363,28 @@ def shard_summary(system: ShardSystem, fingerprint: str) -> "Dict[str, Any]":
         for node_id, rec in system.evicted.items()
     }
     final_fingerprint = chain_fingerprint(
-        fingerprint, canonical_blob({"delivered": delivered, "evicted": evicted})
+        fingerprint, canonical_blob({"delivered": delivered_payloads(system), "evicted": evicted})
     )
+    try:
+        system.directory.check_invariants()
+        directory_error = None
+    except AssertionError as exc:
+        directory_error = str(exc)
     return {
         "shard": system.shard_index,
         "groups": list(system.bundle_gids),
         "nodes": len(system.nodes),
         "now": system.now,
-        "delivered": delivered,
+        "deliveries": [
+            (at, node.node_id, payload.hex())
+            for node in system.nodes.values()
+            for at, payload in zip(node.delivered_at, node.delivered)
+        ],
         "evicted": evicted,
+        "blacklists": {
+            str(node.node_id): sorted(node.blacklisted()) for node in system.nodes.values() if node.active
+        },
+        "directory_error": directory_error,
         "stats": system.stats_report(),
         "fingerprint": final_fingerprint,
     }
@@ -475,3 +396,30 @@ def merge_fingerprint(shard_fingerprints: "Sequence[str]", barrier_digests: "Seq
         {"shards": list(shard_fingerprints), "barriers": list(barrier_digests)}
     )
     return chain_fingerprint(ZERO_FINGERPRINT, blob)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's spelling (deleted with rac_bench's adapter import, 4(b-i))
+# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class ScaleSpec:
+    """A ``scale`` harness scenario plus its shard count and epoch, in the
+    fields ``benchmarks/rac_bench`` passes; plants nothing."""
+
+    nodes: int = 64
+    num_shards: int = 2
+    seed: int = 7
+    horizon: float = 4.0
+    epoch: float = 1.0
+    messages: int = 1
+    group_max: int = 16
+    config: "Dict[str, Any]" = field(default_factory=dict)
+    deviants: "Dict[int, str]" = field(default_factory=dict)
+    coalition: "Optional[Dict[str, Any]]" = None
+    plan: "Optional[str]" = None
+
+    def scenario(self) -> Scenario:
+        if self.deviants or self.coalition:
+            raise ValueError("ScaleSpec plants nothing: plant on a Scenario")
+        params = dict(nodes=self.nodes, horizon=self.horizon, messages=self.messages, plan=self.plan)
+        return Scenario.from_params({**params, "group_max": self.group_max, **self.config}, self.seed, "scale")

@@ -162,10 +162,12 @@ def snapshot_system(system: Any, verify: bool = False) -> bytes:
     """Serialize a (possibly mid-run) system to a self-contained blob.
 
     The blob is *canonical*: a first pickle is restored in memory and
-    re-pickled, which erases identity artifacts of the live process
-    (equal strings interned into one object pickle as memo references;
-    their restored counterparts are distinct objects). One round-trip
-    reaches the byte fixed-point ``snapshot(restore(blob)) == blob``.
+    re-pickled; one round-trip reaches the byte fixed-point
+    ``snapshot(restore(blob)) == blob``. The round trip keeps object
+    sharing, since pickle's memo restores one object held twice as one
+    object: a blob's bytes depend on which objects are shared, not only
+    on their values (one string object held twice pickles once and is
+    then referenced; two equal but distinct strings pickle twice).
     The copy is closed once the blob is taken (the system snapshotted
     is never touched), so it dies with the call.
 

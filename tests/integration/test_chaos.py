@@ -151,14 +151,13 @@ def test_membership_plan_evicts_no_honest_node():
     "the first at 7.33 s on predecessor evidence; 60 over the sharded 14 s run)"
 ))
 def test_storm_at_256_evicts_no_honest_node():
-    # The third sharded_evidence cell, run unsharded (its ScaleSpec's own
-    # Scenario) with the 14 s plan intact, stopped 0.07 s past the first
-    # honest eviction (~11 s CPU against ~47 s for the sharded cell).
-    from repro.experiments.sharded_evidence import CELLS
+    # The third sharded_evidence cell, run unsharded (its own Scenario)
+    # with the 14 s plan intact, stopped 0.07 s past the first honest
+    # eviction (~11 s CPU against ~47 s for the sharded cell).
+    from repro.experiments.sharded_evidence import CELLS, cell_scenario
     from repro.scenario import prepare
-    from repro.simnet.shard import ScaleSpec
 
     _label, fields = CELLS[2]
-    run = prepare(ScaleSpec(nodes=256, num_shards=8, seed=3, **fields).scenario())
+    run = prepare(cell_scenario(fields))
     run.run_to(7.4)
     assert run.outcome().honest_evictions == 0

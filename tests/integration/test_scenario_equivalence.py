@@ -85,7 +85,6 @@ import pytest
 
 from repro.orchestrator.workloads import WORKLOADS, WorkerContext
 from repro.scenario import Scenario
-from repro.simnet.shard import ScaleSpec
 from tests.scenario_cells import campaign_cell, run_cell
 
 TOPO_KEYS = (
@@ -185,7 +184,7 @@ CELLS = {
     ),
     # run_monolithic(ScaleSpec(nodes=32, num_shards=2, horizon=2.0))
     "monolithic": (
-        lambda: run_cell(ScaleSpec(nodes=32, num_shards=2, horizon=2.0).scenario()),
+        lambda: run_cell(Scenario.from_params({"nodes": 32, "horizon": 2.0}, 7, "scale")),
         dict(counters="4146f7609f3482cb", counters_observable="bdbc0f4f94fdd6a3",
              delivered="ce573696f0f3b6a7", evictions="4f53cda18c2baa0c"),
         (),

@@ -37,11 +37,18 @@ REGISTRY_SITES = {"core/system.py", "live/environment.py"}
 
 #: The only classes named ``*Outcome``. ``LiveReport`` is a live run's
 #: record, the node reports both live modes hand the judge: a live
-#: ``Outcome`` is built from it, not beside it.
+#: ``Outcome`` is built from it, not beside it. A sharded run's record
+#: is its shards' summaries, judged into an ``Outcome`` the same way.
 OUTCOME_TYPES = {
     "scenario.py": {"Outcome"},
-    "orchestrator/sharded.py": {"ShardedOutcome"},
     "analysis/gametheory.py": {"DeviationOutcome"},
+}
+
+#: Names ``src/`` keeps only because ``benchmarks/rac_bench/adapter.py``
+#: imports them, each with the ROADMAP 4(b-i) line that deletes it.
+BENCH_SHIMS = {
+    "run_sharded": "4(b-i): `adapter.py` stops importing `ScaleSpec`, `run_sharded` and `RacSystem`",
+    "ScaleSpec": "4(b-i): `adapter.py` stops importing `ScaleSpec`, `run_sharded` and `RacSystem`",
 }
 
 
@@ -144,7 +151,7 @@ def test_importing_the_experiments_loads_no_runner():
     assert loaded == "[]", f"import repro.experiments loaded {loaded}"
 
 
-def test_outcome_types_stay_three():
+def test_outcome_types_stay_two():
     found = {}
     for name, tree in _modules():
         for node in ast.walk(tree):
@@ -154,6 +161,29 @@ def test_outcome_types_stay_three():
         "a scenario run reports through repro.scenario.Outcome (harness-specific numbers go in "
         f"Outcome.scores); found {found}"
     )
+
+
+def test_bench_shims_have_no_other_caller():
+    """A bench shim serves ``benchmarks/rac_bench`` alone: once a module
+    of ``src/`` (other than the one defining it), the Makefile or
+    ``benchmarks/baseline.py`` names it, deleting it means porting a
+    caller, and the shim has become a second spelling of the run."""
+    callers = set()
+    for name, tree in _modules():
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, (ast.ClassDef, ast.FunctionDef))}
+        for node in ast.walk(tree):
+            named = {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
+            callers.update(f"src/repro/{name} names {shim}" for shim in (named & set(BENCH_SHIMS)) - defined)
+    for path in ("Makefile", "benchmarks/baseline.py"):
+        text = (ROOT / path).read_text(encoding="utf-8")
+        callers.update(f"{path} names {shim}" for shim in BENCH_SHIMS if re.search(rf"\b{shim}\b", text))
+    assert not callers, (
+        f"{sorted(callers)}: run a Scenario with run_scenario(scenario, 'sharded', ...) instead; "
+        f"the shims go with ROADMAP 4(b-i): {BENCH_SHIMS}"
+    )
+    adapter = (ROOT / "benchmarks" / "rac_bench" / "adapter.py").read_text(encoding="utf-8")
+    stale = [shim for shim in BENCH_SHIMS if not re.search(rf"\b{shim}\b", adapter)]
+    assert not stale, f"{stale}: the benchmark no longer imports them; delete the shims and their entries"
 
 
 def test_a_sweep_experiment_is_a_harness():
@@ -170,8 +200,8 @@ def test_a_run_directory_has_one_driver():
     """Manifest, store path and orchestrator construction live in
     ``orchestrator/pool.py`` (four front doors each re-implemented
     manifest -> store -> serial-or-pool -> crash cells -> status, and
-    disagreed). ``run_sharded`` builds one orchestrator per epoch over
-    its own ``sharded.json``."""
+    disagreed). The sharded coordinator builds one orchestrator per
+    epoch over its own ``sharded.json``."""
     run_dir_names = {"write_manifest", "load_manifest", "STORE_NAME"}
     strays = set()
     for name, tree in _modules():

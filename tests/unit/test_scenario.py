@@ -43,7 +43,7 @@ class TestCannedPlans:
         with pytest.raises(ValueError, match="tsunami"):
             Scenario(nodes=8, horizon=12.0, plan="tsunami")
         with pytest.raises(ValueError, match="tsunami"):
-            ScaleSpec(nodes=16, num_shards=1, plan="tsunami")
+            Scenario.from_params({"plan": "tsunami"}, 0, "scale")
         for workload in ("chaos", "campaign"):
             with pytest.raises(ValueError, match="tsunami"):
                 resolve_workload(workload)({"plan": "tsunami"}, 0, WorkerContext())
@@ -97,8 +97,10 @@ class TestMembershipPlan:
             FaultPlan(horizon=10.0).join(1.0).crash(6, 2.0).validate(6)
 
     def test_sharded_runs_refuse_membership_plans(self):
+        scenario = Scenario.from_params({"nodes": 16, "plan": "membership"}, 0, "scale")
         with pytest.raises(UnsupportedOnSubstrate, match="'plan'.*sharded"):
-            ScaleSpec(nodes=16, num_shards=1, plan="membership")
+            scenario.check_substrate("sharded")
+        scenario.check_substrate("sim")
 
 
 class TestSubstrateSupport:
@@ -128,8 +130,19 @@ class TestSubstrateSupport:
         assert captured.out == ""  # the sim leg did not run either
 
     def test_unknown_substrate(self):
-        with pytest.raises(ValueError, match="known: sim, live"):
-            run_scenario(Scenario(nodes=4, horizon=1.0), "sharded")
+        with pytest.raises(ValueError, match="known: sim, live, sharded"):
+            run_scenario(Scenario(nodes=4, horizon=1.0), "quantum")
+
+    def test_sharded_refuses_what_a_shard_cannot_honour(self, tmp_path):
+        scale = Scenario.from_params({"nodes": 16}, 0, "scale")
+        scale.check_substrate("sharded")
+        for field_name, value in (("topology", "lan"), ("traffic", "ring"), ("traffic", "round-robin")):
+            scenario = dataclasses.replace(scale, **{field_name: value})
+            with pytest.raises(UnsupportedOnSubstrate, match=f"'{field_name}'.*sharded") as caught:
+                run_scenario(scenario, "sharded", run_dir=str(tmp_path / "run"))
+            assert caught.value.field == field_name and caught.value.substrate == "sharded"
+            scenario.check_substrate("sim")
+        assert not (tmp_path / "run").exists()
 
 
 class TestConfigValidation:
@@ -169,7 +182,7 @@ class TestConfigValidation:
 
 class TestFromParams:
     def test_harness_rows_fix_what_the_old_runners_hard_coded(self):
-        assert sorted(HARNESSES) == ["campaign", "chaos", "live", "protocol", "topo"]
+        assert sorted(HARNESSES) == ["campaign", "chaos", "live", "protocol", "scale", "topo"]
         protocol = Scenario.from_params({"duration": 1.0, "messages": 1}, 7, "protocol")
         assert (protocol.horizon, protocol.seed, protocol.tag) == (1.0, 7, "sweep")
         assert (protocol.traffic, protocol.messages) == ("ring", 1)
@@ -251,17 +264,16 @@ class TestPlanting:
         assert hashlib.sha256(blob.encode()).hexdigest()[:16] == "2b9dd787ae75598c"
 
     def test_scale_spec_lowers_through_the_same_scenario(self):
-        spec = ScaleSpec(
-            nodes=16, num_shards=2, seed=3, plan="none", deviants={2: "silent-relay"},
-            coalition={"mode": "frame", "members": [5, 9], "victims": [12]},
-            config={"message_size": 2048},
-        )
+        # The benchmark's spelling of a sharded run lowers to the scale
+        # harness's scenario, and plants nothing.
+        spec = ScaleSpec(nodes=16, num_shards=2, seed=3, plan="none", config={"message_size": 2048})
         scenario = spec.scenario()
-        assert scenario.deviants == {1: "silent-relay"}
-        assert scenario.coalition["members"] == (4, 8) and scenario.coalition["victims"] == (11,)
+        assert scenario == Scenario.from_params({"nodes": 16, "plan": "none", "message_size": 2048}, 3, "scale")
         assert (scenario.traffic, scenario.messages, scenario.tag) == ("intra-group", 1, "scale")
-        assert spec.build_config() == scenario.configuration()
-        assert spec.build_config().message_size == 2048
+        assert scenario.configuration().message_size == 2048
+        for planted in ({"deviants": {2: "silent-relay"}}, {"coalition": {"mode": "shield", "members": [5]}}):
+            with pytest.raises(ValueError, match="plants nothing"):
+                dataclasses.replace(spec, **planted).scenario()
 
 
 class TestTwoPhaseRun:
@@ -305,7 +317,8 @@ class TestTwoPhaseRun:
         with pytest.raises(ValueError, match=refused):
             prepare(starved)
         with pytest.raises(ValueError, match=refused):
-            build_shard_system(plan_shard_inputs(ScaleSpec(nodes=16, num_shards=1, config=dict(starved.config)))[0])
+            scale = Scenario.from_params({"nodes": 16, **starved.config}, 0, "scale")
+            build_shard_system(plan_shard_inputs(scale, 1)[0])
         for processes in (False, True):
             with pytest.raises(ValueError, match=refused):
                 run_scenario(starved, "live", processes=processes)

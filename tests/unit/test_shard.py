@@ -1,17 +1,19 @@
 """Unit tests for the group-sharded simulator (repro.simnet.shard).
 
 Covers the partitioner (group snapshots, bundle planning, the
-bundle-local directory), the ScaleSpec manifest, the shard system's
-cross-shard hooks, and the cache-hygiene contract at shard-worker
-boundaries.
+bundle-local directory), the scale harness and the sharded manifest,
+the shard system's cross-shard hooks, and the cache-hygiene contract at
+shard-worker boundaries.
 """
 
+import dataclasses
 import gc
+import json
 import weakref
 
 import pytest
 
-from repro.core.config import RacConfig, check_timers
+from repro.core.config import check_timers
 from repro.crypto import clear_process_caches
 from repro.crypto import dh
 from repro.groups import (
@@ -20,13 +22,14 @@ from repro.groups import (
     ShardPartitionError,
     plan_bundles,
 )
+from repro.orchestrator.sharded import SHARDED_MANIFEST, load_sharded_manifest, write_sharded_manifest
 from repro.scenario import Scenario, plant_behaviors, prepare, run_scenario
 from repro.simnet.shard import (
-    ScaleSpec,
     ZERO_FINGERPRINT,
     build_shard_system,
     canonical_blob,
     chain_fingerprint,
+    epoch_ends,
     epoch_step,
     filter_plan_events,
     plan_population,
@@ -35,6 +38,11 @@ from repro.simnet.shard import (
 )
 from repro.simnet.snapshot import restore_system, snapshot_system
 from repro.topo.run import run_digest
+
+
+def scale(seed: int = 7, **params) -> Scenario:
+    """A ``scale`` harness scenario."""
+    return Scenario.from_params({"nodes": 16, **params}, seed, "scale")
 
 
 def _specs(weights):
@@ -95,86 +103,95 @@ class TestBundleDirectory:
 
 
 class TestScaleSpec:
+    """The scale harness row, and a sharded run's epochs and manifest."""
+
     def test_epoch_count_rounds_up(self):
-        assert ScaleSpec(nodes=8, num_shards=1, horizon=2.5, epoch=1.0).epoch_count == 3
-        assert ScaleSpec(nodes=8, num_shards=1, horizon=2.0, epoch=1.0).epoch_count == 2
+        assert len(epoch_ends(2.5, 1.0)) == 3
+        assert len(epoch_ends(2.0, 1.0)) == 2
 
     def test_epoch_end_clamped_to_horizon(self):
-        spec = ScaleSpec(nodes=8, num_shards=1, horizon=2.5, epoch=1.0)
-        assert spec.epoch_end(2) == 2.5
+        assert epoch_ends(2.5, 1.0)[2] == 2.5
 
-    def test_round_trip(self):
-        spec = ScaleSpec(nodes=24, num_shards=2, seed=11, deviants={3: "silent-relay"})
-        assert ScaleSpec.from_dict(spec.to_dict()) == spec
+    def test_round_trip(self, tmp_path):
+        scenario = dataclasses.replace(scale(11, nodes=24), deviants={2: "silent-relay"})
+        write_sharded_manifest(str(tmp_path), scenario, 2, 1.0)
+        assert load_sharded_manifest(str(tmp_path)) == (scenario, 2, 1.0)
 
-    def test_validation(self):
+    def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
-            ScaleSpec(nodes=2, num_shards=1)
-        with pytest.raises(ValueError):
-            ScaleSpec(nodes=8, num_shards=0)
+            scale(nodes=1)
+        for shards, epoch in ((0, 1.0), (1, 0.0)):
+            with pytest.raises(ValueError):
+                run_scenario(scale(), "sharded", shards=shards, epoch=epoch, run_dir=str(tmp_path / "run"))
+        assert not (tmp_path / "run").exists()
 
 
 class TestScaleSpecCoalition:
-    def test_round_trip_with_coalition_and_plan(self):
-        spec = ScaleSpec(
-            nodes=64,
-            num_shards=4,
-            seed=7,
-            plan="storm",
-            coalition={"mode": "shield", "members": [4, 20, 36, 52]},
-            config={"relay_timeout": 4.0, "predecessor_timeout": 4.0, "rate_window": 4.0},
+    def test_round_trip_with_coalition_and_plan(self, tmp_path):
+        scenario = dataclasses.replace(
+            scale(nodes=64, plan="storm", relay_timeout=4.0, predecessor_timeout=4.0, rate_window=4.0),
+            coalition={"mode": "shield", "members": [3, 19, 35, 51]},
         )
-        assert ScaleSpec.from_dict(spec.to_dict()) == spec
+        write_sharded_manifest(str(tmp_path), scenario, 4, 1.0)
+        assert load_sharded_manifest(str(tmp_path)) == (scenario, 4, 1.0)
 
     def test_plain_manifest_unchanged_by_new_fields(self):
-        # Pre-coalition manifests (and their fingerprint chains) must
-        # stay byte-identical: the new keys serialize only when used.
-        body = ScaleSpec(nodes=24, num_shards=2).to_dict()
-        assert "coalition" not in body and "plan" not in body
+        # The scale row lowers to the scenario its shards were always
+        # built from: run options stay out of it, every default is the
+        # preset's.
+        assert scale(nodes=24) == Scenario(
+            nodes=24,
+            horizon=4.0,
+            seed=7,
+            config={
+                "group_min": 2,
+                "group_max": 16,
+                "send_interval": 0.25,
+                "message_size": 1024,
+                "blacklist_period": 2.0,
+            },
+            traffic="intra-group",
+            messages=1,
+            tag="scale",
+        )
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown coalition mode"):
-            ScaleSpec(nodes=16, num_shards=1, coalition={"mode": "bribe", "members": [1]})
+            dataclasses.replace(scale(), coalition={"mode": "bribe", "members": [0]})
 
     def test_member_index_bounds_checked(self):
         with pytest.raises(ValueError, match="outside population"):
-            ScaleSpec(nodes=16, num_shards=1, coalition={"mode": "shield", "members": [17]})
+            dataclasses.replace(scale(), coalition={"mode": "shield", "members": [16]})
 
     def test_frame_needs_victims(self):
         with pytest.raises(ValueError, match="victim"):
-            ScaleSpec(nodes=16, num_shards=1, coalition={"mode": "frame", "members": [1, 2]})
+            dataclasses.replace(scale(), coalition={"mode": "frame", "members": [0, 1]})
 
     def test_member_deviant_overlap_rejected(self):
         with pytest.raises(ValueError, match="both coalition members"):
-            ScaleSpec(
-                nodes=16,
-                num_shards=1,
-                deviants={3: "silent-relay"},
-                coalition={"mode": "shield", "members": [3, 5]},
+            dataclasses.replace(
+                scale(), deviants={2: "silent-relay"}, coalition={"mode": "shield", "members": [2, 4]}
             )
 
     def test_unknown_plan_rejected(self):
         with pytest.raises(ValueError, match="tsunami"):
-            ScaleSpec(nodes=16, num_shards=1, plan="tsunami")
+            scale(plan="tsunami")
 
     def test_behaviors_share_one_coordinator_across_replicas(self):
-        # Two processes planning the same spec must build coalitions
+        # Two processes planning the same scenario must build coalitions
         # that agree on every decision: same roster, same rotation.
-        spec = ScaleSpec(
-            nodes=16,
-            num_shards=2,
-            seed=3,
-            coalition={"mode": "stagger", "members": [2, 9], "rotation_period": 1.5},
+        scenario = dataclasses.replace(
+            scale(3),
+            coalition={"mode": "stagger", "members": [1, 8], "rotation_period": 1.5},
         )
-        config, materials, _directory = plan_population(spec)
-        # The spec's 1-based members are the scenario's 0-based ones.
-        a = plant_behaviors(spec.scenario(), config, materials)
-        b = plant_behaviors(spec.scenario(), config, materials)
+        config, materials, _directory = plan_population(scenario)
+        a = plant_behaviors(scenario, config, materials)
+        b = plant_behaviors(scenario, config, materials)
         assert set(a) == {1, 8}
         roster_a = a[1].coordinator.member_ids
         roster_b = b[8].coordinator.member_ids
         assert roster_a == roster_b == tuple(
-            sorted(materials[i - 1].node_id for i in (2, 9))
+            sorted(materials[i].node_id for i in (1, 8))
         )
         for t in (0.0, 1.5, 7.3, 29.9):
             assert a[1].coordinator.active_member(t) == b[8].coordinator.active_member(t)
@@ -182,35 +199,25 @@ class TestScaleSpecCoalition:
 
 class TestBuildFaultPlan:
     def test_none_is_clean(self):
-        spec = ScaleSpec(nodes=16, num_shards=1)
-        assert not spec.scenario().fault_plan().events
+        assert not scale().fault_plan().events
 
     def test_storm_rejected_against_default_tight_timers(self):
         # RacConfig.small keeps 1s-ish misbehaviour timers; a storm's
         # healing windows would read as freeriding. The contract is
         # enforced at plan time, on the shard and on the monolithic
         # oracle alike, with an actionable message.
-        spec = ScaleSpec(nodes=16, num_shards=1, plan="storm")
+        scenario = scale(plan="storm")
         with pytest.raises(ValueError, match="misbehaviour timers"):
-            build_shard_system(plan_shard_inputs(spec)[0])
+            build_shard_system(plan_shard_inputs(scenario, 1)[0])
         with pytest.raises(ValueError, match="misbehaviour timers"):
-            prepare(spec.scenario())
+            prepare(scenario)
 
     def test_storm_accepted_with_raised_timers(self):
-        spec = ScaleSpec(
-            nodes=16,
-            num_shards=1,
-            plan="storm",
-            config={
-                "relay_timeout": 4.0,
-                "predecessor_timeout": 4.0,
-                "rate_window": 4.0,
-            },
-        )
-        plan = spec.scenario().fault_plan()
+        scenario = scale(plan="storm", relay_timeout=4.0, predecessor_timeout=4.0, rate_window=4.0)
+        plan = scenario.fault_plan()
         assert plan.events
-        plan.validate(spec.nodes)
-        check_timers(spec.build_config(), 0.25, plan=plan)
+        plan.validate(scenario.nodes)
+        check_timers(scenario.configuration(), 0.25, plan=plan)
 
 
 class TestFilterPlanEvents:
@@ -276,17 +283,16 @@ class TestBarrierCanonicalisation:
 
 class TestShardSystem:
     def test_shards_partition_the_population(self):
-        spec = ScaleSpec(nodes=24, num_shards=2, seed=3, horizon=1.0)
-        systems = [build_shard_system(inputs) for inputs in plan_shard_inputs(spec)]
+        scenario = scale(3, nodes=24, horizon=1.0)
+        systems = [build_shard_system(inputs) for inputs in plan_shard_inputs(scenario, 2)]
         ids = [sorted(s.nodes) for s in systems]
         assert not set(ids[0]) & set(ids[1])
         assert len(ids[0]) + len(ids[1]) == 24
 
     def test_epoch_step_emits_chained_fingerprints(self):
-        spec = ScaleSpec(nodes=24, num_shards=2, seed=3, horizon=1.0, epoch=0.5)
-        system = build_shard_system(plan_shard_inputs(spec)[0])
-        _, fp1 = epoch_step(system, spec, 0, [], ZERO_FINGERPRINT)
-        _, fp2 = epoch_step(system, spec, 1, [], fp1)
+        system = build_shard_system(plan_shard_inputs(scale(3, nodes=24, horizon=1.0), 2)[0])
+        _, fp1 = epoch_step(system, 0.5, 0, [], ZERO_FINGERPRINT)
+        _, fp2 = epoch_step(system, 1.0, 1, [], fp1)
         assert fp1 != ZERO_FINGERPRINT
         assert fp2 != fp1
 
@@ -298,21 +304,17 @@ class TestShardSystem:
         # cell's system, built, restored or raising, not by a judged
         # run or a digested one, and not by the canonical copy a
         # snapshot makes.
-        from repro.orchestrator.sharded import (
-            _write_shard_inputs,
-            run_shard_epoch,
-            write_sharded_manifest,
-        )
+        from repro.orchestrator.sharded import _write_shard_inputs, run_shard_epoch
         from repro.orchestrator.workloads import WorkerContext
 
-        spec = ScaleSpec(nodes=24, num_shards=2, seed=3, horizon=1.0, epoch=0.5)
-        write_sharded_manifest(str(tmp_path), spec)
+        scenario = scale(3, nodes=24, horizon=1.0)
+        write_sharded_manifest(str(tmp_path), scenario, 2, 0.5)
         _write_shard_inputs(str(tmp_path))
-        inputs = plan_shard_inputs(spec)[0]
+        inputs = plan_shard_inputs(scenario, 2)[0]
 
         def built():
             system = build_shard_system(inputs)
-            epoch_step(system, spec, 0, [], ZERO_FINGERPRINT)
+            epoch_step(system, 0.5, 0, [], ZERO_FINGERPRINT)
             return system
 
         def closed_built():
@@ -376,13 +378,10 @@ class TestShardCacheHygiene:
             assert not store.eager, "a store left eager would table bases at their first trial"
         assert dh._comb_columns.cache_info().currsize == 0
 
-    def test_run_shard_epoch_clears_stale_process_caches(self, tmp_path):
-        from repro.orchestrator.sharded import run_sharded
-
+    def test_run_shard_epoch_clears_stale_process_caches(self):
         self._poison()
         try:
-            spec = ScaleSpec(nodes=8, num_shards=1, seed=5, horizon=0.5, epoch=0.5)
-            run_sharded(spec, str(tmp_path / "run"), serial=True)
+            run_scenario(scale(5, nodes=8, horizon=0.5), "sharded", shards=1, epoch=0.5, serial=True)
             # run_shard_epoch resets process caches at shard pickup even
             # on the inline path, so the pre-existing entries cannot have
             # survived into (or influenced) the shard's run (sim keys: it
@@ -403,13 +402,12 @@ class TestShardCacheHygiene:
 class TestShardSnapshots:
     """The serial coordinator's dealings with ``simnet.snapshot``."""
 
-    SPEC = ScaleSpec(nodes=8, num_shards=1, seed=5, horizon=0.5, epoch=0.5)
+    SCENARIO = scale(5, nodes=8, horizon=0.5)
 
     def test_old_format_shard_snapshot_refuses_to_resume(self, tmp_path):
         import pickle
 
         from repro.orchestrator import ResultStore
-        from repro.orchestrator.sharded import run_sharded
         from repro.simnet.snapshot import SnapshotError
 
         shards = tmp_path / "run" / "shards"
@@ -418,19 +416,28 @@ class TestShardSnapshots:
         (shards / "shard000.snap").write_bytes(b"RACSNAP/1\n" + pickle.dumps(stale))
         # A raising shard cell is a failed record on the serial path too.
         with pytest.raises(RuntimeError, match="1 failed shard cells"):
-            run_sharded(self.SPEC, str(tmp_path / "run"), serial=True)
+            run_scenario(self.SCENARIO, "sharded", shards=1, epoch=0.5, run_dir=str(tmp_path / "run"), serial=True)
         failed = [r for r in ResultStore(str(tmp_path / "run" / "results.jsonl")).records() if r.status == "failed"]
         assert len(failed) == 1 and "version mismatch" in failed[0].error
         assert failed[0].error.startswith(SnapshotError.__name__)
 
-    def test_a_manifest_with_an_options_dict_still_loads(self, tmp_path):
-        import json
-
-        from repro.orchestrator.sharded import SHARDED_MANIFEST, load_sharded_manifest, write_sharded_manifest
-
-        # Manifests once carried {"options": {"profile": ...}} beside the spec.
-        body = {"schema": 1, "spec": self.SPEC.to_dict(), "options": {"profile": True}}
+    def test_a_schema_1_manifest_asks_for_a_fresh_run_dir(self, tmp_path):
+        # Schema 1 held a spec with 1-based indices beside the run options.
+        body = {"schema": 1, "spec": {"nodes": 8, "num_shards": 1, "seed": 5}}
         (tmp_path / SHARDED_MANIFEST).write_text(json.dumps(body))
-        assert load_sharded_manifest(str(tmp_path)) == self.SPEC
-        write_sharded_manifest(str(tmp_path), self.SPEC)
-        assert json.loads((tmp_path / SHARDED_MANIFEST).read_text()) == {"schema": 1, "spec": self.SPEC.to_dict()}
+        for attempt in (
+            lambda: load_sharded_manifest(str(tmp_path)),
+            lambda: run_scenario(self.SCENARIO, "sharded", shards=1, run_dir=str(tmp_path), serial=True),
+        ):
+            with pytest.raises(ValueError, match="schema 1.*fresh --run-dir"):
+                attempt()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [SHARDED_MANIFEST]
+
+    def test_a_directory_holds_one_sharded_run(self, tmp_path):
+        write_sharded_manifest(str(tmp_path), self.SCENARIO, 1, 0.5)
+        for other in ((scale(6, nodes=8, horizon=0.5), 1, 0.5), (self.SCENARIO, 2, 0.5)):
+            with pytest.raises(ValueError, match="different sharded run"):
+                write_sharded_manifest(str(tmp_path), *other)
+        body = json.loads((tmp_path / SHARDED_MANIFEST).read_text())
+        assert body == {"schema": 2, "scenario": json.loads(json.dumps(self.SCENARIO.to_dict())),
+                        "shards": 1, "epoch": 0.5}

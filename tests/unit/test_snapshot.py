@@ -305,6 +305,18 @@ class TestSnapshotInvariants:
         system = _mid_run_system()
         assert snapshot_system(system) == snapshot_system(system)
 
+    def test_shared_and_distinct_equal_strings_snapshot_differently(self):
+        # The canonical round trip keeps sharing (pickle's memo), so the
+        # bytes say which objects are one: why a sharded run plans from
+        # the very scenario object its cells read.
+        one = "".join(["key", "-backend"])
+        other = "".join(["key-", "backend"])
+        assert one == other and one is not other
+        shared, distinct = snapshot_system([one, one], verify=True), snapshot_system([one, other], verify=True)
+        assert shared != distinct
+        restored = restore_system(shared)
+        assert restored[0] is restored[1]
+
     def test_snapshot_of_restore_is_identity(self):
         system = _mid_run_system()
         assert system.sim.pending_events() > 0  # events in flight
@@ -591,10 +603,11 @@ class TestCanonicalSets:
         follow it. (A shard's own sets hold ints, hence the labels.)"""
         script = (
             "import hashlib\n"
-            "from repro.simnet.shard import ScaleSpec, build_shard_system, plan_shard_inputs\n"
+            "from repro.scenario import Scenario\n"
+            "from repro.simnet.shard import build_shard_system, plan_shard_inputs\n"
             "from repro.simnet.snapshot import snapshot_system\n"
-            "spec = ScaleSpec(nodes=64, num_shards=2, seed=7, horizon=2.0)\n"
-            "system = build_shard_system(plan_shard_inputs(spec)[0])\n"
+            "scenario = Scenario.from_params({'nodes': 64, 'horizon': 2.0}, 7, 'scale')\n"
+            "system = build_shard_system(plan_shard_inputs(scenario, 2)[0])\n"
             "system.run(0.8)\n"
             "labels = {f'node-{node_id}' for node_id in system.nodes}\n"
             "print(hashlib.sha256(snapshot_system((system, labels))).hexdigest())\n"
